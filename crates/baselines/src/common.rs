@@ -5,49 +5,22 @@
 //! gone) and drive their loops through [`dpar2_core::FitSession`].
 
 use dpar2_core::error::{Dpar2Error, Result};
-use dpar2_core::{FitOptions, Parafac2Fit, Workspace};
-use dpar2_linalg::sparse::sparse_gram_into;
+use dpar2_core::{FitOptions, Parafac2Fit, SliceTensor, Workspace};
 use dpar2_linalg::svd::{svd_truncated, svd_truncated_into};
 use dpar2_linalg::{Mat, SvdFactors, SvdScratch};
 use dpar2_parallel::{greedy_partition, ThreadPool};
-use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
 
 /// Initial `Q_k` for every slice: the identity embedding (first `R`
 /// columns of `I_{I_k}`), a valid orthonormal basis. The first ALS
 /// iteration overwrites these; they exist so a zero-iteration budget
 /// still produces a well-formed model with full factor shapes, keeping
 /// every solver uniform under the `Parafac2Solver` contract.
-pub fn identity_qs(tensor: &IrregularTensor, rank: usize) -> Vec<Mat> {
-    identity_qs_dims(tensor.dims(), rank)
-}
-
-/// [`identity_qs`] from raw slice row counts — shared by the sparse
-/// solver, whose tensor type carries the same `dims()` view.
-pub fn identity_qs_dims(row_dims: &[usize], rank: usize) -> Vec<Mat> {
-    row_dims
+pub fn identity_qs(tensor: &impl SliceTensor, rank: usize) -> Vec<Mat> {
+    tensor
+        .dims()
         .iter()
         .map(|&ik| Mat::from_fn(ik, rank, |i, j| if i == j { 1.0 } else { 0.0 }))
         .collect()
-}
-
-/// Validates that `R ≤ min(I_k, J)` for every slice (same contract as the
-/// DPar2 compression stage).
-pub fn validate_rank(tensor: &IrregularTensor, rank: usize) -> Result<()> {
-    validate_rank_dims(tensor.dims(), tensor.j(), rank)
-}
-
-/// [`validate_rank`] from raw dimensions — shared by the sparse solver.
-pub fn validate_rank_dims(row_dims: &[usize], j: usize, rank: usize) -> Result<()> {
-    if rank == 0 {
-        return Err(Dpar2Error::ZeroRank);
-    }
-    for (k, &ik) in row_dims.iter().enumerate() {
-        let limit = ik.min(j);
-        if rank > limit {
-            return Err(Dpar2Error::RankTooLarge { rank, slice: k, limit });
-        }
-    }
-    Ok(())
 }
 
 /// Kiers-style initialization of `V`: the leading `R` eigenvectors of
@@ -55,26 +28,16 @@ pub fn validate_rank_dims(row_dims: &[usize], j: usize, rank: usize) -> Result<(
 ///
 /// All baselines start from this `V` with `H = I`, `S_k = I`, matching the
 /// classic direct-fitting algorithm and making cross-method fitness
-/// comparisons meaningful.
-pub fn init_v(tensor: &IrregularTensor, rank: usize) -> Mat {
-    let j = tensor.j();
-    let mut gram_sum = Mat::zeros(j, j);
-    for k in 0..tensor.k() {
-        gram_sum += &tensor.slice(k).gram();
-    }
-    svd_truncated(&gram_sum, rank).u
-}
-
-/// [`init_v`] over CSR slices: the Gram sum accumulates via the sparse
-/// Gram kernel (ascending `k`, like the dense loop), so for tensors whose
-/// dense Grams stay on the naive dispatch path the result is bitwise
-/// identical to [`init_v`] on the densified tensor.
-pub fn init_v_sparse(tensor: &SparseIrregularTensor, rank: usize) -> Mat {
+/// comparisons meaningful. The Gram sum accumulates in ascending `k`; CSR
+/// slices use the sparse Gram kernel, so for tensors whose dense Grams stay
+/// on the naive dispatch path a CSR tensor gives bitwise the `V` of its
+/// densified tensor.
+pub fn init_v(tensor: &impl SliceTensor, rank: usize) -> Mat {
     let j = tensor.j();
     let mut gram_sum = Mat::zeros(j, j);
     let mut g = Mat::zeros(j, j);
     for k in 0..tensor.k() {
-        sparse_gram_into(tensor.slice(k), &mut g);
+        tensor.gram_into(k, &mut g);
         gram_sum += &g;
     }
     svd_truncated(&gram_sum, rank).u
@@ -118,33 +81,29 @@ pub fn update_q_into(
 /// True squared reconstruction error `Σ_k ‖X_k − Q_k H S_k Vᵀ‖²_F` given
 /// explicit `Q_k` — what PARAFAC2-ALS, SPARTan, and RD-ALS use for their
 /// convergence checks (and what DPar2 avoids; §III-E).
-pub fn true_error_sq(tensor: &IrregularTensor, qs: &[Mat], h: &Mat, w: &Mat, v: &Mat) -> f64 {
-    let (mut hs, mut qhs, mut model) = (Mat::default(), Mat::default(), Mat::default());
-    let mut total = 0.0;
-    for k in 0..qs.len() {
-        total += slice_error_sq(tensor, qs, h, w, v, k, &mut hs, &mut qhs, &mut model);
-    }
-    total
+pub fn true_error_sq<T: SliceTensor>(tensor: &T, qs: &[Mat], h: &Mat, w: &Mat, v: &Mat) -> f64 {
+    true_error_sq_pooled(tensor, qs, h, w, v, &ThreadPool::new(1))
 }
 
 /// [`true_error_sq`] with the per-slice reconstructions fanned out over
 /// `pool`. This is the dominant per-iteration cost of every explicit-factor
 /// baseline (`O(Σ_k I_k J R)` — as expensive as a whole compression pass),
 /// so sharing the parallel treatment keeps method-comparison timings about
-/// algorithmic cost, not about which solver got threads. Per-slice cost is
-/// proportional to `I_k`, so slices are assigned by the same greedy
-/// partition (Algorithm 4) the compression stage uses; results come back in
-/// slice order and are summed in ascending `k`, making the result
-/// bit-identical to the serial [`true_error_sq`] for every pool size.
-pub fn true_error_sq_pooled(
-    tensor: &IrregularTensor,
+/// algorithmic cost, not about which solver got threads. Slices are
+/// assigned by the same greedy partition (Algorithm 4) the compression
+/// stage uses; results come back in slice order and are summed in
+/// ascending `k`, making the result bit-identical to the serial
+/// [`true_error_sq`] for every pool size.
+pub fn true_error_sq_pooled<T: SliceTensor>(
+    tensor: &T,
     qs: &[Mat],
     h: &Mat,
     w: &Mat,
     v: &Mat,
     pool: &ThreadPool,
 ) -> f64 {
-    let partition = greedy_partition(&tensor.row_dims(), pool.threads());
+    let weights: Vec<usize> = (0..tensor.k()).map(|k| tensor.work(k)).collect();
+    let partition = greedy_partition(&weights, pool.threads());
     true_error_sq_ws(tensor, qs, h, w, v, pool, &partition, &mut Workspace::new())
 }
 
@@ -153,8 +112,8 @@ pub fn true_error_sq_pooled(
 /// arena's scratch with zero allocations; larger pools fan slices out over
 /// `partition`. Bit-identical to [`true_error_sq`] for every pool size.
 #[allow(clippy::too_many_arguments)]
-pub fn true_error_sq_ws(
-    tensor: &IrregularTensor,
+pub fn true_error_sq_ws<T: SliceTensor>(
+    tensor: &T,
     qs: &[Mat],
     h: &Mat,
     w: &Mat,
@@ -189,8 +148,8 @@ pub fn true_error_sq_ws(
 
 /// `‖X_k − Q_k H S_k Vᵀ‖²_F` for one slice, computed on caller scratch.
 #[allow(clippy::too_many_arguments)]
-fn slice_error_sq(
-    tensor: &IrregularTensor,
+fn slice_error_sq<T: SliceTensor>(
+    tensor: &T,
     qs: &[Mat],
     h: &Mat,
     w: &Mat,
@@ -203,8 +162,7 @@ fn slice_error_sq(
     hs.copy_from(h);
     scale_columns(hs, w.row(k));
     qs[k].matmul_into(&*hs, qhs); // Q_k·HS
-    qhs.matmul_nt_into(v, model); // ·Vᵀ
-    tensor.slice(k).diff_norm_sq(&*model)
+    tensor.residual_sq(k, qhs, v, model) // ‖X_k − Q_k·HS·Vᵀ‖²
 }
 
 /// Cold- or warm-start factors `(H, V, W)` for the explicit-factor
@@ -216,27 +174,13 @@ fn slice_error_sq(
 /// # Errors
 /// [`Dpar2Error::WarmStart`] when the warm factors do not match the
 /// tensor's rank/shape.
-pub fn init_factors(tensor: &IrregularTensor, options: &FitOptions<'_>) -> Result<(Mat, Mat, Mat)> {
-    init_factors_from(tensor.j(), tensor.k(), options, || init_v(tensor, options.rank))
-}
-
-/// [`init_factors`] decoupled from the tensor type: the caller supplies
-/// the `(J, K)` shape and a closure producing the cold-start `V` (only
-/// invoked when no warm start is present). This is how the sparse solver
-/// shares the warm-start validation verbatim with the dense baselines.
-///
-/// # Errors
-/// [`Dpar2Error::WarmStart`] when the warm factors do not match the
-/// tensor's rank/shape.
-pub fn init_factors_from(
-    j: usize,
-    k: usize,
+pub fn init_factors(
+    tensor: &impl SliceTensor,
     options: &FitOptions<'_>,
-    cold_v: impl FnOnce() -> Mat,
 ) -> Result<(Mat, Mat, Mat)> {
-    let r = options.rank;
+    let (r, j, k) = (options.rank, tensor.j(), tensor.k());
     match options.warm_start {
-        None => Ok((Mat::eye(r), cold_v(), Mat::ones(k, r))),
+        None => Ok((Mat::eye(r), init_v(tensor, r), Mat::ones(k, r))),
         Some(fit) => {
             let w = warm_weights(fit, k, r)?;
             if fit.h.shape() != (r, r) {
@@ -283,6 +227,7 @@ pub fn warm_weights(fit: &Parafac2Fit, k: usize, r: usize) -> Result<Mat> {
 mod tests {
     use super::*;
     use dpar2_linalg::random::gaussian_mat;
+    use dpar2_tensor::IrregularTensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -341,9 +286,9 @@ mod tests {
     #[test]
     fn validate_rank_catches_bad_inputs() {
         let t = small_tensor(505);
-        assert!(validate_rank(&t, 3).is_ok());
-        assert!(validate_rank(&t, 0).is_err());
-        assert!(validate_rank(&t, 8).is_err()); // slice 2 has I=7
+        assert!(dpar2_core::validate(&t, 3).is_ok());
+        assert!(dpar2_core::validate(&t, 0).is_err());
+        assert!(dpar2_core::validate(&t, 8).is_err()); // slice 2 has I=7
     }
 
     #[test]

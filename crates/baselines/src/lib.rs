@@ -13,17 +13,16 @@
 //!   of the column-wise concatenation `[X_1ᵀ ∥ … ∥ X_Kᵀ] ∈ R^{J×ΣI_k}`,
 //!   iterates on rank-reduced slices, but (as the paper stresses) still
 //!   evaluates the *true* reconstruction error each iteration.
-//! * [`SpartanDense`] — SPARTan (Perros et al., 2017) adapted to dense
-//!   slices: identical maths to PARAFAC2-ALS but with slice-parallel `Q_k`
-//!   updates and an MTTKRP that accumulates per-slice contributions without
-//!   materializing unfoldings (their scheduling idea, which loses its main
-//!   advantage without sparsity — Fig. 9 of the paper).
+//! * [`Spartan`] — SPARTan (Perros et al., 2017): identical maths to
+//!   PARAFAC2-ALS but with slice-parallel `Q_k` updates and an MTTKRP that
+//!   accumulates per-slice contributions without materializing unfoldings.
+//!   It takes dense slices (the paper's adaptation, which loses SPARTan's
+//!   main advantage without sparsity — Fig. 9 of the paper) or CSR slices
+//!   (its native workload, with per-iteration cost and memory proportional
+//!   to `nnz`), and its fits are bit-identical for every thread count.
 //!
 //! Plus the §III-C ablation [`NaiveCompressedAls`] (compress, reconstruct,
-//! iterate at full cost), and [`SpartanSparse`] — SPARTan on *actually
-//! sparse* CSR tensors (its native workload), with per-iteration cost and
-//! memory proportional to `nnz` and fits that are bit-identical for every
-//! thread count.
+//! iterate at full cost).
 //!
 //! Every solver — including `dpar2_core::Dpar2` — implements
 //! [`Parafac2Solver`], takes the same [`FitOptions`], and produces the
@@ -36,16 +35,16 @@ pub mod naive_compressed;
 pub mod parafac2_als;
 pub mod rd_als;
 pub mod spartan;
-pub mod spartan_sparse;
+#[cfg(test)]
+mod spartan_sparse;
 
 pub use naive_compressed::NaiveCompressedAls;
 pub use parafac2_als::Parafac2Als;
 pub use rd_als::RdAls;
-pub use spartan::SpartanDense;
-pub use spartan_sparse::SpartanSparse;
+pub use spartan::Spartan;
 
 use dpar2_core::{Dpar2, FitObserver, FitOptions, Parafac2Fit, Parafac2Solver, Result};
-use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
+use dpar2_tensor::IrregularTensor;
 use std::fmt;
 use std::str::FromStr;
 
@@ -59,10 +58,8 @@ pub enum Method {
     RdAls,
     /// PARAFAC2-ALS (Kiers et al. 1999).
     Parafac2Als,
-    /// SPARTan adapted to dense slices (Perros et al. 2017).
+    /// SPARTan (Perros et al. 2017).
     Spartan,
-    /// SPARTan on CSR slices — its native sparse workload.
-    SpartanSparse,
     /// Compress-reconstruct-iterate ablation (§III-C).
     NaiveCompressed,
 }
@@ -74,14 +71,12 @@ impl Method {
     pub const ALL: [Method; 4] =
         [Method::Dpar2, Method::RdAls, Method::Parafac2Als, Method::Spartan];
 
-    /// Every registered solver, including the sparse SPARTan variant and
-    /// the §III-C ablation.
-    pub const WITH_ABLATION: [Method; 6] = [
+    /// Every registered solver, including the §III-C ablation.
+    pub const WITH_ABLATION: [Method; 5] = [
         Method::Dpar2,
         Method::RdAls,
         Method::Parafac2Als,
         Method::Spartan,
-        Method::SpartanSparse,
         Method::NaiveCompressed,
     ];
 
@@ -92,7 +87,6 @@ impl Method {
             Method::RdAls => "RD-ALS",
             Method::Parafac2Als => "PARAFAC2-ALS",
             Method::Spartan => "SPARTan",
-            Method::SpartanSparse => "SPARTan-sparse",
             Method::NaiveCompressed => "NaiveCompressed",
         }
     }
@@ -103,8 +97,7 @@ impl Method {
             Method::Dpar2 => Box::new(Dpar2),
             Method::RdAls => Box::new(RdAls),
             Method::Parafac2Als => Box::new(Parafac2Als),
-            Method::Spartan => Box::new(SpartanDense),
-            Method::SpartanSparse => Box::new(SpartanSparse),
+            Method::Spartan => Box::new(Spartan),
             Method::NaiveCompressed => Box::new(NaiveCompressedAls),
         }
     }
@@ -128,7 +121,7 @@ impl fmt::Display for ParseMethodError {
         write!(
             f,
             "unknown method {:?} (expected one of: dpar2, rd-als, parafac2-als, spartan, \
-             spartan-sparse, naive-compressed)",
+             naive-compressed)",
             self.input
         )
     }
@@ -147,9 +140,6 @@ impl FromStr for Method {
             "rd-als" | "rdals" | "rd_als" => Ok(Method::RdAls),
             "parafac2-als" | "parafac2als" | "parafac2_als" | "als" => Ok(Method::Parafac2Als),
             "spartan" => Ok(Method::Spartan),
-            "spartan-sparse" | "spartansparse" | "spartan_sparse" | "sparse" => {
-                Ok(Method::SpartanSparse)
-            }
             "naive-compressed" | "naivecompressed" | "naive_compressed" | "naive" => {
                 Ok(Method::NaiveCompressed)
             }
@@ -159,17 +149,11 @@ impl FromStr for Method {
 }
 
 /// Runs the chosen method on `tensor` with the shared fit options — a thin
-/// veneer over `method.solver().fit(...)`, plus the sparse auto-dispatch
-/// described on [`FitOptions::sparse_threshold`]: when the threshold is
-/// set, the method is [`Method::Dpar2`], and the tensor's nonzero density
-/// is strictly below the threshold, the input is sparsified (one CSR
-/// conversion) and routed through [`Dpar2::fit_sparse`], making the whole
-/// compression stage O(nnz). The decision lands on the observer's
-/// `on_input_shape` hook (and through it on the fit metrics'
-/// `sparse_dispatch` gauge).
+/// veneer over `method.solver().fit(...)`. For a CSR tensor, call
+/// [`Dpar2::fit`] or [`Spartan::fit`] directly: both take either storage.
 ///
 /// # Errors
-/// Propagates rank-validation and warm-start errors (identical across
+/// Propagates validation and warm-start errors (identical across
 /// methods).
 pub fn fit_with(
     method: Method,
@@ -189,16 +173,6 @@ pub fn fit_with_observer(
     options: &FitOptions<'_>,
     observer: &mut dyn FitObserver,
 ) -> Result<Parafac2Fit> {
-    if method == Method::Dpar2 {
-        if let Some(threshold) = options.sparse_threshold {
-            let cells = tensor.num_entries();
-            let density = if cells == 0 { 1.0 } else { tensor.nnz() as f64 / cells as f64 };
-            if density < threshold {
-                let sparse = SparseIrregularTensor::from_dense(tensor);
-                return Dpar2.fit_sparse_observed(&sparse, options, observer);
-            }
-        }
-    }
     method.solver().fit_observed(tensor, options, observer)
 }
 
@@ -220,8 +194,6 @@ mod tests {
         assert_eq!("rdals".parse::<Method>().unwrap(), Method::RdAls);
         assert_eq!("als".parse::<Method>().unwrap(), Method::Parafac2Als);
         assert_eq!("Spartan".parse::<Method>().unwrap(), Method::Spartan);
-        assert_eq!("sparse".parse::<Method>().unwrap(), Method::SpartanSparse);
-        assert_eq!("SPARTAN_SPARSE".parse::<Method>().unwrap(), Method::SpartanSparse);
         assert_eq!("naive".parse::<Method>().unwrap(), Method::NaiveCompressed);
         let err = "pca".parse::<Method>().unwrap_err();
         assert!(err.to_string().contains("pca"));
@@ -232,86 +204,5 @@ mod tests {
         for m in Method::WITH_ABLATION {
             assert_eq!(m.solver().name(), m.name());
         }
-    }
-
-    /// Captures the `on_input_shape` hook so the dispatch decision is
-    /// observable without a metrics registry.
-    struct CaptureDispatch {
-        nnz: u64,
-        num_cells: u64,
-        sparse_path: Option<bool>,
-    }
-
-    impl FitObserver for CaptureDispatch {
-        fn on_iteration(
-            &mut self,
-            _: &dpar2_core::IterationEvent,
-        ) -> std::ops::ControlFlow<dpar2_core::StopReason> {
-            std::ops::ControlFlow::Continue(())
-        }
-
-        fn on_input_shape(&mut self, nnz: u64, num_cells: u64, sparse_path: bool) {
-            self.nnz = nnz;
-            self.num_cells = num_cells;
-            self.sparse_path = Some(sparse_path);
-        }
-    }
-
-    #[test]
-    fn sparse_threshold_auto_dispatches_dpar2() {
-        use dpar2_core::RsvdConfig;
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-
-        // ~4 nonzeros per 16-wide row → density ~0.25.
-        let mut rng = StdRng::seed_from_u64(104);
-        let slices: Vec<dpar2_linalg::Mat> = [40usize, 32, 36]
-            .iter()
-            .map(|&ik| {
-                let mut m = dpar2_linalg::Mat::zeros(ik, 16);
-                for i in 0..ik {
-                    for _ in 0..4 {
-                        let j = (rng.random::<u64>() % 16) as usize;
-                        m.set(i, j, rng.random::<f64>() - 0.5);
-                    }
-                }
-                m
-            })
-            .collect();
-        let tensor = IrregularTensor::new(slices);
-        // rank 3 + oversample 2 keeps the sketch on the naive dispatch
-        // path, so the sparse route must be bitwise the dense one.
-        let opts = FitOptions::new(3)
-            .with_seed(105)
-            .with_rsvd(RsvdConfig { rank: 3, oversample: 2, power_iterations: 1 })
-            .with_max_iterations(6)
-            .with_tolerance(0.0);
-
-        // Below threshold: routed through the sparse path.
-        let mut cap = CaptureDispatch { nnz: 0, num_cells: 0, sparse_path: None };
-        let auto =
-            fit_with_observer(Method::Dpar2, &tensor, &opts.with_sparse_threshold(0.5), &mut cap)
-                .unwrap();
-        assert_eq!(cap.sparse_path, Some(true), "low-density input must dispatch sparse");
-        assert_eq!(cap.nnz, tensor.nnz() as u64);
-        assert_eq!(cap.num_cells, tensor.num_entries() as u64);
-
-        let dense = fit_with(Method::Dpar2, &tensor, &opts).unwrap();
-        assert_eq!(auto.u, dense.u, "auto-dispatched sparse fit diverged from dense (U)");
-        assert_eq!(auto.s, dense.s, "auto-dispatched sparse fit diverged from dense (S)");
-        assert_eq!(auto.v, dense.v, "auto-dispatched sparse fit diverged from dense (V)");
-        assert_eq!(auto.criterion_trace, dense.criterion_trace);
-
-        // Density at/above threshold (or threshold unset): dense path.
-        let mut cap = CaptureDispatch { nnz: 0, num_cells: 0, sparse_path: None };
-        fit_with_observer(Method::Dpar2, &tensor, &opts.with_sparse_threshold(1e-6), &mut cap)
-            .unwrap();
-        assert_eq!(cap.sparse_path, Some(false), "dense-ish input must stay dense");
-        assert_eq!(cap.nnz, cap.num_cells, "dense entry point reports full cells as nnz");
-
-        // Non-DPar2 methods ignore the threshold.
-        let mut cap = CaptureDispatch { nnz: 0, num_cells: 0, sparse_path: None };
-        fit_with_observer(Method::Parafac2Als, &tensor, &opts.with_sparse_threshold(0.5), &mut cap)
-            .unwrap();
-        assert_ne!(cap.sparse_path, Some(true), "baselines must not be rerouted");
     }
 }

@@ -13,9 +13,7 @@
 //! every iteration touches the raw slices (`O(Σ_k I_k J R)`) and pays the
 //! `O(J K R²)` MTTKRP with `O(J K R)` intermediates.
 
-use crate::common::{
-    identity_qs, init_factors, scale_columns, true_error_sq_pooled, update_q, validate_rank,
-};
+use crate::common::{identity_qs, init_factors, scale_columns, true_error_sq_pooled, update_q};
 use dpar2_core::{
     FitObserver, FitOptions, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver, Result,
     TimingBreakdown,
@@ -52,7 +50,7 @@ impl Parafac2Als {
     ) -> Result<Parafac2Fit> {
         let t0 = Instant::now();
         let r = options.rank;
-        validate_rank(tensor, r)?;
+        dpar2_core::validate(tensor, r)?;
         let k_dim = tensor.k();
         // Pool for the per-iteration convergence check (the reconstruction
         // error costs as much as a compression pass). The ALS updates

@@ -23,9 +23,7 @@
 //!    (Fig. 9(b): up to 10.3× slower iterations than DPar2's compressed
 //!    criterion).
 
-use crate::common::{
-    identity_qs, init_factors, scale_columns, true_error_sq_ws, update_q_into, validate_rank,
-};
+use crate::common::{identity_qs, init_factors, scale_columns, true_error_sq_ws, update_q_into};
 use dpar2_core::{
     FitObserver, FitOptions, FitPhase, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver,
     Result, TimingBreakdown,
@@ -84,7 +82,7 @@ impl RdAls {
     ) -> Result<Parafac2Fit> {
         let t0 = Instant::now();
         let r = options.rank;
-        validate_rank(tensor, r)?;
+        dpar2_core::validate(tensor, r)?;
         let k_dim = tensor.k();
         // Pool for the per-iteration true-error convergence check against
         // the raw slices — RD-ALS's per-iteration bottleneck (Fig. 9(b)).

@@ -1,114 +1,200 @@
-//! SPARTan adapted to dense irregular tensors (Perros et al., KDD 2017).
+//! SPARTan (Perros et al., KDD 2017) on dense or CSR irregular tensors.
 //!
 //! SPARTan's contribution is a parallel, slice-wise MTTKRP scheduling for
 //! the PARAFAC2 inner step that avoids materializing unfoldings and
-//! Khatri-Rao products, exploiting slice sparsity. The DPar2 paper adapts it
-//! to dense inputs as a competitor ("Although it targets on sparse irregular
-//! tensors, it can be adapted to irregular dense tensors", §IV-A); without
-//! sparsity its per-slice work is identical to dense PARAFAC2-ALS, which is
-//! why Fig. 9(b) shows little advantage — the behaviour this implementation
-//! reproduces.
+//! Khatri-Rao products, exploiting slice sparsity. On CSR slices (its
+//! native workload) every product touching the data (`X_k·VS_kHᵀ`,
+//! `Q_kᵀX_k`, the Gram init, the error term, `‖X‖²_F`) runs over nonzeros
+//! only, so per-iteration cost and peak memory scale with `nnz`, not
+//! `Σ_k I_k·J`. The DPar2 paper adapts it to dense inputs as a competitor
+//! ("Although it targets on sparse irregular tensors, it can be adapted to
+//! irregular dense tensors", §IV-A); without sparsity its per-slice work is
+//! identical to dense PARAFAC2-ALS, which is why Fig. 9(b) shows little
+//! advantage — the behaviour the dense instantiation reproduces.
 //!
 //! Differences from [`crate::Parafac2Als`]:
-//! * `Q_k` updates run in parallel over slices (greedy-partitioned by
-//!   `I_k`, the same Algorithm-4 policy DPar2 uses);
-//! * the CP-ALS step uses slice-wise MTTKRP accumulation
-//!   (`Σ_k Y_k-contributions`) with per-thread partial sums instead of
-//!   materialized unfoldings.
+//! * `Q_k` updates and `Y_k = Q_kᵀX_k` run in parallel over slices
+//!   (greedy-partitioned by slice work, the same Algorithm-4 policy DPar2
+//!   uses);
+//! * the CP-ALS step accumulates per-slice MTTKRP contributions without
+//!   materializing unfoldings.
+//!
+//! ## Determinism and dense parity
+//!
+//! The sparse kernels preserve the dense naive accumulation order exactly
+//! (see [`dpar2_linalg::sparse`]), and the cross-slice MTTKRP / error sums
+//! run serially in ascending `k` regardless of the pool size. Two
+//! consequences, both pinned by tests:
+//!
+//! * a fit is **bit-identical for every thread count**, dense or CSR, and
+//! * on tensors whose dense products all take the naive dispatch path
+//!   (small `J` and `R` — see `dpar2_linalg::kernel`), a CSR fit is
+//!   **bit-identical** to the fit of the densified tensor.
+//!
+//! ## Allocation discipline
+//!
+//! At one thread the steady-state iteration runs entirely on the
+//! [`Workspace`] arena plus factor-sized scratch allocated before the
+//! loop: kernels write through `resize_zeroed` (capacity-reusing), SVD/pinv
+//! use the `_into` forms, and factor swaps are `mem::swap` — zero heap
+//! allocations per iteration for either storage, enforced by
+//! `tests/alloc_regression.rs`. Multi-thread fits allocate per-slice
+//! temporaries inside the pool (the same convention as the other
+//! baselines).
 
-use crate::common::{
-    identity_qs, init_factors, scale_columns, true_error_sq_pooled, update_q, validate_rank,
-};
+use crate::common::{identity_qs, init_factors, scale_columns, true_error_sq_ws, update_q_into};
 use dpar2_core::{
-    FitObserver, FitOptions, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver, Result,
-    TimingBreakdown,
+    validate, FitObserver, FitOptions, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver,
+    ProductOp, Result, SliceTensor, TimingBreakdown, Workspace,
 };
-use dpar2_linalg::{pinv, Mat};
+use dpar2_linalg::{pinv_into, Mat};
 use dpar2_parallel::{greedy_partition, ThreadPool};
-use dpar2_tensor::{normalize_columns, IrregularTensor};
+use dpar2_tensor::{normalize_columns_mut, IrregularTensor};
 use std::time::Instant;
 
-/// SPARTan-style PARAFAC2 solver for dense slices — a stateless
-/// [`Parafac2Solver`] handle; all per-fit settings travel in
-/// [`FitOptions`].
+/// SPARTan PARAFAC2 solver — a stateless [`Parafac2Solver`] handle; all
+/// per-fit settings travel in [`FitOptions`]. The inherent
+/// [`Spartan::fit`] takes dense or CSR tensors; the trait impl is its dense
+/// instantiation.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpartanDense;
+pub struct Spartan;
 
-impl SpartanDense {
+impl Spartan {
     /// Fits the PARAFAC2 model with slice-parallel scheduling.
     ///
     /// # Errors
-    /// [`dpar2_core::Dpar2Error::RankTooLarge`] / `ZeroRank` on invalid
-    /// rank; `WarmStart` on mismatched warm-start factors.
-    pub fn fit(&self, tensor: &IrregularTensor, options: &FitOptions<'_>) -> Result<Parafac2Fit> {
+    /// The [`dpar2_core::validate`] contract (invalid rank, non-finite
+    /// input); `WarmStart` on mismatched warm-start factors.
+    pub fn fit<T: SliceTensor>(&self, tensor: &T, options: &FitOptions<'_>) -> Result<Parafac2Fit> {
         self.fit_observed(tensor, options, &mut NoopObserver)
     }
 
-    /// [`SpartanDense::fit`] with a [`FitObserver`] session.
+    /// [`Spartan::fit`] with a [`FitObserver`] session.
     ///
     /// # Errors
-    /// See [`SpartanDense::fit`].
-    pub fn fit_observed(
+    /// See [`Spartan::fit`].
+    pub fn fit_observed<T: SliceTensor>(
         &self,
-        tensor: &IrregularTensor,
+        tensor: &T,
         options: &FitOptions<'_>,
         observer: &mut dyn FitObserver,
     ) -> Result<Parafac2Fit> {
         let t0 = Instant::now();
+        let (nnz, cells, sparse) = tensor.input_shape();
+        observer.on_input_shape(nnz, cells, sparse);
         let r = options.rank;
-        validate_rank(tensor, r)?;
+        validate(tensor, r)?;
         let k_dim = tensor.k();
+        let j_dim = tensor.j();
         let pool = ThreadPool::new(options.threads.max(1));
-        // Slice partition by row count — SPARTan parallelizes over slices;
-        // we reuse the greedy policy so thread counts compare fairly.
-        let partition = greedy_partition(&tensor.row_dims(), pool.threads());
+        let serial = ThreadPool::new(1);
+        // Slice-level parallelism is the winning axis for SPARTan: per-slice
+        // work is proportional to the slice's rows (dense) or nnz (CSR).
+        let weights: Vec<usize> = (0..k_dim).map(|k| tensor.work(k)).collect();
+        let partition = greedy_partition(&weights, pool.threads());
 
         let (mut h, mut v, mut w) = init_factors(tensor, options)?;
-        let mut qs: Vec<Mat> = Vec::new();
-
         // Data norm for the absolute branch of the shared stopping rule.
         let x_norm_sq = tensor.fro_norm_sq();
+
+        // Everything the steady-state iteration touches is allocated here
+        // once; the loop body reuses capacity via `resize_zeroed`/`copy_from`
+        // and the `_into` kernel forms.
+        let mut ws = Workspace::new();
+        let mut qs: Vec<Mat> = tensor.dims().iter().map(|&ik| Mat::zeros(ik, r)).collect();
+        let mut yks: Vec<Mat> = (0..k_dim).map(|_| Mat::zeros(r, j_dim)).collect();
+        let mut g1 = Mat::zeros(r, r);
+        let mut g2 = Mat::zeros(j_dim, r);
+        let mut g3 = Mat::zeros(k_dim, r);
+        let mut gram_a = Mat::zeros(r, r);
+        let mut gram_b = Mat::zeros(r, r);
+        let mut pinv_out = Mat::zeros(r, r);
+        let mut new_h = Mat::zeros(r, r);
+        let mut new_v = Mat::zeros(j_dim, r);
+        let mut new_w = Mat::zeros(k_dim, r);
+        let mut populated = false;
 
         let mut session = FitSession::new(options, observer);
         for _iter in 0..options.max_iterations {
             session.start_iteration();
 
-            // Q_k updates, slice-parallel.
-            let new_qs: Vec<Mat> = pool.run_partitioned(&partition, |k| {
-                let mut vs = v.clone();
-                scale_columns(&mut vs, w.row(k));
-                let vsh = vs.matmul_nt(&h).expect("V S_k Hᵀ");
-                let target = tensor.slice(k).matmul(&vsh).expect("X_k·VSHᵀ");
-                update_q(&target, r)
-            });
-            qs = new_qs;
+            // Q_k update + Y_k = Q_kᵀX_k, slice-parallel. Per-slice results
+            // are independent of the schedule.
+            if pool.threads() == 1 {
+                for (k, (q, yk)) in qs.iter_mut().zip(&mut yks).enumerate() {
+                    update_slice(tensor.slice(k), &v, &h, w.row(k), q, yk, &mut ws, &serial);
+                }
+            } else {
+                let per_slice: Vec<(Mat, Mat)> = pool.run_partitioned(&partition, |k| {
+                    let (mut q, mut yk, mut scratch) =
+                        (Mat::default(), Mat::default(), Workspace::new());
+                    let x = tensor.slice(k);
+                    update_slice(x, &v, &h, w.row(k), &mut q, &mut yk, &mut scratch, &serial);
+                    (q, yk)
+                });
+                for (k, (q, yk)) in per_slice.into_iter().enumerate() {
+                    qs[k] = q;
+                    yks[k] = yk;
+                }
+            }
+            populated = true;
 
-            // Y_k = Q_kᵀ X_k, slice-parallel (kept per-slice, never stacked).
-            let yks: Vec<Mat> = pool.run_partitioned(&partition, |k| {
-                qs[k].matmul_tn(tensor.slice(k)).expect("Q_kᵀX_k")
-            });
+            // Slice-wise MTTKRP accumulation, serially in ascending k for
+            // every pool size. The per-slice products are tiny (R×R / J×R)
+            // next to the Y_k step, so serializing them costs nothing and
+            // buys thread-count determinism.
+            g1.resize_zeroed(r, r);
+            for k in 0..k_dim {
+                yks[k].matmul_into(&v, &mut ws.lemma_tmp); // Y_k·V, R×R
+                accumulate_weighted(&mut g1, &ws.lemma_tmp, w.row(k));
+            }
+            w.gram_into(&mut gram_a);
+            v.gram_into(&mut gram_b);
+            gram_a.hadamard_assign(&gram_b); // WᵀW ∗ VᵀV
+            pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
+            g1.matmul_into(&pinv_out, &mut new_h);
+            normalize_columns_mut(&mut new_h, &mut ws.norms);
+            std::mem::swap(&mut h, &mut new_h);
 
-            // Slice-wise parallel MTTKRP + factor updates.
-            let g1 = par_mttkrp_mode1(&yks, &v, &w, &pool);
-            h = g1.matmul(pinv(w.gram().hadamard(&v.gram()).expect("WᵀW∗VᵀV"))).expect("H update");
-            let (hn, _) = normalize_columns(&h);
-            h = hn;
+            g2.resize_zeroed(j_dim, r);
+            for k in 0..k_dim {
+                yks[k].matmul_tn_into(&h, &mut ws.lemma_tmp); // Y_kᵀ·H, J×R
+                accumulate_weighted(&mut g2, &ws.lemma_tmp, w.row(k));
+            }
+            w.gram_into(&mut gram_a);
+            h.gram_into(&mut gram_b);
+            gram_a.hadamard_assign(&gram_b); // WᵀW ∗ HᵀH
+            pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
+            g2.matmul_into(&pinv_out, &mut new_v);
+            normalize_columns_mut(&mut new_v, &mut ws.norms);
+            std::mem::swap(&mut v, &mut new_v);
 
-            let g2 = par_mttkrp_mode2(&yks, &h, &w, &pool);
-            v = g2.matmul(pinv(w.gram().hadamard(&h.gram()).expect("WᵀW∗HᵀH"))).expect("V update");
-            let (vn, _) = normalize_columns(&v);
-            v = vn;
+            g3.resize_zeroed(k_dim, r);
+            for k in 0..k_dim {
+                yks[k].matmul_into(&v, &mut ws.lemma_tmp); // Y_k·V, R×R
+                let grow = g3.row_mut(k);
+                for i in 0..h.rows() {
+                    let hrow = h.row(i);
+                    let trow = ws.lemma_tmp.row(i);
+                    for (c, val) in grow.iter_mut().enumerate() {
+                        *val += hrow[c] * trow[c];
+                    }
+                }
+            }
+            v.gram_into(&mut gram_a);
+            h.gram_into(&mut gram_b);
+            gram_a.hadamard_assign(&gram_b); // VᵀV ∗ HᵀH
+            pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
+            g3.matmul_into(&pinv_out, &mut new_w);
+            std::mem::swap(&mut w, &mut new_w);
 
-            let g3 = par_mttkrp_mode3(&yks, &h, &v, &pool);
-            w = g3.matmul(pinv(v.gram().hadamard(&h.gram()).expect("VᵀV∗HᵀH"))).expect("W update");
-
-            let err = true_error_sq_pooled(tensor, &qs, &h, &w, &v, &pool);
+            let err = true_error_sq_ws(tensor, &qs, &h, &w, &v, &pool, &partition, &mut ws);
             if session.finish_iteration(err, x_norm_sq) {
                 break;
             }
         }
         let outcome = session.finish();
-        if qs.is_empty() {
+        if !populated {
             // Zero-iteration budget: identity-embedded Q_k keep the model
             // well-formed (see `common::identity_qs`).
             qs = identity_qs(tensor, r);
@@ -135,7 +221,7 @@ impl SpartanDense {
     }
 }
 
-impl Parafac2Solver for SpartanDense {
+impl Parafac2Solver for Spartan {
     fn name(&self) -> &'static str {
         "SPARTan"
     }
@@ -146,90 +232,42 @@ impl Parafac2Solver for SpartanDense {
         options: &FitOptions<'_>,
         observer: &mut dyn FitObserver,
     ) -> Result<Parafac2Fit> {
-        SpartanDense::fit_observed(self, tensor, options, observer)
+        Spartan::fit_observed(self, tensor, options, observer)
     }
 }
 
-/// `Y_(1)(W ⊙ V) = Σ_k Y_k V diag(W(k,:))` with per-thread partial sums.
-fn par_mttkrp_mode1(yks: &[Mat], v: &Mat, w: &Mat, pool: &ThreadPool) -> Mat {
-    let r = v.cols();
-    let rows = yks[0].rows();
-    let chunks = chunk_ranges(yks.len(), pool.threads());
-    let partials: Vec<Mat> = pool.map(&chunks, |_, range| {
-        let mut acc = Mat::zeros(rows, r);
-        let mut tmp = Mat::zeros(rows, r);
-        for k in range.clone() {
-            yks[k].matmul_into(v, &mut tmp);
-            for i in 0..rows {
-                let arow = acc.row_mut(i);
-                let trow = tmp.row(i);
-                for (c, &wv) in w.row(k).iter().enumerate() {
-                    arow[c] += trow[c] * wv;
-                }
-            }
-        }
-        acc
-    });
-    sum_mats(partials)
+/// One slice's step on caller scratch: `Q_k` from the Procrustes target
+/// `X_k·V S_k Hᵀ`, then `Y_k = Q_kᵀ X_k`. Shared by the serial (arena) and
+/// pooled (fresh scratch) paths, so both are bit-identical.
+#[allow(clippy::too_many_arguments)]
+fn update_slice(
+    x: impl ProductOp,
+    v: &Mat,
+    h: &Mat,
+    w_row: &[f64],
+    q: &mut Mat,
+    yk: &mut Mat,
+    ws: &mut Workspace,
+    serial: &ThreadPool,
+) {
+    ws.tall_a.copy_from(v);
+    scale_columns(&mut ws.tall_a, w_row);
+    ws.tall_a.matmul_nt_into(h, &mut ws.tall_b); // V S_k Hᵀ
+    x.mm_into(&ws.tall_b, &mut ws.slice_a, serial); // X_k·VS_kHᵀ
+    let rank = h.rows();
+    update_q_into(&ws.slice_a, rank, q, &mut ws.svd_out, &mut ws.svd_tmp, &mut ws.svd);
+    x.proj_into(q, yk, serial); // Q_kᵀX_k
 }
 
-/// `Y_(2)(W ⊙ H) = Σ_k Y_kᵀ H diag(W(k,:))` with per-thread partial sums.
-fn par_mttkrp_mode2(yks: &[Mat], h: &Mat, w: &Mat, pool: &ThreadPool) -> Mat {
-    let r = h.cols();
-    let j = yks[0].cols();
-    let chunks = chunk_ranges(yks.len(), pool.threads());
-    let partials: Vec<Mat> = pool.map(&chunks, |_, range| {
-        let mut acc = Mat::zeros(j, r);
-        let mut tmp = Mat::zeros(j, r);
-        for k in range.clone() {
-            yks[k].matmul_tn_into(h, &mut tmp);
-            for i in 0..j {
-                let arow = acc.row_mut(i);
-                let trow = tmp.row(i);
-                for (c, &wv) in w.row(k).iter().enumerate() {
-                    arow[c] += trow[c] * wv;
-                }
-            }
+/// `acc += tmp · diag(w_row)`, the per-slice MTTKRP weighting.
+fn accumulate_weighted(acc: &mut Mat, tmp: &Mat, w_row: &[f64]) {
+    for i in 0..acc.rows() {
+        let arow = acc.row_mut(i);
+        let trow = tmp.row(i);
+        for (c, &wv) in w_row.iter().enumerate() {
+            arow[c] += trow[c] * wv;
         }
-        acc
-    });
-    sum_mats(partials)
-}
-
-/// `Y_(3)(V ⊙ H)`: row `k` is `diag(Hᵀ Y_k V)ᵀ`, one slice per work item.
-fn par_mttkrp_mode3(yks: &[Mat], h: &Mat, v: &Mat, pool: &ThreadPool) -> Mat {
-    let r = h.cols();
-    let rows: Vec<Vec<f64>> = pool.map(yks, |_, yk| {
-        let tmp = yk.matmul(v).expect("Y_k·V"); // R×R
-        let mut row = vec![0.0; r];
-        for i in 0..h.rows() {
-            let hrow = h.row(i);
-            let trow = tmp.row(i);
-            for (c, val) in row.iter_mut().enumerate() {
-                *val += hrow[c] * trow[c];
-            }
-        }
-        row
-    });
-    let mut g = Mat::zeros(yks.len(), r);
-    for (k, row) in rows.iter().enumerate() {
-        g.set_row(k, row);
     }
-    g
-}
-
-fn chunk_ranges(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let threads = threads.max(1).min(n.max(1));
-    let chunk = n.div_ceil(threads).max(1);
-    (0..threads).map(|t| t * chunk..((t + 1) * chunk).min(n)).filter(|r| !r.is_empty()).collect()
-}
-
-fn sum_mats(mut mats: Vec<Mat>) -> Mat {
-    let mut acc = mats.pop().expect("sum_mats: empty");
-    for m in &mats {
-        acc += m;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -244,7 +282,7 @@ mod tests {
         let t = planted(&[18, 25, 12], 10, 3, 0.2, 701);
         let cfg = FitOptions::new(3).with_max_iterations(6).with_tolerance(0.0);
         let als = Parafac2Als.fit(&t, &cfg).unwrap();
-        let sp = SpartanDense.fit(&t, &cfg).unwrap();
+        let sp = Spartan.fit(&t, &cfg).unwrap();
         assert_eq!(als.iterations, sp.iterations);
         for (a, b) in als.criterion_trace.iter().zip(&sp.criterion_trace) {
             assert!((a - b).abs() < 1e-6 * (1.0 + a), "traces diverge: {a} vs {b}");
@@ -257,8 +295,8 @@ mod tests {
         let t = planted(&[20, 35, 15, 27], 12, 2, 0.1, 702);
         let cfg1 = FitOptions::new(2).with_threads(1).with_max_iterations(5);
         let cfg4 = FitOptions::new(2).with_threads(4).with_max_iterations(5);
-        let f1 = SpartanDense.fit(&t, &cfg1).unwrap();
-        let f4 = SpartanDense.fit(&t, &cfg4).unwrap();
+        let f1 = Spartan.fit(&t, &cfg1).unwrap();
+        let f4 = Spartan.fit(&t, &cfg4).unwrap();
         assert!((&f1.v - &f4.v).fro_norm() < 1e-9);
         for k in 0..t.k() {
             assert!((&f1.u[k] - &f4.u[k]).fro_norm() < 1e-9);
@@ -266,15 +304,32 @@ mod tests {
     }
 
     #[test]
+    fn dense_fit_bit_identical_across_thread_counts() {
+        // Dense slices share the CSR path's serial ascending-k sums, so the
+        // thread count only schedules; every bit of the fit is fixed.
+        let t = planted(&[40, 65, 28, 51, 33], 12, 3, 0.2, 705);
+        let cfg = FitOptions::new(3).with_max_iterations(5).with_tolerance(0.0);
+        let base = Spartan.fit(&t, &cfg.with_threads(1)).unwrap();
+        for threads in [2, 4] {
+            let f = Spartan.fit(&t, &cfg.with_threads(threads)).unwrap();
+            assert_eq!(f.criterion_trace, base.criterion_trace, "{threads} threads: trace");
+            assert_eq!(f.h, base.h, "{threads} threads: H");
+            assert_eq!(f.v, base.v, "{threads} threads: V");
+            assert_eq!(f.s, base.s, "{threads} threads: S");
+            assert_eq!(f.u, base.u, "{threads} threads: U");
+        }
+    }
+
+    #[test]
     fn fits_planted_data() {
         let t = planted(&[25, 30, 18], 14, 3, 0.05, 703);
-        let fit = SpartanDense.fit(&t, &FitOptions::new(3)).unwrap();
+        let fit = Spartan.fit(&t, &FitOptions::new(3)).unwrap();
         assert!(fit.fitness(&t) > 0.95, "fitness {}", fit.fitness(&t));
     }
 
     #[test]
     fn rejects_invalid_rank() {
         let t = planted(&[6, 30], 14, 2, 0.0, 704);
-        assert!(SpartanDense.fit(&t, &FitOptions::new(7)).is_err());
+        assert!(Spartan.fit(&t, &FitOptions::new(7)).is_err());
     }
 }

@@ -1,389 +1,14 @@
-//! SPARTan on actually-sparse irregular tensors (Perros et al., KDD 2017).
-//!
-//! [`crate::SpartanDense`] adapts SPARTan's slice-wise MTTKRP scheduling to
-//! dense slices — the form the DPar2 paper benchmarks against. This module
-//! is the real thing: PARAFAC2-ALS over CSR slices where every product
-//! touching the data (`X_k·VS_kHᵀ`, `Q_kᵀX_k`, the Gram init, the error
-//! term, `‖X‖²_F`) runs over nonzeros only, so per-iteration cost and
-//! peak memory scale with `nnz`, not `Σ_k I_k·J`.
-//!
-//! ## Determinism and dense parity
-//!
-//! The sparse kernels preserve the dense naive accumulation order exactly
-//! (see [`dpar2_linalg::sparse`]), and the cross-slice MTTKRP / error sums
-//! here run serially in ascending `k` regardless of the pool size — unlike
-//! [`crate::SpartanDense`]'s thread-count-dependent partial sums. Two
-//! consequences, both pinned by tests:
-//!
-//! * a fit is **bit-identical for every thread count**, and
-//! * on tensors whose dense products all take the naive dispatch path
-//!   (small `J` and `R` — see `dpar2_linalg::kernel`), a fit is
-//!   **bit-identical to [`crate::SpartanDense`] at one thread** on the
-//!   densified tensor.
-//!
-//! ## Allocation discipline
-//!
-//! At one thread the steady-state iteration runs entirely on the
-//! [`Workspace`] arena plus factor-sized scratch allocated before the
-//! loop: sparse kernels write through `resize_zeroed` (capacity-reusing),
-//! SVD/pinv use the `_into` forms, and factor swaps are `mem::swap` — zero
-//! heap allocations per iteration, enforced by `tests/alloc_regression.rs`.
-//! Multi-thread fits allocate per-slice temporaries inside the pool (the
-//! same convention as the dense baselines).
-
-use crate::common::{
-    identity_qs_dims, init_factors_from, init_v_sparse, scale_columns, update_q, update_q_into,
-    validate_rank_dims,
-};
-use dpar2_core::{
-    FitObserver, FitOptions, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver, Result,
-    TimingBreakdown, Workspace,
-};
-use dpar2_linalg::mat::dot;
-use dpar2_linalg::sparse::{spmm, spmm_into, spmm_tn, spmm_tn_into, SparseSlice};
-use dpar2_linalg::{pinv_into, Mat};
-use dpar2_parallel::{greedy_partition, ThreadPool};
-use dpar2_tensor::{normalize_columns_mut, IrregularTensor, SparseIrregularTensor};
-use std::time::Instant;
-
-/// SPARTan PARAFAC2 solver for CSR slices — a stateless
-/// [`Parafac2Solver`] handle; all per-fit settings travel in
-/// [`FitOptions`].
-///
-/// The native entry points are [`SpartanSparse::fit_sparse`] /
-/// [`SpartanSparse::fit_sparse_observed`] on a [`SparseIrregularTensor`];
-/// the [`Parafac2Solver`] impl accepts a dense tensor and sparsifies it
-/// (dropping exact zeros), which keeps the solver uniform under the trait
-/// conformance suite and gives dense callers a drop-in migration path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpartanSparse;
-
-impl SpartanSparse {
-    /// Fits the PARAFAC2 model over CSR slices.
-    ///
-    /// # Errors
-    /// [`dpar2_core::Dpar2Error::RankTooLarge`] / `ZeroRank` on invalid
-    /// rank; `WarmStart` on mismatched warm-start factors.
-    pub fn fit_sparse(
-        &self,
-        tensor: &SparseIrregularTensor,
-        options: &FitOptions<'_>,
-    ) -> Result<Parafac2Fit> {
-        self.fit_sparse_observed(tensor, options, &mut NoopObserver)
-    }
-
-    /// [`SpartanSparse::fit_sparse`] with a [`FitObserver`] session.
-    ///
-    /// # Errors
-    /// See [`SpartanSparse::fit_sparse`].
-    pub fn fit_sparse_observed(
-        &self,
-        tensor: &SparseIrregularTensor,
-        options: &FitOptions<'_>,
-        observer: &mut dyn FitObserver,
-    ) -> Result<Parafac2Fit> {
-        let t0 = Instant::now();
-        observer.on_input_shape(tensor.nnz() as u64, tensor.num_cells() as u64, true);
-        let r = options.rank;
-        validate_rank_dims(tensor.dims(), tensor.j(), r)?;
-        let k_dim = tensor.k();
-        let j_dim = tensor.j();
-        let pool = ThreadPool::new(options.threads.max(1));
-        // Slice-level parallelism is the winning axis for SPARTan (per-slice
-        // work is proportional to nnz(X_k)); greedy-partition by row count,
-        // matching the dense baselines' scheduling policy.
-        let partition = greedy_partition(&tensor.row_dims(), pool.threads());
-
-        let (mut h, mut v, mut w) =
-            init_factors_from(j_dim, k_dim, options, || init_v_sparse(tensor, r))?;
-
-        // Data norm over nonzeros — bitwise equal to the densified tensor's
-        // norm (structural squares are exact +0.0 terms).
-        let x_norm_sq = tensor.fro_norm_sq();
-
-        // Everything the steady-state iteration touches is allocated here
-        // once; the loop body reuses capacity via `resize_zeroed`/`copy_from`
-        // and the `_into` kernel forms.
-        let mut ws = Workspace::new();
-        let mut qs: Vec<Mat> = tensor.dims().iter().map(|&ik| Mat::zeros(ik, r)).collect();
-        let mut yks: Vec<Mat> = (0..k_dim).map(|_| Mat::zeros(r, j_dim)).collect();
-        let mut g1 = Mat::zeros(r, r);
-        let mut g2 = Mat::zeros(j_dim, r);
-        let mut g3 = Mat::zeros(k_dim, r);
-        let mut gram_a = Mat::zeros(r, r);
-        let mut gram_b = Mat::zeros(r, r);
-        let mut pinv_out = Mat::zeros(r, r);
-        let mut new_h = Mat::zeros(r, r);
-        let mut new_v = Mat::zeros(j_dim, r);
-        let mut new_w = Mat::zeros(k_dim, r);
-        let mut populated = false;
-
-        let mut session = FitSession::new(options, observer);
-        for _iter in 0..options.max_iterations {
-            session.start_iteration();
-
-            // Q_k update + Y_k = Q_kᵀX_k, slice-parallel. Per-slice results
-            // are independent, so fusing the two dense-solver loops changes
-            // no values.
-            if pool.threads() == 1 {
-                for k in 0..k_dim {
-                    ws.tall_a.copy_from(&v);
-                    scale_columns(&mut ws.tall_a, w.row(k));
-                    ws.tall_a.matmul_nt_into(&h, &mut ws.tall_b); // V S_k Hᵀ
-                    spmm_into(tensor.slice(k), &ws.tall_b, &mut ws.slice_a); // X_k·VS_kHᵀ
-                    update_q_into(
-                        &ws.slice_a,
-                        r,
-                        &mut qs[k],
-                        &mut ws.svd_out,
-                        &mut ws.svd_tmp,
-                        &mut ws.svd,
-                    );
-                    spmm_tn_into(&qs[k], tensor.slice(k), &mut yks[k]);
-                }
-            } else {
-                let per_slice: Vec<(Mat, Mat)> = pool.run_partitioned(&partition, |k| {
-                    let mut vs = v.clone();
-                    scale_columns(&mut vs, w.row(k));
-                    let vsh = vs.matmul_nt(&h).expect("V S_k Hᵀ");
-                    let target = spmm(tensor.slice(k), &vsh);
-                    let q = update_q(&target, r);
-                    let yk = spmm_tn(&q, tensor.slice(k));
-                    (q, yk)
-                });
-                for (k, (q, yk)) in per_slice.into_iter().enumerate() {
-                    qs[k] = q;
-                    yks[k] = yk;
-                }
-            }
-            populated = true;
-
-            // Slice-wise MTTKRP accumulation, serially in ascending k — the
-            // order the dense solver produces at one thread, and invariant
-            // to this solver's pool size. The per-slice products are tiny
-            // (R×R / J×R) next to the sparse Y_k step, so serializing them
-            // costs nothing and buys thread-count determinism.
-            g1.resize_zeroed(r, r);
-            for k in 0..k_dim {
-                yks[k].matmul_into(&v, &mut ws.lemma_tmp); // Y_k·V, R×R
-                accumulate_weighted(&mut g1, &ws.lemma_tmp, w.row(k));
-            }
-            w.gram_into(&mut gram_a);
-            v.gram_into(&mut gram_b);
-            gram_a.hadamard_assign(&gram_b); // WᵀW ∗ VᵀV
-            pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
-            g1.matmul_into(&pinv_out, &mut new_h);
-            normalize_columns_mut(&mut new_h, &mut ws.norms);
-            std::mem::swap(&mut h, &mut new_h);
-
-            g2.resize_zeroed(j_dim, r);
-            for k in 0..k_dim {
-                yks[k].matmul_tn_into(&h, &mut ws.lemma_tmp); // Y_kᵀ·H, J×R
-                accumulate_weighted(&mut g2, &ws.lemma_tmp, w.row(k));
-            }
-            w.gram_into(&mut gram_a);
-            h.gram_into(&mut gram_b);
-            gram_a.hadamard_assign(&gram_b); // WᵀW ∗ HᵀH
-            pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
-            g2.matmul_into(&pinv_out, &mut new_v);
-            normalize_columns_mut(&mut new_v, &mut ws.norms);
-            std::mem::swap(&mut v, &mut new_v);
-
-            g3.resize_zeroed(k_dim, r);
-            for k in 0..k_dim {
-                yks[k].matmul_into(&v, &mut ws.lemma_tmp); // Y_k·V, R×R
-                let grow = g3.row_mut(k);
-                for i in 0..h.rows() {
-                    let hrow = h.row(i);
-                    let trow = ws.lemma_tmp.row(i);
-                    for (c, val) in grow.iter_mut().enumerate() {
-                        *val += hrow[c] * trow[c];
-                    }
-                }
-            }
-            v.gram_into(&mut gram_a);
-            h.gram_into(&mut gram_b);
-            gram_a.hadamard_assign(&gram_b); // VᵀV ∗ HᵀH
-            pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
-            g3.matmul_into(&pinv_out, &mut new_w);
-            std::mem::swap(&mut w, &mut new_w);
-
-            let err = sparse_error_sq(tensor, &qs, &h, &w, &v, &pool, &partition, &mut ws);
-            if session.finish_iteration(err, x_norm_sq) {
-                break;
-            }
-        }
-        let outcome = session.finish();
-        if !populated {
-            // Zero-iteration budget: identity-embedded Q_k keep the model
-            // well-formed (see `common::identity_qs_dims`).
-            qs = identity_qs_dims(tensor.dims(), r);
-        }
-
-        let u: Vec<Mat> = qs.iter().map(|q| q.matmul(&h).expect("Q_k·H")).collect();
-        let s: Vec<Vec<f64>> = (0..k_dim).map(|k| w.row(k).to_vec()).collect();
-
-        Ok(Parafac2Fit {
-            u,
-            s,
-            v,
-            h,
-            iterations: outcome.iterations(),
-            stop_reason: outcome.stop_reason,
-            timing: TimingBreakdown {
-                preprocess_secs: 0.0,
-                iterations_secs: outcome.iterations_secs(),
-                per_iteration_secs: outcome.per_iteration_secs,
-                total_secs: t0.elapsed().as_secs_f64(),
-            },
-            criterion_trace: outcome.criterion_trace,
-        })
-    }
-
-    /// Fits a dense tensor by sparsifying it first (exact zeros dropped) —
-    /// the [`Parafac2Solver`] conformance path and the dense→sparse
-    /// migration shim.
-    ///
-    /// # Errors
-    /// See [`SpartanSparse::fit_sparse`].
-    pub fn fit(&self, tensor: &IrregularTensor, options: &FitOptions<'_>) -> Result<Parafac2Fit> {
-        self.fit_observed(tensor, options, &mut NoopObserver)
-    }
-
-    /// [`SpartanSparse::fit`] with a [`FitObserver`] session.
-    ///
-    /// # Errors
-    /// See [`SpartanSparse::fit_sparse`].
-    pub fn fit_observed(
-        &self,
-        tensor: &IrregularTensor,
-        options: &FitOptions<'_>,
-        observer: &mut dyn FitObserver,
-    ) -> Result<Parafac2Fit> {
-        let sparse = SparseIrregularTensor::from_dense(tensor);
-        self.fit_sparse_observed(&sparse, options, observer)
-    }
-}
-
-impl Parafac2Solver for SpartanSparse {
-    fn name(&self) -> &'static str {
-        "SPARTan-sparse"
-    }
-
-    fn fit_observed(
-        &self,
-        tensor: &IrregularTensor,
-        options: &FitOptions<'_>,
-        observer: &mut dyn FitObserver,
-    ) -> Result<Parafac2Fit> {
-        SpartanSparse::fit_observed(self, tensor, options, observer)
-    }
-}
-
-/// `acc += tmp · diag(w_row)`, the per-slice MTTKRP weighting — the same
-/// inner accumulation as the dense solver's partial-sum loops.
-fn accumulate_weighted(acc: &mut Mat, tmp: &Mat, w_row: &[f64]) {
-    for i in 0..acc.rows() {
-        let arow = acc.row_mut(i);
-        let trow = tmp.row(i);
-        for (c, &wv) in w_row.iter().enumerate() {
-            arow[c] += trow[c] * wv;
-        }
-    }
-}
-
-/// True squared reconstruction error `Σ_k ‖X_k − Q_k H S_k Vᵀ‖²_F` over a
-/// sparse tensor in O(nnz + Σ_k I_k·R) time and O(max_k I_k·R + J) scratch:
-/// per slice, `Q_k·HS_k` is materialized (`I_k×R`), each model row is
-/// formed with the same [`dot`] the dense NT kernel uses, and the
-/// subtract-square-accumulate walks columns `0..J` with a nonzero cursor —
-/// the exact flat order of the dense `diff_norm_sq`, so the result is
-/// bitwise equal to the dense error on the densified tensor. Slices fan out
-/// over the pool; per-slice sums combine in ascending `k` for every pool
-/// size.
-#[allow(clippy::too_many_arguments)]
-fn sparse_error_sq(
-    tensor: &SparseIrregularTensor,
-    qs: &[Mat],
-    h: &Mat,
-    w: &Mat,
-    v: &Mat,
-    pool: &ThreadPool,
-    partition: &[Vec<usize>],
-    ws: &mut Workspace,
-) -> f64 {
-    if pool.threads() == 1 {
-        let mut total = 0.0;
-        for k in 0..qs.len() {
-            total += slice_error_sq(
-                tensor.slice(k),
-                &qs[k],
-                h,
-                w.row(k),
-                v,
-                &mut ws.crit_hs,
-                &mut ws.slice_b,
-                &mut ws.col_out,
-            );
-        }
-        return total;
-    }
-    let per_slice: Vec<f64> = pool.run_partitioned(partition, |k| {
-        let (mut hs, mut qhs) = (Mat::default(), Mat::default());
-        let mut jrow = Vec::new();
-        slice_error_sq(tensor.slice(k), &qs[k], h, w.row(k), v, &mut hs, &mut qhs, &mut jrow)
-    });
-    per_slice.iter().sum()
-}
-
-/// `‖X_k − Q_k H S_k Vᵀ‖²_F` for one CSR slice on caller scratch.
-#[allow(clippy::too_many_arguments)]
-fn slice_error_sq(
-    slice: &SparseSlice,
-    q: &Mat,
-    h: &Mat,
-    w_row: &[f64],
-    v: &Mat,
-    hs: &mut Mat,
-    qhs: &mut Mat,
-    jrow: &mut Vec<f64>,
-) -> f64 {
-    hs.copy_from(h);
-    scale_columns(hs, w_row);
-    q.matmul_into(&*hs, qhs); // Q_k·HS_k, I_k×R
-    let j = slice.cols();
-    if jrow.len() != j {
-        jrow.clear();
-        jrow.resize(j, 0.0);
-    }
-    let mut total = 0.0;
-    for i in 0..slice.rows() {
-        let qrow = qhs.row(i);
-        for (col, m) in jrow.iter_mut().enumerate() {
-            *m = dot(qrow, v.row(col)); // model row, same op as the NT kernel
-        }
-        let (cols, vals) = slice.row(i);
-        let mut p = 0;
-        for (col, &m) in jrow.iter().enumerate() {
-            let x = if p < cols.len() && cols[p] == col {
-                let val = vals[p];
-                p += 1;
-                val
-            } else {
-                0.0
-            };
-            let d = x - m;
-            total += d * d;
-        }
-    }
-    total
-}
+//! CSR-input tests for [`crate::Spartan`]: the sparse instantiation is
+//! bit-identical to the dense one on naive-dispatch shapes and across
+//! thread counts, and converges on sparse planted models.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::spartan::SpartanDense;
+    use crate::Spartan;
+    use dpar2_core::{FitOptions, Parafac2Fit, Parafac2Solver};
     use dpar2_data::{planted_parafac2, planted_sparse};
+    use dpar2_linalg::Mat;
+    use dpar2_tensor::SparseIrregularTensor;
 
     fn assert_fit_bits_eq(a: &Parafac2Fit, b: &Parafac2Fit) {
         assert_eq!(a.iterations, b.iterations);
@@ -406,7 +31,7 @@ mod tests {
         }
     }
 
-    // J = 7, R = 3 keeps every dense product in SpartanDense on the naive
+    // J = 7, R = 3 keeps every dense product of a dense fit on the naive
     // dispatch path regardless of slice height (n = R < NR or n = J < NR or
     // m = R < MR throughout), which is the configuration where sparse↔dense
     // bit-identity is exact. See dpar2_linalg::kernel::use_blocked.
@@ -418,23 +43,20 @@ mod tests {
         let dense = planted_parafac2(&[23, 31, 17, 26], GOLDEN_J, GOLDEN_R, 0.2, 811);
         let sparse = SparseIrregularTensor::from_dense(&dense);
         let cfg = FitOptions::new(GOLDEN_R).with_max_iterations(6).with_tolerance(0.0);
-        let df = SpartanDense.fit(&dense, &cfg).unwrap();
-        let sf = SpartanSparse.fit_sparse(&sparse, &cfg).unwrap();
+        let df = Spartan.fit(&dense, &cfg).unwrap();
+        let sf = Spartan.fit(&sparse, &cfg).unwrap();
         assert_fit_bits_eq(&df, &sf);
     }
 
     #[test]
     fn bit_identical_across_thread_counts() {
         let t = planted_sparse(&[40, 65, 28, 51], GOLDEN_J, GOLDEN_R, 0.3, 0.1, 812);
-        let base = SpartanSparse
-            .fit_sparse(&t, &FitOptions::new(GOLDEN_R).with_threads(1).with_max_iterations(5))
+        let base = Spartan
+            .fit(&t, &FitOptions::new(GOLDEN_R).with_threads(1).with_max_iterations(5))
             .unwrap();
         for threads in [2, 4] {
-            let f = SpartanSparse
-                .fit_sparse(
-                    &t,
-                    &FitOptions::new(GOLDEN_R).with_threads(threads).with_max_iterations(5),
-                )
+            let f = Spartan
+                .fit(&t, &FitOptions::new(GOLDEN_R).with_threads(threads).with_max_iterations(5))
                 .unwrap();
             assert_fit_bits_eq(&base, &f);
         }
@@ -443,7 +65,7 @@ mod tests {
     #[test]
     fn fits_dense_planted_data_via_trait_path() {
         let t = planted_parafac2(&[25, 30, 18], 14, 3, 0.05, 813);
-        let fit = SpartanSparse.fit(&t, &FitOptions::new(3)).unwrap();
+        let fit = Parafac2Solver::fit(&Spartan, &t, &FitOptions::new(3)).unwrap();
         assert!(fit.fitness(&t) > 0.95, "fitness {}", fit.fitness(&t));
     }
 
@@ -452,21 +74,21 @@ mod tests {
         // density 1, no noise: the CSR tensor IS an exact PARAFAC2 model.
         let t = planted_sparse(&[22, 28, 16], 9, 3, 1.0, 0.0, 814);
         let dense = t.to_dense();
-        let fit = SpartanSparse.fit_sparse(&t, &FitOptions::new(3)).unwrap();
+        let fit = Spartan.fit(&t, &FitOptions::new(3)).unwrap();
         assert!(fit.fitness(&dense) > 0.999, "fitness {}", fit.fitness(&dense));
     }
 
     #[test]
     fn rejects_invalid_rank() {
         let t = planted_sparse(&[6, 30], 14, 2, 0.5, 0.0, 815);
-        assert!(SpartanSparse.fit_sparse(&t, &FitOptions::new(7)).is_err());
-        assert!(SpartanSparse.fit_sparse(&t, &FitOptions::new(0)).is_err());
+        assert!(Spartan.fit(&t, &FitOptions::new(7)).is_err());
+        assert!(Spartan.fit(&t, &FitOptions::new(0)).is_err());
     }
 
     #[test]
     fn zero_iteration_budget_yields_identity_model() {
         let t = planted_sparse(&[12, 15], 6, 2, 0.4, 0.0, 816);
-        let fit = SpartanSparse.fit_sparse(&t, &FitOptions::new(2).with_max_iterations(0)).unwrap();
+        let fit = Spartan.fit(&t, &FitOptions::new(2).with_max_iterations(0)).unwrap();
         assert_eq!(fit.iterations, 0);
         assert_eq!(fit.u.len(), 2);
         assert_eq!(fit.u[0].shape(), (12, 2));

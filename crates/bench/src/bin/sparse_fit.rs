@@ -6,10 +6,10 @@
 //! observed through a Bernoulli mask into CSR slices, then fitted three
 //! ways:
 //!
-//! 1. **DPar2-sparse** on the CSR tensor directly (`fit_sparse`): the
+//! 1. **DPar2-sparse**: `Dpar2::fit` on the CSR tensor directly — the
 //!    whole randomized compression stage runs at O(nnz) per pass, and the
 //!    compressed ALS iterations are density-independent;
-//! 2. **SPARTan-sparse** on the same CSR tensor (`fit_sparse`), per-ALS
+//! 2. **SPARTan-sparse**: `Spartan::fit` on the same CSR tensor, per-ALS
 //!    iteration cost proportional to `nnz`;
 //! 3. **DPar2 (dense)** on the densified tensor — the measured region
 //!    includes the densification itself, because materializing the dense
@@ -23,8 +23,8 @@
 //! A byte-exact peak-tracking allocator (same carve-out as `topk_index`)
 //! measures each fit's peak live bytes; the acceptance criterion is a
 //! ≥10× DPar2-dense/DPar2-sparse peak ratio at the lowest density (10⁻³
-//! by default). Input-shape gauges (`sparse_fit_input_nnz`,
-//! `sparse_fit_input_density_ppm`, `sparse_fit_sparse_dispatch`) and fit
+//! by default). Input-shape gauges (the `sparse_fit` prefix plus
+//! `_input_nnz`, `_input_density_ppm` and `_sparse_dispatch`) and fit
 //! counters/histograms are recorded through a `MetricsObserver`, and the
 //! artifact embeds the registry snapshot only after round-tripping it
 //! through the JSON exporter.
@@ -46,7 +46,7 @@
 // root `alloc_regression` suite's counting allocator.
 #![allow(unsafe_code)]
 
-use dpar2_baselines::SpartanSparse;
+use dpar2_baselines::Spartan;
 use dpar2_bench::Args;
 use dpar2_core::{Dpar2, FitMetrics, FitOptions, MetricsObserver, Parafac2Fit, RsvdConfig};
 use dpar2_data::planted_sparse;
@@ -207,15 +207,12 @@ fn main() {
 
         let mut observer = MetricsObserver::new(&metrics);
         let (dpar2_sparse_fit, dpar2_sparse_peak) = peak_during(|| {
-            Dpar2
-                .fit_sparse_observed(&tensor, &opts, &mut observer)
-                .expect("DPar2 sparse fit failed")
+            Dpar2.fit_observed(&tensor, &opts, &mut observer).expect("DPar2 sparse fit failed")
         });
         let dpar2_sparse = RunStats::new(&dpar2_sparse_fit, dpar2_sparse_peak);
 
-        let (spartan_fit, spartan_peak) = peak_during(|| {
-            SpartanSparse.fit_sparse(&tensor, &opts).expect("SPARTan sparse fit failed")
-        });
+        let (spartan_fit, spartan_peak) =
+            peak_during(|| Spartan.fit(&tensor, &opts).expect("SPARTan sparse fit failed"));
         let spartan_sparse = RunStats::new(&spartan_fit, spartan_peak);
 
         // Dense DPar2: densification included in the measured region.

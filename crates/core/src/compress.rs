@@ -20,11 +20,12 @@
 //! than the input.
 
 use crate::config::FitOptions;
-use crate::error::{Dpar2Error, Result};
+use crate::error::Result;
+use crate::slices::{validate, SliceTensor};
 use dpar2_linalg::Mat;
 use dpar2_parallel::{greedy_partition, ThreadPool};
-use dpar2_rsvd::{rsvd, rsvd_op, rsvd_pooled, RsvdConfig};
-use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
+use dpar2_rsvd::{rsvd, rsvd_pooled, RsvdConfig};
+use dpar2_tensor::IrregularTensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -88,32 +89,41 @@ impl CompressedTensor {
     }
 }
 
-/// Runs the two-stage compression (lines 2–6 of Algorithm 3).
+/// Runs the two-stage compression (lines 2–6 of Algorithm 3) on dense or
+/// CSR slices.
 ///
 /// Stage-1 per-slice randomized SVDs run in parallel over
 /// `options.threads` threads, with slices assigned by greedy number
-/// partitioning on their row counts (Algorithm 4). Each slice draws from an
+/// partitioning on their [work](SliceTensor::work) — row counts for dense
+/// slices (Algorithm 4), nonzeros for CSR ones. Each slice draws from an
 /// independent RNG seeded with `options.seed ⊕ k`, so results are identical
-/// for every thread count.
+/// for every thread count. A CSR tensor is never densified: every pass
+/// costs O(nnz·(R+s)), and while every sketch-width product stays on the
+/// dense naive dispatch path (`rank + oversample` below the blocked-GEMM
+/// tile width) the result is **bitwise identical** to compressing
+/// [`SparseIrregularTensor::to_dense`](dpar2_tensor::SparseIrregularTensor::to_dense).
 ///
 /// # Errors
-/// [`Dpar2Error::RankTooLarge`] if `R > min(I_k, J)` for any slice;
-/// [`Dpar2Error::ZeroRank`] if `R == 0`.
-pub fn compress(tensor: &IrregularTensor, options: &FitOptions<'_>) -> Result<CompressedTensor> {
-    let r = options.rank;
-    if r == 0 {
-        return Err(Dpar2Error::ZeroRank);
-    }
-    for k in 0..tensor.k() {
-        let limit = tensor.i(k).min(tensor.j());
-        if r > limit {
-            return Err(Dpar2Error::RankTooLarge { rank: r, slice: k, limit });
-        }
-    }
+/// The [`validate`] contract: [`crate::Dpar2Error::RankTooLarge`] if
+/// `R > min(I_k, J)` for any slice, [`crate::Dpar2Error::ZeroRank`] if
+/// `R == 0`, [`crate::Dpar2Error::NonFinite`] if any slice stores a NaN or
+/// ±∞.
+pub fn compress<T: SliceTensor>(tensor: &T, options: &FitOptions<'_>) -> Result<CompressedTensor> {
+    validate(tensor, options.rank)?;
+    Ok(compress_valid(tensor, options))
+}
 
+/// [`compress`] on a tensor that already passed [`validate`] at
+/// `options.rank`.
+pub(crate) fn compress_valid<T: SliceTensor>(
+    tensor: &T,
+    options: &FitOptions<'_>,
+) -> CompressedTensor {
+    let r = options.rank;
     // ---- Stage 1: per-slice rSVD, greedy-partitioned over threads ----
     let pool = ThreadPool::new(options.threads.max(1));
-    let partition = greedy_partition(&tensor.row_dims(), pool.threads());
+    let weights: Vec<usize> = (0..tensor.k()).map(|k| tensor.work(k)).collect();
+    let partition = greedy_partition(&weights, pool.threads());
     // The compression rank always follows `options.rank`; only the
     // oversampling/power-iteration knobs of `options.rsvd` apply.
     let rsvd_cfg = RsvdConfig { rank: r, ..options.rsvd };
@@ -126,71 +136,20 @@ pub fn compress(tensor: &IrregularTensor, options: &FitOptions<'_>) -> Result<Co
         (f.u, f.s, f.v)
     });
 
-    Ok(stage2(stage1, r, tensor.j(), &rsvd_cfg, base_seed, &pool))
+    stage2(stage1, r, tensor.j(), &rsvd_cfg, base_seed, &pool)
 }
 
-/// Runs the two-stage compression directly on a CSR tensor — no dense
-/// slice is ever materialized, so peak memory and per-pass cost are
-/// proportional to `nnz`, not `Σ_k I_k·J`.
-///
-/// Identical to [`compress`] in everything observable but the kernel
-/// family: the same validation, the same per-slice and stage-2 RNG
-/// streams, and stage-1 rSVDs running on the sparse [`dpar2_rsvd::ProductOp`]
-/// path, whose kernels accumulate in the dense naive loop order. When
-/// every sketch-width product stays on the dense naive dispatch path
-/// (`rank + oversample` below the blocked-GEMM tile width), the result is
-/// **bitwise identical** to `compress(&tensor.to_dense(), options)` —
-/// the property the sparse differential suite pins. Slices are
-/// greedy-partitioned over threads by nnz (the sparse rSVD cost driver)
-/// rather than by row count; the partition only affects scheduling, never
-/// values.
-///
-/// # Errors
-/// [`Dpar2Error::RankTooLarge`] if `R > min(I_k, J)` for any slice;
-/// [`Dpar2Error::ZeroRank`] if `R == 0`.
-pub fn compress_sparse(
-    tensor: &SparseIrregularTensor,
-    options: &FitOptions<'_>,
-) -> Result<CompressedTensor> {
-    let r = options.rank;
-    if r == 0 {
-        return Err(Dpar2Error::ZeroRank);
-    }
-    for k in 0..tensor.k() {
-        let limit = tensor.i(k).min(tensor.j());
-        if r > limit {
-            return Err(Dpar2Error::RankTooLarge { rank: r, slice: k, limit });
-        }
-    }
-
-    let pool = ThreadPool::new(options.threads.max(1));
-    let nnz_weights: Vec<usize> = (0..tensor.k()).map(|k| tensor.slice(k).nnz()).collect();
-    let partition = greedy_partition(&nnz_weights, pool.threads());
-    let rsvd_cfg = RsvdConfig { rank: r, ..options.rsvd };
-    let base_seed = options.seed;
-    let stage1: Vec<(Mat, Vec<f64>, Mat)> = pool.run_partitioned(&partition, |k| {
-        // The identical slice-indexed stream as the dense path: same seed,
-        // same Gaussian draws, only the product kernels differ.
-        let mut rng = StdRng::seed_from_u64(stage1_seed(base_seed, k));
-        let f = rsvd_op(tensor.slice(k), &rsvd_cfg, &mut rng);
-        (f.u, f.s, f.v)
-    });
-
-    Ok(stage2(stage1, r, tensor.j(), &rsvd_cfg, base_seed, &pool))
-}
-
-/// Per-slice stage-1 RNG seed — one fixed formula shared by the dense and
-/// sparse compression paths (and mirrored by the rank-probe/streaming
-/// derivations), so the two paths consume identical Gaussian streams.
+/// Per-slice stage-1 RNG seed — one fixed formula for every storage (and
+/// mirrored by the rank-probe/streaming derivations), so dense and CSR
+/// inputs consume identical Gaussian streams.
 #[inline]
 fn stage1_seed(base_seed: u64, k: usize) -> u64 {
     base_seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k as u64 + 1))
 }
 
-/// Stage 2 — rSVD of `M = ∥_k (C_k B_k) ∈ R^{J×KR}` — shared verbatim by
-/// [`compress`] and [`compress_sparse`]: stage 1 already reduced every
-/// slice to small dense factors, so from here on the pipeline is dense and
-/// identical regardless of the input representation.
+/// Stage 2 — rSVD of `M = ∥_k (C_k B_k) ∈ R^{J×KR}`: stage 1 already
+/// reduced every slice to small dense factors, so from here on the pipeline
+/// is dense and identical regardless of the input representation.
 fn stage2(
     stage1: Vec<(Mat, Vec<f64>, Mat)>,
     r: usize,
@@ -238,6 +197,7 @@ fn stage2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Dpar2Error;
     use dpar2_linalg::random::gaussian_mat;
     use rand::Rng;
 

@@ -55,7 +55,7 @@ pub struct FitOptions<'a> {
     /// smallest value capturing that fraction of the spectral energy
     /// (never raising it — `rank` stays the cap). Trades `R` for speed on
     /// tensors whose energy concentrates in few components; see
-    /// `dpar2_rsvd::svd_truncated_energy`.
+    /// `dpar2_rsvd::svd_truncated_energy_pooled`.
     ///
     /// Honored by `Dpar2::fit` / `fit_observed` only. The baselines and
     /// `StreamingDpar2::refit` (whose rank is fixed by the compressed
@@ -64,14 +64,6 @@ pub struct FitOptions<'a> {
     /// [`crate::Dpar2Error::WarmStart`] if the adapted rank diverges from
     /// the warm fit's.
     pub rank_energy: Option<f64>,
-    /// Density threshold for sparse auto-dispatch, default `None` (off).
-    /// When set, `dpar2_baselines::fit_with` sparsifies a dense input
-    /// whose nonzero density falls strictly below this fraction and routes
-    /// DPar2 through [`crate::Dpar2::fit_sparse`] (O(nnz) compression);
-    /// the decision is recorded on the fit metrics' `sparse_dispatch`
-    /// gauge. Solvers called directly ignore it — the entry point you call
-    /// (`fit` vs `fit_sparse`) already picks the path.
-    pub sparse_threshold: Option<f64>,
 }
 
 impl FitOptions<'static> {
@@ -89,7 +81,6 @@ impl FitOptions<'static> {
             time_budget: None,
             warm_start: None,
             rank_energy: None,
-            sparse_threshold: None,
         }
     }
 }
@@ -149,13 +140,6 @@ impl<'a> FitOptions<'a> {
         self.rank_energy = Some(threshold);
         self
     }
-
-    /// Enables sparse auto-dispatch below the given density fraction (see
-    /// [`FitOptions::sparse_threshold`]).
-    pub fn with_sparse_threshold(mut self, threshold: f64) -> Self {
-        self.sparse_threshold = Some(threshold);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -200,12 +184,5 @@ mod tests {
         assert!(FitOptions::new(5).rank_energy.is_none());
         let o = FitOptions::new(5).with_rank_energy(0.95);
         assert_eq!(o.rank_energy, Some(0.95));
-    }
-
-    #[test]
-    fn sparse_threshold_defaults_off_and_chains() {
-        assert!(FitOptions::new(5).sparse_threshold.is_none());
-        let o = FitOptions::new(5).with_sparse_threshold(1e-2);
-        assert_eq!(o.sparse_threshold, Some(1e-2));
     }
 }

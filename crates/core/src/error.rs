@@ -33,6 +33,13 @@ pub enum Dpar2Error {
         /// Shape the warm start carries.
         got: (usize, usize),
     },
+    /// The input stores a NaN or ±∞ — rejected before any arithmetic, so
+    /// one poisoned entry is a typed error instead of a panic deep inside
+    /// an SVD (or a NaN model).
+    NonFinite {
+        /// Index of the first slice holding a non-finite value.
+        slice: usize,
+    },
     /// An underlying linear-algebra routine failed.
     Linalg(dpar2_linalg::LinalgError),
 }
@@ -50,6 +57,9 @@ impl fmt::Display for Dpar2Error {
                 "warm-start factor {factor} has shape {}x{}, expected {}x{}",
                 got.0, got.1, expected.0, expected.1
             ),
+            Dpar2Error::NonFinite { slice } => {
+                write!(f, "slice {slice} holds a non-finite value (NaN or infinity)")
+            }
             Dpar2Error::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }
     }
@@ -78,6 +88,10 @@ mod tests {
         assert_eq!(Dpar2Error::Empty.to_string(), "no slices ingested yet (nothing to decompose)");
         let w = Dpar2Error::WarmStart { factor: "V", expected: (12, 3), got: (10, 3) };
         assert_eq!(w.to_string(), "warm-start factor V has shape 10x3, expected 12x3");
+        assert_eq!(
+            Dpar2Error::NonFinite { slice: 2 }.to_string(),
+            "slice 2 holds a non-finite value (NaN or infinity)"
+        );
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!    convergence check ([`convergence`]) uses the compressed residual.
 //! 3. **Factor recovery**: `U_k = A_k Z_k P_kᵀ H` after convergence.
 //!
+//! Dense ([`dpar2_tensor::IrregularTensor`]) and CSR
+//! ([`dpar2_tensor::SparseIrregularTensor`]) inputs go through the same
+//! entry points: both implement [`SliceTensor`], which hands each slice to
+//! the randomized SVD as a product operator.
+//!
 //! ## Quickstart
 //!
 //! Every solver in this workspace — [`Dpar2`] here, the baselines in
@@ -74,10 +79,11 @@ pub mod fitness;
 pub mod lemmas;
 pub mod metrics;
 pub mod session;
+pub mod slices;
 pub mod solver;
 pub mod streaming;
 
-pub use compress::{compress, compress_sparse, CompressedTensor};
+pub use compress::{compress, CompressedTensor};
 pub use config::FitOptions;
 pub use error::{Dpar2Error, Result};
 pub use fitness::{fitness, Parafac2Fit, TimingBreakdown};
@@ -86,9 +92,11 @@ pub use session::{
     CancelToken, FitObserver, FitPhase, FitSession, IterationEvent, NoopObserver, Parafac2Solver,
     PhaseSpans, SessionOutcome, StopReason, Workspace,
 };
+pub use slices::{validate, OwnedSlice, SliceTensor};
 pub use solver::{Dpar2, WarmStart};
 pub use streaming::StreamingDpar2;
 
-// `FitOptions::rsvd` is part of this crate's public surface; re-export its
-// type so downstream crates can configure it without a direct rsvd dep.
-pub use dpar2_rsvd::RsvdConfig;
+// `FitOptions::rsvd` and the slice type of `SliceTensor` are part of this
+// crate's public surface; re-export their types so downstream crates can
+// use them without a direct rsvd dep.
+pub use dpar2_rsvd::{ProductOp, RsvdConfig};

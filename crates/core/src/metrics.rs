@@ -36,9 +36,8 @@ fn secs_to_ns(secs: f64) -> u64 {
 /// * `{prefix}_input_nnz` / `{prefix}_input_density_ppm` — gauges
 ///   describing the most recent fit's input tensor (see
 ///   [`FitMetrics::record_input_shape`]).
-/// * `{prefix}_sparse_dispatch` — 1 when the most recent fit took a
-///   sparse solver path (including the auto-dispatch in
-///   `baselines::fit_with`), 0 for a dense fit.
+/// * `{prefix}_sparse_dispatch` — 1 when the most recent fit's input was
+///   a CSR tensor, 0 for a dense fit.
 #[derive(Debug, Clone)]
 pub struct FitMetrics {
     /// Completed fits.
@@ -224,15 +223,15 @@ mod tests {
     #[test]
     fn input_shape_hook_records_dispatch_decision() {
         let registry = MetricsRegistry::new();
-        let metrics = FitMetrics::register(&registry, "fit");
+        let metrics = FitMetrics::register(&registry, "solver");
         let mut obs = MetricsObserver::new(&metrics);
         obs.on_input_shape(17, 1_000, true);
         let snap = registry.snapshot();
-        assert_eq!(snap.gauge("fit_input_nnz"), Some(17));
-        assert_eq!(snap.gauge("fit_input_density_ppm"), Some(17_000));
-        assert_eq!(snap.gauge("fit_sparse_dispatch"), Some(1));
+        assert_eq!(snap.gauge("solver_input_nnz"), Some(17));
+        assert_eq!(snap.gauge("solver_input_density_ppm"), Some(17_000));
+        assert_eq!(snap.gauge("solver_sparse_dispatch"), Some(1));
         obs.on_input_shape(1_000, 1_000, false);
-        assert_eq!(registry.snapshot().gauge("fit_sparse_dispatch"), Some(0));
+        assert_eq!(registry.snapshot().gauge("solver_sparse_dispatch"), Some(0));
     }
 
     #[test]

@@ -235,12 +235,11 @@ pub trait FitObserver {
         let _ = (phase, secs);
     }
 
-    /// Called once at fit entry by every sparse-capable solver, describing
-    /// the input tensor: `nnz` stored entries out of `num_cells`
-    /// addressable cells (`nnz == num_cells` for dense fits), and whether
-    /// the solver took its sparse path (`sparse_path`) — the dispatch
-    /// decision `baselines::fit_with` records through the fit metrics.
-    /// Default: ignore.
+    /// Called once at fit entry by every solver that takes CSR input
+    /// (DPar2, SPARTan), describing the input tensor: `nnz` stored entries
+    /// out of `num_cells` addressable cells (`nnz == num_cells` for dense
+    /// fits), and whether the input was CSR (`sparse_path`). Default:
+    /// ignore.
     fn on_input_shape(&mut self, nnz: u64, num_cells: u64, sparse_path: bool) {
         let _ = (nnz, num_cells, sparse_path);
     }

@@ -1,18 +1,19 @@
 //! The DPar2 solver — Algorithm 3 of the paper.
 
-use crate::compress::{compress, compress_sparse, CompressedTensor};
+use crate::compress::{compress_valid, CompressedTensor};
 use crate::config::FitOptions;
 use crate::convergence::compressed_criterion_ws;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::{Parafac2Fit, TimingBreakdown};
 use crate::lemmas::{g1_ws, g2_ws, g3_ws};
 use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver};
+use crate::slices::{validate, SliceTensor};
 use dpar2_linalg::pinv_into;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{Mat, SvdFactors, SvdScratch};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::normalize_columns_mut;
-use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
+use dpar2_tensor::IrregularTensor;
 use rand::SeedableRng;
 use std::time::Instant;
 
@@ -109,74 +110,41 @@ impl WarmStart {
 pub struct Dpar2;
 
 impl Dpar2 {
-    /// Decomposes an irregular tensor: compression + iterations + recovery.
+    /// Decomposes an irregular tensor — dense [`IrregularTensor`] or CSR
+    /// [`dpar2_tensor::SparseIrregularTensor`]: compression + iterations +
+    /// recovery. A CSR tensor is never densified: stage-1 compression runs
+    /// the randomized SVD directly on each slice at O(nnz·(R+s)) per pass
+    /// (see [`crate::compress()`]), and stages 2+ are the same dense pipeline on the
+    /// already-compressed `R`-dimensional factors. With the sketch width on
+    /// the naive-dispatch path a CSR fit is bitwise identical to the fit of
+    /// its densified tensor.
     ///
     /// # Errors
-    /// Propagates [`crate::Dpar2Error`] from the compression stage (invalid
-    /// rank) and warm-start validation.
-    pub fn fit(&self, tensor: &IrregularTensor, options: &FitOptions<'_>) -> Result<Parafac2Fit> {
+    /// The [`crate::validate`] contract (invalid rank, non-finite input)
+    /// and warm-start validation.
+    pub fn fit<T: SliceTensor>(&self, tensor: &T, options: &FitOptions<'_>) -> Result<Parafac2Fit> {
         self.fit_observed(tensor, options, &mut NoopObserver)
     }
 
     /// [`Dpar2::fit`] with a [`FitObserver`] session: the observer sees the
-    /// preprocessing phase and every ALS iteration, and can cancel
-    /// cooperatively.
+    /// input shape, the preprocessing phase and every ALS iteration, and
+    /// can cancel cooperatively.
     ///
     /// # Errors
     /// See [`Dpar2::fit`].
-    pub fn fit_observed(
+    pub fn fit_observed<T: SliceTensor>(
         &self,
-        tensor: &IrregularTensor,
+        tensor: &T,
         options: &FitOptions<'_>,
         observer: &mut dyn FitObserver,
     ) -> Result<Parafac2Fit> {
         let t0 = Instant::now();
-        let cells = tensor.num_entries() as u64;
-        observer.on_input_shape(cells, cells, false);
+        let (nnz, cells, sparse) = tensor.input_shape();
+        observer.on_input_shape(nnz, cells, sparse);
+        validate(tensor, options.rank)?;
+        // The probe only ever lowers a valid rank, so the input stays valid.
         let options = &self.resolve_rank_energy(tensor, options);
-        let compressed = compress(tensor, options)?;
-        let preprocess_secs = t0.elapsed().as_secs_f64();
-        observer.on_phase(FitPhase::Compress, preprocess_secs);
-        let mut fit = self.fit_compressed_observed(&compressed, options, observer)?;
-        fit.timing.preprocess_secs = preprocess_secs;
-        fit.timing.total_secs += preprocess_secs;
-        Ok(fit)
-    }
-
-    /// Decomposes a CSR sparse irregular tensor without ever materializing
-    /// dense slices: stage-1 compression runs the randomized SVD directly
-    /// on each [`dpar2_linalg::SparseSlice`] at O(nnz·(R+s)) per pass
-    /// (see [`crate::compress_sparse`]), and stages 2+ reuse the dense
-    /// pipeline unchanged on the already-compressed `R`-dimensional
-    /// factors. With the sketch width on the naive-dispatch path the
-    /// result is bitwise identical to [`Dpar2::fit`] on
-    /// [`SparseIrregularTensor::to_dense`].
-    ///
-    /// # Errors
-    /// Same surface as [`Dpar2::fit`]: [`crate::Dpar2Error`] from the
-    /// compression stage (invalid rank) and warm-start validation.
-    pub fn fit_sparse(
-        &self,
-        tensor: &SparseIrregularTensor,
-        options: &FitOptions<'_>,
-    ) -> Result<Parafac2Fit> {
-        self.fit_sparse_observed(tensor, options, &mut NoopObserver)
-    }
-
-    /// [`Dpar2::fit_sparse`] with a [`FitObserver`] session.
-    ///
-    /// # Errors
-    /// See [`Dpar2::fit_sparse`].
-    pub fn fit_sparse_observed(
-        &self,
-        tensor: &SparseIrregularTensor,
-        options: &FitOptions<'_>,
-        observer: &mut dyn FitObserver,
-    ) -> Result<Parafac2Fit> {
-        let t0 = Instant::now();
-        observer.on_input_shape(tensor.nnz() as u64, tensor.num_cells() as u64, true);
-        let options = &self.resolve_rank_energy_sparse(tensor, options);
-        let compressed = compress_sparse(tensor, options)?;
+        let compressed = compress_valid(tensor, options);
         let preprocess_secs = t0.elapsed().as_secs_f64();
         observer.on_phase(FitPhase::Compress, preprocess_secs);
         let mut fit = self.fit_compressed_observed(&compressed, options, observer)?;
@@ -186,16 +154,17 @@ impl Dpar2 {
     }
 
     /// Applies the [`FitOptions::rank_energy`] escape hatch: probes the
-    /// spectrum of the stacked tensor `[X_1; …; X_K]` (zero-copy view, one
-    /// rank-`R` randomized SVD) and lowers the target rank to the smallest
-    /// value capturing the requested spectral-energy fraction. The probe
-    /// runs at a *uniform* reduced rank applied before compression — both
-    /// compression stages and the ALS assume one rank `R` throughout
+    /// spectrum of the stacked tensor `[X_1; …; X_K]` (a zero-copy view, or
+    /// a [`dpar2_rsvd::SparseVStack`] for CSR — one rank-`R` randomized
+    /// SVD, the same probe seed for both) and lowers the target rank to the
+    /// smallest value capturing the requested spectral-energy fraction. The
+    /// probe runs at a *uniform* reduced rank applied before compression —
+    /// both compression stages and the ALS assume one rank `R` throughout
     /// (`F_k ∈ R^{R×R}`, `Z = I_R`), so per-stage heterogeneous ranks are
     /// not representable.
-    fn resolve_rank_energy<'a>(
+    fn resolve_rank_energy<'a, T: SliceTensor>(
         &self,
-        tensor: &IrregularTensor,
+        tensor: &T,
         options: &FitOptions<'a>,
     ) -> FitOptions<'a> {
         let Some(threshold) = options.rank_energy else {
@@ -213,28 +182,6 @@ impl Dpar2 {
             &mut rng,
             &pool,
         );
-        options.with_rank(probe.rank.clamp(1, options.rank.max(1)))
-    }
-
-    /// Sparse counterpart of [`Dpar2::resolve_rank_energy`]: probes the
-    /// stacked spectrum through a [`dpar2_rsvd::SparseVStack`] operator
-    /// (O(nnz) per pass, nothing densified) with the same probe seed
-    /// offset, so dense and sparse probes of the same data draw identical
-    /// sketches.
-    fn resolve_rank_energy_sparse<'a>(
-        &self,
-        tensor: &SparseIrregularTensor,
-        options: &FitOptions<'a>,
-    ) -> FitOptions<'a> {
-        let Some(threshold) = options.rank_energy else {
-            return *options;
-        };
-        let pool = ThreadPool::new(options.threads.max(1));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(options.seed ^ 0xAD4A_9F1E_5EED_0C47);
-        let cfg = dpar2_rsvd::RsvdConfig { rank: options.rank, ..options.rsvd };
-        let stack = dpar2_rsvd::SparseVStack::new(tensor.slices());
-        let probe =
-            dpar2_rsvd::svd_truncated_energy_op_pooled(&stack, &cfg, threshold, &mut rng, &pool);
         options.with_rank(probe.rank.clamp(1, options.rank.max(1)))
     }
 
@@ -525,6 +472,7 @@ impl Parafac2Solver for Dpar2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::compress;
     use crate::session::{IterationEvent, StopReason};
     use dpar2_linalg::qr;
     use dpar2_linalg::random::gaussian_mat;
@@ -763,6 +711,23 @@ mod tests {
         let fit = Dpar2.fit_observed(&t, &opts, &mut obs).unwrap();
         assert_eq!(fit.stop_reason, StopReason::Cancelled);
         assert_eq!(fit.iterations, 2);
+    }
+
+    #[test]
+    fn non_finite_input_is_a_typed_error_for_dense_and_csr() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut slices = planted_parafac2(&[12, 15, 10], 8, 2, 0.1, 432).to_slices();
+            slices[1].set(3, 4, bad);
+            let t = IrregularTensor::new(slices);
+            // With and without the rank-energy probe, which also reads X.
+            for opts in [FitOptions::new(2), FitOptions::new(2).with_rank_energy(0.9)] {
+                let err = Dpar2.fit(&t, &opts).unwrap_err();
+                assert_eq!(err, Dpar2Error::NonFinite { slice: 1 }, "dense, value {bad}");
+                let csr = dpar2_tensor::SparseIrregularTensor::from_dense(&t);
+                let err = Dpar2.fit(&csr, &opts).unwrap_err();
+                assert_eq!(err, Dpar2Error::NonFinite { slice: 1 }, "CSR, value {bad}");
+            }
+        }
     }
 
     #[test]

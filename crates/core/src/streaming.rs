@@ -30,15 +30,15 @@
 //!    (`H`, `V`, and `W` extended with unit rows for the newcomers), which
 //!    empirically cuts the iterations to re-converge.
 
-use crate::compress::{compress, compress_sparse, CompressedTensor};
+use crate::compress::{compress, CompressedTensor};
 use crate::config::FitOptions;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::Parafac2Fit;
 use crate::session::{FitObserver, NoopObserver};
+use crate::slices::{validate_from, OwnedSlice, SliceTensor};
 use crate::solver::{Dpar2, WarmStart};
-use dpar2_linalg::{Mat, SparseSlice};
-use dpar2_rsvd::{rsvd, rsvd_op, RsvdConfig};
-use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
+use dpar2_linalg::Mat;
+use dpar2_rsvd::{rsvd, RsvdConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,13 +80,24 @@ impl StreamingDpar2 {
         self.ct.as_ref()
     }
 
-    /// Ingests a batch of new slices, updating the compressed
-    /// representation incrementally (see the module docs for the algebra).
+    /// Ingests a batch of new slices — dense [`Mat`]s or CSR
+    /// [`SparseSlice`](dpar2_linalg::SparseSlice)s — updating the
+    /// compressed representation incrementally (see the module docs for the
+    /// algebra). CSR slices are never densified: stage 1 runs the O(nnz)
+    /// randomized SVD on them, and the seed derivation does not depend on
+    /// the storage, so interleaving dense and CSR appends of the same data
+    /// (with the sketch on the naive-dispatch path) produces bit-identical
+    /// compressed state.
+    ///
+    /// A rejected batch leaves the ingested state untouched and does not
+    /// shift the seed stream (long-lived serving ingest keeps going after a
+    /// bad batch).
     ///
     /// # Errors
     /// [`Dpar2Error::RankTooLarge`] if a new slice cannot support the rank;
+    /// [`Dpar2Error::NonFinite`] if it stores a NaN or ±∞;
     /// [`Dpar2Error::Linalg`] on dimension mismatches (inconsistent `J`).
-    pub fn append(&mut self, slices: Vec<Mat>) -> Result<()> {
+    pub fn append<S: OwnedSlice>(&mut self, slices: Vec<S>) -> Result<()> {
         if slices.is_empty() {
             return Ok(());
         }
@@ -101,144 +112,38 @@ impl StreamingDpar2 {
                 right: (bad.cols(), self.options.rank),
             }));
         }
-        let batch = IrregularTensor::new(slices);
-        match self.ct.take() {
-            None => {
-                // First batch: plain two-stage compression.
-                self.ct = Some(compress(&batch, &self.options)?);
-                // Count the batch only once it is ingested: a rejected
-                // batch must not shift the rsvd seed stream, or the same
-                // good batches would produce different factors depending on
-                // whether a bad batch was ever submitted.
-                self.appended_batches += 1;
-                Ok(())
-            }
-            Some(old) => {
-                // A rejected batch must leave the ingested state untouched
-                // (long-lived serving ingest keeps going after a bad batch).
-                let result = self.extend(&old, &batch);
-                match result {
-                    Ok(updated) => {
-                        self.ct = Some(updated);
-                        self.appended_batches += 1;
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.ct = Some(old);
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`StreamingDpar2::append`] for CSR slices: stage 1 runs the O(nnz)
-    /// sparse randomized SVD on each new slice without densifying, and the
-    /// incremental stage-2 update is shared with the dense path. The seed
-    /// derivation is identical — interleaving dense and sparse appends of
-    /// the same data (with the sketch on the naive-dispatch path) produces
-    /// bit-identical compressed state, and `appended_batches` advances the
-    /// same way.
-    ///
-    /// # Errors
-    /// Same contract as [`StreamingDpar2::append`]: a rejected batch
-    /// ([`Dpar2Error::RankTooLarge`], [`Dpar2Error::Linalg`]) leaves the
-    /// ingested state untouched and does not shift the seed stream.
-    pub fn append_sparse(&mut self, slices: Vec<SparseSlice>) -> Result<()> {
-        if slices.is_empty() {
-            return Ok(());
-        }
-        let j = self.ct.as_ref().map_or(slices[0].cols(), |ct| ct.j);
-        if let Some(bad) = slices.iter().find(|s| s.cols() != j) {
-            return Err(Dpar2Error::Linalg(dpar2_linalg::LinalgError::DimensionMismatch {
-                op: "streaming append",
-                left: (j, self.options.rank),
-                right: (bad.cols(), self.options.rank),
-            }));
-        }
-        let batch = SparseIrregularTensor::new(slices);
-        match self.ct.take() {
-            None => {
-                self.ct = Some(compress_sparse(&batch, &self.options)?);
-                self.appended_batches += 1;
-                Ok(())
-            }
-            Some(old) => {
-                let result = self.extend_sparse(&old, &batch);
-                match result {
-                    Ok(updated) => {
-                        self.ct = Some(updated);
-                        self.appended_batches += 1;
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.ct = Some(old);
-                        Err(e)
-                    }
-                }
-            }
-        }
+        let batch = S::stack(slices);
+        let updated = match &self.ct {
+            // First batch: plain two-stage compression.
+            None => compress(&batch, &self.options)?,
+            Some(old) => self.extend(old, &batch)?,
+        };
+        self.ct = Some(updated);
+        // Count the batch only once it is ingested: a rejected batch must
+        // not shift the rsvd seed stream, or the same good batches would
+        // produce different factors depending on whether a bad batch was
+        // ever submitted.
+        self.appended_batches += 1;
+        Ok(())
     }
 
     /// Incremental stage-2 update with a batch of freshly compressed
     /// slices.
-    fn extend(&self, old: &CompressedTensor, batch: &IrregularTensor) -> Result<CompressedTensor> {
-        let r = self.options.rank;
-        if batch.j() != old.j {
-            return Err(Dpar2Error::Linalg(dpar2_linalg::LinalgError::DimensionMismatch {
-                op: "streaming append",
-                left: (old.j, r),
-                right: (batch.j(), r),
-            }));
-        }
-        for k in 0..batch.k() {
-            let limit = batch.i(k).min(batch.j());
-            if r > limit {
-                return Err(Dpar2Error::RankTooLarge { rank: r, slice: old.k() + k, limit });
-            }
-        }
-
-        let (base_seed, rsvd_cfg) = self.batch_stage1_params(r);
-        let mut stage1: Vec<(Mat, Vec<f64>, Mat)> = Vec::with_capacity(batch.k());
-        for k in 0..batch.k() {
-            let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, k));
-            let f = rsvd(batch.slice(k), &rsvd_cfg, &mut rng);
-            stage1.push((f.u, f.s, f.v));
-        }
-        Ok(Self::extend_stage2(old, stage1, r, base_seed, &rsvd_cfg))
-    }
-
-    /// [`StreamingDpar2::extend`] for a CSR batch: stage 1 runs the O(nnz)
-    /// sparse randomized SVD per new slice; the stage-2 basis update is the
-    /// shared dense code (its operands are already `R`-compressed). Seeds
-    /// match the dense path exactly, slice for slice.
-    fn extend_sparse(
+    fn extend<T: SliceTensor>(
         &self,
         old: &CompressedTensor,
-        batch: &SparseIrregularTensor,
+        batch: &T,
     ) -> Result<CompressedTensor> {
         let r = self.options.rank;
-        if batch.j() != old.j {
-            return Err(Dpar2Error::Linalg(dpar2_linalg::LinalgError::DimensionMismatch {
-                op: "streaming append",
-                left: (old.j, r),
-                right: (batch.j(), r),
-            }));
-        }
-        for k in 0..batch.k() {
-            let limit = batch.i(k).min(batch.j());
-            if r > limit {
-                return Err(Dpar2Error::RankTooLarge { rank: r, slice: old.k() + k, limit });
-            }
-        }
-
+        validate_from(batch, r, old.k())?;
         let (base_seed, rsvd_cfg) = self.batch_stage1_params(r);
-        let mut stage1: Vec<(Mat, Vec<f64>, Mat)> = Vec::with_capacity(batch.k());
-        for k in 0..batch.k() {
-            let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, k));
-            let f = rsvd_op(batch.slice(k), &rsvd_cfg, &mut rng);
-            stage1.push((f.u, f.s, f.v));
-        }
+        let stage1: Vec<(Mat, Vec<f64>, Mat)> = (0..batch.k())
+            .map(|k| {
+                let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, k));
+                let f = rsvd(batch.slice(k), &rsvd_cfg, &mut rng);
+                (f.u, f.s, f.v)
+            })
+            .collect();
         Ok(Self::extend_stage2(old, stage1, r, base_seed, &rsvd_cfg))
     }
 
@@ -253,9 +158,8 @@ impl StreamingDpar2 {
         (base_seed, RsvdConfig { rank: r, ..self.options.rsvd })
     }
 
-    /// Shared incremental stage-2 basis update (the module-docs algebra),
-    /// identical for dense- and sparse-ingested batches: by this point the
-    /// batch only exists as its stage-1 factors.
+    /// Incremental stage-2 basis update (the module-docs algebra): by this
+    /// point the batch only exists as its stage-1 factors.
     fn extend_stage2(
         old: &CompressedTensor,
         stage1: Vec<(Mat, Vec<f64>, Mat)>,
@@ -319,7 +223,8 @@ impl StreamingDpar2 {
     /// (see `dpar2_serve::ingest`).
     ///
     /// # Errors
-    /// [`Dpar2Error::Empty`] if called before any slices were appended.
+    /// [`Dpar2Error::Empty`] if called before any slices were appended;
+    /// otherwise whatever the warm-started refit reports.
     pub fn decompose_observed(&mut self, observer: &mut dyn FitObserver) -> Result<Parafac2Fit> {
         let Some(ct) = self.ct.as_ref() else { return Err(Dpar2Error::Empty) };
         // Extend the cached W with unit rows for slices added since the
@@ -333,9 +238,7 @@ impl StreamingDpar2 {
             }
             WarmStart { h: ws.h, v: ws.v, w }
         });
-        let fit = Dpar2
-            .fit_compressed_with_init(ct, warm, &self.options, observer)
-            .expect("streaming warm start is internally consistent");
+        let fit = Dpar2.fit_compressed_with_init(ct, warm, &self.options, observer)?;
         self.warm = Some(WarmStart {
             h: fit.h.clone(),
             v: fit.v.clone(),
@@ -354,8 +257,9 @@ impl StreamingDpar2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpar2_linalg::qr;
     use dpar2_linalg::random::gaussian_mat;
+    use dpar2_linalg::{qr, SparseSlice};
+    use dpar2_tensor::IrregularTensor;
     use rand::Rng;
 
     /// Planted PARAFAC2 slices sharing H and V so that streaming batches
@@ -555,6 +459,44 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_append_preserves_state_and_seed_stream() {
+        // A NaN entry is rejected before any arithmetic — dense or CSR, on
+        // the first batch or a later one — and the stream behaves exactly
+        // as if the batch had never been offered.
+        let mut gen = Planted::new(12, 2, 104);
+        let good1 = vec![gen.slice(20, 0.02), gen.slice(18, 0.02)];
+        let good2 = vec![gen.slice(16, 0.02), gen.slice(22, 0.02)];
+        let mut poisoned = vec![gen.slice(15, 0.02), gen.slice(17, 0.02)];
+        poisoned[1].set(2, 3, f64::NAN);
+        let poisoned_csr: Vec<SparseSlice> = poisoned.iter().map(SparseSlice::from_dense).collect();
+        let cfg = FitOptions::new(2).with_seed(105).with_max_iterations(12);
+
+        let mut with_failure = StreamingDpar2::new(cfg);
+        let err = with_failure.append(poisoned.clone()).unwrap_err();
+        assert_eq!(err, Dpar2Error::NonFinite { slice: 1 });
+        assert!(with_failure.compressed().is_none(), "first-batch rejection ingested state");
+        with_failure.append(good1.clone()).unwrap();
+        let before = with_failure.compressed().unwrap().clone();
+        let err = with_failure.append(poisoned).unwrap_err();
+        assert_eq!(err, Dpar2Error::NonFinite { slice: 3 }, "index counts ingested slices");
+        let err = with_failure.append(poisoned_csr).unwrap_err();
+        assert_eq!(err, Dpar2Error::NonFinite { slice: 3 });
+        let after = with_failure.compressed().unwrap();
+        assert_eq!((&after.a, &after.d, &after.e), (&before.a, &before.d, &before.e));
+        assert_eq!(after.f_blocks, before.f_blocks);
+        with_failure.append(good2.clone()).unwrap();
+        let fit_a = with_failure.decompose().unwrap();
+
+        let mut clean = StreamingDpar2::new(cfg);
+        clean.append(good1).unwrap();
+        clean.append(good2).unwrap();
+        let fit_b = clean.decompose().unwrap();
+        assert_eq!(fit_a.u, fit_b.u, "rejected NaN batch shifted the seed stream");
+        assert_eq!(fit_a.v, fit_b.v);
+        assert_eq!(fit_a.criterion_trace, fit_b.criterion_trace);
+    }
+
+    #[test]
     fn distinct_slices_get_distinct_seed_streams() {
         use std::collections::HashSet;
         // Adversarial bases: zero and even values used to collapse the old
@@ -589,7 +531,7 @@ mod tests {
     fn empty_append_is_noop() {
         let cfg = FitOptions::new(2).with_seed(81);
         let mut stream = StreamingDpar2::new(cfg);
-        stream.append(vec![]).unwrap();
+        stream.append(Vec::<Mat>::new()).unwrap();
         assert_eq!(stream.k(), 0);
         assert!(stream.compressed().is_none());
     }
@@ -627,8 +569,8 @@ mod tests {
         let b2 = sparse_batch(97, &[30, 26, 22], 20);
 
         let mut sparse = StreamingDpar2::new(cfg);
-        sparse.append_sparse(b1.clone()).unwrap();
-        sparse.append_sparse(b2.clone()).unwrap();
+        sparse.append(b1.clone()).unwrap();
+        sparse.append(b2.clone()).unwrap();
         let fit_s = sparse.decompose().unwrap();
 
         let mut dense = StreamingDpar2::new(cfg);
@@ -644,7 +586,7 @@ mod tests {
 
         let mut mixed = StreamingDpar2::new(cfg);
         mixed.append(b1.iter().map(SparseSlice::to_dense).collect()).unwrap();
-        mixed.append_sparse(b2).unwrap();
+        mixed.append(b2).unwrap();
         let fit_m = mixed.decompose().unwrap();
         assert_eq!(fit_m.u, fit_d.u, "interleaved dense/sparse ingest diverged");
         assert_eq!(fit_m.criterion_trace, fit_d.criterion_trace);
@@ -657,20 +599,20 @@ mod tests {
         let good2 = sparse_batch(100, &[18, 26], 12);
 
         let mut with_failure = StreamingDpar2::new(cfg);
-        with_failure.append_sparse(good1.clone()).unwrap();
+        with_failure.append(good1.clone()).unwrap();
         // Wrong column count: typed error, state untouched.
-        let err = with_failure.append_sparse(sparse_batch(101, &[10], 9)).unwrap_err();
+        let err = with_failure.append(sparse_batch(101, &[10], 9)).unwrap_err();
         assert!(matches!(err, Dpar2Error::Linalg(_)));
         assert_eq!(with_failure.k(), 2, "failed sparse append lost ingested slices");
         // Undersized slice for the rank: same contract through extend.
-        let err = with_failure.append_sparse(sparse_batch(102, &[1], 12)).unwrap_err();
+        let err = with_failure.append(sparse_batch(102, &[1], 12)).unwrap_err();
         assert!(matches!(err, Dpar2Error::RankTooLarge { .. }));
-        with_failure.append_sparse(good2.clone()).unwrap();
+        with_failure.append(good2.clone()).unwrap();
         let fit_a = with_failure.decompose().unwrap();
 
         let mut clean = StreamingDpar2::new(cfg);
-        clean.append_sparse(good1).unwrap();
-        clean.append_sparse(good2).unwrap();
+        clean.append(good1).unwrap();
+        clean.append(good2).unwrap();
         let fit_b = clean.decompose().unwrap();
         assert_eq!(fit_a.u, fit_b.u, "rejected sparse batch shifted the seed stream");
         assert_eq!(fit_a.criterion_trace, fit_b.criterion_trace);
@@ -679,7 +621,7 @@ mod tests {
     #[test]
     fn empty_sparse_append_is_noop() {
         let mut stream = StreamingDpar2::new(FitOptions::new(2).with_seed(103));
-        stream.append_sparse(vec![]).unwrap();
+        stream.append(Vec::<SparseSlice>::new()).unwrap();
         assert_eq!(stream.k(), 0);
         assert!(stream.compressed().is_none());
     }

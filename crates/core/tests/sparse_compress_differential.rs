@@ -1,14 +1,14 @@
-//! Differential suite pinning `compress_sparse` / `Dpar2::fit_sparse` to
-//! the dense pipeline on densified inputs.
+//! Differential suite pinning `compress` / `Dpar2::fit` on CSR tensors to
+//! the same entry points on the densified tensors.
 //!
-//! Both paths share the per-slice seed derivation and the stage-2 code,
+//! Both storages share the per-slice seed derivation and the stage-2 code,
 //! so with a sketch width on the naive-dispatch regime (rank + oversample
-//! ≤ 5) the sparse compression is **bit-identical** to `compress` on
-//! `to_dense()` — including empty slices, all-zero columns, and
-//! duplicate-COO inputs. The whole downstream fit then agrees bitwise
-//! too, which is what the suite pins end to end.
+//! ≤ 5) CSR compression is **bit-identical** to compressing `to_dense()` —
+//! including empty slices, all-zero columns, and duplicate-COO inputs. The
+//! whole downstream fit then agrees bitwise too, which is what the suite
+//! pins end to end.
 
-use dpar2_core::{compress, compress_sparse, Dpar2, Dpar2Error, FitOptions, RsvdConfig};
+use dpar2_core::{compress, Dpar2, Dpar2Error, FitOptions, RsvdConfig};
 use dpar2_linalg::{CooBuilder, SparseSlice};
 use dpar2_tensor::SparseIrregularTensor;
 use proptest::prelude::*;
@@ -80,11 +80,11 @@ fn assert_compressed_bitwise(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The tentpole pin: sparse-path compression is bit-identical to
-    /// `compress` on the densified tensor across shapes, densities,
+    /// The tentpole pin: CSR compression is bit-identical to compressing
+    /// the densified tensor across shapes, densities,
     /// thread counts, and the empty-slice edge case.
     #[test]
-    fn compress_sparse_bitwise_matches_densified(
+    fn csr_compress_bitwise_matches_densified(
         seed in 0u64..500,
         k in 2usize..5,
         j in 8usize..16,
@@ -98,7 +98,7 @@ proptest! {
         let sparse = random_sparse_tensor(seed, &row_dims, j, fill_pct as f64 / 100.0, with_empty);
         let dense = sparse.to_dense();
         let opts = small_sketch_options(rank, seed ^ 0xC0).with_threads(threads);
-        let cs = compress_sparse(&sparse, &opts).unwrap();
+        let cs = compress(&sparse, &opts).unwrap();
         let cd = compress(&dense, &opts).unwrap();
         prop_assert_eq!(&cs.a, &cd.a, "stage-1 A factors diverged");
         prop_assert_eq!(&cs.d, &cd.d, "stage-2 D diverged");
@@ -106,10 +106,10 @@ proptest! {
         prop_assert_eq!(&cs.f_blocks, &cd.f_blocks, "F-blocks diverged");
     }
 
-    /// End-to-end: `fit_sparse` equals `fit` on the densified tensor —
+    /// End-to-end: a CSR fit equals the fit of the densified tensor —
     /// factors, criterion trace, and iteration count, bit for bit.
     #[test]
-    fn fit_sparse_bitwise_matches_dense_fit(
+    fn csr_fit_bitwise_matches_dense_fit(
         seed in 0u64..200,
         rank in 1usize..4,
         fill_pct in 8usize..25,
@@ -117,7 +117,7 @@ proptest! {
         let sparse = random_sparse_tensor(seed, &[22, 30, 18], 12, fill_pct as f64 / 100.0, false);
         let dense = sparse.to_dense();
         let opts = small_sketch_options(rank, seed ^ 0xF1);
-        let fs = Dpar2.fit_sparse(&sparse, &opts).unwrap();
+        let fs = Dpar2.fit(&sparse, &opts).unwrap();
         let fd = Dpar2.fit(&dense, &opts).unwrap();
         prop_assert_eq!(&fs.u, &fd.u, "U diverged");
         prop_assert_eq!(&fs.s, &fd.s, "S diverged");
@@ -129,26 +129,24 @@ proptest! {
 }
 
 #[test]
-fn compress_sparse_multithreaded_is_bitwise_serial() {
+fn csr_compress_multithreaded_is_bitwise_serial() {
     // nnz-weighted partitioning only schedules; values must not move.
     let sparse = random_sparse_tensor(9, &[40, 18, 55, 25, 33], 14, 0.1, false);
-    let serial = compress_sparse(&sparse, &small_sketch_options(3, 10)).unwrap();
+    let serial = compress(&sparse, &small_sketch_options(3, 10)).unwrap();
     for threads in [2usize, 3, 8] {
-        let pooled =
-            compress_sparse(&sparse, &small_sketch_options(3, 10).with_threads(threads)).unwrap();
+        let pooled = compress(&sparse, &small_sketch_options(3, 10).with_threads(threads)).unwrap();
         assert_compressed_bitwise(&pooled, &serial, &format!("threads {threads}"));
     }
 }
 
 #[test]
-fn fit_sparse_rank_energy_probe_matches_dense() {
-    // The adaptive-rank probe runs through SparseVStack on the sparse
-    // path; with matching seeds it must pick the same rank and produce
+fn csr_fit_rank_energy_probe_matches_dense() {
+    // The adaptive-rank probe runs through SparseVStack on CSR input; with matching seeds it must pick the same rank and produce
     // the same fit as the dense probe.
     let sparse = random_sparse_tensor(31, &[26, 20, 24], 10, 0.2, false);
     let dense = sparse.to_dense();
     let opts = small_sketch_options(3, 32).with_rank_energy(0.8);
-    let fs = Dpar2.fit_sparse(&sparse, &opts).unwrap();
+    let fs = Dpar2.fit(&sparse, &opts).unwrap();
     let fd = Dpar2.fit(&dense, &opts).unwrap();
     assert_eq!(fs.rank(), fd.rank(), "adaptive rank diverged");
     assert_eq!(fs.u, fd.u);
@@ -156,12 +154,12 @@ fn fit_sparse_rank_energy_probe_matches_dense() {
 }
 
 #[test]
-fn compress_sparse_rejects_invalid_ranks() {
+fn csr_compress_rejects_invalid_ranks() {
     let sparse = random_sparse_tensor(41, &[12, 3], 10, 0.3, false);
-    let err = compress_sparse(&sparse, &FitOptions::new(0)).unwrap_err();
+    let err = compress(&sparse, &FitOptions::new(0)).unwrap_err();
     assert_eq!(err, Dpar2Error::ZeroRank);
     // Slice 1 has only 3 rows: rank 4 cannot be supported there.
-    let err = compress_sparse(&sparse, &FitOptions::new(4)).unwrap_err();
+    let err = compress(&sparse, &FitOptions::new(4)).unwrap_err();
     assert!(matches!(err, Dpar2Error::RankTooLarge { rank: 4, slice: 1, limit: 3 }), "got {err:?}");
 }
 
@@ -179,7 +177,7 @@ fn duplicate_coo_and_densify_round_trip_agree() {
         assert_eq!(round_trip.slice(k).to_dense(), sparse.slice(k).to_dense());
     }
     let opts = small_sketch_options(2, 52);
-    let a = compress_sparse(&sparse, &opts).unwrap();
-    let b = compress_sparse(&round_trip, &opts).unwrap();
+    let a = compress(&sparse, &opts).unwrap();
+    let b = compress(&round_trip, &opts).unwrap();
     assert_compressed_bitwise(&a, &b, "explicit zeros must not affect results");
 }

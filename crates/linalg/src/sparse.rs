@@ -30,8 +30,8 @@
 //! *dense* operand is finite, each kernel is **bitwise identical** to
 //! densifying the slice and running the corresponding naive dense loop —
 //! the property the differential suite (`tests/sparse_differential.rs`)
-//! pins, and the reason `SpartanSparse` fits match their densified
-//! `SpartanDense` runs bit for bit. Non-finite *stored* values (NaN, ±∞)
+//! pins, and the reason SPARTan and DPar2 fits on CSR tensors match their
+//! densified runs bit for bit. Non-finite *stored* values (NaN, ±∞)
 //! propagate identically through both paths because they flow through the
 //! same multiply-add sequence; only products of a structural zero with a
 //! non-finite dense entry (which densification would turn into NaN)

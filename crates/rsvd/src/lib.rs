@@ -33,9 +33,7 @@ pub mod ops;
 
 pub use ops::{ProductOp, SparseVStack};
 
-use dpar2_linalg::{
-    gaussian_mat, qr_into, svd::truncate, svd_thin, AsMatRef, Mat, QrScratch, SvdFactors,
-};
+use dpar2_linalg::{gaussian_mat, qr_into, svd::truncate, svd_thin, Mat, QrScratch, SvdFactors};
 use dpar2_parallel::ThreadPool;
 use rand::Rng;
 
@@ -66,51 +64,33 @@ impl RsvdConfig {
     }
 }
 
-/// Randomized truncated SVD `A ≈ U Σ Vᵀ` at `config.rank`.
+/// Randomized truncated SVD `A ≈ U Σ Vᵀ` at `config.rank`, serial form of
+/// [`rsvd_pooled`].
 ///
 /// Returns factors with `U ∈ R^{I×r}`, `V ∈ R^{J×r}`, `r = min(rank, I, J)`.
 /// The sketch width is additionally capped at `min(I, J)` so tiny matrices
 /// degrade gracefully to an exact (thin) SVD.
-pub fn rsvd(a: impl AsMatRef, config: &RsvdConfig, rng: &mut impl Rng) -> SvdFactors {
-    rsvd_pooled(a, config, rng, &ThreadPool::new(1))
+pub fn rsvd(op: impl ProductOp, config: &RsvdConfig, rng: &mut impl Rng) -> SvdFactors {
+    rsvd_pooled(op, config, rng, &ThreadPool::new(1))
 }
 
 /// [`rsvd`] with every pass over `A` — the sketch `A·Ω`, the power
 /// iterations `Aᵀ·Q` / `A·Qz`, the projection `Qᵀ·A`, and the final lift
-/// `Q·Ũ` — running on the pooled GEMM path, which row-partitions each
-/// product over `pool`. These chained tall-matrix products dominate the
-/// rSVD cost, so this is where DPar2's compression stages spend their
+/// `Q·Ũ` — running on `pool`. These chained tall-matrix products dominate
+/// the rSVD cost, so this is where DPar2's compression stages spend their
 /// threads when slices are too few (or too skewed) to saturate the
-/// per-slice fan-out. Results are **bit-identical** for every pool size
-/// (the pooled GEMM fixes its reduction order), so `rsvd(a, c, rng)` and
+/// per-slice fan-out. Per pass the cost is one `mm`/`mm_t`/`proj` call on
+/// the operator (O(nnz·(r+s)) for CSR) plus small dense QR/SVD work on the
+/// sketch. Results are **bit-identical** for every pool size (both
+/// operator families fix their reduction order), so `rsvd(a, c, rng)` and
 /// `rsvd_pooled(a, c, rng, pool)` agree exactly given equal RNG streams.
-pub fn rsvd_pooled(
-    a: impl AsMatRef,
-    config: &RsvdConfig,
-    rng: &mut impl Rng,
-    pool: &ThreadPool,
-) -> SvdFactors {
-    rsvd_op_pooled(&a.as_mat_ref(), config, rng, pool)
-}
-
-/// Serial form of [`rsvd_op_pooled`] — [`rsvd`] for any [`ProductOp`]
-/// (e.g. a CSR [`dpar2_linalg::sparse::SparseSlice`]).
-pub fn rsvd_op(op: &impl ProductOp, config: &RsvdConfig, rng: &mut impl Rng) -> SvdFactors {
-    rsvd_op_pooled(op, config, rng, &ThreadPool::new(1))
-}
-
-/// Randomized truncated SVD over an abstract [`ProductOp`] — the single
-/// pipeline implementation behind both the dense and the sparse entry
-/// points. Per pass the cost is one `mm`/`mm_t`/`proj` call on the
-/// operator (O(nnz·(r+s)) for CSR) plus small dense QR/SVD work on the
-/// sketch.
 ///
 /// All QR factorizations share one [`QrScratch`] and one pair of `Q`/`R`
 /// buffers, so the power-iteration re-orthonormalizations stop allocating
 /// fresh scratch every pass (repeated compressions — streaming refits —
 /// no longer churn the allocator).
-pub fn rsvd_op_pooled(
-    op: &impl ProductOp,
+pub fn rsvd_pooled(
+    op: impl ProductOp,
     config: &RsvdConfig,
     rng: &mut impl Rng,
     pool: &ThreadPool,
@@ -155,12 +135,7 @@ pub fn rsvd_op_pooled(
     SvdFactors { u, s: small.s, v: small.v }
 }
 
-/// Convenience wrapper with the standard configuration.
-pub fn rsvd_default(a: impl AsMatRef, rank: usize, rng: &mut impl Rng) -> SvdFactors {
-    rsvd(a, &RsvdConfig::new(rank), rng)
-}
-
-/// Result of [`svd_truncated_energy`]: the energy-truncated factors plus
+/// Result of [`svd_truncated_energy_pooled`]: the energy-truncated factors plus
 /// the bookkeeping needed to audit the cut.
 #[derive(Debug, Clone)]
 pub struct EnergyTruncation {
@@ -178,17 +153,6 @@ pub struct EnergyTruncation {
     pub total_energy: f64,
 }
 
-/// Energy-threshold truncated SVD (serial form of
-/// [`svd_truncated_energy_pooled`]).
-pub fn svd_truncated_energy(
-    a: impl AsMatRef,
-    config: &RsvdConfig,
-    threshold: f64,
-    rng: &mut impl Rng,
-) -> EnergyTruncation {
-    svd_truncated_energy_pooled(a, config, threshold, rng, &ThreadPool::new(1))
-}
-
 /// Adaptive-rank truncation: probes the spectrum with a rank-`config.rank`
 /// randomized SVD and keeps the smallest leading block capturing at least
 /// `threshold · ‖A‖²_F` of the spectral energy (the
@@ -202,31 +166,20 @@ pub fn svd_truncated_energy(
 /// the threshold (the matrix has significant energy past `max_rank`), the
 /// full probed rank is kept, which is the best this budget can do.
 ///
-/// Deterministic for a fixed RNG stream and bit-identical across pool
-/// sizes (inherits both properties from [`rsvd_pooled`]).
+/// Runs on any [`ProductOp`] — a CSR slice, or a [`SparseVStack`] standing
+/// in for a stacked sparse tensor, probes at O(nnz) per pass — with the
+/// exact `‖A‖²_F` denominator from the operator itself. Deterministic for a
+/// fixed RNG stream and bit-identical across pool sizes (inherits both
+/// properties from [`rsvd_pooled`]).
 pub fn svd_truncated_energy_pooled(
-    a: impl AsMatRef,
-    config: &RsvdConfig,
-    threshold: f64,
-    rng: &mut impl Rng,
-    pool: &ThreadPool,
-) -> EnergyTruncation {
-    svd_truncated_energy_op_pooled(&a.as_mat_ref(), config, threshold, rng, pool)
-}
-
-/// [`svd_truncated_energy_pooled`] over an abstract [`ProductOp`] — lets
-/// the adaptive-rank probe run on sparse operators (a CSR slice, or a
-/// [`SparseVStack`] standing in for the stacked tensor) at O(nnz) per
-/// pass, with the exact `‖A‖²_F` denominator from the operator itself.
-pub fn svd_truncated_energy_op_pooled(
-    op: &impl ProductOp,
+    op: impl ProductOp,
     config: &RsvdConfig,
     threshold: f64,
     rng: &mut impl Rng,
     pool: &ThreadPool,
 ) -> EnergyTruncation {
     let total_energy = op.fro_norm_sq();
-    let probe = rsvd_op_pooled(op, config, rng, pool);
+    let probe = rsvd_pooled(&op, config, rng, pool);
     if probe.s.is_empty() {
         return EnergyTruncation { factors: probe, rank: 0, captured_energy: 0.0, total_energy };
     }
@@ -253,6 +206,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// [`svd_truncated_energy_pooled`] on a one-thread pool.
+    fn serial_energy(
+        a: impl ProductOp,
+        config: &RsvdConfig,
+        threshold: f64,
+        rng: &mut impl Rng,
+    ) -> EnergyTruncation {
+        svd_truncated_energy_pooled(a, config, threshold, rng, &ThreadPool::new(1))
+    }
+
     /// Low-rank-plus-noise matrix: rank `r` signal with noise at `eps`.
     fn low_rank_noisy(i: usize, j: usize, r: usize, eps: f64, seed: u64) -> Mat {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -268,7 +231,7 @@ mod tests {
     fn recovers_exact_low_rank() {
         let a = low_rank_noisy(60, 40, 5, 0.0, 1);
         let mut rng = StdRng::seed_from_u64(2);
-        let f = rsvd_default(&a, 5, &mut rng);
+        let f = rsvd(&a, &RsvdConfig::new(5), &mut rng);
         let err = (&a - &f.reconstruct()).fro_norm() / a.fro_norm();
         assert!(err < 1e-9, "exact low-rank not recovered: rel err {err}");
     }
@@ -277,7 +240,7 @@ mod tests {
     fn near_optimal_on_noisy_low_rank() {
         let a = low_rank_noisy(80, 50, 6, 0.01, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let f = rsvd_default(&a, 6, &mut rng);
+        let f = rsvd(&a, &RsvdConfig::new(6), &mut rng);
         let exact = dpar2_linalg::svd::svd_truncated(&a, 6);
         let err_r = (&a - &f.reconstruct()).fro_norm();
         let err_e = (&a - &exact.reconstruct()).fro_norm();
@@ -289,7 +252,7 @@ mod tests {
     fn factors_orthonormal() {
         let a = low_rank_noisy(50, 30, 4, 0.1, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let f = rsvd_default(&a, 4, &mut rng);
+        let f = rsvd(&a, &RsvdConfig::new(4), &mut rng);
         assert!((&f.u.gram() - &Mat::eye(4)).fro_norm() < 1e-10);
         assert!((&f.v.gram() - &Mat::eye(4)).fro_norm() < 1e-10);
     }
@@ -298,7 +261,7 @@ mod tests {
     fn singular_values_sorted_and_close_to_exact() {
         let a = low_rank_noisy(70, 45, 8, 0.001, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        let f = rsvd_default(&a, 8, &mut rng);
+        let f = rsvd(&a, &RsvdConfig::new(8), &mut rng);
         for w in f.s.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
         }
@@ -340,7 +303,7 @@ mod tests {
     fn small_matrix_falls_back_to_exact() {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let mut rng = StdRng::seed_from_u64(11);
-        let f = rsvd_default(&a, 2, &mut rng);
+        let f = rsvd(&a, &RsvdConfig::new(2), &mut rng);
         let err = (&a - &f.reconstruct()).fro_norm();
         assert!(err < 1e-10);
     }
@@ -349,7 +312,7 @@ mod tests {
     fn rank_capped_by_dimensions() {
         let a = gmat(5, 3, &mut StdRng::seed_from_u64(12));
         let mut rng = StdRng::seed_from_u64(13);
-        let f = rsvd_default(&a, 10, &mut rng);
+        let f = rsvd(&a, &RsvdConfig::new(10), &mut rng);
         assert_eq!(f.s.len(), 3);
     }
 
@@ -371,8 +334,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let a = low_rank_noisy(30, 20, 3, 0.05, 14);
-        let f1 = rsvd_default(&a, 3, &mut StdRng::seed_from_u64(15));
-        let f2 = rsvd_default(&a, 3, &mut StdRng::seed_from_u64(15));
+        let f1 = rsvd(&a, &RsvdConfig::new(3), &mut StdRng::seed_from_u64(15));
+        let f2 = rsvd(&a, &RsvdConfig::new(3), &mut StdRng::seed_from_u64(15));
         assert_eq!(f1.s, f2.s);
         assert!((&f1.u - &f2.u).fro_norm() < 1e-15);
     }
@@ -381,7 +344,7 @@ mod tests {
     fn wide_matrix() {
         let a = low_rank_noisy(20, 90, 4, 0.01, 16);
         let mut rng = StdRng::seed_from_u64(17);
-        let f = rsvd_default(&a, 4, &mut rng);
+        let f = rsvd(&a, &RsvdConfig::new(4), &mut rng);
         assert_eq!(f.u.shape(), (20, 4));
         assert_eq!(f.v.shape(), (90, 4));
         let exact = dpar2_linalg::svd::svd_truncated(&a, 4);
@@ -393,7 +356,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let mut rng = StdRng::seed_from_u64(18);
-        let f = rsvd_default(Mat::zeros(0, 5), 3, &mut rng);
+        let f = rsvd(Mat::zeros(0, 5), &RsvdConfig::new(3), &mut rng);
         assert!(f.s.is_empty());
     }
 
@@ -426,7 +389,7 @@ mod tests {
             [(0.10, 1usize), (0.452, 1), (0.50, 2), (0.80, 3), (0.95, 4), (0.99, 5), (0.999, 6)]
         {
             let mut rng = StdRng::seed_from_u64(41);
-            let e = svd_truncated_energy(&a, &RsvdConfig::new(6), threshold, &mut rng);
+            let e = serial_energy(&a, &RsvdConfig::new(6), threshold, &mut rng);
             assert_eq!(e.rank, want_rank, "threshold {threshold}");
             assert_eq!(e.factors.s.len(), want_rank);
             assert!((e.total_energy - total).abs() < 1e-6 * total, "‖A‖²_F mismatch");
@@ -443,15 +406,12 @@ mod tests {
     #[test]
     fn energy_truncation_threshold_extremes() {
         let (a, _) = planted_spectrum(42);
-        let low =
-            svd_truncated_energy(&a, &RsvdConfig::new(6), 0.0, &mut StdRng::seed_from_u64(43));
+        let low = serial_energy(&a, &RsvdConfig::new(6), 0.0, &mut StdRng::seed_from_u64(43));
         assert_eq!(low.rank, 1, "threshold 0 keeps exactly one component");
-        let neg =
-            svd_truncated_energy(&a, &RsvdConfig::new(6), -3.0, &mut StdRng::seed_from_u64(43));
+        let neg = serial_energy(&a, &RsvdConfig::new(6), -3.0, &mut StdRng::seed_from_u64(43));
         assert_eq!(neg.rank, 1);
         // threshold > 1 can never be met: keep the whole probed spectrum.
-        let all =
-            svd_truncated_energy(&a, &RsvdConfig::new(6), 1.5, &mut StdRng::seed_from_u64(43));
+        let all = serial_energy(&a, &RsvdConfig::new(6), 1.5, &mut StdRng::seed_from_u64(43));
         assert_eq!(all.rank, 6);
     }
 
@@ -461,7 +421,7 @@ mod tests {
         // and the exact-‖A‖²_F denominator keeps captured < total honest.
         let (a, sigmas) = planted_spectrum(44);
         let total: f64 = sigmas.iter().map(|s| s * s).sum();
-        let e = svd_truncated_energy(&a, &RsvdConfig::new(3), 1.0, &mut StdRng::seed_from_u64(45));
+        let e = serial_energy(&a, &RsvdConfig::new(3), 1.0, &mut StdRng::seed_from_u64(45));
         assert_eq!(e.rank, 3);
         assert!(e.captured_energy < e.total_energy);
         let expect: f64 = sigmas[..3].iter().map(|s| s * s).sum();
@@ -471,8 +431,7 @@ mod tests {
     #[test]
     fn energy_truncation_pooled_bitwise_matches_serial() {
         let (a, _) = planted_spectrum(46);
-        let serial =
-            svd_truncated_energy(&a, &RsvdConfig::new(6), 0.9, &mut StdRng::seed_from_u64(47));
+        let serial = serial_energy(&a, &RsvdConfig::new(6), 0.9, &mut StdRng::seed_from_u64(47));
         for threads in [2, 4] {
             let pool = ThreadPool::new(threads);
             let pooled = svd_truncated_energy_pooled(
@@ -490,7 +449,7 @@ mod tests {
 
     #[test]
     fn energy_truncation_empty_matrix() {
-        let e = svd_truncated_energy(
+        let e = serial_energy(
             Mat::zeros(0, 4),
             &RsvdConfig::new(3),
             0.9,

@@ -6,10 +6,11 @@
 //! projection `Qᵀ·A`, plus `‖A‖²_F` for energy truncation and an exact
 //! thin-SVD escape hatch for matrices too small to sketch. Abstracting
 //! those five behind a trait lets the same pipeline run on a dense
-//! [`MatRef`] (the pooled blocked-GEMM path, exactly the pre-trait code)
-//! and on a CSR [`SparseSlice`] (the `spmm` kernel family, O(nnz·s) per
-//! pass) — which is what makes DPar2's whole compression stage O(nnz) on
-//! sparse inputs.
+//! [`MatRef`] or [`Mat`] (the pooled blocked-GEMM path, exactly the
+//! pre-trait code) and on a CSR [`SparseSlice`] (the `spmm` kernel family,
+//! O(nnz·s) per pass) — which is what makes DPar2's whole compression stage
+//! O(nnz) on sparse inputs. References to operators are operators too, so
+//! `rsvd(&mat, ..)`, `rsvd(mat.view(), ..)` and `rsvd(&csr, ..)` all work.
 //!
 //! Both implementations keep the workspace-wide determinism guarantees:
 //! results are bit-identical for every pool size, and the sparse
@@ -55,6 +56,34 @@ pub trait ProductOp {
     fn svd_exact(&self) -> SvdFactors;
 }
 
+/// Any borrowed operator is an operator (`&Mat`, `&SparseSlice`,
+/// `&SparseVStack`, ...).
+impl<T: ProductOp + ?Sized> ProductOp for &T {
+    fn shape(&self) -> (usize, usize) {
+        (**self).shape()
+    }
+
+    fn mm_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        (**self).mm_into(b, c, pool);
+    }
+
+    fn mm_t_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        (**self).mm_t_into(b, c, pool);
+    }
+
+    fn proj_into(&self, q: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        (**self).proj_into(q, c, pool);
+    }
+
+    fn fro_norm_sq(&self) -> f64 {
+        (**self).fro_norm_sq()
+    }
+
+    fn svd_exact(&self) -> SvdFactors {
+        (**self).svd_exact()
+    }
+}
+
 /// Dense operator: delegates to the pooled GEMM family — the exact call
 /// sequence the pre-abstraction `rsvd_pooled` made, so the dense pipeline
 /// is bit-for-bit the historical one.
@@ -81,6 +110,33 @@ impl ProductOp for MatRef<'_> {
 
     fn svd_exact(&self) -> SvdFactors {
         svd_thin(*self)
+    }
+}
+
+/// An owned dense matrix runs exactly the [`MatRef`] operator on its view.
+impl ProductOp for Mat {
+    fn shape(&self) -> (usize, usize) {
+        Mat::shape(self)
+    }
+
+    fn mm_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        self.view().mm_into(b, c, pool);
+    }
+
+    fn mm_t_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        self.view().mm_t_into(b, c, pool);
+    }
+
+    fn proj_into(&self, q: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        self.view().proj_into(q, c, pool);
+    }
+
+    fn fro_norm_sq(&self) -> f64 {
+        self.view().fro_norm_sq()
+    }
+
+    fn svd_exact(&self) -> SvdFactors {
+        self.view().svd_exact()
     }
 }
 

@@ -4,7 +4,7 @@
 //! With a sketch width below the blocked-GEMM tile thresholds (every
 //! product in the pipeline has one dimension equal to the sketch), the
 //! dense pipeline stays on the naive loops and the sparse kernels'
-//! densify-oracle contract makes the whole `rsvd_op` run **bitwise
+//! densify-oracle contract makes the whole sparse `rsvd` run **bitwise
 //! identical** to `rsvd` on `to_dense()` — including the exact-SVD
 //! fallback, empty slices, all-zero columns, and duplicate-COO inputs.
 //! At the default config (oversample 8) the products may take the blocked
@@ -13,10 +13,7 @@
 
 use dpar2_linalg::{CooBuilder, Mat, SparseSlice};
 use dpar2_parallel::ThreadPool;
-use dpar2_rsvd::{
-    rsvd, rsvd_op, rsvd_op_pooled, svd_truncated_energy_op_pooled, svd_truncated_energy_pooled,
-    RsvdConfig, SparseVStack,
-};
+use dpar2_rsvd::{rsvd, rsvd_pooled, svd_truncated_energy_pooled, RsvdConfig, SparseVStack};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +55,7 @@ fn assert_factors_bitwise(a: &dpar2_linalg::SvdFactors, b: &dpar2_linalg::SvdFac
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole pin: `rsvd_op` on CSR is bit-identical to `rsvd` on
+    /// The tentpole pin: `rsvd` on CSR is bit-identical to `rsvd` on
     /// the densified matrix at small sketch widths, across shapes that
     /// exercise the sketched path (`min_dim > 5`) and the exact fallback
     /// (`min_dim ≤ 5`), densities from empty to ~30%.
@@ -73,7 +70,7 @@ proptest! {
         let s = random_sparse(seed, rows, cols, fill_pct as f64 / 100.0);
         let d = s.to_dense();
         let cfg = small_sketch(rank);
-        let fs = rsvd_op(&s, &cfg, &mut StdRng::seed_from_u64(seed ^ 0xABCD));
+        let fs = rsvd(&s, &cfg, &mut StdRng::seed_from_u64(seed ^ 0xABCD));
         let fd = rsvd(&d, &cfg, &mut StdRng::seed_from_u64(seed ^ 0xABCD));
         prop_assert_eq!(&fs.u, &fd.u, "U diverged");
         prop_assert_eq!(&fs.s, &fd.s, "Σ diverged");
@@ -82,7 +79,7 @@ proptest! {
 
     /// Same pin for the energy-truncation probe over a [`SparseVStack`]
     /// vs the densified stacked matrix (the adaptive-rank path of
-    /// `Dpar2::fit_sparse`).
+    /// `Dpar2::fit` on a CSR tensor).
     #[test]
     fn sparse_vstack_energy_probe_bitwise_matches_dense_stack(
         seed in 0u64..500,
@@ -105,7 +102,7 @@ proptest! {
         }
         let cfg = small_sketch(rank);
         let pool = ThreadPool::new(1);
-        let es = svd_truncated_energy_op_pooled(
+        let es = svd_truncated_energy_pooled(
             &stack, &cfg, 0.9, &mut StdRng::seed_from_u64(seed ^ 0x5ED), &pool,
         );
         let ed = svd_truncated_energy_pooled(
@@ -126,10 +123,10 @@ fn pooled_sparse_rsvd_bitwise_matches_serial_for_every_pool_size() {
     // transposed (cols > 64) pooled kernels engage.
     let s = random_sparse(11, 200, 130, 0.04);
     let cfg = small_sketch(3);
-    let serial = rsvd_op(&s, &cfg, &mut StdRng::seed_from_u64(42));
+    let serial = rsvd(&s, &cfg, &mut StdRng::seed_from_u64(42));
     for threads in [2usize, 3, 4, 8] {
         let pool = ThreadPool::new(threads);
-        let pooled = rsvd_op_pooled(&s, &cfg, &mut StdRng::seed_from_u64(42), &pool);
+        let pooled = rsvd_pooled(&s, &cfg, &mut StdRng::seed_from_u64(42), &pool);
         assert_factors_bitwise(&pooled, &serial, &format!("pool size {threads}"));
     }
 }
@@ -141,7 +138,7 @@ fn exact_fallback_is_bitwise_dense_on_tiny_matrices() {
     for (rows, cols) in [(4usize, 30usize), (30, 4), (5, 5), (1, 12)] {
         let s = random_sparse(rows as u64 * 31 + cols as u64, rows, cols, 0.4);
         let cfg = small_sketch(3);
-        let fs = rsvd_op(&s, &cfg, &mut StdRng::seed_from_u64(9));
+        let fs = rsvd(&s, &cfg, &mut StdRng::seed_from_u64(9));
         let fd = rsvd(s.to_dense(), &cfg, &mut StdRng::seed_from_u64(9));
         assert_factors_bitwise(&fs, &fd, &format!("fallback {rows}×{cols}"));
     }
@@ -152,7 +149,7 @@ fn empty_and_all_zero_slices_match_densified() {
     let cfg = small_sketch(2);
     // Structurally empty slice (zero nnz).
     let empty = SparseSlice::empty(20, 12);
-    let fs = rsvd_op(&empty, &cfg, &mut StdRng::seed_from_u64(3));
+    let fs = rsvd(&empty, &cfg, &mut StdRng::seed_from_u64(3));
     let fd = rsvd(empty.to_dense(), &cfg, &mut StdRng::seed_from_u64(3));
     assert_factors_bitwise(&fs, &fd, "structurally empty slice");
 
@@ -164,13 +161,13 @@ fn empty_and_all_zero_slices_match_densified() {
     }
     let zeros = b.build();
     assert!(zeros.nnz() > 0, "explicit zeros must stay stored");
-    let fs = rsvd_op(&zeros, &cfg, &mut StdRng::seed_from_u64(4));
+    let fs = rsvd(&zeros, &cfg, &mut StdRng::seed_from_u64(4));
     let fd = rsvd(zeros.to_dense(), &cfg, &mut StdRng::seed_from_u64(4));
     assert_factors_bitwise(&fs, &fd, "explicit-zero slice");
 
     // Zero-dimension operands degrade identically.
     let degenerate = SparseSlice::empty(0, 8);
-    let f = rsvd_op(&degenerate, &cfg, &mut StdRng::seed_from_u64(5));
+    let f = rsvd(&degenerate, &cfg, &mut StdRng::seed_from_u64(5));
     assert_eq!(f.u.shape(), (0, 0));
     assert!(f.s.is_empty());
 }
@@ -181,7 +178,7 @@ fn sparse_vstack_shape_and_nnz_account_for_all_slices() {
     let b = random_sparse(22, 14, 8, 0.1);
     let stack = SparseVStack::new([&a, &b]);
     assert_eq!(stack.nnz(), a.nnz() + b.nnz());
-    let f = rsvd_op(&stack, &small_sketch(2), &mut StdRng::seed_from_u64(6));
+    let f = rsvd(&stack, &small_sketch(2), &mut StdRng::seed_from_u64(6));
     assert_eq!(f.u.rows(), 24);
     assert_eq!(f.v.rows(), 8);
 }
@@ -205,7 +202,7 @@ fn default_config_sparse_rsvd_reconstructs_within_envelope() {
     }
     let s = b.build();
     let cfg = RsvdConfig::new(8);
-    let f = rsvd_op(&s, &cfg, &mut StdRng::seed_from_u64(78));
+    let f = rsvd(&s, &cfg, &mut StdRng::seed_from_u64(78));
     let dense = s.to_dense();
     let approx = f.u.matmul(Mat::diag(&f.s)).unwrap().matmul_nt(&f.v).unwrap();
     let rel = (&dense - &approx).fro_norm() / dense.fro_norm();

@@ -496,6 +496,40 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_batch_is_recorded_and_the_next_batch_publishes() {
+        let registry = Arc::new(ModelRegistry::new());
+        let worker = IngestWorker::spawn(
+            StreamingDpar2::new(config()),
+            ModelMeta::new("live"),
+            registry.clone(),
+        );
+        let t = planted_parafac2(&[16, 16, 16], 10, 2, 0.0, 15);
+        let mut slices = t.to_slices();
+        let mut poisoned = slices[2].clone();
+        poisoned.set(5, 5, f64::NAN);
+        worker.append(slices.drain(..2).collect());
+        worker.append(vec![poisoned]);
+        worker.append(slices);
+        worker.flush();
+        let events = worker.events();
+        assert_eq!(events.len(), 3, "got {events:?}");
+        assert!(matches!(events[0], IngestEvent::Published { batch: 1, version: 1, .. }));
+        assert!(
+            matches!(&events[1], IngestEvent::AppendFailed { batch: 2, error }
+                if error.contains("non-finite")),
+            "got {:?}",
+            events[1]
+        );
+        assert!(
+            matches!(events[2], IngestEvent::Published { batch: 3, version: 2, entities: 3 }),
+            "got {:?}",
+            events[2]
+        );
+        assert_eq!(registry.version("live"), Some(2));
+        worker.shutdown();
+    }
+
+    #[test]
     fn degenerate_batches_never_kill_the_worker() {
         let registry = Arc::new(ModelRegistry::new());
         let worker = IngestWorker::spawn(

@@ -132,9 +132,9 @@ impl IrregularTensor {
         self.data.len()
     }
 
-    /// Number of nonzero entries across all slices — the numerator of the
-    /// density check behind `FitOptions::sparse_threshold` auto-dispatch
-    /// in `dpar2-baselines`. Exact zeros only; `-0.0` counts as zero.
+    /// Number of nonzero entries across all slices — how many values
+    /// [`crate::SparseIrregularTensor::from_dense`] would store. Exact
+    /// zeros only; `-0.0` counts as zero.
     pub fn nnz(&self) -> usize {
         self.data.iter().filter(|&&x| x != 0.0).count()
     }

@@ -14,9 +14,9 @@
 //!   matricization, ⊗/⊙/∗ products.
 //! * [`rsvd`] — randomized SVD (Algorithm 1).
 //! * [`parallel`] — thread pool + greedy slice partitioning (Algorithm 4).
-//! * [`core`] — the DPar2 solver (Algorithm 3).
-//! * [`baselines`] — PARAFAC2-ALS, RD-ALS, SPARTan-dense, and the O(nnz)
-//!   SPARTan-sparse solver (Algorithm 2 & §V).
+//! * [`core`] — the DPar2 solver (Algorithm 3), on dense or CSR slices.
+//! * [`baselines`] — PARAFAC2-ALS, RD-ALS and SPARTan (Algorithm 2 & §V),
+//!   the last on dense or CSR slices at O(nnz) per iteration.
 //! * [`data`] — synthetic stand-ins for the paper's eight datasets, plus
 //!   Bernoulli-observed planted sparse models.
 //! * [`analysis`] — feature correlations, stock similarity, k-NN, RWR (§IV-E).

@@ -1,8 +1,9 @@
 //! Allocation-regression suite: proves the zero-copy view refactor's core
 //! claim — after a one-iteration warmup, a steady-state single-threaded ALS
-//! iteration of DPar2 and RD-ALS performs **zero heap allocations** (every
-//! temporary comes from the `Workspace` arena via `*_into` kernels), and
-//! the remaining baselines stay under a generous allocation ceiling.
+//! iteration of DPar2, RD-ALS and SPARTan (dense or CSR) performs **zero
+//! heap allocations** (every temporary comes from the `Workspace` arena via
+//! `*_into` kernels), and the remaining baselines stay under a generous
+//! allocation ceiling.
 //!
 //! Method: a counting `#[global_allocator]` increments a **thread-local**
 //! counter on every `alloc`/`realloc` (thread-local so concurrently running
@@ -16,7 +17,7 @@
 // is relaxed outside the SIMD kernel: `GlobalAlloc` is an unsafe trait.
 #![allow(unsafe_code)]
 
-use dpar2_repro::baselines::{NaiveCompressedAls, Parafac2Als, RdAls, SpartanDense, SpartanSparse};
+use dpar2_repro::baselines::{NaiveCompressedAls, Parafac2Als, RdAls, Spartan};
 use dpar2_repro::core::{Dpar2, FitOptions, IterationEvent, Parafac2Solver, StopReason};
 use dpar2_repro::data::{planted_parafac2, planted_sparse};
 use dpar2_repro::tensor::IrregularTensor;
@@ -109,6 +110,18 @@ fn rd_als_steady_state_iterations_allocate_nothing() {
     );
 }
 
+/// SPARTan's steady-state iterations over dense slices are allocation-free:
+/// it runs the same arena-backed loop as on CSR slices.
+#[test]
+fn spartan_dense_steady_state_iterations_allocate_nothing() {
+    let t = fixture();
+    let deltas = steady_state_deltas(&Spartan, &t);
+    assert!(
+        deltas.iter().all(|&d| d == 0),
+        "SPARTan allocated in steady state: per-iteration counts after warmup = {deltas:?}"
+    );
+}
+
 /// The remaining baselines keep their textbook allocating formulations, but
 /// pin a generous ceiling so an accidental per-entry allocation regression
 /// (e.g. a clone inside an inner loop) still fails loudly.
@@ -116,7 +129,7 @@ fn rd_als_steady_state_iterations_allocate_nothing() {
 fn other_baselines_stay_under_allocation_ceiling() {
     const CEILING: u64 = 50_000;
     let t = fixture();
-    let solvers: [&dyn Parafac2Solver; 3] = [&Parafac2Als, &SpartanDense, &NaiveCompressedAls];
+    let solvers: [&dyn Parafac2Solver; 2] = [&Parafac2Als, &NaiveCompressedAls];
     for solver in solvers {
         let deltas = steady_state_deltas(solver, &t);
         let worst = deltas.iter().copied().max().unwrap_or(0);
@@ -129,7 +142,7 @@ fn other_baselines_stay_under_allocation_ceiling() {
     }
 }
 
-/// Sparse-subsystem pin: `SpartanSparse` steady-state ALS iterations over
+/// Sparse-subsystem pin: `Spartan` steady-state ALS iterations over
 /// CSR slices are allocation-free, like DPar2's and RD-ALS's — the
 /// sparse kernels write into the `Workspace` arena and per-slice scratch
 /// sized during the warmup iteration. The J = 7, R = 3 configuration
@@ -142,7 +155,7 @@ fn spartan_sparse_steady_state_iterations_allocate_nothing() {
         snapshots.push(allocs_now());
         ControlFlow::<StopReason>::Continue(())
     };
-    let fit = SpartanSparse.fit_sparse_observed(&t, &options(), &mut observer).expect("fit failed");
+    let fit = Spartan.fit_observed(&t, &options(), &mut observer).expect("fit failed");
     assert!(
         fit.iterations >= 3,
         "need ≥3 iterations to observe steady state, got {}",
@@ -158,8 +171,8 @@ fn spartan_sparse_steady_state_iterations_allocate_nothing() {
 /// Sparse-subsystem pin: DPar2 fit from a CSR tensor keeps the
 /// allocation-free steady state. The O(nnz) work all lives in the
 /// compression stage — stages 2+ are the same compressed ALS the dense
-/// pin covers — so this guards the `fit_sparse` surface against anyone
-/// threading a per-iteration allocation through its plumbing.
+/// pin covers — so this guards the CSR entry point against anyone
+/// threading a per-iteration allocation through the CSR instantiation.
 #[test]
 fn dpar2_sparse_steady_state_iterations_allocate_nothing() {
     let t = planted_sparse(&[30, 45, 22, 38], 7, 3, 0.3, 0.1, 9004);
@@ -168,7 +181,7 @@ fn dpar2_sparse_steady_state_iterations_allocate_nothing() {
         snapshots.push(allocs_now());
         ControlFlow::<StopReason>::Continue(())
     };
-    let fit = Dpar2.fit_sparse_observed(&t, &options(), &mut observer).expect("fit failed");
+    let fit = Dpar2.fit_observed(&t, &options(), &mut observer).expect("fit failed");
     assert!(
         fit.iterations >= 3,
         "need ≥3 iterations to observe steady state, got {}",

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from data generation
 //! through decomposition to analysis, plus cross-method validation.
 
-use dpar2_repro::baselines::{fit_with, Method, SpartanSparse};
+use dpar2_repro::baselines::{fit_with, Method, Spartan};
 use dpar2_repro::core::{Dpar2, FitOptions, IterationEvent, StopReason};
 use dpar2_repro::data::{planted_parafac2, planted_sparse, registry, tenrand_irregular};
 use std::ops::ControlFlow;
@@ -157,20 +157,22 @@ fn observer_trace_monotone_on_fixed_seed_fixture() {
 }
 
 /// Sparse end-to-end: a fully observed planted sparse model (density 1,
-/// no noise) is recovered by `SpartanSparse` through both entry points —
-/// the native CSR `fit_sparse` and the registry's densifying `fit` — and
-/// the two land on the same fit bit for bit.
+/// no noise) is recovered by `Spartan` through both entry points — the
+/// CSR tensor directly and the registry's dense `fit` on its densified
+/// form — and the two land on the same fit bit for bit. `J = 7` keeps
+/// every dense product on the naive dispatch path, where the sparse
+/// kernels' ordering discipline guarantees exact agreement.
 #[test]
 fn sparse_pipeline_recovers_planted_model_through_both_entry_points() {
-    let sparse = planted_sparse(&[50, 70, 40, 60], 16, 3, 1.0, 0.0, 1007);
+    let sparse = planted_sparse(&[50, 70, 40, 60], 7, 3, 1.0, 0.0, 1007);
     let dense = sparse.to_dense();
     let config = FitOptions::new(3).with_max_iterations(25).with_seed(13).with_threads(1);
 
-    let native = SpartanSparse.fit_sparse(&sparse, &config).expect("sparse fit failed");
+    let native = Spartan.fit(&sparse, &config).expect("sparse fit failed");
     let f = native.fitness(&dense);
     assert!(f > 0.99, "sparse fit missed the planted model: fitness {f}");
 
-    let via_registry = fit_with(Method::SpartanSparse, &dense, &config).expect("registry fit");
+    let via_registry = fit_with(Method::Spartan, &dense, &config).expect("registry fit");
     assert_eq!(via_registry.iterations, native.iterations, "iteration count");
     assert_eq!(via_registry.stop_reason, native.stop_reason, "stop reason");
     assert_eq!(via_registry.h, native.h, "H differs between entry points");

@@ -13,12 +13,11 @@
 //!   shape-checked uniformly.
 
 use dpar2_repro::baselines::{
-    fit_with, fit_with_observer, Method, NaiveCompressedAls, Parafac2Als, RdAls, SpartanDense,
-    SpartanSparse,
+    fit_with, fit_with_observer, Method, NaiveCompressedAls, Parafac2Als, RdAls, Spartan,
 };
 use dpar2_repro::core::{
     CancelToken, Dpar2, Dpar2Error, FitOptions, IterationEvent, Parafac2Fit, Parafac2Solver,
-    StopReason,
+    RsvdConfig, StopReason,
 };
 use dpar2_repro::data::planted_parafac2;
 use dpar2_repro::tensor::{IrregularTensor, SparseIrregularTensor};
@@ -46,7 +45,7 @@ fn assert_bit_identical(a: &Parafac2Fit, b: &Parafac2Fit, label: &str) {
 }
 
 /// Satellite: trait-object dispatch is bit-identical to the inherent call
-/// for each of the six solvers.
+/// for each of the five solvers.
 #[test]
 fn trait_object_fit_bit_identical_to_inherent_call() {
     let t = fixture();
@@ -55,8 +54,7 @@ fn trait_object_fit_bit_identical_to_inherent_call() {
         ("DPar2", Dpar2.fit(&t, &opts).unwrap()),
         ("RD-ALS", RdAls.fit(&t, &opts).unwrap()),
         ("PARAFAC2-ALS", Parafac2Als.fit(&t, &opts).unwrap()),
-        ("SPARTan", SpartanDense.fit(&t, &opts).unwrap()),
-        ("SPARTan-sparse", SpartanSparse.fit(&t, &opts).unwrap()),
+        ("SPARTan", Spartan.fit(&t, &opts).unwrap()),
         ("NaiveCompressed", NaiveCompressedAls.fit(&t, &opts).unwrap()),
     ];
     for (method, (name, inherent)) in Method::WITH_ABLATION.iter().zip(&direct) {
@@ -187,25 +185,30 @@ fn warm_start_accepted_and_shape_checked_everywhere() {
     }
 }
 
-/// Dense-vs-sparse fit equivalence: `SpartanSparse` on the CSR form of a
-/// tensor produces factors **bit-identical** to `SpartanDense` on the
-/// dense original. The column/rank configuration (J = 7, R = 3) keeps
-/// every dense product inside `SpartanDense` on the naive dispatch path,
-/// where the sparse kernels' ordering discipline guarantees exact
-/// agreement; threads = 1 pins the dense solver's slice scheduling to the
-/// order the sparse solver always uses.
+/// Dense-vs-sparse fit equivalence: `Spartan` on the CSR form of a tensor
+/// produces factors **bit-identical** to `Spartan` on the dense original,
+/// and so does `Dpar2`. The column/rank configuration (J = 7, R = 3, and a
+/// sketch of rank + 2 for DPar2) keeps every dense product on the naive
+/// dispatch path, where the sparse kernels' ordering discipline guarantees
+/// exact agreement.
 #[test]
 fn sparse_fit_bit_identical_to_densified_dense_fit() {
     let t = planted_parafac2(&[24, 31, 19, 27], 7, 3, 0.2, 2003);
     let sparse = SparseIrregularTensor::from_dense(&t);
-    let opts = FitOptions::new(3).with_seed(2004).with_max_iterations(6).with_threads(1);
-    let dense_fit = SpartanDense.fit(&t, &opts).unwrap();
-    let sparse_fit = SpartanSparse.fit_sparse(&sparse, &opts).unwrap();
-    assert_bit_identical(&sparse_fit, &dense_fit, "SPARTan-sparse vs densified SPARTan");
-    // The dense-tensor entry point sparsifies internally and must land on
-    // the exact same fit.
-    let via_dense_entry = SpartanSparse.fit(&t, &opts).unwrap();
-    assert_bit_identical(&via_dense_entry, &dense_fit, "SPARTan-sparse dense entry point");
+    let opts = FitOptions::new(3)
+        .with_seed(2004)
+        .with_max_iterations(6)
+        .with_threads(1)
+        .with_rsvd(RsvdConfig { rank: 3, oversample: 2, power_iterations: 1 });
+    let dense_fit = Spartan.fit(&t, &opts).unwrap();
+    let sparse_fit = Spartan.fit(&sparse, &opts).unwrap();
+    assert_bit_identical(&sparse_fit, &dense_fit, "SPARTan on CSR vs densified");
+    // The registry's dense entry point lands on the exact same fit.
+    let via_registry = fit_with(Method::Spartan, &t, &opts).unwrap();
+    assert_bit_identical(&via_registry, &dense_fit, "SPARTan registry entry point");
+    let dpar2_dense = Dpar2.fit(&t, &opts).unwrap();
+    let dpar2_sparse = Dpar2.fit(&sparse, &opts).unwrap();
+    assert_bit_identical(&dpar2_sparse, &dpar2_dense, "DPar2 on CSR vs densified");
 }
 
 /// Method parses from its display name and the bench-style aliases, and
