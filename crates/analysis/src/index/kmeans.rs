@@ -8,16 +8,16 @@
 //! the same `(points, partitions, seed)` must produce the same assignment on
 //! every machine and at every thread count, because serve-side tests pin
 //! `nprobe = num_partitions` to the exact engine bitwise. Every step below
-//! is either serial or built on the pooled GEMM kernels, which are
-//! bit-identical across pool sizes by construction (PR 3).
+//! is either serial or built on [`gemm`] over the pool, which is
+//! bit-identical across pool sizes by construction.
 //!
 //! The assignment pass is the only O(n·p) part and is done in row blocks:
-//! `D_block = X_block · Cᵀ` through [`MatRef::matmul_nt_pooled_into`] with a
+//! `D_block = X_block · Cᵀ` through [`gemm`] with a
 //! reused output buffer, so the full `n × p` score matrix (8 GB at
 //! n = 10⁶, p = 10³) is never materialized.
 
 use crate::similarity::squared_distance;
-use dpar2_linalg::{Mat, MatRef};
+use dpar2_linalg::{gemm, Mat, MatRef, Trans};
 use dpar2_parallel::ThreadPool;
 
 /// Result of [`partition_points`]: a flat assignment plus the centroids it
@@ -89,7 +89,7 @@ pub fn partition_points(
         while r0 < n {
             let r1 = (r0 + ASSIGN_BLOCK).min(n);
             let block = points.submatrix(r0, r1, 0, dim);
-            block.matmul_nt_pooled_into(&centroids, &mut scores, pool);
+            gemm(Trans::N, Trans::T, block, &centroids, &mut scores, pool);
             for i in 0..r1 - r0 {
                 // argmin over ‖x − c‖² = ‖x‖² − 2·x·c + ‖c‖²; the ‖x‖²
                 // term is constant per row, so rank by ‖c‖² − 2·x·c.

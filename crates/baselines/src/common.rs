@@ -81,20 +81,17 @@ pub fn update_q_into(
 /// True squared reconstruction error `Σ_k ‖X_k − Q_k H S_k Vᵀ‖²_F` given
 /// explicit `Q_k` — what PARAFAC2-ALS, SPARTan, and RD-ALS use for their
 /// convergence checks (and what DPar2 avoids; §III-E).
-pub fn true_error_sq<T: SliceTensor>(tensor: &T, qs: &[Mat], h: &Mat, w: &Mat, v: &Mat) -> f64 {
-    true_error_sq_pooled(tensor, qs, h, w, v, &ThreadPool::new(1))
-}
-
-/// [`true_error_sq`] with the per-slice reconstructions fanned out over
-/// `pool`. This is the dominant per-iteration cost of every explicit-factor
-/// baseline (`O(Σ_k I_k J R)` — as expensive as a whole compression pass),
-/// so sharing the parallel treatment keeps method-comparison timings about
-/// algorithmic cost, not about which solver got threads. Slices are
-/// assigned by the same greedy partition (Algorithm 4) the compression
-/// stage uses; results come back in slice order and are summed in
-/// ascending `k`, making the result bit-identical to the serial
-/// [`true_error_sq`] for every pool size.
-pub fn true_error_sq_pooled<T: SliceTensor>(
+///
+/// The per-slice reconstructions fan out over `pool` (a one-thread pool is
+/// the serial path). This is the dominant per-iteration cost of every
+/// explicit-factor baseline (`O(Σ_k I_k J R)` — as expensive as a whole
+/// compression pass), so sharing the parallel treatment keeps
+/// method-comparison timings about algorithmic cost, not about which
+/// solver got threads. Slices are assigned by the same greedy partition
+/// (Algorithm 4) the compression stage uses; results come back in slice
+/// order and are summed in ascending `k`, making the result bit-identical
+/// for every pool size.
+pub fn true_error_sq<T: SliceTensor>(
     tensor: &T,
     qs: &[Mat],
     h: &Mat,
@@ -107,7 +104,7 @@ pub fn true_error_sq_pooled<T: SliceTensor>(
     true_error_sq_ws(tensor, qs, h, w, v, pool, &partition, &mut Workspace::new())
 }
 
-/// [`true_error_sq_pooled`] against a caller-owned slice partition and
+/// [`true_error_sq`] against a caller-owned slice partition and
 /// [`Workspace`]: single-threaded pools run the ascending-`k` sum on the
 /// arena's scratch with zero allocations; larger pools fan slices out over
 /// `partition`. Bit-identical to [`true_error_sq`] for every pool size.
@@ -312,9 +309,9 @@ mod tests {
         let w = gaussian_mat(3, r, &mut rng);
         let qs: Vec<Mat> =
             (0..3).map(|k| dpar2_linalg::qr::qr(gaussian_mat(t.i(k), r, &mut rng)).q).collect();
-        let serial = true_error_sq(&t, &qs, &h, &w, &v);
-        for threads in [1, 2, 4] {
-            let pooled = true_error_sq_pooled(&t, &qs, &h, &w, &v, &ThreadPool::new(threads));
+        let serial = true_error_sq(&t, &qs, &h, &w, &v, &ThreadPool::new(1));
+        for threads in [1, 2, 3, 4] {
+            let pooled = true_error_sq(&t, &qs, &h, &w, &v, &ThreadPool::new(threads));
             assert_eq!(serial.to_bits(), pooled.to_bits(), "diverged at {threads} threads");
         }
     }
@@ -336,6 +333,6 @@ mod tests {
             qs.push(q);
         }
         let t = IrregularTensor::new(slices);
-        assert!(true_error_sq(&t, &qs, &h, &w, &v) < 1e-18);
+        assert!(true_error_sq(&t, &qs, &h, &w, &v, &ThreadPool::new(1)) < 1e-18);
     }
 }

@@ -13,7 +13,7 @@
 //! every iteration touches the raw slices (`O(Σ_k I_k J R)`) and pays the
 //! `O(J K R²)` MTTKRP with `O(J K R)` intermediates.
 
-use crate::common::{identity_qs, init_factors, scale_columns, true_error_sq_pooled, update_q};
+use crate::common::{identity_qs, init_factors, scale_columns, true_error_sq, update_q};
 use dpar2_core::{
     FitObserver, FitOptions, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver, Result,
     TimingBreakdown,
@@ -57,7 +57,7 @@ impl Parafac2Als {
         // themselves stay deliberately serial — they are the textbook
         // formulation DPar2 is compared against — but the *stopping rule*
         // shares the kernel-layer speedup so cross-method timings compare
-        // algorithms, not thread budgets. `true_error_sq_pooled` is
+        // algorithms, not thread budgets. `true_error_sq` is
         // bit-identical for every pool size.
         let pool = ThreadPool::new(options.threads.max(1));
 
@@ -105,7 +105,7 @@ impl Parafac2Als {
             // Line 17: true reconstruction error, then the session's shared
             // stopping rule (convergence / observer / time budget /
             // iteration budget).
-            let err = true_error_sq_pooled(tensor, &qs, &h, &w, &v, &pool);
+            let err = true_error_sq(tensor, &qs, &h, &w, &v, &pool);
             if session.finish_iteration(err, x_norm_sq) {
                 break;
             }

@@ -162,8 +162,8 @@ impl RdAls {
             }
 
             mttkrp_into(&y, &h, &v_t, &w, 1, &mut g_out, &mut ws.mttkrp);
-            w.gram_into(&mut gram_a);
-            v_t.gram_into(&mut gram_b);
+            w.matmul_tn_into(&w, &mut gram_a);
+            v_t.matmul_tn_into(&v_t, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // WᵀW∗ṼᵀṼ
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_h); // H update
@@ -171,8 +171,8 @@ impl RdAls {
             normalize_columns_mut(&mut h, &mut ws.norms);
 
             mttkrp_into(&y, &h, &v_t, &w, 2, &mut g_out, &mut ws.mttkrp);
-            w.gram_into(&mut gram_a);
-            h.gram_into(&mut gram_b);
+            w.matmul_tn_into(&w, &mut gram_a);
+            h.matmul_tn_into(&h, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // WᵀW∗HᵀH
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_v); // Ṽ update
@@ -180,8 +180,8 @@ impl RdAls {
             normalize_columns_mut(&mut v_t, &mut ws.norms);
 
             mttkrp_into(&y, &h, &v_t, &w, 3, &mut g_out, &mut ws.mttkrp);
-            v_t.gram_into(&mut gram_a);
-            h.gram_into(&mut gram_b);
+            v_t.matmul_tn_into(&v_t, &mut gram_a);
+            h.matmul_tn_into(&h, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // ṼᵀṼ∗HᵀH
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_w); // W update

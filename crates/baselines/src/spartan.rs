@@ -148,8 +148,8 @@ impl Spartan {
                 yks[k].matmul_into(&v, &mut ws.lemma_tmp); // Y_k·V, R×R
                 accumulate_weighted(&mut g1, &ws.lemma_tmp, w.row(k));
             }
-            w.gram_into(&mut gram_a);
-            v.gram_into(&mut gram_b);
+            w.matmul_tn_into(&w, &mut gram_a);
+            v.matmul_tn_into(&v, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // WᵀW ∗ VᵀV
             pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
             g1.matmul_into(&pinv_out, &mut new_h);
@@ -161,8 +161,8 @@ impl Spartan {
                 yks[k].matmul_tn_into(&h, &mut ws.lemma_tmp); // Y_kᵀ·H, J×R
                 accumulate_weighted(&mut g2, &ws.lemma_tmp, w.row(k));
             }
-            w.gram_into(&mut gram_a);
-            h.gram_into(&mut gram_b);
+            w.matmul_tn_into(&w, &mut gram_a);
+            h.matmul_tn_into(&h, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // WᵀW ∗ HᵀH
             pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
             g2.matmul_into(&pinv_out, &mut new_v);
@@ -181,8 +181,8 @@ impl Spartan {
                     }
                 }
             }
-            v.gram_into(&mut gram_a);
-            h.gram_into(&mut gram_b);
+            v.matmul_tn_into(&v, &mut gram_a);
+            h.matmul_tn_into(&h, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // VᵀV ∗ HᵀH
             pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
             g3.matmul_into(&pinv_out, &mut new_w);

@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the computational kernels behind the
-//! paper's per-iteration and preprocessing claims, plus the ablations
-//! DESIGN.md calls out:
+//! paper's per-iteration and preprocessing claims, plus ablations (run them
+//! as the "Benchmarks" section of README.md shows):
 //!
 //! * `rsvd_vs_exact` — Algorithm 1 vs full Jacobi SVD (compression cost).
 //! * `rsvd_power_iters` — q ∈ {0, 1, 2} accuracy/cost ablation.
@@ -16,8 +16,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpar2_baselines::common::true_error_sq;
 use dpar2_core::compress::compress;
 use dpar2_core::config::FitOptions;
-use dpar2_core::convergence::compressed_criterion;
-use dpar2_core::lemmas::{g1, g2, g3, materialize_y, naive_g1, naive_g2, naive_g3};
+use dpar2_core::convergence::compressed_criterion_ws;
+use dpar2_core::lemmas::{g1_ws, g2_ws, g3_ws, materialize_y, naive_g1, naive_g2, naive_g3};
+use dpar2_core::Workspace;
 use dpar2_data::planted_parafac2;
 use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
@@ -118,14 +119,19 @@ fn bench_lemma_kernels(c: &mut Criterion) {
     let fx = lemma_fixture(300, 256, 10);
     let pool = ThreadPool::new(1);
     let y = materialize_y(&fx.pzf, &fx.edt);
+    let (mut g, mut ws) = (Mat::default(), Workspace::new());
 
-    group.bench_function("g1_lemma", |b| b.iter(|| black_box(g1(&fx.pzf, &fx.w, &fx.edtv, &pool))));
+    group.bench_function("g1_lemma", |b| {
+        b.iter(|| g1_ws(&fx.pzf, &fx.w, &fx.edtv, &pool, black_box(&mut g), &mut ws))
+    });
     group.bench_function("g1_naive", |b| b.iter(|| black_box(naive_g1(&y, &fx.v, &fx.w))));
     group.bench_function("g2_lemma", |b| {
-        b.iter(|| black_box(g2(&fx.pzf, &fx.w, &fx.h, &fx.de, &pool)))
+        b.iter(|| g2_ws(&fx.pzf, &fx.w, &fx.h, &fx.de, &pool, black_box(&mut g), &mut ws))
     });
     group.bench_function("g2_naive", |b| b.iter(|| black_box(naive_g2(&y, &fx.h, &fx.w))));
-    group.bench_function("g3_lemma", |b| b.iter(|| black_box(g3(&fx.pzf, &fx.edtv, &fx.h, &pool))));
+    group.bench_function("g3_lemma", |b| {
+        b.iter(|| g3_ws(&fx.pzf, &fx.edtv, &fx.h, &pool, black_box(&mut g), &mut ws))
+    });
     group.bench_function("g3_naive", |b| b.iter(|| black_box(naive_g3(&y, &fx.h, &fx.v))));
     group.finish();
 }
@@ -143,11 +149,14 @@ fn bench_convergence(c: &mut Criterion) {
     // Q_k for the true-error oracle: orthonormal bases from the compression.
     let qs: Vec<Mat> = ct.a;
 
+    let mut ws = Workspace::new();
     group.bench_function("compressed_criterion", |b| {
-        b.iter(|| black_box(compressed_criterion(&fx.pzf, &edt, &fx.h, &fx.w, &fx.v, &pool)))
+        b.iter(|| {
+            black_box(compressed_criterion_ws(&fx.pzf, &edt, &fx.h, &fx.w, &fx.v, &pool, &mut ws))
+        })
     });
     group.bench_function("true_reconstruction_error", |b| {
-        b.iter(|| black_box(true_error_sq(&t, &qs, &fx.h, &fx.w, &fx.v)))
+        b.iter(|| black_box(true_error_sq(&t, &qs, &fx.h, &fx.w, &fx.v, &pool)))
     });
     group.finish();
 }
@@ -181,16 +190,17 @@ fn bench_gemm(c: &mut Criterion) {
             black_box(&out);
         })
     });
+    let serial = ThreadPool::new(1);
     group.bench_function("blocked_256", |b| {
         b.iter(|| {
-            kernel::gemm_into(Trans::N, Trans::N, &a, &b_m, &mut out);
+            kernel::gemm_blocked(Trans::N, Trans::N, &a, &b_m, &mut out, &serial);
             black_box(&out);
         })
     });
     let pool = ThreadPool::new(4);
     group.bench_function("pooled4_256", |b| {
         b.iter(|| {
-            kernel::gemm_pooled_into(Trans::N, Trans::N, &a, &b_m, &mut out, &pool);
+            kernel::gemm_blocked(Trans::N, Trans::N, &a, &b_m, &mut out, &pool);
             black_box(&out);
         })
     });

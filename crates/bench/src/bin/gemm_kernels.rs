@@ -1,7 +1,7 @@
 //! GEMM kernel-layer throughput: naive vs blocked vs pooled, GFLOP/s by
 //! size and thread count.
 //!
-//! The kernel layer under `dpar2_linalg::Mat` is the innermost layer of the
+//! The kernel layer under `dpar2_linalg::gemm` is the innermost layer of the
 //! whole reproduction — both compression stages, the compressed ALS
 //! iterations, and every baseline run on it — so this binary is the ground
 //! truth for "did the hot path get faster". It times square `n×n×n`
@@ -10,10 +10,10 @@
 //! * `naive`   — the retained IEEE-faithful reference loops
 //!   (`kernel::gemm_naive_into`), which are also the small-size dispatch
 //!   target;
-//! * `blocked` — the packed, register-tiled serial path
-//!   (`kernel::gemm_into`);
-//! * `pooled@T` — the blocked path with row panels fanned out over a
-//!   `ThreadPool` of `T` workers (`kernel::gemm_pooled_into`).
+//! * `blocked` — the packed, register-tiled path on a one-thread pool
+//!   (`kernel::gemm_blocked`);
+//! * `pooled@T` — the same blocked path with row panels fanned out over a
+//!   `ThreadPool` of `T` workers.
 //!
 //! Flags: `--sizes 128,256,512` `--threads 1,2,4` `--variant nn|tn|nt|tt`
 //! `--seed N`. To see the end-to-end effect on the paper's headline
@@ -81,8 +81,9 @@ fn main() {
             kernel::gemm_naive_into(ta, tb, &a, &b, &mut c);
             black_box(&c);
         });
+        let serial = ThreadPool::new(1);
         let t_blocked = time_per_call(|| {
-            kernel::gemm_into(ta, tb, &a, &b, &mut c);
+            kernel::gemm_blocked(ta, tb, &a, &b, &mut c, &serial);
             black_box(&c);
         });
         rows.push(vec![
@@ -100,7 +101,7 @@ fn main() {
         for &t in &thread_counts {
             let pool = ThreadPool::new(t);
             let t_pooled = time_per_call(|| {
-                kernel::gemm_pooled_into(ta, tb, &a, &b, &mut c, &pool);
+                kernel::gemm_blocked(ta, tb, &a, &b, &mut c, &pool);
                 black_box(&c);
             });
             rows.push(vec![
@@ -122,7 +123,7 @@ fn main() {
         let va = host_a.subview(8, 8 + n, 8, 8 + n);
         let vb = host_b.subview(8, 8 + n, 8, 8 + n);
         let t_view = time_per_call(|| {
-            kernel::gemm_into(ta, tb, va, vb, &mut c);
+            kernel::gemm_blocked(ta, tb, va, vb, &mut c, &serial);
             black_box(&c);
         });
         rows.push(vec![
@@ -135,7 +136,7 @@ fn main() {
         // block out, multiply the contiguous copy).
         let t_copy = time_per_call(|| {
             let (ca, cb) = (va.to_mat(), vb.to_mat());
-            kernel::gemm_into(ta, tb, &ca, &cb, &mut c);
+            kernel::gemm_blocked(ta, tb, &ca, &cb, &mut c, &serial);
             black_box(&c);
         });
         rows.push(vec![

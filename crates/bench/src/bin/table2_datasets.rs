@@ -45,7 +45,8 @@ fn main() {
         ],
         &rows,
     );
-    println!("\nAll eight datasets are synthetic stand-ins (see DESIGN.md §3) that keep");
-    println!("the paper's shape ratios: tall-J spectrograms, tall-I stock histories,");
-    println!("mid-size feature tensors, and regular traffic tensors.");
+    println!("\nAll eight datasets are synthetic stand-ins (dpar2-data; see \"Workspace");
+    println!("layout\" in README.md) that keep the paper's shape ratios: tall-J");
+    println!("spectrograms, tall-I stock histories, mid-size feature tensors, and regular");
+    println!("traffic tensors.");
 }

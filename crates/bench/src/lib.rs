@@ -2,8 +2,8 @@
 //!
 //! Harness utilities shared by the figure/table binaries in `src/bin/`.
 //! Each binary regenerates one figure or table of the DPar2 paper's
-//! evaluation section; see `DESIGN.md` §5 for the full experiment index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! evaluation section; see the "Benchmarks" section of `README.md` for how
+//! to run them.
 //!
 //! Common CLI flags (hand-rolled parser, no external deps):
 //!

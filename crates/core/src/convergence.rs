@@ -49,26 +49,17 @@ fn slice_residual_sq(
 }
 
 /// Evaluates the compressed residual
-/// `Σ_k ‖PZF_k · E Dᵀ − H · diag(W(k,:)) · Vᵀ‖²_F`.
+/// `Σ_k ‖PZF_k · E Dᵀ − H · diag(W(k,:)) · Vᵀ‖²_F` against a caller-owned
+/// [`Workspace`].
 ///
 /// * `pzf[k] = P_k Z_kᵀ F(k) ∈ R^{R×R}`
 /// * `edt = E Dᵀ ∈ R^{R×J}`
 /// * `h ∈ R^{R×R}`, `w ∈ R^{K×R}` (row `k` is `diag(S_k)`), `v ∈ R^{J×R}`
-pub fn compressed_criterion(
-    pzf: &[Mat],
-    edt: &Mat,
-    h: &Mat,
-    w: &Mat,
-    v: &Mat,
-    pool: &ThreadPool,
-) -> f64 {
-    compressed_criterion_ws(pzf, edt, h, w, v, pool, &mut Workspace::new())
-}
-
-/// [`compressed_criterion`] against a caller-owned [`Workspace`]: the
-/// single-threaded path reuses the arena's criterion buffers and performs
-/// zero allocations; multi-threaded pools fan slices out as before.
-/// Bit-identical to [`compressed_criterion`] for every thread count.
+///
+/// The single-threaded path reuses the arena's criterion buffers and
+/// performs zero allocations; multi-threaded pools fan slices out. The
+/// per-slice values are summed in ascending `k` either way, so the result
+/// is bit-identical for every thread count.
 pub fn compressed_criterion_ws(
     pzf: &[Mat],
     edt: &Mat,
@@ -172,7 +163,7 @@ mod tests {
         let w = gaussian_mat(k, r, &mut rng);
         let v = gaussian_mat(j, r, &mut rng);
         let pool = ThreadPool::new(1);
-        let fast = compressed_criterion(&pzf, &edt, &h, &w, &v, &pool);
+        let fast = compressed_criterion_ws(&pzf, &edt, &h, &w, &v, &pool, &mut Workspace::new());
         let y: Vec<Mat> = pzf.iter().map(|p| p.matmul(&edt).unwrap()).collect();
         let slow = explicit_criterion(&y, &h, &w, &v);
         assert!((fast - slow).abs() < 1e-9 * (1.0 + slow));
@@ -200,7 +191,15 @@ mod tests {
                 hs
             })
             .collect();
-        let crit = compressed_criterion(&pzf, &edt, &h, &w, &v, &ThreadPool::new(2));
+        let crit = compressed_criterion_ws(
+            &pzf,
+            &edt,
+            &h,
+            &w,
+            &v,
+            &ThreadPool::new(2),
+            &mut Workspace::new(),
+        );
         assert!(crit < 1e-18, "criterion should vanish, got {crit}");
     }
 
@@ -213,9 +212,26 @@ mod tests {
         let h = gaussian_mat(r, r, &mut rng);
         let w = gaussian_mat(k, r, &mut rng);
         let v = gaussian_mat(j, r, &mut rng);
-        let c1 = compressed_criterion(&pzf, &edt, &h, &w, &v, &ThreadPool::new(1));
-        let c3 = compressed_criterion(&pzf, &edt, &h, &w, &v, &ThreadPool::new(3));
+        let c1 = compressed_criterion_ws(
+            &pzf,
+            &edt,
+            &h,
+            &w,
+            &v,
+            &ThreadPool::new(1),
+            &mut Workspace::new(),
+        );
+        let c3 = compressed_criterion_ws(
+            &pzf,
+            &edt,
+            &h,
+            &w,
+            &v,
+            &ThreadPool::new(3),
+            &mut Workspace::new(),
+        );
         assert!((c1 - c3).abs() < 1e-9 * (1.0 + c1));
+        assert_eq!(c1.to_bits(), c3.to_bits(), "criterion depends on the thread count");
     }
 
     #[test]
@@ -226,6 +242,16 @@ mod tests {
         let h = gaussian_mat(2, 2, &mut rng);
         let w = gaussian_mat(1, 2, &mut rng);
         let v = gaussian_mat(5, 2, &mut rng);
-        assert!(compressed_criterion(&pzf, &edt, &h, &w, &v, &ThreadPool::new(1)) >= 0.0);
+        assert!(
+            compressed_criterion_ws(
+                &pzf,
+                &edt,
+                &h,
+                &w,
+                &v,
+                &ThreadPool::new(1),
+                &mut Workspace::new()
+            ) >= 0.0
+        );
     }
 }

@@ -24,7 +24,7 @@
 //! `vec(M)ᵀ (a ⊗ b) = Σ_{ij} M(i,j)·a(j)·b(i) = bᵀ M a`.
 
 use crate::session::Workspace;
-use dpar2_linalg::Mat;
+use dpar2_linalg::{gemm, Mat, Trans};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::{mttkrp, Dense3};
 
@@ -44,19 +44,13 @@ fn k_chunks(k: usize) -> Vec<std::ops::Range<usize>> {
     (0..k.div_ceil(K_CHUNK)).map(|c| c * K_CHUNK..((c + 1) * K_CHUNK).min(k)).collect()
 }
 
-/// Lemma 1: `G⁽¹⁾ = Y_(1)(W ⊙ V) ∈ R^{R×R}` from the factorized slices.
+/// Lemma 1: `G⁽¹⁾ = Y_(1)(W ⊙ V) ∈ R^{R×R}` from the factorized slices,
+/// into `out`.
 ///
 /// `pzf[k] = P_k Z_kᵀ F(k)`, `w ∈ R^{K×R}`, `edtv = E Dᵀ V ∈ R^{R×R}`.
-pub fn g1(pzf: &[Mat], w: &Mat, edtv: &Mat, pool: &ThreadPool) -> Mat {
-    let mut g = Mat::default();
-    g1_ws(pzf, w, edtv, pool, &mut g, &mut Workspace::new());
-    g
-}
-
-/// [`g1`] into a caller-owned output against a reusable [`Workspace`]:
-/// single-threaded pools run the chunked reduction allocation-free on the
-/// arena's accumulator slots; larger pools fan chunks out as before.
-/// Bit-identical to [`g1`] for every thread count (same `K_CHUNK`
+/// Single-threaded pools run the chunked reduction allocation-free on the
+/// [`Workspace`]'s accumulator slots; larger pools fan chunks out. The
+/// result is bit-identical for every thread count (same `K_CHUNK`
 /// grouping, same ascending-chunk reduction).
 pub fn g1_ws(
     pzf: &[Mat],
@@ -135,19 +129,13 @@ pub fn g1_ws(
     }
 }
 
-/// Lemma 2: `G⁽²⁾ = Y_(2)(W ⊙ H) ∈ R^{J×R}` from the factorized slices.
+/// Lemma 2: `G⁽²⁾ = Y_(2)(W ⊙ H) ∈ R^{J×R}` from the factorized slices,
+/// into `out` against a reusable [`Workspace`].
 ///
 /// `de = D E ∈ R^{J×R}` (stage-2 left factor, columns scaled by the
 /// singular values). Internally accumulates
-/// `ACC(:,r) = Σ_k W(k,r) · (PZF_kᵀ H)(:,r)` and returns `D E · ACC`.
-pub fn g2(pzf: &[Mat], w: &Mat, h: &Mat, de: &Mat, pool: &ThreadPool) -> Mat {
-    let mut g = Mat::default();
-    g2_ws(pzf, w, h, de, pool, &mut g, &mut Workspace::new());
-    g
-}
-
-/// [`g2`] into a caller-owned output against a reusable [`Workspace`].
-/// Bit-identical to [`g2`] for every thread count.
+/// `ACC(:,r) = Σ_k W(k,r) · (PZF_kᵀ H)(:,r)` and writes `D E · ACC`.
+/// Bit-identical for every thread count.
 pub fn g2_ws(
     pzf: &[Mat],
     w: &Mat,
@@ -190,9 +178,8 @@ pub fn g2_ws(
             }
             *total += &*chunk_acc;
         }
-        // J×R product; at one thread the pooled GEMM path is exactly the
-        // serial blocked/naive dispatch, so `matmul_into` is bit-identical.
-        de.matmul_into(&*total, out);
+        // J×R product on the one-thread pool (the serial dispatch).
+        gemm(Trans::N, Trans::N, de, &*total, out, pool);
         return;
     }
 
@@ -219,22 +206,16 @@ pub fn g2_ws(
         acc += p;
     }
     // J×R product — the only lemma-kernel GEMM that grows with J, so it
-    // takes the pooled path (bit-identical for every pool size).
-    de.matmul_pooled_into(&acc, out, pool);
+    // fans out over the pool (bit-identical for every pool size).
+    gemm(Trans::N, Trans::N, de, &acc, out, pool);
 }
 
-/// Lemma 3: `G⁽³⁾ = Y_(3)(V ⊙ H) ∈ R^{K×R}` from the factorized slices.
+/// Lemma 3: `G⁽³⁾ = Y_(3)(V ⊙ H) ∈ R^{K×R}` from the factorized slices,
+/// into `out` against a reusable [`Workspace`].
 ///
 /// Row `k` is computed via the bilinear form
-/// `G⁽³⁾(k,r) = H(:,r)ᵀ · PZF_k · edtv(:,r)`.
-pub fn g3(pzf: &[Mat], edtv: &Mat, h: &Mat, pool: &ThreadPool) -> Mat {
-    let mut g = Mat::default();
-    g3_ws(pzf, edtv, h, pool, &mut g, &mut Workspace::new());
-    g
-}
-
-/// [`g3`] into a caller-owned output against a reusable [`Workspace`].
-/// Bit-identical to [`g3`] for every thread count.
+/// `G⁽³⁾(k,r) = H(:,r)ᵀ · PZF_k · edtv(:,r)`. Bit-identical for every
+/// thread count.
 pub fn g3_ws(
     pzf: &[Mat],
     edtv: &Mat,
@@ -292,20 +273,20 @@ pub fn materialize_y(pzf: &[Mat], edt: &Mat) -> Dense3 {
 }
 
 /// Naive `Y_(1)(W ⊙ V)` on the materialized `Y` — `O(J K R²)` time and
-/// `O(J K R)` memory. Test oracle and ablation baseline for [`g1`].
+/// `O(J K R)` memory. Test oracle and ablation baseline for [`g1_ws`].
 pub fn naive_g1(y: &Dense3, v: &Mat, w: &Mat) -> Mat {
     let dummy = Mat::zeros(y.dim_i(), v.cols());
     mttkrp(y, &dummy, v, w, 1)
 }
 
-/// Naive `Y_(2)(W ⊙ H)`. Test oracle and ablation baseline for [`g2`].
+/// Naive `Y_(2)(W ⊙ H)`. Test oracle and ablation baseline for [`g2_ws`].
 pub fn naive_g2(y: &Dense3, h: &Mat, w: &Mat) -> Mat {
     let dummy = Mat::zeros(y.dim_j(), h.cols());
     let _ = &dummy;
     mttkrp(y, h, &dummy, w, 2)
 }
 
-/// Naive `Y_(3)(V ⊙ H)`. Test oracle and ablation baseline for [`g3`].
+/// Naive `Y_(3)(V ⊙ H)`. Test oracle and ablation baseline for [`g3_ws`].
 pub fn naive_g3(y: &Dense3, h: &Mat, v: &Mat) -> Mat {
     let dummy = Mat::zeros(y.dim_k(), h.cols());
     let _ = &dummy;
@@ -355,11 +336,24 @@ mod tests {
         Setup { pzf, edt, de, v, h, w, edtv }
     }
 
+    impl Setup {
+        /// `(G⁽¹⁾, G⁽²⁾, G⁽³⁾)` through the workspace kernels on `pool`,
+        /// sharing one [`Workspace`] the way a fit's iteration does.
+        fn lemmas(&self, pool: &ThreadPool) -> (Mat, Mat, Mat) {
+            let mut ws = Workspace::new();
+            let (mut a, mut b, mut c) = (Mat::default(), Mat::default(), Mat::default());
+            g1_ws(&self.pzf, &self.w, &self.edtv, pool, &mut a, &mut ws);
+            g2_ws(&self.pzf, &self.w, &self.h, &self.de, pool, &mut b, &mut ws);
+            g3_ws(&self.pzf, &self.edtv, &self.h, pool, &mut c, &mut ws);
+            (a, b, c)
+        }
+    }
+
     #[test]
     fn lemma1_matches_naive() {
         let s = setup(7, 11, 4, 101);
         let pool = ThreadPool::new(1);
-        let fast = g1(&s.pzf, &s.w, &s.edtv, &pool);
+        let fast = s.lemmas(&pool).0;
         let y = materialize_y(&s.pzf, &s.edt);
         let naive = naive_g1(&y, &s.v, &s.w);
         assert!(
@@ -373,7 +367,7 @@ mod tests {
     fn lemma2_matches_naive() {
         let s = setup(6, 9, 3, 102);
         let pool = ThreadPool::new(1);
-        let fast = g2(&s.pzf, &s.w, &s.h, &s.de, &pool);
+        let fast = s.lemmas(&pool).1;
         let y = materialize_y(&s.pzf, &s.edt);
         let naive = naive_g2(&y, &s.h, &s.w);
         assert!(
@@ -387,7 +381,7 @@ mod tests {
     fn lemma3_matches_naive() {
         let s = setup(8, 10, 5, 103);
         let pool = ThreadPool::new(1);
-        let fast = g3(&s.pzf, &s.edtv, &s.h, &pool);
+        let fast = s.lemmas(&pool).2;
         let y = materialize_y(&s.pzf, &s.edt);
         let naive = naive_g3(&y, &s.h, &s.v);
         assert!(
@@ -402,14 +396,12 @@ mod tests {
         // K = 53 spans multiple K_CHUNK reduction chunks; the fixed chunk
         // grouping makes every kernel exactly schedule-independent.
         let s = setup(53, 13, 4, 104);
-        let a1 = g1(&s.pzf, &s.w, &s.edtv, &ThreadPool::new(1));
-        let b1 = g2(&s.pzf, &s.w, &s.h, &s.de, &ThreadPool::new(1));
-        let c1 = g3(&s.pzf, &s.edtv, &s.h, &ThreadPool::new(1));
+        let (a1, b1, c1) = s.lemmas(&ThreadPool::new(1));
         for threads in [2, 3, 4] {
-            let pool = ThreadPool::new(threads);
-            assert_eq!(a1, g1(&s.pzf, &s.w, &s.edtv, &pool), "g1 diverged at {threads} threads");
-            assert_eq!(b1, g2(&s.pzf, &s.w, &s.h, &s.de, &pool), "g2 diverged at {threads}");
-            assert_eq!(c1, g3(&s.pzf, &s.edtv, &s.h, &pool), "g3 diverged at {threads}");
+            let (a, b, c) = s.lemmas(&ThreadPool::new(threads));
+            assert_eq!(a1, a, "g1 diverged at {threads} threads");
+            assert_eq!(b1, b, "g2 diverged at {threads}");
+            assert_eq!(c1, c, "g3 diverged at {threads}");
         }
     }
 
@@ -417,9 +409,10 @@ mod tests {
     fn shapes() {
         let s = setup(5, 12, 3, 105);
         let pool = ThreadPool::new(2);
-        assert_eq!(g1(&s.pzf, &s.w, &s.edtv, &pool).shape(), (3, 3));
-        assert_eq!(g2(&s.pzf, &s.w, &s.h, &s.de, &pool).shape(), (12, 3));
-        assert_eq!(g3(&s.pzf, &s.edtv, &s.h, &pool).shape(), (5, 3));
+        let (a, b, c) = s.lemmas(&pool);
+        assert_eq!(a.shape(), (3, 3));
+        assert_eq!(b.shape(), (12, 3));
+        assert_eq!(c.shape(), (5, 3));
     }
 
     #[test]
@@ -427,7 +420,7 @@ mod tests {
         let s = setup(1, 6, 2, 106);
         let pool = ThreadPool::new(3);
         let y = materialize_y(&s.pzf, &s.edt);
-        let fast = g1(&s.pzf, &s.w, &s.edtv, &pool);
+        let fast = s.lemmas(&pool).0;
         let naive = naive_g1(&y, &s.v, &s.w);
         assert!((&fast - &naive).fro_norm() < 1e-10 * (1.0 + naive.fro_norm()));
     }

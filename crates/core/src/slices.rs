@@ -106,7 +106,8 @@ impl SliceTensor for IrregularTensor {
     }
 
     fn gram_into(&self, k: usize, g: &mut Mat) {
-        self.slice(k).gram_into(g);
+        let x = self.slice(k);
+        x.matmul_tn_into(x, g);
     }
 
     fn residual_sq(&self, k: usize, m: &Mat, v: &Mat, scratch: &mut Mat) -> f64 {

@@ -355,8 +355,8 @@ impl Dpar2 {
 
             // Lines 14–15: H update.
             g1_ws(&pzf, &w, &edtv, &pool, &mut g_out, ws);
-            w.gram_into(&mut gram_a);
-            v.gram_into(&mut gram_b);
+            w.matmul_tn_into(&w, &mut gram_a);
+            v.matmul_tn_into(&v, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // WᵀW ∗ VᵀV
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_h);
@@ -365,8 +365,8 @@ impl Dpar2 {
 
             // Lines 16–17: V update (edtv refreshed afterwards).
             g2_ws(&pzf, &w, &h, &de, &pool, &mut g_out, ws);
-            w.gram_into(&mut gram_a);
-            h.gram_into(&mut gram_b);
+            w.matmul_tn_into(&w, &mut gram_a);
+            h.matmul_tn_into(&h, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // WᵀW ∗ HᵀH
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_v);
@@ -376,8 +376,8 @@ impl Dpar2 {
 
             // Lines 18–19: W update.
             g3_ws(&pzf, &edtv, &h, &pool, &mut g_out, ws);
-            v.gram_into(&mut gram_a);
-            h.gram_into(&mut gram_b);
+            v.matmul_tn_into(&v, &mut gram_a);
+            h.matmul_tn_into(&h, &mut gram_b);
             gram_a.hadamard_assign(&gram_b); // VᵀV ∗ HᵀH
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_w);

@@ -3,9 +3,9 @@
 
 use dpar2_core::compress::compress;
 use dpar2_core::config::FitOptions;
-use dpar2_core::convergence::{compressed_criterion, explicit_criterion};
-use dpar2_core::lemmas::{g1, g2, g3, materialize_y, naive_g1, naive_g2, naive_g3};
-use dpar2_core::{Dpar2, StreamingDpar2};
+use dpar2_core::convergence::{compressed_criterion_ws, explicit_criterion};
+use dpar2_core::lemmas::{g1_ws, g2_ws, g3_ws, materialize_y, naive_g1, naive_g2, naive_g3};
+use dpar2_core::{Dpar2, StreamingDpar2, Workspace};
 use dpar2_linalg::{gaussian_mat, qr, Mat};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::IrregularTensor;
@@ -57,17 +57,21 @@ proptest! {
         let w = gaussian_mat(k, r, &mut rng);
         let edtv = edt.matmul(&v).unwrap();
         let pool = ThreadPool::new(1);
+        let mut ws = Workspace::new();
         let y = materialize_y(&pzf, &edt);
 
-        let f1 = g1(&pzf, &w, &edtv, &pool);
+        let mut f1 = Mat::default();
+        g1_ws(&pzf, &w, &edtv, &pool, &mut f1, &mut ws);
         let n1 = naive_g1(&y, &v, &w);
         prop_assert!((&f1 - &n1).fro_norm() < 1e-8 * (1.0 + n1.fro_norm()));
 
-        let f2 = g2(&pzf, &w, &h, &de, &pool);
+        let mut f2 = Mat::default();
+        g2_ws(&pzf, &w, &h, &de, &pool, &mut f2, &mut ws);
         let n2 = naive_g2(&y, &h, &w);
         prop_assert!((&f2 - &n2).fro_norm() < 1e-8 * (1.0 + n2.fro_norm()));
 
-        let f3 = g3(&pzf, &edtv, &h, &pool);
+        let mut f3 = Mat::default();
+        g3_ws(&pzf, &edtv, &h, &pool, &mut f3, &mut ws);
         let n3 = naive_g3(&y, &h, &v);
         prop_assert!((&f3 - &n3).fro_norm() < 1e-8 * (1.0 + n3.fro_norm()));
     }
@@ -83,7 +87,7 @@ proptest! {
         let w = gaussian_mat(k, r, &mut rng);
         let v = gaussian_mat(j, r, &mut rng);
         let pool = ThreadPool::new(1);
-        let fast = compressed_criterion(&pzf, &edt, &h, &w, &v, &pool);
+        let fast = compressed_criterion_ws(&pzf, &edt, &h, &w, &v, &pool, &mut Workspace::new());
         let y: Vec<Mat> = pzf.iter().map(|p| p.matmul(&edt).unwrap()).collect();
         let slow = explicit_criterion(&y, &h, &w, &v);
         prop_assert!((fast - slow).abs() < 1e-8 * (1.0 + slow));

@@ -4,13 +4,14 @@
 //! compressed ALS iterations, the rSVD power iterations, and all three ALS
 //! baselines) is a chain of dense matrix products, so the throughput of this
 //! module bounds the throughput of the whole system. The naive i-k-j loops
-//! in [`Mat`] stream the full `B` operand through cache once per output row;
-//! past L1-sized operands they are memory-bound. This module replaces them —
-//! above a size threshold — with the classic three-level blocked scheme
-//! (Goto & van de Geijn; the BLIS "five loops around the microkernel"):
+//! behind [`crate::gemm`] stream the full `B` operand through cache once
+//! per output row; past L1-sized operands they are memory-bound. This
+//! module replaces them — above a size threshold — with the classic
+//! three-level blocked scheme (Goto & van de Geijn; the BLIS "five loops
+//! around the microkernel"):
 //!
 //! ```text
-//! serial:                                  pooled:
+//! one-thread pool:                         multi-thread pool:
 //! for pc in 0..K step KC:                  pack ALL op(B) blocks (shared)
 //!   for jc in 0..N step NC:                for ic in 0..M step MC:  ∥ pool
 //!     pack op(B)[pc.., jc..]  (reused buf)   for pc in 0..K step KC:
@@ -40,13 +41,13 @@
 //!   This is the crate's single, narrowly-scoped `unsafe` exception: the
 //!   SIMD tile plus the `#[target_feature]` call, guarded by the matching
 //!   `is_x86_feature_detected!` check.
-//! * **Parallelism**: [`gemm_pooled_into`] row-partitions C into `MC`-row
-//!   panels and fans them out over
+//! * **Parallelism**: [`gemm_blocked`] row-partitions C into `MC`-row
+//!   panels and, on a pool of more than one thread, fans them out over
 //!   [`dpar2_parallel::ThreadPool::for_each_chunk_mut`]. Each panel is
 //!   computed by exactly one worker with a fixed depth-block order, so the
-//!   result is **bit-identical** for every thread count — and bit-identical
-//!   to the serial blocked path ([`gemm_into`]), which runs the same
-//!   per-panel code.
+//!   result is **bit-identical** for every thread count — a one-thread pool
+//!   runs the serial loop nest above, which performs the same per-panel
+//!   arithmetic.
 //!
 //! Reduction order (for reasoning about reproducibility): entry `C[i][j]`
 //! accumulates its `K` products in ascending-`k` order *within* each `KC`
@@ -58,7 +59,8 @@
 //!
 //! The naive loops are retained as [`gemm_naive_into`] — the IEEE-faithful
 //! reference oracle (no `x == 0.0` shortcuts: `0·∞` and `0·NaN` must yield
-//! NaN) and the small-size fast path behind [`Mat::matmul`]'s dispatch.
+//! NaN). The size dispatch itself (naive loops below [`use_blocked`],
+//! [`gemm_blocked`] above) lives in [`crate::gemm`].
 
 use crate::mat::Mat;
 use crate::view::{AsMatRef, MatMut, MatRef};
@@ -97,7 +99,7 @@ pub enum Trans {
 impl Trans {
     /// Logical `(rows, cols)` of `op(m)`.
     #[inline]
-    fn dims(self, m: MatRef<'_>) -> (usize, usize) {
+    pub(crate) fn dims(self, m: MatRef<'_>) -> (usize, usize) {
         match self {
             Trans::N => (m.rows(), m.cols()),
             Trans::T => (m.cols(), m.rows()),
@@ -312,17 +314,26 @@ fn macro_kernel(kcb: usize, apack: &[f64], bpack: &[f64], mut c_panel: MatMut<'_
     }
 }
 
-/// Shared driver for the serial and pooled blocked paths. `C` is resized
-/// and zeroed, then filled as `op(a)·op(b)` panel by panel; when `pool`
-/// has more than one thread, `MC`-row panels of C fan out over it.
-fn gemm_blocked(
+/// `C = op(a)·op(b)` via the blocked path, at any size (no dispatch —
+/// [`crate::gemm`] is the size-dispatched entry point). `c` is resized and
+/// overwritten. When `pool` has more than one thread and C has more than
+/// one `MC`-row panel, the panels fan out over it; the result is
+/// bit-identical for every thread count (each panel runs the same code on
+/// one worker; panel boundaries do not depend on the pool). Operands are
+/// anything view-convertible ([`AsMatRef`]): `&Mat`, [`MatRef`], strided
+/// sub-blocks.
+///
+/// # Panics
+/// Panics on inner-dimension mismatch.
+pub fn gemm_blocked(
     ta: Trans,
     tb: Trans,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
+    a: impl AsMatRef,
+    b: impl AsMatRef,
     c: &mut Mat,
-    pool: Option<&ThreadPool>,
+    pool: &ThreadPool,
 ) {
+    let (a, b) = (a.as_mat_ref(), b.as_mat_ref());
     let (m, kk) = ta.dims(a);
     let (kb, n) = tb.dims(b);
     assert_eq!(kk, kb, "gemm: inner dimension mismatch ({m}x{kk} · {kb}x{n})");
@@ -338,114 +349,80 @@ fn gemm_blocked(
     // blocks (`pc`), with identical per-block tile arithmetic — only the
     // loop nesting around that order differs — so the serial and pooled
     // paths are bit-identical for any thread count.
-    match pool {
-        Some(p) if p.threads() > 1 && m > MC => {
-            // Pack every (jc, pc) block of op(B) once, shared read-only by
-            // all row-panel workers (each worker sweeps every block, so
-            // per-worker packing would multiply that work by the panel
-            // count); indexed [jci * n_pc + pci].
-            let bpacks: Vec<Vec<f64>> = (0..n_jc * n_pc)
-                .map(|idx| {
-                    let (jci, pci) = (idx / n_pc, idx % n_pc);
-                    let (jc, pc) = (jci * NC, pci * KC);
-                    let mut buf = Vec::new();
-                    pack_b(b, tb, pc, KC.min(kk - pc), jc, NC.min(n - jc), &mut buf);
-                    buf
-                })
-                .collect();
-            // One MC-row panel of C: repack the matching A rows per depth
-            // block and sweep. Each worker's chunk is reinterpreted as a
-            // row-panel view; the `jc` column window is a strided
-            // `MatMut` sub-block of it.
-            let process_panel = |blk: usize, crows: &mut [f64]| {
-                let ic = blk * MC;
-                let mcb = MC.min(m - ic);
-                let mut apack = Vec::new();
-                for pci in 0..n_pc {
-                    let pc = pci * KC;
-                    let kcb = KC.min(kk - pc);
-                    pack_a(a, ta, ic, mcb, pc, kcb, &mut apack);
-                    for jci in 0..n_jc {
-                        let jc = jci * NC;
-                        let ncb = NC.min(n - jc);
+    if pool.threads() > 1 && m > MC {
+        // Pack every (jc, pc) block of op(B) once, shared read-only by
+        // all row-panel workers (each worker sweeps every block, so
+        // per-worker packing would multiply that work by the panel
+        // count); indexed [jci * n_pc + pci].
+        let bpacks: Vec<Vec<f64>> = (0..n_jc * n_pc)
+            .map(|idx| {
+                let (jci, pci) = (idx / n_pc, idx % n_pc);
+                let (jc, pc) = (jci * NC, pci * KC);
+                let mut buf = Vec::new();
+                pack_b(b, tb, pc, KC.min(kk - pc), jc, NC.min(n - jc), &mut buf);
+                buf
+            })
+            .collect();
+        // One MC-row panel of C: repack the matching A rows per depth
+        // block and sweep. Each worker's chunk is reinterpreted as a
+        // row-panel view; the `jc` column window is a strided
+        // `MatMut` sub-block of it.
+        let process_panel = |blk: usize, crows: &mut [f64]| {
+            let ic = blk * MC;
+            let mcb = MC.min(m - ic);
+            let mut apack = Vec::new();
+            for pci in 0..n_pc {
+                let pc = pci * KC;
+                let kcb = KC.min(kk - pc);
+                pack_a(a, ta, ic, mcb, pc, kcb, &mut apack);
+                for jci in 0..n_jc {
+                    let jc = jci * NC;
+                    let ncb = NC.min(n - jc);
+                    let panel =
+                        MatMut::from_parts(mcb, n, n, crows).submatrix_mut(0, mcb, jc, jc + ncb);
+                    macro_kernel(kcb, &apack, &bpacks[jci * n_pc + pci], panel);
+                }
+            }
+        };
+        pool.for_each_chunk_mut(c.data_mut(), MC * n, process_panel);
+    } else {
+        // Serial: bounded transient memory — exactly one KC×NC packed B
+        // block and one MC×KC packed A block live at a time (the classic
+        // Goto scheme), instead of a full padded copy of op(B). The two
+        // buffers are thread-local and reused across calls, so the
+        // serial blocked path performs no allocations in steady state.
+        let cdata = c.data_mut();
+        PACK_BUFS.with(|bufs| {
+            let (apack, bpack) = &mut *bufs.borrow_mut();
+            for pci in 0..n_pc {
+                let pc = pci * KC;
+                let kcb = KC.min(kk - pc);
+                for jci in 0..n_jc {
+                    let jc = jci * NC;
+                    let ncb = NC.min(n - jc);
+                    pack_b(b, tb, pc, kcb, jc, ncb, bpack);
+                    for (blk, crows) in cdata.chunks_mut(MC * n).enumerate() {
+                        let ic = blk * MC;
+                        let mcb = MC.min(m - ic);
+                        pack_a(a, ta, ic, mcb, pc, kcb, apack);
                         let panel = MatMut::from_parts(mcb, n, n, crows).submatrix_mut(
                             0,
                             mcb,
                             jc,
                             jc + ncb,
                         );
-                        macro_kernel(kcb, &apack, &bpacks[jci * n_pc + pci], panel);
+                        macro_kernel(kcb, apack, bpack, panel);
                     }
                 }
-            };
-            p.for_each_chunk_mut(c.data_mut(), MC * n, process_panel);
-        }
-        _ => {
-            // Serial: bounded transient memory — exactly one KC×NC packed B
-            // block and one MC×KC packed A block live at a time (the classic
-            // Goto scheme), instead of a full padded copy of op(B). The two
-            // buffers are thread-local and reused across calls, so the
-            // serial blocked path performs no allocations in steady state.
-            let cdata = c.data_mut();
-            PACK_BUFS.with(|bufs| {
-                let (apack, bpack) = &mut *bufs.borrow_mut();
-                for pci in 0..n_pc {
-                    let pc = pci * KC;
-                    let kcb = KC.min(kk - pc);
-                    for jci in 0..n_jc {
-                        let jc = jci * NC;
-                        let ncb = NC.min(n - jc);
-                        pack_b(b, tb, pc, kcb, jc, ncb, bpack);
-                        for (blk, crows) in cdata.chunks_mut(MC * n).enumerate() {
-                            let ic = blk * MC;
-                            let mcb = MC.min(m - ic);
-                            pack_a(a, ta, ic, mcb, pc, kcb, apack);
-                            let panel = MatMut::from_parts(mcb, n, n, crows).submatrix_mut(
-                                0,
-                                mcb,
-                                jc,
-                                jc + ncb,
-                            );
-                            macro_kernel(kcb, apack, bpack, panel);
-                        }
-                    }
-                }
-            });
-        }
+            }
+        });
     }
-}
-
-/// `C = op(a)·op(b)` via the serial blocked path, at any size (no
-/// dispatch). `c` is resized and overwritten. Operands are anything
-/// view-convertible ([`AsMatRef`]): `&Mat`, [`MatRef`], strided sub-blocks.
-///
-/// # Panics
-/// Panics on inner-dimension mismatch.
-pub fn gemm_into(ta: Trans, tb: Trans, a: impl AsMatRef, b: impl AsMatRef, c: &mut Mat) {
-    gemm_blocked(ta, tb, a.as_mat_ref(), b.as_mat_ref(), c, None);
-}
-
-/// `C = op(a)·op(b)` with `MC`-row panels of C fanned out over `pool`.
-/// Bit-identical to [`gemm_into`] for every thread count (each panel runs
-/// the same code on one worker; panel boundaries do not depend on the pool).
-///
-/// # Panics
-/// Panics on inner-dimension mismatch.
-pub fn gemm_pooled_into(
-    ta: Trans,
-    tb: Trans,
-    a: impl AsMatRef,
-    b: impl AsMatRef,
-    c: &mut Mat,
-    pool: &ThreadPool,
-) {
-    gemm_blocked(ta, tb, a.as_mat_ref(), b.as_mat_ref(), c, Some(pool));
 }
 
 /// IEEE-faithful naive reference: flat i-k-j triple loop, ascending-`k`
 /// accumulation, no zero shortcuts (`0·∞ = NaN` propagates). This is the
 /// oracle the differential suite compares the blocked paths against, and
-/// the small-size path behind the [`Mat`] multiply dispatch.
+/// the small-size path behind the [`crate::gemm`] dispatch.
 ///
 /// # Panics
 /// Panics on inner-dimension mismatch.
@@ -500,7 +477,7 @@ mod tests {
             let mut naive = Mat::zeros(0, 0);
             let mut blocked = Mat::zeros(0, 0);
             gemm_naive_into(Trans::N, Trans::N, &a, &b, &mut naive);
-            gemm_into(Trans::N, Trans::N, &a, &b, &mut blocked);
+            gemm_blocked(Trans::N, Trans::N, &a, &b, &mut blocked, &ThreadPool::new(1));
             assert_close(&naive, &blocked, 1e-12 * k as f64);
         }
     }
@@ -519,7 +496,7 @@ mod tests {
             (Trans::T, Trans::T, &at_m, &bt_m),
         ] {
             let mut c = Mat::zeros(0, 0);
-            gemm_into(ta, tb, x, y, &mut c);
+            gemm_blocked(ta, tb, x, y, &mut c, &ThreadPool::new(1));
             assert_close(&expected, &c, 1e-11);
         }
     }
@@ -529,11 +506,11 @@ mod tests {
         let a = mat_fn(130, 70, |i, j| ((i * 13 + j) as f64).sin());
         let b = mat_fn(70, 90, |i, j| ((i + 17 * j) as f64).cos());
         let mut serial = Mat::zeros(0, 0);
-        gemm_into(Trans::N, Trans::N, &a, &b, &mut serial);
+        gemm_blocked(Trans::N, Trans::N, &a, &b, &mut serial, &ThreadPool::new(1));
         for threads in [1, 2, 3, 4] {
             let pool = ThreadPool::new(threads);
             let mut pooled = Mat::zeros(0, 0);
-            gemm_pooled_into(Trans::N, Trans::N, &a, &b, &mut pooled, &pool);
+            gemm_blocked(Trans::N, Trans::N, &a, &b, &mut pooled, &pool);
             assert_eq!(serial, pooled, "pooled GEMM diverged at {threads} threads");
         }
     }
@@ -544,7 +521,7 @@ mod tests {
             let a = Mat::zeros(m, k);
             let b = Mat::zeros(k, n);
             let mut c = Mat::ones(7, 7);
-            gemm_into(Trans::N, Trans::N, &a, &b, &mut c);
+            gemm_blocked(Trans::N, Trans::N, &a, &b, &mut c, &ThreadPool::new(1));
             assert_eq!(c.shape(), (m, n));
             assert!(c.data().iter().all(|&x| x == 0.0));
         }
@@ -561,7 +538,7 @@ mod tests {
         let mut naive = Mat::zeros(0, 0);
         let mut blocked = Mat::zeros(0, 0);
         gemm_naive_into(Trans::N, Trans::N, &a, &b, &mut naive);
-        gemm_into(Trans::N, Trans::N, &a, &b, &mut blocked);
+        gemm_blocked(Trans::N, Trans::N, &a, &b, &mut blocked, &ThreadPool::new(1));
         for (x, y) in naive.data().iter().zip(blocked.data()) {
             assert_eq!(x.is_nan(), y.is_nan());
             if !x.is_nan() {

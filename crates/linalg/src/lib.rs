@@ -7,15 +7,17 @@
 //! functionality the paper's algorithms need, implemented from scratch in
 //! safe Rust on `f64`:
 //!
-//! * [`Mat`] — a row-major dense matrix with the usual arithmetic, all four
-//!   GEMM transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`, `Aᵀ·Bᵀ`) and slicing
-//!   helpers.
-//! * [`kernel`] — the blocked, register-tiled GEMM layer under every
-//!   multiply: packed `MR×NR` microkernel tiles (AVX2+FMA when the CPU has
-//!   them, detected at runtime), a size-based dispatch that keeps small
-//!   products on the naive loops, and a pooled path that row-partitions the
-//!   output over a [`dpar2_parallel::ThreadPool`] with bit-identical
-//!   results for every thread count.
+//! * [`gemm`] — the one dense multiply: `C = op(A)·op(B)` for any
+//!   transpose pair ([`Trans`]), written into a caller-owned output, on a
+//!   [`dpar2_parallel::ThreadPool`] (a one-thread pool is the serial path;
+//!   every pool size gives bit-identical results).
+//! * [`Mat`] — a row-major dense matrix with the usual arithmetic, slicing
+//!   helpers, and serial multiply conveniences over [`gemm`] (`matmul`,
+//!   `matmul_tn`, `matmul_nt`, their `_into` forms, and `gram`).
+//! * [`kernel`] — the blocked, register-tiled GEMM layer under [`gemm`]:
+//!   packed `MR×NR` microkernel tiles (AVX2+FMA when the CPU has them,
+//!   detected at runtime) and row-panel fan-out over the pool; small
+//!   products stay on the naive loops.
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
 //!   preconditioning for tall matrices), plus rank-truncated variants.
@@ -26,8 +28,8 @@
 //! * [`random`] — seeded Gaussian/uniform matrix generation (Box–Muller), the
 //!   `Ω` test matrices of randomized SVD.
 //! * [`sparse`] — CSR slices ([`SparseSlice`], [`CooBuilder`]) and the
-//!   sparse kernel family (SpMM, transposed SpMM, Gram, mode-3 MTTKRP,
-//!   norms over nonzeros), each bitwise identical to densifying and
+//!   sparse kernel family (the four SpMM products on a pool, Gram, mode-3
+//!   MTTKRP, norms over nonzeros), each bitwise identical to densifying and
 //!   running the corresponding naive dense loop.
 //!
 //! Everything is deterministic given a seed and needs no external BLAS.
@@ -66,7 +68,8 @@ pub mod svd;
 pub mod view;
 
 pub use error::{LinalgError, Result};
-pub use mat::Mat;
+pub use kernel::Trans;
+pub use mat::{gemm, Mat};
 pub use pinv::{pinv, pinv_into};
 pub use qr::{qr, qr_into, QrFactors, QrScratch};
 pub use random::{gaussian_mat, uniform_mat};

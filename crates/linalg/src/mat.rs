@@ -6,9 +6,11 @@
 //! DPar2 paper (flop counts proportional to `I·J·R` etc.) maps directly onto
 //! the loops here.
 //!
-//! Multiplication is provided in the three transpose variants the PARAFAC2
-//! algorithms need (`A·B`, `Aᵀ·B`, `A·Bᵀ`), each with an `_into` form that
-//! reuses a caller-owned output buffer so hot ALS loops do not allocate.
+//! Every dense product goes through one entry point, [`gemm`]
+//! (`C = op(A)·op(B)` for any transpose pair, on a [`ThreadPool`]). The
+//! methods `matmul`, `matmul_tn`, `matmul_nt` and `gram` are serial
+//! conveniences over it, and the `_into` forms reuse a caller-owned output
+//! buffer so hot ALS loops do not allocate.
 
 use crate::error::{LinalgError, Result};
 use crate::kernel::{self, Trans};
@@ -475,18 +477,15 @@ impl Mat {
     }
 
     // ------------------------------------------------------------------
-    // Multiplication kernels
+    // Multiplication conveniences
     //
-    // Every variant is a thin wrapper over the view-based dispatcher
-    // [`mm_into`]: products below the [`kernel::use_blocked`] threshold run
-    // the stride-aware naive loops (IEEE-faithful: no `== 0.0` shortcuts,
-    // so `0·∞` and `0·NaN` propagate NaN per IEEE 754); larger products
-    // take the packed, register-tiled path in [`crate::kernel`]. The
-    // `_pooled` variants additionally fan row panels of C out over a
-    // [`dpar2_parallel::ThreadPool`] and are bit-identical to their serial
-    // counterparts for every thread count. Every `b` operand is
-    // [`AsMatRef`], so `&Mat`, [`MatRef`] slices of a backing buffer, and
-    // strided sub-blocks all flow through without copies.
+    // Thin serial wrappers over [`gemm`], the one dispatched dense
+    // multiply: the allocating forms return a typed error on a shape
+    // mismatch, the `_into` forms reuse a caller-owned output and panic.
+    // Every `b` operand is [`AsMatRef`], so `&Mat`, [`MatRef`] slices of a
+    // backing buffer, and strided sub-blocks all flow through without
+    // copies. Call [`gemm`] directly for `Aᵀ·Bᵀ` or to fan the product
+    // out over a [`ThreadPool`].
     // ------------------------------------------------------------------
 
     /// `C = A · B`.
@@ -505,23 +504,6 @@ impl Mat {
         self.view().matmul_into(b, c);
     }
 
-    /// `C = A · B` with row panels of C computed in parallel on `pool`.
-    /// Bit-identical to [`Mat::matmul`] for every pool size.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.rows`.
-    pub fn matmul_pooled(&self, b: impl AsMatRef, pool: &ThreadPool) -> Result<Mat> {
-        self.view().matmul_pooled(b, pool)
-    }
-
-    /// Pooled form of [`Mat::matmul_into`].
-    ///
-    /// # Panics
-    /// Panics if `A.cols != B.rows`.
-    pub fn matmul_pooled_into(&self, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-        self.view().matmul_pooled_into(b, c, pool);
-    }
-
     /// `C = Aᵀ · B` without materializing the transpose.
     ///
     /// # Errors
@@ -536,23 +518,6 @@ impl Mat {
     /// Panics if `A.rows != B.rows`.
     pub fn matmul_tn_into(&self, b: impl AsMatRef, c: &mut Mat) {
         self.view().matmul_tn_into(b, c);
-    }
-
-    /// `C = Aᵀ · B` with row panels of C computed in parallel on `pool`.
-    /// Bit-identical to [`Mat::matmul_tn`] for every pool size.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.rows != B.rows`.
-    pub fn matmul_tn_pooled(&self, b: impl AsMatRef, pool: &ThreadPool) -> Result<Mat> {
-        self.view().matmul_tn_pooled(b, pool)
-    }
-
-    /// Pooled form of [`Mat::matmul_tn_into`].
-    ///
-    /// # Panics
-    /// Panics if `A.rows != B.rows`.
-    pub fn matmul_tn_pooled_into(&self, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-        self.view().matmul_tn_pooled_into(b, c, pool);
     }
 
     /// `C = A · Bᵀ` without materializing the transpose.
@@ -571,58 +536,6 @@ impl Mat {
         self.view().matmul_nt_into(b, c);
     }
 
-    /// `C = A · Bᵀ` with row panels of C computed in parallel on `pool`.
-    /// Bit-identical to [`Mat::matmul_nt`] for every pool size.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.cols`.
-    pub fn matmul_nt_pooled(&self, b: impl AsMatRef, pool: &ThreadPool) -> Result<Mat> {
-        self.view().matmul_nt_pooled(b, pool)
-    }
-
-    /// Pooled form of [`Mat::matmul_nt_into`].
-    ///
-    /// # Panics
-    /// Panics if `A.cols != B.cols`.
-    pub fn matmul_nt_pooled_into(&self, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-        self.view().matmul_nt_pooled_into(b, c, pool);
-    }
-
-    /// `C = Aᵀ · Bᵀ` — the fourth transpose variant, completing the GEMM
-    /// family (equal to `(B·A)ᵀ`, computed directly without materializing
-    /// either transpose).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.rows != B.cols`.
-    pub fn matmul_tt(&self, b: impl AsMatRef) -> Result<Mat> {
-        self.view().matmul_tt(b)
-    }
-
-    /// `C = Aᵀ · Bᵀ` into a pre-allocated buffer.
-    ///
-    /// # Panics
-    /// Panics if `A.rows != B.cols`.
-    pub fn matmul_tt_into(&self, b: impl AsMatRef, c: &mut Mat) {
-        self.view().matmul_tt_into(b, c);
-    }
-
-    /// `C = Aᵀ · Bᵀ` with row panels of C computed in parallel on `pool`.
-    /// Bit-identical to [`Mat::matmul_tt`] for every pool size.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.rows != B.cols`.
-    pub fn matmul_tt_pooled(&self, b: impl AsMatRef, pool: &ThreadPool) -> Result<Mat> {
-        self.view().matmul_tt_pooled(b, pool)
-    }
-
-    /// Pooled form of [`Mat::matmul_tt_into`].
-    ///
-    /// # Panics
-    /// Panics if `A.rows != B.cols`.
-    pub fn matmul_tt_pooled_into(&self, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-        self.view().matmul_tt_pooled_into(b, c, pool);
-    }
-
     /// Matrix-vector product `A · x`.
     ///
     /// # Panics
@@ -639,20 +552,10 @@ impl Mat {
         self.view().matvec_t(x)
     }
 
-    /// Gram matrix `Aᵀ A` (symmetric `cols × cols`).
+    /// Gram matrix `Aᵀ A` (symmetric `cols × cols`). Bitwise equal to
+    /// `a.matmul_tn(&a)`; reuse a buffer with `a.matmul_tn_into(&a, &mut g)`.
     pub fn gram(&self) -> Mat {
         self.view().gram()
-    }
-
-    /// Gram matrix written into a pre-allocated buffer (resized if needed).
-    pub fn gram_into(&self, g: &mut Mat) {
-        self.view().gram_into(g);
-    }
-
-    /// Gram matrix with row panels computed in parallel on `pool`.
-    /// Bit-identical to [`Mat::gram`] for every pool size.
-    pub fn gram_pooled(&self, pool: &ThreadPool) -> Mat {
-        self.view().gram_pooled(pool)
     }
 
     /// Reshapes in place to `rows × cols` filled with zeros, reusing the
@@ -680,51 +583,41 @@ impl Mat {
 }
 
 // ----------------------------------------------------------------------
-// View-based multiply dispatch — the single implementation every `Mat`
-// and `MatRef` entry point delegates to.
+// The dense multiply: one dispatched entry point, plus the `MatRef`
+// conveniences over it.
 // ----------------------------------------------------------------------
 
-/// Shape check for `op(a)·op(b)`, returning the logical `(m, n, k)`.
-/// Panics with the calling operation's name on a mismatch.
-fn mm_check(
-    op: &'static str,
+/// `C = op(a)·op(b)`, where `op` is the identity or the transpose per
+/// [`Trans`] — the one dispatched dense multiply every product in the
+/// workspace runs through. `c` is resized and overwritten.
+///
+/// Products below the [`kernel::use_blocked`] threshold run the
+/// stride-aware naive loops (IEEE-faithful: no `== 0.0` shortcuts, so
+/// `0·∞` and `0·NaN` propagate NaN); larger ones take the packed,
+/// register-tiled [`kernel::gemm_blocked`], which fans `MC`-row panels of
+/// C out over `pool`. The result is bit-identical for every pool size, and
+/// a one-thread pool (`ThreadPool::new(1)`, which starts no threads) is
+/// the serial path.
+///
+/// # Panics
+/// Panics if the inner dimensions of `op(a)` and `op(b)` differ.
+pub fn gemm(
     ta: Trans,
     tb: Trans,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-) -> (usize, usize, usize) {
-    let (m, kk) = match ta {
-        Trans::N => (a.rows(), a.cols()),
-        Trans::T => (a.cols(), a.rows()),
-    };
-    let (kb, n) = match tb {
-        Trans::N => (b.rows(), b.cols()),
-        Trans::T => (b.cols(), b.rows()),
-    };
-    assert_eq!(kk, kb, "{op}: inner dimension mismatch");
-    (m, n, kk)
-}
-
-/// `C = op(a)·op(b)` with size-based dispatch: blocked kernel above the
-/// threshold, stride-aware naive loops below.
-fn mm_into(
-    op: &'static str,
-    ta: Trans,
-    tb: Trans,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
+    a: impl AsMatRef,
+    b: impl AsMatRef,
     c: &mut Mat,
-    pool: Option<&ThreadPool>,
+    pool: &ThreadPool,
 ) {
-    let (m, n, kk) = mm_check(op, ta, tb, a, b);
+    let (a, b) = (a.as_mat_ref(), b.as_mat_ref());
+    let (m, kk) = ta.dims(a);
+    let (kb, n) = tb.dims(b);
+    assert_eq!(kk, kb, "gemm: inner dimension mismatch ({m}x{kk} · {kb}x{n})");
     if kernel::use_blocked(m, n, kk) {
-        match pool {
-            Some(p) => kernel::gemm_pooled_into(ta, tb, a, b, c, p),
-            None => kernel::gemm_into(ta, tb, a, b, c),
-        }
-        return;
+        kernel::gemm_blocked(ta, tb, a, b, c, pool);
+    } else {
+        mm_naive(ta, tb, a, b, c);
     }
-    mm_naive(ta, tb, a, b, c);
 }
 
 /// Stride-aware naive loops, one per transpose variant. Arithmetic order is
@@ -747,7 +640,8 @@ fn mm_naive(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
             }
         }
         (Trans::T, Trans::N) => {
-            // Aᵀ·B: rank-1 updates row-by-row of A and B.
+            // Aᵀ·B: rank-1 updates row-by-row of A and B (with B = A this
+            // is the Gram accumulation).
             c.resize_zeroed(a.cols(), b.cols());
             for k in 0..a.rows() {
                 let arow = a.row(k);
@@ -786,167 +680,71 @@ fn mm_naive(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
     }
 }
 
-/// Naive Gram accumulation: rank-1 updates row-by-row of A.
-fn gram_naive(a: MatRef<'_>, g: &mut Mat) {
-    g.resize_zeroed(a.cols(), a.cols());
-    for k in 0..a.rows() {
-        let row = a.row(k);
-        for (i, &ri) in row.iter().enumerate() {
-            for (gv, &rj) in g.row_mut(i).iter_mut().zip(row) {
-                *gv += ri * rj;
-            }
-        }
+/// Serial allocating `op(a)·op(b)`: a typed error instead of [`gemm`]'s
+/// panic on an inner-dimension mismatch.
+fn product(op: &'static str, ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>) -> Result<Mat> {
+    if ta.dims(a).1 != tb.dims(b).0 {
+        return Err(LinalgError::DimensionMismatch { op, left: a.shape(), right: b.shape() });
     }
+    let mut c = Mat::default();
+    gemm(ta, tb, a, b, &mut c, &ThreadPool::new(1));
+    Ok(c)
 }
-
-/// Builds the multiply method family on `MatRef` for one transpose variant.
-macro_rules! view_matmul_variant {
-    ($([$doc:literal, $name:ident, $into:ident, $pooled:ident, $pooled_into:ident,
-        $op:literal, $ta:expr, $tb:expr, $ok:ident]),+ $(,)?) => {
-        impl<'v> MatRef<'v> {
-            $(
-                #[doc = concat!("`", $doc, "` (see the identically-named [`Mat`] method).")]
-                ///
-                /// # Errors
-                /// Returns [`LinalgError::DimensionMismatch`] on an inner-dimension mismatch.
-                pub fn $name(self, b: impl AsMatRef) -> Result<Mat> {
-                    let b = b.as_mat_ref();
-                    if !$ok(self, b) {
-                        return Err(LinalgError::DimensionMismatch {
-                            op: $op,
-                            left: self.shape(),
-                            right: b.shape(),
-                        });
-                    }
-                    let mut c = Mat::zeros(0, 0);
-                    mm_into($op, $ta, $tb, self, b, &mut c, None);
-                    Ok(c)
-                }
-
-                #[doc = concat!("`", $doc, "` into a pre-allocated buffer (resized if needed).")]
-                ///
-                /// # Panics
-                /// Panics on an inner-dimension mismatch.
-                pub fn $into(self, b: impl AsMatRef, c: &mut Mat) {
-                    mm_into($op, $ta, $tb, self, b.as_mat_ref(), c, None);
-                }
-
-                #[doc = concat!("`", $doc, "` with row panels of C fanned out over `pool`; bit-identical to the serial form for every pool size.")]
-                ///
-                /// # Errors
-                /// Returns [`LinalgError::DimensionMismatch`] on an inner-dimension mismatch.
-                pub fn $pooled(self, b: impl AsMatRef, pool: &ThreadPool) -> Result<Mat> {
-                    let b = b.as_mat_ref();
-                    if !$ok(self, b) {
-                        return Err(LinalgError::DimensionMismatch {
-                            op: $op,
-                            left: self.shape(),
-                            right: b.shape(),
-                        });
-                    }
-                    let mut c = Mat::zeros(0, 0);
-                    mm_into($op, $ta, $tb, self, b, &mut c, Some(pool));
-                    Ok(c)
-                }
-
-                #[doc = concat!("Pooled `", $doc, "` into a pre-allocated buffer.")]
-                ///
-                /// # Panics
-                /// Panics on an inner-dimension mismatch.
-                pub fn $pooled_into(self, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-                    mm_into($op, $ta, $tb, self, b.as_mat_ref(), c, Some(pool));
-                }
-            )+
-        }
-    };
-}
-
-fn nn_ok(a: MatRef<'_>, b: MatRef<'_>) -> bool {
-    a.cols() == b.rows()
-}
-fn tn_ok(a: MatRef<'_>, b: MatRef<'_>) -> bool {
-    a.rows() == b.rows()
-}
-fn nt_ok(a: MatRef<'_>, b: MatRef<'_>) -> bool {
-    a.cols() == b.cols()
-}
-fn tt_ok(a: MatRef<'_>, b: MatRef<'_>) -> bool {
-    a.rows() == b.cols()
-}
-
-view_matmul_variant!(
-    [
-        "C = A · B",
-        matmul,
-        matmul_into,
-        matmul_pooled,
-        matmul_pooled_into,
-        "matmul",
-        Trans::N,
-        Trans::N,
-        nn_ok
-    ],
-    [
-        "C = Aᵀ · B",
-        matmul_tn,
-        matmul_tn_into,
-        matmul_tn_pooled,
-        matmul_tn_pooled_into,
-        "matmul_tn",
-        Trans::T,
-        Trans::N,
-        tn_ok
-    ],
-    [
-        "C = A · Bᵀ",
-        matmul_nt,
-        matmul_nt_into,
-        matmul_nt_pooled,
-        matmul_nt_pooled_into,
-        "matmul_nt",
-        Trans::N,
-        Trans::T,
-        nt_ok
-    ],
-    [
-        "C = Aᵀ · Bᵀ",
-        matmul_tt,
-        matmul_tt_into,
-        matmul_tt_pooled,
-        matmul_tt_pooled_into,
-        "matmul_tt",
-        Trans::T,
-        Trans::T,
-        tt_ok
-    ],
-);
 
 impl<'v> MatRef<'v> {
-    /// Gram matrix `Aᵀ A` (symmetric `cols × cols`).
+    /// `C = A · B` (see [`Mat::matmul`]).
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.rows`.
+    pub fn matmul(self, b: impl AsMatRef) -> Result<Mat> {
+        product("matmul", Trans::N, Trans::N, self, b.as_mat_ref())
+    }
+
+    /// `C = A · B` into a pre-allocated buffer (resized if needed).
+    ///
+    /// # Panics
+    /// Panics if `A.cols != B.rows`.
+    pub fn matmul_into(self, b: impl AsMatRef, c: &mut Mat) {
+        gemm(Trans::N, Trans::N, self, b, c, &ThreadPool::new(1));
+    }
+
+    /// `C = Aᵀ · B` (see [`Mat::matmul_tn`]).
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::DimensionMismatch`] if `A.rows != B.rows`.
+    pub fn matmul_tn(self, b: impl AsMatRef) -> Result<Mat> {
+        product("matmul_tn", Trans::T, Trans::N, self, b.as_mat_ref())
+    }
+
+    /// `C = Aᵀ · B` into a pre-allocated buffer (resized if needed).
+    ///
+    /// # Panics
+    /// Panics if `A.rows != B.rows`.
+    pub fn matmul_tn_into(self, b: impl AsMatRef, c: &mut Mat) {
+        gemm(Trans::T, Trans::N, self, b, c, &ThreadPool::new(1));
+    }
+
+    /// `C = A · Bᵀ` (see [`Mat::matmul_nt`]).
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.cols`.
+    pub fn matmul_nt(self, b: impl AsMatRef) -> Result<Mat> {
+        product("matmul_nt", Trans::N, Trans::T, self, b.as_mat_ref())
+    }
+
+    /// `C = A · Bᵀ` into a pre-allocated buffer (resized if needed).
+    ///
+    /// # Panics
+    /// Panics if `A.cols != B.cols`.
+    pub fn matmul_nt_into(self, b: impl AsMatRef, c: &mut Mat) {
+        gemm(Trans::N, Trans::T, self, b, c, &ThreadPool::new(1));
+    }
+
+    /// Gram matrix `Aᵀ A` (symmetric `cols × cols`), bitwise equal to
+    /// `self.matmul_tn(self)`.
     pub fn gram(self) -> Mat {
-        let mut g = Mat::zeros(0, 0);
-        self.gram_into(&mut g);
-        g
-    }
-
-    /// Gram matrix written into a pre-allocated buffer (resized if needed).
-    pub fn gram_into(self, g: &mut Mat) {
-        if kernel::use_blocked(self.cols(), self.cols(), self.rows()) {
-            kernel::gemm_into(Trans::T, Trans::N, self, self, g);
-            return;
-        }
-        gram_naive(self, g);
-    }
-
-    /// Gram matrix with row panels computed in parallel on `pool`.
-    /// Bit-identical to [`MatRef::gram`] for every pool size.
-    pub fn gram_pooled(self, pool: &ThreadPool) -> Mat {
-        let mut g = Mat::zeros(0, 0);
-        if kernel::use_blocked(self.cols(), self.cols(), self.rows()) {
-            kernel::gemm_pooled_into(Trans::T, Trans::N, self, self, &mut g, pool);
-            return g;
-        }
-        gram_naive(self, &mut g);
+        let mut g = Mat::default();
+        self.matmul_tn_into(self, &mut g);
         g
     }
 }
@@ -1156,17 +954,23 @@ mod tests {
         assert!((&expected - &got).fro_norm() < 1e-12);
     }
 
+    /// `C = op(a)·op(b)` through [`gemm`] on a fresh `threads`-worker pool.
+    fn gemm_on(ta: Trans, tb: Trans, a: &Mat, b: &Mat, threads: usize) -> Mat {
+        let mut c = Mat::default();
+        gemm(ta, tb, a, b, &mut c, &ThreadPool::new(threads));
+        c
+    }
+
     #[test]
     fn matmul_tt_matches_explicit_transposes() {
         let a = Mat::from_fn(6, 4, |i, j| (i * 4 + j) as f64 * 0.25);
         let b = Mat::from_fn(5, 6, |i, j| (i as f64) - 0.5 * (j as f64));
         let expected = a.transpose().matmul(b.transpose()).unwrap();
-        let got = a.matmul_tt(&b).unwrap();
+        let got = gemm_on(Trans::T, Trans::T, &a, &b, 1);
         assert!((&expected - &got).fro_norm() < 1e-12);
-        assert!(matches!(
-            a.matmul_tt(Mat::zeros(3, 3)),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
+        let mismatch =
+            std::panic::catch_unwind(|| gemm_on(Trans::T, Trans::T, &a, &Mat::eye(3), 1));
+        assert!(mismatch.is_err(), "gemm must reject an inner-dimension mismatch");
     }
 
     #[test]
@@ -1176,20 +980,44 @@ mod tests {
         // fallback) in every variant below.
         let a = Mat::from_fn(150, 40, |i, j| ((i * 3 + j) as f64).sin());
         let b = Mat::from_fn(40, 50, |i, j| ((i + 7 * j) as f64).cos());
-        let pool = ThreadPool::new(3);
-        assert_eq!(a.matmul(&b).unwrap(), a.matmul_pooled(&b, &pool).unwrap());
         // Aᵀ·B with a 40×150 A: output 150×150.
         let at = a.transpose();
-        assert_eq!(at.matmul_tn(&b).unwrap(), at.matmul_tn_pooled(&b, &pool).unwrap());
-        assert_eq!(a.matmul_nt(&a).unwrap(), a.matmul_nt_pooled(&a, &pool).unwrap());
         let b2 = Mat::from_fn(50, 40, |i, j| ((2 * i + j) as f64).sin());
-        assert_eq!(at.matmul_tt(&b2).unwrap(), {
-            let mut c = Mat::zeros(0, 0);
-            at.matmul_tt_pooled_into(&b2, &mut c, &pool);
-            c
-        });
         let tall = Mat::from_fn(60, 150, |i, j| ((i + j) as f64).cos());
-        assert_eq!(tall.gram(), tall.gram_pooled(&pool));
+        let nn = a.matmul(&b).unwrap();
+        let tn = at.matmul_tn(&b).unwrap();
+        let nt = a.matmul_nt(&a).unwrap();
+        let tt = gemm_on(Trans::T, Trans::T, &at, &b2, 1);
+        let g = tall.gram();
+        for threads in [1, 2, 3] {
+            assert_eq!(nn, gemm_on(Trans::N, Trans::N, &a, &b, threads), "nn at {threads}");
+            assert_eq!(tn, gemm_on(Trans::T, Trans::N, &at, &b, threads), "tn at {threads}");
+            assert_eq!(nt, gemm_on(Trans::N, Trans::T, &a, &a, threads), "nt at {threads}");
+            assert_eq!(tt, gemm_on(Trans::T, Trans::T, &at, &b2, threads), "tt at {threads}");
+            assert_eq!(g, gemm_on(Trans::T, Trans::N, &tall, &tall, threads), "gram at {threads}");
+        }
+    }
+
+    #[test]
+    fn gram_bitwise_equals_matmul_tn() {
+        // Shapes on both sides of the blocked-dispatch threshold, with
+        // 0 and ±∞ entries so `0·∞ = NaN` cells are part of the pin.
+        for (rows, cols, blocked) in [(3, 3, false), (9, 5, false), (30, 30, true), (150, 40, true)]
+        {
+            assert_eq!(kernel::use_blocked(cols, cols, rows), blocked, "{rows}x{cols} dispatch");
+            let mut a = Mat::from_fn(rows, cols, |i, j| ((i * 5 + j * 3) as f64).sin());
+            a.set(0, 0, 0.0);
+            a.set(rows - 1, 1, f64::INFINITY);
+            a.set(rows / 2, cols - 1, f64::NEG_INFINITY);
+            a.set(rows - 1, cols - 1, 0.0);
+            let g = a.gram();
+            let tn = a.matmul_tn(&a).unwrap();
+            assert!(g.data().iter().any(|x| x.is_nan()), "{rows}x{cols}: no 0·∞ cell");
+            assert_eq!(g.shape(), tn.shape());
+            for (idx, (x, y)) in g.data().iter().zip(tn.data()).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{rows}x{cols}: entry {idx}: {x} vs {y}");
+            }
+        }
     }
 
     #[test]
@@ -1206,7 +1034,7 @@ mod tests {
         let at = a.transpose(); // 2×1
         assert!(at.matmul_tn(&b_inf).unwrap()[(0, 0)].is_nan());
         assert!(a.matmul_nt(b_inf.transpose()).unwrap()[(0, 0)].is_nan());
-        assert!(at.matmul_tt(b_inf.transpose()).unwrap()[(0, 0)].is_nan());
+        assert!(gemm_on(Trans::T, Trans::T, &at, &b_inf.transpose(), 1)[(0, 0)].is_nan());
         assert!(!a.matvec_t(&[0.0])[0].is_nan()); // 0·0 stays 0
         let inf_row = Mat::from_rows(&[&[f64::INFINITY, 1.0]]);
         assert!(inf_row.matvec_t(&[0.0])[0].is_nan());

@@ -8,20 +8,22 @@
 //!   strictly-ascending column `indices`, and `values`.
 //! * [`CooBuilder`] — coordinate-format ingestion with duplicate
 //!   coalescing, the loader-facing construction path.
-//! * Kernels — [`spmm`] (`A·B`), [`spmm_t`] (`Aᵀ·B`), [`spmm_nt`]
-//!   (`A·Bᵀ`, the `A·Ωᵀ`-shaped sketching product), [`spmm_tn`]
-//!   (`Qᵀ·A`, the `Y_k = Q_kᵀX_k` product of SPARTan's inner step),
-//!   [`sparse_gram`] (`AᵀA`), [`mttkrp_mode3_into`] (the per-slice CP
-//!   mode-3 row `Σ_{(i,j)} x_{ij} (u_i ∗ v_j)`), and
-//!   [`SparseSlice::fro_norm_sq`] — all touching nonzeros only, with
-//!   `_pooled` variants over a [`ThreadPool`]. Together with the dense
-//!   [`crate::Mat`] products they are exactly the pass set the randomized
-//!   compression of DPar2 needs to run at O(nnz) per sketch pass.
+//! * Kernels — [`spmm_into`] (`A·B`), [`spmm_t_into`] (`Aᵀ·B`),
+//!   [`spmm_nt_into`] (`A·Bᵀ`, the `A·Ωᵀ`-shaped sketching product),
+//!   [`spmm_tn_into`] (`Qᵀ·A`, the `Y_k = Q_kᵀX_k` product of SPARTan's
+//!   inner step), [`sparse_gram_into`] (`AᵀA`), [`mttkrp_mode3_into`] (the
+//!   per-slice CP mode-3 row `Σ_{(i,j)} x_{ij} (u_i ∗ v_j)`), and
+//!   [`SparseSlice::fro_norm_sq`] — all touching nonzeros only and writing
+//!   into a caller-owned output. The four products take a [`ThreadPool`]
+//!   like the dense [`crate::gemm`]; a one-thread pool is the serial path.
+//!   Together with the dense products they are exactly the pass set the
+//!   randomized compression of DPar2 needs to run at O(nnz) per sketch
+//!   pass.
 //!
 //! ## Ordering discipline (the bit-identity contract)
 //!
 //! Every kernel here accumulates in **exactly the order of the dense
-//! naive loops** (`mat.rs`'s `mm_naive`/`gram_naive`) with the structural
+//! naive loops** (`mat.rs`'s `mm_naive`) with the structural
 //! zeros skipped, using a separate multiply and add (never FMA). Skipping
 //! a structural zero means skipping an addition of `±0.0`, which is an
 //! exact identity on any IEEE-754 accumulator that is not `-0.0` — and
@@ -37,17 +39,18 @@
 //! non-finite dense entry (which densification would turn into NaN)
 //! are outside the contract.
 //!
-//! The `_pooled` variants partition the **output** into fixed-size row
-//! blocks ([`SPMM_CHUNK_ROWS`], never thread-count-dependent), each block
-//! computed by exactly one worker in the serial per-entry order — so every
-//! pooled kernel is bit-identical to its serial form for every pool size,
-//! the same guarantee the dense blocked-GEMM layer gives.
+//! On a multi-thread pool the products partition the **output** into
+//! fixed-size blocks (rows of [`SPMM_CHUNK_ROWS`], or whole rows for
+//! [`spmm_tn_into`] — never thread-count-dependent), each block computed by
+//! exactly one worker in the serial per-entry order — so every product is
+//! bit-identical for every pool size, the same guarantee the dense
+//! blocked-GEMM layer gives.
 
 use crate::mat::Mat;
-use crate::view::{AsMatRef, MatRef};
+use crate::view::AsMatRef;
 use dpar2_parallel::ThreadPool;
 
-/// Output rows per work item in the `_pooled` kernels. A fixed constant —
+/// Output rows per work item when a product fans out over a pool. A fixed constant —
 /// chunk boundaries must depend only on the problem shape, never on the
 /// thread count, so pooled results are bit-identical for every pool size.
 pub const SPMM_CHUNK_ROWS: usize = 64;
@@ -317,31 +320,25 @@ impl CooBuilder {
 /// order with `c.row(i) += v * b.row(j)` — exactly the dense naive `i-k-j`
 /// loop with structural-zero terms skipped, so the result is bitwise equal
 /// to `a.to_dense().matmul(b)` on the naive dispatch path (finite `b`).
+/// On a multi-thread `pool`, output rows are split into fixed
+/// [`SPMM_CHUNK_ROWS`] blocks, each computed by one worker in the same
+/// per-entry order, so the result is bitwise identical for every pool size.
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn spmm_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat) {
+pub fn spmm_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
     let b = b.as_mat_ref();
-    let n = b.shape().1;
-    assert_eq!(b.shape().0, a.cols(), "spmm: inner dimension mismatch");
+    let n = b.cols();
+    assert_eq!(b.rows(), a.cols(), "spmm: inner dimension mismatch");
     c.resize_zeroed(a.rows(), n);
-    for i in 0..a.rows() {
+    row_blocks(a.rows(), n, c, pool, |i, crow| {
         let (cols, vals) = a.row(i);
-        let crow = c.row_mut(i);
         for (&j, &v) in cols.iter().zip(vals) {
-            let brow = b.row(j);
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
+            for (cv, &bv) in crow.iter_mut().zip(b.row(j)) {
                 *cv += v * bv;
             }
         }
-    }
-}
-
-/// Allocating wrapper over [`spmm_into`].
-pub fn spmm(a: &SparseSlice, b: impl AsMatRef) -> Mat {
-    let mut c = Mat::zeros(0, 0);
-    spmm_into(a, b, &mut c);
-    c
+    });
 }
 
 /// `C = Aᵀ·B` for CSR `A` (`m×k`) and dense `B` (`m×n`), into `c` (`k×n`).
@@ -349,32 +346,49 @@ pub fn spmm(a: &SparseSlice, b: impl AsMatRef) -> Mat {
 /// Scatter form: rows `i` ascending, nonzeros `(j, v)` ascending within the
 /// row, `c.row(j) += v * b.row(i)` — exactly the dense naive `matmul_tn`
 /// rank-1 outer loop with structural-zero terms skipped; bitwise equal to
-/// `a.to_dense().matmul_tn(b)` on the naive path (finite `b`).
+/// `a.to_dense().matmul_tn(b)` on the naive path (finite `b`). On a
+/// multi-thread `pool`, the output is split into fixed [`SPMM_CHUNK_ROWS`]
+/// row blocks; every worker scans the full nonzero stream but scatters only
+/// into its own block, preserving the per-cell accumulation order, so the
+/// result is bitwise identical for every pool size. (This parallelizes the
+/// flops of one product, not the CSR scan — slice-level fan-out remains the
+/// solvers' primary axis.)
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn spmm_t_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat) {
+pub fn spmm_t_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
     let b = b.as_mat_ref();
-    let n = b.shape().1;
-    assert_eq!(b.shape().0, a.rows(), "spmm_t: row dimension mismatch");
+    let n = b.cols();
+    assert_eq!(b.rows(), a.rows(), "spmm_t: row dimension mismatch");
     c.resize_zeroed(a.cols(), n);
-    for i in 0..a.rows() {
-        let (cols, vals) = a.row(i);
-        let brow = b.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            let crow = c.row_mut(j);
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += v * bv;
+    if n == 0 {
+        return;
+    }
+    // Scatters every nonzero whose column lands in output rows
+    // `row0..row0 + block.len() / n`.
+    let scatter = |row0: usize, block: &mut [f64]| {
+        let rows_here = block.len() / n;
+        for i in 0..a.rows() {
+            let (cols, vals) = a.row(i);
+            let brow = b.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if j < row0 || j >= row0 + rows_here {
+                    continue;
+                }
+                let crow = &mut block[(j - row0) * n..(j - row0 + 1) * n];
+                for (cv, &bv) in crow.iter_mut().zip(brow) {
+                    *cv += v * bv;
+                }
             }
         }
+    };
+    if pool.threads() == 1 || a.cols() <= SPMM_CHUNK_ROWS {
+        scatter(0, c.data_mut());
+        return;
     }
-}
-
-/// Allocating wrapper over [`spmm_t_into`].
-pub fn spmm_t(a: &SparseSlice, b: impl AsMatRef) -> Mat {
-    let mut c = Mat::zeros(0, 0);
-    spmm_t_into(a, b, &mut c);
-    c
+    pool.for_each_chunk_mut(c.data_mut(), SPMM_CHUNK_ROWS * n, |chunk_idx, chunk| {
+        scatter(chunk_idx * SPMM_CHUNK_ROWS, chunk);
+    });
 }
 
 /// `C = A·Bᵀ` for CSR `A` (`m×k`) and dense `B` (`n×k`), into `c` (`m×n`).
@@ -384,31 +398,24 @@ pub fn spmm_t(a: &SparseSlice, b: impl AsMatRef) -> Mat {
 /// ascending, `c[i][jj] += v * b[jj][p]` over all output columns — exactly
 /// the dense naive `matmul_nt` `i-p-j` loop with structural-zero terms
 /// skipped; bitwise equal to `a.to_dense().matmul_nt(b)` on the naive
-/// path (finite `b`).
+/// path (finite `b`). Parallelized over output row blocks like
+/// [`spmm_into`], bitwise identical for every pool size.
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn spmm_nt_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat) {
+pub fn spmm_nt_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
     let b = b.as_mat_ref();
-    let n = b.shape().0;
-    assert_eq!(b.shape().1, a.cols(), "spmm_nt: inner dimension mismatch");
+    let n = b.rows();
+    assert_eq!(b.cols(), a.cols(), "spmm_nt: inner dimension mismatch");
     c.resize_zeroed(a.rows(), n);
-    for i in 0..a.rows() {
+    row_blocks(a.rows(), n, c, pool, |i, crow| {
         let (cols, vals) = a.row(i);
-        let crow = c.row_mut(i);
         for (&p, &v) in cols.iter().zip(vals) {
             for (jj, cv) in crow.iter_mut().enumerate() {
                 *cv += v * b.at(jj, p);
             }
         }
-    }
-}
-
-/// Allocating wrapper over [`spmm_nt_into`].
-pub fn spmm_nt(a: &SparseSlice, b: impl AsMatRef) -> Mat {
-    let mut c = Mat::zeros(0, 0);
-    spmm_nt_into(a, b, &mut c);
-    c
+    });
 }
 
 /// `C = Qᵀ·A` for dense `Q` (`m×r`) and CSR `A` (`m×n`), into `c` (`r×n`).
@@ -417,37 +424,74 @@ pub fn spmm_nt(a: &SparseSlice, b: impl AsMatRef) -> Mat {
 /// ascending; for each, `q.row(i)` entries `r` ascending scatter into
 /// `c[r][j] += q[i][r] * x` over the row's nonzeros — the dense naive
 /// `matmul_tn` order with structural zeros skipped; bitwise equal to
-/// `q.matmul_tn(a.to_dense())` on the naive path (finite `q`).
+/// `q.matmul_tn(a.to_dense())` on the naive path (finite `q`). On a
+/// multi-thread `pool`, each worker owns whole output rows `r` and scans
+/// the full nonzero stream, so the per-cell order (`i` ascending, then
+/// nonzero order) and hence the result are the same for every pool size.
+/// (This parallelizes the flops, not the CSR scan; it exists for very wide
+/// single slices.)
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn spmm_tn_into(q: impl AsMatRef, a: &SparseSlice, c: &mut Mat) {
+pub fn spmm_tn_into(q: impl AsMatRef, a: &SparseSlice, c: &mut Mat, pool: &ThreadPool) {
     let q = q.as_mat_ref();
     let (qm, qr) = q.shape();
     assert_eq!(qm, a.rows(), "spmm_tn: Q rows must match A rows");
     c.resize_zeroed(qr, a.cols());
-    for i in 0..a.rows() {
-        let (cols, vals) = a.row(i);
-        for (r, &qir) in q.row(i).iter().enumerate() {
-            let crow = c.row_mut(r);
+    if pool.threads() == 1 || qr <= 1 || a.cols() == 0 {
+        for i in 0..a.rows() {
+            let (cols, vals) = a.row(i);
+            for (r, &qir) in q.row(i).iter().enumerate() {
+                let crow = c.row_mut(r);
+                for (&j, &x) in cols.iter().zip(vals) {
+                    crow[j] += qir * x;
+                }
+            }
+        }
+        return;
+    }
+    pool.for_each_chunk_mut(c.data_mut(), a.cols(), |r, crow| {
+        for i in 0..a.rows() {
+            let qir = q.row(i)[r];
+            let (cols, vals) = a.row(i);
             for (&j, &x) in cols.iter().zip(vals) {
                 crow[j] += qir * x;
             }
         }
-    }
+    });
 }
 
-/// Allocating wrapper over [`spmm_tn_into`].
-pub fn spmm_tn(q: impl AsMatRef, a: &SparseSlice) -> Mat {
-    let mut c = Mat::zeros(0, 0);
-    spmm_tn_into(q, a, &mut c);
-    c
+/// Runs `row(i, c.row_mut(i))` for every output row of the `rows × n`
+/// matrix `c`: in order on a one-thread pool (or a single block), else in
+/// fixed [`SPMM_CHUNK_ROWS`] blocks fanned out over `pool`, each block on
+/// one worker.
+fn row_blocks(
+    rows: usize,
+    n: usize,
+    c: &mut Mat,
+    pool: &ThreadPool,
+    row: impl Fn(usize, &mut [f64]) + Sync,
+) {
+    if n == 0 {
+        return;
+    }
+    if pool.threads() == 1 || rows <= SPMM_CHUNK_ROWS {
+        for (i, crow) in c.data_mut().chunks_exact_mut(n).enumerate() {
+            row(i, crow);
+        }
+        return;
+    }
+    pool.for_each_chunk_mut(c.data_mut(), SPMM_CHUNK_ROWS * n, |chunk_idx, chunk| {
+        for (di, crow) in chunk.chunks_exact_mut(n).enumerate() {
+            row(chunk_idx * SPMM_CHUNK_ROWS + di, crow);
+        }
+    });
 }
 
 /// `G = AᵀA` (`n×n`) over stored entries, into `g`.
 ///
 /// Row-outer form: for each row, every stored pair `(ja, jb)` accumulates
-/// `g[ja][jb] += va * vb` — the dense `gram_naive` rank-1 row-outer order
+/// `g[ja][jb] += va * vb` — the dense naive `Aᵀ·A` rank-1 row-outer order
 /// with structural-zero pairs skipped; bitwise equal to
 /// `a.to_dense().gram()` on the naive path for **finite** stored values
 /// (a non-finite stored value times a structural zero densifies to NaN,
@@ -466,13 +510,6 @@ pub fn sparse_gram_into(a: &SparseSlice, g: &mut Mat) {
             }
         }
     }
-}
-
-/// Allocating wrapper over [`sparse_gram_into`].
-pub fn sparse_gram(a: &SparseSlice) -> Mat {
-    let mut g = Mat::zeros(0, 0);
-    sparse_gram_into(a, &mut g);
-    g
 }
 
 /// Per-slice sparse mode-3 MTTKRP row: `out[r] = Σ_{(i,j)} x_{ij} · u[i][r] · v[j][r]`.
@@ -503,151 +540,6 @@ pub fn mttkrp_mode3_into(a: &SparseSlice, u: impl AsMatRef, v: impl AsMatRef, ou
     }
 }
 
-/// Pooled [`spmm_into`]: output rows are split into fixed
-/// [`SPMM_CHUNK_ROWS`] blocks, each computed by one worker in the serial
-/// per-entry order. Bitwise identical to the serial kernel for every pool
-/// size (chunk boundaries depend only on the shape).
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn spmm_pooled_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-    let b = b.as_mat_ref();
-    let n = b.shape().1;
-    assert_eq!(b.shape().0, a.cols(), "spmm: inner dimension mismatch");
-    c.resize_zeroed(a.rows(), n);
-    if pool.threads() == 1 || a.rows() <= SPMM_CHUNK_ROWS || n == 0 {
-        spmm_serial_body(a, b, c);
-        return;
-    }
-    pool.for_each_chunk_mut(c.data_mut(), SPMM_CHUNK_ROWS * n, |chunk_idx, chunk| {
-        let row0 = chunk_idx * SPMM_CHUNK_ROWS;
-        let rows_here = chunk.len() / n;
-        for (di, crow) in chunk.chunks_exact_mut(n).enumerate() {
-            let (cols, vals) = a.row(row0 + di);
-            for (&j, &v) in cols.iter().zip(vals) {
-                for (cv, &bv) in crow.iter_mut().zip(b.row(j)) {
-                    *cv += v * bv;
-                }
-            }
-        }
-        debug_assert!(rows_here <= SPMM_CHUNK_ROWS);
-    });
-}
-
-fn spmm_serial_body(a: &SparseSlice, b: MatRef<'_>, c: &mut Mat) {
-    for i in 0..a.rows() {
-        let (cols, vals) = a.row(i);
-        let crow = c.row_mut(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            for (cv, &bv) in crow.iter_mut().zip(b.row(j)) {
-                *cv += v * bv;
-            }
-        }
-    }
-}
-
-/// Pooled [`spmm_tn_into`]: the `r×n` output is split into fixed
-/// column-range blocks; every worker scans the full nonzero stream but
-/// writes only its own column block, preserving the serial per-entry
-/// accumulation order within each output cell. Bitwise identical to the
-/// serial kernel for every pool size. (This parallelizes the flops, not
-/// the CSR scan — slice-level parallelism in the solver is the primary
-/// axis; this variant exists for very wide single slices.)
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn spmm_tn_pooled_into(q: impl AsMatRef, a: &SparseSlice, c: &mut Mat, pool: &ThreadPool) {
-    let q = q.as_mat_ref();
-    let (qm, qr) = q.shape();
-    assert_eq!(qm, a.rows(), "spmm_tn: Q rows must match A rows");
-    c.resize_zeroed(qr, a.cols());
-    if pool.threads() == 1 || qr <= 1 || a.cols() == 0 {
-        spmm_tn_into(q, a, c);
-        return;
-    }
-    // One chunk per output row (a full row of length cols): rank r of the
-    // projection. Each worker handles a disjoint set of r's; per-cell
-    // accumulation order (i ascending, then nonzero order) is unchanged.
-    let n = a.cols();
-    pool.for_each_chunk_mut(c.data_mut(), n, |r, crow| {
-        for i in 0..a.rows() {
-            let qir = q.row(i)[r];
-            let (cols, vals) = a.row(i);
-            for (&j, &x) in cols.iter().zip(vals) {
-                crow[j] += qir * x;
-            }
-        }
-    });
-}
-
-/// Pooled [`spmm_t_into`]: the `k×n` output is split into fixed
-/// [`SPMM_CHUNK_ROWS`] row blocks; every worker scans the full nonzero
-/// stream (rows `i` ascending, nonzeros ascending) but scatters only into
-/// its own block of output rows, preserving the serial per-cell
-/// accumulation order. Bitwise identical to the serial kernel for every
-/// pool size. (Like [`spmm_tn_pooled_into`], this parallelizes the flops
-/// of one product, not the CSR scan — slice-level fan-out remains the
-/// solvers' primary axis.)
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn spmm_t_pooled_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-    let b = b.as_mat_ref();
-    let n = b.shape().1;
-    assert_eq!(b.shape().0, a.rows(), "spmm_t: row dimension mismatch");
-    c.resize_zeroed(a.cols(), n);
-    if pool.threads() == 1 || a.cols() <= SPMM_CHUNK_ROWS || n == 0 {
-        spmm_t_into(a, b, c);
-        return;
-    }
-    pool.for_each_chunk_mut(c.data_mut(), SPMM_CHUNK_ROWS * n, |chunk_idx, chunk| {
-        let row0 = chunk_idx * SPMM_CHUNK_ROWS;
-        let rows_here = chunk.len() / n;
-        for i in 0..a.rows() {
-            let (cols, vals) = a.row(i);
-            let brow = b.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if j < row0 || j >= row0 + rows_here {
-                    continue;
-                }
-                let crow = &mut chunk[(j - row0) * n..(j - row0 + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += v * bv;
-                }
-            }
-        }
-    });
-}
-
-/// Pooled [`spmm_nt_into`]: output rows are split into fixed
-/// [`SPMM_CHUNK_ROWS`] blocks, each computed by one worker in the serial
-/// per-entry order. Bitwise identical to the serial kernel for every pool
-/// size.
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn spmm_nt_pooled_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-    let b = b.as_mat_ref();
-    let n = b.shape().0;
-    assert_eq!(b.shape().1, a.cols(), "spmm_nt: inner dimension mismatch");
-    c.resize_zeroed(a.rows(), n);
-    if pool.threads() == 1 || a.rows() <= SPMM_CHUNK_ROWS || n == 0 {
-        spmm_nt_into(a, b, c);
-        return;
-    }
-    pool.for_each_chunk_mut(c.data_mut(), SPMM_CHUNK_ROWS * n, |chunk_idx, chunk| {
-        let row0 = chunk_idx * SPMM_CHUNK_ROWS;
-        for (di, crow) in chunk.chunks_exact_mut(n).enumerate() {
-            let (cols, vals) = a.row(row0 + di);
-            for (&p, &v) in cols.iter().zip(vals) {
-                for (jj, cv) in crow.iter_mut().enumerate() {
-                    *cv += v * b.at(jj, p);
-                }
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,6 +554,13 @@ mod tests {
                 -3.0, 4.0, 0.0, 5.0,
             ],
         )
+    }
+
+    /// Runs one product into a fresh output on a `threads`-worker pool.
+    fn on(threads: usize, product: impl FnOnce(&mut Mat, &ThreadPool)) -> Mat {
+        let mut c = Mat::default();
+        product(&mut c, &ThreadPool::new(threads));
+        c
     }
 
     #[test]
@@ -712,11 +611,9 @@ mod tests {
         let s = SparseSlice::from_dense(&d);
         let b = Mat::from_vec(4, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let dense = d.matmul(&b).expect("shapes agree");
-        assert_eq!(spmm(&s, &b), dense);
-        let pool = ThreadPool::new(3);
-        let mut c = Mat::zeros(0, 0);
-        spmm_pooled_into(&s, &b, &mut c, &pool);
-        assert_eq!(c, dense);
+        for threads in [1, 2, 3] {
+            assert_eq!(on(threads, |c, p| spmm_into(&s, &b, c, p)), dense, "{threads} threads");
+        }
     }
 
     #[test]
@@ -724,13 +621,12 @@ mod tests {
         let d = dense_fixture();
         let s = SparseSlice::from_dense(&d);
         let b = Mat::from_vec(3, 2, vec![1.0, -1.0, 2.0, 0.5, -0.25, 3.0]);
-        assert_eq!(spmm_t(&s, &b), d.matmul_tn(&b).expect("shapes agree"));
+        let ta = d.matmul_tn(&b).expect("shapes agree");
         let qta = b.matmul_tn(&d).expect("shapes agree");
-        assert_eq!(spmm_tn(&b, &s), qta);
-        let pool = ThreadPool::new(2);
-        let mut c = Mat::zeros(0, 0);
-        spmm_tn_pooled_into(&b, &s, &mut c, &pool);
-        assert_eq!(c, qta);
+        for threads in [1, 2, 3] {
+            assert_eq!(on(threads, |c, p| spmm_t_into(&s, &b, c, p)), ta, "{threads} threads");
+            assert_eq!(on(threads, |c, p| spmm_tn_into(&b, &s, c, p)), qta, "{threads} threads");
+        }
     }
 
     #[test]
@@ -739,15 +635,14 @@ mod tests {
         let s = SparseSlice::from_dense(&d);
         let b = Mat::from_vec(2, 4, vec![1.0, -2.0, 0.5, 3.0, -0.25, 1.5, 2.0, -1.0]);
         let dense = d.matmul_nt(&b).expect("shapes agree");
-        assert_eq!(spmm_nt(&s, &b), dense);
-        let pool = ThreadPool::new(3);
-        let mut c = Mat::zeros(0, 0);
-        spmm_nt_pooled_into(&s, &b, &mut c, &pool);
-        assert_eq!(c, dense);
+        for threads in [1, 2, 3] {
+            assert_eq!(on(threads, |c, p| spmm_nt_into(&s, &b, c, p)), dense, "{threads} threads");
+        }
     }
 
-    /// The pooled scatter/gather kernels must agree with their serial
-    /// forms bitwise even when the output spans several row chunks.
+    /// The scatter/gather kernels must agree with their one-thread results
+    /// bitwise on every pool size, even when the output spans several row
+    /// chunks.
     #[test]
     fn pooled_t_and_nt_bitwise_match_serial_across_chunks() {
         // 300 columns so Aᵀ·B's output (cols × n) spans >4 chunks; values
@@ -764,14 +659,12 @@ mod tests {
         let a = coo.build();
         let b_t = Mat::from_fn(rows, 3, |i, j| ((i * 7 + j * 5) % 11) as f64 - 4.0);
         let b_nt = Mat::from_fn(9, cols, |i, j| ((i * 13 + j * 3) % 17) as f64 - 7.5);
-        let serial_t = spmm_t(&a, &b_t);
-        let serial_nt = spmm_nt(&a, &b_nt);
-        for threads in [2, 4] {
-            let pool = ThreadPool::new(threads);
-            let mut c = Mat::zeros(0, 0);
-            spmm_t_pooled_into(&a, &b_t, &mut c, &pool);
+        let serial_t = on(1, |c, p| spmm_t_into(&a, &b_t, c, p));
+        let serial_nt = on(1, |c, p| spmm_nt_into(&a, &b_nt, c, p));
+        for threads in [2, 3, 4] {
+            let c = on(threads, |c, p| spmm_t_into(&a, &b_t, c, p));
             assert_eq!(c, serial_t, "spmm_t diverged at {threads} threads");
-            spmm_nt_pooled_into(&a, &b_nt, &mut c, &pool);
+            let c = on(threads, |c, p| spmm_nt_into(&a, &b_nt, c, p));
             assert_eq!(c, serial_nt, "spmm_nt diverged at {threads} threads");
         }
     }
@@ -780,7 +673,7 @@ mod tests {
     fn gram_and_norm_match_dense() {
         let d = dense_fixture();
         let s = SparseSlice::from_dense(&d);
-        assert_eq!(sparse_gram(&s), d.gram());
+        assert_eq!(on(1, |g, _| sparse_gram_into(&s, g)), d.gram());
         let dense_norm: f64 = d.data().iter().map(|&x| x * x).sum();
         assert_eq!(s.fro_norm_sq().to_bits(), dense_norm.to_bits());
     }
@@ -806,8 +699,8 @@ mod tests {
     fn empty_slice_kernels() {
         let s = SparseSlice::empty(4, 3);
         let b = Mat::from_vec(3, 2, vec![1.0; 6]);
-        assert_eq!(spmm(&s, &b), Mat::zeros(4, 2));
-        assert_eq!(sparse_gram(&s), Mat::zeros(3, 3));
+        assert_eq!(on(2, |c, p| spmm_into(&s, &b, c, p)), Mat::zeros(4, 2));
+        assert_eq!(on(1, |g, _| sparse_gram_into(&s, g)), Mat::zeros(3, 3));
         assert_eq!(s.density(), 0.0);
         assert_eq!(s.fro_norm_sq(), 0.0);
     }

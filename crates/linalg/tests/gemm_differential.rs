@@ -14,12 +14,14 @@
 //! * proptest-generated shapes including empty, `1×N`, `N×1`, non-square,
 //!   and sizes straddling every tile/panel boundary;
 //! * NaN / ±∞ injections (the IEEE-propagation regression class);
-//! * the pooled path is additionally required to be **bit-identical** to
-//!   the serial blocked path for every thread count — that equality is the
-//!   foundation of `Dpar2::fit`'s cross-thread determinism.
+//! * the blocked path on a multi-thread pool is additionally required to be
+//!   **bit-identical** to the one-thread blocked path, and the dispatched
+//!   [`gemm`] bit-identical to whichever path its size selects, for every
+//!   thread count — that equality is the foundation of `Dpar2::fit`'s
+//!   cross-thread determinism.
 
-use dpar2_linalg::kernel::{gemm_into, gemm_naive_into, gemm_pooled_into, Trans};
-use dpar2_linalg::Mat;
+use dpar2_linalg::kernel::{gemm_blocked, gemm_naive_into, use_blocked, Trans};
+use dpar2_linalg::{gemm, Mat};
 use dpar2_parallel::ThreadPool;
 use proptest::prelude::*;
 
@@ -88,23 +90,35 @@ fn check_all_paths(a: &Mat, b: &Mat, ta: Trans, tb: Trans, k: usize, ctx: &str) 
     gemm_naive_into(ta, tb, &abs_a, &abs_b, &mut envelope);
 
     let mut blocked = Mat::zeros(0, 0);
-    gemm_into(ta, tb, a, b, &mut blocked);
+    gemm_blocked(ta, tb, a, b, &mut blocked, &ThreadPool::new(1));
     assert_differential(&reference, &blocked, &envelope, k, &format!("{ctx} blocked"));
 
-    for threads in [1, 3] {
+    // The dispatched entry point: within the differential bound on one
+    // thread, bitwise the blocked path when its size selects it, and
+    // bitwise its own one-thread result on every pool.
+    let mut dispatched = Mat::zeros(0, 0);
+    gemm(ta, tb, a, b, &mut dispatched, &ThreadPool::new(1));
+    assert_differential(&reference, &dispatched, &envelope, k, &format!("{ctx} gemm"));
+    if use_blocked(reference.rows(), reference.cols(), k) {
+        assert_bitwise(&blocked, &dispatched, &format!("{ctx}: gemm vs blocked"));
+    }
+    for threads in [1, 2, 3] {
         let pool = ThreadPool::new(threads);
         let mut pooled = Mat::zeros(0, 0);
-        gemm_pooled_into(ta, tb, a, b, &mut pooled, &pool);
-        // Pooled must agree with serial blocked *bitwise*, not just in ulp
-        // (compared via to_bits so identical NaNs count as equal).
-        assert_eq!(blocked.shape(), pooled.shape(), "{ctx}: pooled shape");
-        for (idx, (&x, &y)) in blocked.data().iter().zip(pooled.data()).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{ctx}: pooled diverged from serial blocked at {threads} threads, entry {idx}: {x} vs {y}"
-            );
-        }
+        gemm_blocked(ta, tb, a, b, &mut pooled, &pool);
+        // Pooled must agree with serial blocked *bitwise*, not just in ulp.
+        assert_bitwise(&blocked, &pooled, &format!("{ctx}: blocked at {threads} threads"));
+        let mut via_gemm = Mat::zeros(0, 0);
+        gemm(ta, tb, a, b, &mut via_gemm, &pool);
+        assert_bitwise(&dispatched, &via_gemm, &format!("{ctx}: gemm at {threads} threads"));
+    }
+}
+
+/// Bitwise equality via `to_bits`, so identical NaNs count as equal.
+fn assert_bitwise(want: &Mat, got: &Mat, ctx: &str) {
+    assert_eq!(want.shape(), got.shape(), "{ctx}: shape");
+    for (idx, (&x, &y)) in want.data().iter().zip(got.data()).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: diverged at entry {idx}: {x} vs {y}");
     }
 }
 
@@ -161,9 +175,10 @@ proptest! {
 
         let g = a.gram();
         assert_differential(&reference, &g, &envelope, rows, "gram dispatch");
-        for threads in [1, 2, 4] {
-            let gp = a.gram_pooled(&ThreadPool::new(threads));
-            prop_assert_eq!(&g, &gp, "gram_pooled diverged at {} threads", threads);
+        for threads in [1, 2, 3, 4] {
+            let mut gp = Mat::zeros(0, 0);
+            gemm(Trans::T, Trans::N, &a, &a, &mut gp, &ThreadPool::new(threads));
+            prop_assert_eq!(&g, &gp, "pooled gram diverged at {} threads", threads);
         }
         // The blocked Gram must stay exactly symmetric: entries (i, j) and
         // (j, i) run the same product sequence in the same order.
@@ -263,9 +278,9 @@ fn zero_times_special_propagates_nan_through_every_path() {
     assert!(c[(1, 1)].is_nan());
 
     let mut blocked = Mat::zeros(0, 0);
-    gemm_into(Trans::N, Trans::N, &a, &b, &mut blocked);
+    gemm_blocked(Trans::N, Trans::N, &a, &b, &mut blocked, &ThreadPool::new(1));
     let mut pooled = Mat::zeros(0, 0);
-    gemm_pooled_into(Trans::N, Trans::N, &a, &b, &mut pooled, &ThreadPool::new(2));
+    gemm_blocked(Trans::N, Trans::N, &a, &b, &mut pooled, &ThreadPool::new(2));
     for (idx, (&n_v, (&b_v, &p_v))) in
         c.data().iter().zip(blocked.data().iter().zip(pooled.data())).enumerate()
     {
@@ -280,7 +295,7 @@ fn zero_times_special_propagates_nan_through_every_path() {
 
 #[test]
 fn matmul_dispatch_consistent_with_direct_kernels() {
-    // The public Mat entry points dispatch by size; both sides of the
+    // `gemm` and its Mat conveniences dispatch by size; both sides of the
     // threshold must satisfy the same differential contract.
     for (m, n, k) in [(8, 9, 10), (90, 80, 70)] {
         let a = Mat::from_fn(m, k, |i, j| ((i + 2 * j) as f64).sin());
@@ -299,7 +314,8 @@ fn matmul_dispatch_consistent_with_direct_kernels() {
         assert_differential(&reference, &tn, &abs_prod, k, "matmul_tn dispatch");
         let nt = a.matmul_nt(b.transpose()).unwrap();
         assert_differential(&reference, &nt, &abs_prod, k, "matmul_nt dispatch");
-        let tt = a.transpose().matmul_tt(b.transpose()).unwrap();
-        assert_differential(&reference, &tt, &abs_prod, k, "matmul_tt dispatch");
+        let mut tt = Mat::zeros(0, 0);
+        gemm(Trans::T, Trans::T, a.transpose(), b.transpose(), &mut tt, &ThreadPool::new(1));
+        assert_differential(&reference, &tt, &abs_prod, k, "Aᵀ·Bᵀ dispatch");
     }
 }

@@ -12,8 +12,9 @@
 //! require `to_bits()` equality, for every random sparsity pattern.
 //!
 //! Coverage, per the sparse-subsystem contract:
-//! * all kernels — `spmm` (`A·B`), `spmm_t` (`Aᵀ·B`), `spmm_tn` (`Qᵀ·A`),
-//!   `sparse_gram` (`AᵀA`), `mttkrp_mode3_into`, `fro_norm_sq`;
+//! * all kernels — `spmm_into` (`A·B`), `spmm_t_into` (`Aᵀ·B`),
+//!   `spmm_nt_into` (`A·Bᵀ`), `spmm_tn_into` (`Qᵀ·A`), `sparse_gram_into`
+//!   (`AᵀA`), `mttkrp_mode3_into`, `fro_norm_sq`;
 //! * proptest-generated patterns including empty slices, empty rows,
 //!   all-zero columns, and duplicate COO entries (coalesced by the
 //!   builder);
@@ -25,12 +26,12 @@
 //!   restricted to finite stored values: a non-finite stored value times
 //!   a structural zero densifies to NaN, which the sparse path cannot
 //!   see — that boundary is pinned explicitly below);
-//! * the `_pooled` variants must be **bit-identical** to their serial
-//!   forms for every thread count, across the `SPMM_CHUNK_ROWS` boundary.
+//! * the four products must be **bit-identical** to their one-thread
+//!   results on every pool size, across the `SPMM_CHUNK_ROWS` boundary.
 
 use dpar2_linalg::kernel::{gemm_naive_into, Trans};
 use dpar2_linalg::sparse::{
-    mttkrp_mode3_into, sparse_gram, spmm, spmm_pooled_into, spmm_t, spmm_tn, spmm_tn_pooled_into,
+    mttkrp_mode3_into, sparse_gram_into, spmm_into, spmm_nt_into, spmm_t_into, spmm_tn_into,
     CooBuilder, SparseSlice, SPMM_CHUNK_ROWS,
 };
 use dpar2_linalg::Mat;
@@ -55,6 +56,13 @@ fn assert_mat_bits(reference: &Mat, got: &Mat, ctx: &str) {
     }
 }
 
+/// Runs one product into a fresh output on a `threads`-worker pool.
+fn on(threads: usize, product: impl FnOnce(&mut Mat, &ThreadPool)) -> Mat {
+    let mut c = Mat::zeros(0, 0);
+    product(&mut c, &ThreadPool::new(threads));
+    c
+}
+
 /// Deterministic dense fill derived from a proptest seed (xorshift64,
 /// same scheme as the GEMM differential).
 fn filler(seed: u64) -> impl FnMut() -> f64 {
@@ -68,7 +76,7 @@ fn filler(seed: u64) -> impl FnMut() -> f64 {
 }
 
 /// Runs one slice through every kernel against its densified naive
-/// oracle, plus the pooled-vs-serial bitwise pins. The dense operands are
+/// oracle, plus the every-pool-size bitwise pins. The dense operands are
 /// always finite (the contract's requirement); stored values may be
 /// anything. `finite_stored` gates the gram differential.
 fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
@@ -82,14 +90,12 @@ fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
     // spmm: A·B vs the naive i-p-j loop on the densified slice.
     let b = Mat::from_fn(s.cols(), nrhs, |_, _| next());
     gemm_naive_into(Trans::N, Trans::N, &d, &b, &mut reference);
-    let c = spmm(s, &b);
+    let c = on(1, |c, p| spmm_into(s, &b, c, p));
     assert_mat_bits(&reference, &c, &format!("{ctx} spmm"));
 
     // spmm pooled: bit-identical to serial for every pool size.
-    for threads in [1, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        let mut pooled = Mat::zeros(0, 0);
-        spmm_pooled_into(s, &b, &mut pooled, &pool);
+    for threads in [1, 2, 3, 4] {
+        let pooled = on(threads, |c, p| spmm_into(s, &b, c, p));
         assert_mat_bits(&c, &pooled, &format!("{ctx} spmm_pooled t{threads}"));
     }
 
@@ -97,17 +103,30 @@ fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
     // rows ascending in both paths, so the scatter form is still bitwise.
     let b2 = Mat::from_fn(s.rows(), nrhs, |_, _| next());
     gemm_naive_into(Trans::T, Trans::N, &d, &b2, &mut reference);
-    assert_mat_bits(&reference, &spmm_t(s, &b2), &format!("{ctx} spmm_t"));
+    let ct = on(1, |c, p| spmm_t_into(s, &b2, c, p));
+    assert_mat_bits(&reference, &ct, &format!("{ctx} spmm_t"));
+    for threads in [2, 3] {
+        let pooled = on(threads, |c, p| spmm_t_into(s, &b2, c, p));
+        assert_mat_bits(&ct, &pooled, &format!("{ctx} spmm_t_pooled t{threads}"));
+    }
+
+    // spmm_nt: A·Bᵀ against the naive loop on the densified slice.
+    let b3 = Mat::from_fn(nrhs, s.cols(), |_, _| next());
+    gemm_naive_into(Trans::N, Trans::T, &d, &b3, &mut reference);
+    let cnt = on(1, |c, p| spmm_nt_into(s, &b3, c, p));
+    assert_mat_bits(&reference, &cnt, &format!("{ctx} spmm_nt"));
+    for threads in [2, 3] {
+        let pooled = on(threads, |c, p| spmm_nt_into(s, &b3, c, p));
+        assert_mat_bits(&cnt, &pooled, &format!("{ctx} spmm_nt_pooled t{threads}"));
+    }
 
     // spmm_tn: Qᵀ·A (the Y_k product), serial and pooled.
     let q = Mat::from_fn(s.rows(), rank, |_, _| next());
     gemm_naive_into(Trans::T, Trans::N, &q, &d, &mut reference);
-    let y = spmm_tn(&q, s);
+    let y = on(1, |c, p| spmm_tn_into(&q, s, c, p));
     assert_mat_bits(&reference, &y, &format!("{ctx} spmm_tn"));
-    for threads in [1, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        let mut pooled = Mat::zeros(0, 0);
-        spmm_tn_pooled_into(&q, s, &mut pooled, &pool);
+    for threads in [1, 2, 3, 4] {
+        let pooled = on(threads, |c, p| spmm_tn_into(&q, s, c, p));
         assert_mat_bits(&y, &pooled, &format!("{ctx} spmm_tn_pooled t{threads}"));
     }
 
@@ -116,7 +135,8 @@ fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
     // NaN); the bitwise contract only covers finite stored values.
     if finite_stored {
         gemm_naive_into(Trans::T, Trans::N, &d, &d, &mut reference);
-        assert_mat_bits(&reference, &sparse_gram(s), &format!("{ctx} gram"));
+        let g = on(1, |g, _| sparse_gram_into(s, g));
+        assert_mat_bits(&reference, &g, &format!("{ctx} gram"));
     }
 
     // mttkrp mode-3: inline naive oracle over the full dense slice in the
@@ -318,7 +338,7 @@ fn gram_contract_boundary_is_real() {
     let mut dense_gram = Mat::zeros(0, 0);
     gemm_naive_into(Trans::T, Trans::N, &d, &d, &mut dense_gram);
     assert!(dense_gram[(0, 1)].is_nan(), "dense 0·∞ cross-term must be NaN");
-    let g = sparse_gram(&s);
+    let g = on(1, |g, _| sparse_gram_into(&s, g));
     assert_eq!(g[(0, 1)], 0.0, "sparse gram never touches structural-zero pairs");
     assert_eq!(g[(0, 0)], f64::INFINITY, "stored ∞² propagates");
     assert_eq!(g[(1, 1)], 4.0);

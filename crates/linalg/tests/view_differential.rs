@@ -10,8 +10,8 @@
 //! `1×N`, `N×1`, and non-unit-stride blocks, plus deterministic
 //! boundary-size pins that cross the blocked kernel's tile edges.
 
-use dpar2_linalg::view::MatRef;
-use dpar2_linalg::Mat;
+use dpar2_linalg::view::{AsMatRef, MatRef};
+use dpar2_linalg::{gemm, Mat, Trans};
 use dpar2_parallel::ThreadPool;
 use proptest::prelude::*;
 
@@ -73,6 +73,18 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     })
 }
 
+/// `C = op(a)·op(b)` through [`gemm`] on a fresh `threads`-worker pool.
+fn gemm_on(ta: Trans, tb: Trans, a: impl AsMatRef, b: impl AsMatRef, threads: usize) -> Mat {
+    let mut c = Mat::default();
+    gemm(ta, tb, a, b, &mut c, &ThreadPool::new(threads));
+    c
+}
+
+/// `C = Aᵀ · Bᵀ`, the variant without a `Mat` convenience.
+fn tt(a: impl AsMatRef, b: impl AsMatRef) -> Mat {
+    gemm_on(Trans::T, Trans::T, a, b, 1)
+}
+
 /// Asserts two matrices have identical shapes and bit patterns.
 fn assert_bits(label: &str, got: &Mat, want: &Mat) {
     assert_eq!(got.shape(), want.shape(), "{label}: shape");
@@ -108,7 +120,7 @@ proptest! {
             (|a, b| a.matmul(b).unwrap(), (m, k), (k, n), "nn"),
             (|a, b| a.matmul_tn(b).unwrap(), (k, m), (k, n), "tn"),
             (|a, b| a.matmul_nt(b).unwrap(), (m, k), (n, k), "nt"),
-            (|a, b| a.matmul_tt(b).unwrap(), (k, m), (n, k), "tt"),
+            (|a, b| tt(a, b), (k, m), (n, k), "tt"),
         ];
         for (salt, (mul, (ar, ac), (br, bc), label)) in cases.into_iter().enumerate() {
             let a = mk_block(ar, ac, at, al, salt as u64);
@@ -120,7 +132,7 @@ proptest! {
                 "nn" => a.view().matmul(&b_owned).unwrap(),
                 "tn" => a.view().matmul_tn(&b_owned).unwrap(),
                 "nt" => a.view().matmul_nt(&b_owned).unwrap(),
-                _ => a.view().matmul_tt(&b_owned).unwrap(),
+                _ => tt(a.view(), &b_owned),
             };
             assert_bits(&format!("{label}: view·owned"), &got_left, &want);
             // …owned on the left, view on the right…
@@ -128,7 +140,7 @@ proptest! {
                 "nn" => a_owned.matmul(b.view()).unwrap(),
                 "tn" => a_owned.matmul_tn(b.view()).unwrap(),
                 "nt" => a_owned.matmul_nt(b.view()).unwrap(),
-                _ => a_owned.matmul_tt(b.view()).unwrap(),
+                _ => tt(&a_owned, b.view()),
             };
             assert_bits(&format!("{label}: owned·view"), &got_right, &want);
             // …and views on both sides.
@@ -136,7 +148,7 @@ proptest! {
                 "nn" => a.view().matmul(b.view()).unwrap(),
                 "tn" => a.view().matmul_tn(b.view()).unwrap(),
                 "nt" => a.view().matmul_nt(b.view()).unwrap(),
-                _ => a.view().matmul_tt(b.view()).unwrap(),
+                _ => tt(a.view(), b.view()),
             };
             assert_bits(&format!("{label}: view·view"), &got_both, &want);
         }
@@ -149,19 +161,19 @@ proptest! {
         assert_bits("gram", &b.view().gram(), &want);
     }
 
-    /// The pooled entry points accept views and agree bitwise with the
-    /// serial result for every thread count.
+    /// `gemm` on a pool accepts views and agrees bitwise with the serial
+    /// result for every thread count.
     #[test]
     fn pooled_paths_bitwise_on_views(
         b in (1usize..10, 1usize..10).prop_flat_map(|(m, n)| block_of(m, n)),
         threads in 1usize..4,
     ) {
-        let pool = ThreadPool::new(threads);
         let owned = b.owned();
         let want_nn = owned.matmul_nt(&owned).unwrap();
-        let got_nn = b.view().matmul_nt_pooled(b.view(), &pool).unwrap();
+        let got_nn = gemm_on(Trans::N, Trans::T, b.view(), b.view(), threads);
         assert_bits("pooled nt", &got_nn, &want_nn);
-        assert_bits("pooled gram", &b.view().gram_pooled(&pool), &owned.gram());
+        let got_gram = gemm_on(Trans::T, Trans::N, b.view(), b.view(), threads);
+        assert_bits("pooled gram", &got_gram, &owned.gram());
     }
 
     /// Element accessors on a strided view agree with the owned copy.
@@ -199,8 +211,7 @@ fn blocked_path_bitwise_on_strided_views() {
         assert_bits(&format!("blocked {m}x{n}x{k}"), &got, &want);
         // Pooled path on views, every thread count.
         for threads in [1, 2, 3] {
-            let pool = ThreadPool::new(threads);
-            let pooled = va.matmul_pooled(vb, &pool).unwrap();
+            let pooled = gemm_on(Trans::N, Trans::N, va, vb, threads);
             assert_bits(&format!("pooled blocked {m}x{n}x{k}@{threads}"), &pooled, &want);
         }
     }

@@ -23,9 +23,9 @@
 //! and once on the concatenated `M = ∥_k C_k B_k` (stage 2).
 //!
 //! The pipeline is generic over a [`ProductOp`] operator (see [`ops`]):
-//! dense [`dpar2_linalg::MatRef`] runs the pooled blocked-GEMM path
+//! dense [`dpar2_linalg::MatRef`] runs [`dpar2_linalg::gemm`] on the pool
 //! (exactly the historical dense code), while a CSR
-//! [`dpar2_linalg::sparse::SparseSlice`] runs the `spmm` kernel family at
+//! [`dpar2_linalg::sparse::SparseSlice`] runs the `spmm*_into` kernels at
 //! O(nnz·(r+s)) per pass — the lever that makes DPar2's compression O(nnz)
 //! on sparse tensors.
 
@@ -33,7 +33,9 @@ pub mod ops;
 
 pub use ops::{ProductOp, SparseVStack};
 
-use dpar2_linalg::{gaussian_mat, qr_into, svd::truncate, svd_thin, Mat, QrScratch, SvdFactors};
+use dpar2_linalg::{
+    gaussian_mat, gemm, qr_into, svd::truncate, svd_thin, Mat, QrScratch, SvdFactors, Trans,
+};
 use dpar2_parallel::ThreadPool;
 use rand::Rng;
 
@@ -131,7 +133,8 @@ pub fn rsvd_pooled(
     // 5. Exact SVD of the small B, truncated to the target rank.
     let small = truncate(&svd_thin(&b), rank);
     // 6. Lift the left factor back: U = Q Ũ.
-    let u = q.matmul_pooled(&small.u, pool).expect("rsvd: Q·Ũ");
+    let mut u = Mat::zeros(0, 0);
+    gemm(Trans::N, Trans::N, &q, &small.u, &mut u, pool);
     SvdFactors { u, s: small.s, v: small.v }
 }
 

@@ -6,8 +6,8 @@
 //! projection `Qᵀ·A`, plus `‖A‖²_F` for energy truncation and an exact
 //! thin-SVD escape hatch for matrices too small to sketch. Abstracting
 //! those five behind a trait lets the same pipeline run on a dense
-//! [`MatRef`] or [`Mat`] (the pooled blocked-GEMM path, exactly the
-//! pre-trait code) and on a CSR [`SparseSlice`] (the `spmm` kernel family,
+//! [`MatRef`] or [`Mat`] ([`gemm`] on the pool, exactly the pre-trait
+//! code) and on a CSR [`SparseSlice`] (the `spmm*_into` kernel family,
 //! O(nnz·s) per pass) — which is what makes DPar2's whole compression stage
 //! O(nnz) on sparse inputs. References to operators are operators too, so
 //! `rsvd(&mat, ..)`, `rsvd(mat.view(), ..)` and `rsvd(&csr, ..)` all work.
@@ -21,10 +21,8 @@
 //! dense naive dispatch path (sketch width below the blocked-GEMM tile
 //! thresholds).
 
-use dpar2_linalg::sparse::{
-    spmm_pooled_into, spmm_t_pooled_into, spmm_tn_pooled_into, SparseSlice,
-};
-use dpar2_linalg::{svd_thin, Mat, MatRef, SvdFactors};
+use dpar2_linalg::sparse::{spmm_into, spmm_t_into, spmm_tn_into, SparseSlice};
+use dpar2_linalg::{gemm, svd_thin, Mat, MatRef, SvdFactors, Trans};
 use dpar2_parallel::ThreadPool;
 
 /// A matrix seen only through the products the randomized SVD needs.
@@ -84,7 +82,7 @@ impl<T: ProductOp + ?Sized> ProductOp for &T {
     }
 }
 
-/// Dense operator: delegates to the pooled GEMM family — the exact call
+/// Dense operator: delegates to [`gemm`] on the pool — the exact call
 /// sequence the pre-abstraction `rsvd_pooled` made, so the dense pipeline
 /// is bit-for-bit the historical one.
 impl ProductOp for MatRef<'_> {
@@ -93,15 +91,15 @@ impl ProductOp for MatRef<'_> {
     }
 
     fn mm_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
-        self.matmul_pooled_into(b, c, pool);
+        gemm(Trans::N, Trans::N, *self, b, c, pool);
     }
 
     fn mm_t_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
-        self.matmul_tn_pooled_into(b, c, pool);
+        gemm(Trans::T, Trans::N, *self, b, c, pool);
     }
 
     fn proj_into(&self, q: &Mat, c: &mut Mat, pool: &ThreadPool) {
-        q.matmul_tn_pooled_into(*self, c, pool);
+        gemm(Trans::T, Trans::N, q, *self, c, pool);
     }
 
     fn fro_norm_sq(&self) -> f64 {
@@ -148,15 +146,15 @@ impl ProductOp for SparseSlice {
     }
 
     fn mm_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
-        spmm_pooled_into(self, b, c, pool);
+        spmm_into(self, b, c, pool);
     }
 
     fn mm_t_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
-        spmm_t_pooled_into(self, b, c, pool);
+        spmm_t_into(self, b, c, pool);
     }
 
     fn proj_into(&self, q: &Mat, c: &mut Mat, pool: &ThreadPool) {
-        spmm_tn_pooled_into(q, self, c, pool);
+        spmm_tn_into(q, self, c, pool);
     }
 
     fn fro_norm_sq(&self) -> f64 {

@@ -28,8 +28,8 @@
 //!   length-prefixed binary protocol + curl-able HTTP text mode, bounded
 //!   admission queues, request batching, graceful shutdown.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the full system
-//! inventory.
+//! See `README.md` for a quickstart and its "Workspace layout" section for
+//! the full system inventory.
 
 pub use dpar2_analysis as analysis;
 pub use dpar2_baselines as baselines;
