@@ -22,6 +22,11 @@
 //!
 //! The closed form used for Lemma 3 follows from column-major vectorization:
 //! `vec(M)ᵀ (a ⊗ b) = Σ_{ij} M(i,j)·a(j)·b(i) = bᵀ M a`.
+//!
+//! `G⁽³⁾` serves twice: the `W` update solves against it, and the
+//! convergence criterion reads `⟨W, G⁽³⁾⟩` off it afterwards
+//! ([`crate::convergence::criterion_from_byproducts`]), since
+//! `G⁽³⁾(k,r) = H(:,r)ᵀ Y_k V(:,r)` is the model–data cross term.
 
 use crate::session::Workspace;
 use dpar2_linalg::{gemm, Mat, Trans};

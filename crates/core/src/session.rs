@@ -14,8 +14,8 @@
 //!   criterion/fitness traces, wall-clock) and can cancel cooperatively by
 //!   returning [`ControlFlow::Break`];
 //! * fits stop for a *typed* reason ([`StopReason`]) instead of silently
-//!   truncating: convergence, iteration budget, observer cancellation, or
-//!   wall-clock budget.
+//!   truncating: convergence, divergence, iteration budget, observer
+//!   cancellation, or wall-clock budget.
 
 use crate::config::FitOptions;
 use crate::convergence::converged;
@@ -55,8 +55,6 @@ pub struct Workspace {
     pub mttkrp: MttkrpScratch,
     /// Per-slice product scratch (`R×R` or `I_k×R` scale).
     pub slice_a: Mat,
-    /// Second per-slice product scratch.
-    pub slice_b: Mat,
     /// Criterion scratch: the model row-block `H S_k Vᵀ` (or `Q_k H S_k`).
     pub crit_hs: Mat,
     /// Criterion scratch: the predicted slice.
@@ -79,6 +77,8 @@ pub struct Workspace {
     pub tall_a: Mat,
     /// Second tall baseline scratch.
     pub tall_b: Mat,
+    /// DPar2's `Q_k` step: one lane group of `R×R` SVDs.
+    pub qk: crate::solver::QkScratch,
 }
 
 impl Workspace {
@@ -110,6 +110,10 @@ pub enum StopReason {
     Cancelled,
     /// The wall-clock budget ([`FitOptions::time_budget`]) ran out.
     TimeBudget,
+    /// The criterion came out NaN or infinite (an overflowing input or a
+    /// diverging update). The fit stops at once; its factors are those of
+    /// the diverged iteration and should not be published.
+    Diverged,
 }
 
 /// The phases a fit reports wall-clock for, refining the paper's timing
@@ -438,9 +442,9 @@ impl<'o> FitSession<'o> {
     /// Records a completed iteration and decides whether to stop.
     ///
     /// Order of precedence when several conditions trip on the same
-    /// iteration: convergence, then observer cancellation, then the time
-    /// budget, then the iteration budget. Returns `true` when the solver
-    /// should leave its loop.
+    /// iteration: divergence (a non-finite criterion), convergence, then
+    /// observer cancellation, then the time budget, then the iteration
+    /// budget. Returns `true` when the solver should leave its loop.
     pub fn finish_iteration(&mut self, criterion: f64, data_norm_sq: f64) -> bool {
         let iteration_secs = self.t_iter.elapsed().as_secs_f64();
         let prev = self.criterion_trace.last().copied();
@@ -459,7 +463,9 @@ impl<'o> FitSession<'o> {
             ControlFlow::Continue(()) => None,
         };
 
-        if converged(prev, criterion, data_norm_sq, self.tolerance) {
+        if !criterion.is_finite() {
+            self.stop = Some(StopReason::Diverged);
+        } else if converged(prev, criterion, data_norm_sq, self.tolerance) {
             self.stop = Some(StopReason::Converged);
         } else if let Some(reason) = observer_stop {
             self.stop = Some(reason);
@@ -566,6 +572,24 @@ mod tests {
         // First iteration: criterion 0 ≤ tol·norm → absolute convergence.
         let out = drive(&opts, &mut obs, &[0.0]);
         assert_eq!(out.stop_reason, StopReason::Converged);
+    }
+
+    #[test]
+    fn non_finite_criterion_is_diverged_before_anything_else() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // The observer asks to stop on the same iteration, and −∞ would
+            // pass the absolute convergence test: divergence wins both.
+            let mut obs = |e: &IterationEvent| {
+                if e.iteration == 2 {
+                    ControlFlow::Break(StopReason::Cancelled)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
+            let out = drive(&options().with_tolerance(1e-2), &mut obs, &[5.0, bad, 1.0]);
+            assert_eq!(out.stop_reason, StopReason::Diverged, "criterion {bad}");
+            assert_eq!(out.iterations(), 2);
+        }
     }
 
     #[test]

@@ -2,15 +2,13 @@
 
 use crate::compress::{compress_valid, CompressedTensor};
 use crate::config::FitOptions;
-use crate::convergence::compressed_criterion_ws;
+use crate::convergence::criterion_from_byproducts;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::{Parafac2Fit, TimingBreakdown};
 use crate::lemmas::{g1_ws, g2_ws, g3_ws};
 use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver};
 use crate::slices::{validate, SliceTensor};
-use dpar2_linalg::pinv_into;
-use dpar2_linalg::svd::svd_thin_into;
-use dpar2_linalg::{Mat, SvdFactors, SvdScratch};
+use dpar2_linalg::{pinv_into, svd_thin_batch_into, Mat, SvdBatchScratch, SvdFactors, SVD_LANES};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::normalize_columns_mut;
 use dpar2_tensor::IrregularTensor;
@@ -97,13 +95,14 @@ impl WarmStart {
 ///   2-4  compress slices in parallel:  X_k ≈ A_k B_k C_kᵀ       (stage 1)
 ///   5-6  M ← ∥_k C_k B_k;  D E Fᵀ ← rSVD(M)                     (stage 2)
 ///   7  repeat
-///   8-10   Z_k Σ_k P_kᵀ ← SVD(F(k) E Dᵀ V S_k Hᵀ)   (R×R SVDs)
+///   8-10   Z_k Σ_k P_kᵀ ← SVD(F(k) E Dᵀ V S_k Hᵀ)   (R×R SVDs, 4 at once)
 ///   11-13  Y_k kept factorized as P_k Z_kᵀ F(k) E Dᵀ
 ///   14-15  G⁽¹⁾ ← Lemma 1;  H ← G⁽¹⁾(WᵀW ∗ VᵀV)†;  normalize H
 ///   16-17  G⁽²⁾ ← Lemma 2;  V ← G⁽²⁾(WᵀW ∗ HᵀH)†;  normalize V
 ///   18-19  G⁽³⁾ ← Lemma 3;  W ← G⁽³⁾(VᵀV ∗ HᵀH)†
 ///   20-22  S_k ← diag(W(k,:))
-///   23 until converged / iteration budget / observer break / time budget
+///   23 until converged / diverged / iteration budget / observer break /
+///      time budget  (criterion from G⁽³⁾ and VᵀV ∗ HᵀH, O(KR²))
 ///   24-26  U_k ← A_k Z_k P_kᵀ H
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -314,43 +313,25 @@ impl Dpar2 {
             session.start_iteration();
             let ws = session.workspace();
 
-            // Lines 8–10: per-slice R×R SVD of F(k)·(E Dᵀ V)·S_k·Hᵀ.
+            // Lines 8–13: the R×R SVDs of F(k)·(E Dᵀ V)·S_k·Hᵀ, in lane
+            // groups of SVD_LANES slices. A pool gives each thread one run
+            // of whole groups; the groups, and so every bit, are the same.
             if serial {
-                for k in 0..k_dim {
-                    slice_svd_update(
-                        &ct.f_blocks[k],
-                        &edtv,
-                        w.row(k),
-                        &h,
-                        &mut zpt[k],
-                        &mut pzf[k],
-                        &mut ws.svd_out,
-                        &mut ws.svd,
-                        &mut ws.slice_a,
-                        &mut ws.slice_b,
-                    );
-                }
+                qk_update(0, &ct.f_blocks, &edtv, &w, &h, &mut zpt, &mut pzf, &mut ws.qk);
             } else {
-                let svd_out: Vec<(Mat, Mat)> = pool.map(&ct.f_blocks, |k, f_k| {
-                    let (mut zp, mut pzf_k) = (Mat::default(), Mat::default());
-                    slice_svd_update(
-                        f_k,
-                        &edtv,
-                        w.row(k),
-                        &h,
-                        &mut zp,
-                        &mut pzf_k,
-                        &mut SvdFactors::default(),
-                        &mut SvdScratch::default(),
-                        &mut Mat::default(),
-                        &mut Mat::default(),
-                    );
-                    (zp, pzf_k)
+                // Whole groups per run; `max` keeps the step non-zero at K = 0.
+                let run = k_dim.div_ceil(pool.threads()).next_multiple_of(SVD_LANES).max(SVD_LANES);
+                let starts: Vec<usize> = (0..k_dim).step_by(run).collect();
+                let runs: Vec<(Vec<Mat>, Vec<Mat>)> = pool.map(&starts, |_, &k0| {
+                    let len = run.min(k_dim - k0);
+                    let (mut zp, mut pzf_run) =
+                        (vec![Mat::default(); len], vec![Mat::default(); len]);
+                    let mut scratch = QkScratch::default();
+                    qk_update(k0, &ct.f_blocks, &edtv, &w, &h, &mut zp, &mut pzf_run, &mut scratch);
+                    (zp, pzf_run)
                 });
-                for (k, (zp, pzf_k)) in svd_out.into_iter().enumerate() {
-                    zpt[k] = zp;
-                    pzf[k] = pzf_k;
-                }
+                // The runs are consecutive and in order.
+                (zpt, pzf) = runs.into_iter().flat_map(|(z, p)| z.into_iter().zip(p)).unzip();
             }
 
             // Lines 14–15: H update.
@@ -383,10 +364,11 @@ impl Dpar2 {
             g_out.matmul_into(&pinv_buf, &mut next_w);
             std::mem::swap(&mut w, &mut next_w);
 
-            // Line 23: compressed convergence criterion, then the session's
-            // shared stopping rule (convergence / observer / time budget /
-            // iteration budget).
-            let crit = compressed_criterion_ws(&pzf, &edt, &h, &w, &v, &pool, ws);
+            // Line 23: the compressed criterion from the W update's
+            // by-products (G⁽³⁾ is still in `g_out`, VᵀV ∗ HᵀH in `gram_a`),
+            // then the session's shared stopping rule (divergence /
+            // convergence / observer / time budget / iteration budget).
+            let crit = criterion_from_byproducts(data_norm_sq, &w, &g_out, &gram_a);
             if session.finish_iteration(crit, data_norm_sq) {
                 break;
             }
@@ -421,37 +403,53 @@ impl Dpar2 {
     }
 }
 
-/// One slice's `Q_k` step (lines 8–13): the `R×R` SVD of
-/// `F(k)·(EDᵀV)·S_k·Hᵀ` plus the factorized-slice refresh, entirely into
-/// caller-owned buffers. Shared by the serial (workspace-backed) and
-/// pooled paths so both are bit-identical.
+/// Scratch for the `Q_k` step of one lane group; the serial fit keeps one
+/// in its [`crate::Workspace`], so steady-state iterations allocate nothing.
+#[derive(Debug, Default)]
+pub struct QkScratch {
+    /// `F(k)·(E Dᵀ V)·S_k` for one slice.
+    prod: Mat,
+    /// The group's SVD inputs `F(k)·(E Dᵀ V)·S_k·Hᵀ`.
+    inputs: [Mat; SVD_LANES],
+    /// Their factors.
+    factors: [SvdFactors; SVD_LANES],
+    svd: SvdBatchScratch,
+}
+
+/// The `Q_k` step (lines 8–13) for the slices `k0..k0 + zpt.len()`, in
+/// groups of [`SVD_LANES`] from `k0`: the `R×R` SVDs of
+/// `F(k)·(E Dᵀ V)·S_k·Hᵀ` through the lane-batched kernel, then
+/// `Z_k P_kᵀ` into `zpt` and `PZF_k = (Z_k P_kᵀ)ᵀ F(k)` into `pzf`.
 #[allow(clippy::too_many_arguments)]
-fn slice_svd_update(
-    f_k: &Mat,
+fn qk_update(
+    k0: usize,
+    f_blocks: &[Mat],
     edtv: &Mat,
-    wrow: &[f64],
+    w: &Mat,
     h: &Mat,
-    zp: &mut Mat,
-    pzf_k: &mut Mat,
-    svd_out: &mut SvdFactors,
-    svd_ws: &mut SvdScratch,
-    t1: &mut Mat,
-    t2: &mut Mat,
+    zpt: &mut [Mat],
+    pzf: &mut [Mat],
+    g: &mut QkScratch,
 ) {
-    f_k.matmul_into(edtv, t1); // F(k)·EDᵀV
-                               // · S_k (diagonal, scale columns by W(k,:))
-    for i in 0..t1.rows() {
-        let row = t1.row_mut(i);
-        for (c, &wv) in wrow.iter().enumerate() {
-            row[c] *= wv;
+    let groups = zpt.chunks_mut(SVD_LANES).zip(pzf.chunks_mut(SVD_LANES));
+    for (first, (zpt, pzf)) in (k0..).step_by(SVD_LANES).zip(groups) {
+        let lanes = zpt.len();
+        for (k, input) in (first..).zip(&mut g.inputs[..lanes]) {
+            f_blocks[k].matmul_into(edtv, &mut g.prod);
+            // · S_k (diagonal, scale columns by W(k,:)), then · Hᵀ.
+            for i in 0..g.prod.rows() {
+                for (x, &wv) in g.prod.row_mut(i).iter_mut().zip(w.row(k)) {
+                    *x *= wv;
+                }
+            }
+            g.prod.matmul_nt_into(h, input);
+        }
+        svd_thin_batch_into(&g.inputs[..lanes], &mut g.factors[..lanes], &mut g.svd);
+        for (k, (f, (zp, pzf_k))) in (first..).zip(g.factors.iter().zip(zpt.iter_mut().zip(pzf))) {
+            f.u.matmul_nt_into(&f.v, zp);
+            zp.matmul_tn_into(&f_blocks[k], pzf_k);
         }
     }
-    // · Hᵀ, then the small SVD.
-    t1.matmul_nt_into(h, t2);
-    svd_thin_into(&*t2, svd_out, svd_ws);
-    // Z_k P_kᵀ and PZF_k = P_k Z_kᵀ F(k) = (Z_k P_kᵀ)ᵀ F(k).
-    svd_out.u.matmul_nt_into(&svd_out.v, zp);
-    zp.matmul_tn_into(f_k, pzf_k);
 }
 
 impl Parafac2Solver for Dpar2 {
@@ -550,6 +548,60 @@ mod tests {
                 "criterion increased: {:?}",
                 fit.criterion_trace
             );
+        }
+    }
+
+    #[test]
+    fn last_criterion_is_the_residual_of_the_returned_factors() {
+        // The trace comes from the W update's by-products; recompute its
+        // last entry from the fit itself:
+        // Σ_k ‖F(k)·EDᵀ − A_kᵀU_k·diag(s_k)·Vᵀ‖², where A_kᵀU_k = Z_kP_kᵀH.
+        for (noise, iters) in [(0.3, 6), (0.05, 20)] {
+            let t = planted_parafac2(&[30, 45, 25, 35, 20], 18, 3, noise, 433);
+            let opts =
+                FitOptions::new(3).with_seed(434).with_tolerance(0.0).with_max_iterations(iters);
+            let ct = compress(&t, &opts).unwrap();
+            let fit = Dpar2.fit_compressed(&ct, &opts).unwrap();
+            let edt = ct.edt();
+            let mut residual = 0.0;
+            for k in 0..ct.k() {
+                let mut core = ct.a[k].matmul_tn(&fit.u[k]).unwrap();
+                for i in 0..core.rows() {
+                    for (x, &sv) in core.row_mut(i).iter_mut().zip(&fit.s[k]) {
+                        *x *= sv;
+                    }
+                }
+                let model = core.matmul_nt(&fit.v).unwrap();
+                residual += (&ct.f_blocks[k].matmul(&edt).unwrap() - &model).fro_norm_sq();
+            }
+            let last = *fit.criterion_trace.last().unwrap();
+            assert!(
+                (last - residual).abs() <= 1e-9 * residual,
+                "noise {noise}: trace ends at {last}, the factors give {residual}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_products_stop_as_diverged() {
+        // Scaled F blocks overflow every product of the iteration: the fit
+        // must come back `Ok` with a typed stop, not panic or report
+        // convergence, serial and pooled.
+        let t = planted_parafac2(&[16, 20, 12, 18, 14], 10, 2, 0.1, 435);
+        let opts = FitOptions::new(2).with_seed(436);
+        let mut ct = compress(&t, &opts).unwrap();
+        for f in &mut ct.f_blocks {
+            for i in 0..f.rows() {
+                for x in f.row_mut(i) {
+                    *x *= 1e300;
+                }
+            }
+        }
+        for threads in [1, 2] {
+            let fit = Dpar2.fit_compressed(&ct, &opts.with_threads(threads)).unwrap();
+            assert_eq!(fit.stop_reason, StopReason::Diverged, "{threads} threads");
+            assert_eq!(fit.iterations, 1);
+            assert!(!fit.criterion_trace[0].is_finite());
         }
     }
 

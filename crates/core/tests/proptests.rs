@@ -3,7 +3,9 @@
 
 use dpar2_core::compress::compress;
 use dpar2_core::config::FitOptions;
-use dpar2_core::convergence::{compressed_criterion_ws, explicit_criterion};
+use dpar2_core::convergence::{
+    compressed_criterion_ws, criterion_from_byproducts, explicit_criterion,
+};
 use dpar2_core::lemmas::{g1_ws, g2_ws, g3_ws, materialize_y, naive_g1, naive_g2, naive_g3};
 use dpar2_core::{Dpar2, StreamingDpar2, Workspace};
 use dpar2_linalg::{gaussian_mat, qr, Mat};
@@ -91,6 +93,32 @@ proptest! {
         let y: Vec<Mat> = pzf.iter().map(|p| p.matmul(&edt).unwrap()).collect();
         let slow = explicit_criterion(&y, &h, &w, &v);
         prop_assert!((fast - slow).abs() < 1e-8 * (1.0 + slow));
+    }
+
+    /// The `O(K R²)` criterion from the W update's by-products equals the
+    /// slice-by-slice reference for any `F(k)`, orthogonal `Z_k P_kᵀ`, `H`,
+    /// `V` and `W`, with `G⁽³⁾` from the Lemma-3 kernel.
+    #[test]
+    fn byproduct_criterion_matches_reference(seed in 0u64..500, k in 1usize..9, j in 2usize..12, r in 1usize..6) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f: Vec<Mat> = (0..k).map(|_| gaussian_mat(r, r, &mut rng)).collect();
+        let edt = gaussian_mat(r, j, &mut rng);
+        let h = gaussian_mat(r, r, &mut rng);
+        let v = gaussian_mat(j, r, &mut rng);
+        let w = gaussian_mat(k, r, &mut rng);
+        // PZF_k = P_k Z_kᵀ F(k) = (Z_k P_kᵀ)ᵀ F(k), Z_k P_kᵀ orthogonal.
+        let pzf: Vec<Mat> =
+            f.iter().map(|fk| qr::qr(gaussian_mat(r, r, &mut rng)).q.matmul_tn(fk).unwrap()).collect();
+        let data_norm_sq: f64 = f.iter().map(|fk| fk.matmul(&edt).unwrap().fro_norm_sq()).sum();
+        let pool = ThreadPool::new(1);
+        let mut ws = Workspace::new();
+        let mut g3 = Mat::default();
+        g3_ws(&pzf, &edt.matmul(&v).unwrap(), &h, &pool, &mut g3, &mut ws);
+        let mut gram = v.matmul_tn(&v).unwrap();
+        gram.hadamard_assign(h.matmul_tn(&h).unwrap());
+        let fast = criterion_from_byproducts(data_norm_sq, &w, &g3, &gram);
+        let reference = compressed_criterion_ws(&pzf, &edt, &h, &w, &v, &pool, &mut ws);
+        prop_assert!((fast - reference).abs() <= 1e-9 * reference, "{fast} vs {reference}");
     }
 
     /// Fitness is always in (−∞, 1] and the solver never panics across

@@ -20,7 +20,9 @@
 //!   products stay on the naive loops.
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
-//!   preconditioning for tall matrices), plus rank-truncated variants.
+//!   preconditioning for tall matrices), plus rank-truncated variants and
+//!   a lane-batched kernel that factors several small square matrices in
+//!   lock step, bitwise equal to factoring each alone.
 //! * [`eig`] — cyclic Jacobi eigendecomposition of symmetric matrices.
 //! * [`mod@pinv`] — Moore–Penrose pseudoinverse via the SVD, as required by the
 //!   CP-ALS update rules (the `†` operator in Algorithm 2/3 of the paper).
@@ -74,7 +76,10 @@ pub use pinv::{pinv, pinv_into};
 pub use qr::{qr, qr_into, QrFactors, QrScratch};
 pub use random::{gaussian_mat, uniform_mat};
 pub use sparse::{CooBuilder, SparseSlice};
-pub use svd::{svd_thin, svd_truncated, SvdFactors, SvdScratch};
+pub use svd::{
+    svd_thin, svd_thin_batch_into, svd_truncated, SvdBatchScratch, SvdFactors, SvdScratch,
+    SVD_LANES,
+};
 pub use view::{AsMatRef, MatMut, MatRef};
 
 /// Machine-epsilon-scale tolerance used across factorization routines when

@@ -16,6 +16,20 @@
 //! for the small/medium matrices these algorithms produce. Tall matrices are
 //! QR-preconditioned first (`A = Q·R`, Jacobi on `R`); wide matrices are
 //! transposed.
+//!
+//! DPar2's `Q_k` step factors `K` same-shape `R×R` matrices per iteration,
+//! and one small Jacobi SVD is latency-bound: every pair `(p, q)` waits on
+//! a dot-product chain, a square root and two divisions. The lane-batched
+//! kernel [`svd_thin_batch_into`] factors up to [`SVD_LANES`] square
+//! matrices in lock step, one per lane of `[f64; SVD_LANES]` arrays, so the
+//! lanes' chains overlap. Each lane runs exactly the scalar expressions
+//! (Rust never contracts `a*b + c` into a fused multiply-add), has its own
+//! tolerance and stops sweeping when its own sweep makes no rotation. A
+//! lane that does not rotate a pair keeps its values by *select*, never by
+//! an identity rotation `c = 1, s = 0`: that would still round, and turns
+//! `−0` into `+0` (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every lane's
+//! factors are therefore bitwise those of [`svd_thin_into`]. Both kernels
+//! end in one shared finish step (sort, normalize, basis completion).
 
 use crate::mat::Mat;
 use crate::qr::{qr_into, QrScratch};
@@ -93,6 +107,25 @@ pub struct SvdScratch {
     trans: Mat,
 }
 
+/// Number of matrices [`svd_thin_batch_into`] factors in lock step.
+pub const SVD_LANES: usize = 4;
+
+/// One value per lane of the batched kernel.
+type Lanes = [f64; SVD_LANES];
+
+/// Reusable scratch for [`svd_thin_batch_into`]; like [`SvdScratch`], it
+/// grows to the largest shape seen and then allocates nothing.
+#[derive(Debug, Default)]
+pub struct SvdBatchScratch {
+    /// Lane-interleaved column-major Jacobi working store (`n×n`).
+    w: Vec<Lanes>,
+    /// Lane-interleaved column-major rotation accumulator (`n×n`).
+    v: Vec<Lanes>,
+    /// Scalar scratch: one lane at a time through the shared finish step,
+    /// and the lanes the batched sweeps do not take.
+    scalar: SvdScratch,
+}
+
 /// Thin SVD of an arbitrary dense matrix.
 ///
 /// Strategy:
@@ -125,6 +158,127 @@ pub fn svd_thin_into(a: impl AsMatRef, out: &mut SvdFactors, ws: &mut SvdScratch
         return;
     }
     svd_tall_into(a, &mut out.u, &mut out.s, &mut out.v, ws);
+}
+
+/// Factors up to [`SVD_LANES`] matrices at once: `out[l]` is bitwise what
+/// [`svd_thin_into`] writes for `a[l]`.
+///
+/// Non-zero square matrices of one shape (the first lane's) run the
+/// one-sided Jacobi sweeps in lock step, one lane each (see the module
+/// docs); any other shape, and an all-zero matrix, goes through
+/// [`svd_thin_into`] on its own.
+///
+/// # Panics
+/// Panics if `a` and `out` differ in length or hold more than
+/// [`SVD_LANES`] matrices.
+pub fn svd_thin_batch_into(a: &[Mat], out: &mut [SvdFactors], ws: &mut SvdBatchScratch) {
+    assert!(
+        a.len() == out.len() && a.len() <= SVD_LANES,
+        "svd_thin_batch_into: {} inputs, {} outputs, at most {SVD_LANES} lanes",
+        a.len(),
+        out.len()
+    );
+    let n = a.first().map_or(0, Mat::cols);
+    // `live` lanes take the batched sweeps, with the scalar tolerance.
+    let mut live = [false; SVD_LANES];
+    let mut tol = [0.0; SVD_LANES];
+    for (l, (x, o)) in a.iter().zip(out.iter_mut()).enumerate() {
+        let fro = if n > 0 && x.shape() == (n, n) { x.fro_norm() } else { 0.0 };
+        if fro == 0.0 {
+            svd_thin_into(x, o, &mut ws.scalar);
+        } else {
+            live[l] = true;
+            tol[l] = (1e-15 * fro * fro).max(1e-30);
+        }
+    }
+    if !live.contains(&true) {
+        return;
+    }
+    let SvdBatchScratch { w, v, scalar } = ws;
+    w.clear();
+    w.resize(n * n, [0.0; SVD_LANES]);
+    for (l, x) in a.iter().enumerate().filter(|&(l, _)| live[l]) {
+        for j in 0..n {
+            for i in 0..n {
+                w[j * n + i][l] = x.at(i, j);
+            }
+        }
+    }
+    v.clear();
+    v.resize(n * n, [0.0; SVD_LANES]);
+    for j in 0..n {
+        v[j * n + j] = [1.0; SVD_LANES];
+    }
+
+    let mut active = live;
+    for _sweep in 0..MAX_SWEEPS {
+        let mut rotated = [false; SVD_LANES];
+        for p in 0..n {
+            for q in p + 1..n {
+                let (mut app, mut aqq, mut apq) =
+                    ([0.0; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES]);
+                for (wp, wq) in w[p * n..(p + 1) * n].iter().zip(&w[q * n..(q + 1) * n]) {
+                    for l in 0..SVD_LANES {
+                        app[l] += wp[l] * wp[l];
+                        aqq[l] += wq[l] * wq[l];
+                        apq[l] += wp[l] * wq[l];
+                    }
+                }
+                // The scalar skip test and rotation, lane by lane.
+                let (mut rot, mut c, mut s_rot) =
+                    ([false; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES]);
+                for l in 0..SVD_LANES {
+                    rot[l] = active[l]
+                        && !(apq[l].abs() <= tol[l]
+                            || apq[l].abs() <= 1e-15 * (app[l] * aqq[l]).sqrt());
+                    let zeta = (aqq[l] - app[l]) / (2.0 * apq[l]);
+                    let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                    c[l] = 1.0 / (1.0 + t * t).sqrt();
+                    s_rot[l] = c[l] * t;
+                    rotated[l] |= rot[l];
+                }
+                if !rot.contains(&true) {
+                    continue;
+                }
+                let (wp, wq) = pair_mut(w, n, p, q);
+                rotate_lanes(wp, wq, &rot, &c, &s_rot);
+                let (vp, vq) = pair_mut(v, n, p, q);
+                rotate_lanes(vp, vq, &rot, &c, &s_rot);
+            }
+        }
+        // A lane whose sweep made no rotation has converged, as the scalar
+        // loop's `break` says.
+        for l in 0..SVD_LANES {
+            active[l] &= rotated[l];
+        }
+        if !active.contains(&true) {
+            break;
+        }
+    }
+
+    for (l, o) in out.iter_mut().enumerate().filter(|&(l, _)| live[l]) {
+        scalar.w.clear();
+        scalar.w.extend(w.iter().map(|x| x[l]));
+        scalar.v.resize_zeroed(n, n);
+        for j in 0..n {
+            for i in 0..n {
+                scalar.v.set(i, j, v[j * n + i][l]);
+            }
+        }
+        jacobi_finish(n, n, &mut o.u, &mut o.s, &mut o.v, scalar);
+    }
+}
+
+/// Applies one pair's rotations to two lane-interleaved columns. A lane
+/// that does not rotate keeps its values by select (see the module docs).
+fn rotate_lanes(xp: &mut [Lanes], xq: &mut [Lanes], rot: &[bool; SVD_LANES], c: &Lanes, s: &Lanes) {
+    for (p, q) in xp.iter_mut().zip(xq) {
+        for l in 0..SVD_LANES {
+            let (a, b) = (p[l], q[l]);
+            p[l] = if rot[l] { c[l] * a - s[l] * b } else { a };
+            q[l] = if rot[l] { s[l] * a + c[l] * b } else { b };
+        }
+    }
 }
 
 /// Tall/square driver (`m ≥ n`): QR-precondition when noticeably tall.
@@ -280,22 +434,39 @@ fn jacobi_svd_into(
         }
     }
 
-    // Column norms are the singular values.
-    let order = &mut ws.order;
+    jacobi_finish(m, n, u, s, v_out, ws);
+}
+
+/// The finish step both Jacobi kernels share: column norms of the
+/// converged working store `ws.w` (column-major `m×n`) are the singular
+/// values; sort them descending, normalize the columns into `U`, permute
+/// the accumulated rotation `ws.v` into `V`, and complete `U`'s basis where
+/// columns are numerically null.
+fn jacobi_finish(
+    m: usize,
+    n: usize,
+    u: &mut Mat,
+    s: &mut Vec<f64>,
+    v_out: &mut Mat,
+    ws: &mut SvdScratch,
+) {
+    let SvdScratch { w, v, sigmas, order, deficient, cand, .. } = ws;
     order.clear();
     order.extend(0..n);
-    let sigmas = &mut ws.sigmas;
     sigmas.clear();
     sigmas
         .extend(w.chunks_exact(m.max(1)).map(|col| col.iter().map(|&x| x * x).sum::<f64>().sqrt()));
-    order.sort_by(|&i, &j| sigmas[j].partial_cmp(&sigmas[i]).expect("NaN singular value"));
+    // `total_cmp` is the IEEE order on these non-negative norms (never
+    // `−0`: a sum of squares rounds to `+0`) and a total one, so a NaN
+    // from a diverging input sorts instead of panicking.
+    order.sort_by(|&i, &j| sigmas[j].total_cmp(&sigmas[i]));
 
     u.resize_zeroed(m, n);
     s.clear();
     v_out.resize_zeroed(n, n);
     let sigma_max = order.first().map(|&i| sigmas[i]).unwrap_or(0.0);
     let rank_tol = sigma_max * 1e-14;
-    ws.deficient.clear();
+    deficient.clear();
     for (new_j, &old_j) in order.iter().enumerate() {
         let sigma = sigmas[old_j];
         s.push(sigma);
@@ -306,7 +477,7 @@ fn jacobi_svd_into(
                 u.set(i, new_j, col[i] * inv);
             }
         } else {
-            ws.deficient.push(new_j);
+            deficient.push(new_j);
         }
         for i in 0..n {
             v_out.set(i, new_j, v.at(i, old_j));
@@ -314,13 +485,13 @@ fn jacobi_svd_into(
     }
     // Rank-deficient inputs leave null columns in U; PARAFAC2's Q_k update
     // needs a fully orthonormal U, so complete the basis deterministically.
-    if !ws.deficient.is_empty() {
-        complete_orthonormal_columns(u, &ws.deficient, &mut ws.cand);
+    if !deficient.is_empty() {
+        complete_orthonormal_columns(u, deficient, cand);
     }
 }
 
-/// Borrows two distinct columns of the flat working store mutably.
-fn pair_mut(w: &mut [f64], m: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+/// Borrows two distinct columns of a flat column-major store mutably.
+fn pair_mut<T>(w: &mut [T], m: usize, p: usize, q: usize) -> (&mut [T], &mut [T]) {
     debug_assert!(p < q);
     let (lo, hi) = w.split_at_mut(q * m);
     (&mut lo[p * m..(p + 1) * m], &mut hi[..m])
@@ -497,6 +668,25 @@ mod tests {
     fn empty_matrix() {
         let f = svd_thin(Mat::zeros(0, 0));
         assert!(f.s.is_empty());
+    }
+
+    #[test]
+    fn non_finite_input_returns_instead_of_panicking() {
+        // A diverging fit hands NaN/∞ to the small SVDs; they must return
+        // (with non-finite factors) rather than panic in the sort. Square,
+        // tall (QR path) and wide shapes.
+        let mut rng = StdRng::seed_from_u64(28);
+        for (m, n) in [(4, 4), (12, 3), (3, 8), (1, 1)] {
+            for bad in [f64::NAN, f64::INFINITY, -f64::INFINITY] {
+                let mut a = gaussian_mat(m, n, &mut rng);
+                a.set(m / 2, n / 2, bad);
+                let f = svd_thin(&a);
+                assert_eq!(f.s.len(), m.min(n));
+                assert!(f.s.iter().any(|s| !s.is_finite()), "{m}x{n} with {bad}: {:?}", f.s);
+                let all_bad = Mat::from_fn(m, n, |_, _| bad);
+                assert_eq!(svd_thin(&all_bad).s.len(), m.min(n));
+            }
+        }
     }
 
     #[test]

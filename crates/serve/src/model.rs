@@ -310,6 +310,7 @@ fn stop_reason_code(reason: StopReason) -> u8 {
         StopReason::MaxIterations => 1,
         StopReason::Cancelled => 2,
         StopReason::TimeBudget => 3,
+        StopReason::Diverged => 4,
     }
 }
 
@@ -320,6 +321,7 @@ fn stop_reason_from_code(code: u8) -> Result<StopReason> {
         1 => Ok(StopReason::MaxIterations),
         2 => Ok(StopReason::Cancelled),
         3 => Ok(StopReason::TimeBudget),
+        4 => Ok(StopReason::Diverged),
         _ => Err(ServeError::Malformed("unknown stop-reason code")),
     }
 }
@@ -467,6 +469,7 @@ mod tests {
             StopReason::MaxIterations,
             StopReason::Cancelled,
             StopReason::TimeBudget,
+            StopReason::Diverged,
         ] {
             let mut m = sample();
             m.fit.stop_reason = reason;
@@ -477,12 +480,14 @@ mod tests {
 
     #[test]
     fn unknown_stop_reason_code_is_malformed() {
-        // Round-trip through the codec directly: codes 0..=3 are the only
+        // Round-trip through the codec directly: codes 0..=4 are the only
         // valid wire values.
-        for code in 0u8..=3 {
+        for code in 0u8..=4 {
             assert!(stop_reason_from_code(code).is_ok());
         }
-        assert!(matches!(stop_reason_from_code(9), Err(ServeError::Malformed(_))));
+        for code in [5, 9] {
+            assert!(matches!(stop_reason_from_code(code), Err(ServeError::Malformed(_))));
+        }
     }
 
     #[test]
