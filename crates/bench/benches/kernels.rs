@@ -10,6 +10,8 @@
 //!   (§III-E).
 //! * `partitioning` — greedy (Algorithm 4) vs round-robin.
 //! * `gemm` — the base matmul kernels everything sits on.
+//! * `qr` — the Householder QR behind every rSVD pass, on the shapes the
+//!   pipeline factors (stage-1 sketches, stage 2's tall factorization).
 //! * `two_stage_ablation` — two-stage compression vs stage-1-only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,7 +24,7 @@ use dpar2_core::Workspace;
 use dpar2_data::planted_parafac2;
 use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
-use dpar2_linalg::{svd_truncated, Mat};
+use dpar2_linalg::{qr_into, svd_truncated, Mat, QrScratch};
 use dpar2_parallel::{greedy_partition, round_robin_partition, ThreadPool};
 use dpar2_rsvd::{rsvd, RsvdConfig};
 use rand::rngs::StdRng;
@@ -207,6 +209,23 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_qr(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qr");
+    group.sample_size(20);
+    let mut rng = StdRng::seed_from_u64(12);
+    let (mut q, mut r, mut ws) = (Mat::default(), Mat::default(), QrScratch::default());
+    for &(m, n) in &[(790usize, 18usize), (88, 18), (48, 18), (15000, 18)] {
+        let a = gaussian_mat(m, n, &mut rng);
+        group.bench_function(BenchmarkId::from_parameter(format!("{m}x{n}")), |b| {
+            b.iter(|| {
+                qr_into(&a, &mut q, &mut r, &mut ws);
+                black_box((&q, &r));
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_two_stage_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("two_stage_ablation");
     group.sample_size(10);
@@ -236,6 +255,7 @@ criterion_group!(
     bench_convergence,
     bench_partitioning,
     bench_gemm,
+    bench_qr,
     bench_two_stage_ablation
 );
 criterion_main!(benches);

@@ -15,6 +15,10 @@
 //! * `pooled@T` — the same blocked path with row panels fanned out over a
 //!   `ThreadPool` of `T` workers.
 //!
+//! A second table times the Householder QR (`dpar2_linalg::qr_into`) on
+//! the tall-and-thin shapes the randomized SVDs factor, in GFLOP/s of the
+//! standard Householder count (factor plus thin `Q`).
+//!
 //! Flags: `--sizes 128,256,512` `--threads 1,2,4` `--variant nn|tn|nt|tt`
 //! `--seed N`. To see the end-to-end effect on the paper's headline
 //! experiment, pair with a before/after run of
@@ -23,7 +27,7 @@
 use dpar2_bench::{print_table, Args};
 use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
-use dpar2_linalg::Mat;
+use dpar2_linalg::{qr_into, Mat, QrScratch};
 use dpar2_parallel::ThreadPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,6 +58,19 @@ fn parse_list(args: &Args, key: &str, default: &str) -> Vec<usize> {
         .map(|t| t.trim().parse().unwrap_or_else(|e| panic!("bad --{key} entry {t:?}: {e}")))
         .collect()
 }
+
+/// Flops of a thin Householder QR of an `m×n` matrix, `k = min(m, n)`:
+/// `2mn² − 2n³/3` to factor (`2nm² − 2m³/3` when wide) plus
+/// `2mk² − 2k³/3` to form the thin `Q` from the `k` reflectors.
+fn householder_qr_flops(m: usize, n: usize) -> f64 {
+    let (m, n) = (m as f64, n as f64);
+    let k = m.min(n);
+    2.0 * m.max(n) * k * k + 2.0 * m * k * k - 4.0 * k.powi(3) / 3.0
+}
+
+/// The shapes the pipeline factors: stage-1 sketches of tall and short
+/// slices, and stage 2's tall factorization on many-slices.
+const QR_SHAPES: [(usize, usize); 4] = [(790, 18), (88, 18), (48, 18), (15000, 18)];
 
 fn main() {
     let args = Args::parse();
@@ -147,6 +164,24 @@ fn main() {
         ]);
     }
     print_table(&["n", "kernel", "GFLOP/s", "vs naive"], &rows);
+    println!();
+
+    println!("Householder QR (qr_into, thin Q and R), f64, GFLOP/s (higher is better)");
+    let mut qr_rows: Vec<Vec<String>> = Vec::new();
+    let (mut q, mut r, mut ws) = (Mat::default(), Mat::default(), QrScratch::default());
+    for (m, n) in QR_SHAPES {
+        let a = gaussian_mat(m, n, &mut StdRng::seed_from_u64(seed ^ (m * n) as u64));
+        let t = time_per_call(|| {
+            qr_into(&a, &mut q, &mut r, &mut ws);
+            black_box((&q, &r));
+        });
+        qr_rows.push(vec![
+            format!("{m}x{n}"),
+            format!("{:.1}", t * 1e6),
+            format!("{:.2}", householder_qr_flops(m, n) / t / 1e9),
+        ]);
+    }
+    print_table(&["shape", "us/call", "GFLOP/s"], &qr_rows);
     println!();
     println!(
         "note: pooled speedup tracks physical cores; correctness across paths is \

@@ -34,7 +34,7 @@ use crate::compress::{compress, CompressedTensor};
 use crate::config::FitOptions;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::Parafac2Fit;
-use crate::session::{FitObserver, NoopObserver};
+use crate::session::{FitObserver, NoopObserver, StopReason};
 use crate::slices::{validate_from, OwnedSlice, SliceTensor};
 use crate::solver::{Dpar2, WarmStart};
 use dpar2_linalg::Mat;
@@ -98,9 +98,52 @@ impl StreamingDpar2 {
     /// [`Dpar2Error::NonFinite`] if it stores a NaN or ±∞;
     /// [`Dpar2Error::Linalg`] on dimension mismatches (inconsistent `J`).
     pub fn append<S: OwnedSlice>(&mut self, slices: Vec<S>) -> Result<()> {
-        if slices.is_empty() {
-            return Ok(());
+        if !slices.is_empty() {
+            self.ct = Some(self.ingest(slices)?);
+            // Count the batch only once it is ingested: a rejected batch
+            // must not shift the rsvd seed stream, or the same good batches
+            // would produce different factors depending on whether a bad
+            // batch was ever submitted.
+            self.appended_batches += 1;
         }
+        Ok(())
+    }
+
+    /// [`append`](StreamingDpar2::append) then
+    /// [`decompose_observed`](StreamingDpar2::decompose_observed), with the
+    /// batch committed only if the refit does not stop with
+    /// [`StopReason::Diverged`] (a non-finite criterion, e.g. from a finite
+    /// batch whose products overflow). A diverged refit rolls the batch
+    /// back: the ingested state, the warm start and the seed stream are
+    /// what they were before the call, so later batches refit as if it had
+    /// never been sent. The diverged fit is still returned, for the caller
+    /// to report. An empty batch just refits the current state.
+    ///
+    /// # Errors
+    /// Whatever [`append`](StreamingDpar2::append) or the refit reports;
+    /// the state is then unchanged too.
+    pub fn append_and_decompose_observed<S: OwnedSlice>(
+        &mut self,
+        slices: Vec<S>,
+        observer: &mut dyn FitObserver,
+    ) -> Result<Parafac2Fit> {
+        if slices.is_empty() {
+            return self.decompose_observed(observer);
+        }
+        let updated = self.ingest(slices)?;
+        let (ct, warm) = (self.ct.replace(updated), self.warm.clone());
+        let fit = self.decompose_observed(observer);
+        if matches!(&fit, Ok(f) if f.stop_reason != StopReason::Diverged) {
+            self.appended_batches += 1;
+        } else {
+            (self.ct, self.warm) = (ct, warm);
+        }
+        fit
+    }
+
+    /// The compressed representation with a non-empty batch ingested,
+    /// leaving `self` untouched.
+    fn ingest<S: OwnedSlice>(&self, slices: Vec<S>) -> Result<CompressedTensor> {
         // Validate column consistency up front (within the batch and
         // against the ingested state) so a malformed batch is an `Err`,
         // never a panic — long-lived ingest loops depend on this.
@@ -113,18 +156,11 @@ impl StreamingDpar2 {
             }));
         }
         let batch = S::stack(slices);
-        let updated = match &self.ct {
+        match &self.ct {
             // First batch: plain two-stage compression.
-            None => compress(&batch, &self.options)?,
-            Some(old) => self.extend(old, &batch)?,
-        };
-        self.ct = Some(updated);
-        // Count the batch only once it is ingested: a rejected batch must
-        // not shift the rsvd seed stream, or the same good batches would
-        // produce different factors depending on whether a bad batch was
-        // ever submitted.
-        self.appended_batches += 1;
-        Ok(())
+            None => compress(&batch, &self.options),
+            Some(old) => self.extend(old, &batch),
+        }
     }
 
     /// Incremental stage-2 update with a batch of freshly compressed
@@ -492,6 +528,40 @@ mod tests {
         clean.append(good2).unwrap();
         let fit_b = clean.decompose().unwrap();
         assert_eq!(fit_a.u, fit_b.u, "rejected NaN batch shifted the seed stream");
+        assert_eq!(fit_a.v, fit_b.v);
+        assert_eq!(fit_a.criterion_trace, fit_b.criterion_trace);
+    }
+
+    #[test]
+    fn diverged_refit_rolls_the_batch_back() {
+        // A finite batch passes validation, but its products overflow and
+        // the refit diverges. The batch must not stay ingested: the next
+        // good batch refits exactly as if it had never been sent.
+        let mut gen = Planted::new(12, 2, 106);
+        let good1 = vec![gen.slice(20, 0.02), gen.slice(18, 0.02)];
+        let good2 = vec![gen.slice(16, 0.02), gen.slice(22, 0.02)];
+        let mut huge = gen.slice(15, 0.02);
+        huge.scale_mut(1e300);
+        let cfg = FitOptions::new(2).with_seed(107).with_max_iterations(12);
+
+        let mut stream = StreamingDpar2::new(cfg);
+        let mut observer = NoopObserver;
+        stream.append_and_decompose_observed(good1.clone(), &mut observer).unwrap();
+        let before = stream.compressed().unwrap().clone();
+        let fit = stream.append_and_decompose_observed(vec![huge], &mut observer).unwrap();
+        assert_eq!(fit.stop_reason, StopReason::Diverged);
+        let after = stream.compressed().unwrap();
+        assert_eq!((&after.a, &after.d, &after.e), (&before.a, &before.d, &before.e));
+        assert_eq!(after.f_blocks, before.f_blocks);
+        let fit_a = stream.append_and_decompose_observed(good2.clone(), &mut observer).unwrap();
+        assert_ne!(fit_a.stop_reason, StopReason::Diverged);
+
+        let mut clean = StreamingDpar2::new(cfg);
+        clean.append(good1).unwrap();
+        let _ = clean.decompose().unwrap();
+        clean.append(good2).unwrap();
+        let fit_b = clean.decompose().unwrap();
+        assert_eq!(fit_a.u, fit_b.u, "the diverged batch left a trace");
         assert_eq!(fit_a.v, fit_b.v);
         assert_eq!(fit_a.criterion_trace, fit_b.criterion_trace);
     }

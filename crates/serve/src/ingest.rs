@@ -9,7 +9,8 @@
 //! * a dedicated worker thread owns the [`StreamingDpar2`] state;
 //! * producers hand it slice batches over a crossbeam channel and return
 //!   immediately ([`IngestWorker::append`]);
-//! * for each batch the worker runs `append` + `decompose` and publishes
+//! * for each batch the worker runs `append` + `decompose` (one
+//!   [`StreamingDpar2::append_and_decompose_observed`] call) and publishes
 //!   the refreshed model into the shared [`ModelRegistry`] as a brand-new
 //!   version — queries never see a half-updated model, they observe either
 //!   the old version or the new one (the registry's atomic swap);
@@ -22,7 +23,13 @@
 //!   [`dpar2_core::CancelToken`] observes every refit so a
 //!   shutdown never waits on a full ALS run — in-flight and drained refits
 //!   break at the next iteration boundary and publish whatever they have
-//!   ([`StopReason::Cancelled`](dpar2_core::StopReason)).
+//!   ([`StopReason::Cancelled`](dpar2_core::StopReason));
+//! * a refit that diverges ([`StopReason::Diverged`]: a non-finite
+//!   criterion, e.g. from a finite batch whose products overflow) is not
+//!   published — the previous version stays served and the batch is
+//!   recorded as [`IngestEvent::RefitDiverged`]. The stream rolls the
+//!   batch back, so it does not poison later refits: the next good batch
+//!   publishes as if the diverged one had never been sent.
 
 use crate::engine::ServedModel;
 use crate::index::IndexBuilder;
@@ -31,11 +38,11 @@ use crate::model::ModelMeta;
 use crate::registry::ModelRegistry;
 use crossbeam::channel::{self, Sender};
 use dpar2_analysis::IndexOptions;
-use dpar2_core::{CancelToken, StreamingDpar2};
+use dpar2_core::{CancelToken, StopReason, StreamingDpar2};
 use dpar2_linalg::Mat;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 enum Msg {
     Append(Vec<Mat>),
@@ -65,6 +72,14 @@ pub enum IngestEvent {
         /// The append error's message.
         error: String,
     },
+    /// A batch whose refit stopped with [`StopReason::Diverged`]. Nothing
+    /// was published, so the previous version stays served, and the batch
+    /// was rolled back out of the stream, so later batches refit without
+    /// it. The worker keeps running.
+    RefitDiverged {
+        /// 1-based ordinal of the non-empty batch whose refit diverged.
+        batch: u64,
+    },
     /// [`IngestWorker::append`] found the worker thread gone (it panicked
     /// — normal shutdown goes through `shutdown`/`Drop`), so the batch was
     /// dropped without processing.
@@ -74,6 +89,22 @@ pub enum IngestEvent {
 /// Appends one event to the shared ingest log.
 fn record_event(events: &Mutex<Vec<IngestEvent>>, event: IngestEvent) {
     events.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(event);
+}
+
+/// Records a batch that published nothing: bumps the error counter and
+/// the last-error-batch gauge, then logs `event`.
+fn record_failure(
+    metrics: Option<&IngestMetrics>,
+    events: &Mutex<Vec<IngestEvent>>,
+    batch: u64,
+    event: IngestEvent,
+) {
+    if let Some(m) = metrics {
+        m.errors.inc();
+        #[allow(clippy::cast_possible_wrap)] // batch ≪ i64::MAX
+        m.last_error_batch.set(batch as i64);
+    }
+    record_event(events, event);
 }
 
 /// Keeps the labels-per-slice invariant (`entity_labels` empty or exactly
@@ -208,40 +239,30 @@ impl IngestWorker {
                         if let Some(m) = &metrics_in_worker {
                             m.appends_total.inc();
                         }
-                        match stream.append(slices) {
-                            Ok(()) => {
-                                // The cancel token observes the refit: a
-                                // shutdown breaks it at the next iteration
-                                // boundary (the partial fit still
-                                // publishes), and the stream options'
-                                // time_budget bounds it regardless.
-                                let t_refit = Instant::now();
-                                let fit = match stream.decompose_observed(&mut cancel_in_worker) {
-                                    Ok(fit) => fit,
-                                    Err(e) => {
-                                        // Unreachable after a successful
-                                        // non-empty append, but a refit
-                                        // error must never kill the worker:
-                                        // record it like a failed batch and
-                                        // keep serving.
-                                        if let Some(m) = &metrics_in_worker {
-                                            m.errors.inc();
-                                            #[allow(clippy::cast_possible_wrap)]
-                                            // batch ≪ i64::MAX
-                                            m.last_error_batch.set(batch as i64);
-                                        }
-                                        record_event(
-                                            &events_in_worker,
-                                            IngestEvent::AppendFailed {
-                                                batch,
-                                                error: e.to_string(),
-                                            },
-                                        );
-                                        continue;
-                                    }
-                                };
+                        // The cancel token observes the refit: a shutdown
+                        // breaks it at the next iteration boundary (the
+                        // partial fit still publishes), and the stream
+                        // options' time_budget bounds it regardless. A
+                        // diverged refit rolls the batch back inside the
+                        // stream, so the next batch refits cleanly.
+                        match stream.append_and_decompose_observed(slices, &mut cancel_in_worker) {
+                            Ok(fit) => {
                                 if let Some(m) = &metrics_in_worker {
-                                    m.refit_ns.record_duration(t_refit.elapsed());
+                                    m.refit_ns.record_duration(Duration::from_secs_f64(
+                                        fit.timing.total_secs,
+                                    ));
+                                }
+                                if fit.stop_reason == StopReason::Diverged {
+                                    // Publishing would replace the served
+                                    // model with a NaN one: keep the
+                                    // previous version.
+                                    record_failure(
+                                        metrics_in_worker.as_ref(),
+                                        &events_in_worker,
+                                        batch,
+                                        IngestEvent::RefitDiverged { batch },
+                                    );
+                                    continue;
                                 }
                                 let entities = fit.u.len();
                                 let mut now = meta.clone();
@@ -268,17 +289,15 @@ impl IngestWorker {
                                     builder.enqueue(version);
                                 }
                             }
-                            Err(e) => {
-                                if let Some(m) = &metrics_in_worker {
-                                    m.errors.inc();
-                                    #[allow(clippy::cast_possible_wrap)] // batch ≪ i64::MAX
-                                    m.last_error_batch.set(batch as i64);
-                                }
-                                record_event(
-                                    &events_in_worker,
-                                    IngestEvent::AppendFailed { batch, error: e.to_string() },
-                                );
-                            }
+                            // An append error, or a refit error (unreachable
+                            // after a successful non-empty append, but it
+                            // must never kill the worker either).
+                            Err(e) => record_failure(
+                                metrics_in_worker.as_ref(),
+                                &events_in_worker,
+                                batch,
+                                IngestEvent::AppendFailed { batch, error: e.to_string() },
+                            ),
                         }
                     }
                     Msg::Flush(ack) => {
@@ -349,15 +368,16 @@ impl IngestWorker {
     }
 
     /// Every [`IngestEvent`] so far, in arrival order — publishes, append
-    /// failures, and batches dropped because the worker was gone.
+    /// failures, diverged refits, and batches dropped because the worker
+    /// was gone.
     pub fn events(&self) -> Vec<IngestEvent> {
         self.events.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
     }
 
-    /// Messages of batches that failed to append, in arrival order — the
-    /// [`IngestEvent::AppendFailed`] subset of
-    /// [`events`](IngestWorker::events). Successful batches leave no trace
-    /// here.
+    /// Messages of batches that published nothing, in arrival order — the
+    /// [`IngestEvent::AppendFailed`] and [`IngestEvent::RefitDiverged`]
+    /// subset of [`events`](IngestWorker::events), one entry per bump of
+    /// the `errors_total` counter. Successful batches leave no trace here.
     pub fn errors(&self) -> Vec<String> {
         self.events
             .lock()
@@ -365,6 +385,9 @@ impl IngestWorker {
             .iter()
             .filter_map(|e| match e {
                 IngestEvent::AppendFailed { error, .. } => Some(error.clone()),
+                IngestEvent::RefitDiverged { batch } => {
+                    Some(format!("batch {batch}: refit diverged; batch rolled back"))
+                }
                 _ => None,
             })
             .collect()
@@ -526,6 +549,55 @@ mod tests {
             events[2]
         );
         assert_eq!(registry.version("live"), Some(2));
+        worker.shutdown();
+    }
+
+    #[test]
+    fn diverged_refit_is_recorded_and_not_published() {
+        use dpar2_obs::MetricsRegistry;
+
+        let obs = MetricsRegistry::new();
+        let metrics = crate::metrics::IngestMetrics::register(&obs, "ing");
+        let registry = Arc::new(ModelRegistry::new());
+        let worker = IngestWorker::spawn_observed(
+            StreamingDpar2::new(config()),
+            ModelMeta::new("live"),
+            registry.clone(),
+            metrics,
+        );
+        let t = planted_parafac2(&[16, 16, 16], 10, 2, 0.0, 16);
+        let mut slices = t.to_slices();
+        // Finite, so it passes validation, but its products overflow.
+        let mut huge = slices.pop().unwrap();
+        huge.scale_mut(1e300);
+        worker.append(slices);
+        worker.flush();
+        let served = registry.get("live").unwrap();
+        worker.append(vec![huge]);
+        worker.flush();
+        assert_eq!(registry.version("live"), Some(1), "a diverged refit must not publish");
+        let still = registry.get("live").unwrap();
+        assert!(Arc::ptr_eq(&served, &still), "the previous version stays served");
+        assert!(still.model.fit().criterion_trace.iter().all(|c| c.is_finite()));
+        let events = worker.events();
+        assert_eq!(events.len(), 2, "got {events:?}");
+        assert_eq!(events[1], IngestEvent::RefitDiverged { batch: 2 });
+        assert_eq!(worker.errors().len(), 1, "errors() agrees with errors_total");
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("ing_errors_total"), Some(1));
+        assert_eq!(snap.gauge("ing_last_error_batch"), Some(2));
+        assert_eq!(snap.histogram("ing_refit_ns").unwrap().count, 2, "diverged refits are timed");
+        // The diverged batch was rolled back, so it does not poison the
+        // stream: the next good batch publishes over the two original
+        // slices and itself, without the overflowing one.
+        let more = planted_parafac2(&[16], 10, 2, 0.0, 17);
+        assert!(worker.append(more.to_slices()));
+        worker.flush();
+        assert_eq!(
+            worker.events()[2],
+            IngestEvent::Published { batch: 3, version: 2, entities: 3 },
+            "the stream recovers after a diverged batch"
+        );
         worker.shutdown();
     }
 

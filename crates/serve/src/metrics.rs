@@ -84,11 +84,12 @@ impl QueryMetrics {
 ///
 /// * `{prefix}_appends_total` — batches processed (including failed ones).
 /// * `{prefix}_append_ns` — drain-to-publish latency per non-empty batch.
-/// * `{prefix}_refit_ns` — the refit (decompose) portion alone.
+/// * `{prefix}_refit_ns` — the refit (decompose) portion alone, diverged
+///   refits included.
 /// * `{prefix}_queue_depth` — batches enqueued but not yet drained.
-/// * `{prefix}_errors_total` — batches whose append failed; the refit
-///   error is no longer only visible through
-///   [`IngestWorker::errors`](crate::IngestWorker::errors).
+/// * `{prefix}_errors_total` — batches whose append failed or whose
+///   refit diverged (and so published nothing); each also leaves one
+///   entry in [`IngestWorker::errors`](crate::IngestWorker::errors).
 /// * `{prefix}_last_error_batch` — 1-based ordinal of the most recent
 ///   failed batch (0 = no failure yet), so a dashboard can tell *when* in
 ///   the stream the last failure happened.
@@ -101,11 +102,11 @@ pub struct IngestMetrics {
     pub appends_total: Counter,
     /// Drain-to-publish latency per non-empty batch (ns).
     pub append_ns: Histogram,
-    /// Refit (decompose) duration per published batch (ns).
+    /// Refit (decompose) duration per published or diverged batch (ns).
     pub refit_ns: Histogram,
     /// Batches enqueued but not yet drained.
     pub queue_depth: Gauge,
-    /// Batches whose append failed.
+    /// Batches whose append failed or whose refit diverged.
     pub errors: Counter,
     /// 1-based ordinal of the most recent failed batch (0 = none).
     pub last_error_batch: Gauge,
