@@ -12,6 +12,9 @@
 //! * `gemm` — the base matmul kernels everything sits on.
 //! * `qr` — the Householder QR behind every rSVD pass, on the shapes the
 //!   pipeline factors (stage-1 sketches, stage 2's tall factorization).
+//! * `svd_batch` — four small Jacobi SVDs through the lane-batched kernel
+//!   vs one at a time, at the `Q_k` step's `R×R` and stage 1's sketch
+//!   shape.
 //! * `two_stage_ablation` — two-stage compression vs stage-1-only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -24,7 +27,11 @@ use dpar2_core::Workspace;
 use dpar2_data::planted_parafac2;
 use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
-use dpar2_linalg::{qr_into, svd_truncated, Mat, QrScratch};
+use dpar2_linalg::svd::svd_thin_into;
+use dpar2_linalg::{
+    qr_into, svd_thin_batch_into, svd_truncated, Mat, QrScratch, SvdBatchScratch, SvdFactors,
+    SvdScratch, SVD_LANES,
+};
 use dpar2_parallel::{greedy_partition, round_robin_partition, ThreadPool};
 use dpar2_rsvd::{rsvd, RsvdConfig};
 use rand::rngs::StdRng;
@@ -226,6 +233,32 @@ fn bench_qr(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_svd_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("svd_batch");
+    group.sample_size(20);
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut out = vec![SvdFactors::default(); SVD_LANES];
+    let (mut batch_ws, mut scalar_ws) = (SvdBatchScratch::default(), SvdScratch::default());
+    for &(m, n) in &[(10usize, 10usize), (18, 18), (18, 48)] {
+        let lanes: Vec<Mat> = (0..SVD_LANES).map(|_| gaussian_mat(m, n, &mut rng)).collect();
+        group.bench_function(BenchmarkId::new("batched", format!("{m}x{n}")), |b| {
+            b.iter(|| {
+                svd_thin_batch_into(&lanes, &mut out, &mut batch_ws);
+                black_box(&out);
+            })
+        });
+        group.bench_function(BenchmarkId::new("one_at_a_time", format!("{m}x{n}")), |b| {
+            b.iter(|| {
+                for (a, o) in lanes.iter().zip(out.iter_mut()) {
+                    svd_thin_into(a, o, &mut scalar_ws);
+                }
+                black_box(&out);
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_two_stage_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("two_stage_ablation");
     group.sample_size(10);
@@ -256,6 +289,7 @@ criterion_group!(
     bench_partitioning,
     bench_gemm,
     bench_qr,
+    bench_svd_batch,
     bench_two_stage_ablation
 );
 criterion_main!(benches);

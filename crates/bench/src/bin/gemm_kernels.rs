@@ -17,7 +17,11 @@
 //!
 //! A second table times the Householder QR (`dpar2_linalg::qr_into`) on
 //! the tall-and-thin shapes the randomized SVDs factor, in GFLOP/s of the
-//! standard Householder count (factor plus thin `Q`).
+//! standard Householder count (factor plus thin `Q`). A third times the
+//! small one-sided Jacobi SVDs in µs per matrix: the lane-batched kernel
+//! (`svd_thin_batch_into`, groups of `SVD_LANES`) against one matrix at a
+//! time (`svd_thin_into`), at the `R×R` size of the `Q_k` step (10) and the
+//! sketch-core size of stage 1 (18).
 //!
 //! Flags: `--sizes 128,256,512` `--threads 1,2,4` `--variant nn|tn|nt|tt`
 //! `--seed N`. To see the end-to-end effect on the paper's headline
@@ -27,7 +31,11 @@
 use dpar2_bench::{print_table, Args};
 use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
-use dpar2_linalg::{qr_into, Mat, QrScratch};
+use dpar2_linalg::svd::svd_thin_into;
+use dpar2_linalg::{
+    qr_into, svd_thin_batch_into, Mat, QrScratch, SvdBatchScratch, SvdFactors, SvdScratch,
+    SVD_LANES,
+};
 use dpar2_parallel::ThreadPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,6 +79,12 @@ fn householder_qr_flops(m: usize, n: usize) -> f64 {
 /// The shapes the pipeline factors: stage-1 sketches of tall and short
 /// slices, and stage 2's tall factorization on many-slices.
 const QR_SHAPES: [(usize, usize); 4] = [(790, 18), (88, 18), (48, 18), (15000, 18)];
+
+/// Square sizes of the Jacobi table: the benchmarks' `R` and `R + s`.
+const JACOBI_SIZES: [usize; 2] = [10, 18];
+
+/// Matrices per Jacobi measurement (a multiple of [`SVD_LANES`]).
+const JACOBI_BATCH: usize = 64;
 
 fn main() {
     let args = Args::parse();
@@ -182,6 +196,35 @@ fn main() {
         ]);
     }
     print_table(&["shape", "us/call", "GFLOP/s"], &qr_rows);
+    println!();
+
+    println!("One-sided Jacobi SVD, f64, us per matrix (lower is better)");
+    let mut svd_rows: Vec<Vec<String>> = Vec::new();
+    for n in JACOBI_SIZES {
+        let mut rng = StdRng::seed_from_u64(seed ^ ((n as u64) << 8));
+        let inputs: Vec<Mat> = (0..JACOBI_BATCH).map(|_| gaussian_mat(n, n, &mut rng)).collect();
+        let mut out = vec![SvdFactors::default(); SVD_LANES];
+        let (mut batch_ws, mut scalar_ws) = (SvdBatchScratch::default(), SvdScratch::default());
+        let t_batch = time_per_call(|| {
+            for group in inputs.chunks(SVD_LANES) {
+                svd_thin_batch_into(group, &mut out[..group.len()], &mut batch_ws);
+            }
+            black_box(&out);
+        }) / JACOBI_BATCH as f64;
+        let t_scalar = time_per_call(|| {
+            for a in &inputs {
+                svd_thin_into(a, &mut out[0], &mut scalar_ws);
+            }
+            black_box(&out);
+        }) / JACOBI_BATCH as f64;
+        svd_rows.push(vec![
+            format!("{n}x{n}"),
+            format!("{:.2}", t_batch * 1e6),
+            format!("{:.2}", t_scalar * 1e6),
+            format!("{:.2}x", t_scalar / t_batch),
+        ]);
+    }
+    print_table(&["shape", "batched", "one at a time", "speedup"], &svd_rows);
     println!();
     println!(
         "note: pooled speedup tracks physical cores; correctness across paths is \

@@ -4,7 +4,10 @@
 //! `X_k ≈ A_k B_k C_kᵀ` with column-orthonormal `A_k ∈ R^{I_k×R}`, diagonal
 //! `B_k`, and `C_k ∈ R^{J×R}`. Slices are distributed over threads with the
 //! greedy partitioning of Algorithm 4, because the rSVD cost is proportional
-//! to `I_k`.
+//! to `I_k`. Each thread takes its slices in groups of
+//! [`SVD_LANES`]: it sketches each one, factors the group's `(R+s)×J`
+//! projections `B` together with the lane-batched Jacobi SVD (bitwise each
+//! alone), and lifts each slice's factors into that slice's slot.
 //!
 //! **Stage 2** — randomized SVD of the horizontal concatenation
 //! `M = ∥_k (C_k B_k) ∈ R^{J×KR} ≈ D E Fᵀ` with `D ∈ R^{J×R}`, diagonal `E`,
@@ -22,9 +25,9 @@
 use crate::config::FitOptions;
 use crate::error::Result;
 use crate::slices::{validate, SliceTensor};
-use dpar2_linalg::Mat;
+use dpar2_linalg::{svd_thin_batch_into, Mat, SvdBatchScratch, SvdFactors, SVD_LANES};
 use dpar2_parallel::{greedy_partition, ThreadPool};
-use dpar2_rsvd::{rsvd, rsvd_pooled, RsvdConfig};
+use dpar2_rsvd::{rsvd_lift, rsvd_pooled, rsvd_sketch, RsvdConfig, RsvdSketch};
 use dpar2_tensor::IrregularTensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -128,15 +131,55 @@ pub(crate) fn compress_valid<T: SliceTensor>(
     // oversampling/power-iteration knobs of `options.rsvd` apply.
     let rsvd_cfg = RsvdConfig { rank: r, ..options.rsvd };
     let base_seed = options.seed;
-    let stage1: Vec<(Mat, Vec<f64>, Mat)> = pool.run_partitioned(&partition, |k| {
-        // Independent, slice-indexed stream: parallel schedule cannot
-        // change the factorization.
-        let mut rng = StdRng::seed_from_u64(stage1_seed(base_seed, k));
-        let f = rsvd(tensor.slice(k), &rsvd_cfg, &mut rng);
-        (f.u, f.s, f.v)
+    // One slot per slice; each thread fills the slots of its bucket.
+    let mut stage1: Vec<SvdFactors> = vec![SvdFactors::default(); tensor.k()];
+    let mut slots: Vec<Option<&mut SvdFactors>> = stage1.iter_mut().map(Some).collect();
+    let mut buckets: Vec<Vec<(usize, &mut SvdFactors)>> = partition
+        .iter()
+        .map(|bucket| {
+            bucket.iter().map(|&k| (k, slots[k].take().expect("one bucket per slice"))).collect()
+        })
+        .collect();
+    pool.for_each_chunk_mut(&mut buckets, 1, |_, bucket| {
+        stage1_bucket(tensor, &mut bucket[0], &rsvd_cfg, base_seed);
     });
 
     stage2(stage1, r, tensor.j(), &rsvd_cfg, base_seed, &pool)
+}
+
+/// Stage 1 for one thread's slices, in groups of [`SVD_LANES`]: each
+/// slice's sketch (its own RNG stream, so the schedule cannot change the
+/// factorization), then the group's `B` matrices factored together —
+/// bitwise each alone — and each slice's factors lifted into its slot.
+/// Every slot ends bitwise equal to [`dpar2_rsvd::rsvd`] of its slice.
+fn stage1_bucket<T: SliceTensor>(
+    tensor: &T,
+    bucket: &mut [(usize, &mut SvdFactors)],
+    rsvd_cfg: &RsvdConfig,
+    base_seed: u64,
+) {
+    let serial = ThreadPool::new(1);
+    let mut ws = SvdBatchScratch::default();
+    let mut small: [SvdFactors; SVD_LANES] = Default::default();
+    let (mut bs, mut lifts) = (Vec::with_capacity(SVD_LANES), Vec::with_capacity(SVD_LANES));
+    for group in bucket.chunks_mut(SVD_LANES) {
+        bs.clear();
+        lifts.clear();
+        for (g, (k, slot)) in group.iter_mut().enumerate() {
+            let mut rng = StdRng::seed_from_u64(stage1_seed(base_seed, *k));
+            match rsvd_sketch(tensor.slice(*k), rsvd_cfg, &mut rng, &serial) {
+                RsvdSketch::Exact(f) => **slot = f,
+                RsvdSketch::Range { q, b, rank } => {
+                    bs.push(b);
+                    lifts.push((g, q, rank));
+                }
+            }
+        }
+        svd_thin_batch_into(&bs, &mut small[..bs.len()], &mut ws);
+        for ((g, q, rank), f) in lifts.iter().zip(&small) {
+            *group[*g].1 = rsvd_lift(q, f, *rank, &serial);
+        }
+    }
 }
 
 /// Per-slice stage-1 RNG seed — one fixed formula for every storage (and
@@ -151,7 +194,7 @@ fn stage1_seed(base_seed: u64, k: usize) -> u64 {
 /// reduced every slice to small dense factors, so from here on the pipeline
 /// is dense and identical regardless of the input representation.
 fn stage2(
-    stage1: Vec<(Mat, Vec<f64>, Mat)>,
+    stage1: Vec<SvdFactors>,
     r: usize,
     j: usize,
     rsvd_cfg: &RsvdConfig,
@@ -161,11 +204,11 @@ fn stage2(
     // C_k B_k is C_k with column c scaled by B_k's c-th singular value.
     let cb: Vec<Mat> = stage1
         .iter()
-        .map(|(_, b, c)| {
-            let mut cb = c.clone();
+        .map(|f| {
+            let mut cb = f.v.clone();
             for i in 0..cb.rows() {
                 let row = cb.row_mut(i);
-                for (col, &s) in b.iter().enumerate() {
+                for (col, &s) in f.s.iter().enumerate() {
                     row[col] *= s;
                 }
             }
@@ -185,7 +228,7 @@ fn stage2(
         (0..stage1.len()).map(|k| f2.v.block(k * r, (k + 1) * r, 0, r)).collect();
 
     CompressedTensor {
-        a: stage1.into_iter().map(|(a, _, _)| a).collect(),
+        a: stage1.into_iter().map(|f| f.u).collect(),
         d: f2.u,
         e: f2.s,
         f_blocks,

@@ -77,8 +77,6 @@ pub struct Workspace {
     pub tall_a: Mat,
     /// Second tall baseline scratch.
     pub tall_b: Mat,
-    /// DPar2's `Q_k` step: one lane group of `R×R` SVDs.
-    pub qk: crate::solver::QkScratch,
 }
 
 impl Workspace {

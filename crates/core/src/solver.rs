@@ -191,7 +191,9 @@ impl Dpar2 {
     ///
     /// # Errors
     /// [`Dpar2Error::WarmStart`] if `options.warm_start` does not match the
-    /// compressed tensor's rank/shape.
+    /// compressed tensor's rank/shape; [`Dpar2Error::ZeroRank`] or
+    /// [`Dpar2Error::Linalg`] (a dimension mismatch) if a hand-built
+    /// compressed tensor's own shapes disagree.
     pub fn fit_compressed(
         &self,
         ct: &CompressedTensor,
@@ -240,16 +242,7 @@ impl Dpar2 {
         // already enforced `0 < R ≤ min(I_k, J)`, but a hand-built
         // CompressedTensor (the fields are public) gets the same typed
         // rejection instead of a downstream panic.
-        if ct.rank == 0 {
-            return Err(Dpar2Error::ZeroRank);
-        }
-        if ct.f_blocks.len() != ct.a.len() {
-            return Err(Dpar2Error::Linalg(dpar2_linalg::LinalgError::DimensionMismatch {
-                op: "fit_compressed: F-blocks vs A-factors",
-                left: (ct.f_blocks.len(), ct.rank),
-                right: (ct.a.len(), ct.rank),
-            }));
-        }
+        check_compressed(ct)?;
         let r = ct.rank;
         let k_dim = ct.k();
         let pool = ThreadPool::new(options.threads.max(1));
@@ -290,7 +283,12 @@ impl Dpar2 {
         // so it starts as empty buffers (no `f_blocks` clone).
         let mut zpt: Vec<Mat> = vec![Mat::eye(r); k_dim];
         let mut pzf: Vec<Mat> = (0..k_dim).map(|_| Mat::default()).collect();
-        let serial = pool.threads() == 1;
+        // The `Q_k` step gives each thread one run of whole lane groups (a
+        // one-thread pool: one run of every slice), with its own scratch.
+        // `max` keeps the run non-zero at K = 0.
+        let run = k_dim.div_ceil(pool.threads()).next_multiple_of(SVD_LANES).max(SVD_LANES);
+        let mut qk: Vec<QkScratch> =
+            (0..k_dim.div_ceil(run).max(1)).map(|_| QkScratch::default()).collect();
 
         // Factor-update staging buffers, persistent across iterations so
         // the steady-state loop allocates nothing.
@@ -314,24 +312,19 @@ impl Dpar2 {
             let ws = session.workspace();
 
             // Lines 8–13: the R×R SVDs of F(k)·(E Dᵀ V)·S_k·Hᵀ, in lane
-            // groups of SVD_LANES slices. A pool gives each thread one run
-            // of whole groups; the groups, and so every bit, are the same.
-            if serial {
-                qk_update(0, &ct.f_blocks, &edtv, &w, &h, &mut zpt, &mut pzf, &mut ws.qk);
+            // groups of SVD_LANES slices. The groups, and so every bit, are
+            // the same for every thread count. Each run writes its slices'
+            // `zpt`/`pzf` in place; a single run needs no fan-out at all.
+            let fit = (&ct.f_blocks[..], &edtv, &w, &h);
+            if let [scratch] = &mut qk[..] {
+                qk_update(0, fit, &mut zpt, &mut pzf, scratch);
             } else {
-                // Whole groups per run; `max` keeps the step non-zero at K = 0.
-                let run = k_dim.div_ceil(pool.threads()).next_multiple_of(SVD_LANES).max(SVD_LANES);
-                let starts: Vec<usize> = (0..k_dim).step_by(run).collect();
-                let runs: Vec<(Vec<Mat>, Vec<Mat>)> = pool.map(&starts, |_, &k0| {
-                    let len = run.min(k_dim - k0);
-                    let (mut zp, mut pzf_run) =
-                        (vec![Mat::default(); len], vec![Mat::default(); len]);
-                    let mut scratch = QkScratch::default();
-                    qk_update(k0, &ct.f_blocks, &edtv, &w, &h, &mut zp, &mut pzf_run, &mut scratch);
-                    (zp, pzf_run)
+                let mut runs: Vec<_> =
+                    zpt.chunks_mut(run).zip(pzf.chunks_mut(run)).zip(&mut qk).collect();
+                pool.for_each_chunk_mut(&mut runs, 1, |i, job| {
+                    let ((zpt, pzf), scratch) = &mut job[0];
+                    qk_update(i * run, fit, zpt, pzf, scratch);
                 });
-                // The runs are consecutive and in order.
-                (zpt, pzf) = runs.into_iter().flat_map(|(z, p)| z.into_iter().zip(p)).unzip();
             }
 
             // Lines 14–15: H update.
@@ -374,6 +367,9 @@ impl Dpar2 {
             }
         }
         let mut outcome = session.finish();
+        // Like the session's workspace, the `Q_k` scratch is done; free it
+        // before finalize allocates the `U_k`.
+        drop(qk);
 
         // Lines 24–26: U_k = A_k Z_k P_kᵀ H.
         let t_final = Instant::now();
@@ -403,10 +399,45 @@ impl Dpar2 {
     }
 }
 
-/// Scratch for the `Q_k` step of one lane group; the serial fit keeps one
-/// in its [`crate::Workspace`], so steady-state iterations allocate nothing.
+/// The shapes a hand-built [`CompressedTensor`] (its fields are public)
+/// must have for the iterations to run: a non-zero `R`, `K` blocks `F(k)`
+/// of `R×R`, `D` of `J×R`, `E` of length `R` and `K` factors `A_k` of `R`
+/// columns. Checked up front, so a bad shape is a typed error rather than
+/// a panic in the first product — or in finalize, after every iteration.
+fn check_compressed(ct: &CompressedTensor) -> Result<()> {
+    let r = ct.rank;
+    if r == 0 {
+        return Err(Dpar2Error::ZeroRank);
+    }
+    let mismatch = |op, left, right| {
+        Err(Dpar2Error::Linalg(dpar2_linalg::LinalgError::DimensionMismatch { op, left, right }))
+    };
+    if ct.f_blocks.len() != ct.a.len() {
+        return mismatch(
+            "fit_compressed: F-blocks vs A-factors",
+            (ct.f_blocks.len(), r),
+            (ct.a.len(), r),
+        );
+    }
+    if let Some(f) = ct.f_blocks.iter().find(|f| f.shape() != (r, r)) {
+        return mismatch("fit_compressed: F(k) vs R×R", f.shape(), (r, r));
+    }
+    if ct.d.shape() != (ct.j, r) {
+        return mismatch("fit_compressed: D vs J×R", ct.d.shape(), (ct.j, r));
+    }
+    if ct.e.len() != r {
+        return mismatch("fit_compressed: E vs R", (ct.e.len(), 1), (r, 1));
+    }
+    if let Some(a) = ct.a.iter().find(|a| a.cols() != r) {
+        return mismatch("fit_compressed: A_k vs R columns", a.shape(), (a.rows(), r));
+    }
+    Ok(())
+}
+
+/// Scratch for the `Q_k` step of one run of lane groups; the fit keeps
+/// one per run, so steady-state iterations allocate nothing per slice.
 #[derive(Debug, Default)]
-pub struct QkScratch {
+pub(crate) struct QkScratch {
     /// `F(k)·(E Dᵀ V)·S_k` for one slice.
     prod: Mat,
     /// The group's SVD inputs `F(k)·(E Dᵀ V)·S_k·Hᵀ`.
@@ -420,13 +451,10 @@ pub struct QkScratch {
 /// groups of [`SVD_LANES`] from `k0`: the `R×R` SVDs of
 /// `F(k)·(E Dᵀ V)·S_k·Hᵀ` through the lane-batched kernel, then
 /// `Z_k P_kᵀ` into `zpt` and `PZF_k = (Z_k P_kᵀ)ᵀ F(k)` into `pzf`.
-#[allow(clippy::too_many_arguments)]
+/// `fit` is `({F(k)}, E Dᵀ V, W, H)`.
 fn qk_update(
     k0: usize,
-    f_blocks: &[Mat],
-    edtv: &Mat,
-    w: &Mat,
-    h: &Mat,
+    (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
     zpt: &mut [Mat],
     pzf: &mut [Mat],
     g: &mut QkScratch,
@@ -472,8 +500,8 @@ mod tests {
     use super::*;
     use crate::compress::compress;
     use crate::session::{IterationEvent, StopReason};
-    use dpar2_linalg::qr;
     use dpar2_linalg::random::gaussian_mat;
+    use dpar2_linalg::{qr, LinalgError};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::ops::ControlFlow;
@@ -731,9 +759,31 @@ mod tests {
         let mut ct = compress(&t, &opts).unwrap();
         ct.rank = 0;
         assert_eq!(Dpar2.fit_compressed(&ct, &opts).unwrap_err(), Dpar2Error::ZeroRank);
-        let mut ct = compress(&t, &opts).unwrap();
-        ct.f_blocks.pop();
-        assert!(matches!(Dpar2.fit_compressed(&ct, &opts).unwrap_err(), Dpar2Error::Linalg(_)));
+        // Each bad shape is a typed error up front: a count mismatch, an
+        // F(k) that is not R×R, a D without R columns, an E shorter than R
+        // (once accepted silently) and an A_k without R columns (once a
+        // panic in finalize, after every iteration had run).
+        let base = compress(&t, &opts).unwrap();
+        let corrupt = |f: fn(&mut CompressedTensor)| {
+            let mut ct = base.clone();
+            f(&mut ct);
+            ct
+        };
+        let cases = [
+            ("missing F-block", corrupt(|ct| ct.f_blocks.truncate(1))),
+            ("F(k) not R×R", corrupt(|ct| ct.f_blocks[1] = Mat::zeros(2, 3))),
+            ("D without R columns", corrupt(|ct| ct.d = Mat::zeros(10, 3))),
+            ("D without J rows", corrupt(|ct| ct.d = Mat::zeros(9, 2))),
+            ("E shorter than R", corrupt(|ct| ct.e.truncate(1))),
+            ("A_k without R columns", corrupt(|ct| ct.a[0] = Mat::zeros(16, 1))),
+        ];
+        for (what, ct) in &cases {
+            let err = Dpar2.fit_compressed(ct, &opts).unwrap_err();
+            assert!(
+                matches!(err, Dpar2Error::Linalg(LinalgError::DimensionMismatch { .. })),
+                "{what}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
 //!   preconditioning for tall matrices), plus rank-truncated variants and
-//!   a lane-batched kernel that factors several small square matrices in
-//!   lock step, bitwise equal to factoring each alone.
+//!   a lane-batched kernel that factors several small same-shape matrices
+//!   in lock step (AVX2 when the CPU has it), bitwise equal to factoring
+//!   each alone.
 //! * [`eig`] — cyclic Jacobi eigendecomposition of symmetric matrices.
 //! * [`mod@pinv`] — Moore–Penrose pseudoinverse via the SVD, as required by the
 //!   CP-ALS update rules (the `†` operator in Algorithm 2/3 of the paper).
@@ -35,10 +36,13 @@
 //!   running the corresponding naive dense loop.
 //!
 //! Everything is deterministic given a seed and needs no external BLAS.
-//! The crate is safe Rust except for one narrowly-scoped exception in
-//! [`kernel`]: invoking the runtime-feature-dispatched AVX2/FMA microkernel
-//! (`#[target_feature]` functions are `unsafe` to call; the call is guarded
-//! by `is_x86_feature_detected!`).
+//! The crate is safe Rust except for two narrowly-scoped exceptions of one
+//! shape — a `#[target_feature]` function (`unsafe` to call) and its call
+//! site, guarded by a cached `is_x86_feature_detected!` check:
+//!
+//! 1. [`kernel`]: the AVX2/FMA GEMM microkernel;
+//! 2. [`svd`]: the AVX2 Jacobi sweep kernel behind
+//!    [`svd_thin_batch_into`], bitwise equal to its portable fallback.
 //!
 //! ## Example
 //!

@@ -18,18 +18,29 @@
 //! transposed.
 //!
 //! DPar2's `Q_k` step factors `K` same-shape `R×R` matrices per iteration,
-//! and one small Jacobi SVD is latency-bound: every pair `(p, q)` waits on
-//! a dot-product chain, a square root and two divisions. The lane-batched
-//! kernel [`svd_thin_batch_into`] factors up to [`SVD_LANES`] square
-//! matrices in lock step, one per lane of `[f64; SVD_LANES]` arrays, so the
-//! lanes' chains overlap. Each lane runs exactly the scalar expressions
-//! (Rust never contracts `a*b + c` into a fused multiply-add), has its own
-//! tolerance and stops sweeping when its own sweep makes no rotation. A
-//! lane that does not rotate a pair keeps its values by *select*, never by
-//! an identity rotation `c = 1, s = 0`: that would still round, and turns
-//! `−0` into `+0` (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every lane's
-//! factors are therefore bitwise those of [`svd_thin_into`]. Both kernels
-//! end in one shared finish step (sort, normalize, basis completion).
+//! and stage 1 one `(R+s)×J` sketch `B` per slice; one small Jacobi SVD is
+//! latency-bound: every pair `(p, q)` waits on a dot-product chain, a
+//! square root and two divisions. The lane-batched kernel
+//! [`svd_thin_batch_into`] factors up to [`SVD_LANES`] matrices of one
+//! shape in lock step. Each lane first takes the scalar driver's path —
+//! a wide matrix is transposed, a noticeably tall one QR-preconditioned —
+//! and the lanes' Jacobi cores are then interleaved as `[f64; SVD_LANES]`
+//! quads. On a CPU with AVX2 (detected once at runtime) the sweeps run
+//! on one `__m256d` per quad: the three dot products, the skip test as
+//! `≤` masks, `ζ`, `t`, `c`, `s` through packed `div`/`sqrt`, and the
+//! rotations of `W` and `V`; elsewhere a portable loop over the same
+//! quads runs the same expressions lane by lane. Every packed op is the
+//! scalar op, correctly rounded, in each lane (Rust never contracts
+//! `a*b + c` into a fused multiply-add), each lane has its own tolerance
+//! and stops sweeping when its own sweep makes no rotation. A lane that
+//! does not rotate a pair keeps its values by *select* (`blendv`), never
+//! by an identity rotation `c = 1, s = 0`: that would still round, and
+//! turns `−0` into `+0` (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every
+//! lane's factors are therefore bitwise those of [`svd_thin_into`], on
+//! either kernel. Both drivers end in one shared finish step (sort,
+//! normalize, basis completion); the AVX2 kernel is this crate's second
+//! contained `unsafe` exception, of the same shape as the GEMM
+//! microkernel's in [`crate::kernel`].
 
 use crate::mat::Mat;
 use crate::qr::{qr_into, QrScratch};
@@ -107,7 +118,8 @@ pub struct SvdScratch {
     trans: Mat,
 }
 
-/// Number of matrices [`svd_thin_batch_into`] factors in lock step.
+/// Number of matrices [`svd_thin_batch_into`] factors in lock step: one
+/// per lane of a 256-bit `f64` vector.
 pub const SVD_LANES: usize = 4;
 
 /// One value per lane of the batched kernel.
@@ -117,12 +129,16 @@ type Lanes = [f64; SVD_LANES];
 /// grows to the largest shape seen and then allocates nothing.
 #[derive(Debug, Default)]
 pub struct SvdBatchScratch {
-    /// Lane-interleaved column-major Jacobi working store (`n×n`).
+    /// Lane-interleaved column-major Jacobi working store.
     w: Vec<Lanes>,
     /// Lane-interleaved column-major rotation accumulator (`n×n`).
     v: Vec<Lanes>,
-    /// Scalar scratch: one lane at a time through the shared finish step,
-    /// and the lanes the batched sweeps do not take.
+    /// Each QR-preconditioned lane's `Q`, kept from its preparation to its
+    /// finish.
+    q: [Mat; SVD_LANES],
+    /// Scalar scratch, one lane at a time: the transpose and QR that
+    /// prepare a lane's core, the shared finish step, and the lanes the
+    /// batched sweeps do not take.
     scalar: SvdScratch,
 }
 
@@ -163,10 +179,12 @@ pub fn svd_thin_into(a: impl AsMatRef, out: &mut SvdFactors, ws: &mut SvdScratch
 /// Factors up to [`SVD_LANES`] matrices at once: `out[l]` is bitwise what
 /// [`svd_thin_into`] writes for `a[l]`.
 ///
-/// Non-zero square matrices of one shape (the first lane's) run the
-/// one-sided Jacobi sweeps in lock step, one lane each (see the module
-/// docs); any other shape, and an all-zero matrix, goes through
-/// [`svd_thin_into`] on its own.
+/// The matrices of the first lane's shape follow the scalar driver lane by
+/// lane — a wide one is transposed, a noticeably tall one QR-preconditioned
+/// — and their square or tall Jacobi cores then sweep in lock step, one
+/// lane each (see the module docs); each lane's factors are lifted and
+/// swapped back on their own. A matrix of any other shape, and a lane
+/// whose core is all zero, goes through [`svd_thin_into`] alone.
 ///
 /// # Panics
 /// Panics if `a` and `out` differ in length or hold more than
@@ -178,46 +196,151 @@ pub fn svd_thin_batch_into(a: &[Mat], out: &mut [SvdFactors], ws: &mut SvdBatchS
         a.len(),
         out.len()
     );
-    let n = a.first().map_or(0, Mat::cols);
+    let (m, n) = a.first().map_or((0, 0), Mat::shape);
+    // The scalar driver's plan for this shape: Jacobi runs on the `rows×cols`
+    // core of the (transposed, if wide) input, its QR `R` if noticeably tall.
+    let wide = m < n;
+    let (tall_m, cols) = if wide { (n, m) } else { (m, n) };
+    let precondition = tall_m > cols + cols / 4;
+    let rows = if precondition { cols } else { tall_m };
+    let SvdBatchScratch { w, v, q, scalar } = ws;
+    w.clear();
+    w.resize(rows * cols, [0.0; SVD_LANES]);
     // `live` lanes take the batched sweeps, with the scalar tolerance.
     let mut live = [false; SVD_LANES];
     let mut tol = [0.0; SVD_LANES];
     for (l, (x, o)) in a.iter().zip(out.iter_mut()).enumerate() {
-        let fro = if n > 0 && x.shape() == (n, n) { x.fro_norm() } else { 0.0 };
-        if fro == 0.0 {
-            svd_thin_into(x, o, &mut ws.scalar);
-        } else {
-            live[l] = true;
-            tol[l] = (1e-15 * fro * fro).max(1e-30);
+        if cols > 0 && x.shape() == (m, n) {
+            let core = lane_core(x, wide, precondition, &mut q[l], scalar);
+            let fro = core.fro_norm();
+            if fro != 0.0 {
+                for j in 0..cols {
+                    for i in 0..rows {
+                        w[j * rows + i][l] = core.at(i, j);
+                    }
+                }
+                live[l] = true;
+                tol[l] = (1e-15 * fro * fro).max(1e-30);
+                continue;
+            }
         }
+        svd_thin_into(x, o, scalar);
     }
     if !live.contains(&true) {
         return;
     }
-    let SvdBatchScratch { w, v, scalar } = ws;
-    w.clear();
-    w.resize(n * n, [0.0; SVD_LANES]);
-    for (l, x) in a.iter().enumerate().filter(|&(l, _)| live[l]) {
-        for j in 0..n {
-            for i in 0..n {
-                w[j * n + i][l] = x.at(i, j);
-            }
-        }
-    }
     v.clear();
-    v.resize(n * n, [0.0; SVD_LANES]);
-    for j in 0..n {
-        v[j * n + j] = [1.0; SVD_LANES];
+    v.resize(cols * cols, [0.0; SVD_LANES]);
+    for j in 0..cols {
+        v[j * cols + j] = [1.0; SVD_LANES];
     }
 
+    jacobi_sweeps(rows, cols, w, v, &tol, live);
+
+    for (l, o) in out.iter_mut().enumerate().filter(|&(l, _)| live[l]) {
+        scalar.w.clear();
+        scalar.w.extend(w.iter().map(|x| x[l]));
+        scalar.v.resize_zeroed(cols, cols);
+        for j in 0..cols {
+            for i in 0..cols {
+                scalar.v.set(i, j, v[j * cols + i][l]);
+            }
+        }
+        let SvdFactors { u, s, v: v_out } = o;
+        let (u, v_out) = if wide { (v_out, u) } else { (u, v_out) };
+        if precondition {
+            let mut u_inner = std::mem::take(&mut scalar.u_inner);
+            jacobi_finish(rows, cols, &mut u_inner, s, v_out, scalar);
+            q[l].matmul_into(&u_inner, u);
+            scalar.u_inner = u_inner;
+        } else {
+            jacobi_finish(rows, cols, u, s, v_out, scalar);
+        }
+    }
+}
+
+/// The matrix [`svd_thin_into`] runs Jacobi on for `x`: `x` itself, its
+/// transpose if wide (in `ws`), or the `R` of its QR (in `ws`, the `Q` in
+/// `q`) if noticeably tall.
+fn lane_core<'a>(
+    x: &'a Mat,
+    wide: bool,
+    precondition: bool,
+    q: &mut Mat,
+    ws: &'a mut SvdScratch,
+) -> MatRef<'a> {
+    let SvdScratch { trans, qr, qr_r, .. } = ws;
+    let tall = if wide {
+        x.view().transpose_into(trans);
+        let trans: &'a Mat = trans;
+        trans.view()
+    } else {
+        x.view()
+    };
+    if !precondition {
+        return tall;
+    }
+    qr_into(tall, q, qr_r, qr);
+    let r: &'a Mat = qr_r;
+    r.view()
+}
+
+/// Runs the one-sided Jacobi sweeps on the live lanes of the lane-
+/// interleaved column-major `rows×cols` store `w`, accumulating each
+/// lane's rotations into `v` (`cols×cols`). Returns how many sweeps each
+/// lane ran. Takes the AVX2 kernel when the CPU has it; both kernels give
+/// the same bits.
+fn jacobi_sweeps(
+    rows: usize,
+    cols: usize,
+    w: &mut [Lanes],
+    v: &mut [Lanes],
+    tol: &Lanes,
+    live: [bool; SVD_LANES],
+) -> [usize; SVD_LANES] {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: `avx2_available` verified AVX2 support on this CPU, which
+        // is the only precondition of the `#[target_feature]` fn.
+        #[allow(unsafe_code)]
+        return unsafe { sweeps_avx2(rows, cols, w, v, tol, live) };
+    }
+    sweeps_portable(rows, cols, w, v, tol, live)
+}
+
+/// Cached runtime CPU-feature probe for the AVX2 sweep kernel.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2_available() -> bool {
+    use std::sync::OnceLock;
+    static AVAILABLE: OnceLock<bool> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+}
+
+/// The portable sweep kernel: the scalar loop's expressions, lane by lane
+/// over `[f64; SVD_LANES]` arrays. The fallback on CPUs without AVX2, and
+/// the oracle the AVX2 kernel is tested against.
+fn sweeps_portable(
+    rows: usize,
+    cols: usize,
+    w: &mut [Lanes],
+    v: &mut [Lanes],
+    tol: &Lanes,
+    live: [bool; SVD_LANES],
+) -> [usize; SVD_LANES] {
+    let mut sweeps = [0; SVD_LANES];
     let mut active = live;
     for _sweep in 0..MAX_SWEEPS {
         let mut rotated = [false; SVD_LANES];
-        for p in 0..n {
-            for q in p + 1..n {
+        for l in 0..SVD_LANES {
+            sweeps[l] += usize::from(active[l]);
+        }
+        for p in 0..cols {
+            for q in p + 1..cols {
                 let (mut app, mut aqq, mut apq) =
                     ([0.0; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES]);
-                for (wp, wq) in w[p * n..(p + 1) * n].iter().zip(&w[q * n..(q + 1) * n]) {
+                for (wp, wq) in w[p * rows..(p + 1) * rows].iter().zip(&w[q * rows..(q + 1) * rows])
+                {
                     for l in 0..SVD_LANES {
                         app[l] += wp[l] * wp[l];
                         aqq[l] += wq[l] * wq[l];
@@ -240,9 +363,9 @@ pub fn svd_thin_batch_into(a: &[Mat], out: &mut [SvdFactors], ws: &mut SvdBatchS
                 if !rot.contains(&true) {
                     continue;
                 }
-                let (wp, wq) = pair_mut(w, n, p, q);
+                let (wp, wq) = pair_mut(w, rows, p, q);
                 rotate_lanes(wp, wq, &rot, &c, &s_rot);
-                let (vp, vq) = pair_mut(v, n, p, q);
+                let (vp, vq) = pair_mut(v, cols, p, q);
                 rotate_lanes(vp, vq, &rot, &c, &s_rot);
             }
         }
@@ -255,18 +378,7 @@ pub fn svd_thin_batch_into(a: &[Mat], out: &mut [SvdFactors], ws: &mut SvdBatchS
             break;
         }
     }
-
-    for (l, o) in out.iter_mut().enumerate().filter(|&(l, _)| live[l]) {
-        scalar.w.clear();
-        scalar.w.extend(w.iter().map(|x| x[l]));
-        scalar.v.resize_zeroed(n, n);
-        for j in 0..n {
-            for i in 0..n {
-                scalar.v.set(i, j, v[j * n + i][l]);
-            }
-        }
-        jacobi_finish(n, n, &mut o.u, &mut o.s, &mut o.v, scalar);
-    }
+    sweeps
 }
 
 /// Applies one pair's rotations to two lane-interleaved columns. A lane
@@ -279,6 +391,102 @@ fn rotate_lanes(xp: &mut [Lanes], xq: &mut [Lanes], rot: &[bool; SVD_LANES], c: 
             q[l] = if rot[l] { s[l] * a + c[l] * b } else { b };
         }
     }
+}
+
+/// [`sweeps_portable`] with one `__m256d` per lane quad: every packed op
+/// is the same correctly rounded IEEE op as the portable kernel's in each
+/// lane, the skip test is a pair of `≤` masks (false on NaN, as `<=` is),
+/// `signum` keeps `f64::signum`'s NaN, and a lane that does not rotate
+/// keeps its bits through `blendv`. Only called after a runtime CPU check
+/// (see [`jacobi_sweeps`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)] // contained SIMD exception; see the module docs
+unsafe fn sweeps_avx2(
+    rows: usize,
+    cols: usize,
+    w: &mut [Lanes],
+    v: &mut [Lanes],
+    tol: &Lanes,
+    live: [bool; SVD_LANES],
+) -> [usize; SVD_LANES] {
+    use core::arch::x86_64::*;
+    let mut sweeps = [0; SVD_LANES];
+    // SAFETY: every load and store below goes through a `&[f64; 4]` or
+    // `&mut [f64; 4]` borrowed from `w`, `v`, `tol` or a local array, so it
+    // stays in bounds; the loadu/storeu intrinsics need no alignment.
+    unsafe {
+        let zero = _mm256_setzero_pd();
+        let one = _mm256_set1_pd(1.0);
+        let sign = _mm256_set1_pd(-0.0);
+        let tol = _mm256_loadu_pd(tol.as_ptr());
+        let mut active =
+            _mm256_loadu_pd(live.map(|b| f64::from_bits(if b { u64::MAX } else { 0 })).as_ptr());
+        for _sweep in 0..MAX_SWEEPS {
+            let mut rotated = zero;
+            let bits = _mm256_movemask_pd(active) as usize;
+            for (l, n) in sweeps.iter_mut().enumerate() {
+                *n += (bits >> l) & 1;
+            }
+            for p in 0..cols {
+                for q in p + 1..cols {
+                    let (mut app, mut aqq, mut apq) = (zero, zero, zero);
+                    for (wp, wq) in
+                        w[p * rows..(p + 1) * rows].iter().zip(&w[q * rows..(q + 1) * rows])
+                    {
+                        let (a, b) = (_mm256_loadu_pd(wp.as_ptr()), _mm256_loadu_pd(wq.as_ptr()));
+                        app = _mm256_add_pd(app, _mm256_mul_pd(a, a));
+                        aqq = _mm256_add_pd(aqq, _mm256_mul_pd(b, b));
+                        apq = _mm256_add_pd(apq, _mm256_mul_pd(a, b));
+                    }
+                    let abs_apq = _mm256_andnot_pd(sign, apq);
+                    let rel = _mm256_mul_pd(
+                        _mm256_set1_pd(1e-15),
+                        _mm256_sqrt_pd(_mm256_mul_pd(app, aqq)),
+                    );
+                    let skip = _mm256_or_pd(
+                        _mm256_cmp_pd::<_CMP_LE_OQ>(abs_apq, tol),
+                        _mm256_cmp_pd::<_CMP_LE_OQ>(abs_apq, rel),
+                    );
+                    let rot = _mm256_andnot_pd(skip, active);
+                    if _mm256_movemask_pd(rot) == 0 {
+                        continue;
+                    }
+                    rotated = _mm256_or_pd(rotated, rot);
+                    let zeta = _mm256_div_pd(
+                        _mm256_sub_pd(aqq, app),
+                        _mm256_mul_pd(_mm256_set1_pd(2.0), apq),
+                    );
+                    let signum = _mm256_blendv_pd(
+                        _mm256_or_pd(_mm256_and_pd(sign, zeta), one),
+                        _mm256_set1_pd(f64::NAN),
+                        _mm256_cmp_pd::<_CMP_UNORD_Q>(zeta, zeta),
+                    );
+                    let hyp = _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(zeta, zeta)));
+                    let t = _mm256_div_pd(signum, _mm256_add_pd(_mm256_andnot_pd(sign, zeta), hyp));
+                    let c =
+                        _mm256_div_pd(one, _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(t, t))));
+                    let s = _mm256_mul_pd(c, t);
+                    for (x, m) in [(&mut *w, rows), (&mut *v, cols)] {
+                        let (xp, xq) = pair_mut(x, m, p, q);
+                        for (xp, xq) in xp.iter_mut().zip(xq) {
+                            let (a, b) =
+                                (_mm256_loadu_pd(xp.as_ptr()), _mm256_loadu_pd(xq.as_ptr()));
+                            let np = _mm256_sub_pd(_mm256_mul_pd(c, a), _mm256_mul_pd(s, b));
+                            let nq = _mm256_add_pd(_mm256_mul_pd(s, a), _mm256_mul_pd(c, b));
+                            _mm256_storeu_pd(xp.as_mut_ptr(), _mm256_blendv_pd(a, np, rot));
+                            _mm256_storeu_pd(xq.as_mut_ptr(), _mm256_blendv_pd(b, nq, rot));
+                        }
+                    }
+                }
+            }
+            active = _mm256_and_pd(active, rotated);
+            if _mm256_movemask_pd(active) == 0 {
+                break;
+            }
+        }
+    }
+    sweeps
 }
 
 /// Tall/square driver (`m ≥ n`): QR-precondition when noticeably tall.
@@ -698,5 +906,166 @@ mod tests {
         assert!((f.s[1] - 3.0).abs() < 1e-12);
         assert!((f.s[2] - 1.0).abs() < 1e-12);
         assert_valid_svd(&a, &f, 1e-10);
+    }
+
+    /// The two sweep kernels, run directly on the same lane-interleaved
+    /// inputs. On an AVX2 host `svd_thin_batch_into` never runs the
+    /// portable kernel, so these tests are where it meets the AVX2 one.
+    mod sweep_kernels {
+        use super::super::*;
+        use crate::random::gaussian_mat;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        /// Column-major `rows×cols` store of a matrix.
+        fn col_major(a: &Mat) -> Vec<f64> {
+            (0..a.cols()).flat_map(|j| (0..a.rows()).map(move |i| a.at(i, j))).collect()
+        }
+
+        /// The batched driver's tolerance for a lane.
+        fn tolerance(a: &[f64]) -> f64 {
+            let fro = a.iter().map(|x| x * x).sum::<f64>().sqrt();
+            (1e-15 * fro * fro).max(1e-30)
+        }
+
+        /// Equal bits, except that any NaN equals any NaN: which NaN an
+        /// operation returns for a NaN operand depends on how the compiler
+        /// ordered a commutative op, in either kernel.
+        fn same(a: f64, b: f64) -> bool {
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+        }
+
+        /// Runs both kernels from the same start; asserts they agree on
+        /// `W`, `V` and every lane's sweep count, and returns the portable
+        /// kernel's `(W, V, sweeps)`. `None` on a CPU without AVX2.
+        #[allow(clippy::type_complexity)]
+        fn both(
+            rows: usize,
+            cols: usize,
+            lanes: &[Vec<f64>],
+            tol: Lanes,
+            live: [bool; SVD_LANES],
+        ) -> Option<(Vec<Lanes>, Vec<Lanes>, [usize; SVD_LANES])> {
+            #[cfg(target_arch = "x86_64")]
+            if avx2_available() {
+                let mut w = vec![[0.0; SVD_LANES]; rows * cols];
+                for (l, lane) in lanes.iter().enumerate() {
+                    for (x, &y) in w.iter_mut().zip(lane) {
+                        x[l] = y;
+                    }
+                }
+                let mut v = vec![[0.0; SVD_LANES]; cols * cols];
+                for j in 0..cols {
+                    v[j * cols + j] = [1.0; SVD_LANES];
+                }
+                let (mut w2, mut v2) = (w.clone(), v.clone());
+                let sweeps = sweeps_portable(rows, cols, &mut w, &mut v, &tol, live);
+                // SAFETY: `avx2_available` verified AVX2 support above.
+                #[allow(unsafe_code)]
+                let sweeps2 = unsafe { sweeps_avx2(rows, cols, &mut w2, &mut v2, &tol, live) };
+                assert_eq!(sweeps, sweeps2, "sweep counts differ");
+                for (name, a, b) in [("W", &w, &w2), ("V", &v, &v2)] {
+                    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+                        for l in 0..SVD_LANES {
+                            assert!(same(x[l], y[l]), "{name}[{i}] lane {l}: {} vs {}", x[l], y[l]);
+                        }
+                    }
+                }
+                return Some((w, v, sweeps));
+            }
+            eprintln!("no AVX2 on this CPU: the AVX2 sweep kernel is not tested");
+            None
+        }
+
+        fn gaussian_lanes(rows: usize, cols: usize, seed: u64) -> Vec<Vec<f64>> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..SVD_LANES).map(|_| col_major(&gaussian_mat(rows, cols, &mut rng))).collect()
+        }
+
+        #[test]
+        fn non_finite_lanes() {
+            for (rows, cols) in [(5, 5), (7, 4)] {
+                let mut lanes = gaussian_lanes(rows, cols, 1601);
+                lanes[1][rows + 2] = f64::NAN;
+                lanes[2][3] = f64::INFINITY;
+                lanes[3][rows * cols - 1] = f64::NEG_INFINITY;
+                let tol = [0, 1, 2, 3].map(|l| tolerance(&lanes[l]));
+                let Some((w, _, _)) = both(rows, cols, &lanes, tol, [true; SVD_LANES]) else {
+                    return;
+                };
+                assert!(w.iter().all(|x| x[0].is_finite()), "the finite lane stays finite");
+                assert!(w.iter().any(|x| x[1].is_nan()));
+            }
+        }
+
+        #[test]
+        fn signed_zeros() {
+            let (rows, cols) = (6, 6);
+            let mut lanes = gaussian_lanes(rows, cols, 1602);
+            // Lane 0: a column of −0. Lane 1: diagonal with −0 elsewhere,
+            // so it never rotates and must keep every −0.
+            for x in &mut lanes[0][2 * rows..3 * rows] {
+                *x = -0.0;
+            }
+            for (i, x) in lanes[1].iter_mut().enumerate() {
+                *x = if i % (rows + 1) == 0 { 2.0 + i as f64 } else { -0.0 };
+            }
+            lanes[2][0] = -0.0;
+            let start = lanes[1].clone();
+            let tol = [0, 1, 2, 3].map(|l| tolerance(&lanes[l]));
+            let Some((w, _, sweeps)) = both(rows, cols, &lanes, tol, [true; SVD_LANES]) else {
+                return;
+            };
+            assert_eq!(sweeps[1], 1);
+            for (x, y) in w.iter().zip(&start) {
+                assert_eq!(x[1].to_bits(), y.to_bits(), "a non-rotating lane lost a −0");
+            }
+        }
+
+        #[test]
+        fn off_diagonal_exactly_at_the_tolerance() {
+            // Columns p = (1, 0), q = (x, 1): apq = x exactly. A tolerance
+            // of |x| skips (`≤`), one ulp below rotates, one above skips.
+            let x: f64 = 0.375;
+            let lane = vec![1.0, 0.0, x, 1.0];
+            let lanes = vec![lane.clone(), lane.clone(), lane.clone(), lane];
+            let below = f64::from_bits(x.to_bits() - 1);
+            let above = f64::from_bits(x.to_bits() + 1);
+            let tol = [x, below, above, x];
+            let live = [true, true, true, false];
+            let Some((w, _, sweeps)) = both(2, 2, &lanes, tol, live) else {
+                return;
+            };
+            assert_eq!(sweeps, [1, 2, 1, 0]);
+            for l in [0, 2, 3] {
+                assert!(w.iter().zip([1.0, 0.0, x, 1.0]).all(|(a, b)| a[l] == b), "lane {l}");
+            }
+            assert_ne!(w[2][1], x, "the lane below the tolerance rotated");
+        }
+
+        #[test]
+        fn lanes_converging_on_different_sweeps() {
+            let n = 9;
+            let mut rng = StdRng::seed_from_u64(1603);
+            let diag = col_major(&Mat::diag(&(0..n).map(|i| 1.0 + i as f64).collect::<Vec<_>>()));
+            let mut ill = gaussian_mat(n, n, &mut rng);
+            for i in 0..n {
+                for x in ill.row_mut(i) {
+                    *x *= 10f64.powi(-(i as i32));
+                }
+            }
+            let lanes = vec![
+                diag,
+                col_major(&gaussian_mat(n, n, &mut rng)),
+                col_major(&ill),
+                col_major(&crate::qr::qr(gaussian_mat(n, n, &mut rng)).q),
+            ];
+            let tol = [0, 1, 2, 3].map(|l| tolerance(&lanes[l]));
+            let Some((_, _, sweeps)) = both(n, n, &lanes, tol, [true; SVD_LANES]) else {
+                return;
+            };
+            assert_eq!(sweeps[0], 1, "a diagonal lane converges in its first sweep");
+            assert!(sweeps[1] > 2 && sweeps[2] > 2, "{sweeps:?}");
+        }
     }
 }

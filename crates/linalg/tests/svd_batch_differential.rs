@@ -6,8 +6,9 @@
 //! bit-identical to the per-slice scalar SVD. The cases cover every lane
 //! count, sizes from `1×1` up past the `R` the benchmarks use, Gaussian
 //! and rank-deficient inputs (so basis completion runs), signed zeros (the
-//! select rule), all-zero and odd-shaped lanes (the scalar fallback) and
-//! lanes that need very different sweep counts. One scratch and one set of
+//! select rule), all-zero and odd-shaped lanes (the scalar fallback),
+//! lanes that need very different sweep counts, and same-shape rectangular
+//! lanes (wide ones transposed, tall ones QR-preconditioned lane by lane). One scratch and one set of
 //! outputs serve every call, so stale state from a previous shape would
 //! show too.
 
@@ -148,11 +149,55 @@ fn signed_zeros_keep_their_sign() {
     }
 }
 
+/// Rectangular shapes: stage 1's sketch `B` (`18×48`, `18×88` wide) and
+/// their transposes, a QR-preconditioned tall lane (`88×18`, `5×3`), and
+/// tall shapes just inside and outside the `m > n + n/4` rule.
+const RECT: [(usize, usize); 8] =
+    [(18, 48), (48, 18), (88, 18), (18, 88), (5, 3), (3, 5), (12, 10), (13, 10)];
+
+#[test]
+fn same_shape_rectangular_lanes() {
+    let mut rng = StdRng::seed_from_u64(1408);
+    let (mut out, mut ws) = (Vec::new(), SvdBatchScratch::default());
+    for (m, n) in RECT {
+        for count in 1..=SVD_LANES {
+            let lanes: Vec<Mat> = (0..count)
+                .map(|l| match l {
+                    // A rank-deficient lane beside full-rank ones.
+                    2 => gaussian_mat(m, 1, &mut rng).matmul(gaussian_mat(1, n, &mut rng)).unwrap(),
+                    _ => gaussian_mat(m, n, &mut rng),
+                })
+                .collect();
+            assert_batch_matches(&lanes, &mut out, &mut ws, &format!("{m}x{n}, {count} lanes"));
+        }
+    }
+}
+
+#[test]
+fn rectangular_lanes_with_zero_and_odd_lanes() {
+    let mut rng = StdRng::seed_from_u64(1409);
+    let (mut out, mut ws) = (Vec::new(), SvdBatchScratch::default());
+    for (m, n) in RECT {
+        // A zero lane, a lane of another shape, and signed zeros.
+        let mut signed = gaussian_mat(m, n, &mut rng);
+        for i in 0..m {
+            signed.set(i, 0, -0.0);
+        }
+        let lanes = vec![
+            gaussian_mat(m, n, &mut rng),
+            Mat::zeros(m, n),
+            gaussian_mat(n, m + 1, &mut rng),
+            signed,
+        ];
+        assert_batch_matches(&lanes, &mut out, &mut ws, &format!("{m}x{n} mixed"));
+    }
+}
+
 #[test]
 fn other_shapes_fall_back_per_lane() {
     let mut rng = StdRng::seed_from_u64(1406);
     let (mut out, mut ws) = (Vec::new(), SvdBatchScratch::default());
-    // Non-square first lane: everything goes through the scalar kernel.
+    // Lanes of the first lane's shape batch; the others go alone.
     let lanes = vec![gaussian_mat(9, 4, &mut rng), gaussian_mat(9, 4, &mut rng)];
     assert_batch_matches(&lanes, &mut out, &mut ws, "tall lanes");
     let lanes = vec![gaussian_mat(3, 7, &mut rng), gaussian_mat(5, 5, &mut rng)];
@@ -182,10 +227,38 @@ fn a_non_finite_lane_leaves_the_others_alone() {
         assert!(bits(&out[l]) == bits(&want), "lane {l} changed beside a NaN lane");
     }
     assert!(out[1].s.iter().all(|s| s.is_nan()));
+    // The same beside a wide lane whose QR core carries the NaN.
+    let mut poisoned = gaussian_mat(4, 11, &mut rng);
+    poisoned.set(1, 7, f64::INFINITY);
+    let lanes = vec![gaussian_mat(4, 11, &mut rng), poisoned];
+    let mut out = vec![SvdFactors::default(); 2];
+    svd_thin_batch_into(&lanes, &mut out, &mut SvdBatchScratch::default());
+    let mut want = SvdFactors::default();
+    svd_thin_into(&lanes[0], &mut want, &mut SvdScratch::default());
+    assert!(bits(&out[0]) == bits(&want), "wide lane changed beside a non-finite lane");
+    assert!(out[1].s.iter().any(|s| !s.is_finite()));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn random_rectangular_batches_match_the_scalar_kernel(
+        m in 1usize..40,
+        n in 1usize..40,
+        count in 1usize..SVD_LANES + 1,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lanes: Vec<Mat> = (0..count).map(|_| gaussian_mat(m, n, &mut rng)).collect();
+        let mut out = vec![SvdFactors::default(); count];
+        svd_thin_batch_into(&lanes, &mut out, &mut SvdBatchScratch::default());
+        for (a, got) in lanes.iter().zip(&out) {
+            let mut want = SvdFactors::default();
+            svd_thin_into(a, &mut want, &mut SvdScratch::default());
+            prop_assert!(bits(got) == bits(&want));
+        }
+    }
 
     #[test]
     fn random_batches_match_the_scalar_kernel(

@@ -20,7 +20,10 @@
 //! the Halko et al. recommendations.
 //!
 //! DPar2 calls this twice: once per slice (`X_k ≈ A_k B_k C_kᵀ`, stage 1)
-//! and once on the concatenated `M = ∥_k C_k B_k` (stage 2).
+//! and once on the concatenated `M = ∥_k C_k B_k` (stage 2). Stage 1 runs
+//! the halves separately — [`rsvd_sketch`] per slice, step 5 for a group
+//! of slices at once, [`rsvd_lift`] per slice — which is the same code
+//! path [`rsvd_pooled`] takes, split where the batch goes in.
 //!
 //! The pipeline is generic over a [`ProductOp`] operator (see [`ops`]):
 //! dense [`dpar2_linalg::MatRef`] runs [`dpar2_linalg::gemm`] on the pool
@@ -87,27 +90,67 @@ pub fn rsvd(op: impl ProductOp, config: &RsvdConfig, rng: &mut impl Rng) -> SvdF
 /// operator families fix their reduction order), so `rsvd(a, c, rng)` and
 /// `rsvd_pooled(a, c, rng, pool)` agree exactly given equal RNG streams.
 ///
-/// All QR factorizations share one [`QrScratch`] and one pair of `Q`/`R`
-/// buffers, so the power-iteration re-orthonormalizations stop allocating
-/// fresh scratch every pass (repeated compressions — streaming refits —
-/// no longer churn the allocator).
+/// It is [`rsvd_sketch`] (steps 1–4), the exact SVD of `B` (step 5) and
+/// [`rsvd_lift`] (step 6); a caller with several sketches of one shape
+/// can factor their `B`s together instead
+/// ([`dpar2_linalg::svd_thin_batch_into`], bitwise the same factors).
 pub fn rsvd_pooled(
     op: impl ProductOp,
     config: &RsvdConfig,
     rng: &mut impl Rng,
     pool: &ThreadPool,
 ) -> SvdFactors {
+    match rsvd_sketch(op, config, rng, pool) {
+        RsvdSketch::Exact(f) => f,
+        RsvdSketch::Range { q, b, rank } => rsvd_lift(&q, &svd_thin(&b), rank, pool),
+    }
+}
+
+/// What steps 1–4 of [`rsvd_pooled`] leave for the small exact SVD.
+#[derive(Debug, Clone)]
+pub enum RsvdSketch {
+    /// No sketch was needed: an empty matrix, or one whose sketch would
+    /// span the whole space — the exact thin SVD is both cheaper and more
+    /// accurate there. These are the final factors.
+    Exact(SvdFactors),
+    /// The orthonormal range basis `Q` (`I × (R+s)`) and the projection
+    /// `B = Qᵀ A` (`(R+s) × J`), to be factored and lifted at `rank`.
+    Range {
+        /// Orthonormal range basis.
+        q: Mat,
+        /// Projection `Qᵀ A`.
+        b: Mat,
+        /// Target rank `min(R, I, J)`.
+        rank: usize,
+    },
+}
+
+/// Steps 1–4 of Algorithm 1 on `pool`: the test matrix, the power
+/// iterations, the range basis `Q` and the projection `B = Qᵀ A`.
+///
+/// All QR factorizations share one [`QrScratch`] and one pair of `Q`/`R`
+/// buffers, so the power-iteration re-orthonormalizations stop allocating
+/// fresh scratch every pass (repeated compressions — streaming refits —
+/// no longer churn the allocator).
+pub fn rsvd_sketch(
+    op: impl ProductOp,
+    config: &RsvdConfig,
+    rng: &mut impl Rng,
+    pool: &ThreadPool,
+) -> RsvdSketch {
     let (i, j) = op.shape();
     let min_dim = i.min(j);
     if min_dim == 0 {
-        return SvdFactors { u: Mat::zeros(i, 0), s: vec![], v: Mat::zeros(j, 0) };
+        return RsvdSketch::Exact(SvdFactors {
+            u: Mat::zeros(i, 0),
+            s: vec![],
+            v: Mat::zeros(j, 0),
+        });
     }
     let rank = config.rank.min(min_dim);
     let sketch = (config.rank + config.oversample).min(min_dim);
     if sketch >= min_dim {
-        // The sketch would span the whole space — the exact thin SVD is
-        // both cheaper and more accurate here.
-        return truncate(&op.svd_exact(), rank);
+        return RsvdSketch::Exact(truncate(&op.svd_exact(), rank));
     }
 
     // 1. Gaussian test matrix Ω ∈ R^{J×sketch}.
@@ -130,11 +173,16 @@ pub fn rsvd_pooled(
     // 4. Project: B = Qᵀ A (sketch × J).
     let mut b = Mat::zeros(0, 0);
     op.proj_into(&q, &mut b, pool);
-    // 5. Exact SVD of the small B, truncated to the target rank.
-    let small = truncate(&svd_thin(&b), rank);
-    // 6. Lift the left factor back: U = Q Ũ.
+    RsvdSketch::Range { q, b, rank }
+}
+
+/// Steps 5–6 of Algorithm 1 given the exact thin SVD `b_svd` of a
+/// sketch's `B`: truncate it to `rank` and lift the left factor back,
+/// `U = Q Ũ`, on `pool`.
+pub fn rsvd_lift(q: &Mat, b_svd: &SvdFactors, rank: usize, pool: &ThreadPool) -> SvdFactors {
+    let small = truncate(b_svd, rank);
     let mut u = Mat::zeros(0, 0);
-    gemm(Trans::N, Trans::N, &q, &small.u, &mut u, pool);
+    gemm(Trans::N, Trans::N, q, &small.u, &mut u, pool);
     SvdFactors { u, s: small.s, v: small.v }
 }
 
