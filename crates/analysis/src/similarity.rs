@@ -131,8 +131,12 @@ pub fn similarity_graph_par(factors: &[&Mat], gamma: f64, pool: &ThreadPool) -> 
     // Row i computes n − 1 − i pairwise similarities.
     let weights: Vec<usize> = (0..n).map(|i| n - 1 - i).collect();
     let partition = greedy_partition(&weights, pool.threads());
-    let rows: Vec<Vec<f64>> = pool.run_partitioned(&partition, |i| {
-        (i + 1..n).map(|j| stock_similarity(factors[i], factors[j], gamma)).collect()
+    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); n];
+    let mut scratch = vec![(); partition.len()];
+    pool.for_each_partitioned(&partition, rows.iter_mut(), &mut scratch, |bucket, _| {
+        for (i, row) in bucket {
+            row.extend((i + 1..n).map(|j| stock_similarity(factors[i], factors[j], gamma)));
+        }
     });
     let mut s = Mat::zeros(n, n);
     for i in 0..n {
@@ -216,15 +220,19 @@ mod tests {
 
     #[test]
     fn parallel_graph_matches_serial_exactly() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let us: Vec<Mat> = (0..17).map(|_| gaussian_mat(9, 3, &mut rng)).collect();
-        let refs: Vec<&Mat> = us.iter().collect();
-        let (s_ref, a_ref) = similarity_graph(&refs, 0.02);
-        for threads in [1, 2, 4, 7] {
-            let pool = ThreadPool::new(threads);
-            let (s, a) = similarity_graph_par(&refs, 0.02, &pool);
-            assert_eq!(s, s_ref, "S differs at {threads} threads");
-            assert_eq!(a, a_ref, "A differs at {threads} threads");
+        // 17 stocks share out unevenly; 1 and 3 leave threads without a
+        // row; 16 and 32 give more rows than threads.
+        for n in [17, 1, 3, 16, 32] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let us: Vec<Mat> = (0..n).map(|_| gaussian_mat(9, 3, &mut rng)).collect();
+            let refs: Vec<&Mat> = us.iter().collect();
+            let (s_ref, a_ref) = similarity_graph(&refs, 0.02);
+            for threads in [1, 2, 4, 7, 8] {
+                let pool = ThreadPool::new(threads);
+                let (s, a) = similarity_graph_par(&refs, 0.02, &pool);
+                assert_eq!(s, s_ref, "S differs at {threads} threads, {n} stocks");
+                assert_eq!(a, a_ref, "A differs at {threads} threads, {n} stocks");
+            }
         }
     }
 

@@ -8,7 +8,7 @@ use dpar2_core::error::{Dpar2Error, Result};
 use dpar2_core::{FitOptions, Parafac2Fit, SliceTensor, Workspace};
 use dpar2_linalg::svd::{svd_truncated, svd_truncated_into};
 use dpar2_linalg::{Mat, SvdFactors, SvdScratch};
-use dpar2_parallel::{greedy_partition, ThreadPool};
+use dpar2_parallel::{greedy_partition, slots, ThreadPool};
 
 /// Initial `Q_k` for every slice: the identity embedding (first `R`
 /// columns of `I_{I_k}`), a valid orthonormal basis. The first ALS
@@ -88,9 +88,9 @@ pub fn update_q_into(
 /// compression pass), so sharing the parallel treatment keeps
 /// method-comparison timings about algorithmic cost, not about which
 /// solver got threads. Slices are assigned by the same greedy partition
-/// (Algorithm 4) the compression stage uses; results come back in slice
-/// order and are summed in ascending `k`, making the result bit-identical
-/// for every pool size.
+/// (Algorithm 4) the compression stage uses; each lands in its own slot
+/// and the slots are summed in ascending `k`, making the result
+/// bit-identical for every pool size.
 pub fn true_error_sq<T: SliceTensor>(
     tensor: &T,
     qs: &[Mat],
@@ -105,9 +105,11 @@ pub fn true_error_sq<T: SliceTensor>(
 }
 
 /// [`true_error_sq`] against a caller-owned slice partition and
-/// [`Workspace`]: single-threaded pools run the ascending-`k` sum on the
-/// arena's scratch with zero allocations; larger pools fan slices out over
-/// `partition`. Bit-identical to [`true_error_sq`] for every pool size.
+/// [`Workspace`]. One body, whatever the pool: each slice's error goes into
+/// the arena's per-slice slots, computed on its bucket's arena in
+/// [`Workspace::workers`] (a one-thread pool runs inline, allocation-free),
+/// and the slots are summed in ascending `k`. Bit-identical to
+/// [`true_error_sq`] for every pool size.
 #[allow(clippy::too_many_arguments)]
 pub fn true_error_sq_ws<T: SliceTensor>(
     tensor: &T,
@@ -119,28 +121,16 @@ pub fn true_error_sq_ws<T: SliceTensor>(
     partition: &[Vec<usize>],
     ws: &mut Workspace,
 ) -> f64 {
-    if pool.threads() == 1 {
-        let mut total = 0.0;
-        for k in 0..qs.len() {
-            total += slice_error_sq(
-                tensor,
-                qs,
-                h,
-                w,
-                v,
-                k,
-                &mut ws.crit_hs,
-                &mut ws.tall_a,
-                &mut ws.tall_b,
-            );
+    let Workspace { slice_vals, workers, .. } = ws;
+    let errors = slots(slice_vals, qs.len());
+    let scratch = slots(workers, partition.len());
+    pool.for_each_partitioned(partition, errors.iter_mut(), scratch, |bucket, worker| {
+        let Workspace { crit_hs, tall_a, tall_b, .. } = worker;
+        for (k, error) in bucket {
+            *error = slice_error_sq(tensor, qs, h, w, v, k, crit_hs, tall_a, tall_b);
         }
-        return total;
-    }
-    let per_slice: Vec<f64> = pool.run_partitioned(partition, |k| {
-        let (mut hs, mut qhs, mut model) = (Mat::default(), Mat::default(), Mat::default());
-        slice_error_sq(tensor, qs, h, w, v, k, &mut hs, &mut qhs, &mut model)
     });
-    per_slice.iter().sum()
+    errors.iter().fold(0.0, |total, e| total + e)
 }
 
 /// `‖X_k − Q_k H S_k Vᵀ‖²_F` for one slice, computed on caller scratch.
@@ -310,9 +300,23 @@ mod tests {
         let qs: Vec<Mat> =
             (0..3).map(|k| dpar2_linalg::qr::qr(gaussian_mat(t.i(k), r, &mut rng)).q).collect();
         let serial = true_error_sq(&t, &qs, &h, &w, &v, &ThreadPool::new(1));
-        for threads in [1, 2, 3, 4] {
+        for threads in [1, 2, 3, 4, 8] {
             let pooled = true_error_sq(&t, &qs, &h, &w, &v, &ThreadPool::new(threads));
             assert_eq!(serial.to_bits(), pooled.to_bits(), "diverged at {threads} threads");
+        }
+        // One slice for every pool size, and 16 or 32 slices of mixed
+        // heights split evenly and unevenly.
+        for k in [1, 16, 32] {
+            let slices = (0..k).map(|i| gaussian_mat(4 + i % 9, 8, &mut rng)).collect();
+            let t = IrregularTensor::new(slices);
+            let qs: Vec<Mat> =
+                (0..k).map(|i| dpar2_linalg::qr::qr(gaussian_mat(t.i(i), r, &mut rng)).q).collect();
+            let w = gaussian_mat(k, r, &mut rng);
+            let serial = true_error_sq(&t, &qs, &h, &w, &v, &ThreadPool::new(1));
+            for threads in [2, 3, 4, 8] {
+                let pooled = true_error_sq(&t, &qs, &h, &w, &v, &ThreadPool::new(threads));
+                assert_eq!(serial.to_bits(), pooled.to_bits(), "K = {k}, {threads} threads");
+            }
         }
     }
 

@@ -48,7 +48,7 @@ use dpar2_core::{
     ProductOp, Result, SliceTensor, TimingBreakdown, Workspace,
 };
 use dpar2_linalg::{pinv_into, Mat};
-use dpar2_parallel::{greedy_partition, ThreadPool};
+use dpar2_parallel::{greedy_partition, slots, ThreadPool};
 use dpar2_tensor::{normalize_columns_mut, IrregularTensor};
 use std::time::Instant;
 
@@ -118,25 +118,16 @@ impl Spartan {
         for _iter in 0..options.max_iterations {
             session.start_iteration();
 
-            // Q_k update + Y_k = Q_kᵀX_k, slice-parallel. Per-slice results
-            // are independent of the schedule.
-            if pool.threads() == 1 {
-                for (k, (q, yk)) in qs.iter_mut().zip(&mut yks).enumerate() {
-                    update_slice(tensor.slice(k), &v, &h, w.row(k), q, yk, &mut ws, &serial);
+            // Q_k update + Y_k = Q_kᵀX_k, slice-parallel: each bucket writes
+            // its slices' `Q_k`/`Y_k` in place on its own arena. Per-slice
+            // results are independent of the schedule.
+            let scratch = slots(&mut ws.workers, partition.len());
+            let slices = qs.iter_mut().zip(&mut yks);
+            pool.for_each_partitioned(&partition, slices, scratch, |bucket, worker| {
+                for (k, (q, yk)) in bucket {
+                    update_slice(tensor.slice(k), &v, &h, w.row(k), q, yk, worker, &serial);
                 }
-            } else {
-                let per_slice: Vec<(Mat, Mat)> = pool.run_partitioned(&partition, |k| {
-                    let (mut q, mut yk, mut scratch) =
-                        (Mat::default(), Mat::default(), Workspace::new());
-                    let x = tensor.slice(k);
-                    update_slice(x, &v, &h, w.row(k), &mut q, &mut yk, &mut scratch, &serial);
-                    (q, yk)
-                });
-                for (k, (q, yk)) in per_slice.into_iter().enumerate() {
-                    qs[k] = q;
-                    yks[k] = yk;
-                }
-            }
+            });
             populated = true;
 
             // Slice-wise MTTKRP accumulation, serially in ascending k for
@@ -237,8 +228,7 @@ impl Parafac2Solver for Spartan {
 }
 
 /// One slice's step on caller scratch: `Q_k` from the Procrustes target
-/// `X_k·V S_k Hᵀ`, then `Y_k = Q_kᵀ X_k`. Shared by the serial (arena) and
-/// pooled (fresh scratch) paths, so both are bit-identical.
+/// `X_k·V S_k Hᵀ`, then `Y_k = Q_kᵀ X_k`.
 #[allow(clippy::too_many_arguments)]
 fn update_slice(
     x: impl ProductOp,

@@ -26,7 +26,7 @@ use crate::config::FitOptions;
 use crate::error::Result;
 use crate::slices::{validate, SliceTensor};
 use dpar2_linalg::{svd_thin_batch_into, Mat, SvdBatchScratch, SvdFactors, SVD_LANES};
-use dpar2_parallel::{greedy_partition, ThreadPool};
+use dpar2_parallel::{greedy_partition, Bucket, ThreadPool};
 use dpar2_rsvd::{rsvd_lift, rsvd_pooled, rsvd_sketch, RsvdConfig, RsvdSketch};
 use dpar2_tensor::IrregularTensor;
 use rand::rngs::StdRng;
@@ -133,15 +133,9 @@ pub(crate) fn compress_valid<T: SliceTensor>(
     let base_seed = options.seed;
     // One slot per slice; each thread fills the slots of its bucket.
     let mut stage1: Vec<SvdFactors> = vec![SvdFactors::default(); tensor.k()];
-    let mut slots: Vec<Option<&mut SvdFactors>> = stage1.iter_mut().map(Some).collect();
-    let mut buckets: Vec<Vec<(usize, &mut SvdFactors)>> = partition
-        .iter()
-        .map(|bucket| {
-            bucket.iter().map(|&k| (k, slots[k].take().expect("one bucket per slice"))).collect()
-        })
-        .collect();
-    pool.for_each_chunk_mut(&mut buckets, 1, |_, bucket| {
-        stage1_bucket(tensor, &mut bucket[0], &rsvd_cfg, base_seed);
+    let mut scratch = vec![(); partition.len()];
+    pool.for_each_partitioned(&partition, stage1.iter_mut(), &mut scratch, |bucket, _| {
+        stage1_bucket(tensor, bucket, &rsvd_cfg, base_seed);
     });
 
     stage2(stage1, r, tensor.j(), &rsvd_cfg, base_seed, &pool)
@@ -154,15 +148,21 @@ pub(crate) fn compress_valid<T: SliceTensor>(
 /// Every slot ends bitwise equal to [`dpar2_rsvd::rsvd`] of its slice.
 fn stage1_bucket<T: SliceTensor>(
     tensor: &T,
-    bucket: &mut [(usize, &mut SvdFactors)],
+    bucket: &mut Bucket<'_, &mut SvdFactors>,
     rsvd_cfg: &RsvdConfig,
     base_seed: u64,
 ) {
     let serial = ThreadPool::new(1);
     let mut ws = SvdBatchScratch::default();
     let mut small: [SvdFactors; SVD_LANES] = Default::default();
+    let mut group = Vec::with_capacity(SVD_LANES);
     let (mut bs, mut lifts) = (Vec::with_capacity(SVD_LANES), Vec::with_capacity(SVD_LANES));
-    for group in bucket.chunks_mut(SVD_LANES) {
+    loop {
+        group.clear();
+        group.extend((&mut *bucket).take(SVD_LANES));
+        if group.is_empty() {
+            break;
+        }
         bs.clear();
         lifts.clear();
         for (g, (k, slot)) in group.iter_mut().enumerate() {

@@ -38,11 +38,10 @@
 
 use crate::session::Workspace;
 use dpar2_linalg::Mat;
-use dpar2_parallel::ThreadPool;
+use dpar2_parallel::{slots, ThreadPool};
 
 /// One slice's compressed residual `‖PZF_k·EDᵀ − H S_k Vᵀ‖²_F`, computed
-/// into caller-owned scratch buffers. Shared by the serial (workspace) and
-/// pooled paths, so both produce bit-identical per-slice values.
+/// into caller-owned scratch buffers.
 #[allow(clippy::too_many_arguments)]
 fn slice_residual_sq(
     pzf_k: &Mat,
@@ -78,10 +77,10 @@ fn slice_residual_sq(
 /// * `edt = E Dᵀ ∈ R^{R×J}`
 /// * `h ∈ R^{R×R}`, `w ∈ R^{K×R}` (row `k` is `diag(S_k)`), `v ∈ R^{J×R}`
 ///
-/// The single-threaded path reuses the arena's criterion buffers and
-/// performs zero allocations; multi-threaded pools fan slices out. The
-/// per-slice values are summed in ascending `k` either way, so the result
-/// is bit-identical for every thread count.
+/// One body, whatever the pool: each slice's residual goes into the
+/// arena's per-slice slots, computed on the owning worker's arena (a
+/// one-thread pool runs inline, allocation-free), and the slots are summed
+/// in ascending `k`, so the result is bit-identical for every thread count.
 pub fn compressed_criterion_ws(
     pzf: &[Mat],
     edt: &Mat,
@@ -91,27 +90,14 @@ pub fn compressed_criterion_ws(
     pool: &ThreadPool,
     ws: &mut Workspace,
 ) -> f64 {
-    if pool.threads() == 1 {
-        let mut total = 0.0;
-        for (k, pzf_k) in pzf.iter().enumerate() {
-            total += slice_residual_sq(
-                pzf_k,
-                edt,
-                h,
-                w.row(k),
-                v,
-                &mut ws.crit_pred,
-                &mut ws.crit_hs,
-                &mut ws.crit_model,
-            );
-        }
-        return total;
-    }
-    let partial: Vec<f64> = pool.map(pzf, |k, pzf_k| {
-        let (mut yk, mut hs, mut model) = (Mat::default(), Mat::default(), Mat::default());
-        slice_residual_sq(pzf_k, edt, h, w.row(k), v, &mut yk, &mut hs, &mut model)
+    let Workspace { slice_vals, workers, .. } = ws;
+    let residuals = slots(slice_vals, pzf.len());
+    let scratch = slots(workers, pool.threads());
+    pool.for_each_with(residuals.iter_mut(), scratch, |k, residual, worker| {
+        let Workspace { crit_pred, crit_hs, crit_model, .. } = worker;
+        *residual = slice_residual_sq(&pzf[k], edt, h, w.row(k), v, crit_pred, crit_hs, crit_model);
     });
-    partial.iter().sum()
+    residuals.iter().fold(0.0, |total, r| total + r)
 }
 
 /// The compressed criterion from the by-products of the `W` update, in
@@ -253,33 +239,38 @@ mod tests {
 
     #[test]
     fn deterministic_across_threads() {
-        let mut rng = StdRng::seed_from_u64(203);
-        let (k, j, r) = (17, 6, 4);
-        let pzf: Vec<Mat> = (0..k).map(|_| gaussian_mat(r, r, &mut rng)).collect();
-        let edt = gaussian_mat(r, j, &mut rng);
-        let h = gaussian_mat(r, r, &mut rng);
-        let w = gaussian_mat(k, r, &mut rng);
-        let v = gaussian_mat(j, r, &mut rng);
-        let c1 = compressed_criterion_ws(
-            &pzf,
-            &edt,
-            &h,
-            &w,
-            &v,
-            &ThreadPool::new(1),
-            &mut Workspace::new(),
-        );
-        let c3 = compressed_criterion_ws(
-            &pzf,
-            &edt,
-            &h,
-            &w,
-            &v,
-            &ThreadPool::new(3),
-            &mut Workspace::new(),
-        );
-        assert!((c1 - c3).abs() < 1e-9 * (1.0 + c1));
-        assert_eq!(c1.to_bits(), c3.to_bits(), "criterion depends on the thread count");
+        // K = 17 gives the threads unequal shares of slices; K = 1 and
+        // K = 3 leave threads without a slice; K = 16 and 32 split evenly.
+        for k in [17, 1, 3, 16, 32] {
+            let mut rng = StdRng::seed_from_u64(203);
+            let (j, r) = (6, 4);
+            let pzf: Vec<Mat> = (0..k).map(|_| gaussian_mat(r, r, &mut rng)).collect();
+            let edt = gaussian_mat(r, j, &mut rng);
+            let h = gaussian_mat(r, r, &mut rng);
+            let w = gaussian_mat(k, r, &mut rng);
+            let v = gaussian_mat(j, r, &mut rng);
+            let criterion = |threads| {
+                compressed_criterion_ws(
+                    &pzf,
+                    &edt,
+                    &h,
+                    &w,
+                    &v,
+                    &ThreadPool::new(threads),
+                    &mut Workspace::new(),
+                )
+            };
+            let c1 = criterion(1);
+            for threads in [2, 3, 8] {
+                let c = criterion(threads);
+                assert!((c1 - c).abs() < 1e-9 * (1.0 + c1));
+                assert_eq!(
+                    c1.to_bits(),
+                    c.to_bits(),
+                    "criterion depends on the thread count (K = {k}, {threads} threads)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -30,8 +30,9 @@
 
 use crate::session::Workspace;
 use dpar2_linalg::{gemm, Mat, Trans};
-use dpar2_parallel::ThreadPool;
+use dpar2_parallel::{slots, ThreadPool};
 use dpar2_tensor::{mttkrp, Dense3};
+use std::ops::Range;
 
 /// Width of one reduction chunk over the slice index `k`.
 ///
@@ -43,20 +44,21 @@ use dpar2_tensor::{mttkrp, Dense3};
 /// accumulations, comfortably above scheduling overhead.
 const K_CHUNK: usize = 16;
 
-/// Splits `0..k` into contiguous ranges of [`K_CHUNK`] slices (the last
-/// range may be shorter) for parallel reduction.
-fn k_chunks(k: usize) -> Vec<std::ops::Range<usize>> {
-    (0..k.div_ceil(K_CHUNK)).map(|c| c * K_CHUNK..((c + 1) * K_CHUNK).min(k)).collect()
+/// The slices of reduction chunk `c` over `0..k`: [`K_CHUNK`] of them
+/// from `c · K_CHUNK` (the last chunk may be shorter).
+fn k_chunk(c: usize, k: usize) -> Range<usize> {
+    c * K_CHUNK..((c + 1) * K_CHUNK).min(k)
 }
 
 /// Lemma 1: `G⁽¹⁾ = Y_(1)(W ⊙ V) ∈ R^{R×R}` from the factorized slices,
 /// into `out`.
 ///
 /// `pzf[k] = P_k Z_kᵀ F(k)`, `w ∈ R^{K×R}`, `edtv = E Dᵀ V ∈ R^{R×R}`.
-/// Single-threaded pools run the chunked reduction allocation-free on the
-/// [`Workspace`]'s accumulator slots; larger pools fan chunks out. The
-/// result is bit-identical for every thread count (same `K_CHUNK`
-/// grouping, same ascending-chunk reduction).
+/// One body, whatever the pool: each chunk's partial sums
+/// `T_r = Σ_k W(k,r)·PZF_k` go into the [`Workspace`]'s result slots
+/// through the pool (a one-thread pool runs inline, allocation-free), then
+/// add up in ascending chunk order, so the result is bit-identical for
+/// every thread count.
 pub fn g1_ws(
     pzf: &[Mat],
     w: &Mat,
@@ -67,70 +69,37 @@ pub fn g1_ws(
 ) {
     let r = edtv.rows();
     let k_total = pzf.len();
-    if pool.threads() == 1 {
-        let Workspace { lemma_acc, lemma_chunk, col_in, col_out, .. } = ws;
-        while lemma_acc.len() < r {
-            lemma_acc.push(Mat::default());
+    let Workspace { lemma_acc, lemma_chunk, col_in, col_out, .. } = ws;
+    // `r` partial sums per chunk, one per column of G⁽¹⁾.
+    let partials = slots(lemma_chunk, k_total.div_ceil(K_CHUNK) * r);
+    pool.for_each_chunk_mut(partials, r.max(1), |c, sums| {
+        for s in sums.iter_mut() {
+            s.resize_zeroed(r, r);
         }
-        while lemma_chunk.len() < r {
-            lemma_chunk.push(Mat::default());
-        }
-        for t in &mut lemma_acc[..r] {
-            t.resize_zeroed(r, r);
-        }
-        for range in
-            (0..k_total.div_ceil(K_CHUNK)).map(|c| c * K_CHUNK..((c + 1) * K_CHUNK).min(k_total))
-        {
-            for s in &mut lemma_chunk[..r] {
-                s.resize_zeroed(r, r);
-            }
-            for k in range {
-                let wrow = w.row(k);
-                for (col, &wkr) in wrow.iter().enumerate() {
-                    if wkr != 0.0 {
-                        lemma_chunk[col].axpy(wkr, &pzf[k]);
-                    }
-                }
-            }
-            for (t, p) in lemma_acc[..r].iter_mut().zip(&lemma_chunk[..r]) {
-                *t += p;
-            }
-        }
-        out.resize_zeroed(r, r);
-        for (col, t_r) in lemma_acc[..r].iter().enumerate() {
-            col_in.clear();
-            col_in.extend((0..edtv.rows()).map(|i| edtv.at(i, col)));
-            t_r.view().matvec_into(col_in, col_out);
-            out.set_col(col, col_out);
-        }
-        return;
-    }
-
-    // Per-chunk partial sums T_r = Σ_k W(k,r)·PZF_k, then the columns
-    // G⁽¹⁾(:,r) = T_r · edtv(:,r).
-    let chunks = k_chunks(k_total);
-    let partials: Vec<Vec<Mat>> = pool.map(&chunks, |_, range| {
-        let mut sums = vec![Mat::zeros(r, r); r];
-        for k in range.clone() {
-            let wrow = w.row(k);
-            for (col, &wkr) in wrow.iter().enumerate() {
+        for k in k_chunk(c, k_total) {
+            for (col, &wkr) in w.row(k).iter().enumerate() {
                 if wkr != 0.0 {
                     sums[col].axpy(wkr, &pzf[k]);
                 }
             }
         }
-        sums
     });
-    out.resize_zeroed(r, r);
-    let mut total = vec![Mat::zeros(r, r); r];
-    for part in &partials {
-        for (t, p) in total.iter_mut().zip(part) {
+    let totals = slots(lemma_acc, r);
+    for t in totals.iter_mut() {
+        t.resize_zeroed(r, r);
+    }
+    for part in partials.chunks(r.max(1)) {
+        for (t, p) in totals.iter_mut().zip(part) {
             *t += p;
         }
     }
-    for (col, t_r) in total.iter().enumerate() {
-        let gcol = t_r.matvec(&edtv.col(col));
-        out.set_col(col, &gcol);
+    // The columns G⁽¹⁾(:,r) = T_r · edtv(:,r).
+    out.resize_zeroed(r, r);
+    for (col, t_r) in totals.iter().enumerate() {
+        col_in.clear();
+        col_in.extend((0..r).map(|i| edtv.at(i, col)));
+        t_r.view().matvec_into(col_in, col_out);
+        out.set_col(col, col_out);
     }
 }
 
@@ -138,9 +107,10 @@ pub fn g1_ws(
 /// into `out` against a reusable [`Workspace`].
 ///
 /// `de = D E ∈ R^{J×R}` (stage-2 left factor, columns scaled by the
-/// singular values). Internally accumulates
-/// `ACC(:,r) = Σ_k W(k,r) · (PZF_kᵀ H)(:,r)` and writes `D E · ACC`.
-/// Bit-identical for every thread count.
+/// singular values). Accumulates `ACC(:,r) = Σ_k W(k,r) · (PZF_kᵀ H)(:,r)`
+/// per chunk into result slots, each pool worker on its own arena (one
+/// body; a one-thread pool runs inline), sums the chunks in ascending
+/// order and writes `D E · ACC`. Bit-identical for every thread count.
 pub fn g2_ws(
     pzf: &[Mat],
     w: &Mat,
@@ -152,49 +122,15 @@ pub fn g2_ws(
 ) {
     let r = h.rows();
     let k_total = pzf.len();
-    if pool.threads() == 1 {
-        let Workspace { lemma_acc, lemma_chunk, lemma_tmp, .. } = ws;
-        if lemma_acc.is_empty() {
-            lemma_acc.push(Mat::default());
-        }
-        if lemma_chunk.is_empty() {
-            lemma_chunk.push(Mat::default());
-        }
-        let total = &mut lemma_acc[0];
-        let chunk_acc = &mut lemma_chunk[0];
-        let pth = lemma_tmp;
-        total.resize_zeroed(r, r);
-        for range in
-            (0..k_total.div_ceil(K_CHUNK)).map(|c| c * K_CHUNK..((c + 1) * K_CHUNK).min(k_total))
-        {
-            chunk_acc.resize_zeroed(r, r);
-            pth.resize_zeroed(r, r);
-            for k in range {
-                // PZF_kᵀ · H in one shot, then scale column r by W(k,r).
-                pzf[k].matmul_tn_into(h, pth);
-                let wrow = w.row(k);
-                for i in 0..r {
-                    let acc_row = chunk_acc.row_mut(i);
-                    let pth_row = pth.row(i);
-                    for (col, &wkr) in wrow.iter().enumerate() {
-                        acc_row[col] += wkr * pth_row[col];
-                    }
-                }
-            }
-            *total += &*chunk_acc;
-        }
-        // J×R product on the one-thread pool (the serial dispatch).
-        gemm(Trans::N, Trans::N, de, &*total, out, pool);
-        return;
-    }
-
-    let chunks = k_chunks(k_total);
-    let partials: Vec<Mat> = pool.map(&chunks, |_, range| {
-        let mut acc = Mat::zeros(r, r);
-        let mut pth = Mat::zeros(r, r);
-        for k in range.clone() {
+    let Workspace { lemma_chunk, lemma_tmp, workers, .. } = ws;
+    let partials = slots(lemma_chunk, k_total.div_ceil(K_CHUNK));
+    let scratch = slots(workers, pool.threads());
+    pool.for_each_with(partials.iter_mut(), scratch, |c, acc, worker| {
+        acc.resize_zeroed(r, r);
+        let pth = &mut worker.lemma_tmp;
+        for k in k_chunk(c, k_total) {
             // PZF_kᵀ · H in one shot, then scale column r by W(k,r).
-            pzf[k].matmul_tn_into(h, &mut pth);
+            pzf[k].matmul_tn_into(h, pth);
             let wrow = w.row(k);
             for i in 0..r {
                 let acc_row = acc.row_mut(i);
@@ -204,23 +140,24 @@ pub fn g2_ws(
                 }
             }
         }
-        acc
     });
-    let mut acc = Mat::zeros(r, r);
-    for p in &partials {
-        acc += p;
+    lemma_tmp.resize_zeroed(r, r);
+    for p in partials.iter() {
+        *lemma_tmp += p;
     }
     // J×R product — the only lemma-kernel GEMM that grows with J, so it
     // fans out over the pool (bit-identical for every pool size).
-    gemm(Trans::N, Trans::N, de, &acc, out, pool);
+    gemm(Trans::N, Trans::N, de, &*lemma_tmp, out, pool);
 }
 
 /// Lemma 3: `G⁽³⁾ = Y_(3)(V ⊙ H) ∈ R^{K×R}` from the factorized slices,
 /// into `out` against a reusable [`Workspace`].
 ///
 /// Row `k` is computed via the bilinear form
-/// `G⁽³⁾(k,r) = H(:,r)ᵀ · PZF_k · edtv(:,r)`. Bit-identical for every
-/// thread count.
+/// `G⁽³⁾(k,r) = H(:,r)ᵀ · PZF_k · edtv(:,r)`, written straight into its
+/// chunk of `out`'s rows by whichever pool worker owns the chunk (one
+/// body; a one-thread pool runs inline). Bit-identical for every thread
+/// count.
 pub fn g3_ws(
     pzf: &[Mat],
     edtv: &Mat,
@@ -231,43 +168,23 @@ pub fn g3_ws(
 ) {
     let r = h.rows();
     let k_total = pzf.len();
-    if pool.threads() == 1 {
-        let Workspace { lemma_tmp, col_out, .. } = ws;
-        out.resize_zeroed(k_total, r);
-        for (k, pzf_k) in pzf.iter().enumerate() {
+    out.resize_zeroed(k_total, r);
+    let rows = out.data_mut().chunks_mut((K_CHUNK * r).max(1));
+    let scratch = slots(&mut ws.workers, pool.threads());
+    pool.for_each_with(rows, scratch, |c, rows, worker| {
+        let t = &mut worker.lemma_tmp;
+        for (row, k) in rows.chunks_mut(r).zip(k_chunk(c, k_total)) {
             // T = PZF_k · edtv, then G⁽³⁾(k,r) = Σ_i H(i,r) T(i,r).
-            pzf_k.matmul_into(edtv, lemma_tmp);
-            col_out.clear();
-            col_out.resize(r, 0.0);
+            pzf[k].matmul_into(edtv, t);
             for i in 0..r {
                 let hrow = h.row(i);
-                let trow = lemma_tmp.row(i);
-                for (col, v) in col_out.iter_mut().enumerate() {
+                let trow = t.row(i);
+                for (col, v) in row.iter_mut().enumerate() {
                     *v += hrow[col] * trow[col];
                 }
             }
-            out.set_row(k, col_out);
         }
-        return;
-    }
-
-    let rows: Vec<Vec<f64>> = pool.map(pzf, |_, pzf_k| {
-        // T = PZF_k · edtv, then G⁽³⁾(k,r) = Σ_i H(i,r) T(i,r).
-        let t = pzf_k.matmul(edtv).expect("g3: PZF_k · edtv");
-        let mut row = vec![0.0; r];
-        for i in 0..r {
-            let hrow = h.row(i);
-            let trow = t.row(i);
-            for (col, v) in row.iter_mut().enumerate() {
-                *v += hrow[col] * trow[col];
-            }
-        }
-        row
     });
-    out.resize_zeroed(k_total, r);
-    for (k, row) in rows.iter().enumerate() {
-        out.set_row(k, row);
-    }
 }
 
 /// Materializes the frontal slices `Y_k = PZF_k · E Dᵀ` — the explicit
@@ -398,15 +315,19 @@ mod tests {
 
     #[test]
     fn kernels_bit_identical_across_thread_counts() {
-        // K = 53 spans multiple K_CHUNK reduction chunks; the fixed chunk
-        // grouping makes every kernel exactly schedule-independent.
-        let s = setup(53, 13, 4, 104);
-        let (a1, b1, c1) = s.lemmas(&ThreadPool::new(1));
-        for threads in [2, 3, 4] {
-            let (a, b, c) = s.lemmas(&ThreadPool::new(threads));
-            assert_eq!(a1, a, "g1 diverged at {threads} threads");
-            assert_eq!(b1, b, "g2 diverged at {threads}");
-            assert_eq!(c1, c, "g3 diverged at {threads}");
+        // K = 53 spans multiple K_CHUNK reduction chunks; K = 1 and K = 3
+        // leave threads without a chunk; K = 16 and 32 end on a full chunk.
+        // The fixed chunk grouping makes every kernel exactly
+        // schedule-independent.
+        for k in [53, 1, 3, K_CHUNK, 2 * K_CHUNK] {
+            let s = setup(k, 13, 4, 104);
+            let (a1, b1, c1) = s.lemmas(&ThreadPool::new(1));
+            for threads in [2, 3, 4, 8] {
+                let (a, b, c) = s.lemmas(&ThreadPool::new(threads));
+                assert_eq!(a1, a, "g1 diverged at {threads} threads, K = {k}");
+                assert_eq!(b1, b, "g2 diverged at {threads}, K = {k}");
+                assert_eq!(c1, c, "g3 diverged at {threads}, K = {k}");
+            }
         }
     }
 
@@ -433,16 +354,15 @@ mod tests {
     #[test]
     fn k_chunks_cover_range() {
         for k in [1, 7, K_CHUNK, K_CHUNK + 1, 100] {
-            let chunks = k_chunks(k);
             let mut covered = vec![false; k];
-            for c in &chunks {
-                for i in c.clone() {
+            for c in 0..k.div_ceil(K_CHUNK) {
+                for i in k_chunk(c, k) {
                     assert!(!covered[i]);
                     covered[i] = true;
                 }
             }
             assert!(covered.iter().all(|&c| c), "k={k} left gaps");
         }
-        assert!(k_chunks(0).is_empty());
+        assert!(k_chunk(0, 0).is_empty());
     }
 }

@@ -37,8 +37,11 @@ use std::time::{Duration, Instant};
 /// pins: after the first (warm-up) iteration has exercised every slot, a
 /// steady-state single-threaded ALS iteration of DPar2 or RD-ALS performs
 /// **zero heap allocations** — all arithmetic runs through `*_into` kernels
-/// against these buffers (multi-threaded fits still allocate inside the
-/// fan-out, which thread spawning makes unavoidable).
+/// against these buffers. Slice-parallel loops are one body for every pool
+/// size: they write per-slice or per-chunk result slots held here and give
+/// each pool worker its own arena in [`Workspace::workers`]; a one-thread
+/// pool runs that body inline, so it allocates nothing either (larger
+/// pools still allocate for spawning their threads).
 ///
 /// [`FitSession::workspace`] hands the arena to the solver loop; solvers
 /// borrow individual fields when a helper needs several slots at once
@@ -63,7 +66,8 @@ pub struct Workspace {
     pub crit_model: Mat,
     /// Lemma-kernel running totals (one `R×R` accumulator per column).
     pub lemma_acc: Vec<Mat>,
-    /// Lemma-kernel per-chunk partial sums.
+    /// Lemma-kernel result slots: the per-chunk partial sums, summed in
+    /// ascending chunk order afterwards.
     pub lemma_chunk: Vec<Mat>,
     /// Lemma-kernel dense temporary (`PZF_kᵀH`-sized).
     pub lemma_tmp: Mat,
@@ -77,6 +81,12 @@ pub struct Workspace {
     pub tall_a: Mat,
     /// Second tall baseline scratch.
     pub tall_b: Mat,
+    /// Per-slice scalar result slots (criterion and error terms), summed in
+    /// ascending slice order afterwards.
+    pub slice_vals: Vec<f64>,
+    /// One arena per pool worker for slice-parallel loops: worker (or
+    /// bucket) `w` works in entry `w`, and a one-thread pool in entry 0.
+    pub workers: Vec<Workspace>,
 }
 
 impl Workspace {

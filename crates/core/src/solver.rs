@@ -314,18 +314,12 @@ impl Dpar2 {
             // Lines 8–13: the R×R SVDs of F(k)·(E Dᵀ V)·S_k·Hᵀ, in lane
             // groups of SVD_LANES slices. The groups, and so every bit, are
             // the same for every thread count. Each run writes its slices'
-            // `zpt`/`pzf` in place; a single run needs no fan-out at all.
+            // `zpt`/`pzf` in place on its own scratch.
             let fit = (&ct.f_blocks[..], &edtv, &w, &h);
-            if let [scratch] = &mut qk[..] {
-                qk_update(0, fit, &mut zpt, &mut pzf, scratch);
-            } else {
-                let mut runs: Vec<_> =
-                    zpt.chunks_mut(run).zip(pzf.chunks_mut(run)).zip(&mut qk).collect();
-                pool.for_each_chunk_mut(&mut runs, 1, |i, job| {
-                    let ((zpt, pzf), scratch) = &mut job[0];
-                    qk_update(i * run, fit, zpt, pzf, scratch);
-                });
-            }
+            let runs = zpt.chunks_mut(run).zip(pzf.chunks_mut(run));
+            pool.for_each_with(runs, &mut qk, |i, (zpt, pzf), scratch| {
+                qk_update(i * run, fit, zpt, pzf, scratch);
+            });
 
             // Lines 14–15: H update.
             g1_ws(&pzf, &w, &edtv, &pool, &mut g_out, ws);

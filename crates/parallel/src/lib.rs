@@ -15,12 +15,14 @@
 //! * [`greedy_partition`] — Algorithm 4 verbatim (plus a baseline
 //!   [`round_robin_partition`] for the ablation benches).
 //! * [`imbalance`] — the makespan ratio used to quantify partition quality.
-//! * [`ThreadPool`] — a minimal scoped executor (crossbeam threads) that
-//!   runs a closure over each item of a partition and returns results in
-//!   item order.
+//! * [`ThreadPool`] — a minimal scoped executor whose fan-outs (greedy
+//!   buckets, round-robin items, per-thread runs) share one spawn site and
+//!   write caller-sized result [`slots`] with per-worker scratch. One body
+//!   serves every pool size: a one-thread pool runs it inline, without
+//!   allocating.
 
 pub mod partition;
 pub mod pool;
 
 pub use partition::{greedy_partition, imbalance, round_robin_partition};
-pub use pool::{PoolMetrics, ThreadPool};
+pub use pool::{slots, Bucket, PoolMetrics, ThreadPool};

@@ -1,24 +1,30 @@
-//! Minimal scoped thread pool built on crossbeam's scoped threads.
+//! Minimal scoped thread pool: every fan-out is written once, over one
+//! spawn site.
 //!
 //! DPar2 parallelizes two kinds of work (§III-F):
 //!
 //! 1. the stage-1 compression, where slices are assigned to threads by
 //!    [`crate::greedy_partition`] because costs are proportional to `I_k`;
 //! 2. the per-iteration `R×R` SVDs and Lemma 1–3 accumulations, where work
-//!    per slice is uniform and an even chunking suffices.
+//!    per slice is uniform and a static chunking suffices.
 //!
-//! [`ThreadPool::run_partitioned`] covers the first case,
-//! [`ThreadPool::map`] the second. Results always come back in item order,
-//! so callers are oblivious to the scheduling.
+//! [`ThreadPool::for_each_partitioned`] covers the first case,
+//! [`ThreadPool::for_each_with`] the second, and
+//! [`ThreadPool::for_each_chunk_mut`] and [`ThreadPool::map`] are short
+//! forms of the second. All four deal their items to workers by a fixed
+//! static plan and run through one private routine. Workers write
+//! disjoint slots the caller sized in advance, each with its own scratch,
+//! so no result travels through a channel or gets sorted back into order.
+//! One body serves every pool size: a one-thread pool (or a single busy
+//! worker) runs it inline on the calling thread and allocates nothing.
 
-use crossbeam::channel;
 use dpar2_obs::{Counter, MetricsRegistry};
 use std::time::Instant;
 
 /// Telemetry handles for a [`ThreadPool`]: how many work items it ran and
-/// how long its workers were busy, accumulated across every `run_*`/`map`
-/// call. Both are monotone counters, so rates and utilization fall out of
-/// snapshot deltas. Recording is lock-free and allocation-free.
+/// how long its workers were busy, accumulated across every fan-out. Both
+/// are monotone counters, so rates and utilization fall out of snapshot
+/// deltas. Recording is lock-free and allocation-free.
 #[derive(Debug, Clone)]
 pub struct PoolMetrics {
     /// Work items executed (one per item/chunk, across all calls).
@@ -41,14 +47,31 @@ impl PoolMetrics {
 
 /// A lightweight parallel executor with a fixed thread count.
 ///
-/// Threads are spawned per call via `crossbeam::thread::scope` — for the
-/// granularity of PARAFAC2 work items (matrix factorizations), spawn
-/// overhead is negligible, and scoping lets closures borrow from the
+/// Threads are spawned per call inside one `crossbeam::thread::scope` —
+/// for the granularity of PARAFAC2 work items (matrix factorizations),
+/// spawn overhead is negligible, and scoping lets closures borrow from the
 /// caller's stack without `'static` bounds.
 #[derive(Debug, Clone)]
 pub struct ThreadPool {
     threads: usize,
     metrics: Option<PoolMetrics>,
+}
+
+/// One worker's share of a fan-out: its `(item index, item)` pairs in
+/// ascending index order.
+pub type Bucket<'b, I> = dyn Iterator<Item = (usize, I)> + 'b;
+
+/// How the private fan-out deals items to workers. Every plan is static —
+/// which worker runs an item never depends on timing — and items are
+/// independent, so results are the same for every pool size.
+#[derive(Clone, Copy)]
+enum Plan<'p> {
+    /// Item `i` to worker `i % workers` (uniform chunks).
+    RoundRobin,
+    /// One contiguous run of `⌈n / threads⌉` items per worker.
+    Runs,
+    /// The caller's buckets, one worker each.
+    Buckets(&'p [Vec<usize>]),
 }
 
 impl ThreadPool {
@@ -74,76 +97,77 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Runs `f(item)` for every item index in `partition` (one bucket per
-    /// thread) and returns the results ordered by item index.
+    /// Runs `f(bucket, &mut scratch[b])` once for every bucket `b` of
+    /// `partition` (one worker each), where `bucket` yields `(k, item k)`
+    /// for the item indices `k` the bucket holds. The items are the
+    /// caller's pre-sized result slots, typically `slots.iter_mut()`.
     ///
-    /// The partition must cover `0..n` exactly once, where `n` is the total
-    /// number of items across buckets (as produced by
-    /// [`crate::greedy_partition`]).
+    /// `f` sees a whole bucket, not single items, so a worker can batch
+    /// its items (stage 1 factors its slices in lane groups). A one-thread
+    /// pool, or a partition with one non-empty bucket, runs all items in
+    /// ascending order as one bucket on `scratch[0]`, inline and
+    /// allocation-free.
     ///
     /// # Panics
-    /// Panics if the partition contains duplicate or out-of-range indices,
-    /// or if a worker panics.
-    pub fn run_partitioned<R, F>(&self, partition: &[Vec<usize>], f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
+    /// Panics if the partition does not cover the `items.len()` items
+    /// exactly once (the threaded split catches every duplicate; the inline
+    /// path checks the count and range), if `scratch` has fewer entries than
+    /// the partition has buckets, or with a worker's own panic payload.
+    pub fn for_each_partitioned<I, S, F>(
+        &self,
+        partition: &[Vec<usize>],
+        items: impl ExactSizeIterator<Item = I>,
+        scratch: &mut [S],
+        f: F,
+    ) where
+        I: Send,
+        S: Send,
+        F: Fn(&mut Bucket<'_, I>, &mut S) + Sync,
     {
-        let n: usize = partition.iter().map(Vec::len).sum();
-        if n == 0 {
-            return Vec::new();
-        }
-        let metrics = self.metrics.as_ref();
-        if let Some(m) = metrics {
-            m.tasks.add(n as u64);
-        }
-        // Single-threaded fast path: no spawning, no channel.
-        if self.threads == 1 || partition.iter().filter(|b| !b.is_empty()).count() <= 1 {
-            let busy = metrics.map(|_| Instant::now());
-            let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
-            for bucket in partition {
-                for &item in bucket {
-                    indexed.push((item, f(item)));
-                }
-            }
-            record_busy(metrics, busy);
-            return into_ordered(indexed, n);
-        }
+        self.fan_out(items, Plan::Buckets(partition), scratch, f);
+    }
 
-        let (tx, rx) = channel::unbounded::<(usize, R)>();
-        crossbeam::thread::scope(|scope| {
-            for bucket in partition.iter().filter(|b| !b.is_empty()) {
-                let tx = tx.clone();
-                let f = &f;
-                scope.spawn(move |_| {
-                    let busy = metrics.map(|_| Instant::now());
-                    for &item in bucket {
-                        tx.send((item, f(item))).expect("result channel closed");
-                    }
-                    record_busy(metrics, busy);
-                });
+    /// Runs `f(i, item i, scratch)` for every item, dealing items
+    /// round-robin over the pool's threads; each worker passes its own
+    /// `scratch` entry (a one-thread pool uses `scratch[0]`, inline and
+    /// allocation-free).
+    ///
+    /// Items are typically disjoint result slots (`slots.iter_mut()`,
+    /// `data.chunks_mut(len)`), so workers write them without locks. The
+    /// item boundaries are the caller's, never the thread count's, and
+    /// each item is processed by exactly one call — so any per-item
+    /// computation that is itself deterministic yields results that are
+    /// bit-identical for every pool size.
+    ///
+    /// # Panics
+    /// Panics if `scratch` has fewer entries than there are workers with
+    /// items (`min(threads, items.len())`), or with a worker's own panic
+    /// payload.
+    pub fn for_each_with<I, S, F>(
+        &self,
+        items: impl ExactSizeIterator<Item = I>,
+        scratch: &mut [S],
+        f: F,
+    ) where
+        I: Send,
+        S: Send,
+        F: Fn(usize, I, &mut S) + Sync,
+    {
+        self.fan_out(items, Plan::RoundRobin, scratch, |bucket, s| {
+            for (i, item) in bucket {
+                f(i, item, s);
             }
-            drop(tx);
-        })
-        .expect("worker thread panicked");
-        into_ordered(rx.into_iter().collect(), n)
+        });
     }
 
     /// Splits `data` into disjoint consecutive chunks of `chunk_len`
     /// elements (the last chunk may be shorter) and runs `f(chunk_index,
-    /// chunk)` on every chunk, distributing chunks round-robin over the
-    /// pool's threads.
-    ///
-    /// This is the borrowed-scope fan-out used by the blocked GEMM layer:
-    /// each chunk is a row panel of the output matrix, so workers write
-    /// disjoint `&mut` slices of one buffer without locks or channels. The
-    /// chunk boundaries depend only on `chunk_len`, never on the thread
-    /// count, and each chunk is processed by exactly one closure call — so
-    /// any per-chunk computation that is itself deterministic yields results
-    /// that are bit-identical for every pool size.
+    /// chunk)` on every chunk: [`ThreadPool::for_each_with`] without
+    /// scratch. The blocked GEMM layer fans its row panels out this way.
     ///
     /// # Panics
-    /// Panics if `chunk_len == 0` (with non-empty data) or a worker panics.
+    /// Panics if `chunk_len == 0` (with non-empty data), or with a worker's
+    /// own panic payload.
     pub fn for_each_chunk_mut<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
     where
         T: Send,
@@ -153,87 +177,143 @@ impl ThreadPool {
             return;
         }
         assert!(chunk_len > 0, "for_each_chunk_mut: chunk_len must be positive");
-        let n_chunks = data.len().div_ceil(chunk_len);
-        let metrics = self.metrics.as_ref();
-        if let Some(m) = metrics {
-            m.tasks.add(n_chunks as u64);
-        }
-        if self.threads == 1 || n_chunks <= 1 {
-            let busy = metrics.map(|_| Instant::now());
-            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                f(i, chunk);
-            }
-            record_busy(metrics, busy);
-            return;
-        }
-        // Deal chunks round-robin into one bucket per thread. GEMM row
-        // panels are uniform work items, so a static assignment balances
-        // as well as a queue without any synchronization.
-        let workers = self.threads.min(n_chunks);
-        let mut buckets: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            buckets[i % workers].push((i, chunk));
-        }
-        crossbeam::thread::scope(|scope| {
-            for bucket in buckets {
-                let f = &f;
-                scope.spawn(move |_| {
-                    let busy = metrics.map(|_| Instant::now());
-                    for (i, chunk) in bucket {
-                        f(i, chunk);
-                    }
-                    record_busy(metrics, busy);
-                });
-            }
-        })
-        .expect("worker thread panicked");
+        self.for_each_with(data.chunks_mut(chunk_len), &mut self.no_scratch(), |i, chunk, _| {
+            f(i, chunk)
+        });
     }
 
-    /// Applies `f(index, item)` to every element of `items` with an even
-    /// static chunking over the pool's threads; results in input order.
+    /// Applies `f(index, item)` to every element of `items`, one contiguous
+    /// run of items per thread; results in input order.
     ///
     /// # Panics
-    /// Panics if a worker panics.
+    /// Panics with a worker's own panic payload.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
+        let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        self.fan_out(out.iter_mut().zip(items), Plan::Runs, &mut self.no_scratch(), |run, _| {
+            for (i, (slot, item)) in run {
+                *slot = Some(f(i, item));
+            }
+        });
+        out.into_iter().map(|r| r.expect("fan-out fills every slot")).collect()
+    }
+
+    /// One `()` scratch per thread, for fan-outs that need none (a
+    /// zero-sized `Vec` never allocates).
+    fn no_scratch(&self) -> Vec<()> {
+        vec![(); self.threads]
+    }
+
+    /// The pool's one fan-out: deals the `n` items to workers by `plan`
+    /// and runs `work(bucket, scratch)` once per worker with items,
+    /// `bucket` yielding that worker's `(index, item)` pairs in ascending
+    /// index order. With one busy worker (a one-thread pool, a single
+    /// item) the whole range runs inline as one bucket on `scratch[0]`,
+    /// allocation-free; otherwise each bucket gets its own scoped thread,
+    /// and every worker is joined before the first worker panic is
+    /// re-raised with its own payload.
+    fn fan_out<I, S, W>(
+        &self,
+        items: impl ExactSizeIterator<Item = I>,
+        plan: Plan<'_>,
+        scratch: &mut [S],
+        work: W,
+    ) where
+        I: Send,
+        S: Send,
+        W: Fn(&mut Bucket<'_, I>, &mut S) + Sync,
+    {
         let n = items.len();
+        if let Plan::Buckets(partition) = plan {
+            check_cover(partition, n);
+        }
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let metrics = self.metrics.as_ref();
         if let Some(m) = metrics {
             m.tasks.add(n as u64);
         }
-        if self.threads == 1 || n == 1 {
+        let one_busy = match plan {
+            Plan::Buckets(partition) => partition.iter().filter(|b| !b.is_empty()).count() == 1,
+            Plan::RoundRobin | Plan::Runs => n == 1,
+        };
+        if self.threads == 1 || one_busy {
             let busy = metrics.map(|_| Instant::now());
-            let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+            work(&mut items.enumerate(), &mut scratch[0]);
             record_busy(metrics, busy);
-            return out;
+            return;
         }
-        let chunk = n.div_ceil(self.threads);
-        let (tx, rx) = channel::unbounded::<(usize, R)>();
-        crossbeam::thread::scope(|scope| {
-            for (c, chunk_items) in items.chunks(chunk).enumerate() {
-                let tx = tx.clone();
-                let f = &f;
-                let base = c * chunk;
-                scope.spawn(move |_| {
-                    let busy = metrics.map(|_| Instant::now());
-                    for (off, item) in chunk_items.iter().enumerate() {
-                        tx.send((base + off, f(base + off, item))).expect("result channel closed");
-                    }
-                    record_busy(metrics, busy);
-                });
-            }
-            drop(tx);
-        })
-        .expect("worker thread panicked");
-        into_ordered(rx.into_iter().collect(), n)
+
+        let run = n.div_ceil(self.threads);
+        let (workers, owner): (usize, Vec<usize>) = match plan {
+            Plan::RoundRobin => (self.threads.min(n), (0..n).map(|i| i % self.threads).collect()),
+            Plan::Runs => (n.div_ceil(run), (0..n).map(|i| i / run).collect()),
+            Plan::Buckets(partition) => (partition.len(), owners(partition, n)),
+        };
+        assert!(
+            scratch.len() >= workers,
+            "fan-out: {} scratch entries for {workers} workers",
+            scratch.len()
+        );
+        let mut buckets: Vec<Vec<(usize, I)>> = (0..workers).map(|_| Vec::new()).collect();
+        for ((i, item), &w) in items.enumerate().zip(&owner) {
+            buckets[w].push((i, item));
+        }
+        let work = &work;
+        let joined = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = buckets
+                .into_iter()
+                .zip(scratch)
+                .filter(|(bucket, _)| !bucket.is_empty())
+                .map(|(bucket, s)| {
+                    scope.spawn(move |_| {
+                        let busy = metrics.map(|_| Instant::now());
+                        work(&mut bucket.into_iter(), s);
+                        record_busy(metrics, busy);
+                    })
+                })
+                .collect();
+            // Join every worker before re-raising, keeping the first panic.
+            handles.into_iter().map(|h| h.join()).fold(Ok(()), Result::and)
+        });
+        if let Err(payload) = joined.and_then(|first_panic| first_panic) {
+            std::panic::resume_unwind(payload);
+        }
     }
+}
+
+/// Checks that `partition` holds `n` item indices, all below `n` — with
+/// the duplicate check in [`owners`], exactly-once coverage of `0..n`.
+fn check_cover(partition: &[Vec<usize>], n: usize) {
+    let total: usize = partition.iter().map(Vec::len).sum();
+    assert_eq!(total, n, "partition did not cover all items exactly once");
+    if let Some(k) = partition.iter().flatten().find(|&&k| k >= n) {
+        panic!("partition contains duplicate or out-of-range index {k}");
+    }
+}
+
+/// The bucket of every item of a partition of `0..n` that passed
+/// [`check_cover`].
+///
+/// # Panics
+/// Panics if an index appears twice.
+fn owners(partition: &[Vec<usize>], n: usize) -> Vec<usize> {
+    let mut owner = vec![usize::MAX; n];
+    for (b, bucket) in partition.iter().enumerate() {
+        for &k in bucket {
+            assert!(
+                owner[k] == usize::MAX,
+                "partition contains duplicate or out-of-range index {k}"
+            );
+            owner[k] = b;
+        }
+    }
+    owner
 }
 
 /// Adds the elapsed time since `busy` (worker start) to the pool's
@@ -246,45 +326,73 @@ fn record_busy(metrics: Option<&PoolMetrics>, busy: Option<Instant>) {
     }
 }
 
-/// Sorts `(index, value)` pairs into a dense `Vec<R>` of length `n`.
-fn into_ordered<R>(mut indexed: Vec<(usize, R)>, n: usize) -> Vec<R> {
-    assert_eq!(indexed.len(), n, "partition did not cover all items exactly once");
-    indexed.sort_by_key(|(i, _)| *i);
-    for (pos, (i, _)) in indexed.iter().enumerate() {
-        assert_eq!(*i, pos, "partition contains duplicate or out-of-range index {i}");
+/// Grows a caller-owned slot vector to at least `n` entries (never
+/// shrinking it, so its buffers keep their capacity across calls) and
+/// returns the first `n`: the pre-sized result slots and per-worker
+/// scratch a fan-out writes into.
+pub fn slots<T: Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
+    if buf.len() < n {
+        buf.resize_with(n, T::default);
     }
-    indexed.into_iter().map(|(_, r)| r).collect()
+    &mut buf[..n]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partition::greedy_partition;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// `for_each_partitioned` writing `f(k)` into one slot per item.
+    fn partitioned<R: Default + Send>(
+        pool: &ThreadPool,
+        partition: &[Vec<usize>],
+        n: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        let mut out: Vec<R> = (0..n).map(|_| R::default()).collect();
+        let mut scratch = vec![(); partition.len()];
+        pool.for_each_partitioned(partition, out.iter_mut(), &mut scratch, |bucket, _| {
+            for (k, slot) in bucket {
+                *slot = f(k);
+            }
+        });
+        out
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("expected a panic");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload.downcast::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+        }
+    }
+
     #[test]
-    fn run_partitioned_orders_results() {
+    fn partitioned_fills_slots_in_item_order() {
         let weights = vec![3, 1, 4, 1, 5, 9, 2, 6];
         let pool = ThreadPool::new(3);
         let partition = greedy_partition(&weights, 3);
-        let results = pool.run_partitioned(&partition, |k| k * 10);
+        let results = partitioned(&pool, &partition, 8, |k| k * 10);
         assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }
 
     #[test]
-    fn run_partitioned_single_thread_path() {
+    fn partitioned_single_thread_path() {
         let partition = vec![vec![1, 0, 2]];
         let pool = ThreadPool::new(1);
-        let results = pool.run_partitioned(&partition, |k| k as f64 + 0.5);
+        let results = partitioned(&pool, &partition, 3, |k| k as f64 + 0.5);
         assert_eq!(results, vec![0.5, 1.5, 2.5]);
     }
 
     #[test]
-    fn run_partitioned_executes_each_item_once() {
+    fn partitioned_executes_each_item_once() {
         let counter = AtomicUsize::new(0);
         let weights = vec![1usize; 100];
         let partition = greedy_partition(&weights, 4);
-        ThreadPool::new(4).run_partitioned(&partition, |_k| {
+        partitioned(&ThreadPool::new(4), &partition, 100, |_k| {
             counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 100);
@@ -367,6 +475,58 @@ mod tests {
     }
 
     #[test]
+    fn for_each_with_gives_each_worker_its_scratch() {
+        // Each worker counts its items in its own scratch entry; the counts
+        // add up to the item total and no worker beyond min(threads, n)
+        // is used.
+        for (threads, n) in [(1, 5), (3, 10), (4, 2), (8, 8)] {
+            let mut slots = vec![0usize; n];
+            let mut scratch = vec![0usize; threads];
+            ThreadPool::new(threads).for_each_with(slots.iter_mut(), &mut scratch, |i, slot, s| {
+                *slot = i * i;
+                *s += 1;
+            });
+            assert_eq!(slots, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(scratch.iter().sum::<usize>(), n, "threads={threads} n={n}");
+            assert!(scratch[threads.min(n)..].iter().all(|&c| c == 0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch entries")]
+    fn for_each_with_needs_scratch_per_worker() {
+        let mut slots = [0u8; 4];
+        ThreadPool::new(2).for_each_with(slots.iter_mut(), &mut [0u8], |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn map_worker_panic_keeps_its_message() {
+        ThreadPool::new(2).map(&[0u8, 1], |i, _| assert!(i == 0, "boom"));
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn for_each_chunk_mut_worker_panic_keeps_its_message() {
+        let mut data = vec![0u8; 4];
+        ThreadPool::new(2).for_each_chunk_mut(&mut data, 1, |i, _| assert!(i != 3, "boom"));
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn for_each_with_worker_panic_keeps_its_message() {
+        let mut slots = [0u8; 4];
+        ThreadPool::new(2)
+            .for_each_with(slots.iter_mut(), &mut [(), ()], |i, _, _| assert!(i != 1, "boom"));
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn for_each_partitioned_worker_panic_keeps_its_message() {
+        partitioned(&ThreadPool::new(2), &[vec![0], vec![1]], 2, |k| assert!(k != 1, "boom"));
+    }
+
+    #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_panics() {
         ThreadPool::new(0);
@@ -375,9 +535,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate or out-of-range")]
     fn bad_partition_detected() {
+        let pool = ThreadPool::new(2);
+        // Index 1 missing.
+        let msg = panic_message(|| drop(partitioned(&pool, &[vec![0], vec![2]], 3, |k| k)));
+        assert!(msg.contains("did not cover all items exactly once"), "{msg}");
+        // Index 5 of 2 items: out of range.
+        let msg = panic_message(|| drop(partitioned(&pool, &[vec![0], vec![5]], 2, |k| k)));
+        assert!(msg.contains("duplicate or out-of-range index 5"), "{msg}");
         // Index 1 appears twice, index 0 missing.
-        let partition = vec![vec![1], vec![1]];
-        ThreadPool::new(2).run_partitioned(&partition, |k| k);
+        partitioned(&pool, &[vec![1], vec![1]], 2, |k| k);
     }
 
     #[test]
@@ -391,7 +557,7 @@ mod tests {
             let _ = pool.map(&items, |_, &x| x + 1);
             let mut data = vec![0u8; 9];
             pool.for_each_chunk_mut(&mut data, 4, |_, c| c.fill(1)); // 3 chunks
-            let _ = pool.run_partitioned(&[vec![0, 1], vec![2]], |k| k);
+            let _ = partitioned(&pool, &[vec![0, 1], vec![2]], 3, |k| k);
             assert_eq!(metrics.tasks.get() - before, 10 + 3 + 3, "threads={threads}");
         }
         assert!(metrics.busy_ns.get() > 0, "busy time accumulated");
@@ -400,5 +566,14 @@ mod tests {
         let metered =
             ThreadPool::new(3).with_metrics(metrics).map(&[1u64, 2, 3], |i, &x| x * i as u64);
         assert_eq!(plain, metered);
+    }
+
+    #[test]
+    fn slots_grow_and_never_shrink() {
+        let mut buf: Vec<Vec<u8>> = Vec::new();
+        slots(&mut buf, 3)[2].push(7);
+        assert_eq!(slots(&mut buf, 1).len(), 1);
+        assert_eq!(buf.len(), 3);
+        assert_eq!(slots(&mut buf, 3)[2], vec![7]);
     }
 }
