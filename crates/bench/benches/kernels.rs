@@ -15,10 +15,13 @@
 //! * `svd_batch` — four small Jacobi SVDs through the lane-batched kernel
 //!   vs one at a time, at the `Q_k` step's `R×R` and stage 1's sketch
 //!   shape.
+//! * `qk_chain` — one 4-slice group of the `Q_k` step's `R×R` product
+//!   chain, one slice per lane vs one `gemm` call per product.
 //! * `two_stage_ablation` — two-stage compression vs stage-1-only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpar2_baselines::common::true_error_sq;
+use dpar2_bench::QkChain;
 use dpar2_core::compress::compress;
 use dpar2_core::config::FitOptions;
 use dpar2_core::convergence::compressed_criterion_ws;
@@ -259,6 +262,25 @@ fn bench_svd_batch(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_qk_chain(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qk_chain");
+    group.sample_size(20);
+    let mut chain = QkChain::new(10, 14);
+    group.bench_function("lanes_10", |b| {
+        b.iter(|| {
+            chain.lanes();
+            black_box(&chain);
+        })
+    });
+    group.bench_function("per_slice_10", |b| {
+        b.iter(|| {
+            chain.per_slice();
+            black_box(&chain);
+        })
+    });
+    group.finish();
+}
+
 fn bench_two_stage_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("two_stage_ablation");
     group.sample_size(10);
@@ -290,6 +312,7 @@ criterion_group!(
     bench_gemm,
     bench_qr,
     bench_svd_batch,
+    bench_qk_chain,
     bench_two_stage_ablation
 );
 criterion_main!(benches);

@@ -21,14 +21,17 @@
 //! small one-sided Jacobi SVDs in µs per matrix: the lane-batched kernel
 //! (`svd_thin_batch_into`, groups of `SVD_LANES`) against one matrix at a
 //! time (`svd_thin_into`), at the `R×R` size of the `Q_k` step (10) and the
-//! sketch-core size of stage 1 (18).
+//! sketch-core size of stage 1 (18). A fourth times one 4-slice group of
+//! the `Q_k` step's `R×R` product chain in µs: one slice per lane through
+//! `gemm_lanes` (interleaving included) against per-slice `gemm` calls,
+//! at `R` ∈ {5, 10, 20}.
 //!
 //! Flags: `--sizes 128,256,512` `--threads 1,2,4` `--variant nn|tn|nt|tt`
 //! `--seed N`. To see the end-to-end effect on the paper's headline
 //! experiment, pair with a before/after run of
 //! `cargo run --release -p dpar2-bench --bin fig9_time`.
 
-use dpar2_bench::{print_table, Args};
+use dpar2_bench::{print_table, Args, QkChain};
 use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
@@ -85,6 +88,9 @@ const JACOBI_SIZES: [usize; 2] = [10, 18];
 
 /// Matrices per Jacobi measurement (a multiple of [`SVD_LANES`]).
 const JACOBI_BATCH: usize = 64;
+
+/// Ranks of the `Q_k` product-chain table, all on `gemm`'s naive loops.
+const CHAIN_RANKS: [usize; 3] = [5, 10, 20];
 
 fn main() {
     let args = Args::parse();
@@ -225,6 +231,28 @@ fn main() {
         ]);
     }
     print_table(&["shape", "batched", "one at a time", "speedup"], &svd_rows);
+    println!();
+
+    println!("Q_k product chain, one {SVD_LANES}-slice group, us per group (lower is better)");
+    let mut chain_rows: Vec<Vec<String>> = Vec::new();
+    for r in CHAIN_RANKS {
+        let mut chain = QkChain::new(r, seed ^ ((r as u64) << 16));
+        let t_lanes = time_per_call(|| {
+            chain.lanes();
+            black_box(&chain);
+        });
+        let t_slices = time_per_call(|| {
+            chain.per_slice();
+            black_box(&chain);
+        });
+        chain_rows.push(vec![
+            format!("{r}"),
+            format!("{:.2}", t_lanes * 1e6),
+            format!("{:.2}", t_slices * 1e6),
+            format!("{:.2}x", t_slices / t_lanes),
+        ]);
+    }
+    print_table(&["R", "lanes", "per-slice gemm", "speedup"], &chain_rows);
     println!();
     println!(
         "note: pooled speedup tracks physical cores; correctness across paths is \

@@ -17,7 +17,13 @@
 
 use dpar2_baselines::{fit_with, Method};
 use dpar2_core::{FitOptions, Parafac2Fit, Result};
+use dpar2_linalg::random::gaussian_mat;
+use dpar2_linalg::{
+    extract_lane, gemm_lanes, interleave_lanes, LaneOperand, Mat, Trans, SVD_LANES,
+};
 use dpar2_tensor::IrregularTensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// Parsed command-line options: `--key value` pairs.
@@ -296,5 +302,71 @@ mod tests {
         assert_eq!(fmt_bytes(1000), "8.0KB");
         assert_eq!(bar(5.0, 10.0, 10), "#####");
         assert_eq!(bar(1.0, 0.0, 10), "");
+    }
+}
+
+/// One lane group of the DPar2 `Q_k` step's `R×R` product chain, for the
+/// `gemm_kernels` table and the `qk_chain` criterion case: per slice
+/// `F(k)·(E Dᵀ V)`, `·Hᵀ`, then `U Vᵀ` and `(Z_k P_kᵀ)ᵀ F(k)` from given
+/// SVD factors. [`QkChain::lanes`] runs it the way the solver does (one
+/// slice per lane, `gemm_lanes`, interleaving included);
+/// [`QkChain::per_slice`] with one `gemm` call per product.
+#[derive(Debug)]
+pub struct QkChain {
+    r: usize,
+    f: Vec<Mat>,
+    edtv: Mat,
+    h: Mat,
+    u: Vec<Mat>,
+    v: Vec<Mat>,
+    /// Outputs: SVD inputs, `Z_k P_kᵀ`, `PZF_k`.
+    out: [Vec<Mat>; 3],
+    /// `F(k)·(E Dᵀ V)` of one slice.
+    prod: Mat,
+    /// Lane stores: `F(k)`, two products, `Z_k P_kᵀ`.
+    lanes: [Vec<[f64; SVD_LANES]>; 4],
+}
+
+impl QkChain {
+    /// Gaussian operands for one group of [`SVD_LANES`] slices at rank `r`.
+    pub fn new(r: usize, seed: u64) -> QkChain {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mats = |n: usize| (0..n).map(|_| gaussian_mat(r, r, &mut rng)).collect::<Vec<_>>();
+        let (f, u, v, shared) = (mats(SVD_LANES), mats(SVD_LANES), mats(SVD_LANES), mats(2));
+        let [edtv, h] = <[Mat; 2]>::try_from(shared).expect("two shared operands");
+        let out = [(); 3].map(|_| vec![Mat::default(); SVD_LANES]);
+        QkChain { r, f, edtv, h, u, v, out, prod: Mat::default(), lanes: Default::default() }
+    }
+
+    /// The chain with one `gemm` call per product and slice.
+    pub fn per_slice(&mut self) {
+        let [inputs, zpt, pzf] = &mut self.out;
+        for l in 0..SVD_LANES {
+            self.f[l].matmul_into(&self.edtv, &mut self.prod);
+            self.prod.matmul_nt_into(&self.h, &mut inputs[l]);
+            self.u[l].matmul_nt_into(&self.v[l], &mut zpt[l]);
+            zpt[l].matmul_tn_into(&self.f[l], &mut pzf[l]);
+        }
+    }
+
+    /// The chain one slice per lane through `gemm_lanes`, with the
+    /// solver's interleaving and extraction.
+    pub fn lanes(&mut self) {
+        let (r, [f, a, b, zp]) = (self.r, &mut self.lanes);
+        let [inputs, zpt, pzf] = &mut self.out;
+        interleave_lanes(&self.f, r, f);
+        gemm_lanes(Trans::N, Trans::N, r, f, LaneOperand::Shared(&self.edtv), a);
+        gemm_lanes(Trans::N, Trans::T, r, a, LaneOperand::Shared(&self.h), b);
+        for (l, input) in inputs.iter_mut().enumerate() {
+            extract_lane(b, r, l, input);
+        }
+        interleave_lanes(&self.u, r, a);
+        interleave_lanes(&self.v, r, b);
+        gemm_lanes(Trans::N, Trans::T, r, a, LaneOperand::PerLane(b), zp);
+        gemm_lanes(Trans::T, Trans::N, r, zp, LaneOperand::PerLane(f), a);
+        for (l, (z, p)) in zpt.iter_mut().zip(pzf.iter_mut()).enumerate() {
+            extract_lane(zp, r, l, z);
+            extract_lane(a, r, l, p);
+        }
     }
 }

@@ -8,7 +8,11 @@ use crate::fitness::{Parafac2Fit, TimingBreakdown};
 use crate::lemmas::{g1_ws, g2_ws, g3_ws};
 use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver};
 use crate::slices::{validate, SliceTensor};
-use dpar2_linalg::{pinv_into, svd_thin_batch_into, Mat, SvdBatchScratch, SvdFactors, SVD_LANES};
+use dpar2_linalg::kernel::use_blocked;
+use dpar2_linalg::{
+    extract_lane, gemm_lanes, interleave_lanes, pinv_into, svd_thin_batch_into, LaneOperand, Mat,
+    SvdBatchScratch, SvdFactors, Trans, SVD_LANES,
+};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::normalize_columns_mut;
 use dpar2_tensor::IrregularTensor;
@@ -95,7 +99,8 @@ impl WarmStart {
 ///   2-4  compress slices in parallel:  X_k ≈ A_k B_k C_kᵀ       (stage 1)
 ///   5-6  M ← ∥_k C_k B_k;  D E Fᵀ ← rSVD(M)                     (stage 2)
 ///   7  repeat
-///   8-10   Z_k Σ_k P_kᵀ ← SVD(F(k) E Dᵀ V S_k Hᵀ)   (R×R SVDs, 4 at once)
+///   8-10   Z_k Σ_k P_kᵀ ← SVD(F(k) E Dᵀ V S_k Hᵀ)   (R×R SVDs, 4 at once;
+///          their products 4 at once too, one slice per lane)
 ///   11-13  Y_k kept factorized as P_k Z_kᵀ F(k) E Dᵀ
 ///   14-15  G⁽¹⁾ ← Lemma 1;  H ← G⁽¹⁾(WᵀW ∗ VᵀV)†;  normalize H
 ///   16-17  G⁽²⁾ ← Lemma 2;  V ← G⁽²⁾(WᵀW ∗ HᵀH)†;  normalize V
@@ -311,10 +316,11 @@ impl Dpar2 {
             session.start_iteration();
             let ws = session.workspace();
 
-            // Lines 8–13: the R×R SVDs of F(k)·(E Dᵀ V)·S_k·Hᵀ, in lane
-            // groups of SVD_LANES slices. The groups, and so every bit, are
-            // the same for every thread count. Each run writes its slices'
-            // `zpt`/`pzf` in place on its own scratch.
+            // Lines 8–13: the R×R SVDs of F(k)·(E Dᵀ V)·S_k·Hᵀ and the
+            // products around them, in lane groups of SVD_LANES slices. The
+            // groups, and so every bit, are the same for every thread
+            // count. Each run writes its slices' `zpt`/`pzf` in place on
+            // its own scratch.
             let fit = (&ct.f_blocks[..], &edtv, &w, &h);
             let runs = zpt.chunks_mut(run).zip(pzf.chunks_mut(run));
             pool.for_each_with(runs, &mut qk, |i, (zpt, pzf), scratch| {
@@ -430,10 +436,19 @@ fn check_compressed(ct: &CompressedTensor) -> Result<()> {
 
 /// Scratch for the `Q_k` step of one run of lane groups; the fit keeps
 /// one per run, so steady-state iterations allocate nothing per slice.
+/// The lane stores hold one slice per lane (see [`gemm_lanes`]).
 #[derive(Debug, Default)]
 pub(crate) struct QkScratch {
-    /// `F(k)·(E Dᵀ V)·S_k` for one slice.
-    prod: Mat,
+    /// The group's `F(k)`, read twice: into the SVD inputs and into `PZF_k`.
+    f: Vec<[f64; SVD_LANES]>,
+    /// `W(k,:)`, the diagonal of `S_k`.
+    s: Vec<[f64; SVD_LANES]>,
+    /// `F(k)·(E Dᵀ V)·S_k`, then the factors' `U`, then `PZF_k`.
+    a: Vec<[f64; SVD_LANES]>,
+    /// The SVD inputs, then the factors' `V`.
+    b: Vec<[f64; SVD_LANES]>,
+    /// `Z_k P_kᵀ`.
+    zp: Vec<[f64; SVD_LANES]>,
     /// The group's SVD inputs `F(k)·(E Dᵀ V)·S_k·Hᵀ`.
     inputs: [Mat; SVD_LANES],
     /// Their factors.
@@ -446,31 +461,94 @@ pub(crate) struct QkScratch {
 /// `F(k)·(E Dᵀ V)·S_k·Hᵀ` through the lane-batched kernel, then
 /// `Z_k P_kᵀ` into `zpt` and `PZF_k = (Z_k P_kᵀ)ᵀ F(k)` into `pzf`.
 /// `fit` is `({F(k)}, E Dᵀ V, W, H)`.
+///
+/// Where `gemm` runs `R×R` products on its naive loops, a group's products
+/// run one slice per lane through [`gemm_lanes`], in the same order, so
+/// the bits are those of the per-slice products. Larger `R` keeps the
+/// per-slice `gemm` calls, whose blocked kernel rounds differently.
 fn qk_update(
     k0: usize,
+    fit: (&[Mat], &Mat, &Mat, &Mat),
+    zpt: &mut [Mat],
+    pzf: &mut [Mat],
+    g: &mut QkScratch,
+) {
+    let r = fit.3.rows();
+    let group = if use_blocked(r, r, r) { qk_group_per_slice } else { qk_group_lanes };
+    let groups = zpt.chunks_mut(SVD_LANES).zip(pzf.chunks_mut(SVD_LANES));
+    for (first, (zpt, pzf)) in (k0..).step_by(SVD_LANES).zip(groups) {
+        group(first, fit, zpt, pzf, g);
+    }
+}
+
+/// One lane group of [`qk_update`] in lanes: each `F(k)` is interleaved
+/// once and read by the first and the last product; only the SVD inputs
+/// and the results leave the lane stores.
+fn qk_group_lanes(
+    first: usize,
     (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
     zpt: &mut [Mat],
     pzf: &mut [Mat],
     g: &mut QkScratch,
 ) {
-    let groups = zpt.chunks_mut(SVD_LANES).zip(pzf.chunks_mut(SVD_LANES));
-    for (first, (zpt, pzf)) in (k0..).step_by(SVD_LANES).zip(groups) {
-        let lanes = zpt.len();
-        for (k, input) in (first..).zip(&mut g.inputs[..lanes]) {
-            f_blocks[k].matmul_into(edtv, &mut g.prod);
-            // · S_k (diagonal, scale columns by W(k,:)), then · Hᵀ.
-            for i in 0..g.prod.rows() {
-                for (x, &wv) in g.prod.row_mut(i).iter_mut().zip(w.row(k)) {
-                    *x *= wv;
-                }
+    let (r, lanes) = (h.rows(), zpt.len());
+    let ks = first..first + lanes;
+    interleave_lanes(ks.clone().map(|k| &f_blocks[k]), r, &mut g.f);
+    gemm_lanes(Trans::N, Trans::N, r, &g.f, LaneOperand::Shared(edtv), &mut g.a);
+    // · S_k (diagonal, scale columns by W(k,:)), then · Hᵀ.
+    g.s.clear();
+    g.s.resize(r, [0.0; SVD_LANES]);
+    for (l, k) in ks.enumerate() {
+        for (s, &wv) in g.s.iter_mut().zip(w.row(k)) {
+            s[l] = wv;
+        }
+    }
+    for row in g.a.chunks_exact_mut(r) {
+        for (x, s) in row.iter_mut().zip(&g.s) {
+            for l in 0..SVD_LANES {
+                x[l] *= s[l];
             }
-            g.prod.matmul_nt_into(h, input);
         }
-        svd_thin_batch_into(&g.inputs[..lanes], &mut g.factors[..lanes], &mut g.svd);
-        for (k, (f, (zp, pzf_k))) in (first..).zip(g.factors.iter().zip(zpt.iter_mut().zip(pzf))) {
-            f.u.matmul_nt_into(&f.v, zp);
-            zp.matmul_tn_into(&f_blocks[k], pzf_k);
+    }
+    gemm_lanes(Trans::N, Trans::T, r, &g.a, LaneOperand::Shared(h), &mut g.b);
+    for (l, input) in g.inputs[..lanes].iter_mut().enumerate() {
+        extract_lane(&g.b, r, l, input);
+    }
+    svd_thin_batch_into(&g.inputs[..lanes], &mut g.factors[..lanes], &mut g.svd);
+    interleave_lanes(g.factors[..lanes].iter().map(|f| &f.u), r, &mut g.a);
+    interleave_lanes(g.factors[..lanes].iter().map(|f| &f.v), r, &mut g.b);
+    gemm_lanes(Trans::N, Trans::T, r, &g.a, LaneOperand::PerLane(&g.b), &mut g.zp);
+    gemm_lanes(Trans::T, Trans::N, r, &g.zp, LaneOperand::PerLane(&g.f), &mut g.a);
+    for (l, (zp, pzf_k)) in zpt.iter_mut().zip(pzf).enumerate() {
+        extract_lane(&g.zp, r, l, zp);
+        extract_lane(&g.a, r, l, pzf_k);
+    }
+}
+
+/// One lane group of [`qk_update`] with per-slice `gemm` products, for
+/// `R` past the naive-loop sizes. `PZF_k` is free until the group's last
+/// product, so it stages `F(k)·(E Dᵀ V)·S_k`.
+fn qk_group_per_slice(
+    first: usize,
+    (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
+    zpt: &mut [Mat],
+    pzf: &mut [Mat],
+    g: &mut QkScratch,
+) {
+    let lanes = zpt.len();
+    for (k, (input, prod)) in (first..).zip(g.inputs.iter_mut().zip(pzf.iter_mut())) {
+        f_blocks[k].matmul_into(edtv, prod);
+        for i in 0..prod.rows() {
+            for (x, &wv) in prod.row_mut(i).iter_mut().zip(w.row(k)) {
+                *x *= wv;
+            }
         }
+        prod.matmul_nt_into(h, input);
+    }
+    svd_thin_batch_into(&g.inputs[..lanes], &mut g.factors[..lanes], &mut g.svd);
+    for (k, (f, (zp, pzf_k))) in (first..).zip(g.factors.iter().zip(zpt.iter_mut().zip(pzf))) {
+        f.u.matmul_nt_into(&f.v, zp);
+        zp.matmul_tn_into(&f_blocks[k], pzf_k);
     }
 }
 
@@ -689,9 +767,87 @@ mod tests {
         let fit1 = Dpar2.fit(&t, &FitOptions::new(3).with_seed(412).with_threads(1)).unwrap();
         let fit4 = Dpar2.fit(&t, &FitOptions::new(3).with_seed(412).with_threads(4)).unwrap();
         assert_eq!(fit1.iterations, fit4.iterations);
-        assert!((&fit1.v - &fit4.v).fro_norm() < 1e-10);
-        for k in 0..t.k() {
-            assert!((&fit1.u[k] - &fit4.u[k]).fro_norm() < 1e-10);
+        assert_eq!(fit1.v, fit4.v);
+        assert_eq!(fit1.h, fit4.h);
+        assert_eq!(fit1.s, fit4.s);
+        assert_eq!(fit1.u, fit4.u);
+        assert_eq!(fit1.criterion_trace, fit4.criterion_trace);
+    }
+
+    /// The `Q_k` step as it ran before the lane products: every product a
+    /// per-slice `gemm` call. The oracle of [`qk_update`].
+    fn qk_update_per_slice_reference(
+        (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
+        zpt: &mut [Mat],
+        pzf: &mut [Mat],
+    ) {
+        let (mut prod, mut svd) = (Mat::default(), SvdBatchScratch::default());
+        let mut inputs: [Mat; SVD_LANES] = Default::default();
+        let mut factors: [SvdFactors; SVD_LANES] = Default::default();
+        let groups = zpt.chunks_mut(SVD_LANES).zip(pzf.chunks_mut(SVD_LANES));
+        for (first, (zpt, pzf)) in (0..).step_by(SVD_LANES).zip(groups) {
+            let lanes = zpt.len();
+            for (k, input) in (first..).zip(&mut inputs[..lanes]) {
+                f_blocks[k].matmul_into(edtv, &mut prod);
+                for i in 0..prod.rows() {
+                    for (x, &wv) in prod.row_mut(i).iter_mut().zip(w.row(k)) {
+                        *x *= wv;
+                    }
+                }
+                prod.matmul_nt_into(h, input);
+            }
+            svd_thin_batch_into(&inputs[..lanes], &mut factors[..lanes], &mut svd);
+            for (k, (f, (zp, pzf_k))) in (first..).zip(factors.iter().zip(zpt.iter_mut().zip(pzf)))
+            {
+                f.u.matmul_nt_into(&f.v, zp);
+                zp.matmul_tn_into(&f_blocks[k], pzf_k);
+            }
+        }
+    }
+
+    /// Shapes and bit patterns of a run of matrices.
+    fn bits(ms: &[Mat]) -> Vec<(usize, usize, Vec<u64>)> {
+        ms.iter()
+            .map(|m| (m.rows(), m.cols(), m.data().iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn qk_update_matches_per_slice_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(431);
+        // R = 3 and 10 take the lane products, R = 24 the per-slice
+        // fallback; K covers one partial group, one full group, a full
+        // group plus one slice, and many groups.
+        for r in [3, 10, 24] {
+            for k_dim in [1, 3, 4, 5, 17] {
+                let mut f_blocks: Vec<Mat> =
+                    (0..k_dim).map(|_| gaussian_mat(r, r, &mut rng)).collect();
+                // A zero slice (its SVD runs alone) and signed zeros.
+                if k_dim > 2 {
+                    f_blocks[2] = Mat::zeros(r, r);
+                    f_blocks[1].set(0, r - 1, -0.0);
+                }
+                let (edtv, h) = (gaussian_mat(r, r, &mut rng), gaussian_mat(r, r, &mut rng));
+                let w = gaussian_mat(k_dim, r, &mut rng);
+                let fit = (&f_blocks[..], &edtv, &w, &h);
+                let (mut zpt_ref, mut pzf_ref) =
+                    (vec![Mat::eye(r); k_dim], vec![Mat::default(); k_dim]);
+                qk_update_per_slice_reference(fit, &mut zpt_ref, &mut pzf_ref);
+                // One run, then runs of one lane group each (as on a pool),
+                // on one reused scratch.
+                let mut g = QkScratch::default();
+                for run in [k_dim, SVD_LANES] {
+                    let (mut zpt, mut pzf) =
+                        (vec![Mat::eye(r); k_dim], vec![Mat::default(); k_dim]);
+                    for (i, (zpt, pzf)) in zpt.chunks_mut(run).zip(pzf.chunks_mut(run)).enumerate()
+                    {
+                        qk_update(i * run, fit, zpt, pzf, &mut g);
+                    }
+                    let ctx = format!("R={r} K={k_dim} run={run}");
+                    assert_eq!(bits(&zpt), bits(&zpt_ref), "{ctx}: Z_k P_kᵀ");
+                    assert_eq!(bits(&pzf), bits(&pzf_ref), "{ctx}: PZF_k");
+                }
+            }
         }
     }
 

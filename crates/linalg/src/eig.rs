@@ -1,8 +1,8 @@
 //! Symmetric eigendecomposition via the cyclic Jacobi method.
 //!
-//! Used by tests (spectra of Gram matrices) and by analyses that need
-//! principal axes of small covariance matrices. Only symmetric input is
-//! supported — that is all the PARAFAC2 pipeline requires.
+//! A general-purpose routine of this crate: the PARAFAC2 solvers and
+//! analyses run on the SVD and do not call it. Only symmetric input is
+//! supported.
 
 use crate::error::{LinalgError, Result};
 use crate::mat::Mat;
@@ -24,6 +24,7 @@ pub struct SymEig {
 ///
 /// # Errors
 /// * [`LinalgError::NotSquare`] for rectangular input.
+/// * [`LinalgError::NonFinite`] if an entry is NaN or infinite.
 /// * [`LinalgError::NoConvergence`] if the off-diagonal mass fails to vanish
 ///   in `MAX_SWEEPS` (64) sweeps (does not happen for symmetric input in
 ///   practice).
@@ -33,6 +34,9 @@ pub fn eig_sym(a: &Mat) -> Result<SymEig> {
     let (m, n) = a.shape();
     if m != n {
         return Err(LinalgError::NotSquare { op: "eig_sym", shape: (m, n) });
+    }
+    if !a.data().iter().all(|x| x.is_finite()) {
+        return Err(LinalgError::NonFinite { op: "eig_sym" });
     }
     if n == 0 {
         return Ok(SymEig { values: vec![], vectors: Mat::zeros(0, 0) });
@@ -107,7 +111,7 @@ pub fn eig_sym(a: &Mat) -> Result<SymEig> {
     // Sort eigenpairs by descending eigenvalue.
     let mut order: Vec<usize> = (0..n).collect();
     let diag: Vec<f64> = (0..n).map(|i| w.at(i, i)).collect();
-    order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).expect("NaN eigenvalue"));
+    order.sort_by(|&i, &j| diag[j].total_cmp(&diag[i]));
     let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
     let mut vectors = Mat::zeros(n, n);
     for (new_j, &old_j) in order.iter().enumerate() {
@@ -180,6 +184,21 @@ mod tests {
     #[test]
     fn eig_rejects_rectangular() {
         assert!(matches!(eig_sym(&Mat::zeros(2, 3)), Err(LinalgError::NotSquare { .. })));
+    }
+
+    #[test]
+    fn eig_rejects_non_finite_entries() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (i, j) in [(0, 0), (1, 1), (0, 2), (2, 1)] {
+                let mut a = Mat::eye(3);
+                a.set(i, j, bad);
+                assert_eq!(
+                    eig_sym(&a).unwrap_err(),
+                    LinalgError::NonFinite { op: "eig_sym" },
+                    "{bad} at ({i}, {j})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!   AVX2+FMA the tile runs as explicit `vfmadd231pd` intrinsics;
 //!   otherwise a portable auto-vectorized `a*b + c` fallback is used
 //!   (plain `mul_add` without hardware FMA lowers to a slow libm call).
-//!   This is the crate's single, narrowly-scoped `unsafe` exception: the
-//!   SIMD tile plus the `#[target_feature]` call, guarded by the matching
-//!   `is_x86_feature_detected!` check.
+//!   The SIMD tile plus its `#[target_feature]` call is one of the crate's
+//!   three narrowly-scoped `unsafe` exceptions (see the crate docs), all
+//!   guarded by one cached CPU probe.
 //! * **Parallelism**: [`gemm_blocked`] row-partitions C into `MC`-row
 //!   panels and, on a pool of more than one thread, fans them out over
 //!   [`dpar2_parallel::ThreadPool::for_each_chunk_mut`]. Each panel is
@@ -60,7 +60,11 @@
 //! The naive loops are retained as [`gemm_naive_into`] — the IEEE-faithful
 //! reference oracle (no `x == 0.0` shortcuts: `0·∞` and `0·NaN` must yield
 //! NaN). The size dispatch itself (naive loops below [`use_blocked`],
-//! [`gemm_blocked`] above) lives in [`crate::gemm`].
+//! [`gemm_blocked`] above) lives in [`crate::gemm`]. Most `R×R` products of
+//! the compressed iterations fall below it and run the naive loops one at
+//! a time; the DPar2 `Q_k` step's per-slice products instead go through
+//! [`crate::gemm_lanes`], four slices at once, one per vector lane, in the
+//! naive loops' operation order and so with their bits.
 
 use crate::mat::Mat;
 use crate::view::{AsMatRef, MatMut, MatRef};
@@ -122,7 +126,8 @@ fn at(m: MatRef<'_>, t: Trans, i: usize, j: usize) -> f64 {
 
 /// Minimum `m·n·k` product for the blocked path. Below this the packing
 /// and buffer setup cost more than they save; the `R×R` products of the
-/// compressed ALS iterations (R ≤ 20 or so) stay on the naive loops.
+/// compressed ALS iterations (`R ≤ 23`) take the naive loops' order, on
+/// the naive loops or in lanes ([`crate::gemm_lanes`]).
 const BLOCKED_MIN_FLOPS: usize = 24 * 24 * 24;
 
 /// True when `(m, n, k)` is large enough that the blocked path wins.
@@ -197,21 +202,33 @@ unsafe fn micro_fma(kcb: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR
     }
 }
 
-/// Cached runtime CPU-feature probe for the fused microkernel.
+/// The CPU's SIMD features, probed once: the one cached runtime check
+/// behind every `#[target_feature]` dispatch in this crate (the fused GEMM
+/// microkernel here, the Jacobi sweeps and the lane products in
+/// [`crate::svd`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Simd {
+    /// 256-bit integer and float vectors.
+    pub(crate) avx2: bool,
+    /// Fused multiply-add.
+    pub(crate) fma: bool,
+}
+
+/// The cached [`Simd`] probe; all `false` off x86-64.
 #[inline]
-fn fma_available() -> bool {
+pub(crate) fn simd() -> Simd {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
+        static PROBE: OnceLock<Simd> = OnceLock::new();
+        *PROBE.get_or_init(|| Simd {
+            avx2: std::arch::is_x86_feature_detected!("avx2"),
+            fma: std::arch::is_x86_feature_detected!("fma"),
         })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        Simd { avx2: false, fma: false }
     }
 }
 
@@ -219,8 +236,8 @@ fn fma_available() -> bool {
 #[inline]
 fn run_micro(kcb: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: `fma_available` verified AVX2 and FMA support on this CPU,
+    if matches!(simd(), Simd { avx2: true, fma: true }) {
+        // SAFETY: `simd` verified AVX2 and FMA support on this CPU,
         // which is the only precondition of the `#[target_feature]` fn.
         #[allow(unsafe_code)]
         unsafe {

@@ -18,6 +18,9 @@
 //!   packed `MR×NR` microkernel tiles (AVX2+FMA when the CPU has them,
 //!   detected at runtime) and row-panel fan-out over the pool; small
 //!   products stay on the naive loops.
+//! * [`gemm_lanes`] — up to four small `n×n` products at once, one per
+//!   vector lane, each bitwise what [`gemm`]'s naive loops give (the
+//!   DPar2 `Q_k` step's per-slice products).
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
 //!   preconditioning for tall matrices), plus rank-truncated variants and
@@ -36,13 +39,16 @@
 //!   running the corresponding naive dense loop.
 //!
 //! Everything is deterministic given a seed and needs no external BLAS.
-//! The crate is safe Rust except for two narrowly-scoped exceptions of one
-//! shape — a `#[target_feature]` function (`unsafe` to call) and its call
-//! site, guarded by a cached `is_x86_feature_detected!` check:
+//! The crate is safe Rust except for three narrowly-scoped exceptions of
+//! one shape — a `#[target_feature]` function (`unsafe` to call) and its
+//! call site, guarded by one cached `is_x86_feature_detected!` probe:
 //!
 //! 1. [`kernel`]: the AVX2/FMA GEMM microkernel;
 //! 2. [`svd`]: the AVX2 Jacobi sweep kernel behind
-//!    [`svd_thin_batch_into`], bitwise equal to its portable fallback.
+//!    [`svd_thin_batch_into`], bitwise equal to its portable fallback;
+//! 3. [`svd`]: the AVX2 build of [`gemm_lanes`]' portable lane loop (the
+//!    same body compiled a second time, no intrinsics), bitwise equal to
+//!    it.
 //!
 //! ## Example
 //!
@@ -81,8 +87,8 @@ pub use qr::{qr, qr_into, QrFactors, QrScratch};
 pub use random::{gaussian_mat, uniform_mat};
 pub use sparse::{CooBuilder, SparseSlice};
 pub use svd::{
-    svd_thin, svd_thin_batch_into, svd_truncated, SvdBatchScratch, SvdFactors, SvdScratch,
-    SVD_LANES,
+    extract_lane, gemm_lanes, interleave_lanes, svd_thin, svd_thin_batch_into, svd_truncated,
+    LaneOperand, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
 };
 pub use view::{AsMatRef, MatMut, MatRef};
 

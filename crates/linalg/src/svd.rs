@@ -41,7 +41,15 @@
 //! normalize, basis completion); the AVX2 kernel is this crate's second
 //! contained `unsafe` exception, of the same shape as the GEMM
 //! microkernel's in [`crate::kernel`].
+//!
+//! The products around the `Q_k` step's SVDs use the same lane layout:
+//! [`gemm_lanes`] runs up to [`SVD_LANES`] small `n×n` products at once,
+//! one per lane, in the operation order of [`crate::gemm`]'s naive loops,
+//! so every lane holds that product's bits. Its body is one portable loop
+//! over lane quads; on a CPU with AVX2 the same body runs compiled for it
+//! (the third `unsafe` exception, with no intrinsics).
 
+use crate::kernel::Trans;
 use crate::mat::Mat;
 use crate::qr::{qr_into, QrScratch};
 use crate::view::{AsMatRef, MatRef};
@@ -285,6 +293,224 @@ fn lane_core<'a>(
     r.view()
 }
 
+/// The right operand of [`gemm_lanes`]: one `n×n` matrix read by every
+/// lane, or a lane-interleaved store with one matrix per lane.
+#[derive(Debug, Clone, Copy)]
+pub enum LaneOperand<'a> {
+    /// The same matrix in every lane.
+    Shared(&'a Mat),
+    /// Lane `l`'s entry `(i, j)` at `[i·n + j][l]`.
+    PerLane(&'a [[f64; SVD_LANES]]),
+}
+
+/// `C = op(A)·op(B)` for up to [`SVD_LANES`] `n×n` products at once, one
+/// per lane: lane `l` of `c` gets bitwise what [`crate::gemm`] computes
+/// from lane `l` of `a` and of `b`, for any `n` where `gemm` takes the
+/// naive loops (`!kernel::use_blocked(n, n, n)`).
+///
+/// `a` and `c` (and a [`LaneOperand::PerLane`] `b`) are lane-interleaved
+/// row-major stores, lane `l`'s entry `(i, j)` at `[i·n + j][l]`
+/// ([`interleave_lanes`] builds one, [`extract_lane`] reads one back).
+/// Every output entry takes the naive loops' operation order: `A·B` and
+/// `Aᵀ·B` sum in ascending depth from `+0.0`, `A·Bᵀ` in
+/// [`crate::mat::dot`]'s four strided partial sums plus a tail, added left
+/// to right; each step is one multiply and one add, never fused. On a CPU
+/// with AVX2 the same loop runs compiled for it, one 256-bit vector per
+/// lane quad; both builds give the same bits. `c` is resized and
+/// overwritten.
+///
+/// # Panics
+/// Panics on `(Trans::T, Trans::T)`, which the lane path does not cover,
+/// or if an operand does not hold `n×n` entries.
+pub fn gemm_lanes(
+    ta: Trans,
+    tb: Trans,
+    n: usize,
+    a: &[Lanes],
+    b: LaneOperand<'_>,
+    c: &mut Vec<Lanes>,
+) {
+    assert!(!(ta == Trans::T && tb == Trans::T), "gemm_lanes: Aᵀ·Bᵀ is not a lane form");
+    assert_eq!(a.len(), n * n, "gemm_lanes: A is not {n}x{n}");
+    c.resize(n * n, [0.0; SVD_LANES]);
+    match b {
+        LaneOperand::Shared(b) => {
+            assert_eq!(b.shape(), (n, n), "gemm_lanes: B is not {n}x{n}");
+            lane_products_dispatch(ta, tb, n, a, b.data(), c);
+        }
+        LaneOperand::PerLane(b) => {
+            assert_eq!(b.len(), n * n, "gemm_lanes: B is not {n}x{n}");
+            lane_products_dispatch(ta, tb, n, a, b, c);
+        }
+    }
+}
+
+/// Interleaves up to [`SVD_LANES`] `n×n` matrices into the lane store
+/// `dst` of [`gemm_lanes`], matrix `l` in lane `l`; lanes past the last
+/// matrix hold zeros.
+///
+/// # Panics
+/// Panics if a matrix is not `n×n` or there are more than [`SVD_LANES`].
+pub fn interleave_lanes<'m>(
+    mats: impl IntoIterator<Item = &'m Mat>,
+    n: usize,
+    dst: &mut Vec<Lanes>,
+) {
+    dst.clear();
+    dst.resize(n * n, [0.0; SVD_LANES]);
+    for (l, m) in mats.into_iter().enumerate() {
+        assert!(l < SVD_LANES, "interleave_lanes: more than {SVD_LANES} matrices");
+        assert_eq!(m.shape(), (n, n), "interleave_lanes: matrix {l} is not {n}x{n}");
+        for (x, &y) in dst.iter_mut().zip(m.data()) {
+            x[l] = y;
+        }
+    }
+}
+
+/// Copies lane `l` of the `n×n` lane store `src` into `dst`.
+///
+/// # Panics
+/// Panics if `src` does not hold `n×n` entries or `l ≥ SVD_LANES`.
+pub fn extract_lane(src: &[Lanes], n: usize, l: usize, dst: &mut Mat) {
+    assert_eq!(src.len(), n * n, "extract_lane: store is not {n}x{n}");
+    dst.resize_for_overwrite(n, n);
+    for (y, x) in dst.data_mut().iter_mut().zip(src) {
+        *y = x[l];
+    }
+}
+
+/// A right-operand entry as a lane quad: a shared entry splats.
+trait AsLanes: Copy {
+    fn lanes(self) -> Lanes;
+}
+
+impl AsLanes for f64 {
+    #[inline(always)]
+    fn lanes(self) -> Lanes {
+        [self; SVD_LANES]
+    }
+}
+
+impl AsLanes for Lanes {
+    #[inline(always)]
+    fn lanes(self) -> Lanes {
+        self
+    }
+}
+
+/// `acc += a·b` in every lane: one multiply, then one add.
+#[inline(always)]
+fn mul_add_lanes(acc: &mut Lanes, a: Lanes, b: Lanes) {
+    for l in 0..SVD_LANES {
+        acc[l] += a[l] * b[l];
+    }
+}
+
+/// [`crate::mat::dot`] of two rows, lane by lane, in its order.
+#[inline(always)]
+fn dot_lanes<T: AsLanes>(a: &[Lanes], b: &[T]) -> Lanes {
+    let chunks = a.len() / 4;
+    let (mut s0, mut s1, mut s2, mut s3) =
+        ([0.0; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES]);
+    for (a, b) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
+        mul_add_lanes(&mut s0, a[0], b[0].lanes());
+        mul_add_lanes(&mut s1, a[1], b[1].lanes());
+        mul_add_lanes(&mut s2, a[2], b[2].lanes());
+        mul_add_lanes(&mut s3, a[3], b[3].lanes());
+    }
+    let mut tail = [0.0; SVD_LANES];
+    for (&a, &b) in a[chunks * 4..].iter().zip(&b[chunks * 4..]) {
+        mul_add_lanes(&mut tail, a, b.lanes());
+    }
+    core::array::from_fn(|l| s0[l] + s1[l] + s2[l] + s3[l] + tail[l])
+}
+
+/// Takes the AVX2 build of [`lane_products`] when the CPU has it; both
+/// builds give the same bits.
+fn lane_products_dispatch<T: AsLanes>(
+    ta: Trans,
+    tb: Trans,
+    n: usize,
+    a: &[Lanes],
+    b: &[T],
+    c: &mut [Lanes],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::kernel::simd().avx2 {
+        // SAFETY: `simd` verified AVX2 support on this CPU, which is the
+        // only precondition of the `#[target_feature]` fn.
+        #[allow(unsafe_code)]
+        return unsafe { lane_products_avx2(ta, tb, n, a, b, c) };
+    }
+    lane_products(ta, tb, n, a, b, c);
+}
+
+/// [`lane_products`] compiled for AVX2: the same body, so the same
+/// operations in the same order, each lane quad in one 256-bit vector.
+///
+/// # Safety
+/// The CPU must support AVX2 (checked by [`lane_products_dispatch`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)] // contained SIMD exception; see the crate docs
+unsafe fn lane_products_avx2<T: AsLanes>(
+    ta: Trans,
+    tb: Trans,
+    n: usize,
+    a: &[Lanes],
+    b: &[T],
+    c: &mut [Lanes],
+) {
+    lane_products(ta, tb, n, a, b, c);
+}
+
+/// The portable lane loop of [`gemm_lanes`] on checked `n×n` operands:
+/// `mm_naive`'s loops with every scalar op widened to a lane quad. The
+/// fallback on CPUs without AVX2, and the oracle of its AVX2 build.
+#[inline(always)]
+fn lane_products<T: AsLanes>(
+    ta: Trans,
+    tb: Trans,
+    n: usize,
+    a: &[Lanes],
+    b: &[T],
+    c: &mut [Lanes],
+) {
+    if n == 0 {
+        return;
+    }
+    match (ta, tb) {
+        (Trans::N, Trans::N) => {
+            for (ai, ci) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
+                ci.fill([0.0; SVD_LANES]);
+                for (&aik, bk) in ai.iter().zip(b.chunks_exact(n)) {
+                    for (cv, &bv) in ci.iter_mut().zip(bk) {
+                        mul_add_lanes(cv, aik, bv.lanes());
+                    }
+                }
+            }
+        }
+        (Trans::T, Trans::N) => {
+            c.fill([0.0; SVD_LANES]);
+            for (ak, bk) in a.chunks_exact(n).zip(b.chunks_exact(n)) {
+                for (&aki, ci) in ak.iter().zip(c.chunks_exact_mut(n)) {
+                    for (cv, &bv) in ci.iter_mut().zip(bk) {
+                        mul_add_lanes(cv, aki, bv.lanes());
+                    }
+                }
+            }
+        }
+        (Trans::N, Trans::T) => {
+            for (ai, ci) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
+                for (cv, bj) in ci.iter_mut().zip(b.chunks_exact(n)) {
+                    *cv = dot_lanes(ai, bj);
+                }
+            }
+        }
+        (Trans::T, Trans::T) => unreachable!("rejected by gemm_lanes"),
+    }
+}
+
 /// Runs the one-sided Jacobi sweeps on the live lanes of the lane-
 /// interleaved column-major `rows×cols` store `w`, accumulating each
 /// lane's rotations into `v` (`cols×cols`). Returns how many sweeps each
@@ -299,22 +525,13 @@ fn jacobi_sweeps(
     live: [bool; SVD_LANES],
 ) -> [usize; SVD_LANES] {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: `avx2_available` verified AVX2 support on this CPU, which
+    if crate::kernel::simd().avx2 {
+        // SAFETY: `simd` verified AVX2 support on this CPU, which
         // is the only precondition of the `#[target_feature]` fn.
         #[allow(unsafe_code)]
         return unsafe { sweeps_avx2(rows, cols, w, v, tol, live) };
     }
     sweeps_portable(rows, cols, w, v, tol, live)
-}
-
-/// Cached runtime CPU-feature probe for the AVX2 sweep kernel.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx2_available() -> bool {
-    use std::sync::OnceLock;
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 /// The portable sweep kernel: the scalar loop's expressions, lane by lane
@@ -947,7 +1164,7 @@ mod tests {
             live: [bool; SVD_LANES],
         ) -> Option<(Vec<Lanes>, Vec<Lanes>, [usize; SVD_LANES])> {
             #[cfg(target_arch = "x86_64")]
-            if avx2_available() {
+            if crate::kernel::simd().avx2 {
                 let mut w = vec![[0.0; SVD_LANES]; rows * cols];
                 for (l, lane) in lanes.iter().enumerate() {
                     for (x, &y) in w.iter_mut().zip(lane) {
@@ -960,7 +1177,7 @@ mod tests {
                 }
                 let (mut w2, mut v2) = (w.clone(), v.clone());
                 let sweeps = sweeps_portable(rows, cols, &mut w, &mut v, &tol, live);
-                // SAFETY: `avx2_available` verified AVX2 support above.
+                // SAFETY: `simd` verified AVX2 support above.
                 #[allow(unsafe_code)]
                 let sweeps2 = unsafe { sweeps_avx2(rows, cols, &mut w2, &mut v2, &tol, live) };
                 assert_eq!(sweeps, sweeps2, "sweep counts differ");
@@ -1066,6 +1283,77 @@ mod tests {
             };
             assert_eq!(sweeps[0], 1, "a diagonal lane converges in its first sweep");
             assert!(sweeps[1] > 2 && sweeps[2] > 2, "{sweeps:?}");
+        }
+    }
+
+    /// The AVX2 build of the lane products against the portable body,
+    /// bit for bit, on every form and both kinds of right operand.
+    #[cfg(target_arch = "x86_64")]
+    mod lane_products_kernels {
+        use super::super::*;
+        use crate::random::gaussian_mat;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Equal bits, except that any NaN equals any NaN.
+        fn same(a: f64, b: f64) -> bool {
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+        }
+
+        /// An `n×n` lane store of Gaussian entries, a fifth of them NaN,
+        /// ±∞, `−0` or subnormal.
+        fn store(n: usize, rng: &mut StdRng) -> Vec<Lanes> {
+            const SPECIALS: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 4e-320];
+            let mats: Vec<Mat> = (0..SVD_LANES).map(|_| gaussian_mat(n, n, rng)).collect();
+            let mut out = Vec::new();
+            interleave_lanes(&mats, n, &mut out);
+            for x in out.iter_mut().flatten() {
+                if rng.random::<f64>() < 0.2 {
+                    *x = SPECIALS[rng.random::<usize>() % SPECIALS.len()];
+                }
+            }
+            out
+        }
+
+        /// Runs both builds on one case and asserts equal bits.
+        fn both<T: AsLanes>(ta: Trans, tb: Trans, n: usize, a: &[Lanes], b: &[T]) {
+            let (mut portable, mut avx2) =
+                (vec![[1.0; SVD_LANES]; n * n], vec![[2.0; SVD_LANES]; n * n]);
+            lane_products(ta, tb, n, a, b, &mut portable);
+            // SAFETY: the caller checked AVX2 support.
+            #[allow(unsafe_code)]
+            unsafe {
+                lane_products_avx2(ta, tb, n, a, b, &mut avx2)
+            };
+            for (i, (x, y)) in portable.iter().zip(&avx2).enumerate() {
+                for l in 0..SVD_LANES {
+                    assert!(
+                        same(x[l], y[l]),
+                        "{ta:?}{tb:?} n={n} [{i}] lane {l}: {} vs {}",
+                        x[l],
+                        y[l]
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn avx2_build_matches_portable_body() {
+            if crate::kernel::simd().avx2 {
+                let mut rng = StdRng::seed_from_u64(1806);
+                for n in 1..=23 {
+                    let (a, b) = (store(n, &mut rng), store(n, &mut rng));
+                    let shared = gaussian_mat(n, n, &mut rng);
+                    for (ta, tb) in
+                        [(Trans::N, Trans::N), (Trans::N, Trans::T), (Trans::T, Trans::N)]
+                    {
+                        both(ta, tb, n, &a, &b);
+                        both(ta, tb, n, &a, shared.data());
+                    }
+                }
+                return;
+            }
+            eprintln!("no AVX2 on this CPU: the AVX2 lane products are not tested");
         }
     }
 }

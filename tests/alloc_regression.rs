@@ -87,15 +87,20 @@ fn steady_state_deltas(solver: &dyn Parafac2Solver, tensor: &IrregularTensor) ->
     snapshots.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
-/// Tentpole pin: DPar2's steady-state iterations are allocation-free.
+/// Tentpole pin: DPar2's steady-state iterations are allocation-free, on
+/// one full lane group of the `Q_k` step (K = 4) and on a full group plus
+/// a partial one (K = 6).
 #[test]
 fn dpar2_steady_state_iterations_allocate_nothing() {
-    let t = fixture();
-    let deltas = steady_state_deltas(&Dpar2, &t);
-    assert!(
-        deltas.iter().all(|&d| d == 0),
-        "DPar2 allocated in steady state: per-iteration counts after warmup = {deltas:?}"
-    );
+    for t in [fixture(), planted_parafac2(&[25, 40, 18, 32, 21, 36], 14, 3, 0.3, 9005)] {
+        let deltas = steady_state_deltas(&Dpar2, &t);
+        assert!(
+            deltas.iter().all(|&d| d == 0),
+            "DPar2 allocated in steady state at K = {}: per-iteration counts after warmup = \
+             {deltas:?}",
+            t.k()
+        );
+    }
 }
 
 /// Tentpole pin: RD-ALS's steady-state iterations are allocation-free too
