@@ -12,10 +12,12 @@
 //! * `gemm` — the base matmul kernels everything sits on.
 //! * `qr` — the Householder QR behind every rSVD pass, on the shapes the
 //!   pipeline factors (stage-1 sketches, stage 2's tall factorization).
-//! * `svd_batch` — four small Jacobi SVDs through the lane-batched kernel
+//! * `svd_batch` — eight small Jacobi SVDs through the lane-batched kernel
 //!   vs one at a time, at the `Q_k` step's `R×R` and stage 1's sketch
 //!   shape.
-//! * `qk_chain` — one 4-slice group of the `Q_k` step's `R×R` product
+//! * `qk_svd` — one 8-slice group of the `Q_k` step's `R×R` SVDs through
+//!   the lane-native kernel, lane stores in and out.
+//! * `qk_chain` — one 8-slice group of the `Q_k` step's `R×R` product
 //!   chain, one slice per lane vs one `gemm` call per product.
 //! * `two_stage_ablation` — two-stage compression vs stage-1-only.
 
@@ -32,8 +34,8 @@ use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{
-    qr_into, svd_thin_batch_into, svd_truncated, Mat, QrScratch, SvdBatchScratch, SvdFactors,
-    SvdScratch, SVD_LANES,
+    interleave_lanes, qr_into, svd_square_lanes, svd_thin_batch_into, svd_truncated, Mat,
+    QrScratch, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
 };
 use dpar2_parallel::{greedy_partition, round_robin_partition, ThreadPool};
 use dpar2_rsvd::{rsvd, RsvdConfig};
@@ -262,6 +264,24 @@ fn bench_svd_batch(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_qk_svd(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qk_svd");
+    group.sample_size(20);
+    let (n, mut rng) = (10, StdRng::seed_from_u64(15));
+    let mats: Vec<Mat> = (0..SVD_LANES).map(|_| gaussian_mat(n, n, &mut rng)).collect();
+    let mut a = Vec::new();
+    interleave_lanes(&mats, n, &mut a);
+    let (mut u, mut s, mut v, mut ws) =
+        (Vec::new(), Vec::new(), Vec::new(), SvdBatchScratch::default());
+    group.bench_function("lanes_10", |b| {
+        b.iter(|| {
+            svd_square_lanes(n, SVD_LANES, &a, &mut u, &mut s, &mut v, &mut ws);
+            black_box((&u, &s, &v));
+        })
+    });
+    group.finish();
+}
+
 fn bench_qk_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("qk_chain");
     group.sample_size(20);
@@ -312,6 +332,7 @@ criterion_group!(
     bench_gemm,
     bench_qr,
     bench_svd_batch,
+    bench_qk_svd,
     bench_qk_chain,
     bench_two_stage_ablation
 );

@@ -18,10 +18,12 @@
 //! A second table times the Householder QR (`dpar2_linalg::qr_into`) on
 //! the tall-and-thin shapes the randomized SVDs factor, in GFLOP/s of the
 //! standard Householder count (factor plus thin `Q`). A third times the
-//! small one-sided Jacobi SVDs in µs per matrix: the lane-batched kernel
-//! (`svd_thin_batch_into`, groups of `SVD_LANES`) against one matrix at a
-//! time (`svd_thin_into`), at the `R×R` size of the `Q_k` step (10) and the
-//! sketch-core size of stage 1 (18). A fourth times one 4-slice group of
+//! small one-sided Jacobi SVDs in µs per group of `SVD_LANES` (eight)
+//! matrices: the lane-native square kernel (`svd_square_lanes`, lane
+//! stores in and out, as the `Q_k` step runs it) and the lane-batched
+//! kernel on `Mat`s (`svd_thin_batch_into`) against one matrix at a time
+//! (`svd_thin_into`), at the `R×R` size of the `Q_k` step (10) and the
+//! sketch-core size of stage 1 (18). A fourth times one 8-slice group of
 //! the `Q_k` step's `R×R` product chain in µs: one slice per lane through
 //! `gemm_lanes` (interleaving included) against per-slice `gemm` calls,
 //! at `R` ∈ {5, 10, 20}.
@@ -36,8 +38,8 @@ use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{
-    qr_into, svd_thin_batch_into, Mat, QrScratch, SvdBatchScratch, SvdFactors, SvdScratch,
-    SVD_LANES,
+    interleave_lanes, qr_into, svd_square_lanes, svd_thin_batch_into, Mat, QrScratch,
+    SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
 };
 use dpar2_parallel::ThreadPool;
 use rand::rngs::StdRng;
@@ -204,33 +206,51 @@ fn main() {
     print_table(&["shape", "us/call", "GFLOP/s"], &qr_rows);
     println!();
 
-    println!("One-sided Jacobi SVD, f64, us per matrix (lower is better)");
+    println!("One-sided Jacobi SVD, f64, us per {SVD_LANES}-matrix group (lower is better)");
     let mut svd_rows: Vec<Vec<String>> = Vec::new();
+    let groups = (JACOBI_BATCH / SVD_LANES) as f64;
     for n in JACOBI_SIZES {
         let mut rng = StdRng::seed_from_u64(seed ^ ((n as u64) << 8));
         let inputs: Vec<Mat> = (0..JACOBI_BATCH).map(|_| gaussian_mat(n, n, &mut rng)).collect();
+        let stores: Vec<_> = inputs
+            .chunks(SVD_LANES)
+            .map(|group| {
+                let mut a = Vec::new();
+                interleave_lanes(group, n, &mut a);
+                a
+            })
+            .collect();
         let mut out = vec![SvdFactors::default(); SVD_LANES];
         let (mut batch_ws, mut scalar_ws) = (SvdBatchScratch::default(), SvdScratch::default());
+        let (mut u, mut s, mut v) = (Vec::new(), Vec::new(), Vec::new());
+        let t_lanes = time_per_call(|| {
+            for a in &stores {
+                svd_square_lanes(n, SVD_LANES, a, &mut u, &mut s, &mut v, &mut batch_ws);
+            }
+            black_box((&u, &s, &v));
+        }) / groups;
         let t_batch = time_per_call(|| {
             for group in inputs.chunks(SVD_LANES) {
                 svd_thin_batch_into(group, &mut out[..group.len()], &mut batch_ws);
             }
             black_box(&out);
-        }) / JACOBI_BATCH as f64;
+        }) / groups;
         let t_scalar = time_per_call(|| {
             for a in &inputs {
                 svd_thin_into(a, &mut out[0], &mut scalar_ws);
             }
             black_box(&out);
-        }) / JACOBI_BATCH as f64;
+        }) / groups;
         svd_rows.push(vec![
             format!("{n}x{n}"),
+            format!("{:.2}", t_lanes * 1e6),
             format!("{:.2}", t_batch * 1e6),
             format!("{:.2}", t_scalar * 1e6),
-            format!("{:.2}x", t_scalar / t_batch),
+            format!("{:.2}x", t_scalar / t_lanes),
         ]);
     }
-    print_table(&["shape", "batched", "one at a time", "speedup"], &svd_rows);
+    let header = ["shape", "lane-native", "batched", "one at a time", "speedup"];
+    print_table(&header, &svd_rows);
     println!();
 
     println!("Q_k product chain, one {SVD_LANES}-slice group, us per group (lower is better)");

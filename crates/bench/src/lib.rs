@@ -309,8 +309,10 @@ mod tests {
 /// `gemm_kernels` table and the `qk_chain` criterion case: per slice
 /// `F(k)·(E Dᵀ V)`, `·Hᵀ`, then `U Vᵀ` and `(Z_k P_kᵀ)ᵀ F(k)` from given
 /// SVD factors. [`QkChain::lanes`] runs it the way the solver does (one
-/// slice per lane, `gemm_lanes`, interleaving included);
-/// [`QkChain::per_slice`] with one `gemm` call per product.
+/// slice per lane, `gemm_lanes`, `F(k)` interleaved and the results
+/// extracted; the SVD inputs stay in a lane store and the factors arrive
+/// in lane stores, as `svd_square_lanes` reads and writes them);
+/// [`QkChain::per_slice`] with one `gemm` call per product on `Mat`s.
 #[derive(Debug)]
 pub struct QkChain {
     r: usize,
@@ -323,8 +325,9 @@ pub struct QkChain {
     out: [Vec<Mat>; 3],
     /// `F(k)·(E Dᵀ V)` of one slice.
     prod: Mat,
-    /// Lane stores: `F(k)`, two products, `Z_k P_kᵀ`.
-    lanes: [Vec<[f64; SVD_LANES]>; 4],
+    /// Lane stores: `F(k)`, two products, `Z_k P_kᵀ`, and the factors'
+    /// `U` and `V`.
+    lanes: [Vec<[f64; SVD_LANES]>; 6],
 }
 
 impl QkChain {
@@ -335,7 +338,10 @@ impl QkChain {
         let (f, u, v, shared) = (mats(SVD_LANES), mats(SVD_LANES), mats(SVD_LANES), mats(2));
         let [edtv, h] = <[Mat; 2]>::try_from(shared).expect("two shared operands");
         let out = [(); 3].map(|_| vec![Mat::default(); SVD_LANES]);
-        QkChain { r, f, edtv, h, u, v, out, prod: Mat::default(), lanes: Default::default() }
+        let mut lanes: [Vec<[f64; SVD_LANES]>; 6] = Default::default();
+        interleave_lanes(&u, r, &mut lanes[4]);
+        interleave_lanes(&v, r, &mut lanes[5]);
+        QkChain { r, f, edtv, h, u, v, out, prod: Mat::default(), lanes }
     }
 
     /// The chain with one `gemm` call per product and slice.
@@ -352,17 +358,12 @@ impl QkChain {
     /// The chain one slice per lane through `gemm_lanes`, with the
     /// solver's interleaving and extraction.
     pub fn lanes(&mut self) {
-        let (r, [f, a, b, zp]) = (self.r, &mut self.lanes);
-        let [inputs, zpt, pzf] = &mut self.out;
+        let (r, [f, a, b, zp, u, v]) = (self.r, &mut self.lanes);
+        let [_, zpt, pzf] = &mut self.out;
         interleave_lanes(&self.f, r, f);
         gemm_lanes(Trans::N, Trans::N, r, f, LaneOperand::Shared(&self.edtv), a);
         gemm_lanes(Trans::N, Trans::T, r, a, LaneOperand::Shared(&self.h), b);
-        for (l, input) in inputs.iter_mut().enumerate() {
-            extract_lane(b, r, l, input);
-        }
-        interleave_lanes(&self.u, r, a);
-        interleave_lanes(&self.v, r, b);
-        gemm_lanes(Trans::N, Trans::T, r, a, LaneOperand::PerLane(b), zp);
+        gemm_lanes(Trans::N, Trans::T, r, u, LaneOperand::PerLane(v), zp);
         gemm_lanes(Trans::T, Trans::N, r, zp, LaneOperand::PerLane(f), a);
         for (l, (z, p)) in zpt.iter_mut().zip(pzf.iter_mut()).enumerate() {
             extract_lane(zp, r, l, z);

@@ -4,8 +4,8 @@
 //! `X_k ≈ A_k B_k C_kᵀ` with column-orthonormal `A_k ∈ R^{I_k×R}`, diagonal
 //! `B_k`, and `C_k ∈ R^{J×R}`. Slices are distributed over threads with the
 //! greedy partitioning of Algorithm 4, because the rSVD cost is proportional
-//! to `I_k`. Each thread takes its slices in groups of
-//! [`SVD_LANES`]: it sketches each one, factors the group's `(R+s)×J`
+//! to `I_k`. Each thread takes its slices in groups of [`SVD_LANES`]
+//! (eight): it sketches each one, factors the group's `(R+s)×J`
 //! projections `B` together with the lane-batched Jacobi SVD (bitwise each
 //! alone), and lifts each slice's factors into that slice's slot.
 //!

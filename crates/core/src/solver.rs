@@ -10,8 +10,8 @@ use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2So
 use crate::slices::{validate, SliceTensor};
 use dpar2_linalg::kernel::use_blocked;
 use dpar2_linalg::{
-    extract_lane, gemm_lanes, interleave_lanes, pinv_into, svd_thin_batch_into, LaneOperand, Mat,
-    SvdBatchScratch, SvdFactors, Trans, SVD_LANES,
+    extract_lane, gemm_lanes, interleave_lanes, pinv_into, svd_square_lanes, LaneOperand, Mat,
+    SvdBatchScratch, Trans, SVD_LANES,
 };
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::normalize_columns_mut;
@@ -99,8 +99,8 @@ impl WarmStart {
 ///   2-4  compress slices in parallel:  X_k ≈ A_k B_k C_kᵀ       (stage 1)
 ///   5-6  M ← ∥_k C_k B_k;  D E Fᵀ ← rSVD(M)                     (stage 2)
 ///   7  repeat
-///   8-10   Z_k Σ_k P_kᵀ ← SVD(F(k) E Dᵀ V S_k Hᵀ)   (R×R SVDs, 4 at once;
-///          their products 4 at once too, one slice per lane)
+///   8-10   Z_k Σ_k P_kᵀ ← SVD(F(k) E Dᵀ V S_k Hᵀ)   (R×R SVDs, 8 at once,
+///          and their products, one slice per lane, in lane stores)
 ///   11-13  Y_k kept factorized as P_k Z_kᵀ F(k) E Dᵀ
 ///   14-15  G⁽¹⁾ ← Lemma 1;  H ← G⁽¹⁾(WᵀW ∗ VᵀV)†;  normalize H
 ///   16-17  G⁽²⁾ ← Lemma 2;  V ← G⁽²⁾(WᵀW ∗ HᵀH)†;  normalize V
@@ -288,18 +288,14 @@ impl Dpar2 {
         // so it starts as empty buffers (no `f_blocks` clone).
         let mut zpt: Vec<Mat> = vec![Mat::eye(r); k_dim];
         let mut pzf: Vec<Mat> = (0..k_dim).map(|_| Mat::default()).collect();
-        // The `Q_k` step gives each thread one run of whole lane groups (a
-        // one-thread pool: one run of every slice), with its own scratch.
-        // `max` keeps the run non-zero at K = 0.
-        let run = k_dim.div_ceil(pool.threads()).next_multiple_of(SVD_LANES).max(SVD_LANES);
-        let mut qk: Vec<QkScratch> =
-            (0..k_dim.div_ceil(run).max(1)).map(|_| QkScratch::default()).collect();
+        let mut qk = QkStep::new(k_dim, &pool);
 
         // Factor-update staging buffers, persistent across iterations so
-        // the steady-state loop allocates nothing.
+        // the steady-state loop allocates nothing. `WᵀW` serves the H and V
+        // updates and `HᵀH` the V and W updates, each formed once.
         let mut g_out = Mat::default();
-        let mut gram_a = Mat::default();
-        let mut gram_b = Mat::default();
+        let (mut wtw, mut vtv, mut hth) = (Mat::default(), Mat::default(), Mat::default());
+        let mut gram = Mat::default();
         let mut pinv_buf = Mat::default();
         // One staging buffer per factor: capacities differ (H is R×R, V is
         // J×R, W is K×R), so a shared buffer would re-grow as it ping-pongs
@@ -317,32 +313,26 @@ impl Dpar2 {
             let ws = session.workspace();
 
             // Lines 8–13: the R×R SVDs of F(k)·(E Dᵀ V)·S_k·Hᵀ and the
-            // products around them, in lane groups of SVD_LANES slices. The
-            // groups, and so every bit, are the same for every thread
-            // count. Each run writes its slices' `zpt`/`pzf` in place on
-            // its own scratch.
-            let fit = (&ct.f_blocks[..], &edtv, &w, &h);
-            let runs = zpt.chunks_mut(run).zip(pzf.chunks_mut(run));
-            pool.for_each_with(runs, &mut qk, |i, (zpt, pzf), scratch| {
-                qk_update(i * run, fit, zpt, pzf, scratch);
-            });
+            // products around them.
+            qk.run(&pool, (&ct.f_blocks[..], &edtv, &w, &h), &mut zpt, &mut pzf);
 
             // Lines 14–15: H update.
             g1_ws(&pzf, &w, &edtv, &pool, &mut g_out, ws);
-            w.matmul_tn_into(&w, &mut gram_a);
-            v.matmul_tn_into(&v, &mut gram_b);
-            gram_a.hadamard_assign(&gram_b); // WᵀW ∗ VᵀV
-            pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
+            w.matmul_tn_into(&w, &mut wtw);
+            v.matmul_tn_into(&v, &mut vtv);
+            gram.copy_from(&wtw);
+            gram.hadamard_assign(&vtv); // WᵀW ∗ VᵀV
+            pinv_into(&gram, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_h);
             std::mem::swap(&mut h, &mut next_h);
             normalize_columns_mut(&mut h, &mut ws.norms);
 
             // Lines 16–17: V update (edtv refreshed afterwards).
             g2_ws(&pzf, &w, &h, &de, &pool, &mut g_out, ws);
-            w.matmul_tn_into(&w, &mut gram_a);
-            h.matmul_tn_into(&h, &mut gram_b);
-            gram_a.hadamard_assign(&gram_b); // WᵀW ∗ HᵀH
-            pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
+            h.matmul_tn_into(&h, &mut hth);
+            gram.copy_from(&wtw);
+            gram.hadamard_assign(&hth); // WᵀW ∗ HᵀH
+            pinv_into(&gram, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_v);
             std::mem::swap(&mut v, &mut next_v);
             normalize_columns_mut(&mut v, &mut ws.norms);
@@ -350,18 +340,18 @@ impl Dpar2 {
 
             // Lines 18–19: W update.
             g3_ws(&pzf, &edtv, &h, &pool, &mut g_out, ws);
-            v.matmul_tn_into(&v, &mut gram_a);
-            h.matmul_tn_into(&h, &mut gram_b);
-            gram_a.hadamard_assign(&gram_b); // VᵀV ∗ HᵀH
-            pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
+            v.matmul_tn_into(&v, &mut vtv);
+            gram.copy_from(&vtv);
+            gram.hadamard_assign(&hth); // VᵀV ∗ HᵀH
+            pinv_into(&gram, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
             g_out.matmul_into(&pinv_buf, &mut next_w);
             std::mem::swap(&mut w, &mut next_w);
 
             // Line 23: the compressed criterion from the W update's
-            // by-products (G⁽³⁾ is still in `g_out`, VᵀV ∗ HᵀH in `gram_a`),
+            // by-products (G⁽³⁾ is still in `g_out`, VᵀV ∗ HᵀH in `gram`),
             // then the session's shared stopping rule (divergence /
             // convergence / observer / time budget / iteration budget).
-            let crit = criterion_from_byproducts(data_norm_sq, &w, &g_out, &gram_a);
+            let crit = criterion_from_byproducts(data_norm_sq, &w, &g_out, &gram);
             if session.finish_iteration(crit, data_norm_sq) {
                 break;
             }
@@ -434,6 +424,43 @@ fn check_compressed(ct: &CompressedTensor) -> Result<()> {
     Ok(())
 }
 
+/// The `Q_k` step (lines 8–13) of every iteration of one fit: each pool
+/// thread takes one run of whole lane groups of [`SVD_LANES`] slices (a
+/// one-thread pool: one run of every slice), with its own scratch. The
+/// groups, and so every bit, are the same for every thread count.
+#[derive(Debug)]
+struct QkStep {
+    /// Slices per run, a multiple of [`SVD_LANES`].
+    run: usize,
+    scratch: Vec<QkScratch>,
+}
+
+impl QkStep {
+    fn new(k_dim: usize, pool: &ThreadPool) -> QkStep {
+        // `max` keeps the run non-zero at K = 0.
+        let run = k_dim.div_ceil(pool.threads()).next_multiple_of(SVD_LANES).max(SVD_LANES);
+        let scratch = (0..k_dim.div_ceil(run).max(1)).map(|_| QkScratch::default()).collect();
+        QkStep { run, scratch }
+    }
+
+    /// Writes every slice's `Z_k P_kᵀ` into `zpt` and `PZF_k` into `pzf`,
+    /// each run in place on its own scratch. `fit` is
+    /// `({F(k)}, E Dᵀ V, W, H)`.
+    fn run(
+        &mut self,
+        pool: &ThreadPool,
+        fit: (&[Mat], &Mat, &Mat, &Mat),
+        zpt: &mut [Mat],
+        pzf: &mut [Mat],
+    ) {
+        let run = self.run;
+        let runs = zpt.chunks_mut(run).zip(pzf.chunks_mut(run));
+        pool.for_each_with(runs, &mut self.scratch, |i, (zpt, pzf), scratch| {
+            qk_update(i * run, fit, zpt, pzf, scratch);
+        });
+    }
+}
+
 /// Scratch for the `Q_k` step of one run of lane groups; the fit keeps
 /// one per run, so steady-state iterations allocate nothing per slice.
 /// The lane stores hold one slice per lane (see [`gemm_lanes`]).
@@ -445,22 +472,23 @@ pub(crate) struct QkScratch {
     s: Vec<[f64; SVD_LANES]>,
     /// `F(k)·(E Dᵀ V)·S_k`, then the factors' `U`, then `PZF_k`.
     a: Vec<[f64; SVD_LANES]>,
-    /// The SVD inputs, then the factors' `V`.
+    /// The SVD inputs `F(k)·(E Dᵀ V)·S_k·Hᵀ`, then `Z_k P_kᵀ`.
     b: Vec<[f64; SVD_LANES]>,
-    /// `Z_k P_kᵀ`.
-    zp: Vec<[f64; SVD_LANES]>,
-    /// The group's SVD inputs `F(k)·(E Dᵀ V)·S_k·Hᵀ`.
-    inputs: [Mat; SVD_LANES],
-    /// Their factors.
-    factors: [SvdFactors; SVD_LANES],
+    /// The factors' `V`.
+    v: Vec<[f64; SVD_LANES]>,
+    /// The singular values, which the step does not use.
+    sigma: Vec<[f64; SVD_LANES]>,
+    /// One slice's `U`, where `R` is past the lane products.
+    u: Mat,
     svd: SvdBatchScratch,
 }
 
 /// The `Q_k` step (lines 8–13) for the slices `k0..k0 + zpt.len()`, in
 /// groups of [`SVD_LANES`] from `k0`: the `R×R` SVDs of
-/// `F(k)·(E Dᵀ V)·S_k·Hᵀ` through the lane-batched kernel, then
-/// `Z_k P_kᵀ` into `zpt` and `PZF_k = (Z_k P_kᵀ)ᵀ F(k)` into `pzf`.
-/// `fit` is `({F(k)}, E Dᵀ V, W, H)`.
+/// `F(k)·(E Dᵀ V)·S_k·Hᵀ` through the lane-native kernel
+/// ([`svd_square_lanes`]), then `Z_k P_kᵀ` into `zpt` and
+/// `PZF_k = (Z_k P_kᵀ)ᵀ F(k)` into `pzf`. `fit` is
+/// `({F(k)}, E Dᵀ V, W, H)`.
 ///
 /// Where `gemm` runs `R×R` products on its naive loops, a group's products
 /// run one slice per lane through [`gemm_lanes`], in the same order, so
@@ -482,8 +510,8 @@ fn qk_update(
 }
 
 /// One lane group of [`qk_update`] in lanes: each `F(k)` is interleaved
-/// once and read by the first and the last product; only the SVD inputs
-/// and the results leave the lane stores.
+/// once and read by the first and the last product, the SVDs read and
+/// write lane stores, and only the results leave them.
 fn qk_group_lanes(
     first: usize,
     (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
@@ -511,23 +539,18 @@ fn qk_group_lanes(
         }
     }
     gemm_lanes(Trans::N, Trans::T, r, &g.a, LaneOperand::Shared(h), &mut g.b);
-    for (l, input) in g.inputs[..lanes].iter_mut().enumerate() {
-        extract_lane(&g.b, r, l, input);
-    }
-    svd_thin_batch_into(&g.inputs[..lanes], &mut g.factors[..lanes], &mut g.svd);
-    interleave_lanes(g.factors[..lanes].iter().map(|f| &f.u), r, &mut g.a);
-    interleave_lanes(g.factors[..lanes].iter().map(|f| &f.v), r, &mut g.b);
-    gemm_lanes(Trans::N, Trans::T, r, &g.a, LaneOperand::PerLane(&g.b), &mut g.zp);
-    gemm_lanes(Trans::T, Trans::N, r, &g.zp, LaneOperand::PerLane(&g.f), &mut g.a);
+    svd_square_lanes(r, lanes, &g.b, &mut g.a, &mut g.sigma, &mut g.v, &mut g.svd);
+    gemm_lanes(Trans::N, Trans::T, r, &g.a, LaneOperand::PerLane(&g.v), &mut g.b);
+    gemm_lanes(Trans::T, Trans::N, r, &g.b, LaneOperand::PerLane(&g.f), &mut g.a);
     for (l, (zp, pzf_k)) in zpt.iter_mut().zip(pzf).enumerate() {
-        extract_lane(&g.zp, r, l, zp);
+        extract_lane(&g.b, r, l, zp);
         extract_lane(&g.a, r, l, pzf_k);
     }
 }
 
 /// One lane group of [`qk_update`] with per-slice `gemm` products, for
-/// `R` past the naive-loop sizes. `PZF_k` is free until the group's last
-/// product, so it stages `F(k)·(E Dᵀ V)·S_k`.
+/// `R` past the naive-loop sizes. `PZF_k` stages `F(k)·(E Dᵀ V)·S_k` and
+/// then the factors' `V`, `Z_k P_kᵀ` the SVD input.
 fn qk_group_per_slice(
     first: usize,
     (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
@@ -535,8 +558,8 @@ fn qk_group_per_slice(
     pzf: &mut [Mat],
     g: &mut QkScratch,
 ) {
-    let lanes = zpt.len();
-    for (k, (input, prod)) in (first..).zip(g.inputs.iter_mut().zip(pzf.iter_mut())) {
+    let r = h.rows();
+    for (k, (input, prod)) in (first..).zip(zpt.iter_mut().zip(pzf.iter_mut())) {
         f_blocks[k].matmul_into(edtv, prod);
         for i in 0..prod.rows() {
             for (x, &wv) in prod.row_mut(i).iter_mut().zip(w.row(k)) {
@@ -545,9 +568,12 @@ fn qk_group_per_slice(
         }
         prod.matmul_nt_into(h, input);
     }
-    svd_thin_batch_into(&g.inputs[..lanes], &mut g.factors[..lanes], &mut g.svd);
-    for (k, (f, (zp, pzf_k))) in (first..).zip(g.factors.iter().zip(zpt.iter_mut().zip(pzf))) {
-        f.u.matmul_nt_into(&f.v, zp);
+    interleave_lanes(zpt.iter(), r, &mut g.b);
+    svd_square_lanes(r, zpt.len(), &g.b, &mut g.a, &mut g.sigma, &mut g.v, &mut g.svd);
+    for (l, (k, (zp, pzf_k))) in (first..).zip(zpt.iter_mut().zip(pzf)).enumerate() {
+        extract_lane(&g.a, r, l, &mut g.u);
+        extract_lane(&g.v, r, l, pzf_k);
+        g.u.matmul_nt_into(&*pzf_k, zp);
         zp.matmul_tn_into(&f_blocks[k], pzf_k);
     }
 }
@@ -573,7 +599,8 @@ mod tests {
     use crate::compress::compress;
     use crate::session::{IterationEvent, StopReason};
     use dpar2_linalg::random::gaussian_mat;
-    use dpar2_linalg::{qr, LinalgError};
+    use dpar2_linalg::svd::svd_thin_into;
+    use dpar2_linalg::{qr, LinalgError, SvdFactors, SvdScratch};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::ops::ControlFlow;
@@ -706,6 +733,32 @@ mod tests {
     }
 
     #[test]
+    fn fit_is_invariant_to_the_scale_of_the_data() {
+        // Every step is homogeneous in `X`, and the small SVDs (the Gram
+        // pseudoinverses and the `Q_k` inputs, whose norms go as `c²`)
+        // scale exactly; an absolute tolerance floor once stopped a small
+        // input early at a worse fitness, and an overflowing skip test
+        // left a large one at half the fitness.
+        let t = planted_parafac2(&[30, 45, 25, 35, 20], 18, 3, 0.1, 437);
+        let opts = FitOptions::new(3).with_seed(438);
+        let base = Dpar2.fit(&t, &opts).unwrap();
+        for k in [-40, -27, 130] {
+            let c = 2f64.powi(k);
+            let scaled = IrregularTensor::new(
+                t.to_slices()
+                    .into_iter()
+                    .map(|x| Mat::from_fn(x.rows(), x.cols(), |i, j| x.at(i, j) * c))
+                    .collect(),
+            );
+            let fit = Dpar2.fit(&scaled, &opts).unwrap();
+            assert_eq!(fit.iterations, base.iterations, "2^{k}: iterations");
+            assert_eq!(fit.stop_reason, base.stop_reason, "2^{k}: stop reason");
+            let (f, f0) = (fit.fitness(&scaled), base.fitness(&t));
+            assert!((f - f0).abs() <= 1e-9, "2^{k}: fitness {f} vs {f0}");
+        }
+    }
+
+    #[test]
     fn factor_shapes() {
         let t = planted_parafac2(&[12, 22, 9], 11, 2, 0.2, 407);
         let fit = Dpar2.fit(&t, &FitOptions::new(2).with_seed(408)).unwrap();
@@ -774,34 +827,27 @@ mod tests {
         assert_eq!(fit1.criterion_trace, fit4.criterion_trace);
     }
 
-    /// The `Q_k` step as it ran before the lane products: every product a
-    /// per-slice `gemm` call. The oracle of [`qk_update`].
+    /// The `Q_k` step as it ran before the lane kernels: every product a
+    /// per-slice `gemm` call and every SVD a per-slice `svd_thin_into`.
+    /// The oracle of [`qk_update`].
     fn qk_update_per_slice_reference(
         (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
         zpt: &mut [Mat],
         pzf: &mut [Mat],
     ) {
-        let (mut prod, mut svd) = (Mat::default(), SvdBatchScratch::default());
-        let mut inputs: [Mat; SVD_LANES] = Default::default();
-        let mut factors: [SvdFactors; SVD_LANES] = Default::default();
-        let groups = zpt.chunks_mut(SVD_LANES).zip(pzf.chunks_mut(SVD_LANES));
-        for (first, (zpt, pzf)) in (0..).step_by(SVD_LANES).zip(groups) {
-            let lanes = zpt.len();
-            for (k, input) in (first..).zip(&mut inputs[..lanes]) {
-                f_blocks[k].matmul_into(edtv, &mut prod);
-                for i in 0..prod.rows() {
-                    for (x, &wv) in prod.row_mut(i).iter_mut().zip(w.row(k)) {
-                        *x *= wv;
-                    }
+        let (mut prod, mut input) = (Mat::default(), Mat::default());
+        let (mut f, mut svd) = (SvdFactors::default(), SvdScratch::default());
+        for (k, (zp, pzf_k)) in zpt.iter_mut().zip(pzf).enumerate() {
+            f_blocks[k].matmul_into(edtv, &mut prod);
+            for i in 0..prod.rows() {
+                for (x, &wv) in prod.row_mut(i).iter_mut().zip(w.row(k)) {
+                    *x *= wv;
                 }
-                prod.matmul_nt_into(h, input);
             }
-            svd_thin_batch_into(&inputs[..lanes], &mut factors[..lanes], &mut svd);
-            for (k, (f, (zp, pzf_k))) in (first..).zip(factors.iter().zip(zpt.iter_mut().zip(pzf)))
-            {
-                f.u.matmul_nt_into(&f.v, zp);
-                zp.matmul_tn_into(&f_blocks[k], pzf_k);
-            }
+            prod.matmul_nt_into(h, &mut input);
+            svd_thin_into(&input, &mut f, &mut svd);
+            f.u.matmul_nt_into(&f.v, zp);
+            zp.matmul_tn_into(&f_blocks[k], pzf_k);
         }
     }
 
@@ -816,16 +862,20 @@ mod tests {
     fn qk_update_matches_per_slice_reference_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(431);
         // R = 3 and 10 take the lane products, R = 24 the per-slice
-        // fallback; K covers one partial group, one full group, a full
-        // group plus one slice, and many groups.
+        // fallback; K covers partial groups, one full group, a full group
+        // plus one slice and plus a partial half, and many groups.
         for r in [3, 10, 24] {
-            for k_dim in [1, 3, 4, 5, 17] {
+            for k_dim in [1, 3, 4, 5, 7, 8, 9, 17] {
                 let mut f_blocks: Vec<Mat> =
                     (0..k_dim).map(|_| gaussian_mat(r, r, &mut rng)).collect();
-                // A zero slice (its SVD runs alone) and signed zeros.
+                // A zero slice and a rank-one slice (their SVDs run alone)
+                // and signed zeros.
                 if k_dim > 2 {
                     f_blocks[2] = Mat::zeros(r, r);
                     f_blocks[1].set(0, r - 1, -0.0);
+                }
+                if k_dim > 6 {
+                    f_blocks[6] = gaussian_mat(r, 1, &mut rng).matmul_nt(Mat::ones(r, 1)).unwrap();
                 }
                 let (edtv, h) = (gaussian_mat(r, r, &mut rng), gaussian_mat(r, r, &mut rng));
                 let w = gaussian_mat(k_dim, r, &mut rng);
@@ -833,8 +883,12 @@ mod tests {
                 let (mut zpt_ref, mut pzf_ref) =
                     (vec![Mat::eye(r); k_dim], vec![Mat::default(); k_dim]);
                 qk_update_per_slice_reference(fit, &mut zpt_ref, &mut pzf_ref);
-                // One run, then runs of one lane group each (as on a pool),
-                // on one reused scratch.
+                let check = |zpt: &[Mat], pzf: &[Mat], ctx: &str| {
+                    assert_eq!(bits(zpt), bits(&zpt_ref), "R={r} K={k_dim} {ctx}: Z_k P_kᵀ");
+                    assert_eq!(bits(pzf), bits(&pzf_ref), "R={r} K={k_dim} {ctx}: PZF_k");
+                };
+                // One run, then runs of one lane group each, on one reused
+                // scratch.
                 let mut g = QkScratch::default();
                 for run in [k_dim, SVD_LANES] {
                     let (mut zpt, mut pzf) =
@@ -843,9 +897,18 @@ mod tests {
                     {
                         qk_update(i * run, fit, zpt, pzf, &mut g);
                     }
-                    let ctx = format!("R={r} K={k_dim} run={run}");
-                    assert_eq!(bits(&zpt), bits(&zpt_ref), "{ctx}: Z_k P_kᵀ");
-                    assert_eq!(bits(&pzf), bits(&pzf_ref), "{ctx}: PZF_k");
+                    check(&zpt, &pzf, &format!("run={run}"));
+                }
+                // The fit's step on a pool, twice on the same scratch.
+                for threads in [1, 2] {
+                    let pool = ThreadPool::new(threads);
+                    let mut step = QkStep::new(k_dim, &pool);
+                    let (mut zpt, mut pzf) =
+                        (vec![Mat::eye(r); k_dim], vec![Mat::default(); k_dim]);
+                    for _ in 0..2 {
+                        step.run(&pool, fit, &mut zpt, &mut pzf);
+                        check(&zpt, &pzf, &format!("{threads} threads"));
+                    }
                 }
             }
         }

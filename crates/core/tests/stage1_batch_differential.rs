@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 const RANK: usize = 3;
 const J: usize = 14;
 
-/// Row counts: 11 slices (not a multiple of 4); 5, 7 and 9 rows put
+/// Row counts: 11 slices (not a multiple of 8); 5, 7 and 9 rows put
 /// `min(I_k, J) ≤ R + s = 9` on the exact path, the rest are sketched.
 const ROWS: [usize; 11] = [40, 5, 23, 61, 7, 18, 9, 33, 12, 50, 27];
 

@@ -63,7 +63,7 @@
 //! [`gemm_blocked`] above) lives in [`crate::gemm`]. Most `R×R` products of
 //! the compressed iterations fall below it and run the naive loops one at
 //! a time; the DPar2 `Q_k` step's per-slice products instead go through
-//! [`crate::gemm_lanes`], four slices at once, one per vector lane, in the
+//! [`crate::gemm_lanes`], eight slices at once, one per vector lane, in the
 //! naive loops' operation order and so with their bits.
 
 use crate::mat::Mat;

@@ -18,15 +18,17 @@
 //!   packed `MR×NR` microkernel tiles (AVX2+FMA when the CPU has them,
 //!   detected at runtime) and row-panel fan-out over the pool; small
 //!   products stay on the naive loops.
-//! * [`gemm_lanes`] — up to four small `n×n` products at once, one per
+//! * [`gemm_lanes`] — up to eight small `n×n` products at once, one per
 //!   vector lane, each bitwise what [`gemm`]'s naive loops give (the
 //!   DPar2 `Q_k` step's per-slice products).
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
-//!   preconditioning for tall matrices), plus rank-truncated variants and
-//!   a lane-batched kernel that factors several small same-shape matrices
-//!   in lock step (AVX2 when the CPU has it), bitwise equal to factoring
-//!   each alone.
+//!   preconditioning for tall matrices; scale-invariant), plus
+//!   rank-truncated variants and two lane kernels that factor up to eight
+//!   small same-shape matrices in lock step (AVX2 when the CPU has it),
+//!   bitwise equal to factoring each alone: [`svd_thin_batch_into`] on
+//!   `Mat`s of any shape, and [`svd_square_lanes`] on square matrices in
+//!   [`gemm_lanes`]' lane stores, in and out.
 //! * [`eig`] — cyclic Jacobi eigendecomposition of symmetric matrices.
 //! * [`mod@pinv`] — Moore–Penrose pseudoinverse via the SVD, as required by the
 //!   CP-ALS update rules (the `†` operator in Algorithm 2/3 of the paper).
@@ -45,7 +47,8 @@
 //!
 //! 1. [`kernel`]: the AVX2/FMA GEMM microkernel;
 //! 2. [`svd`]: the AVX2 Jacobi sweep kernel behind
-//!    [`svd_thin_batch_into`], bitwise equal to its portable fallback;
+//!    [`svd_thin_batch_into`] and [`svd_square_lanes`], bitwise equal to
+//!    its portable fallback;
 //! 3. [`svd`]: the AVX2 build of [`gemm_lanes`]' portable lane loop (the
 //!    same body compiled a second time, no intrinsics), bitwise equal to
 //!    it.
@@ -87,8 +90,8 @@ pub use qr::{qr, qr_into, QrFactors, QrScratch};
 pub use random::{gaussian_mat, uniform_mat};
 pub use sparse::{CooBuilder, SparseSlice};
 pub use svd::{
-    extract_lane, gemm_lanes, interleave_lanes, svd_thin, svd_thin_batch_into, svd_truncated,
-    LaneOperand, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
+    extract_lane, gemm_lanes, interleave_lanes, svd_square_lanes, svd_thin, svd_thin_batch_into,
+    svd_truncated, LaneOperand, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
 };
 pub use view::{AsMatRef, MatMut, MatRef};
 

@@ -20,33 +20,47 @@
 //! DPar2's `Q_k` step factors `K` same-shape `R×R` matrices per iteration,
 //! and stage 1 one `(R+s)×J` sketch `B` per slice; one small Jacobi SVD is
 //! latency-bound: every pair `(p, q)` waits on a dot-product chain, a
-//! square root and two divisions. The lane-batched kernel
-//! [`svd_thin_batch_into`] factors up to [`SVD_LANES`] matrices of one
-//! shape in lock step. Each lane first takes the scalar driver's path —
-//! a wide matrix is transposed, a noticeably tall one QR-preconditioned —
-//! and the lanes' Jacobi cores are then interleaved as `[f64; SVD_LANES]`
-//! quads. On a CPU with AVX2 (detected once at runtime) the sweeps run
-//! on one `__m256d` per quad: the three dot products, the skip test as
-//! `≤` masks, `ζ`, `t`, `c`, `s` through packed `div`/`sqrt`, and the
-//! rotations of `W` and `V`; elsewhere a portable loop over the same
-//! quads runs the same expressions lane by lane. Every packed op is the
-//! scalar op, correctly rounded, in each lane (Rust never contracts
-//! `a*b + c` into a fused multiply-add), each lane has its own tolerance
-//! and stops sweeping when its own sweep makes no rotation. A lane that
-//! does not rotate a pair keeps its values by *select* (`blendv`), never
-//! by an identity rotation `c = 1, s = 0`: that would still round, and
-//! turns `−0` into `+0` (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every
-//! lane's factors are therefore bitwise those of [`svd_thin_into`], on
-//! either kernel. Both drivers end in one shared finish step (sort,
-//! normalize, basis completion); the AVX2 kernel is this crate's second
+//! square root and two divisions. The lane kernels factor up to
+//! [`SVD_LANES`] (eight) matrices of one shape in lock step, one per lane
+//! of `[f64; SVD_LANES]` arrays. [`svd_thin_batch_into`] takes `Mat`s:
+//! each lane first follows the scalar driver's path — a wide matrix is
+//! transposed, a noticeably tall one QR-preconditioned — and the lanes'
+//! Jacobi cores are then interleaved. [`svd_square_lanes`] takes square
+//! matrices already in [`gemm_lanes`]' lane store and writes each lane's
+//! sorted `U`, `s` and `V` straight into lane stores, so the `Q_k` step's
+//! products read them without a round trip through `Mat`. On a CPU with
+//! AVX2 (detected once at runtime) the sweeps run on two `__m256d` per
+//! lane octet, each op on both halves, so two independent rotation chains
+//! overlap: the three dot products, the skip test as `≤` masks, `ζ`, `t`,
+//! `c`, `s` through packed `div`/`sqrt`, and the rotations of `W` and `V`;
+//! elsewhere a portable loop over the same octets runs the same
+//! expressions lane by lane. Every packed op is the scalar op, correctly
+//! rounded, in each lane (Rust never contracts `a*b + c` into a fused
+//! multiply-add), each lane has its own tolerance and stops sweeping when
+//! its own sweep makes no rotation. A lane that does not rotate a pair
+//! keeps its values by *select* (`blendv`), never by an identity rotation
+//! `c = 1, s = 0`: that would still round, and turns `−0` into `+0`
+//! (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every lane's factors are
+//! therefore bitwise those of [`svd_thin_into`], on either kernel. A lane
+//! that is zero or rank-deficient (its `U` needs basis completion) goes
+//! through [`svd_thin_into`] alone; the AVX2 kernel is this crate's second
 //! contained `unsafe` exception, of the same shape as the GEMM
 //! microkernel's in [`crate::kernel`].
+//!
+//! The Jacobi loop is scale-invariant: its skip tolerance is relative to
+//! the core's `‖·‖_F`, and a core whose norm lies outside
+//! `[2^-25, 2^250]` — where `1e-15·‖A‖²` would be subnormal or the skip
+//! test's `√(app·aqq)` could overflow — is scaled by an exact power of
+//! two first, undone on `s`. `U` and `V` of `2^k·A` are then bitwise those
+//! of `A`, and `s` is `2^k` times its `s`, while no entry of either leaves
+//! the normal range. Only the Jacobi core is scaled: a tall input's QR
+//! preconditioning squares its column norms unscaled.
 //!
 //! The products around the `Q_k` step's SVDs use the same lane layout:
 //! [`gemm_lanes`] runs up to [`SVD_LANES`] small `n×n` products at once,
 //! one per lane, in the operation order of [`crate::gemm`]'s naive loops,
 //! so every lane holds that product's bits. Its body is one portable loop
-//! over lane quads; on a CPU with AVX2 the same body runs compiled for it
+//! over lane octets; on a CPU with AVX2 the same body runs compiled for it
 //! (the third `unsafe` exception, with no intrinsics).
 
 use crate::kernel::Trans;
@@ -126,15 +140,18 @@ pub struct SvdScratch {
     trans: Mat,
 }
 
-/// Number of matrices [`svd_thin_batch_into`] factors in lock step: one
-/// per lane of a 256-bit `f64` vector.
-pub const SVD_LANES: usize = 4;
+/// Number of matrices the lane kernels ([`svd_thin_batch_into`],
+/// [`svd_square_lanes`], [`gemm_lanes`]) process in lock step: two
+/// 256-bit `f64` vectors, so the AVX2 sweeps run two independent rotation
+/// chains side by side.
+pub const SVD_LANES: usize = 8;
 
-/// One value per lane of the batched kernel.
+/// One value per lane of the batched kernels.
 type Lanes = [f64; SVD_LANES];
 
-/// Reusable scratch for [`svd_thin_batch_into`]; like [`SvdScratch`], it
-/// grows to the largest shape seen and then allocates nothing.
+/// Reusable scratch for [`svd_thin_batch_into`] and [`svd_square_lanes`];
+/// like [`SvdScratch`], it grows to the largest shape seen and then
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct SvdBatchScratch {
     /// Lane-interleaved column-major Jacobi working store.
@@ -148,6 +165,76 @@ pub struct SvdBatchScratch {
     /// prepare a lane's core, the shared finish step, and the lanes the
     /// batched sweeps do not take.
     scalar: SvdScratch,
+    /// A lane of [`svd_square_lanes`] that goes through [`svd_thin_into`]
+    /// alone, and its factors.
+    lane: Mat,
+    lane_factors: SvdFactors,
+}
+
+/// `2^k`, for `-1022 ≤ k ≤ 1023`.
+const fn pow2(k: i32) -> f64 {
+    f64::from_bits(((k + 1023) as u64) << 52)
+}
+
+/// The core norms `‖A‖_F` the Jacobi loop takes unscaled: from `FRO_MIN`
+/// the tolerance `1e-15·‖A‖²` is a normal number, and up to `FRO_MAX` the
+/// skip test's `app·aqq ≤ ‖A‖⁴` cannot overflow. The range holds every
+/// norm in `[3.2e-8, 1e75]`, so such inputs keep their bits.
+const FRO_MIN: f64 = pow2(-25);
+const FRO_MAX: f64 = pow2(250);
+
+/// How the Jacobi loop takes a core of norm `fro` with entries `core`:
+/// `None` if it is zero, else `(scale, unscale)`, the powers of two it is
+/// scaled by and its singular values are scaled back by. A core outside
+/// `[FRO_MIN, FRO_MAX]` — including one whose squares underflow to a zero
+/// norm or overflow to `+∞` — is scaled so its largest entry lies in
+/// `[1, 2)`; a non-finite one, and any other, is left as it is (`1, 1`).
+fn core_scale(fro: f64, core: impl Iterator<Item = f64>) -> Option<(f64, f64)> {
+    if fro.is_nan() || (FRO_MIN..=FRO_MAX).contains(&fro) {
+        return Some((1.0, 1.0));
+    }
+    let amax = core.fold(0.0f64, |m, x| m.max(x.abs()));
+    if amax == 0.0 {
+        return None;
+    }
+    if amax.is_infinite() {
+        return Some((1.0, 1.0));
+    }
+    // `amax`'s binary exponent, clamped so that both powers are normal (a
+    // subnormal `amax` reads as `2^-1023`).
+    let e = ((amax.to_bits() >> 52) as i32 - 1023).clamp(-1022, 1022);
+    Some((pow2(-e), pow2(e)))
+}
+
+/// The skip test's tolerance, `1e-15·‖W‖²` for the core the loop sweeps:
+/// `fro` if it runs unscaled, else the norm of its scaled entries
+/// `scaled`, summed in column-major order.
+fn jacobi_tol(fro: f64, scale: f64, scaled: impl Iterator<Item = f64>) -> f64 {
+    let fro = if scale == 1.0 { fro } else { scaled.map(|x| x * x).sum::<f64>().sqrt() };
+    1e-15 * fro * fro
+}
+
+/// [`core_scale`] and [`jacobi_tol`] for every lane of the lane-
+/// interleaved cores `w` that is `live`, of norms `fro`: scales each in
+/// place, clears `live` for a zero core, and returns the tolerances and
+/// the powers of two that scale each lane's singular values back.
+fn scale_lanes(w: &mut [Lanes], fro: &Lanes, live: &mut [bool; SVD_LANES]) -> (Lanes, Lanes) {
+    let (mut tol, mut unscale) = ([0.0; SVD_LANES], [1.0; SVD_LANES]);
+    for l in 0..SVD_LANES {
+        if !live[l] {
+            continue;
+        }
+        let Some((scale, back)) = core_scale(fro[l], w.iter().map(|x| x[l])) else {
+            live[l] = false;
+            continue;
+        };
+        if scale != 1.0 {
+            w.iter_mut().for_each(|x| x[l] *= scale);
+        }
+        tol[l] = jacobi_tol(fro[l], scale, w.iter().map(|x| x[l]));
+        unscale[l] = back;
+    }
+    (tol, unscale)
 }
 
 /// Thin SVD of an arbitrary dense matrix.
@@ -211,28 +298,28 @@ pub fn svd_thin_batch_into(a: &[Mat], out: &mut [SvdFactors], ws: &mut SvdBatchS
     let (tall_m, cols) = if wide { (n, m) } else { (m, n) };
     let precondition = tall_m > cols + cols / 4;
     let rows = if precondition { cols } else { tall_m };
-    let SvdBatchScratch { w, v, q, scalar } = ws;
+    let SvdBatchScratch { w, v, q, scalar, .. } = ws;
     w.clear();
     w.resize(rows * cols, [0.0; SVD_LANES]);
     // `live` lanes take the batched sweeps, with the scalar tolerance.
-    let mut live = [false; SVD_LANES];
-    let mut tol = [0.0; SVD_LANES];
-    for (l, (x, o)) in a.iter().zip(out.iter_mut()).enumerate() {
+    let (mut live, mut fro) = ([false; SVD_LANES], [0.0; SVD_LANES]);
+    for (l, x) in a.iter().enumerate() {
         if cols > 0 && x.shape() == (m, n) {
             let core = lane_core(x, wide, precondition, &mut q[l], scalar);
-            let fro = core.fro_norm();
-            if fro != 0.0 {
-                for j in 0..cols {
-                    for i in 0..rows {
-                        w[j * rows + i][l] = core.at(i, j);
-                    }
+            fro[l] = core.fro_norm();
+            for j in 0..cols {
+                for i in 0..rows {
+                    w[j * rows + i][l] = core.at(i, j);
                 }
-                live[l] = true;
-                tol[l] = (1e-15 * fro * fro).max(1e-30);
-                continue;
             }
+            live[l] = true;
         }
-        svd_thin_into(x, o, scalar);
+    }
+    let (tol, unscale) = scale_lanes(w, &fro, &mut live);
+    for (l, (x, o)) in a.iter().zip(out.iter_mut()).enumerate() {
+        if !live[l] {
+            svd_thin_into(x, o, scalar);
+        }
     }
     if !live.contains(&true) {
         return;
@@ -263,6 +350,115 @@ pub fn svd_thin_batch_into(a: &[Mat], out: &mut [SvdFactors], ws: &mut SvdBatchS
             scalar.u_inner = u_inner;
         } else {
             jacobi_finish(rows, cols, u, s, v_out, scalar);
+        }
+        s.iter_mut().for_each(|x| *x *= unscale[l]);
+    }
+}
+
+/// Factors up to [`SVD_LANES`] square `n×n` matrices at once, read from
+/// and written to lane stores: lane `l`'s entry `(i, j)` is at
+/// `[i·n + j][l]`, as in [`gemm_lanes`]. For each of the first `live`
+/// lanes, `u` and `v` (`n×n`) and `s` (`n`) get bitwise the `u`, `v` and
+/// `s` of [`svd_thin_into`] on that lane's matrix; the other lanes hold
+/// zeros.
+///
+/// The lanes' Jacobi cores sweep in lock step (see the module docs), and
+/// each lane's sorted factors go straight into the output stores. A lane
+/// that is zero, or whose `U` needs basis completion (rank-deficient or
+/// non-finite), goes through [`svd_thin_into`] alone.
+///
+/// # Panics
+/// Panics if `live > SVD_LANES` or `a` does not hold `n×n` entries.
+pub fn svd_square_lanes(
+    n: usize,
+    live: usize,
+    a: &[Lanes],
+    u: &mut Vec<Lanes>,
+    s: &mut Vec<Lanes>,
+    v: &mut Vec<Lanes>,
+    ws: &mut SvdBatchScratch,
+) {
+    assert!(live <= SVD_LANES, "svd_square_lanes: {live} live lanes, at most {SVD_LANES}");
+    assert_eq!(a.len(), n * n, "svd_square_lanes: store is not {n}x{n}");
+    for (x, len) in [(&mut *u, n * n), (&mut *s, n), (&mut *v, n * n)] {
+        x.clear();
+        x.resize(len, [0.0; SVD_LANES]);
+    }
+    if n == 0 {
+        return;
+    }
+    let SvdBatchScratch { w, v: rot, scalar, lane, lane_factors, .. } = ws;
+    // `a` is row-major, so these sums run in `Mat::fro_norm`'s order.
+    let mut fro = [0.0; SVD_LANES];
+    for x in a {
+        for l in 0..SVD_LANES {
+            fro[l] += x[l] * x[l];
+        }
+    }
+    let fro = fro.map(f64::sqrt);
+    w.clear();
+    w.resize(n * n, [0.0; SVD_LANES]);
+    for (i, row) in a.chunks_exact(n).enumerate() {
+        for (j, x) in row.iter().enumerate() {
+            // Dead lanes stay zero, whatever `a` holds there.
+            w[j * n + i][..live].copy_from_slice(&x[..live]);
+        }
+    }
+    let mut swept = [false; SVD_LANES];
+    swept[..live].fill(true);
+    let (tol, unscale) = scale_lanes(w, &fro, &mut swept);
+    if swept.contains(&true) {
+        rot.clear();
+        rot.resize(n * n, [0.0; SVD_LANES]);
+        for j in 0..n {
+            rot[j * n + j] = [1.0; SVD_LANES];
+        }
+        jacobi_sweeps(n, n, w, rot, &tol, swept);
+        // Every lane's column norms at once, in `jacobi_finish`'s order; `s`
+        // holds them unsorted until each lane's sort.
+        for (sj, col) in s.iter_mut().zip(w.chunks_exact(n)) {
+            let mut sq = [0.0; SVD_LANES];
+            for x in col {
+                for l in 0..SVD_LANES {
+                    sq[l] += x[l] * x[l];
+                }
+            }
+            *sj = sq.map(f64::sqrt);
+        }
+    }
+    for l in 0..live {
+        if swept[l] {
+            // `jacobi_finish` for this lane, unless its `U` needs completion.
+            let (sigmas, order) = (&mut scalar.sigmas, &mut scalar.order);
+            sigmas.clear();
+            sigmas.extend(s.iter().map(|x| x[l]));
+            order.clear();
+            order.extend(0..n);
+            order.sort_by(|&i, &j| sigmas[j].total_cmp(&sigmas[i]));
+            let rank_tol = sigmas[order[0]] * 1e-14;
+            if sigmas.iter().all(|&sigma| sigma > rank_tol && sigma > 0.0) {
+                for (new_j, &old_j) in order.iter().enumerate() {
+                    let sigma = sigmas[old_j];
+                    s[new_j][l] = sigma * unscale[l];
+                    let inv = 1.0 / sigma;
+                    for i in 0..n {
+                        u[i * n + new_j][l] = w[old_j * n + i][l] * inv;
+                        v[i * n + new_j][l] = rot[old_j * n + i][l];
+                    }
+                }
+                continue;
+            }
+        }
+        extract_lane(a, n, l, lane);
+        svd_thin_into(&*lane, lane_factors, scalar);
+        let f = &*lane_factors;
+        for (dst, src) in [(&mut *u, &f.u), (&mut *v, &f.v)] {
+            for (x, &y) in dst.iter_mut().zip(src.data()) {
+                x[l] = y;
+            }
+        }
+        for (x, &y) in s.iter_mut().zip(&f.s) {
+            x[l] = y;
         }
     }
 }
@@ -315,8 +511,8 @@ pub enum LaneOperand<'a> {
 /// `Aᵀ·B` sum in ascending depth from `+0.0`, `A·Bᵀ` in
 /// [`crate::mat::dot`]'s four strided partial sums plus a tail, added left
 /// to right; each step is one multiply and one add, never fused. On a CPU
-/// with AVX2 the same loop runs compiled for it, one 256-bit vector per
-/// lane quad; both builds give the same bits. `c` is resized and
+/// with AVX2 the same loop runs compiled for it, two 256-bit vectors per
+/// lane octet; both builds give the same bits. `c` is resized and
 /// overwritten.
 ///
 /// # Panics
@@ -379,7 +575,7 @@ pub fn extract_lane(src: &[Lanes], n: usize, l: usize, dst: &mut Mat) {
     }
 }
 
-/// A right-operand entry as a lane quad: a shared entry splats.
+/// A right-operand entry as a lane octet: a shared entry splats.
 trait AsLanes: Copy {
     fn lanes(self) -> Lanes;
 }
@@ -446,7 +642,7 @@ fn lane_products_dispatch<T: AsLanes>(
 }
 
 /// [`lane_products`] compiled for AVX2: the same body, so the same
-/// operations in the same order, each lane quad in one 256-bit vector.
+/// operations in the same order, each lane octet in two 256-bit vectors.
 ///
 /// # Safety
 /// The CPU must support AVX2 (checked by [`lane_products_dispatch`]).
@@ -465,7 +661,7 @@ unsafe fn lane_products_avx2<T: AsLanes>(
 }
 
 /// The portable lane loop of [`gemm_lanes`] on checked `n×n` operands:
-/// `mm_naive`'s loops with every scalar op widened to a lane quad. The
+/// `mm_naive`'s loops with every scalar op widened to a lane octet. The
 /// fallback on CPUs without AVX2, and the oracle of its AVX2 build.
 #[inline(always)]
 fn lane_products<T: AsLanes>(
@@ -610,12 +806,13 @@ fn rotate_lanes(xp: &mut [Lanes], xq: &mut [Lanes], rot: &[bool; SVD_LANES], c: 
     }
 }
 
-/// [`sweeps_portable`] with one `__m256d` per lane quad: every packed op
-/// is the same correctly rounded IEEE op as the portable kernel's in each
-/// lane, the skip test is a pair of `≤` masks (false on NaN, as `<=` is),
-/// `signum` keeps `f64::signum`'s NaN, and a lane that does not rotate
-/// keeps its bits through `blendv`. Only called after a runtime CPU check
-/// (see [`jacobi_sweeps`]).
+/// [`sweeps_portable`] with two `__m256d` per lane octet, every op run on
+/// both halves, so the halves' dot-product and rotation chains overlap:
+/// every packed op is the same correctly rounded IEEE op as the portable
+/// kernel's in each lane, the skip test is a pair of `≤` masks (false on
+/// NaN, as `<=` is), `signum` keeps `f64::signum`'s NaN, and a lane that
+/// does not rotate keeps its bits through `blendv`. Only called after a
+/// runtime CPU check (see [`jacobi_sweeps`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)] // contained SIMD exception; see the module docs
@@ -628,77 +825,117 @@ unsafe fn sweeps_avx2(
     live: [bool; SVD_LANES],
 ) -> [usize; SVD_LANES] {
     use core::arch::x86_64::*;
+    /// `__m256d` halves per lane octet.
+    const H: usize = SVD_LANES / 4;
     let mut sweeps = [0; SVD_LANES];
-    // SAFETY: every load and store below goes through a `&[f64; 4]` or
-    // `&mut [f64; 4]` borrowed from `w`, `v`, `tol` or a local array, so it
-    // stays in bounds; the loadu/storeu intrinsics need no alignment.
+    // SAFETY: every load and store below goes through `x[4 * h..]` of a
+    // `&[f64; SVD_LANES]` or `&mut [f64; SVD_LANES]` borrowed from `w`, `v`,
+    // `tol` or a local array, with `4 * h + 4 ≤ SVD_LANES`, so it stays in
+    // bounds; the loadu/storeu intrinsics need no alignment.
     unsafe {
         let zero = _mm256_setzero_pd();
         let one = _mm256_set1_pd(1.0);
+        let two = _mm256_set1_pd(2.0);
+        let eps = _mm256_set1_pd(1e-15);
+        let nan = _mm256_set1_pd(f64::NAN);
         let sign = _mm256_set1_pd(-0.0);
-        let tol = _mm256_loadu_pd(tol.as_ptr());
-        let mut active =
-            _mm256_loadu_pd(live.map(|b| f64::from_bits(if b { u64::MAX } else { 0 })).as_ptr());
+        let live = live.map(|b| f64::from_bits(if b { u64::MAX } else { 0 }));
+        let (mut tolv, mut active) = ([zero; H], [zero; H]);
+        for h in 0..H {
+            tolv[h] = _mm256_loadu_pd(tol[4 * h..].as_ptr());
+            active[h] = _mm256_loadu_pd(live[4 * h..].as_ptr());
+        }
+        // The lanes of a mask octet that are set, one bit each.
+        macro_rules! bits {
+            ($x:expr) => {{
+                let mut b = 0;
+                for h in 0..H {
+                    b |= (_mm256_movemask_pd($x[h]) as usize) << (4 * h);
+                }
+                b
+            }};
+        }
         for _sweep in 0..MAX_SWEEPS {
-            let mut rotated = zero;
-            let bits = _mm256_movemask_pd(active) as usize;
+            let mut rotated = [zero; H];
+            let on = bits!(active);
             for (l, n) in sweeps.iter_mut().enumerate() {
-                *n += (bits >> l) & 1;
+                *n += (on >> l) & 1;
             }
             for p in 0..cols {
                 for q in p + 1..cols {
-                    let (mut app, mut aqq, mut apq) = (zero, zero, zero);
+                    let (mut app, mut aqq, mut apq) = ([zero; H], [zero; H], [zero; H]);
                     for (wp, wq) in
                         w[p * rows..(p + 1) * rows].iter().zip(&w[q * rows..(q + 1) * rows])
                     {
-                        let (a, b) = (_mm256_loadu_pd(wp.as_ptr()), _mm256_loadu_pd(wq.as_ptr()));
-                        app = _mm256_add_pd(app, _mm256_mul_pd(a, a));
-                        aqq = _mm256_add_pd(aqq, _mm256_mul_pd(b, b));
-                        apq = _mm256_add_pd(apq, _mm256_mul_pd(a, b));
+                        for h in 0..H {
+                            let a = _mm256_loadu_pd(wp[4 * h..].as_ptr());
+                            let b = _mm256_loadu_pd(wq[4 * h..].as_ptr());
+                            app[h] = _mm256_add_pd(app[h], _mm256_mul_pd(a, a));
+                            aqq[h] = _mm256_add_pd(aqq[h], _mm256_mul_pd(b, b));
+                            apq[h] = _mm256_add_pd(apq[h], _mm256_mul_pd(a, b));
+                        }
                     }
-                    let abs_apq = _mm256_andnot_pd(sign, apq);
-                    let rel = _mm256_mul_pd(
-                        _mm256_set1_pd(1e-15),
-                        _mm256_sqrt_pd(_mm256_mul_pd(app, aqq)),
-                    );
-                    let skip = _mm256_or_pd(
-                        _mm256_cmp_pd::<_CMP_LE_OQ>(abs_apq, tol),
-                        _mm256_cmp_pd::<_CMP_LE_OQ>(abs_apq, rel),
-                    );
-                    let rot = _mm256_andnot_pd(skip, active);
-                    if _mm256_movemask_pd(rot) == 0 {
+                    let mut rot = [zero; H];
+                    for h in 0..H {
+                        let abs_apq = _mm256_andnot_pd(sign, apq[h]);
+                        let rel = _mm256_mul_pd(eps, _mm256_sqrt_pd(_mm256_mul_pd(app[h], aqq[h])));
+                        let skip = _mm256_or_pd(
+                            _mm256_cmp_pd::<_CMP_LE_OQ>(abs_apq, tolv[h]),
+                            _mm256_cmp_pd::<_CMP_LE_OQ>(abs_apq, rel),
+                        );
+                        rot[h] = _mm256_andnot_pd(skip, active[h]);
+                    }
+                    if bits!(rot) == 0 {
                         continue;
                     }
-                    rotated = _mm256_or_pd(rotated, rot);
-                    let zeta = _mm256_div_pd(
-                        _mm256_sub_pd(aqq, app),
-                        _mm256_mul_pd(_mm256_set1_pd(2.0), apq),
-                    );
-                    let signum = _mm256_blendv_pd(
-                        _mm256_or_pd(_mm256_and_pd(sign, zeta), one),
-                        _mm256_set1_pd(f64::NAN),
-                        _mm256_cmp_pd::<_CMP_UNORD_Q>(zeta, zeta),
-                    );
-                    let hyp = _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(zeta, zeta)));
-                    let t = _mm256_div_pd(signum, _mm256_add_pd(_mm256_andnot_pd(sign, zeta), hyp));
-                    let c =
-                        _mm256_div_pd(one, _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(t, t))));
-                    let s = _mm256_mul_pd(c, t);
+                    let (mut c, mut s) = ([zero; H], [zero; H]);
+                    for h in 0..H {
+                        rotated[h] = _mm256_or_pd(rotated[h], rot[h]);
+                        let zeta = _mm256_div_pd(
+                            _mm256_sub_pd(aqq[h], app[h]),
+                            _mm256_mul_pd(two, apq[h]),
+                        );
+                        let signum = _mm256_blendv_pd(
+                            _mm256_or_pd(_mm256_and_pd(sign, zeta), one),
+                            nan,
+                            _mm256_cmp_pd::<_CMP_UNORD_Q>(zeta, zeta),
+                        );
+                        let hyp = _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(zeta, zeta)));
+                        let t =
+                            _mm256_div_pd(signum, _mm256_add_pd(_mm256_andnot_pd(sign, zeta), hyp));
+                        c[h] = _mm256_div_pd(
+                            one,
+                            _mm256_sqrt_pd(_mm256_add_pd(one, _mm256_mul_pd(t, t))),
+                        );
+                        s[h] = _mm256_mul_pd(c[h], t);
+                    }
                     for (x, m) in [(&mut *w, rows), (&mut *v, cols)] {
                         let (xp, xq) = pair_mut(x, m, p, q);
                         for (xp, xq) in xp.iter_mut().zip(xq) {
-                            let (a, b) =
-                                (_mm256_loadu_pd(xp.as_ptr()), _mm256_loadu_pd(xq.as_ptr()));
-                            let np = _mm256_sub_pd(_mm256_mul_pd(c, a), _mm256_mul_pd(s, b));
-                            let nq = _mm256_add_pd(_mm256_mul_pd(s, a), _mm256_mul_pd(c, b));
-                            _mm256_storeu_pd(xp.as_mut_ptr(), _mm256_blendv_pd(a, np, rot));
-                            _mm256_storeu_pd(xq.as_mut_ptr(), _mm256_blendv_pd(b, nq, rot));
+                            for h in 0..H {
+                                let a = _mm256_loadu_pd(xp[4 * h..].as_ptr());
+                                let b = _mm256_loadu_pd(xq[4 * h..].as_ptr());
+                                let np =
+                                    _mm256_sub_pd(_mm256_mul_pd(c[h], a), _mm256_mul_pd(s[h], b));
+                                let nq =
+                                    _mm256_add_pd(_mm256_mul_pd(s[h], a), _mm256_mul_pd(c[h], b));
+                                _mm256_storeu_pd(
+                                    xp[4 * h..].as_mut_ptr(),
+                                    _mm256_blendv_pd(a, np, rot[h]),
+                                );
+                                _mm256_storeu_pd(
+                                    xq[4 * h..].as_mut_ptr(),
+                                    _mm256_blendv_pd(b, nq, rot[h]),
+                                );
+                            }
                         }
                     }
                 }
             }
-            active = _mm256_and_pd(active, rotated);
-            if _mm256_movemask_pd(active) == 0 {
+            for h in 0..H {
+                active[h] = _mm256_and_pd(active[h], rotated[h]);
+            }
+            if bits!(active) == 0 {
                 break;
             }
         }
@@ -801,7 +1038,7 @@ fn jacobi_svd_into(
     }
 
     let fro: f64 = a.fro_norm();
-    if fro == 0.0 {
+    let Some((scale, unscale)) = core_scale(fro, w.iter().copied()) else {
         // Zero matrix: arbitrary orthonormal factors, zero spectrum.
         u.resize_zeroed(m, n);
         for j in 0..n {
@@ -811,8 +1048,11 @@ fn jacobi_svd_into(
         s.resize(n, 0.0);
         v_out.copy_from(&*v);
         return;
+    };
+    if scale != 1.0 {
+        w.iter_mut().for_each(|x| *x *= scale);
     }
-    let tol = 1e-15 * fro * fro;
+    let tol = jacobi_tol(fro, scale, w.iter().copied());
 
     for _sweep in 0..MAX_SWEEPS {
         let mut rotated = false;
@@ -827,7 +1067,7 @@ fn jacobi_svd_into(
                     aqq += wq * wq;
                     apq += wp * wq;
                 }
-                if apq.abs() <= tol.max(1e-30) || apq.abs() <= 1e-15 * (app * aqq).sqrt() {
+                if apq.abs() <= tol || apq.abs() <= 1e-15 * (app * aqq).sqrt() {
                     continue;
                 }
                 rotated = true;
@@ -860,6 +1100,7 @@ fn jacobi_svd_into(
     }
 
     jacobi_finish(m, n, u, s, v_out, ws);
+    s.iter_mut().for_each(|x| *x *= unscale);
 }
 
 /// The finish step both Jacobi kernels share: column norms of the
@@ -1125,6 +1366,71 @@ mod tests {
         assert_valid_svd(&a, &f, 1e-10);
     }
 
+    /// `2^k`, exactly.
+    fn two_to(k: i32) -> f64 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    }
+
+    #[test]
+    fn scaling_by_a_power_of_two_scales_only_s() {
+        // The tolerance is relative and a core far from norm 1 is scaled
+        // by a power of two, so `U` and `V` keep their bits and `s` scales
+        // exactly — where an absolute floor once skipped every rotation of
+        // a small input, and `app·aqq` overflowed on a large one. Square,
+        // wide (transposed) and rank-deficient shapes at every `k`; a tall
+        // one, whose QR squares its column norms unscaled, at moderate `k`.
+        let mut rng = StdRng::seed_from_u64(29);
+        // Well-conditioned (Gaussian plus a dominant diagonal), so `U` is
+        // orthonormal to a few ulps.
+        let mut dominant = |m: usize, n: usize| {
+            let g = gaussian_mat(m, n, &mut rng);
+            Mat::from_fn(m, n, |i, j| g.at(i, j) + if i == j { 6.0 } else { 0.0 })
+        };
+        let cases = [
+            (Mat::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]), 900),
+            (dominant(6, 6), 900),
+            (dominant(5, 6), 900),
+            (dominant(12, 4), 300),
+            (dominant(7, 2).matmul_nt(dominant(7, 2)).unwrap(), 900),
+        ];
+        for (a, k_max) in &cases {
+            let base = svd_thin(a);
+            for k in [-900, -100, -30, 30, 300, 900].into_iter().filter(|k: &i32| k.abs() <= *k_max)
+            {
+                let c = two_to(k);
+                let mut scaled = a.clone();
+                scaled.data_mut().iter_mut().for_each(|x| *x *= c);
+                let f = svd_thin(&scaled);
+                let ctx = format!("{:?} times 2^{k}", a.shape());
+                let iu = (&f.u.gram() - &Mat::eye(f.u.cols())).max_abs();
+                assert!(iu < 1e-14, "{ctx}: U not orthonormal: {iu}");
+                assert_eq!(f.u, base.u, "{ctx}: U");
+                assert_eq!(f.v, base.v, "{ctx}: V");
+                for (x, y) in f.s.iter().zip(&base.s) {
+                    assert_eq!(x.to_bits(), (y * c).to_bits(), "{ctx}: s");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_and_huge_inputs_get_orthonormal_factors() {
+        // Scales that are not powers of two, far outside the unscaled range.
+        let a = Mat::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
+        let base = svd_thin(&a);
+        for c in [1e-17, 1e-300, 1e80, 1e300] {
+            let scaled = Mat::from_fn(2, 2, |i, j| a.at(i, j) * c);
+            let f = svd_thin(&scaled);
+            for (name, m) in [("U", &f.u), ("V", &f.v)] {
+                let dev = (&m.gram() - &Mat::eye(2)).max_abs();
+                assert!(dev < 1e-14, "c = {c:e}: {name}ᵀ{name} is off I by {dev}");
+            }
+            for (x, y) in f.s.iter().zip(&base.s) {
+                assert!((x / c - y).abs() < 1e-14 * y, "c = {c:e}: s = {:?}", f.s);
+            }
+        }
+    }
+
     /// The two sweep kernels, run directly on the same lane-interleaved
     /// inputs. On an AVX2 host `svd_thin_batch_into` never runs the
     /// portable kernel, so these tests are where it meets the AVX2 one.
@@ -1139,10 +1445,15 @@ mod tests {
             (0..a.cols()).flat_map(|j| (0..a.rows()).map(move |i| a.at(i, j))).collect()
         }
 
-        /// The batched driver's tolerance for a lane.
+        /// The batched driver's tolerance for an unscaled lane.
         fn tolerance(a: &[f64]) -> f64 {
             let fro = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-            (1e-15 * fro * fro).max(1e-30)
+            1e-15 * fro * fro
+        }
+
+        /// Each lane's tolerance.
+        fn tolerances(lanes: &[Vec<f64>]) -> Lanes {
+            core::array::from_fn(|l| tolerance(&lanes[l]))
         }
 
         /// Equal bits, except that any NaN equals any NaN: which NaN an
@@ -1206,7 +1517,8 @@ mod tests {
                 lanes[1][rows + 2] = f64::NAN;
                 lanes[2][3] = f64::INFINITY;
                 lanes[3][rows * cols - 1] = f64::NEG_INFINITY;
-                let tol = [0, 1, 2, 3].map(|l| tolerance(&lanes[l]));
+                lanes[SVD_LANES - 1][rows + 1] = f64::NAN;
+                let tol = tolerances(&lanes);
                 let Some((w, _, _)) = both(rows, cols, &lanes, tol, [true; SVD_LANES]) else {
                     return;
                 };
@@ -1228,14 +1540,17 @@ mod tests {
                 *x = if i % (rows + 1) == 0 { 2.0 + i as f64 } else { -0.0 };
             }
             lanes[2][0] = -0.0;
+            lanes[SVD_LANES - 1] = lanes[1].clone();
             let start = lanes[1].clone();
-            let tol = [0, 1, 2, 3].map(|l| tolerance(&lanes[l]));
+            let tol = tolerances(&lanes);
             let Some((w, _, sweeps)) = both(rows, cols, &lanes, tol, [true; SVD_LANES]) else {
                 return;
             };
-            assert_eq!(sweeps[1], 1);
-            for (x, y) in w.iter().zip(&start) {
-                assert_eq!(x[1].to_bits(), y.to_bits(), "a non-rotating lane lost a −0");
+            for l in [1, SVD_LANES - 1] {
+                assert_eq!(sweeps[l], 1);
+                for (x, y) in w.iter().zip(&start) {
+                    assert_eq!(x[l].to_bits(), y.to_bits(), "non-rotating lane {l} lost a −0");
+                }
             }
         }
 
@@ -1244,20 +1559,23 @@ mod tests {
             // Columns p = (1, 0), q = (x, 1): apq = x exactly. A tolerance
             // of |x| skips (`≤`), one ulp below rotates, one above skips.
             let x: f64 = 0.375;
-            let lane = vec![1.0, 0.0, x, 1.0];
-            let lanes = vec![lane.clone(), lane.clone(), lane.clone(), lane];
+            // Every quad of lanes: at, below and above the tolerance, dead.
+            let lanes = vec![vec![1.0, 0.0, x, 1.0]; SVD_LANES];
             let below = f64::from_bits(x.to_bits() - 1);
             let above = f64::from_bits(x.to_bits() + 1);
-            let tol = [x, below, above, x];
-            let live = [true, true, true, false];
+            let tol = core::array::from_fn(|l| [x, below, above, x][l % 4]);
+            let live = core::array::from_fn(|l| l % 4 != 3);
             let Some((w, _, sweeps)) = both(2, 2, &lanes, tol, live) else {
                 return;
             };
-            assert_eq!(sweeps, [1, 2, 1, 0]);
-            for l in [0, 2, 3] {
-                assert!(w.iter().zip([1.0, 0.0, x, 1.0]).all(|(a, b)| a[l] == b), "lane {l}");
+            assert_eq!(sweeps, core::array::from_fn(|l| [1, 2, 1, 0][l % 4]));
+            for l in 0..SVD_LANES {
+                let kept = w.iter().zip([1.0, 0.0, x, 1.0]).all(|(a, b)| a[l] == b);
+                assert_eq!(kept, l % 4 != 1, "lane {l}");
+                if l % 4 == 1 {
+                    assert_ne!(w[2][l], x, "lane {l}, below the tolerance, rotated");
+                }
             }
-            assert_ne!(w[2][1], x, "the lane below the tolerance rotated");
         }
 
         #[test]
@@ -1271,18 +1589,26 @@ mod tests {
                     *x *= 10f64.powi(-(i as i32));
                 }
             }
-            let lanes = vec![
+            // The same four kinds of lane in each half, in another order.
+            let kinds = [
                 diag,
                 col_major(&gaussian_mat(n, n, &mut rng)),
                 col_major(&ill),
                 col_major(&crate::qr::qr(gaussian_mat(n, n, &mut rng)).q),
             ];
-            let tol = [0, 1, 2, 3].map(|l| tolerance(&lanes[l]));
-            let Some((_, _, sweeps)) = both(n, n, &lanes, tol, [true; SVD_LANES]) else {
+            let kind = |l: usize| (l + l / 4) % 4;
+            let lanes: Vec<Vec<f64>> = (0..SVD_LANES).map(|l| kinds[kind(l)].clone()).collect();
+            let Some((_, _, sweeps)) = both(n, n, &lanes, tolerances(&lanes), [true; SVD_LANES])
+            else {
                 return;
             };
-            assert_eq!(sweeps[0], 1, "a diagonal lane converges in its first sweep");
-            assert!(sweeps[1] > 2 && sweeps[2] > 2, "{sweeps:?}");
+            for l in 0..SVD_LANES {
+                match kind(l) {
+                    0 => assert_eq!(sweeps[l], 1, "a diagonal lane converges in its first sweep"),
+                    1 | 2 => assert!(sweeps[l] > 2, "lane {l}: {sweeps:?}"),
+                    _ => {}
+                }
+            }
         }
     }
 

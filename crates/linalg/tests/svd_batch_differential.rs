@@ -100,7 +100,7 @@ fn zero_lanes_mixed_with_live_lanes() {
                 &lanes,
                 &mut out,
                 &mut ws,
-                &format!("zeros {zero_mask:04b} n={n}"),
+                &format!("zeros {zero_mask:0SVD_LANES$b} n={n}"),
             );
         }
     }
@@ -120,7 +120,9 @@ fn lanes_with_very_different_sweep_counts() {
                 *x *= 10f64.powi(-(i as i32));
             }
         }
-        let lanes = vec![Mat::diag(&diag), gaussian_mat(n, n, &mut rng), Mat::eye(n), ill];
+        let kinds = [Mat::diag(&diag), gaussian_mat(n, n, &mut rng), Mat::eye(n), ill];
+        // Every kind in each half of the lanes, in another order.
+        let lanes: Vec<Mat> = (0..SVD_LANES).map(|l| kinds[(l + l / 4) % 4].clone()).collect();
         assert_batch_matches(&lanes, &mut out, &mut ws, &format!("sweep counts n={n}"));
     }
 }
@@ -183,12 +185,15 @@ fn rectangular_lanes_with_zero_and_odd_lanes() {
         for i in 0..m {
             signed.set(i, 0, -0.0);
         }
-        let lanes = vec![
-            gaussian_mat(m, n, &mut rng),
-            Mat::zeros(m, n),
-            gaussian_mat(n, m + 1, &mut rng),
-            signed,
-        ];
+        // The four kinds in both halves of the lanes.
+        let lanes: Vec<Mat> = (0..SVD_LANES)
+            .map(|l| match l % 4 {
+                0 => gaussian_mat(m, n, &mut rng),
+                1 => Mat::zeros(m, n),
+                2 => gaussian_mat(n, m + 1, &mut rng),
+                _ => signed.clone(),
+            })
+            .collect();
         assert_batch_matches(&lanes, &mut out, &mut ws, &format!("{m}x{n} mixed"));
     }
 }
@@ -203,12 +208,13 @@ fn other_shapes_fall_back_per_lane() {
     let lanes = vec![gaussian_mat(3, 7, &mut rng), gaussian_mat(5, 5, &mut rng)];
     assert_batch_matches(&lanes, &mut out, &mut ws, "wide then square");
     // Square lanes of another size than the first one's.
-    let lanes = vec![
-        gaussian_mat(4, 4, &mut rng),
-        gaussian_mat(6, 6, &mut rng),
-        gaussian_mat(4, 4, &mut rng),
-        Mat::zeros(0, 0),
-    ];
+    let lanes: Vec<Mat> = (0..SVD_LANES)
+        .map(|l| match l % 4 {
+            1 => gaussian_mat(6, 6, &mut rng),
+            3 => Mat::zeros(0, 0),
+            _ => gaussian_mat(4, 4, &mut rng),
+        })
+        .collect();
     assert_batch_matches(&lanes, &mut out, &mut ws, "mixed square sizes");
     assert_batch_matches(&[], &mut out, &mut ws, "no lanes");
 }
@@ -218,10 +224,13 @@ fn a_non_finite_lane_leaves_the_others_alone() {
     let mut rng = StdRng::seed_from_u64(1407);
     let mut poisoned = gaussian_mat(5, 5, &mut rng);
     poisoned.set(2, 3, f64::NAN);
-    let lanes = vec![gaussian_mat(5, 5, &mut rng), poisoned, gaussian_mat(5, 5, &mut rng)];
-    let mut out = vec![SvdFactors::default(); 3];
+    // The poisoned lane in the first half, finite lanes in both.
+    let lanes: Vec<Mat> = (0..SVD_LANES)
+        .map(|l| if l == 1 { poisoned.clone() } else { gaussian_mat(5, 5, &mut rng) })
+        .collect();
+    let mut out = vec![SvdFactors::default(); SVD_LANES];
     svd_thin_batch_into(&lanes, &mut out, &mut SvdBatchScratch::default());
-    for l in [0, 2] {
+    for l in (0..SVD_LANES).filter(|&l| l != 1) {
         let mut want = SvdFactors::default();
         svd_thin_into(&lanes[l], &mut want, &mut SvdScratch::default());
         assert!(bits(&out[l]) == bits(&want), "lane {l} changed beside a NaN lane");

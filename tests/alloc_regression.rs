@@ -88,11 +88,12 @@ fn steady_state_deltas(solver: &dyn Parafac2Solver, tensor: &IrregularTensor) ->
 }
 
 /// Tentpole pin: DPar2's steady-state iterations are allocation-free, on
-/// one full lane group of the `Q_k` step (K = 4) and on a full group plus
-/// a partial one (K = 6).
+/// partial lane groups of the `Q_k` step (K = 4 and 6) and on one full
+/// group plus a partial one (K = 9).
 #[test]
 fn dpar2_steady_state_iterations_allocate_nothing() {
-    for t in [fixture(), planted_parafac2(&[25, 40, 18, 32, 21, 36], 14, 3, 0.3, 9005)] {
+    let nine = planted_parafac2(&[25, 40, 18, 32, 21, 36, 27, 19, 30], 14, 3, 0.3, 9006);
+    for t in [fixture(), planted_parafac2(&[25, 40, 18, 32, 21, 36], 14, 3, 0.3, 9005), nine] {
         let deltas = steady_state_deltas(&Dpar2, &t);
         assert!(
             deltas.iter().all(|&d| d == 0),
