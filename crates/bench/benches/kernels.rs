@@ -10,6 +10,9 @@
 //!   (§III-E).
 //! * `partitioning` — greedy (Algorithm 4) vs round-robin.
 //! * `gemm` — the base matmul kernels everything sits on.
+//! * `gemm_sketch` — stage 1's sketch products on a tall-slices slice
+//!   (`A·Ω`, `Aᵀ·Q`, `Qᵀ·A` at 540×88, sketch width 18), which read their
+//!   operands in place.
 //! * `qr` — the Householder QR behind every rSVD pass, on the shapes the
 //!   pipeline factors (stage-1 sketches, stage 2's tall factorization).
 //! * `svd_batch` — eight small Jacobi SVDs through the lane-batched kernel
@@ -221,6 +224,31 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_gemm_sketch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm_sketch");
+    group.sample_size(20);
+    let mut rng = StdRng::seed_from_u64(9);
+    let a = gaussian_mat(540, 88, &mut rng);
+    let omega = gaussian_mat(88, 18, &mut rng);
+    let q = gaussian_mat(540, 18, &mut rng);
+    let serial = ThreadPool::new(1);
+    let mut out = Mat::zeros(0, 0);
+    let products: [(&str, Trans, &Mat, &Mat); 3] = [
+        ("a_omega_540x88", Trans::N, &a, &omega),
+        ("at_q_540x88", Trans::T, &a, &q),
+        ("qt_a_540x88", Trans::T, &q, &a),
+    ];
+    for (name, ta, x, y) in products {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                dpar2_linalg::gemm(ta, Trans::N, x, y, &mut out, &serial);
+                black_box(&out);
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_qr(c: &mut Criterion) {
     let mut group = c.benchmark_group("qr");
     group.sample_size(20);
@@ -330,6 +358,7 @@ criterion_group!(
     bench_convergence,
     bench_partitioning,
     bench_gemm,
+    bench_gemm_sketch,
     bench_qr,
     bench_svd_batch,
     bench_qk_svd,

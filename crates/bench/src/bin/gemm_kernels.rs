@@ -10,20 +10,27 @@
 //! * `naive`   — the retained IEEE-faithful reference loops
 //!   (`kernel::gemm_naive_into`), which are also the small-size dispatch
 //!   target;
-//! * `blocked` — the packed, register-tiled path on a one-thread pool
-//!   (`kernel::gemm_blocked`);
+//! * `blocked` — the register-tiled path on a one-thread pool
+//!   (`kernel::gemm_blocked`; packed above `n = 96`, in place below);
 //! * `pooled@T` — the same blocked path with row panels fanned out over a
 //!   `ThreadPool` of `T` workers.
 //!
-//! A second table times the Householder QR (`dpar2_linalg::qr_into`) on
+//! The sketch-products table times `gemm_blocked` on one thread pinned to
+//! read its operands in place and pinned to pack them (`kernel::pinned`;
+//! both give the same bits), in µs per call and GFLOP/s: stage 1's five
+//! products on a tall slice and three on a short one, stage 2's three on
+//! a 48×15000 matrix, and the shapes around the crossover behind the
+//! kernel's `min(m, n) ≤ 96` rule.
+//!
+//! A further table times the Householder QR (`dpar2_linalg::qr_into`) on
 //! the tall-and-thin shapes the randomized SVDs factor, in GFLOP/s of the
-//! standard Householder count (factor plus thin `Q`). A third times the
+//! standard Householder count (factor plus thin `Q`). Another times the
 //! small one-sided Jacobi SVDs in µs per group of `SVD_LANES` (eight)
 //! matrices: the lane-native square kernel (`svd_square_lanes`, lane
 //! stores in and out, as the `Q_k` step runs it) and the lane-batched
 //! kernel on `Mat`s (`svd_thin_batch_into`) against one matrix at a time
 //! (`svd_thin_into`), at the `R×R` size of the `Q_k` step (10) and the
-//! sketch-core size of stage 1 (18). A fourth times one 8-slice group of
+//! sketch-core size of stage 1 (18). The last times one 8-slice group of
 //! the `Q_k` step's `R×R` product chain in µs: one slice per lane through
 //! `gemm_lanes` (interleaving included) against per-slice `gemm` calls,
 //! at `R` ∈ {5, 10, 20}.
@@ -34,7 +41,7 @@
 //! `cargo run --release -p dpar2-bench --bin fig9_time`.
 
 use dpar2_bench::{print_table, Args, QkChain};
-use dpar2_linalg::kernel::{self, Trans};
+use dpar2_linalg::kernel::{self, Pin, Trans};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{
@@ -84,6 +91,37 @@ fn householder_qr_flops(m: usize, n: usize) -> f64 {
 /// The shapes the pipeline factors: stage-1 sketches of tall and short
 /// slices, and stage 2's tall factorization on many-slices.
 const QR_SHAPES: [(usize, usize); 4] = [(790, 18), (88, 18), (48, 18), (15000, 18)];
+
+/// The sketch-product table: the five stage-1 products on a tall-slices
+/// slice (540×88, sketch width 18, rank 10), the three on a many-slices
+/// slice (60×48), stage 2's three on many-slices' 48×15000 matrix, and the
+/// shapes around the in-place/packed crossover: tall products of growing
+/// width, then squares. Rows are `(label, ta, tb, m, n, k)`.
+const SKETCH_SHAPES: [(&str, Trans, Trans, usize, usize, usize); 23] = [
+    ("tall A·Ω", Trans::N, Trans::N, 540, 18, 88),
+    ("tall Aᵀ·Q", Trans::T, Trans::N, 88, 18, 540),
+    ("tall A·Q", Trans::N, Trans::N, 540, 18, 88),
+    ("tall Qᵀ·A", Trans::T, Trans::N, 18, 88, 540),
+    ("tall Q·Ũ", Trans::N, Trans::N, 540, 10, 18),
+    ("many A·Ω", Trans::N, Trans::N, 60, 18, 48),
+    ("many Aᵀ·Q", Trans::T, Trans::N, 48, 18, 60),
+    ("many Qᵀ·A", Trans::T, Trans::N, 18, 48, 60),
+    ("stage-2 A·Ω", Trans::N, Trans::N, 48, 18, 15000),
+    ("stage-2 Aᵀ·Q", Trans::T, Trans::N, 15000, 18, 48),
+    ("stage-2 Qᵀ·A", Trans::T, Trans::N, 18, 15000, 48),
+    ("crossover", Trans::N, Trans::N, 540, 24, 88),
+    ("crossover", Trans::N, Trans::N, 540, 32, 88),
+    ("crossover", Trans::N, Trans::N, 540, 40, 88),
+    ("crossover", Trans::N, Trans::N, 540, 48, 88),
+    ("crossover", Trans::T, Trans::N, 32, 540, 540),
+    ("crossover", Trans::T, Trans::N, 48, 540, 540),
+    ("crossover", Trans::N, Trans::N, 64, 64, 64),
+    ("crossover", Trans::N, Trans::N, 128, 128, 128),
+    ("crossover", Trans::T, Trans::N, 128, 128, 128),
+    ("crossover", Trans::N, Trans::N, 256, 256, 256),
+    ("crossover", Trans::T, Trans::N, 384, 384, 384),
+    ("crossover", Trans::N, Trans::N, 512, 512, 512),
+];
 
 /// Square sizes of the Jacobi table: the benchmarks' `R` and `R + s`.
 const JACOBI_SIZES: [usize; 2] = [10, 18];
@@ -186,6 +224,50 @@ fn main() {
         ]);
     }
     print_table(&["n", "kernel", "GFLOP/s", "vs naive"], &rows);
+    println!();
+
+    println!(
+        "Sketch products (kernel::gemm_blocked, 1 thread), operands read in place vs packed, \
+         us per call and GFLOP/s"
+    );
+    let mut sketch_rows: Vec<Vec<String>> = Vec::new();
+    let serial = ThreadPool::new(1);
+    for &(label, ta, tb, m, n, k) in &SKETCH_SHAPES {
+        let mut rng = StdRng::seed_from_u64(seed ^ (m * n * k) as u64);
+        let a = if ta == Trans::N {
+            gaussian_mat(m, k, &mut rng)
+        } else {
+            gaussian_mat(k, m, &mut rng)
+        };
+        let b = if tb == Trans::N {
+            gaussian_mat(k, n, &mut rng)
+        } else {
+            gaussian_mat(n, k, &mut rng)
+        };
+        let gflop = 2.0 * (m * n * k) as f64 / 1e9;
+        let mut c = Mat::zeros(m, n);
+        let mut time_with = |in_place| {
+            kernel::pinned(Pin { in_place: Some(in_place), portable: false }, || {
+                time_per_call(|| {
+                    kernel::gemm_blocked(ta, tb, &a, &b, &mut c, &serial);
+                    black_box(&c);
+                })
+            })
+        };
+        let (t_in_place, t_packed) = (time_with(true), time_with(false));
+        sketch_rows.push(vec![
+            label.into(),
+            format!("{m}x{n}x{k} {ta:?}{tb:?}"),
+            format!("{:.1}", t_in_place * 1e6),
+            format!("{:.2}", gflop / t_in_place),
+            format!("{:.1}", t_packed * 1e6),
+            format!("{:.2}", gflop / t_packed),
+            format!("{:.2}x", t_packed / t_in_place),
+        ]);
+    }
+    let header =
+        ["product", "m x n x k", "in place us", "GFLOP/s", "packed us", "GFLOP/s", "speedup"];
+    print_table(&header, &sketch_rows);
     println!();
 
     println!("Householder QR (qr_into, thin Q and R), f64, GFLOP/s (higher is better)");

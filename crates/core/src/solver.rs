@@ -281,6 +281,12 @@ impl Dpar2 {
         let slice_norms: Vec<f64> =
             pool.map(&ct.f_blocks, |_, f_k| f_k.matmul(&edt).expect("F(k)·EDᵀ").fro_norm_sq());
         let data_norm_sq: f64 = slice_norms.iter().sum();
+        // The criterion is a difference of squared norms. Data whose squared
+        // norm underflows (to a subnormal, or to zero while the data is not
+        // zero) leaves it no precision to stop on, so such a fit stops
+        // diverged, as one whose squares overflow does.
+        let unmeasurable = data_norm_sq < f64::MIN_POSITIVE
+            && ct.f_blocks.iter().any(|f| f.data().iter().any(|&x| x != 0.0));
 
         let mut edtv = edt.matmul(&v).expect("EDᵀ·V");
         // Z_k P_kᵀ kept for the final U_k recovery. `pzf` is fully
@@ -351,7 +357,11 @@ impl Dpar2 {
             // by-products (G⁽³⁾ is still in `g_out`, VᵀV ∗ HᵀH in `gram`),
             // then the session's shared stopping rule (divergence /
             // convergence / observer / time budget / iteration budget).
-            let crit = criterion_from_byproducts(data_norm_sq, &w, &g_out, &gram);
+            let crit = if unmeasurable {
+                f64::NAN
+            } else {
+                criterion_from_byproducts(data_norm_sq, &w, &g_out, &gram)
+            };
             if session.finish_iteration(crit, data_norm_sq) {
                 break;
             }
@@ -706,6 +716,29 @@ mod tests {
                 (last - residual).abs() <= 1e-9 * residual,
                 "noise {noise}: trace ends at {last}, the factors give {residual}"
             );
+        }
+    }
+
+    #[test]
+    fn underflowing_data_norms_stop_as_diverged() {
+        // At 2^-540 the data's squared norm is subnormal and at 2^-600 it is
+        // zero: the criterion has no precision left, and the fit must stop
+        // diverged instead of reporting convergence after one iteration.
+        let t = planted_parafac2(&[30, 45, 25, 35, 20], 18, 3, 0.1, 437);
+        let opts = FitOptions::new(3).with_seed(438);
+        for k in [-540, -600] {
+            let c = 2f64.powi(k);
+            let scaled = IrregularTensor::new(
+                t.to_slices()
+                    .into_iter()
+                    .map(|x| Mat::from_fn(x.rows(), x.cols(), |i, j| x.at(i, j) * c))
+                    .collect(),
+            );
+            for threads in [1, 2] {
+                let fit = Dpar2.fit(&scaled, &opts.with_threads(threads)).unwrap();
+                assert_eq!(fit.stop_reason, StopReason::Diverged, "2^{k}, {threads} threads");
+                assert_eq!(fit.iterations, 1);
+            }
         }
     }
 

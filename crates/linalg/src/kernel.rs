@@ -12,35 +12,47 @@
 //!
 //! ```text
 //! one-thread pool:                         multi-thread pool:
-//! for pc in 0..K step KC:                  pack ALL op(B) blocks (shared)
+//! for pc in 0..K step KC:                  pack ALL op(B) blocks (shared)¹
 //!   for jc in 0..N step NC:                for ic in 0..M step MC:  ∥ pool
-//!     pack op(B)[pc.., jc..]  (reused buf)   for pc in 0..K step KC:
-//!     for ic in 0..M step MC:                  pack op(A)[ic.., pc..]
-//!       pack op(A)[ic.., pc..] (reused buf)    for jc in 0..N step NC:
+//!     pack op(B)[pc.., jc..]¹ (reused buf)   for pc in 0..K step KC:
+//!     for ic in 0..M step MC:                  pack op(A)[ic.., pc..]¹
+//!       pack op(A)[ic.., pc..]¹(reused buf)    for jc in 0..N step NC:
 //!       macro-kernel (MR×NR tiles)               macro-kernel (MR×NR tiles)
+//!
+//! ¹ only when the product is wide; a narrow one reads op(A) and op(B) in place
 //! ```
 //!
-//! The serial path keeps exactly one `KC×NC` packed B block and one
+//! The serial path keeps at most one `KC×NC` packed B block and one
 //! `MC×KC` packed A block alive (Goto's bounded-workspace scheme); the
 //! pooled path pre-packs all of `op(B)` once because every row-panel
 //! worker sweeps every block. Both accumulate each C entry over ascending
 //! depth blocks with identical tile arithmetic, so they are bit-identical.
 //!
-//! * **Packing**: `op(A)` blocks are repacked into contiguous `MR`-row
-//!   panels (`panel[p*MR + r]`), `op(B)` blocks into `NR`-column panels
-//!   (`panel[p*NR + c]`), so the microkernel reads both operands with unit
-//!   stride regardless of the transpose variant. Ragged edges are
-//!   zero-padded up to the register tile; padded lanes are never written
-//!   back, so NaN/∞ inputs cannot leak outside the logical output.
+//! * **Packing, or reading in place**: the microkernel reads an `A` tile
+//!   as `a[r·lane + p·depth]` and a `B` tile as `b[p·depth + c]`, so it
+//!   takes `op(A)` and an untransposed `B` where they are stored (`A`:
+//!   strides `(ld, 1)`, or `(1, ld)` transposed; `B`: `ld`) as readily as
+//!   packed panels (`(1, MR)` and `NR`). Packing copies `op(A)` blocks
+//!   into contiguous `MR`-row panels (`panel[p*MR + r]`) and `op(B)` blocks
+//!   into `NR`-column panels (`panel[p*NR + c]`), zero-padded up to the
+//!   register tile; it pays off only when each panel is reused many times.
+//!   So a product with `min(m, n) ≤ 96` (stage 1's and stage 2's sketch
+//!   products, 18 wide) reads both operands in place, and only its ragged
+//!   last tile and panel are copied, zero-padded, into stack pads; a wider
+//!   one, and a transposed `B`, are packed. Padded lanes are never written
+//!   back, so NaN/∞ inputs cannot leak outside the logical output, and
+//!   either way every tile sees the same values in the same order: the
+//!   choice never moves a bit (`tests/gemm_operands_differential.rs`).
 //! * **Microkernel**: an `MR×NR = 6×8` f64 accumulator tile held in
 //!   registers (twelve 4-lane YMM accumulators), updated with fused
-//!   multiply-adds down the packed depth. At runtime, if the CPU supports
+//!   multiply-adds down the depth. At runtime, if the CPU supports
 //!   AVX2+FMA the tile runs as explicit `vfmadd231pd` intrinsics;
 //!   otherwise a portable auto-vectorized `a*b + c` fallback is used
 //!   (plain `mul_add` without hardware FMA lowers to a slow libm call).
 //!   The SIMD tile plus its `#[target_feature]` call is one of the crate's
 //!   three narrowly-scoped `unsafe` exceptions (see the crate docs), all
-//!   guarded by one cached CPU probe.
+//!   guarded by one cached CPU probe; it asserts that its strided reads
+//!   stay inside the operand slices it is handed.
 //! * **Parallelism**: [`gemm_blocked`] row-partitions C into `MC`-row
 //!   panels and, on a pool of more than one thread, fans them out over
 //!   [`dpar2_parallel::ThreadPool::for_each_chunk_mut`]. Each panel is
@@ -69,7 +81,8 @@
 use crate::mat::Mat;
 use crate::view::{AsMatRef, MatMut, MatRef};
 use dpar2_parallel::ThreadPool;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::ops::Range;
 
 thread_local! {
     /// Per-thread packing buffers for the serial blocked path (one `MC×KC`
@@ -142,15 +155,16 @@ pub fn use_blocked(m: usize, n: usize, k: usize) -> bool {
 // Microkernel
 // ----------------------------------------------------------------------
 
-/// Portable tile body: `acc[r][c] += ap[p·MR+r] · bp[p·NR+c]` for
-/// `p < kcb`, with separate multiply and add (plain `mul_add` without
-/// hardware FMA lowers to a slow libm call) — the auto-vectorized
-/// fallback for CPUs without AVX2+FMA.
+/// Portable tile body: `acc[r][c] += a[r·a.lane + p·a.depth] ·
+/// b[p·b.depth + c]` for `p < kcb` (`b.lane` is 1), with separate multiply
+/// and add (plain `mul_add` without hardware FMA lowers to a slow libm
+/// call) — the auto-vectorized fallback for CPUs without AVX2+FMA.
 #[inline(always)]
-fn micro_portable(kcb: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kcb) {
+fn micro_portable(kcb: usize, a: Tile<'_>, b: Tile<'_>, acc: &mut [[f64; NR]; MR]) {
+    for p in 0..kcb {
+        let bv: &[f64; NR] = b.data[p * b.depth..p * b.depth + NR].try_into().unwrap();
         for r in 0..MR {
-            let ar = av[r];
+            let ar = a.data[p * a.depth + r * a.lane];
             for c in 0..NR {
                 acc[r][c] += ar * bv[c];
             }
@@ -166,33 +180,41 @@ fn micro_portable(kcb: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR])
 /// operations produces an output entry, only how many lanes execute at
 /// once (the fusion itself does round differently from the portable
 /// `a·b + c` path, which is machine-dependent and covered by the
-/// differential suite's ulp bounds).
+/// differential suite's ulp bounds). The operands are read as in
+/// [`micro_portable`].
 /// (Explicit intrinsics because LLVM's SLP pass does not reliably fuse
 /// the scalar `mul_add` tile into packed FMAs.) Only called after a
 /// runtime CPU check (see [`run_micro`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(unsafe_code)] // contained SIMD exception; see module docs
-unsafe fn micro_fma(kcb: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
+unsafe fn micro_fma(kcb: usize, a: Tile<'_>, b: Tile<'_>, acc: &mut [[f64; NR]; MR]) {
     use core::arch::x86_64::{_mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_storeu_pd};
     // Uphold the pointer arithmetic below even if a caller passes short
-    // panels; the packing layer always provides exactly kcb·MR / kcb·NR.
-    assert!(ap.len() >= kcb * MR && bp.len() >= kcb * NR, "micro_fma: short panels");
-    let (a_ptr, b_ptr) = (ap.as_ptr(), bp.as_ptr());
-    // SAFETY: all loads/stores below stay within the asserted panel bounds
-    // and the fixed-size `acc` tile; f64 reads/writes are unaligned-safe
-    // via the loadu/storeu intrinsics.
+    // operands: the last entries read are `a[(MR−1)·lane + (kcb−1)·depth]`
+    // and `b[(kcb−1)·depth + NR − 1]`.
+    assert!(
+        kcb == 0
+            || a.data.len() > (MR - 1) * a.lane + (kcb - 1) * a.depth
+                && b.data.len() >= (kcb - 1) * b.depth + NR,
+        "micro_fma: short operands"
+    );
+    let (a_ptr, b_ptr) = (a.data.as_ptr(), b.data.as_ptr());
+    // SAFETY: all loads/stores below stay within the asserted operand
+    // bounds and the fixed-size `acc` tile; f64 reads/writes are
+    // unaligned-safe via the loadu/storeu intrinsics.
     unsafe {
         let mut t = core::array::from_fn::<_, MR, _>(|r| {
             [_mm256_loadu_pd(acc[r].as_ptr()), _mm256_loadu_pd(acc[r].as_ptr().add(4))]
         });
         for p in 0..kcb {
-            let b0 = _mm256_loadu_pd(b_ptr.add(p * NR));
-            let b1 = _mm256_loadu_pd(b_ptr.add(p * NR + 4));
+            let (ap, bp) = (a_ptr.add(p * a.depth), b_ptr.add(p * b.depth));
+            let b0 = _mm256_loadu_pd(bp);
+            let b1 = _mm256_loadu_pd(bp.add(4));
             for (r, tr) in t.iter_mut().enumerate() {
-                let a = _mm256_set1_pd(*a_ptr.add(p * MR + r));
-                tr[0] = _mm256_fmadd_pd(a, b0, tr[0]);
-                tr[1] = _mm256_fmadd_pd(a, b1, tr[1]);
+                let ar = _mm256_set1_pd(*ap.add(r * a.lane));
+                tr[0] = _mm256_fmadd_pd(ar, b0, tr[0]);
+                tr[1] = _mm256_fmadd_pd(ar, b1, tr[1]);
             }
         }
         for (r, tr) in t.iter().enumerate() {
@@ -232,20 +254,114 @@ pub(crate) fn simd() -> Simd {
     }
 }
 
-/// Runs one register tile through the best available microkernel.
+/// Runs one register tile through the microkernel the call's [`Plan`]
+/// picked (`fma` is only ever true on a CPU with AVX2 and FMA).
 #[inline]
-fn run_micro(kcb: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
+fn run_micro(fma: bool, kcb: usize, a: Tile<'_>, b: Tile<'_>, acc: &mut [[f64; NR]; MR]) {
     #[cfg(target_arch = "x86_64")]
-    if matches!(simd(), Simd { avx2: true, fma: true }) {
-        // SAFETY: `simd` verified AVX2 and FMA support on this CPU,
-        // which is the only precondition of the `#[target_feature]` fn.
+    if fma {
+        // SAFETY: `Plan::new` sets `fma` only after `simd` verified AVX2
+        // and FMA support on this CPU, which is the only precondition of
+        // the `#[target_feature]` fn.
         #[allow(unsafe_code)]
         unsafe {
-            micro_fma(kcb, ap, bp, acc)
+            micro_fma(kcb, a, b, acc)
         };
         return;
     }
-    micro_portable(kcb, ap, bp, acc);
+    let _ = fma; // only read on x86-64
+    micro_portable(kcb, a, b, acc);
+}
+
+// ----------------------------------------------------------------------
+// Operand blocks: packed or in place
+// ----------------------------------------------------------------------
+
+/// The widest `min(m, n)` at which [`gemm_blocked`] reads its operands in
+/// place instead of packing them. Packing pays off only once each packed
+/// `A` tile is reused by many `NR`-column panels of `B` and each packed `B`
+/// panel by many `MR`-row tiles. Measured on one x86-64 thread
+/// (AVX2+FMA): in place wins 1.0–2.3× up to `min(m, n) = 96`, is a coin
+/// toss at 128–192 and loses from 256 (0.64× at 512², where `B`'s 4 KiB
+/// row stride thrashes L1).
+const IN_PLACE_MAX: usize = 96;
+
+/// One register tile's operand as the microkernel reads it: lane `l`
+/// (row `l` of an `A` tile, column `l` of a `B` panel) at depth `p` is
+/// `data[l·lane + p·depth]`. A `B` tile always has `lane = 1`; a packed
+/// tile has `(lane, depth) = (1, MR)` or `(1, NR)`.
+#[derive(Clone, Copy)]
+struct Tile<'a> {
+    data: &'a [f64],
+    lane: usize,
+    depth: usize,
+}
+
+/// One `KC`-deep block of `op(A)` rows or `op(B)` columns, cut into tiles
+/// `width` (`MR` or `NR`) lanes wide: tile `t` starts at `data[t·tile]`.
+/// Either packed (every tile whole, ragged lanes zero-padded) or the
+/// operand in place, whose ragged last tile is read from a pad.
+#[derive(Clone, Copy)]
+struct Block<'a> {
+    data: &'a [f64],
+    width: usize,
+    tile: usize,
+    lane: usize,
+    depth: usize,
+    /// Lanes that can be read in place: the block's rows of `op(A)` or
+    /// columns of `op(B)`, rounded up to whole tiles when packed.
+    len: usize,
+}
+
+impl<'a> Block<'a> {
+    /// Panels packed by [`pack_a`] or [`pack_b`], `width` lanes by `kcb`.
+    fn packed(buf: &'a [f64], width: usize, kcb: usize, len: usize) -> Self {
+        let len = len.next_multiple_of(width);
+        Block { data: buf, width, tile: width * kcb, lane: 1, depth: width, len }
+    }
+
+    /// Rows `ic..ic + mcb` of `op(a)` from depth `pc` on, in place.
+    fn a_in_place(a: MatRef<'a>, ta: Trans, ic: usize, mcb: usize, pc: usize) -> Self {
+        let ld = a.row_stride();
+        let (data, lane, depth) = match ta {
+            Trans::N => (a.tail(ic, pc), ld, 1),
+            Trans::T => (a.tail(pc, ic), 1, ld),
+        };
+        Block { data, width: MR, tile: MR * lane, lane, depth, len: mcb }
+    }
+
+    /// Columns `jc..jc + ncb` of `b` from row `pc` on, in place (`op(b) =
+    /// b`: a transposed `B` is packed).
+    fn b_in_place(b: MatRef<'a>, pc: usize, jc: usize, ncb: usize) -> Self {
+        let data = b.tail(pc, jc);
+        Block { data, width: NR, tile: NR, lane: 1, depth: b.row_stride(), len: ncb }
+    }
+
+    /// Copies the ragged last tile of an in-place block, `kcb` deep, into
+    /// the zeroed `pad` in the packed layout (its dead lanes stay zero);
+    /// no-op when every tile is whole.
+    fn fill_pad(&self, kcb: usize, pad: &mut [f64]) {
+        let (w, live) = (self.width, self.len % self.width);
+        if live == 0 {
+            return;
+        }
+        let base = self.len / w * self.tile;
+        for (p, lanes) in pad.chunks_exact_mut(w).take(kcb).enumerate() {
+            for (l, x) in lanes.iter_mut().enumerate().take(live) {
+                *x = self.data[base + l * self.lane + p * self.depth];
+            }
+        }
+    }
+
+    /// Tile `t`: in place, or from `pad` ([`Block::fill_pad`]) if it is
+    /// the ragged last tile of an in-place block.
+    fn tile<'s>(&'s self, t: usize, pad: &'s [f64]) -> Tile<'s> {
+        if (t + 1) * self.width > self.len {
+            Tile { data: pad, lane: 1, depth: self.width }
+        } else {
+            Tile { data: &self.data[t * self.tile..], lane: self.lane, depth: self.depth }
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -308,19 +424,22 @@ fn pack_b(
 // Macro kernel and drivers
 // ----------------------------------------------------------------------
 
-/// Sweeps the packed panels with register tiles, accumulating into
-/// `c_panel` — the `mcb × ncb` destination sub-block of C, handed in as a
-/// (generally strided) [`MatMut`] view.
-fn macro_kernel(kcb: usize, apack: &[f64], bpack: &[f64], mut c_panel: MatMut<'_>) {
+/// Sweeps the `kcb`-deep blocks `a` and `b` with register tiles,
+/// accumulating into `c_panel` — the `mcb × ncb` destination sub-block of
+/// C, handed in as a (generally strided) [`MatMut`] view. A ragged last
+/// tile read in place is copied once into a stack pad.
+fn macro_kernel(fma: bool, kcb: usize, a: Block<'_>, b: Block<'_>, mut c_panel: MatMut<'_>) {
     let (mcb, ncb) = c_panel.shape();
-    for (jp, bp) in bpack.chunks_exact(NR * kcb).enumerate() {
-        let jr = jp * NR;
+    let (mut apad, mut bpad) = ([0.0; MR * KC], [0.0; NR * KC]);
+    a.fill_pad(kcb, &mut apad);
+    b.fill_pad(kcb, &mut bpad);
+    for jr in (0..ncb).step_by(NR) {
         let nrb = NR.min(ncb - jr);
-        for (ip, ap) in apack.chunks_exact(MR * kcb).enumerate() {
-            let ir = ip * MR;
+        let bt = b.tile(jr / NR, &bpad);
+        for ir in (0..mcb).step_by(MR) {
             let mrb = MR.min(mcb - ir);
             let mut acc = [[0.0f64; NR]; MR];
-            run_micro(kcb, ap, bp, &mut acc);
+            run_micro(fma, kcb, a.tile(ir / MR, &apad), bt, &mut acc);
             for (r, acc_row) in acc.iter().enumerate().take(mrb) {
                 let crow = &mut c_panel.row_mut(ir + r)[jr..jr + nrb];
                 for (cv, &av) in crow.iter_mut().zip(&acc_row[..nrb]) {
@@ -329,6 +448,94 @@ fn macro_kernel(kcb: usize, apack: &[f64], bpack: &[f64], mut c_panel: MatMut<'_
             }
         }
     }
+}
+
+/// How one [`gemm_blocked`] call reads its operands and which microkernel
+/// runs its tiles, decided once on the calling thread.
+#[derive(Clone, Copy)]
+struct Plan {
+    a_in_place: bool,
+    b_in_place: bool,
+    fma: bool,
+}
+
+impl Plan {
+    /// Operands in place when `min(m, n) ≤ IN_PLACE_MAX` (`B` only when
+    /// not transposed), the fused kernel when the CPU has it — unless this
+    /// thread is inside [`pinned`].
+    fn new(m: usize, n: usize, tb: Trans) -> Self {
+        let pin = PIN.get();
+        let in_place = pin.in_place.unwrap_or(m.min(n) <= IN_PLACE_MAX);
+        let fma = matches!(simd(), Simd { avx2: true, fma: true }) && !pin.portable;
+        Plan { a_in_place: in_place, b_in_place: in_place && tb == Trans::N, fma }
+    }
+
+    /// Rows `rows` of `op(a)` at depths `depth`: in place, or packed into
+    /// `buf`.
+    fn a_block<'a>(
+        self,
+        a: MatRef<'a>,
+        ta: Trans,
+        rows: Range<usize>,
+        depth: Range<usize>,
+        buf: &'a mut Vec<f64>,
+    ) -> Block<'a> {
+        if self.a_in_place {
+            return Block::a_in_place(a, ta, rows.start, rows.len(), depth.start);
+        }
+        pack_a(a, ta, rows.start, rows.len(), depth.start, depth.len(), buf);
+        Block::packed(buf, MR, depth.len(), rows.len())
+    }
+
+    /// Columns `cols` of `op(b)` at depths `depth`: in place, or packed
+    /// into `buf`.
+    fn b_block<'a>(
+        self,
+        b: MatRef<'a>,
+        tb: Trans,
+        depth: Range<usize>,
+        cols: Range<usize>,
+        buf: &'a mut Vec<f64>,
+    ) -> Block<'a> {
+        if self.b_in_place {
+            return Block::b_in_place(b, depth.start, cols.start, cols.len());
+        }
+        pack_b(b, tb, depth.start, depth.len(), cols.start, cols.len(), buf);
+        Block::packed(buf, NR, depth.len(), cols.len())
+    }
+}
+
+/// A pinned [`gemm_blocked`] plan, for tests and the kernel benchmark
+/// only: both choices give the same bits, and production code never pins.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Pin {
+    /// `Some(true)`: read the operands in place (`B` only when not
+    /// transposed); `Some(false)`: pack both; `None`: the size rule.
+    pub in_place: Option<bool>,
+    /// Run the portable microkernel even on an AVX2+FMA CPU.
+    pub portable: bool,
+}
+
+thread_local! {
+    /// The pin [`Plan::new`] reads; default outside [`pinned`].
+    static PIN: Cell<Pin> = const { Cell::new(Pin { in_place: None, portable: false }) };
+}
+
+/// Runs `f` with every [`gemm_blocked`] call it makes on this thread
+/// planned by `pin` (the pooled path's workers follow the calling
+/// thread's plan); the previous pin is restored afterwards, also on
+/// unwind. For tests and the kernel benchmark only.
+#[doc(hidden)]
+pub fn pinned<R>(pin: Pin, f: impl FnOnce() -> R) -> R {
+    struct Restore(Pin);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PIN.set(self.0);
+        }
+    }
+    let _restore = Restore(PIN.replace(pin));
+    f()
 }
 
 /// `C = op(a)·op(b)` via the blocked path, at any size (no dispatch —
@@ -361,17 +568,21 @@ pub fn gemm_blocked(
 
     let n_pc = kk.div_ceil(KC);
     let n_jc = n.div_ceil(NC);
-
+    let plan = Plan::new(m, n, tb);
     // Both branches below accumulate every C entry over ascending depth
     // blocks (`pc`), with identical per-block tile arithmetic — only the
     // loop nesting around that order differs — so the serial and pooled
-    // paths are bit-identical for any thread count.
+    // paths are bit-identical for any thread count. Reading an operand in
+    // place or packed feeds the tiles the same values, so that choice
+    // cannot move a bit either.
     if pool.threads() > 1 && m > MC {
         // Pack every (jc, pc) block of op(B) once, shared read-only by
         // all row-panel workers (each worker sweeps every block, so
         // per-worker packing would multiply that work by the panel
-        // count); indexed [jci * n_pc + pci].
-        let bpacks: Vec<Vec<f64>> = (0..n_jc * n_pc)
+        // count); indexed [jci * n_pc + pci]. Nothing is packed when B is
+        // read in place.
+        let n_packs = if plan.b_in_place { 0 } else { n_jc * n_pc };
+        let bpacks: Vec<Vec<f64>> = (0..n_packs)
             .map(|idx| {
                 let (jci, pci) = (idx / n_pc, idx % n_pc);
                 let (jc, pc) = (jci * NC, pci * KC);
@@ -380,7 +591,7 @@ pub fn gemm_blocked(
                 buf
             })
             .collect();
-        // One MC-row panel of C: repack the matching A rows per depth
+        // One MC-row panel of C: take the matching A rows per depth
         // block and sweep. Each worker's chunk is reinterpreted as a
         // row-panel view; the `jc` column window is a strided
         // `MatMut` sub-block of it.
@@ -391,19 +602,24 @@ pub fn gemm_blocked(
             for pci in 0..n_pc {
                 let pc = pci * KC;
                 let kcb = KC.min(kk - pc);
-                pack_a(a, ta, ic, mcb, pc, kcb, &mut apack);
+                let ablk = plan.a_block(a, ta, ic..ic + mcb, pc..pc + kcb, &mut apack);
                 for jci in 0..n_jc {
                     let jc = jci * NC;
                     let ncb = NC.min(n - jc);
+                    let bblk = if plan.b_in_place {
+                        Block::b_in_place(b, pc, jc, ncb)
+                    } else {
+                        Block::packed(&bpacks[jci * n_pc + pci], NR, kcb, ncb)
+                    };
                     let panel =
                         MatMut::from_parts(mcb, n, n, crows).submatrix_mut(0, mcb, jc, jc + ncb);
-                    macro_kernel(kcb, &apack, &bpacks[jci * n_pc + pci], panel);
+                    macro_kernel(plan.fma, kcb, ablk, bblk, panel);
                 }
             }
         };
         pool.for_each_chunk_mut(c.data_mut(), MC * n, process_panel);
     } else {
-        // Serial: bounded transient memory — exactly one KC×NC packed B
+        // Serial: bounded transient memory — at most one KC×NC packed B
         // block and one MC×KC packed A block live at a time (the classic
         // Goto scheme), instead of a full padded copy of op(B). The two
         // buffers are thread-local and reused across calls, so the
@@ -417,18 +633,18 @@ pub fn gemm_blocked(
                 for jci in 0..n_jc {
                     let jc = jci * NC;
                     let ncb = NC.min(n - jc);
-                    pack_b(b, tb, pc, kcb, jc, ncb, bpack);
+                    let bblk = plan.b_block(b, tb, pc..pc + kcb, jc..jc + ncb, bpack);
                     for (blk, crows) in cdata.chunks_mut(MC * n).enumerate() {
                         let ic = blk * MC;
                         let mcb = MC.min(m - ic);
-                        pack_a(a, ta, ic, mcb, pc, kcb, apack);
+                        let ablk = plan.a_block(a, ta, ic..ic + mcb, pc..pc + kcb, apack);
                         let panel = MatMut::from_parts(mcb, n, n, crows).submatrix_mut(
                             0,
                             mcb,
                             jc,
                             jc + ncb,
                         );
-                        macro_kernel(kcb, apack, bpack, panel);
+                        macro_kernel(plan.fma, kcb, ablk, bblk, panel);
                     }
                 }
             }

@@ -15,9 +15,10 @@
 //!   helpers, and serial multiply conveniences over [`gemm`] (`matmul`,
 //!   `matmul_tn`, `matmul_nt`, their `_into` forms, and `gram`).
 //! * [`kernel`] — the blocked, register-tiled GEMM layer under [`gemm`]:
-//!   packed `MR×NR` microkernel tiles (AVX2+FMA when the CPU has them,
-//!   detected at runtime) and row-panel fan-out over the pool; small
-//!   products stay on the naive loops.
+//!   `MR×NR` microkernel tiles (AVX2+FMA when the CPU has them, detected
+//!   at runtime) that read a narrow product's operands in place and pack
+//!   a wide one's, and row-panel fan-out over the pool; small products
+//!   stay on the naive loops.
 //! * [`gemm_lanes`] — up to eight small `n×n` products at once, one per
 //!   vector lane, each bitwise what [`gemm`]'s naive loops give (the
 //!   DPar2 `Q_k` step's per-slice products).

@@ -45,8 +45,25 @@
 //! turns that sum into NaN, which the old loop wrote into the block, so
 //! from the first such reflector on the kernel sweeps the full width and
 //! reproduces NaN and ±∞ inputs exactly too.
+//!
+//! # Scale
+//!
+//! A reflector is built from `σ = Σ_{i>0} x_i²` and `α² + σ`, which
+//! underflow for a column of norm below about `1e-154` and overflow above
+//! about `1e154`: unscaled, every reflector of a tiny matrix would be
+//! skipped (`Q = I`, `R` wrong), and a huge one would give a NaN `Q`.
+//! When `α² + σ` leaves `[NORM_MIN², NORM_MAX²]` (`2^∓960`), the reflector
+//! is built from the column scaled by the power of two that puts its
+//! largest entry in `[1, 2)` instead. `v` and `τ` do not depend on the
+//! column's scale, so a scaled column gets the reflector its unscaled copy
+//! would, bit for bit, and `qr(2^k·A)` has the `Q` of `qr(A)` and `R`
+//! exactly `2^k·R(A)` (unless the entries themselves under- or overflow).
+//! Inside the range nothing is scaled. The reflections themselves are
+//! linear and never square an entry. A NaN or infinite column is left
+//! unscaled.
 
 use crate::mat::Mat;
+use crate::svd::pow2;
 use crate::view::AsMatRef;
 use std::ops::Range;
 
@@ -109,8 +126,14 @@ pub fn qr_into(a: impl AsMatRef, q: &mut Mat, r_thin: &mut Mat, ws: &mut QrScrat
         let start = vs.len();
         vs.extend((j..m).map(|i| work.at(i, j)));
         let v = &mut vs[start..];
-        let alpha = v[0];
-        let sigma: f64 = v[1..].iter().map(|&x| x * x).sum();
+        let (mut alpha, mut sigma) = (v[0], sum_sq(&v[1..]));
+        let scale = column_scale(alpha * alpha + sigma, v);
+        if scale != 1.0 {
+            // Only the reflector is built from the scaled column: `v` and
+            // `τ` do not depend on its scale.
+            v.iter_mut().for_each(|x| *x *= scale);
+            (alpha, sigma) = (v[0], sum_sq(&v[1..]));
+        }
         if sigma == 0.0 && alpha >= 0.0 {
             // Column already in upper-triangular form; identity reflector.
             taus.push(0.0);
@@ -159,6 +182,37 @@ pub fn qr_into(a: impl AsMatRef, q: &mut Mat, r_thin: &mut Mat, ws: &mut QrScrat
         let c0 = if full_width { 0 } else { j };
         reflect(q.data_mut(), k, j, v, tau, c0..k, s);
     }
+}
+
+/// `Σ x²` in ascending order.
+fn sum_sq(x: &[f64]) -> f64 {
+    x.iter().map(|&x| x * x).sum()
+}
+
+/// The column norms a reflector is built from unscaled. From `NORM_MIN`
+/// on, a square that underflows is below the rounding of `‖x‖²`; up to
+/// `NORM_MAX`, `σ + v₀² ≤ 5‖x‖²` cannot overflow. The range holds every
+/// norm in `[3.2e-145, 3.1e144]`, so such columns keep their bits.
+const NORM_MIN: f64 = pow2(-480);
+const NORM_MAX: f64 = pow2(480);
+
+/// The power of two a column `x` of squared norm `norm_sq` is scaled by
+/// before its reflector is built: `1` inside `[NORM_MIN², NORM_MAX²]`,
+/// else (a norm whose square underflows, to zero too, or overflows to
+/// `+∞`) the one that puts its largest entry in `[1, 2)`. A zero or
+/// non-finite column is left as it is.
+fn column_scale(norm_sq: f64, x: &[f64]) -> f64 {
+    if norm_sq.is_nan() || (NORM_MIN * NORM_MIN..=NORM_MAX * NORM_MAX).contains(&norm_sq) {
+        return 1.0;
+    }
+    let amax = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    if amax == 0.0 || amax.is_infinite() {
+        return 1.0;
+    }
+    // `amax`'s binary exponent, clamped so the power is normal (a
+    // subnormal `amax` reads as `2^-1023`).
+    let e = ((amax.to_bits() >> 52) as i32 - 1023).clamp(-1022, 1022);
+    pow2(-e)
 }
 
 /// Rows per block of the sweeps in [`reflect`]: a block of the trailing
@@ -353,6 +407,44 @@ mod tests {
         let a = Mat::zeros(4, 3);
         let f = qr(&a);
         assert!((&a - &f.q.matmul(&f.r).unwrap()).fro_norm() < 1e-15);
+    }
+
+    /// Equal bits, entry by entry, of same-shaped matrices.
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn scaling_by_a_power_of_two_keeps_q_and_scales_r() {
+        // Outside [NORM_MIN, NORM_MAX] a column's squares underflow or
+        // overflow; the reflector is built from the column scaled by a
+        // power of two, so `Q` keeps its bits and `R` scales exactly. Tall,
+        // square and wide shapes, and a first column `−e₀` (σ = 0 with
+        // α < 0, whose `α²` underflows too).
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut neg_e0 = gaussian_mat(6, 4, &mut rng);
+        for i in 0..6 {
+            neg_e0.set(i, 0, if i == 0 { -1.5 } else { 0.0 });
+        }
+        let cases = [
+            gaussian_mat(7, 3, &mut rng),
+            gaussian_mat(40, 3, &mut rng),
+            gaussian_mat(88, 18, &mut rng),
+            gaussian_mat(5, 5, &mut rng),
+            gaussian_mat(4, 11, &mut rng),
+            neg_e0,
+        ];
+        for a in &cases {
+            let base = qr(a);
+            for k in [-900, -540, 520, 900] {
+                let c = pow2(k);
+                let f = qr(Mat::from_fn(a.rows(), a.cols(), |i, j| a.at(i, j) * c));
+                let ctx = format!("{:?} times 2^{k}", a.shape());
+                assert_eq!(bits(&f.q), bits(&base.q), "{ctx}: Q");
+                let r_want = Mat::from_fn(base.r.rows(), base.r.cols(), |i, j| base.r.at(i, j) * c);
+                assert_eq!(bits(&f.r), bits(&r_want), "{ctx}: R");
+            }
+        }
     }
 
     #[test]

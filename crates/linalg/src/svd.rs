@@ -172,7 +172,7 @@ pub struct SvdBatchScratch {
 }
 
 /// `2^k`, for `-1022 ≤ k ≤ 1023`.
-const fn pow2(k: i32) -> f64 {
+pub(crate) const fn pow2(k: i32) -> f64 {
     f64::from_bits(((k + 1023) as u64) << 52)
 }
 
@@ -1377,8 +1377,8 @@ mod tests {
         // by a power of two, so `U` and `V` keep their bits and `s` scales
         // exactly — where an absolute floor once skipped every rotation of
         // a small input, and `app·aqq` overflowed on a large one. Square,
-        // wide (transposed) and rank-deficient shapes at every `k`; a tall
-        // one, whose QR squares its column norms unscaled, at moderate `k`.
+        // wide (transposed), tall (QR-preconditioned) and rank-deficient
+        // shapes at every `k`.
         let mut rng = StdRng::seed_from_u64(29);
         // Well-conditioned (Gaussian plus a dominant diagonal), so `U` is
         // orthonormal to a few ulps.
@@ -1387,16 +1387,15 @@ mod tests {
             Mat::from_fn(m, n, |i, j| g.at(i, j) + if i == j { 6.0 } else { 0.0 })
         };
         let cases = [
-            (Mat::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]), 900),
-            (dominant(6, 6), 900),
-            (dominant(5, 6), 900),
-            (dominant(12, 4), 300),
-            (dominant(7, 2).matmul_nt(dominant(7, 2)).unwrap(), 900),
+            Mat::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]),
+            dominant(6, 6),
+            dominant(5, 6),
+            dominant(12, 4),
+            dominant(7, 2).matmul_nt(dominant(7, 2)).unwrap(),
         ];
-        for (a, k_max) in &cases {
+        for a in &cases {
             let base = svd_thin(a);
-            for k in [-900, -100, -30, 30, 300, 900].into_iter().filter(|k: &i32| k.abs() <= *k_max)
-            {
+            for k in [-900, -100, -30, 30, 300, 900] {
                 let c = two_to(k);
                 let mut scaled = a.clone();
                 scaled.data_mut().iter_mut().for_each(|x| *x *= c);
@@ -1404,6 +1403,28 @@ mod tests {
                 let ctx = format!("{:?} times 2^{k}", a.shape());
                 let iu = (&f.u.gram() - &Mat::eye(f.u.cols())).max_abs();
                 assert!(iu < 1e-14, "{ctx}: U not orthonormal: {iu}");
+                assert_eq!(f.u, base.u, "{ctx}: U");
+                assert_eq!(f.v, base.v, "{ctx}: V");
+                for (x, y) in f.s.iter().zip(&base.s) {
+                    assert_eq!(x.to_bits(), (y * c).to_bits(), "{ctx}: s");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tall_inputs_scale_by_a_power_of_two() {
+        // A tall input is QR-preconditioned; its reflectors are built from
+        // power-of-two-scaled columns when the squares would underflow or
+        // overflow, so `U` and `V` keep their bits here too.
+        let mut rng = StdRng::seed_from_u64(31);
+        for (m, n) in [(40, 3), (88, 18), (300, 7)] {
+            let a = gaussian_mat(m, n, &mut rng);
+            let base = svd_thin(&a);
+            for k in [-900, -540, 520, 900] {
+                let c = two_to(k);
+                let f = svd_thin(Mat::from_fn(m, n, |i, j| a.at(i, j) * c));
+                let ctx = format!("{m}x{n} times 2^{k}");
                 assert_eq!(f.u, base.u, "{ctx}: U");
                 assert_eq!(f.v, base.v, "{ctx}: V");
                 for (x, y) in f.s.iter().zip(&base.s) {

@@ -140,6 +140,14 @@ impl<'a> MatRef<'a> {
         &self.data[i * self.row_stride..i * self.row_stride + self.cols]
     }
 
+    /// The backing entries from `(i, j)` on: entry `(i + r, j + c)` is at
+    /// offset `r·row_stride + c` (for the GEMM kernel's in-place operand
+    /// reads).
+    #[inline]
+    pub(crate) fn tail(self, i: usize, j: usize) -> &'a [f64] {
+        &self.data[i * self.row_stride + j..]
+    }
+
     /// Column `j` copied into a new vector.
     pub fn col(self, j: usize) -> Vec<f64> {
         debug_assert!(j < self.cols);

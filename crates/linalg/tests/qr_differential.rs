@@ -3,7 +3,9 @@
 //! [`qr_into`] sweeps rows with tiled column accumulators and skips the
 //! part of the `Q` accumulation that is still exactly zero. It promises
 //! the same `Q` and `R` bits as the straightforward column-at-a-time
-//! kernel it replaced, which is kept below, verbatim, as the oracle. NaN
+//! kernel it replaced, which is kept below as the oracle: verbatim, but
+//! for the scale step both now take (a column whose squared norm underflows
+//! or overflows builds its reflector from a power-of-two-scaled copy). NaN
 //! compares equal to NaN (payloads aside); every other bit must match.
 //!
 //! The shapes cross every tile edge (tall, square and wide), and the
@@ -20,7 +22,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------------
-// The oracle: the column-at-a-time kernel, verbatim.
+// The oracle: the column-at-a-time kernel, verbatim but for the scale
+// step of the reflector construction.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -49,6 +52,18 @@ fn oracle_qr_into(a: &Mat, q: &mut Mat, r_thin: &mut Mat, ws: &mut OracleScratch
         v.extend((j..m).map(|i| r.at(i, j)));
         let alpha = v[0];
         let sigma: f64 = v[1..].iter().map(|&x| x * x).sum();
+        // Scale step (added with the kernel's): a column whose squared
+        // norm leaves [2^-960, 2^960] builds its reflector from the column
+        // scaled so its largest entry lies in [1, 2).
+        let (alpha, sigma) = match oracle_column_scale(alpha * alpha + sigma, v) {
+            1.0 => (alpha, sigma),
+            c => {
+                for x in v.iter_mut() {
+                    *x *= c;
+                }
+                (v[0], v[1..].iter().map(|&x| x * x).sum())
+            }
+        };
         if sigma == 0.0 && alpha >= 0.0 {
             // Column already in upper-triangular form; identity reflector.
             ws.taus.push(0.0);
@@ -115,6 +130,23 @@ fn oracle_qr_into(a: &Mat, q: &mut Mat, r_thin: &mut Mat, ws: &mut OracleScratch
             }
         }
     }
+}
+
+/// The scale step's power of two: `1` for a squared norm inside
+/// `[2^-960, 2^960]`, a NaN one, or a zero or infinite column; else
+/// `2^-e` for the binary exponent `e` of the largest `|x|` (`-1023` when
+/// it is subnormal), clamped to `±1022`.
+fn oracle_column_scale(norm_sq: f64, x: &[f64]) -> f64 {
+    let (lo, hi) = (2f64.powi(-960), 2f64.powi(960));
+    if norm_sq.is_nan() || (lo..=hi).contains(&norm_sq) {
+        return 1.0;
+    }
+    let amax = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    if amax == 0.0 || amax.is_infinite() {
+        return 1.0;
+    }
+    let e = ((amax.to_bits() >> 52) as i32 - 1023).clamp(-1022, 1022);
+    2f64.powi(-e)
 }
 
 // ---------------------------------------------------------------------
@@ -314,14 +346,54 @@ fn poison_from_the_last_reflector_outlives_the_finite_ones() {
 fn tiny_trailing_entries_underflow_the_reflector() {
     // σ is positive but so much smaller than α that v₀ = −σ/(α + ‖x‖)
     // underflows to −0: τ = 0 and v is non-finite in the same reflector.
+    // With α = 1e100 the squared norm is in range; with α = 1e300 it
+    // overflows, and the scaled column's σ underflows to 0 instead (an
+    // identity reflector).
     let mut ws = QrScratch::default();
-    for n in [1, 2, 3, 5, 9] {
-        let a = Mat::from_fn(4, n, |i, j| match (i, j) {
-            (0, 0) => 1e300,
-            (_, 0) => 1e-150,
-            _ => (i * n + j) as f64 - 3.5,
-        });
-        assert_matches_oracle(&a, &mut ws, "underflowing v0");
+    for (big, small) in [(1e100, 1e-160), (1e300, 1e-150)] {
+        for n in [1, 2, 3, 5, 9] {
+            let a = Mat::from_fn(4, n, |i, j| match (i, j) {
+                (0, 0) => big,
+                (_, 0) => small,
+                _ => (i * n + j) as f64 - 3.5,
+            });
+            assert_matches_oracle(&a, &mut ws, &format!("underflowing v0 at {big:e}"));
+        }
+    }
+}
+
+/// `2^k` for `-1074 ≤ k ≤ 1023`, subnormal below `-1022`.
+fn two_to(k: i32) -> f64 {
+    if k < -1022 {
+        f64::from_bits(1 << (k + 1074))
+    } else {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    }
+}
+
+#[test]
+fn columns_whose_squares_underflow_or_overflow() {
+    // Whole matrices (every other entry zero) and single columns far
+    // outside the unscaled range, the latter next to ordinary columns and
+    // with an entry that underflows when its column is scaled down;
+    // against the oracle's scale step.
+    let mut rng = StdRng::seed_from_u64(1510);
+    let mut ws = QrScratch::default();
+    for &m in &ROWS {
+        for n in [1, 3, 8, 18] {
+            for k in [-1074, -1040, -900, -540, -481, 481, 520, 900, 1000] {
+                let c = two_to(k);
+                let g = gaussian_mat(m, n, &mut rng);
+                let a = Mat::from_fn(m, n, |i, j| g.at(i, j) * c * ((i + j) % 2) as f64);
+                assert_matches_oracle(&a, &mut ws, &format!("2^{k}"));
+                let mut a = gaussian_mat(m, n, &mut rng);
+                for i in 0..m {
+                    a.set(i, n / 2, a.at(i, n / 2) * c);
+                }
+                a.set(m - 1, n / 2, 1e-300);
+                assert_matches_oracle(&a, &mut ws, &format!("column times 2^{k}"));
+            }
+        }
     }
 }
 

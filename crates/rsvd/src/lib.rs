@@ -300,6 +300,26 @@ mod tests {
     }
 
     #[test]
+    fn scaling_by_a_power_of_two_scales_only_s() {
+        // Every step is scale-free under a power of two (the QRs build
+        // their reflectors from scaled columns far from norm 1), so `U` and
+        // `V` keep their bits and `s` scales exactly.
+        let a = gmat(200, 40, &mut StdRng::seed_from_u64(13));
+        let config = RsvdConfig::new(6);
+        let base = rsvd(&a, &config, &mut StdRng::seed_from_u64(14));
+        for k in [-900, -600, -540, 520, 600, 900] {
+            let c = f64::from_bits(((k + 1023) as u64) << 52);
+            let scaled = Mat::from_fn(200, 40, |i, j| a.at(i, j) * c);
+            let f = rsvd(&scaled, &config, &mut StdRng::seed_from_u64(14));
+            assert_eq!(f.u, base.u, "2^{k}: U");
+            assert_eq!(f.v, base.v, "2^{k}: V");
+            for (x, y) in f.s.iter().zip(&base.s) {
+                assert_eq!(x.to_bits(), (y * c).to_bits(), "2^{k}: s");
+            }
+        }
+    }
+
+    #[test]
     fn factors_orthonormal() {
         let a = low_rank_noisy(50, 30, 4, 0.1, 5);
         let mut rng = StdRng::seed_from_u64(6);

@@ -343,6 +343,34 @@ fn instrumented_index_search_steady_state_allocates_nothing() {
     assert!(probed.get() >= 63);
 }
 
+/// Stage 1's sketch products on a tall slice (540×88, sketch width 18)
+/// read their operands in place: after one call has sized the output, a
+/// second one-thread `gemm` of each allocates nothing.
+#[test]
+fn stage1_sketch_products_allocate_nothing() {
+    use dpar2_repro::linalg::{gaussian_mat, gemm, Mat, Trans};
+    use dpar2_repro::parallel::ThreadPool;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(9010);
+    let (a, omega, q) = (
+        gaussian_mat(540, 88, &mut rng),
+        gaussian_mat(88, 18, &mut rng),
+        gaussian_mat(540, 18, &mut rng),
+    );
+    let pool = ThreadPool::new(1);
+    let mut c = Mat::zeros(0, 0);
+    let products: [(&str, Trans, &Mat, &Mat); 3] =
+        [("A·Ω", Trans::N, &a, &omega), ("Aᵀ·Q", Trans::T, &a, &q), ("Qᵀ·A", Trans::T, &q, &a)];
+    for (name, ta, x, y) in products {
+        gemm(ta, Trans::N, x, y, &mut c, &pool);
+        let before = allocs_now();
+        gemm(ta, Trans::N, x, y, &mut c, &pool);
+        assert_eq!(allocs_now() - before, 0, "second {name} allocated");
+    }
+}
+
 /// Guard for the measurement itself: the thread-local counter observes this
 /// thread's allocations (so the zero assertions above are meaningful).
 #[test]
