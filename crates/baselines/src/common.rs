@@ -28,10 +28,9 @@ pub fn identity_qs(tensor: &impl SliceTensor, rank: usize) -> Vec<Mat> {
 ///
 /// All baselines start from this `V` with `H = I`, `S_k = I`, matching the
 /// classic direct-fitting algorithm and making cross-method fitness
-/// comparisons meaningful. The Gram sum accumulates in ascending `k`; CSR
-/// slices use the sparse Gram kernel, so for tensors whose dense Grams stay
-/// on the naive dispatch path a CSR tensor gives bitwise the `V` of its
-/// densified tensor.
+/// comparisons meaningful. The Gram sum accumulates in ascending `k`, and
+/// dense and CSR slices sum each Gram in the same order, so a CSR tensor
+/// gives bitwise the `V` of its densified tensor.
 pub fn init_v(tensor: &impl SliceTensor, rank: usize) -> Mat {
     let j = tensor.j();
     let mut gram_sum = Mat::zeros(j, j);

@@ -23,6 +23,10 @@
 //! * `qk_chain` — one 8-slice group of the `Q_k` step's `R×R` product
 //!   chain, one slice per lane vs one `gemm` call per product.
 //! * `two_stage_ablation` — two-stage compression vs stage-1-only.
+//! * `compress_route` — one matrix's rank-10 factorization through the
+//!   randomized SVD vs the Gram route (`gram_into` plus `gram_svd`), at
+//!   stage 1's tall-slices (540×88) and many-slices (60×48) shapes and
+//!   stage 2's 48×15000.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpar2_baselines::common::true_error_sq;
@@ -31,14 +35,14 @@ use dpar2_core::compress::compress;
 use dpar2_core::config::FitOptions;
 use dpar2_core::convergence::compressed_criterion_ws;
 use dpar2_core::lemmas::{g1_ws, g2_ws, g3_ws, materialize_y, naive_g1, naive_g2, naive_g3};
-use dpar2_core::Workspace;
+use dpar2_core::{gram_svd, Workspace};
 use dpar2_data::planted_parafac2;
 use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{
-    interleave_lanes, qr_into, svd_square_lanes, svd_thin_batch_into, svd_truncated, Mat,
-    QrScratch, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
+    gram_into, interleave_lanes, qr_into, svd_square_lanes, svd_thin_batch_into, svd_truncated,
+    Mat, QrScratch, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
 };
 use dpar2_parallel::{greedy_partition, round_robin_partition, ThreadPool};
 use dpar2_rsvd::{rsvd, RsvdConfig};
@@ -350,6 +354,32 @@ fn bench_two_stage_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_compress_route(c: &mut Criterion) {
+    let mut group = c.benchmark_group("compress_route");
+    group.sample_size(10);
+    let mut rng = StdRng::seed_from_u64(13);
+    let (config, serial) = (RsvdConfig::new(10), ThreadPool::new(1));
+    for &(m, n) in &[(540usize, 88usize), (60, 48), (48, 15000)] {
+        let mut x = gaussian_mat(m, 10, &mut rng).matmul_nt(gaussian_mat(n, 10, &mut rng)).unwrap();
+        x.axpy(0.1, &gaussian_mat(m, n, &mut rng));
+        group.bench_function(BenchmarkId::new("rsvd", format!("{m}x{n}")), |b| {
+            b.iter(|| black_box(rsvd(&x, &config, &mut StdRng::seed_from_u64(14))))
+        });
+        let mut g = Mat::default();
+        group.bench_function(BenchmarkId::new("gram", format!("{m}x{n}")), |b| {
+            b.iter(|| {
+                if m < n {
+                    dpar2_linalg::gemm(Trans::N, Trans::T, &x, &x, &mut g, &serial);
+                } else {
+                    gram_into(&x, &mut g);
+                }
+                black_box(gram_svd(&x, &mut g, &config, &mut StdRng::seed_from_u64(14), &serial))
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rsvd_vs_exact,
@@ -363,6 +393,7 @@ criterion_group!(
     bench_svd_batch,
     bench_qk_svd,
     bench_qk_chain,
-    bench_two_stage_ablation
+    bench_two_stage_ablation,
+    bench_compress_route
 );
 criterion_main!(benches);

@@ -35,20 +35,30 @@
 //! `gemm_lanes` (interleaving included) against per-slice `gemm` calls,
 //! at `R` ∈ {5, 10, 20}.
 //!
+//! The compression-route table times one matrix's rank-10 factorization
+//! (`R + s = 18`, one power iteration) in µs per call on one thread:
+//! `rsvd` against the Gram route (`gram_into` or the `gemm` Gram, then
+//! `dpar2_core::gram_svd`), and the Gram product alone, at stage 1's
+//! tall-slices (540×88) and many-slices (60×48, and 30×48 on its row
+//! side) shapes and stage 2's 48×15000; then the sweep over the short side
+//! `m` of a 540-row slice that sets the route's κ.
+//!
 //! Flags: `--sizes 128,256,512` `--threads 1,2,4` `--variant nn|tn|nt|tt`
 //! `--seed N`. To see the end-to-end effect on the paper's headline
 //! experiment, pair with a before/after run of
 //! `cargo run --release -p dpar2-bench --bin fig9_time`.
 
 use dpar2_bench::{print_table, Args, QkChain};
+use dpar2_core::{gram_svd, RsvdConfig};
 use dpar2_linalg::kernel::{self, Pin, Trans};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{
-    interleave_lanes, qr_into, svd_square_lanes, svd_thin_batch_into, Mat, QrScratch,
-    SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
+    gemm, gram_into, interleave_lanes, qr_into, svd_square_lanes, svd_thin_batch_into, Mat,
+    QrScratch, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
 };
 use dpar2_parallel::ThreadPool;
+use dpar2_rsvd::rsvd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -131,6 +141,49 @@ const JACOBI_BATCH: usize = 64;
 
 /// Ranks of the `Q_k` product-chain table, all on `gemm`'s naive loops.
 const CHAIN_RANKS: [usize; 3] = [5, 10, 20];
+
+/// The compression-route table's shapes `(label, rows, cols)`.
+const ROUTE_SHAPES: [(&str, usize, usize); 4] = [
+    ("tall-slices stage 1", 540, 88),
+    ("many-slices stage 1", 60, 48),
+    ("many-slices stage 1, wide", 30, 48),
+    ("many-slices stage 2", 48, 15000),
+];
+
+/// Short sides `m` of the κ sweep, on 540-row slices (`R + s = 18`).
+const ROUTE_SWEEP: [usize; 9] = [24, 48, 72, 96, 112, 126, 144, 162, 192];
+
+/// One rank-10 factorization of `x` each way, µs per call on one thread:
+/// `(rsvd, Gram route, the Gram product alone)`. Planted rank-10 data plus
+/// noise, so the route never falls back.
+fn route_times(rows: usize, cols: usize, seed: u64) -> (f64, f64, f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut x =
+        gaussian_mat(rows, 10, &mut rng).matmul_nt(gaussian_mat(cols, 10, &mut rng)).unwrap();
+    x.axpy(0.1, &gaussian_mat(rows, cols, &mut rng));
+    let (config, serial) = (RsvdConfig::new(10), ThreadPool::new(1));
+    let xt = x.transpose();
+    let mut g = Mat::default();
+    // Stage 1 sums its Grams in naive order; stage 2's wide M takes `gemm`.
+    let gram = |g: &mut Mat| match (rows < cols, cols > 4096) {
+        (true, true) => gemm(Trans::N, Trans::T, &x, &x, g, &serial),
+        (true, false) => gram_into(&xt, g),
+        (false, _) => gram_into(&x, g),
+    };
+    let t_gram = time_per_call(|| {
+        gram(&mut g);
+        black_box(&g);
+    });
+    let t_route = time_per_call(|| {
+        gram(&mut g);
+        let f = gram_svd(&x, &mut g, &config, &mut StdRng::seed_from_u64(seed), &serial);
+        black_box(f.expect("the route takes well-conditioned data"));
+    });
+    let t_rsvd = time_per_call(|| {
+        black_box(rsvd(&x, &config, &mut StdRng::seed_from_u64(seed)));
+    });
+    (t_rsvd * 1e6, t_route * 1e6, t_gram * 1e6)
+}
 
 fn main() {
     let args = Args::parse();
@@ -355,6 +408,26 @@ fn main() {
         ]);
     }
     print_table(&["R", "lanes", "per-slice gemm", "speedup"], &chain_rows);
+    println!();
+
+    println!("Compression route, rank 10, R + s = 18, 1 thread, us per matrix (lower is better)");
+    let mut route_rows: Vec<Vec<String>> = Vec::new();
+    let shapes = ROUTE_SHAPES.iter().copied();
+    let sweep = ROUTE_SWEEP.iter().map(|&m| ("kappa sweep", 540, m));
+    for (label, rows, cols) in shapes.chain(sweep) {
+        let (t_rsvd, t_route, t_gram) = route_times(rows, cols, seed ^ (rows * cols) as u64);
+        route_rows.push(vec![
+            label.into(),
+            format!("{rows}x{cols}"),
+            format!("{:.1}", rows.min(cols) as f64 / 18.0),
+            format!("{t_rsvd:.1}"),
+            format!("{t_route:.1}"),
+            format!("{t_gram:.1}"),
+            format!("{:.2}x", t_rsvd / t_route),
+        ]);
+    }
+    let header = ["matrix", "shape", "m/(R+s)", "rsvd", "Gram route", "of which Gram", "speedup"];
+    print_table(&header, &route_rows);
     println!();
     println!(
         "note: pooled speedup tracks physical cores; correctness across paths is \

@@ -1,15 +1,11 @@
 //! Two-stage compression of an irregular tensor (§III-B, Fig. 4).
 //!
-//! **Stage 1** — randomized SVD of every slice at the target rank:
-//! `X_k ≈ A_k B_k C_kᵀ` with column-orthonormal `A_k ∈ R^{I_k×R}`, diagonal
-//! `B_k`, and `C_k ∈ R^{J×R}`. Slices are distributed over threads with the
-//! greedy partitioning of Algorithm 4, because the rSVD cost is proportional
-//! to `I_k`. Each thread takes its slices in groups of [`SVD_LANES`]
-//! (eight): it sketches each one, factors the group's `(R+s)×J`
-//! projections `B` together with the lane-batched Jacobi SVD (bitwise each
-//! alone), and lifts each slice's factors into that slice's slot.
+//! **Stage 1** — a rank-`R` factorization of every slice,
+//! `X_k ≈ A_k B_k C_kᵀ` with column-orthonormal `A_k ∈ R^{I_k×R}`; only
+//! `A_k` and the product `C_k B_k ∈ R^{J×R}` are kept. Slices are
+//! distributed over threads with the greedy partitioning of Algorithm 4.
 //!
-//! **Stage 2** — randomized SVD of the horizontal concatenation
+//! **Stage 2** — a rank-`R` factorization of the horizontal concatenation
 //! `M = ∥_k (C_k B_k) ∈ R^{J×KR} ≈ D E Fᵀ` with `D ∈ R^{J×R}`, diagonal `E`,
 //! `F ∈ R^{KR×R}`. Writing `F(k)` for the `k`-th `R×R` vertical block of `F`,
 //! the slice re-expression used by every later step is
@@ -21,16 +17,64 @@
 //! Only `{A_k}`, `{F(k)}`, `E`, `D` survive — `O(Σ_k I_k R + K R² + J R)`
 //! floats (Theorem 2), which Fig. 10 of the paper shows is up to 201× smaller
 //! than the input.
+//!
+//! **The Gram route.** Both stages factor a matrix `X` (`rows × cols`)
+//! whose smaller side `m` is often small: `J = 88` on the stock data, and
+//! `M` is `J × KR`. When `l = R + s < m ≤ κ·l` ([`gram_route_applies`]),
+//! [`gram_svd`] works on the small side's Gram `G` (`XᵀX`, or `XXᵀ` when
+//! `rows < cols`), formed in one pass over `X`, instead of sketching the
+//! tall matrix: scale `G` by an even power of two, sketch
+//! `Y = G^{q+1}·Ω` with an `m×l` Gaussian `Ω` (re-orthonormalized between
+//! powers), take `P = qr(Y)` and the `l×l` `T = PᵀGP`, and factor `T`. The
+//! Ritz vectors `W = P·V_T` (the Jacobi `V`, orthonormal to rounding) span
+//! the same subspace as the randomized SVD's one-power-iteration sketch.
+//! On the short side they are `A`, and `C = XᵀA`; on the long side
+//! `A = X·W·Σ⁻¹`, made orthonormal by one CholeskyQR pass `A·Lᵀ`, and
+//! `C = W·Σ·L` (`XᵀA` on `span(W)`). No `rows × l` QR, tall sketch product
+//! or `cols`-wide `Ω` is left. A matrix outside the rule, one whose Gram diagonal leaves
+//! `[2^-500, 2^500]`, a rank-deficient one (`λ_R ≤ 10⁻¹⁰·λ_1`) and one
+//! whose Cholesky fails take the randomized SVD of
+//! [`dpar2_rsvd::rsvd_pooled`] instead, on a fresh RNG stream. Stage 1
+//! takes each thread's slices in groups of [`SVD_LANES`] (eight): it
+//! sketches each one, factors the group's `T`s (and the fallback's
+//! `(R+s)×J` projections) together with the lane-batched Jacobi SVD —
+//! bitwise each alone — and lifts each slice's factors into its slot.
+//! Stage 2 takes the route on `M`, with `F = C·E⁻¹`.
+//!
+//! Every step of the route is homogeneous: the even power of two makes
+//! `compress(2^k·X)` keep the bits of `A_k`, `D` and `F(k)` and scale `E`
+//! by exactly `2^k` while the Grams stay in the window.
 
 use crate::config::FitOptions;
 use crate::error::Result;
 use crate::slices::{validate, SliceTensor};
-use dpar2_linalg::{svd_thin_batch_into, Mat, SvdBatchScratch, SvdFactors, SVD_LANES};
+use dpar2_linalg::{
+    gaussian_mat, gemm, qr_into, svd_thin, svd_thin_batch_into, Mat, QrScratch, SvdBatchScratch,
+    SvdFactors, Trans, SVD_LANES,
+};
 use dpar2_parallel::{greedy_partition, Bucket, ThreadPool};
-use dpar2_rsvd::{rsvd_lift, rsvd_pooled, rsvd_sketch, RsvdConfig, RsvdSketch};
+use dpar2_rsvd::{rsvd_lift, rsvd_pooled, rsvd_sketch, ProductOp, RsvdConfig, RsvdSketch};
 use dpar2_tensor::IrregularTensor;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// The Gram route's κ: it takes matrices whose smaller side `m` is at most
+/// `κ·(R + s)` (see the measured crossover in `CHANGES.md`).
+const GRAM_KAPPA: usize = 6;
+
+/// The Gram diagonals the route takes: inside the window no product of
+/// the route overflows, and what underflows is below `2^-522` relative.
+const GRAM_DIAG_MIN: f64 = pow2(-500);
+const GRAM_DIAG_MAX: f64 = pow2(500);
+
+/// A Gram whose `R`-th Ritz value is at most this fraction of the first is
+/// rank-deficient for the route.
+const GRAM_RANK_TOL: f64 = 1e-10;
+
+/// `2^k`, for `-1022 ≤ k ≤ 1023`.
+const fn pow2(k: i32) -> f64 {
+    f64::from_bits(((k + 1023) as u64) << 52)
+}
 
 /// The compressed representation `{A_k}, {F(k)}, E, D` of an irregular
 /// tensor, produced once before the ALS iterations.
@@ -92,18 +136,172 @@ impl CompressedTensor {
     }
 }
 
+/// A rank-`R` factorization `X ≈ A·Cᵀ` of one matrix: what each stage
+/// keeps.
+#[derive(Debug, Clone, Default)]
+pub struct LowRank {
+    /// Column-orthonormal left factor `A ∈ R^{rows×R}`.
+    pub a: Mat,
+    /// Right factor `C ∈ R^{cols×R}`, `XᵀA` or its part on the route's
+    /// subspace (`C_k B_k` of stage 1, `F·E` of stage 2).
+    pub c: Mat,
+    /// The singular values `σ_1 ≥ … ≥ σ_R` (the columns of `C` have these
+    /// norms, up to the sketch's accuracy).
+    pub s: Vec<f64>,
+}
+
+impl LowRank {
+    /// `A = U`, `C = V·Σ` of a truncated SVD.
+    fn from_svd(f: SvdFactors) -> Self {
+        LowRank { a: f.u, c: scale_columns(f.v, &f.s, |x, s| x * s), s: f.s }
+    }
+}
+
+/// Whether a `rows × cols` matrix takes the Gram route at `config`:
+/// `R + s < min(rows, cols) ≤ κ·(R + s)`. Below it the randomized SVD is
+/// already an exact thin SVD; above it the Gram costs more than sketching.
+pub fn gram_route_applies(rows: usize, cols: usize, config: &RsvdConfig) -> bool {
+    let (m, l) = (rows.min(cols), config.rank + config.oversample);
+    l < m && m <= GRAM_KAPPA * l
+}
+
+/// The rank-`config.rank` factorization of `op` through its small side's
+/// Gram `g` — `opᵀop` if `rows ≥ cols`, else `op·opᵀ` — which it scales in
+/// place (see the module docs). `None` if the route declines: the Gram's
+/// largest diagonal lies outside `[2^-500, 2^500]`, the Ritz values are
+/// rank-deficient, or the CholeskyQR pass fails. Draws the `m × (R+s)`
+/// test matrix from `rng`; bitwise the same for every `pool` size.
+pub fn gram_svd(
+    op: impl ProductOp,
+    g: &mut Mat,
+    config: &RsvdConfig,
+    rng: &mut impl Rng,
+    pool: &ThreadPool,
+) -> Option<LowRank> {
+    let (sketch, t) = gram_sketch(g, config, rng)?;
+    gram_lift(op, &sketch, &svd_thin(&t), config.rank, pool)
+}
+
+/// What [`gram_sketch`] leaves for the lift: the orthonormal basis `P`
+/// (`m × l`) and the power of two `2^half` the Gram was scaled by, squared.
+struct GramSketch {
+    p: Mat,
+    half: i32,
+}
+
+/// Scales `g` by an even power of two and returns the basis `P` of the
+/// sketch `G^{q+1}Ω` and `T = PᵀGP` (`l × l`); `None`, drawing nothing,
+/// if the largest diagonal of `g` is outside the window.
+fn gram_sketch(g: &mut Mat, config: &RsvdConfig, rng: &mut impl Rng) -> Option<(GramSketch, Mat)> {
+    let dmax = (0..g.rows()).fold(0.0f64, |d, i| d.max(g.at(i, i)));
+    if !(GRAM_DIAG_MIN..=GRAM_DIAG_MAX).contains(&dmax) {
+        return None;
+    }
+    let shift = ((dmax.to_bits() >> 52) as i32 - 1023) & !1;
+    g.scale_mut(pow2(-shift));
+    let serial = ThreadPool::new(1);
+    let omega = gaussian_mat(g.rows(), config.rank + config.oversample, rng);
+    let (mut y, mut p, mut r, mut t) =
+        (Mat::default(), Mat::default(), Mat::default(), Mat::default());
+    let mut ws = QrScratch::default();
+    gemm(Trans::N, Trans::N, &*g, &omega, &mut y, &serial);
+    for _ in 0..config.power_iterations {
+        qr_into(&y, &mut p, &mut r, &mut ws);
+        gemm(Trans::N, Trans::N, &*g, &p, &mut y, &serial);
+    }
+    qr_into(&y, &mut p, &mut r, &mut ws);
+    gemm(Trans::N, Trans::N, &*g, &p, &mut y, &serial);
+    gemm(Trans::T, Trans::N, &p, &y, &mut t, &serial);
+    Some((GramSketch { p, half: shift / 2 }, t))
+}
+
+/// The route's factors of `op` from its sketch and the SVD of `T`, at
+/// `rank`; `None` if the Ritz values are rank-deficient or the
+/// CholeskyQR pass fails.
+fn gram_lift(
+    op: impl ProductOp,
+    sketch: &GramSketch,
+    t_svd: &SvdFactors,
+    rank: usize,
+    pool: &ThreadPool,
+) -> Option<LowRank> {
+    let lam = &t_svd.s[..rank];
+    if lam[rank - 1] <= lam[0] * GRAM_RANK_TOL {
+        return None;
+    }
+    let s: Vec<f64> = lam.iter().map(|&x| x.sqrt() * pow2(sketch.half)).collect();
+    let mut w = Mat::default();
+    let v_t = t_svd.v.view().submatrix(0, t_svd.v.rows(), 0, rank);
+    gemm(Trans::N, Trans::N, &sketch.p, v_t, &mut w, pool);
+    let (rows, cols) = op.shape();
+    let mut c = Mat::default();
+    if rows < cols {
+        // G = XXᵀ: the Ritz vectors are A, and C = XᵀA.
+        op.mm_t_into(&w, &mut c, pool);
+        return Some(LowRank { a: w, c, s });
+    }
+    // G = XᵀX: A = X·W·Σ⁻¹ after one CholeskyQR pass A·Lᵀ. Then
+    // Aᵀ·X·W = Lᵀ·Σ, so on span(W), C = XᵀA is W·Σ·L: no second pass over X.
+    let mut a = Mat::default();
+    op.mm_into(&scale_columns(w.clone(), &s, |x, s| x / s), &mut a, pool);
+    let l = cholesky_qr(&mut a, pool)?;
+    gemm(Trans::N, Trans::N, scale_columns(w, &s, |x, s| x * s), &l, &mut c, pool);
+    Some(LowRank { a, c, s })
+}
+
+/// `m` with each entry `x` of column `j` replaced by `f(x, s[j])`.
+pub(crate) fn scale_columns(mut m: Mat, s: &[f64], f: impl Fn(f64, f64) -> f64) -> Mat {
+    for i in 0..m.rows() {
+        for (x, &sj) in m.row_mut(i).iter_mut().zip(s) {
+            *x = f(*x, sj);
+        }
+    }
+    m
+}
+
+/// One CholeskyQR pass: `UᵀU = LLᵀ`, then `U ← U·L⁻ᵀ` row by row by
+/// forward substitution. Returns `L`, or `None` if a pivot is not
+/// positive.
+fn cholesky_qr(u: &mut Mat, pool: &ThreadPool) -> Option<Mat> {
+    let mut g = Mat::default();
+    gemm(Trans::T, Trans::N, &*u, &*u, &mut g, pool);
+    let r = g.rows();
+    let mut l = Mat::zeros(r, r);
+    for j in 0..r {
+        let d = (0..j).fold(g.at(j, j), |d, k| d - l.at(j, k) * l.at(j, k));
+        if d <= 0.0 {
+            return None;
+        }
+        l.set(j, j, d.sqrt());
+        for i in j + 1..r {
+            let v = (0..j).fold(g.at(i, j), |v, k| v - l.at(i, k) * l.at(j, k));
+            l.set(i, j, v / l.at(j, j));
+        }
+    }
+    for i in 0..u.rows() {
+        let row = u.row_mut(i);
+        for j in 0..r {
+            let v = (0..j).fold(row[j], |v, k| v - row[k] * l.at(j, k));
+            row[j] = v / l.at(j, j);
+        }
+    }
+    Some(l)
+}
+
 /// Runs the two-stage compression (lines 2–6 of Algorithm 3) on dense or
 /// CSR slices.
 ///
-/// Stage-1 per-slice randomized SVDs run in parallel over
-/// `options.threads` threads, with slices assigned by greedy number
-/// partitioning on their [work](SliceTensor::work) — row counts for dense
-/// slices (Algorithm 4), nonzeros for CSR ones. Each slice draws from an
-/// independent RNG seeded with `options.seed ⊕ k`, so results are identical
-/// for every thread count. A CSR tensor is never densified: every pass
-/// costs O(nnz·(R+s)), and while every sketch-width product stays on the
-/// dense naive dispatch path (`rank + oversample` below the blocked-GEMM
-/// tile width) the result is **bitwise identical** to compressing
+/// Stage 1 runs in parallel over `options.threads` threads, with slices
+/// assigned by greedy number partitioning on their
+/// [work](SliceTensor::work) — row counts for dense slices (Algorithm 4),
+/// nonzeros for CSR ones. Each slice draws from an independent RNG seeded
+/// with `options.seed ⊕ k`, so results are identical for every thread
+/// count. A CSR tensor is never densified: the Gram route's Gram costs
+/// O(nnz·m) and every other pass O(nnz·(R+s)). Dense and CSR slices sum
+/// their Grams in the same order, so while every other product over a
+/// slice stays on the dense naive dispatch path (`rank + oversample`
+/// below the blocked-GEMM tile width) the result is **bitwise identical**
+/// to compressing
 /// [`SparseIrregularTensor::to_dense`](dpar2_tensor::SparseIrregularTensor::to_dense).
 ///
 /// # Errors
@@ -123,39 +321,55 @@ pub(crate) fn compress_valid<T: SliceTensor>(
     options: &FitOptions<'_>,
 ) -> CompressedTensor {
     let r = options.rank;
-    // ---- Stage 1: per-slice rSVD, greedy-partitioned over threads ----
     let pool = ThreadPool::new(options.threads.max(1));
-    let weights: Vec<usize> = (0..tensor.k()).map(|k| tensor.work(k)).collect();
-    let partition = greedy_partition(&weights, pool.threads());
     // The compression rank always follows `options.rank`; only the
     // oversampling/power-iteration knobs of `options.rsvd` apply.
-    let rsvd_cfg = RsvdConfig { rank: r, ..options.rsvd };
+    let config = RsvdConfig { rank: r, ..options.rsvd };
     let base_seed = options.seed;
-    // One slot per slice; each thread fills the slots of its bucket.
-    let mut stage1: Vec<SvdFactors> = vec![SvdFactors::default(); tensor.k()];
-    let mut scratch = vec![(); partition.len()];
-    pool.for_each_partitioned(&partition, stage1.iter_mut(), &mut scratch, |bucket, _| {
-        stage1_bucket(tensor, bucket, &rsvd_cfg, base_seed);
-    });
+    let (a, cb) = stage1(tensor, &config, |k| stage1_seed(base_seed, k), &pool);
+    let (d, e, f_blocks) = stage2(cb, r, &config, base_seed ^ 0xD1B5_4A32_D192_ED03, &pool);
+    CompressedTensor { a, d, e, f_blocks, rank: r, j: tensor.j() }
+}
 
-    stage2(stage1, r, tensor.j(), &rsvd_cfg, base_seed, &pool)
+/// Stage 1 of every slice of `tensor` — each slice's `A_k` and
+/// `C_k B_k` — slice `k` drawing from the RNG seeded with `seed(k)`,
+/// greedy-partitioned over `pool`: bitwise the same for every pool size.
+pub(crate) fn stage1<T: SliceTensor>(
+    tensor: &T,
+    config: &RsvdConfig,
+    seed: impl Fn(usize) -> u64 + Sync,
+    pool: &ThreadPool,
+) -> (Vec<Mat>, Vec<Mat>) {
+    let weights: Vec<usize> = (0..tensor.k()).map(|k| tensor.work(k)).collect();
+    let partition = greedy_partition(&weights, pool.threads());
+    // One slot per slice; each thread fills the slots of its bucket.
+    let mut slots = vec![LowRank::default(); tensor.k()];
+    let mut scratch = vec![(); partition.len()];
+    pool.for_each_partitioned(&partition, slots.iter_mut(), &mut scratch, |bucket, _| {
+        stage1_bucket(tensor, bucket, config, &seed);
+    });
+    slots.into_iter().map(|f| (f.a, f.c)).unzip()
 }
 
 /// Stage 1 for one thread's slices, in groups of [`SVD_LANES`]: each
-/// slice's sketch (its own RNG stream, so the schedule cannot change the
-/// factorization), then the group's `B` matrices factored together —
-/// bitwise each alone — and each slice's factors lifted into its slot.
-/// Every slot ends bitwise equal to [`dpar2_rsvd::rsvd`] of its slice.
+/// slice's Gram sketch or randomized-SVD sketch (its own RNG stream, so
+/// the schedule cannot change the factorization), then the group's `T`s
+/// and `B`s factored together — bitwise each alone — and each slice's
+/// factors lifted into its slot. Every slot ends bitwise equal to
+/// [`gram_svd`] of its slice where the route applies and takes it, else
+/// to [`dpar2_rsvd::rsvd`] of it.
 fn stage1_bucket<T: SliceTensor>(
     tensor: &T,
-    bucket: &mut Bucket<'_, &mut SvdFactors>,
-    rsvd_cfg: &RsvdConfig,
-    base_seed: u64,
+    bucket: &mut Bucket<'_, &mut LowRank>,
+    config: &RsvdConfig,
+    seed: &impl Fn(usize) -> u64,
 ) {
     let serial = ThreadPool::new(1);
     let mut ws = SvdBatchScratch::default();
     let mut small: [SvdFactors; SVD_LANES] = Default::default();
     let mut group = Vec::with_capacity(SVD_LANES);
+    let mut g = Mat::default();
+    let (mut ts, mut sketches) = (Vec::with_capacity(SVD_LANES), Vec::with_capacity(SVD_LANES));
     let (mut bs, mut lifts) = (Vec::with_capacity(SVD_LANES), Vec::with_capacity(SVD_LANES));
     loop {
         group.clear();
@@ -163,21 +377,51 @@ fn stage1_bucket<T: SliceTensor>(
         if group.is_empty() {
             break;
         }
+        ts.clear();
+        sketches.clear();
         bs.clear();
         lifts.clear();
-        for (g, (k, slot)) in group.iter_mut().enumerate() {
-            let mut rng = StdRng::seed_from_u64(stage1_seed(base_seed, *k));
-            match rsvd_sketch(tensor.slice(*k), rsvd_cfg, &mut rng, &serial) {
-                RsvdSketch::Exact(f) => **slot = f,
+        for (i, (k, slot)) in group.iter_mut().enumerate() {
+            let x = tensor.slice(*k);
+            let (rows, cols) = x.shape();
+            if gram_route_applies(rows, cols, config) {
+                if rows < cols {
+                    tensor.outer_gram_into(*k, &mut g);
+                } else {
+                    tensor.gram_into(*k, &mut g);
+                }
+                let mut rng = StdRng::seed_from_u64(seed(*k));
+                if let Some((sketch, t)) = gram_sketch(&mut g, config, &mut rng) {
+                    ts.push(t);
+                    sketches.push((i, sketch));
+                    continue;
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(seed(*k));
+            match rsvd_sketch(x, config, &mut rng, &serial) {
+                RsvdSketch::Exact(f) => **slot = LowRank::from_svd(f),
                 RsvdSketch::Range { q, b, rank } => {
                     bs.push(b);
-                    lifts.push((g, q, rank));
+                    lifts.push((i, q, rank));
                 }
             }
         }
+        svd_thin_batch_into(&ts, &mut small[..ts.len()], &mut ws);
+        for ((i, sketch), f) in sketches.iter().zip(&small) {
+            let (k, slot) = &mut group[*i];
+            let x = tensor.slice(*k);
+            **slot = gram_lift(&x, sketch, f, config.rank, &serial).unwrap_or_else(|| {
+                LowRank::from_svd(rsvd_pooled(
+                    &x,
+                    config,
+                    &mut StdRng::seed_from_u64(seed(*k)),
+                    &serial,
+                ))
+            });
+        }
         svd_thin_batch_into(&bs, &mut small[..bs.len()], &mut ws);
-        for ((g, q, rank), f) in lifts.iter().zip(&small) {
-            *group[*g].1 = rsvd_lift(q, f, *rank, &serial);
+        for ((i, q, rank), f) in lifts.iter().zip(&small) {
+            *group[*i].1 = LowRank::from_svd(rsvd_lift(q, f, *rank, &serial));
         }
     }
 }
@@ -190,51 +434,48 @@ fn stage1_seed(base_seed: u64, k: usize) -> u64 {
     base_seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k as u64 + 1))
 }
 
-/// Stage 2 — rSVD of `M = ∥_k (C_k B_k) ∈ R^{J×KR}`: stage 1 already
-/// reduced every slice to small dense factors, so from here on the pipeline
-/// is dense and identical regardless of the input representation.
-fn stage2(
-    stage1: Vec<SvdFactors>,
+/// Stage 2 on the `J × R` blocks `[B_1 ∥ … ∥ B_n]` of `M`: its factors
+/// `D`, `E` and the `R×R` blocks of `F`, with `M ≈ D E Fᵀ`, drawing from
+/// the RNG seeded with `seed`. Stage 1 already reduced every slice to
+/// small dense factors, so from here on the pipeline is dense and
+/// identical regardless of the input representation; its products fan out
+/// over `pool`, bitwise the same for every pool size.
+pub(crate) fn stage2(
+    blocks: Vec<Mat>,
     r: usize,
-    j: usize,
-    rsvd_cfg: &RsvdConfig,
-    base_seed: u64,
+    config: &RsvdConfig,
+    seed: u64,
     pool: &ThreadPool,
-) -> CompressedTensor {
-    // C_k B_k is C_k with column c scaled by B_k's c-th singular value.
-    let cb: Vec<Mat> = stage1
-        .iter()
-        .map(|f| {
-            let mut cb = f.v.clone();
-            for i in 0..cb.rows() {
-                let row = cb.row_mut(i);
-                for (col, &s) in f.s.iter().enumerate() {
-                    row[col] *= s;
-                }
-            }
-            cb
-        })
-        .collect();
-    let m = Mat::hstack_all(&cb.iter().collect::<Vec<_>>());
-    let mut rng2 = StdRng::seed_from_u64(base_seed ^ 0xD1B5_4A32_D192_ED03);
-    // Stage 2 is one big `J × KR` factorization with no slice-level
-    // parallelism to exploit, so its GEMM chains fan out over the pool
-    // instead (pooled GEMM is bit-identical for every thread count, which
-    // keeps the whole compression schedule-independent).
-    let f2 = rsvd_pooled(&m, rsvd_cfg, &mut rng2, pool);
-
-    // F ∈ R^{KR×R} comes back as f2.v; carve out the K vertical R×R blocks.
-    let f_blocks: Vec<Mat> =
-        (0..stage1.len()).map(|k| f2.v.block(k * r, (k + 1) * r, 0, r)).collect();
-
-    CompressedTensor {
-        a: stage1.into_iter().map(|f| f.u).collect(),
-        d: f2.u,
-        e: f2.s,
-        f_blocks,
-        rank: r,
-        j,
-    }
+) -> (Mat, Vec<f64>, Vec<Mat>) {
+    let n = blocks.len();
+    let m = Mat::hstack_all(&blocks.iter().collect::<Vec<_>>());
+    drop(blocks);
+    let (rows, cols) = m.shape();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = Mat::default();
+    let via_gram = if gram_route_applies(rows, cols, config) {
+        if rows < cols {
+            gemm(Trans::N, Trans::T, &m, &m, &mut g, pool);
+        } else {
+            gemm(Trans::T, Trans::N, &m, &m, &mut g, pool);
+        }
+        gram_svd(&m, &mut g, config, &mut rng, pool)
+    } else {
+        None
+    };
+    let (d, e, f) = match via_gram {
+        Some(LowRank { a, c, s }) => {
+            let f = scale_columns(c, &s, |x, e| x / e);
+            (a, s, f)
+        }
+        None => {
+            let f2 = rsvd_pooled(&m, config, &mut StdRng::seed_from_u64(seed), pool);
+            (f2.u, f2.s, f2.v)
+        }
+    };
+    // F ∈ R^{nR×R}: carve out the n vertical R×R blocks.
+    let f_blocks = (0..n).map(|k| f.block(k * r, (k + 1) * r, 0, r)).collect();
+    (d, e, f_blocks)
 }
 
 #[cfg(test)]
@@ -260,6 +501,122 @@ mod tests {
             })
             .collect();
         IrregularTensor::new(slices)
+    }
+
+    /// `U·diag(σ)·Vᵀ` with orthonormal `U`, `V` and the given spectrum,
+    /// plus Gaussian noise at `eps`.
+    fn spectrum(rows: usize, cols: usize, sigma: &[f64], eps: f64, seed: u64) -> Mat {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let u = dpar2_linalg::qr(gaussian_mat(rows, sigma.len(), &mut rng)).q;
+        let v = dpar2_linalg::qr(gaussian_mat(cols, sigma.len(), &mut rng)).q;
+        let mut x = scale_columns(u, sigma, |x, s| x * s).matmul_nt(&v).unwrap();
+        x.axpy(eps, &gaussian_mat(rows, cols, &mut rng));
+        x
+    }
+
+    /// The route on `x` through its small side's Gram.
+    fn route(x: &Mat, config: &RsvdConfig, seed: u64) -> Option<LowRank> {
+        let mut g = Mat::default();
+        if x.rows() < x.cols() {
+            dpar2_linalg::gram_into(x.transpose(), &mut g);
+        } else {
+            dpar2_linalg::gram_into(x, &mut g);
+        }
+        gram_svd(x, &mut g, config, &mut StdRng::seed_from_u64(seed), &ThreadPool::new(1))
+    }
+
+    fn orthonormality_error(a: &Mat) -> f64 {
+        (&a.gram() - &Mat::eye(a.cols())).fro_norm()
+    }
+
+    #[test]
+    fn gram_route_matches_the_exact_and_randomized_svds() {
+        // Well-conditioned slices, tall and wide, inside the rule at
+        // R + s = 13: the route's σ are the exact top-R ones, its `A` is
+        // orthonormal, and it truncates no worse than `rsvd`.
+        let sigma = [9.0, 7.5, 6.0, 4.0, 3.0];
+        let config = RsvdConfig::new(5);
+        for (rows, cols, eps) in [(200, 40, 1e-3), (30, 60, 1e-3), (500, 72, 0.05), (60, 48, 0.1)] {
+            assert!(gram_route_applies(rows, cols, &config));
+            let x = spectrum(rows, cols, &sigma, eps, (rows * cols) as u64);
+            let f = route(&x, &config, 7).expect("the route takes a well-conditioned slice");
+            if eps < 0.01 {
+                let exact = svd_thin(&x);
+                for (got, want) in f.s.iter().zip(&exact.s) {
+                    assert!((got - want).abs() <= 1e-10 * want, "{rows}x{cols}: σ {got} vs {want}");
+                }
+            }
+            assert!(orthonormality_error(&f.a) <= 1e-13, "{rows}x{cols}: A not orthonormal");
+            let residual = (&x - &f.a.matmul_nt(&f.c).unwrap()).fro_norm();
+            let r = dpar2_rsvd::rsvd(&x, &config, &mut StdRng::seed_from_u64(7));
+            let rsvd_residual = (&x - &r.reconstruct()).fro_norm();
+            assert!(
+                residual <= rsvd_residual * (1.0 + 1e-6),
+                "{rows}x{cols}: residual {residual} vs rsvd {rsvd_residual}"
+            );
+        }
+    }
+
+    /// Slices inside the rule on both sides (`J = 40`, `R + s = 13`).
+    fn routed_tensor(seed: u64) -> IrregularTensor {
+        planted(&[120, 45, 200, 30, 64, 22, 90, 150, 40, 75], 40, 4, 0.1, seed)
+    }
+
+    #[test]
+    fn compressed_factors_are_orthonormal_on_the_route() {
+        let t = routed_tensor(20);
+        let options = FitOptions::new(5).with_seed(21);
+        let c = compress(&t, &options).unwrap();
+        for (k, a) in c.a.iter().enumerate() {
+            assert!(gram_route_applies(t.i(k), t.j(), &options.rsvd));
+            assert!(orthonormality_error(a) <= 1e-13, "A_{k}: {}", orthonormality_error(a));
+        }
+        assert!(orthonormality_error(&c.d) <= 1e-13, "D: {}", orthonormality_error(&c.d));
+    }
+
+    #[test]
+    fn compression_scales_exactly_with_a_power_of_two() {
+        let t = routed_tensor(22);
+        let options = FitOptions::new(5).with_seed(23);
+        let base = compress(&t, &options).unwrap();
+        for k in [-200, -40, 130, 200] {
+            let c = pow2(k);
+            let scaled = IrregularTensor::new(
+                t.to_slices()
+                    .iter()
+                    .map(|x| Mat::from_fn(x.rows(), x.cols(), |i, j| x.at(i, j) * c))
+                    .collect(),
+            );
+            let got = compress(&scaled, &options).unwrap();
+            assert_eq!(got.a, base.a, "2^{k}: A");
+            assert_eq!(got.d, base.d, "2^{k}: D");
+            assert_eq!(got.f_blocks, base.f_blocks, "2^{k}: F");
+            for (x, y) in got.e.iter().zip(&base.e) {
+                assert_eq!(x.to_bits(), (y * c).to_bits(), "2^{k}: E");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_and_rank_deficient_slices_fall_back_cleanly() {
+        // The route declines both (a zero Gram is outside the scale
+        // window, a rank-1 one is rank-deficient at R = 3); their factors
+        // come from the randomized SVD, finite and orthonormal.
+        let mut rng = StdRng::seed_from_u64(24);
+        let rank_one =
+            gaussian_mat(50, 1, &mut rng).matmul_nt(gaussian_mat(30, 1, &mut rng)).unwrap();
+        let config = RsvdConfig::new(3);
+        assert!(route(&Mat::zeros(50, 30), &config, 1).is_none());
+        assert!(route(&rank_one, &config, 1).is_none());
+        let mut slices = planted(&[40, 60], 30, 3, 0.1, 25).to_slices();
+        slices.extend([Mat::zeros(50, 30), rank_one, Mat::zeros(20, 30)]);
+        let c = compress(&IrregularTensor::new(slices), &FitOptions::new(3).with_seed(26)).unwrap();
+        for (k, a) in c.a.iter().enumerate() {
+            assert!(a.data().iter().all(|x| x.is_finite()), "A_{k} not finite");
+            assert!(orthonormality_error(a) <= 1e-12, "A_{k}: {}", orthonormality_error(a));
+        }
+        assert!(c.e.iter().chain(c.d.data()).all(|x| x.is_finite()));
+        assert!(c.f_blocks.iter().all(|f| f.data().iter().all(|x| x.is_finite())));
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod slices;
 pub mod solver;
 pub mod streaming;
 
-pub use compress::{compress, CompressedTensor};
+pub use compress::{compress, gram_route_applies, gram_svd, CompressedTensor, LowRank};
 pub use config::FitOptions;
 pub use error::{Dpar2Error, Result};
 pub use fitness::{fitness, Parafac2Fit, TimingBreakdown};

@@ -13,8 +13,8 @@
 
 use crate::error::{Dpar2Error, Result};
 use dpar2_linalg::mat::dot;
-use dpar2_linalg::sparse::{sparse_gram_into, SparseSlice};
-use dpar2_linalg::{Mat, MatRef};
+use dpar2_linalg::sparse::{sparse_gram_into, sparse_outer_gram_into, SparseSlice};
+use dpar2_linalg::{gram_into, Mat, MatRef};
 use dpar2_rsvd::{ProductOp, SparseVStack};
 use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
 
@@ -54,8 +54,13 @@ pub trait SliceTensor: Sync {
     /// Index of the first slice storing a NaN or ±∞.
     fn first_non_finite(&self) -> Option<usize>;
 
-    /// `G = X_kᵀ X_k` into `g` (resized).
+    /// `G = X_kᵀ X_k` into `g` (resized), every entry summed over rows in
+    /// ascending order: dense and CSR storage give the same bits.
     fn gram_into(&self, k: usize, g: &mut Mat);
+
+    /// `G = X_k X_kᵀ` into `g` (resized), every entry summed over columns
+    /// in ascending order: dense and CSR storage give the same bits.
+    fn outer_gram_into(&self, k: usize, g: &mut Mat);
 
     /// `‖X_k − M Vᵀ‖²_F` for a model factor `M ∈ R^{I_k×R}`, summed in the
     /// dense row-major order on caller scratch.
@@ -106,8 +111,11 @@ impl SliceTensor for IrregularTensor {
     }
 
     fn gram_into(&self, k: usize, g: &mut Mat) {
-        let x = self.slice(k);
-        x.matmul_tn_into(x, g);
+        gram_into(self.slice(k), g);
+    }
+
+    fn outer_gram_into(&self, k: usize, g: &mut Mat) {
+        gram_into(self.slice(k).transpose(), g);
     }
 
     fn residual_sq(&self, k: usize, m: &Mat, v: &Mat, scratch: &mut Mat) -> f64 {
@@ -150,6 +158,10 @@ impl SliceTensor for SparseIrregularTensor {
 
     fn gram_into(&self, k: usize, g: &mut Mat) {
         sparse_gram_into(self.slice(k), g);
+    }
+
+    fn outer_gram_into(&self, k: usize, g: &mut Mat) {
+        sparse_outer_gram_into(self.slice(k), g);
     }
 
     /// O(nnz + I_k·J·R): each model row is formed with the same [`dot`] the

@@ -7,7 +7,9 @@
 //! Rather than recompressing everything, [`StreamingDpar2`] maintains the
 //! two-stage compressed representation incrementally:
 //!
-//! 1. **Stage 1** runs only on the *new* slices: `X_k ≈ A_k B_k C_kᵀ`.
+//! 1. **Stage 1** runs only on the *new* slices: `X_k ≈ A_k B_k C_kᵀ`, in
+//!    the same lane groups and on the same Gram route as
+//!    [`compress`](crate::compress()).
 //! 2. **Stage 2** is updated without touching old data. With the current
 //!    factorization `M ≈ D E Fᵀ`, the extended matrix is
 //!    `M' = [D E Fᵀ ∥ M_new]`. Its column space lies inside
@@ -24,13 +26,14 @@
 //!    * new slice `j`: `F'(K+j)` is the `j`-th `R×R` block of `G'` below
 //!      the top.
 //!
-//!    Cost: `O(J·K_new·R²)` — independent of the number of *old* slices
-//!    and of `Σ I_k`.
+//!    This is [`compress`](crate::compress())'s stage 2 on `G`; on its Gram
+//!    route it costs `O(J²·K_new·R)` — independent of the number of *old*
+//!    slices and of `Σ I_k`.
 //! 3. Decompositions warm-start from the previous window's factors
 //!    (`H`, `V`, and `W` extended with unit rows for the newcomers), which
 //!    empirically cuts the iterations to re-converge.
 
-use crate::compress::{compress, CompressedTensor};
+use crate::compress::{compress, scale_columns, stage1, stage2, CompressedTensor};
 use crate::config::FitOptions;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::Parafac2Fit;
@@ -38,14 +41,13 @@ use crate::session::{FitObserver, NoopObserver, StopReason};
 use crate::slices::{validate_from, OwnedSlice, SliceTensor};
 use crate::solver::{Dpar2, WarmStart};
 use dpar2_linalg::Mat;
-use dpar2_rsvd::{rsvd, RsvdConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dpar2_parallel::ThreadPool;
+use dpar2_rsvd::RsvdConfig;
 
 /// Derives a per-slice sketch seed from `(base, k)` with a splitmix64-style
 /// finalizer. A plain `base.wrapping_mul(k + 1)` collides badly: any even
 /// `base` sheds low-bit entropy and `base = 0` hands every slice the
-/// identical RNG stream, correlating the rsvd sketches across slices.
+/// identical RNG stream, correlating the sketches across slices.
 fn stream_seed(base: u64, k: usize) -> u64 {
     let mut z = base.wrapping_add((k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -163,8 +165,9 @@ impl StreamingDpar2 {
         }
     }
 
-    /// Incremental stage-2 update with a batch of freshly compressed
-    /// slices.
+    /// Incremental update with a batch: stage 1 of the new slices, then
+    /// stage 2 on `[D·E ∥ C_1B_1 ∥ … ∥ C_newB_new]` (the module-docs
+    /// algebra) — the same two stages [`compress`] runs.
     fn extend<T: SliceTensor>(
         &self,
         old: &CompressedTensor,
@@ -172,15 +175,21 @@ impl StreamingDpar2 {
     ) -> Result<CompressedTensor> {
         let r = self.options.rank;
         validate_from(batch, r, old.k())?;
-        let (base_seed, rsvd_cfg) = self.batch_stage1_params(r);
-        let stage1: Vec<(Mat, Vec<f64>, Mat)> = (0..batch.k())
-            .map(|k| {
-                let mut rng = StdRng::seed_from_u64(stream_seed(base_seed, k));
-                let f = rsvd(batch.slice(k), &rsvd_cfg, &mut rng);
-                (f.u, f.s, f.v)
-            })
-            .collect();
-        Ok(Self::extend_stage2(old, stage1, r, base_seed, &rsvd_cfg))
+        let (base_seed, config) = self.batch_stage1_params(r);
+        let pool = ThreadPool::new(self.options.threads.max(1));
+        let (new_a, cb) = stage1(batch, &config, |k| stream_seed(base_seed, k), &pool);
+        let de = scale_columns(old.d.clone(), &old.e, |x, e| x * e);
+        let blocks = std::iter::once(de).chain(cb).collect();
+        let (d, e, mut g_blocks) = stage2(blocks, r, &config, base_seed ^ 0x0B5E55ED, &pool);
+        // Rewrite old F-blocks against the new basis: F'(k) = F(k)·G'_top;
+        // the new blocks come straight from G' below the top rows.
+        let g_top = g_blocks.remove(0);
+        let mut f_blocks: Vec<Mat> =
+            old.f_blocks.iter().map(|fk| fk.matmul(&g_top).expect("F(k)·G'_top")).collect();
+        f_blocks.extend(g_blocks);
+        let mut a = old.a.clone();
+        a.extend(new_a);
+        Ok(CompressedTensor { a, d, e, f_blocks, rank: r, j: old.j })
     }
 
     /// Seed base and rsvd configuration for the batch currently being
@@ -192,53 +201,6 @@ impl StreamingDpar2 {
         let ordinal = self.appended_batches as u64 + 1;
         let base_seed = self.options.seed.wrapping_add(0x5EED_0000 + ordinal);
         (base_seed, RsvdConfig { rank: r, ..self.options.rsvd })
-    }
-
-    /// Incremental stage-2 basis update (the module-docs algebra): by this
-    /// point the batch only exists as its stage-1 factors.
-    fn extend_stage2(
-        old: &CompressedTensor,
-        stage1: Vec<(Mat, Vec<f64>, Mat)>,
-        r: usize,
-        base_seed: u64,
-        rsvd_cfg: &RsvdConfig,
-    ) -> CompressedTensor {
-        let batch_k = stage1.len();
-        // G = [D·E ∥ C_1B_1 ∥ … ∥ C_newB_new] ∈ R^{J×(R + K_new R)}.
-        let mut de = old.d.clone();
-        for i in 0..de.rows() {
-            let row = de.row_mut(i);
-            for (c, &ev) in old.e.iter().enumerate() {
-                row[c] *= ev;
-            }
-        }
-        let mut blocks: Vec<Mat> = vec![de];
-        for (_, b, c) in &stage1 {
-            let mut cb = c.clone();
-            for i in 0..cb.rows() {
-                let row = cb.row_mut(i);
-                for (col, &s) in b.iter().enumerate() {
-                    row[col] *= s;
-                }
-            }
-            blocks.push(cb);
-        }
-        let g = Mat::hstack_all(&blocks.iter().collect::<Vec<_>>());
-        let mut rng2 = StdRng::seed_from_u64(base_seed ^ 0x0B5E55ED);
-        let f2 = rsvd(&g, rsvd_cfg, &mut rng2);
-
-        // Rewrite old F-blocks against the new basis: F'(k) = F(k)·G'_top.
-        let g_top = f2.v.block(0, r, 0, r);
-        let mut f_blocks: Vec<Mat> =
-            old.f_blocks.iter().map(|fk| fk.matmul(&g_top).expect("F(k)·G'_top")).collect();
-        // New blocks come straight from G' below the top rows.
-        for j in 0..batch_k {
-            f_blocks.push(f2.v.block(r + j * r, r + (j + 1) * r, 0, r));
-        }
-
-        let mut a = old.a.clone();
-        a.extend(stage1.into_iter().map(|(u, _, _)| u));
-        CompressedTensor { a, d: f2.u, e: f2.s, f_blocks, rank: r, j: old.j }
     }
 
     /// Decomposes the current collection, warm-starting from the previous
@@ -296,7 +258,8 @@ mod tests {
     use dpar2_linalg::random::gaussian_mat;
     use dpar2_linalg::{qr, SparseSlice};
     use dpar2_tensor::IrregularTensor;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Planted PARAFAC2 slices sharing H and V so that streaming batches
     /// stay mutually consistent.

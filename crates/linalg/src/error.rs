@@ -39,12 +39,6 @@ pub enum LinalgError {
         /// Human-readable name of the operation that failed.
         op: &'static str,
     },
-    /// The input held a NaN or an infinity where finite entries were
-    /// required.
-    NonFinite {
-        /// Human-readable name of the operation that failed.
-        op: &'static str,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -62,7 +56,6 @@ impl fmt::Display for LinalgError {
                 write!(f, "{op}: no convergence after {iterations} iterations")
             }
             LinalgError::Singular { op } => write!(f, "{op}: matrix is singular"),
-            LinalgError::NonFinite { op } => write!(f, "{op}: input has a non-finite entry"),
         }
     }
 }
@@ -98,12 +91,6 @@ mod tests {
     fn display_singular() {
         let e = LinalgError::Singular { op: "lu_solve" };
         assert_eq!(e.to_string(), "lu_solve: matrix is singular");
-    }
-
-    #[test]
-    fn display_non_finite() {
-        let e = LinalgError::NonFinite { op: "eig_sym" };
-        assert_eq!(e.to_string(), "eig_sym: input has a non-finite entry");
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! * [`gemm_lanes`] — up to eight small `n×n` products at once, one per
 //!   vector lane, each bitwise what [`gemm`]'s naive loops give (the
 //!   DPar2 `Q_k` step's per-slice products).
+//! * [`gram_into`] — the Gram `XᵀX`, every entry summed over rows in the
+//!   naive loops' ascending order (so a CSR slice's Gram,
+//!   [`sparse::sparse_gram_into`], is bitwise its densified one), in
+//!   register tiles over the upper triangle.
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
 //!   preconditioning for tall matrices; scale-invariant), plus
@@ -30,19 +34,18 @@
 //!   bitwise equal to factoring each alone: [`svd_thin_batch_into`] on
 //!   `Mat`s of any shape, and [`svd_square_lanes`] on square matrices in
 //!   [`gemm_lanes`]' lane stores, in and out.
-//! * [`eig`] — cyclic Jacobi eigendecomposition of symmetric matrices.
 //! * [`mod@pinv`] — Moore–Penrose pseudoinverse via the SVD, as required by the
 //!   CP-ALS update rules (the `†` operator in Algorithm 2/3 of the paper).
 //! * [`solve`] — LU and triangular solves (used by tests and baselines).
 //! * [`random`] — seeded Gaussian/uniform matrix generation (Box–Muller), the
 //!   `Ω` test matrices of randomized SVD.
 //! * [`sparse`] — CSR slices ([`SparseSlice`], [`CooBuilder`]) and the
-//!   sparse kernel family (the four SpMM products on a pool, Gram, mode-3
+//!   sparse kernel family (the four SpMM products on a pool, both Grams, mode-3
 //!   MTTKRP, norms over nonzeros), each bitwise identical to densifying and
 //!   running the corresponding naive dense loop.
 //!
 //! Everything is deterministic given a seed and needs no external BLAS.
-//! The crate is safe Rust except for three narrowly-scoped exceptions of
+//! The crate is safe Rust except for four narrowly-scoped exceptions of
 //! one shape — a `#[target_feature]` function (`unsafe` to call) and its
 //! call site, guarded by one cached `is_x86_feature_detected!` probe:
 //!
@@ -52,7 +55,9 @@
 //!    its portable fallback;
 //! 3. [`svd`]: the AVX2 build of [`gemm_lanes`]' portable lane loop (the
 //!    same body compiled a second time, no intrinsics), bitwise equal to
-//!    it.
+//!    it;
+//! 4. [`mat`]: the AVX2 build of [`gram_into`]'s tile loop (likewise),
+//!    bitwise equal to the portable one.
 //!
 //! ## Example
 //!
@@ -70,7 +75,6 @@
 // ranges; explicit index loops are the clearest and fastest expression.
 #![allow(clippy::needless_range_loop)]
 
-pub mod eig;
 pub mod error;
 pub mod kernel;
 pub mod mat;
@@ -85,7 +89,7 @@ pub mod view;
 
 pub use error::{LinalgError, Result};
 pub use kernel::Trans;
-pub use mat::{gemm, Mat};
+pub use mat::{gemm, gram_into, Mat};
 pub use pinv::{pinv, pinv_into};
 pub use qr::{qr, qr_into, QrFactors, QrScratch};
 pub use random::{gaussian_mat, uniform_mat};

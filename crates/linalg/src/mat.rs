@@ -620,6 +620,108 @@ pub fn gemm(
     }
 }
 
+/// `G = XᵀX` (`n×n` for `m×n` `X`) into `g`, every entry summed over the
+/// rows in ascending order with a separate multiply and add — the order
+/// of the naive `Xᵀ·X` loops and of [`crate::sparse::sparse_gram_into`],
+/// at every size, so a CSR slice's Gram is bitwise its densified one. The
+/// upper triangle runs in register tiles over the full depth (no depth
+/// blocking, which would reassociate the sums) and is mirrored, since
+/// products commute exactly: half a general product's work, on no
+/// packing. On a CPU with AVX2 the same tile loop runs compiled for it,
+/// `4×8` tiles instead of `4×4` (the crate's fourth contained `unsafe`
+/// exception, with no intrinsics); every entry keeps its bits.
+pub fn gram_into(x: impl AsMatRef, g: &mut Mat) {
+    let x = x.as_mat_ref();
+    let n = x.cols();
+    g.resize_zeroed(n, n);
+    gram_upper_dispatch(x, g);
+    for i in 1..n {
+        for j in 0..i {
+            let v = g.at(j, i);
+            g.set(i, j, v);
+        }
+    }
+}
+
+/// The upper triangle of [`gram_into`], on the AVX2 build of the tile
+/// loop when the CPU has it.
+fn gram_upper_dispatch(x: MatRef<'_>, g: &mut Mat) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel::simd().avx2 {
+        // SAFETY: `simd` verified AVX2 support on this CPU, which is the
+        // only precondition of the `#[target_feature]` fn.
+        #[allow(unsafe_code)]
+        unsafe {
+            gram_upper_avx2(x, g)
+        };
+        return;
+    }
+    gram_upper::<4>(x, g);
+}
+
+/// [`gram_upper`] compiled for AVX2 (no intrinsics: the same loop, four
+/// lanes wide).
+///
+/// # Safety
+/// The CPU must support AVX2 (see [`gram_upper_dispatch`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)] // contained SIMD exception; see the crate docs
+unsafe fn gram_upper_avx2(x: MatRef<'_>, g: &mut Mat) {
+    gram_upper::<8>(x, g);
+}
+
+/// The entries `g[i][j]`, `j ≥ i`, of `XᵀX` (and some below the diagonal
+/// in the diagonal tiles): `4×W` tiles, then `4×4` ones at a row's ragged
+/// end, then single entries.
+#[inline(always)]
+fn gram_upper<const W: usize>(x: MatRef<'_>, g: &mut Mat) {
+    const H: usize = 4;
+    let n = x.cols();
+    for i0 in (0..n).step_by(H) {
+        let mut j0 = i0;
+        while j0 < n {
+            if i0 + H <= n && j0 + W <= n {
+                gram_tile::<H, W>(x, i0, j0, g);
+                j0 += W;
+            } else if i0 + H <= n && j0 + H <= n {
+                gram_tile::<H, H>(x, i0, j0, g);
+                j0 += H;
+            } else {
+                for i in i0..(i0 + H).min(n) {
+                    for j in j0.max(i)..n {
+                        let mut acc = 0.0;
+                        for p in 0..x.rows() {
+                            acc += x.at(p, i) * x.at(p, j);
+                        }
+                        g.set(i, j, acc);
+                    }
+                }
+                j0 = n;
+            }
+        }
+    }
+}
+
+/// One `H×W` tile of `XᵀX` at `(i0, j0)`, summed over all rows.
+#[inline(always)]
+fn gram_tile<const H: usize, const W: usize>(x: MatRef<'_>, i0: usize, j0: usize, g: &mut Mat) {
+    let mut acc = [[0.0; W]; H];
+    for p in 0..x.rows() {
+        let row = x.row(p);
+        let a: &[f64; H] = row[i0..i0 + H].try_into().unwrap();
+        let b: &[f64; W] = row[j0..j0 + W].try_into().unwrap();
+        for (accr, &ar) in acc.iter_mut().zip(a) {
+            for (cv, &bv) in accr.iter_mut().zip(b) {
+                *cv += ar * bv;
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        g.row_mut(i0 + r)[j0..j0 + W].copy_from_slice(accr);
+    }
+}
+
 /// Stride-aware naive loops, one per transpose variant. Arithmetic order is
 /// identical to the historical contiguous loops (each inner loop streams
 /// rows, which stay contiguous in any view).
@@ -866,6 +968,38 @@ mod tests {
 
     fn abcd() -> Mat {
         Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])
+    }
+
+    #[test]
+    fn gram_kernels_match_the_naive_order() {
+        // The portable 4×4 and 4×8 tilings and the dispatched kernel (the
+        // AVX2 build where the CPU has it) all give the naive `XᵀX` bits,
+        // across ragged tile edges and a strided view.
+        for (m, n) in [(0, 5), (7, 1), (9, 3), (30, 4), (17, 9), (40, 13), (33, 20), (25, 88)] {
+            let x = Mat::from_fn(m, n, |i, j| {
+                ((i * 31 + j * 17) as f64).sin() * 2f64.powi(j as i32 % 5)
+            });
+            let mut want = Mat::default();
+            kernel::gemm_naive_into(Trans::T, Trans::N, &x, &x, &mut want);
+            let mut got = Mat::default();
+            gram_into(&x, &mut got);
+            assert_eq!(got, want, "{m}x{n} dispatched");
+            for upper in [gram_upper::<4>, gram_upper::<8>] {
+                got.resize_zeroed(n, n);
+                upper(x.view(), &mut got);
+                for i in 0..n {
+                    for j in i..n {
+                        assert_eq!(got.at(i, j).to_bits(), want.at(i, j).to_bits(), "{m}x{n}");
+                    }
+                }
+            }
+        }
+        let host = Mat::from_fn(20, 30, |i, j| ((i * 7 + j) as f64).cos());
+        let view = host.view().submatrix(2, 19, 3, 24);
+        let (mut want, mut got) = (Mat::default(), Mat::default());
+        kernel::gemm_naive_into(Trans::T, Trans::N, view, view, &mut want);
+        gram_into(view, &mut got);
+        assert_eq!(got, want, "strided view");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * Kernels — [`spmm_into`] (`A·B`), [`spmm_t_into`] (`Aᵀ·B`),
 //!   [`spmm_nt_into`] (`A·Bᵀ`, the `A·Ωᵀ`-shaped sketching product),
 //!   [`spmm_tn_into`] (`Qᵀ·A`, the `Y_k = Q_kᵀX_k` product of SPARTan's
-//!   inner step), [`sparse_gram_into`] (`AᵀA`), [`mttkrp_mode3_into`] (the
+//!   inner step), [`sparse_gram_into`] (`AᵀA`), [`sparse_outer_gram_into`]
+//!   (`AAᵀ`), [`mttkrp_mode3_into`] (the
 //!   per-slice CP mode-3 row `Σ_{(i,j)} x_{ij} (u_i ∗ v_j)`), and
 //!   [`SparseSlice::fro_norm_sq`] — all touching nonzeros only and writing
 //!   into a caller-owned output. The four products take a [`ThreadPool`]
@@ -493,7 +494,8 @@ fn row_blocks(
 /// Row-outer form: for each row, every stored pair `(ja, jb)` accumulates
 /// `g[ja][jb] += va * vb` — the dense naive `Aᵀ·A` rank-1 row-outer order
 /// with structural-zero pairs skipped; bitwise equal to
-/// `a.to_dense().gram()` on the naive path for **finite** stored values
+/// [`crate::gram_into`] of `a.to_dense()` (at every size) and to
+/// `a.to_dense().gram()` on the naive path, for **finite** stored values
 /// (a non-finite stored value times a structural zero densifies to NaN,
 /// which the sparse path cannot see).
 ///
@@ -508,6 +510,42 @@ pub fn sparse_gram_into(a: &SparseSlice, g: &mut Mat) {
             for (&jb, &vb) in cols.iter().zip(vals) {
                 grow[jb] += va * vb;
             }
+        }
+    }
+}
+
+/// `G = A·Aᵀ` (`m×m`) over stored entries, into `g`.
+///
+/// Each entry `g[i][j]` sums `a[i][p]·a[j][p]` over the columns `p` the
+/// two rows share, ascending — the dense naive `A·Aᵀ` order
+/// ([`crate::kernel::gemm_naive_into`]) with structural-zero terms
+/// skipped, so it is bitwise equal to that product on the densified slice
+/// for finite stored values. The upper triangle is merged row pair by row
+/// pair and mirrored (products commute exactly).
+///
+/// # Panics
+/// Panics on shape mismatch.
+pub fn sparse_outer_gram_into(a: &SparseSlice, g: &mut Mat) {
+    let m = a.rows();
+    g.resize_zeroed(m, m);
+    for i in 0..m {
+        let (ci, vi) = a.row(i);
+        for j in i..m {
+            let (cj, vj) = a.row(j);
+            let (mut p, mut q, mut acc) = (0, 0, 0.0);
+            while p < ci.len() && q < cj.len() {
+                match ci[p].cmp(&cj[q]) {
+                    std::cmp::Ordering::Less => p += 1,
+                    std::cmp::Ordering::Greater => q += 1,
+                    std::cmp::Ordering::Equal => {
+                        acc += vi[p] * vj[q];
+                        p += 1;
+                        q += 1;
+                    }
+                }
+            }
+            g.set(i, j, acc);
+            g.set(j, i, acc);
         }
     }
 }

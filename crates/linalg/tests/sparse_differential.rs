@@ -14,7 +14,8 @@
 //! Coverage, per the sparse-subsystem contract:
 //! * all kernels — `spmm_into` (`A·B`), `spmm_t_into` (`Aᵀ·B`),
 //!   `spmm_nt_into` (`A·Bᵀ`), `spmm_tn_into` (`Qᵀ·A`), `sparse_gram_into`
-//!   (`AᵀA`), `mttkrp_mode3_into`, `fro_norm_sq`;
+//!   (`AᵀA`, also against the dense `gram_into`), `sparse_outer_gram_into`
+//!   (`AAᵀ`), `mttkrp_mode3_into`, `fro_norm_sq`;
 //! * proptest-generated patterns including empty slices, empty rows,
 //!   all-zero columns, and duplicate COO entries (coalesced by the
 //!   builder);
@@ -31,10 +32,10 @@
 
 use dpar2_linalg::kernel::{gemm_naive_into, Trans};
 use dpar2_linalg::sparse::{
-    mttkrp_mode3_into, sparse_gram_into, spmm_into, spmm_nt_into, spmm_t_into, spmm_tn_into,
-    CooBuilder, SparseSlice, SPMM_CHUNK_ROWS,
+    mttkrp_mode3_into, sparse_gram_into, sparse_outer_gram_into, spmm_into, spmm_nt_into,
+    spmm_t_into, spmm_tn_into, CooBuilder, SparseSlice, SPMM_CHUNK_ROWS,
 };
-use dpar2_linalg::Mat;
+use dpar2_linalg::{gram_into, Mat};
 use dpar2_parallel::ThreadPool;
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -133,10 +134,16 @@ fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
     // gram: AᵀA — both operands are the slice, so a non-finite stored
     // value meets structural zeros of *other* columns (0·∞ densifies to
     // NaN); the bitwise contract only covers finite stored values.
+    // The dense Gram the compression sums (`gram_into`) gives the same
+    // bits; so do the outer Gram `A·Aᵀ` and its dense naive product.
     if finite_stored {
         gemm_naive_into(Trans::T, Trans::N, &d, &d, &mut reference);
         let g = on(1, |g, _| sparse_gram_into(s, g));
         assert_mat_bits(&reference, &g, &format!("{ctx} gram"));
+        assert_mat_bits(&reference, &on(1, |g, _| gram_into(&d, g)), &format!("{ctx} dense gram"));
+        gemm_naive_into(Trans::N, Trans::T, &d, &d, &mut reference);
+        let g = on(1, |g, _| sparse_outer_gram_into(s, g));
+        assert_mat_bits(&reference, &g, &format!("{ctx} outer gram"));
     }
 
     // mttkrp mode-3: inline naive oracle over the full dense slice in the
@@ -310,6 +317,18 @@ fn empty_rows_and_all_zero_columns() {
         [(0, 2, 1.5), (2, 1, -2.0), (2, 3, 4.0), (4, 2, 0.5), (4, 3, -1.0)],
     );
     check_all_kernels(&s, 23, "holes 5x5");
+}
+
+#[test]
+fn grams_across_register_tile_edges() {
+    // Column counts around `gram_into`'s 4×8 and 4×4 tiles and its single
+    // entries, dense enough that every tile sums many stored terms.
+    for cols in [1, 3, 4, 5, 8, 11, 12, 13, 19, 88] {
+        let entries: Vec<(usize, f64)> =
+            (0..30 * cols).map(|t| (t * 7 + 3, ((t % 17) as f64) - 8.25)).collect();
+        let s = slice_from_entries(40, cols, &entries);
+        check_all_kernels(&s, cols as u64, &format!("gram tiles cols={cols}"));
+    }
 }
 
 #[test]

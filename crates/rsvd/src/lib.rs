@@ -19,11 +19,14 @@
 //! 10"), and our defaults (`s = 8`, `q = 1`) follow standard practice from
 //! the Halko et al. recommendations.
 //!
-//! DPar2 calls this twice: once per slice (`X_k ≈ A_k B_k C_kᵀ`, stage 1)
-//! and once on the concatenated `M = ∥_k C_k B_k` (stage 2). Stage 1 runs
-//! the halves separately — [`rsvd_sketch`] per slice, step 5 for a group
-//! of slices at once, [`rsvd_lift`] per slice — which is the same code
-//! path [`rsvd_pooled`] takes, split where the batch goes in.
+//! DPar2's two compression stages (each slice `X_k ≈ A_k B_k C_kᵀ`, then
+//! the concatenated `M = ∥_k C_k B_k`) factor a matrix whose smaller side
+//! is small through its Gram instead (`dpar2_core::gram_svd`); this is
+//! their fallback — for a matrix whose smaller side is large, whose Gram
+//! would leave the route's scale window, or that is rank-deficient. Stage 1
+//! runs the halves separately — [`rsvd_sketch`] per slice, step 5 for a
+//! group of slices at once, [`rsvd_lift`] per slice — which is the same
+//! code path [`rsvd_pooled`] takes, split where the batch goes in.
 //!
 //! The pipeline is generic over a [`ProductOp`] operator (see [`ops`]):
 //! dense [`dpar2_linalg::MatRef`] runs [`dpar2_linalg::gemm`] on the pool

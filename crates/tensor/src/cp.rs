@@ -200,11 +200,33 @@ pub fn normalize_columns(m: &Mat) -> (Mat, Vec<f64>) {
 /// bit-identical to [`normalize_columns`] (each column's norm is read
 /// before that column is scaled), with zero allocations once `norms` has
 /// capacity.
+///
+/// A column whose sum of squares leaves `[2^-960, 2^960]` (it underflows
+/// or overflows, to zero or `+∞` too) is first scaled by the power of two
+/// that puts its largest entry in `[1, 2)`, and its norm is scaled back.
+/// The normalized column of `2^k·x` is then bitwise that of `x`, and its
+/// norm exactly `2^k` times `x`'s; columns inside the range keep their
+/// bits.
 pub fn normalize_columns_mut(m: &mut Mat, norms: &mut Vec<f64>) {
+    let sum_sq = |m: &Mat, c: usize| (0..m.rows()).map(|i| m.at(i, c) * m.at(i, c)).sum::<f64>();
     norms.clear();
     for c in 0..m.cols() {
-        let n: f64 = (0..m.rows()).map(|i| m.at(i, c) * m.at(i, c)).sum::<f64>().sqrt();
-        norms.push(n);
+        let mut ss = sum_sq(m, c);
+        let mut back = 1.0;
+        if !ss.is_nan() && !(pow2(-960)..=pow2(960)).contains(&ss) {
+            let amax = (0..m.rows()).fold(0.0f64, |a, i| a.max(m.at(i, c).abs()));
+            if amax > 0.0 && amax.is_finite() {
+                // `amax`'s binary exponent, clamped so both powers are normal.
+                let e = ((amax.to_bits() >> 52) as i32 - 1023).clamp(-1022, 1022);
+                for i in 0..m.rows() {
+                    m.set(i, c, m.at(i, c) * pow2(-e));
+                }
+                ss = sum_sq(m, c);
+                back = pow2(e);
+            }
+        }
+        let n = ss.sqrt();
+        norms.push(n * back);
         if n > 0.0 {
             let inv = 1.0 / n;
             for i in 0..m.rows() {
@@ -213,6 +235,11 @@ pub fn normalize_columns_mut(m: &mut Mat, norms: &mut Vec<f64>) {
             }
         }
     }
+}
+
+/// `2^k`, for `-1022 ≤ k ≤ 1023`.
+const fn pow2(k: i32) -> f64 {
+    f64::from_bits(((k + 1023) as u64) << 52)
 }
 
 /// One ALS pass over the three factors (the paper's lines 11–13 of
@@ -358,6 +385,21 @@ mod tests {
         assert!((n.at(1, 0) - 0.8).abs() < 1e-12);
         // zero column untouched
         assert_eq!(n.at(0, 1), 0.0);
+    }
+
+    #[test]
+    fn normalize_columns_of_extreme_scale_keep_their_bits() {
+        // Squares of 2^±600 and 2^±900 leave the f64 range; the column must
+        // still come back unit-norm, bitwise the unscaled one, with its
+        // norm scaled exactly.
+        let x = Mat::from_rows(&[&[1.5], &[-0.75], &[0.3]]);
+        let (base, base_norms) = normalize_columns(&x);
+        for k in [-900, -600, 600, 900] {
+            let c = pow2(k);
+            let (n, norms) = normalize_columns(&Mat::from_fn(3, 1, |i, j| x.at(i, j) * c));
+            assert_eq!(n, base, "2^{k}: normalized column");
+            assert_eq!(norms[0].to_bits(), (base_norms[0] * c).to_bits(), "2^{k}: norm");
+        }
     }
 
     #[test]
