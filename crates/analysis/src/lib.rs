@@ -28,6 +28,4 @@ pub use index::{EmbeddingIndex, IndexOptions, SearchScratch, SearchStats};
 pub use knn::{select_top_k, top_k_neighbors};
 pub use pcc::{pcc_matrix, pearson};
 pub use rwr::{rwr_scores, RwrConfig};
-pub use similarity::{
-    similarity_graph, similarity_graph_par, similarity_topk, squared_distance, stock_similarity,
-};
+pub use similarity::{similarity_graph, similarity_topk, squared_distance, stock_similarity};

@@ -2,7 +2,6 @@
 
 use crate::knn::select_top_k;
 use dpar2_linalg::Mat;
-use dpar2_parallel::{greedy_partition, ThreadPool};
 
 /// Eq. 10: `sim(s_i, s_j) = exp(−γ ‖U_i − U_j‖²_F)`.
 ///
@@ -96,9 +95,6 @@ pub fn similarity_topk(factors: &[&Mat], gamma: f64, k: usize) -> Vec<Vec<(usize
 /// Returns `(S, A)` where `S(i,j) = sim(s_i, s_j)` (unit diagonal) and
 /// `A = S` with `A(i,i) = 0`.
 ///
-/// Single-threaded reference path; [`similarity_graph_par`] produces the
-/// identical matrices in parallel.
-///
 /// # Panics
 /// Panics if factor shapes differ (see [`stock_similarity`]).
 pub fn similarity_graph(factors: &[&Mat], gamma: f64) -> (Mat, Mat) {
@@ -112,48 +108,8 @@ pub fn similarity_graph(factors: &[&Mat], gamma: f64) -> (Mat, Mat) {
             s.set(j, i, v);
         }
     }
-    with_adjacency(s)
-}
-
-/// Parallel [`similarity_graph`]: the upper triangle is distributed over the
-/// pool with greedy partitioning (row `i` owns the `n − 1 − i` pairs
-/// `(i, i+1..n)`, so later rows are cheaper — exactly the imbalance
-/// Algorithm 4 of the paper targets). Each pair accumulates
-/// `‖U_i − U_j‖²_F` straight off the factor buffers, so the hot loop
-/// performs no allocation beyond one score row per owned row index.
-///
-/// Bit-identical to the serial path for any thread count.
-///
-/// # Panics
-/// Panics if factor shapes differ (see [`stock_similarity`]).
-pub fn similarity_graph_par(factors: &[&Mat], gamma: f64, pool: &ThreadPool) -> (Mat, Mat) {
-    let n = factors.len();
-    // Row i computes n − 1 − i pairwise similarities.
-    let weights: Vec<usize> = (0..n).map(|i| n - 1 - i).collect();
-    let partition = greedy_partition(&weights, pool.threads());
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut scratch = vec![(); partition.len()];
-    pool.for_each_partitioned(&partition, rows.iter_mut(), &mut scratch, |bucket, _| {
-        for (i, row) in bucket {
-            row.extend((i + 1..n).map(|j| stock_similarity(factors[i], factors[j], gamma)));
-        }
-    });
-    let mut s = Mat::zeros(n, n);
-    for i in 0..n {
-        s.set(i, i, 1.0);
-        for (off, &v) in rows[i].iter().enumerate() {
-            let j = i + 1 + off;
-            s.set(i, j, v);
-            s.set(j, i, v);
-        }
-    }
-    with_adjacency(s)
-}
-
-/// Eq. 11: pairs `S` with its zero-diagonal adjacency `A`.
-fn with_adjacency(s: Mat) -> (Mat, Mat) {
     let mut a = s.clone();
-    for i in 0..s.rows() {
+    for i in 0..n {
         a.set(i, i, 0.0);
     }
     (s, a)
@@ -216,37 +172,6 @@ mod tests {
         }
         // Off-diagonal entries agree between S and A.
         assert!((s.at(1, 3) - a.at(1, 3)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn parallel_graph_matches_serial_exactly() {
-        // 17 stocks share out unevenly; 1 and 3 leave threads without a
-        // row; 16 and 32 give more rows than threads.
-        for n in [17, 1, 3, 16, 32] {
-            let mut rng = StdRng::seed_from_u64(7);
-            let us: Vec<Mat> = (0..n).map(|_| gaussian_mat(9, 3, &mut rng)).collect();
-            let refs: Vec<&Mat> = us.iter().collect();
-            let (s_ref, a_ref) = similarity_graph(&refs, 0.02);
-            for threads in [1, 2, 4, 7, 8] {
-                let pool = ThreadPool::new(threads);
-                let (s, a) = similarity_graph_par(&refs, 0.02, &pool);
-                assert_eq!(s, s_ref, "S differs at {threads} threads, {n} stocks");
-                assert_eq!(a, a_ref, "A differs at {threads} threads, {n} stocks");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_graph_empty_and_singleton() {
-        let pool = ThreadPool::new(4);
-        let (s, a) = similarity_graph_par(&[], 0.01, &pool);
-        assert_eq!(s.shape(), (0, 0));
-        assert_eq!(a.shape(), (0, 0));
-        let mut rng = StdRng::seed_from_u64(8);
-        let u = gaussian_mat(5, 2, &mut rng);
-        let (s, a) = similarity_graph_par(&[&u], 0.01, &pool);
-        assert_eq!(s.at(0, 0), 1.0);
-        assert_eq!(a.at(0, 0), 0.0);
     }
 
     #[test]

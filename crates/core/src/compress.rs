@@ -49,8 +49,8 @@ use crate::config::FitOptions;
 use crate::error::Result;
 use crate::slices::{validate, SliceTensor};
 use dpar2_linalg::{
-    gaussian_mat, gemm, qr_into, svd_thin, svd_thin_batch_into, Mat, QrScratch, SvdBatchScratch,
-    SvdFactors, Trans, SVD_LANES,
+    gaussian_mat, gemm, pow2, qr_into, svd_thin, svd_thin_batch_into, Mat, QrScratch,
+    SvdBatchScratch, SvdFactors, Trans, SVD_LANES,
 };
 use dpar2_parallel::{greedy_partition, Bucket, ThreadPool};
 use dpar2_rsvd::{rsvd_lift, rsvd_pooled, rsvd_sketch, ProductOp, RsvdConfig, RsvdSketch};
@@ -70,11 +70,6 @@ const GRAM_DIAG_MAX: f64 = pow2(500);
 /// A Gram whose `R`-th Ritz value is at most this fraction of the first is
 /// rank-deficient for the route.
 const GRAM_RANK_TOL: f64 = 1e-10;
-
-/// `2^k`, for `-1022 ≤ k ≤ 1023`.
-const fn pow2(k: i32) -> f64 {
-    f64::from_bits(((k + 1023) as u64) << 52)
-}
 
 /// The compressed representation `{A_k}, {F(k)}, E, D` of an irregular
 /// tensor, produced once before the ALS iterations.
@@ -658,14 +653,30 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let t = planted(&[30, 60, 10, 45, 22], 16, 3, 0.2, 7);
-        let c1 = compress(&t, &FitOptions::new(3).with_seed(8).with_threads(1)).unwrap();
-        let c4 = compress(&t, &FitOptions::new(3).with_seed(8).with_threads(4)).unwrap();
-        for k in 0..t.k() {
-            assert!((&c1.a[k] - &c4.a[k]).fro_norm() < 1e-14, "A_{k} differs across thread counts");
-            assert!((&c1.f_blocks[k] - &c4.f_blocks[k]).fro_norm() < 1e-14);
+        // In the second case stage 2's Gram M·Mᵀ (M is 130 × 140) spans two
+        // 120-row panels of the blocked GEMM, and every slice (140–170 ×
+        // 130) and M take the Gram route at R + s = 22.
+        let dims = [140, 151, 162, 170, 145, 158, 166, 149, 143, 155];
+        let cases = [
+            (planted(&[30, 60, 10, 45, 22], 16, 3, 0.2, 7), FitOptions::new(3).with_seed(8)),
+            (planted(&dims, 130, 14, 0.1, 31), FitOptions::new(14).with_seed(32)),
+        ];
+        assert!(dims.iter().all(|&i| gram_route_applies(i, 130, &cases[1].1.rsvd)));
+        assert!(gram_route_applies(130, 14 * dims.len(), &cases[1].1.rsvd));
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (t, options) in cases {
+            let c1 = compress(&t, &options.with_threads(1)).unwrap();
+            for n in [2, 3, 4] {
+                let c = compress(&t, &options.with_threads(n)).unwrap();
+                for k in 0..t.k() {
+                    assert_eq!(bits(c.a[k].data()), bits(c1.a[k].data()), "{n} threads: A_{k}");
+                    let (f, f1) = (c.f_blocks[k].data(), c1.f_blocks[k].data());
+                    assert_eq!(bits(f), bits(f1), "{n} threads: F({k})");
+                }
+                assert_eq!(bits(c.d.data()), bits(c1.d.data()), "{n} threads: D");
+                assert_eq!(bits(&c.e), bits(&c1.e), "{n} threads: E");
+            }
         }
-        assert_eq!(c1.e, c4.e);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub struct FitOptions<'a> {
     /// `dpar2_rsvd::svd_truncated_energy_pooled`.
     ///
     /// Honored by `Dpar2::fit` / `fit_observed` only. The baselines and
-    /// `StreamingDpar2::refit` (whose rank is fixed by the compressed
-    /// state it extends) ignore it. A warm start fixes the rank too, so
+    /// `StreamingDpar2` (whose rank is fixed by the compressed state it
+    /// extends) ignore it. A warm start fixes the rank too, so
     /// combining it with `rank_energy` returns
     /// [`crate::Dpar2Error::WarmStart`] if the adapted rank diverges from
     /// the warm fit's.

@@ -96,7 +96,11 @@ mod tests {
 
     #[test]
     fn from_linalg_error() {
-        let le = dpar2_linalg::LinalgError::Singular { op: "lu" };
+        let le = dpar2_linalg::LinalgError::DimensionMismatch {
+            op: "matmul",
+            left: (2, 3),
+            right: (4, 5),
+        };
         let e: Dpar2Error = le.clone().into();
         assert_eq!(e, Dpar2Error::Linalg(le));
     }

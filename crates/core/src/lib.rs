@@ -7,10 +7,12 @@
 //! PARAFAC2 model `X_k ≈ U_k S_k Vᵀ` (`U_k = Q_k H`, `Q_k` column-orthonormal)
 //! in three phases:
 //!
-//! 1. **Two-stage compression** ([`mod@compress`]): randomized SVD of each slice
-//!    (`X_k ≈ A_k B_k C_kᵀ`), then randomized SVD of the concatenation
+//! 1. **Two-stage compression** ([`mod@compress`]): a rank-`R` factorization
+//!    of each slice (`X_k ≈ A_k B_k C_kᵀ`), then of the concatenation
 //!    `M = ∥_k C_k B_k ≈ D E Fᵀ`, after which `X_k ≈ A_k F(k) E Dᵀ` and the
-//!    original tensor is never touched again.
+//!    original tensor is never touched again. Each stage factors the small
+//!    side's Gram where the route applies and falls back to the randomized
+//!    SVD otherwise.
 //! 2. **Compressed ALS iterations** ([`solver`]): tiny `R×R` SVDs produce
 //!    `Q_k = A_k Z_k P_kᵀ` implicitly; the CP-ALS step runs through the
 //!    Lemma 1–3 kernels ([`lemmas`]) in `O(JR² + KR³)` per iteration; the
@@ -19,8 +21,8 @@
 //!
 //! Dense ([`dpar2_tensor::IrregularTensor`]) and CSR
 //! ([`dpar2_tensor::SparseIrregularTensor`]) inputs go through the same
-//! entry points: both implement [`SliceTensor`], which hands each slice to
-//! the randomized SVD as a product operator.
+//! entry points: both implement [`SliceTensor`], which hands each slice's
+//! Grams and products to the compression.
 //!
 //! ## Quickstart
 //!

@@ -116,12 +116,13 @@ pub struct Dpar2;
 impl Dpar2 {
     /// Decomposes an irregular tensor — dense [`IrregularTensor`] or CSR
     /// [`dpar2_tensor::SparseIrregularTensor`]: compression + iterations +
-    /// recovery. A CSR tensor is never densified: stage-1 compression runs
-    /// the randomized SVD directly on each slice at O(nnz·(R+s)) per pass
-    /// (see [`crate::compress()`]), and stages 2+ are the same dense pipeline on the
-    /// already-compressed `R`-dimensional factors. With the sketch width on
-    /// the naive-dispatch path a CSR fit is bitwise identical to the fit of
-    /// its densified tensor.
+    /// recovery. A CSR tensor is never densified: stage-1 compression forms
+    /// each slice's small-side Gram, and the fallback randomized SVD its
+    /// sketch products, from the nonzeros alone (see [`crate::compress()`]),
+    /// and stages 2+ are the same dense pipeline on the already-compressed
+    /// `R`-dimensional factors. With the sketch width on the naive-dispatch
+    /// path a CSR fit is bitwise identical to the fit of its densified
+    /// tensor.
     ///
     /// # Errors
     /// The [`crate::validate`] contract (invalid rank, non-finite input)

@@ -19,26 +19,6 @@ pub enum LinalgError {
         /// Shape of the right operand.
         right: (usize, usize),
     },
-    /// A routine that requires a square matrix received a rectangular one.
-    NotSquare {
-        /// Human-readable name of the operation that failed.
-        op: &'static str,
-        /// The offending shape.
-        shape: (usize, usize),
-    },
-    /// An iterative routine failed to converge within its iteration budget.
-    NoConvergence {
-        /// Human-readable name of the operation that failed.
-        op: &'static str,
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-    },
-    /// The matrix was singular (or numerically singular) where a
-    /// non-singular one was required.
-    Singular {
-        /// Human-readable name of the operation that failed.
-        op: &'static str,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -49,13 +29,6 @@ impl fmt::Display for LinalgError {
                 "{op}: dimension mismatch ({}x{} vs {}x{})",
                 left.0, left.1, right.0, right.1
             ),
-            LinalgError::NotSquare { op, shape } => {
-                write!(f, "{op}: expected square matrix, got {}x{}", shape.0, shape.1)
-            }
-            LinalgError::NoConvergence { op, iterations } => {
-                write!(f, "{op}: no convergence after {iterations} iterations")
-            }
-            LinalgError::Singular { op } => write!(f, "{op}: matrix is singular"),
         }
     }
 }
@@ -76,26 +49,8 @@ mod tests {
     }
 
     #[test]
-    fn display_not_square() {
-        let e = LinalgError::NotSquare { op: "lu", shape: (2, 3) };
-        assert_eq!(e.to_string(), "lu: expected square matrix, got 2x3");
-    }
-
-    #[test]
-    fn display_no_convergence() {
-        let e = LinalgError::NoConvergence { op: "jacobi_svd", iterations: 64 };
-        assert_eq!(e.to_string(), "jacobi_svd: no convergence after 64 iterations");
-    }
-
-    #[test]
-    fn display_singular() {
-        let e = LinalgError::Singular { op: "lu_solve" };
-        assert_eq!(e.to_string(), "lu_solve: matrix is singular");
-    }
-
-    #[test]
     fn error_is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&LinalgError::Singular { op: "x" });
+        takes_err(&LinalgError::DimensionMismatch { op: "x", left: (1, 2), right: (3, 4) });
     }
 }

@@ -36,12 +36,11 @@
 //!   [`gemm_lanes`]' lane stores, in and out.
 //! * [`mod@pinv`] — Moore–Penrose pseudoinverse via the SVD, as required by the
 //!   CP-ALS update rules (the `†` operator in Algorithm 2/3 of the paper).
-//! * [`solve`] — LU and triangular solves (used by tests and baselines).
-//! * [`random`] — seeded Gaussian/uniform matrix generation (Box–Muller), the
+//! * [`random`] — seeded Gaussian matrix generation (Box–Muller), the
 //!   `Ω` test matrices of randomized SVD.
 //! * [`sparse`] — CSR slices ([`SparseSlice`], [`CooBuilder`]) and the
-//!   sparse kernel family (the four SpMM products on a pool, both Grams, mode-3
-//!   MTTKRP, norms over nonzeros), each bitwise identical to densifying and
+//!   sparse kernel family (the three SpMM products on a pool, both Grams,
+//!   norms over nonzeros), each bitwise identical to densifying and
 //!   running the corresponding naive dense loop.
 //!
 //! Everything is deterministic given a seed and needs no external BLAS.
@@ -70,19 +69,17 @@
 //! assert!((&a - &reconstructed).fro_norm() < 1e-10);
 //! ```
 
-// Dense factorization kernels (Householder updates, Jacobi rotations,
-// triangular solves) index several arrays in lock-step along computed
-// ranges; explicit index loops are the clearest and fastest expression.
+// Dense factorization kernels (Householder updates, Jacobi rotations)
+// index several arrays in lock-step along computed ranges; explicit index
+// loops are the clearest and fastest expression.
 #![allow(clippy::needless_range_loop)]
 
 pub mod error;
 pub mod kernel;
 pub mod mat;
-pub mod norms;
 pub mod pinv;
 pub mod qr;
 pub mod random;
-pub mod solve;
 pub mod sparse;
 pub mod svd;
 pub mod view;
@@ -92,11 +89,12 @@ pub use kernel::Trans;
 pub use mat::{gemm, gram_into, Mat};
 pub use pinv::{pinv, pinv_into};
 pub use qr::{qr, qr_into, QrFactors, QrScratch};
-pub use random::{gaussian_mat, uniform_mat};
+pub use random::gaussian_mat;
 pub use sparse::{CooBuilder, SparseSlice};
 pub use svd::{
-    extract_lane, gemm_lanes, interleave_lanes, svd_square_lanes, svd_thin, svd_thin_batch_into,
-    svd_truncated, LaneOperand, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
+    extract_lane, gemm_lanes, interleave_lanes, pow2, svd_square_lanes, svd_thin,
+    svd_thin_batch_into, svd_truncated, LaneOperand, SvdBatchScratch, SvdFactors, SvdScratch,
+    SVD_LANES,
 };
 pub use view::{AsMatRef, MatMut, MatRef};
 

@@ -16,8 +16,9 @@ use crate::view::AsMatRef;
 /// Singular values `≤ max(m,n) · eps · σ₁` are treated as zero
 /// (MATLAB-compatible default tolerance).
 pub fn pinv(a: impl AsMatRef) -> Mat {
-    let a = a.as_mat_ref();
-    pinv_with_tol(a, f64::EPSILON * a.rows().max(a.cols()) as f64)
+    let mut out = Mat::zeros(0, 0);
+    pinv_into(a, &mut out, &mut SvdFactors::default(), &mut SvdScratch::default());
+    out
 }
 
 /// [`pinv`] into a caller-owned output with reusable SVD scratch — the
@@ -26,31 +27,6 @@ pub fn pinv(a: impl AsMatRef) -> Mat {
 pub fn pinv_into(a: impl AsMatRef, out: &mut Mat, tmp: &mut SvdFactors, ws: &mut SvdScratch) {
     let a = a.as_mat_ref();
     let rel_tol = f64::EPSILON * a.rows().max(a.cols()) as f64;
-    pinv_with_tol_into(a, rel_tol, out, tmp, ws);
-}
-
-/// Pseudoinverse with an explicit relative tolerance: singular values
-/// `≤ rel_tol · σ₁` are discarded.
-pub fn pinv_with_tol(a: impl AsMatRef, rel_tol: f64) -> Mat {
-    let mut out = Mat::zeros(0, 0);
-    pinv_with_tol_into(
-        a,
-        rel_tol,
-        &mut out,
-        &mut SvdFactors::default(),
-        &mut SvdScratch::default(),
-    );
-    out
-}
-
-/// [`pinv_with_tol`] into a caller-owned output with reusable scratch.
-pub fn pinv_with_tol_into(
-    a: impl AsMatRef,
-    rel_tol: f64,
-    out: &mut Mat,
-    tmp: &mut SvdFactors,
-    ws: &mut SvdScratch,
-) {
     svd_thin_into(a, tmp, ws);
     let sigma_max = tmp.s.first().copied().unwrap_or(0.0);
     let cutoff = sigma_max * rel_tol;

@@ -302,31 +302,6 @@ fn rank_one_update<const W: usize>(block: &mut [f64], ld: usize, c: usize, v: &[
     }
 }
 
-/// Solves the least-squares problem `min_x ‖A x − b‖₂` for tall full-rank `A`
-/// via the thin QR factorization (`R x = Qᵀ b` back-substitution).
-///
-/// # Panics
-/// Panics if `a.rows() < a.cols()` or `b.len() != a.rows()`.
-pub fn lstsq(a: impl AsMatRef, b: &[f64]) -> Vec<f64> {
-    let a = a.as_mat_ref();
-    assert!(a.rows() >= a.cols(), "lstsq: system must be square or overdetermined");
-    assert_eq!(b.len(), a.rows(), "lstsq: rhs length mismatch");
-    let f = qr(a);
-    let qtb = f.q.matvec_t(b);
-    // Back substitution on R (k × n with k == n here).
-    let n = a.cols();
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = qtb[i];
-        for j in i + 1..n {
-            s -= f.r.at(i, j) * x[j];
-        }
-        let d = f.r.at(i, i);
-        x[i] = if d.abs() > crate::EPS { s / d } else { 0.0 };
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,26 +420,5 @@ mod tests {
                 assert_eq!(bits(&f.r), bits(&r_want), "{ctx}: R");
             }
         }
-    }
-
-    #[test]
-    fn lstsq_exact_system() {
-        let a = Mat::from_rows(&[&[2.0, 0.0], &[0.0, 4.0], &[0.0, 0.0]]);
-        let x = lstsq(&a, &[2.0, 8.0, 0.0]);
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lstsq_overdetermined_matches_normal_equations() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = gaussian_mat(30, 4, &mut rng);
-        let b: Vec<f64> = (0..30).map(|i| (i as f64).sin()).collect();
-        let x = lstsq(&a, &b);
-        // Residual must be orthogonal to the column space: Aᵀ(Ax − b) = 0.
-        let ax = a.matvec(&x);
-        let resid: Vec<f64> = ax.iter().zip(&b).map(|(p, q)| p - q).collect();
-        let at_r = a.matvec_t(&resid);
-        assert!(at_r.iter().all(|v| v.abs() < 1e-10));
     }
 }

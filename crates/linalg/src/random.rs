@@ -33,19 +33,6 @@ pub fn gaussian_mat(rows: usize, cols: usize, rng: &mut impl Rng) -> Mat {
     Mat::from_vec(rows, cols, data)
 }
 
-/// Generates a `rows × cols` matrix with i.i.d. `U[0, 1)` entries — the
-/// equivalent of MATLAB Tensor Toolbox's `tenrand` slices used in the
-/// paper's scalability experiments (§IV-C).
-pub fn uniform_mat(rows: usize, cols: usize, rng: &mut impl Rng) -> Mat {
-    let data = (0..rows * cols).map(|_| rng.random::<f64>()).collect();
-    Mat::from_vec(rows, cols, data)
-}
-
-/// Generates a vector with i.i.d. `N(0, 1)` entries.
-pub fn gaussian_vec(len: usize, rng: &mut impl Rng) -> Vec<f64> {
-    (0..len).map(|_| standard_normal(rng)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,25 +60,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_range() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let m = uniform_mat(50, 50, &mut rng);
-        assert!(m.data().iter().all(|&x| (0.0..1.0).contains(&x)));
-        let mean: f64 = m.data().iter().sum::<f64>() / m.len() as f64;
-        assert!((mean - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn gaussian_vec_length() {
-        let mut rng = StdRng::seed_from_u64(9);
-        assert_eq!(gaussian_vec(17, &mut rng).len(), 17);
-    }
-
-    #[test]
     fn gaussian_tail_behaviour() {
         // ~99.7% of mass within 3σ; check we are not producing wild values.
         let mut rng = StdRng::seed_from_u64(10);
-        let v = gaussian_vec(10_000, &mut rng);
+        let v = gaussian_mat(1, 10_000, &mut rng).into_vec();
         let outliers = v.iter().filter(|x| x.abs() > 4.0).count();
         assert!(outliers < 20, "too many >4σ samples: {outliers}");
     }

@@ -9,13 +9,10 @@
 //! * [`CooBuilder`] — coordinate-format ingestion with duplicate
 //!   coalescing, the loader-facing construction path.
 //! * Kernels — [`spmm_into`] (`A·B`), [`spmm_t_into`] (`Aᵀ·B`),
-//!   [`spmm_nt_into`] (`A·Bᵀ`, the `A·Ωᵀ`-shaped sketching product),
 //!   [`spmm_tn_into`] (`Qᵀ·A`, the `Y_k = Q_kᵀX_k` product of SPARTan's
 //!   inner step), [`sparse_gram_into`] (`AᵀA`), [`sparse_outer_gram_into`]
-//!   (`AAᵀ`), [`mttkrp_mode3_into`] (the
-//!   per-slice CP mode-3 row `Σ_{(i,j)} x_{ij} (u_i ∗ v_j)`), and
-//!   [`SparseSlice::fro_norm_sq`] — all touching nonzeros only and writing
-//!   into a caller-owned output. The four products take a [`ThreadPool`]
+//!   (`AAᵀ`) and [`SparseSlice::fro_norm_sq`] — all touching nonzeros only
+//!   and writing into a caller-owned output. The three products take a [`ThreadPool`]
 //!   like the dense [`crate::gemm`]; a one-thread pool is the serial path.
 //!   Together with the dense products they are exactly the pass set the
 //!   randomized compression of DPar2 needs to run at O(nnz) per sketch
@@ -332,12 +329,26 @@ pub fn spmm_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPo
     let n = b.cols();
     assert_eq!(b.rows(), a.cols(), "spmm: inner dimension mismatch");
     c.resize_zeroed(a.rows(), n);
-    row_blocks(a.rows(), n, c, pool, |i, crow| {
+    if n == 0 {
+        return;
+    }
+    let row = |i: usize, crow: &mut [f64]| {
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
             for (cv, &bv) in crow.iter_mut().zip(b.row(j)) {
                 *cv += v * bv;
             }
+        }
+    };
+    if pool.threads() == 1 || a.rows() <= SPMM_CHUNK_ROWS {
+        for (i, crow) in c.data_mut().chunks_exact_mut(n).enumerate() {
+            row(i, crow);
+        }
+        return;
+    }
+    pool.for_each_chunk_mut(c.data_mut(), SPMM_CHUNK_ROWS * n, |chunk_idx, chunk| {
+        for (di, crow) in chunk.chunks_exact_mut(n).enumerate() {
+            row(chunk_idx * SPMM_CHUNK_ROWS + di, crow);
         }
     });
 }
@@ -392,33 +403,6 @@ pub fn spmm_t_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &Thread
     });
 }
 
-/// `C = A·Bᵀ` for CSR `A` (`m×k`) and dense `B` (`n×k`), into `c` (`m×n`).
-///
-/// The `A·Ωᵀ`-shaped product of sketching pipelines that store the test
-/// matrix row-major per direction. Per output row `i`, nonzeros `(p, v)`
-/// ascending, `c[i][jj] += v * b[jj][p]` over all output columns — exactly
-/// the dense naive `matmul_nt` `i-p-j` loop with structural-zero terms
-/// skipped; bitwise equal to `a.to_dense().matmul_nt(b)` on the naive
-/// path (finite `b`). Parallelized over output row blocks like
-/// [`spmm_into`], bitwise identical for every pool size.
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn spmm_nt_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPool) {
-    let b = b.as_mat_ref();
-    let n = b.rows();
-    assert_eq!(b.cols(), a.cols(), "spmm_nt: inner dimension mismatch");
-    c.resize_zeroed(a.rows(), n);
-    row_blocks(a.rows(), n, c, pool, |i, crow| {
-        let (cols, vals) = a.row(i);
-        for (&p, &v) in cols.iter().zip(vals) {
-            for (jj, cv) in crow.iter_mut().enumerate() {
-                *cv += v * b.at(jj, p);
-            }
-        }
-    });
-}
-
 /// `C = Qᵀ·A` for dense `Q` (`m×r`) and CSR `A` (`m×n`), into `c` (`r×n`).
 ///
 /// This is the `Y_k = Q_kᵀ X_k` product of SPARTan's inner step. Rows `i`
@@ -458,33 +442,6 @@ pub fn spmm_tn_into(q: impl AsMatRef, a: &SparseSlice, c: &mut Mat, pool: &Threa
             for (&j, &x) in cols.iter().zip(vals) {
                 crow[j] += qir * x;
             }
-        }
-    });
-}
-
-/// Runs `row(i, c.row_mut(i))` for every output row of the `rows × n`
-/// matrix `c`: in order on a one-thread pool (or a single block), else in
-/// fixed [`SPMM_CHUNK_ROWS`] blocks fanned out over `pool`, each block on
-/// one worker.
-fn row_blocks(
-    rows: usize,
-    n: usize,
-    c: &mut Mat,
-    pool: &ThreadPool,
-    row: impl Fn(usize, &mut [f64]) + Sync,
-) {
-    if n == 0 {
-        return;
-    }
-    if pool.threads() == 1 || rows <= SPMM_CHUNK_ROWS {
-        for (i, crow) in c.data_mut().chunks_exact_mut(n).enumerate() {
-            row(i, crow);
-        }
-        return;
-    }
-    pool.for_each_chunk_mut(c.data_mut(), SPMM_CHUNK_ROWS * n, |chunk_idx, chunk| {
-        for (di, crow) in chunk.chunks_exact_mut(n).enumerate() {
-            row(chunk_idx * SPMM_CHUNK_ROWS + di, crow);
         }
     });
 }
@@ -546,34 +503,6 @@ pub fn sparse_outer_gram_into(a: &SparseSlice, g: &mut Mat) {
             }
             g.set(i, j, acc);
             g.set(j, i, acc);
-        }
-    }
-}
-
-/// Per-slice sparse mode-3 MTTKRP row: `out[r] = Σ_{(i,j)} x_{ij} · u[i][r] · v[j][r]`.
-///
-/// `u` is `rows×R` (e.g. `Q_k·H`), `v` is `cols×R`, `out` is length `R`.
-/// Entries are consumed in row-major CSR order with a separate multiply per
-/// factor (`(x * u) * v`, no FMA), matching the dense SPARTan mode-3
-/// accumulation over `Y_k = A_kᵀ·U` up to the shared ordering discipline.
-///
-/// # Panics
-/// Panics if `u`/`v`/`out` shapes do not match the slice and each other.
-pub fn mttkrp_mode3_into(a: &SparseSlice, u: impl AsMatRef, v: impl AsMatRef, out: &mut [f64]) {
-    let u = u.as_mat_ref();
-    let v = v.as_mat_ref();
-    let r = out.len();
-    assert_eq!(u.shape(), (a.rows(), r), "mttkrp_mode3: U shape mismatch");
-    assert_eq!(v.shape(), (a.cols(), r), "mttkrp_mode3: V shape mismatch");
-    out.fill(0.0);
-    for i in 0..a.rows() {
-        let (cols, vals) = a.row(i);
-        let urow = u.row(i);
-        for (&j, &x) in cols.iter().zip(vals) {
-            let vrow = v.row(j);
-            for (o, (&uv, &vv)) in out.iter_mut().zip(urow.iter().zip(vrow)) {
-                *o += (x * uv) * vv;
-            }
         }
     }
 }
@@ -667,22 +596,10 @@ mod tests {
         }
     }
 
+    /// The scatter kernel must agree with its one-thread result bitwise on
+    /// every pool size, even when the output spans several row chunks.
     #[test]
-    fn spmm_nt_matches_dense() {
-        let d = dense_fixture();
-        let s = SparseSlice::from_dense(&d);
-        let b = Mat::from_vec(2, 4, vec![1.0, -2.0, 0.5, 3.0, -0.25, 1.5, 2.0, -1.0]);
-        let dense = d.matmul_nt(&b).expect("shapes agree");
-        for threads in [1, 2, 3] {
-            assert_eq!(on(threads, |c, p| spmm_nt_into(&s, &b, c, p)), dense, "{threads} threads");
-        }
-    }
-
-    /// The scatter/gather kernels must agree with their one-thread results
-    /// bitwise on every pool size, even when the output spans several row
-    /// chunks.
-    #[test]
-    fn pooled_t_and_nt_bitwise_match_serial_across_chunks() {
+    fn pooled_t_bitwise_matches_serial_across_chunks() {
         // 300 columns so Aᵀ·B's output (cols × n) spans >4 chunks; values
         // and pattern vary per row so chunk mix-ups would show.
         let rows = 130;
@@ -696,14 +613,10 @@ mod tests {
         }
         let a = coo.build();
         let b_t = Mat::from_fn(rows, 3, |i, j| ((i * 7 + j * 5) % 11) as f64 - 4.0);
-        let b_nt = Mat::from_fn(9, cols, |i, j| ((i * 13 + j * 3) % 17) as f64 - 7.5);
         let serial_t = on(1, |c, p| spmm_t_into(&a, &b_t, c, p));
-        let serial_nt = on(1, |c, p| spmm_nt_into(&a, &b_nt, c, p));
         for threads in [2, 3, 4] {
             let c = on(threads, |c, p| spmm_t_into(&a, &b_t, c, p));
             assert_eq!(c, serial_t, "spmm_t diverged at {threads} threads");
-            let c = on(threads, |c, p| spmm_nt_into(&a, &b_nt, c, p));
-            assert_eq!(c, serial_nt, "spmm_nt diverged at {threads} threads");
         }
     }
 
@@ -714,23 +627,6 @@ mod tests {
         assert_eq!(on(1, |g, _| sparse_gram_into(&s, g)), d.gram());
         let dense_norm: f64 = d.data().iter().map(|&x| x * x).sum();
         assert_eq!(s.fro_norm_sq().to_bits(), dense_norm.to_bits());
-    }
-
-    #[test]
-    fn mttkrp_mode3_matches_manual() {
-        let d = dense_fixture();
-        let s = SparseSlice::from_dense(&d);
-        let u = Mat::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let v = Mat::from_vec(4, 2, vec![0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]);
-        let mut out = vec![f64::NAN; 2];
-        mttkrp_mode3_into(&s, &u, &v, &mut out);
-        let mut expect = vec![0.0f64; 2];
-        for (i, j, x) in s.iter() {
-            for r in 0..2 {
-                expect[r] += (x * u.row(i)[r]) * v.row(j)[r];
-            }
-        }
-        assert_eq!(out, expect);
     }
 
     #[test]

@@ -172,7 +172,7 @@ pub struct SvdBatchScratch {
 }
 
 /// `2^k`, for `-1022 ≤ k ≤ 1023`.
-pub(crate) const fn pow2(k: i32) -> f64 {
+pub const fn pow2(k: i32) -> f64 {
     f64::from_bits(((k + 1023) as u64) << 52)
 }
 

@@ -13,9 +13,8 @@
 //!
 //! Coverage, per the sparse-subsystem contract:
 //! * all kernels — `spmm_into` (`A·B`), `spmm_t_into` (`Aᵀ·B`),
-//!   `spmm_nt_into` (`A·Bᵀ`), `spmm_tn_into` (`Qᵀ·A`), `sparse_gram_into`
-//!   (`AᵀA`, also against the dense `gram_into`), `sparse_outer_gram_into`
-//!   (`AAᵀ`), `mttkrp_mode3_into`, `fro_norm_sq`;
+//!   `spmm_tn_into` (`Qᵀ·A`), `sparse_gram_into` (`AᵀA`, also against the
+//!   dense `gram_into`), `sparse_outer_gram_into` (`AAᵀ`), `fro_norm_sq`;
 //! * proptest-generated patterns including empty slices, empty rows,
 //!   all-zero columns, and duplicate COO entries (coalesced by the
 //!   builder);
@@ -27,13 +26,13 @@
 //!   restricted to finite stored values: a non-finite stored value times
 //!   a structural zero densifies to NaN, which the sparse path cannot
 //!   see — that boundary is pinned explicitly below);
-//! * the four products must be **bit-identical** to their one-thread
+//! * the three products must be **bit-identical** to their one-thread
 //!   results on every pool size, across the `SPMM_CHUNK_ROWS` boundary.
 
 use dpar2_linalg::kernel::{gemm_naive_into, Trans};
 use dpar2_linalg::sparse::{
-    mttkrp_mode3_into, sparse_gram_into, sparse_outer_gram_into, spmm_into, spmm_nt_into,
-    spmm_t_into, spmm_tn_into, CooBuilder, SparseSlice, SPMM_CHUNK_ROWS,
+    sparse_gram_into, sparse_outer_gram_into, spmm_into, spmm_t_into, spmm_tn_into, CooBuilder,
+    SparseSlice, SPMM_CHUNK_ROWS,
 };
 use dpar2_linalg::{gram_into, Mat};
 use dpar2_parallel::ThreadPool;
@@ -111,16 +110,6 @@ fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
         assert_mat_bits(&ct, &pooled, &format!("{ctx} spmm_t_pooled t{threads}"));
     }
 
-    // spmm_nt: A·Bᵀ against the naive loop on the densified slice.
-    let b3 = Mat::from_fn(nrhs, s.cols(), |_, _| next());
-    gemm_naive_into(Trans::N, Trans::T, &d, &b3, &mut reference);
-    let cnt = on(1, |c, p| spmm_nt_into(s, &b3, c, p));
-    assert_mat_bits(&reference, &cnt, &format!("{ctx} spmm_nt"));
-    for threads in [2, 3] {
-        let pooled = on(threads, |c, p| spmm_nt_into(s, &b3, c, p));
-        assert_mat_bits(&cnt, &pooled, &format!("{ctx} spmm_nt_pooled t{threads}"));
-    }
-
     // spmm_tn: Qᵀ·A (the Y_k product), serial and pooled.
     let q = Mat::from_fn(s.rows(), rank, |_, _| next());
     gemm_naive_into(Trans::T, Trans::N, &q, &d, &mut reference);
@@ -144,29 +133,6 @@ fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
         gemm_naive_into(Trans::N, Trans::T, &d, &d, &mut reference);
         let g = on(1, |g, _| sparse_outer_gram_into(s, g));
         assert_mat_bits(&reference, &g, &format!("{ctx} outer gram"));
-    }
-
-    // mttkrp mode-3: inline naive oracle over the full dense slice in the
-    // same row-major (i, j) order, structural zeros included.
-    let u = Mat::from_fn(s.rows(), rank, |_, _| next());
-    let v = Mat::from_fn(s.cols(), rank, |_, _| next());
-    let mut expect = vec![0.0f64; rank];
-    for i in 0..s.rows() {
-        let urow = u.row(i);
-        for (j, &x) in d.row(i).iter().enumerate() {
-            let vrow = v.row(j);
-            for (o, (&uv, &vv)) in expect.iter_mut().zip(urow.iter().zip(vrow)) {
-                *o += (x * uv) * vv;
-            }
-        }
-    }
-    let mut out = vec![f64::NAN; rank];
-    mttkrp_mode3_into(s, &u, &v, &mut out);
-    for (r, (&e, &g)) in expect.iter().zip(&out).enumerate() {
-        assert!(
-            e.to_bits() == g.to_bits() || (e.is_nan() && g.is_nan()),
-            "{ctx} mttkrp: component {r} diverges: {e:?} vs {g:?}"
-        );
     }
 
     // fro_norm_sq: flat Σx² — squares are never -0.0, so this is bitwise

@@ -1,9 +1,9 @@
 //! A small bounded MPMC queue — the admission-control primitive behind
 //! both the pending-connection queue and the pending-request queue.
 //!
-//! The vendored crossbeam subset only ships an *unbounded* channel, which
-//! is exactly what an admission queue must not be: under overload an
-//! unbounded queue converts rejections into silent, ever-growing latency.
+//! `std::sync::mpsc` has one consumer per channel, and its unbounded
+//! channel is exactly what an admission queue must not be: under overload
+//! an unbounded queue converts rejections into silent, ever-growing latency.
 //! `Bounded` is a `Mutex<VecDeque>` + `Condvar` with a hard capacity —
 //! [`Bounded::push`] never blocks (full means a typed rejection *now*),
 //! [`Bounded::pop`] blocks until an item or close, and

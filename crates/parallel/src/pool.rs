@@ -47,7 +47,7 @@ impl PoolMetrics {
 
 /// A lightweight parallel executor with a fixed thread count.
 ///
-/// Threads are spawned per call inside one `crossbeam::thread::scope` —
+/// Threads are spawned per call inside one `std::thread::scope` —
 /// for the granularity of PARAFAC2 work items (matrix factorizations),
 /// spawn overhead is negligible, and scoping lets closures borrow from the
 /// caller's stack without `'static` bounds.
@@ -265,13 +265,13 @@ impl ThreadPool {
             buckets[w].push((i, item));
         }
         let work = &work;
-        let joined = crossbeam::thread::scope(|scope| {
+        let first_panic = std::thread::scope(|scope| {
             let handles: Vec<_> = buckets
                 .into_iter()
                 .zip(scratch)
                 .filter(|(bucket, _)| !bucket.is_empty())
                 .map(|(bucket, s)| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let busy = metrics.map(|_| Instant::now());
                         work(&mut bucket.into_iter(), s);
                         record_busy(metrics, busy);
@@ -281,7 +281,7 @@ impl ThreadPool {
             // Join every worker before re-raising, keeping the first panic.
             handles.into_iter().map(|h| h.join()).fold(Ok(()), Result::and)
         });
-        if let Err(payload) = joined.and_then(|first_panic| first_panic) {
+        if let Err(payload) = first_panic {
             std::panic::resume_unwind(payload);
         }
     }

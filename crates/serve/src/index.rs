@@ -24,12 +24,12 @@
 use crate::engine::ServedModel;
 use crate::error::{Result, ServeError};
 use crate::registry::ModelVersion;
-use crossbeam::channel::{self, Sender};
 use dpar2_analysis::{EmbeddingIndex, IndexOptions, SearchStats};
 use dpar2_linalg::MatRef;
 use dpar2_obs::Histogram;
 use dpar2_parallel::ThreadPool;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -210,7 +210,7 @@ impl IndexBuilder {
     }
 
     fn spawn_inner(options: IndexOptions, threads: usize, staleness_ns: Option<Histogram>) -> Self {
-        let (tx, rx) = channel::unbounded::<Job>();
+        let (tx, rx) = mpsc::channel::<Job>();
         let handle = std::thread::spawn(move || {
             let pool = ThreadPool::new(threads.max(1));
             while let Ok(first) = rx.recv() {
@@ -264,7 +264,7 @@ impl IndexBuilder {
     /// Blocks until every build enqueued before this call has completed
     /// (or been coalesced away by a newer version of the same model).
     pub fn flush(&self) {
-        let (ack_tx, ack_rx) = channel::unbounded::<()>();
+        let (ack_tx, ack_rx) = mpsc::channel::<()>();
         if self.tx.send(Job::Flush(ack_tx)).is_ok() {
             let _ = ack_rx.recv();
         }

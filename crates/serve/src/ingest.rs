@@ -7,7 +7,7 @@
 //! refits — and [`IngestWorker`] consumes it as a service:
 //!
 //! * a dedicated worker thread owns the [`StreamingDpar2`] state;
-//! * producers hand it slice batches over a crossbeam channel and return
+//! * producers hand it slice batches over an `mpsc` channel and return
 //!   immediately ([`IngestWorker::append`]);
 //! * for each batch the worker runs `append` + `decompose` (one
 //!   [`StreamingDpar2::append_and_decompose_observed`] call) and publishes
@@ -36,10 +36,10 @@ use crate::index::IndexBuilder;
 use crate::metrics::IngestMetrics;
 use crate::model::ModelMeta;
 use crate::registry::ModelRegistry;
-use crossbeam::channel::{self, Sender};
 use dpar2_analysis::IndexOptions;
 use dpar2_core::{CancelToken, StopReason, StreamingDpar2};
 use dpar2_linalg::Mat;
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -211,7 +211,7 @@ impl IngestWorker {
         indexer: Option<Arc<IndexBuilder>>,
         metrics: Option<IngestMetrics>,
     ) -> Self {
-        let (tx, rx) = channel::unbounded::<Msg>();
+        let (tx, rx) = mpsc::channel::<Msg>();
         let events = Arc::new(Mutex::new(Vec::new()));
         let events_in_worker = events.clone();
         let metrics_in_worker = metrics.clone();
@@ -349,7 +349,7 @@ impl IngestWorker {
     /// [`flush_indexes`](IngestWorker::flush_indexes) to barrier on those
     /// too.
     pub fn flush(&self) {
-        let (ack_tx, ack_rx) = channel::unbounded::<()>();
+        let (ack_tx, ack_rx) = mpsc::channel::<()>();
         if self.tx.send(Msg::Flush(ack_tx)).is_ok() {
             let _ = ack_rx.recv();
         }

@@ -2,7 +2,8 @@
 //!
 //! The PARAFAC2-ALS inner step (Algorithm 2, lines 11–16) is "a single
 //! iteration of CP-ALS" on the small tensor `Y ∈ R^{R×J×K}`. This module
-//! provides that iteration plus a standalone CP-ALS used as a test oracle.
+//! provides that iteration's building blocks: the MTTKRP and column
+//! normalization.
 //!
 //! Two MTTKRP (matricized-tensor times Khatri-Rao product) kernels are
 //! provided:
@@ -16,9 +17,7 @@
 
 use crate::dense3::Dense3;
 use crate::kron::khatri_rao_into;
-use dpar2_linalg::{pinv, Mat};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dpar2_linalg::{pow2, Mat};
 
 /// Reusable scratch for [`mttkrp_into`]: the materialized unfolding and
 /// Khatri-Rao operands. Holding one across ALS iterations makes the
@@ -237,58 +236,6 @@ pub fn normalize_columns_mut(m: &mut Mat, norms: &mut Vec<f64>) {
     }
 }
 
-/// `2^k`, for `-1022 ≤ k ≤ 1023`.
-const fn pow2(k: i32) -> f64 {
-    f64::from_bits(((k + 1023) as u64) << 52)
-}
-
-/// One ALS pass over the three factors (the paper's lines 11–13 of
-/// Algorithm 2), updating in place:
-///
-/// ```text
-/// A ← X_(1)(C ⊙ B)(CᵀC ∗ BᵀB)†
-/// B ← X_(2)(C ⊙ A)(CᵀC ∗ AᵀA)†
-/// C ← X_(3)(B ⊙ A)(BᵀB ∗ AᵀA)†
-/// ```
-pub fn cp_als_iteration(t: &Dense3, f: &mut CpFactors) {
-    let g1 = mttkrp_slicewise(t, &f.a, &f.b, &f.c, 1);
-    let gram1 = f.c.gram().hadamard(&f.b.gram()).expect("cp gram 1");
-    f.a = g1.matmul(pinv(&gram1)).expect("cp update A");
-
-    let g2 = mttkrp_slicewise(t, &f.a, &f.b, &f.c, 2);
-    let gram2 = f.c.gram().hadamard(&f.a.gram()).expect("cp gram 2");
-    f.b = g2.matmul(pinv(&gram2)).expect("cp update B");
-
-    let g3 = mttkrp_slicewise(t, &f.a, &f.b, &f.c, 3);
-    let gram3 = f.b.gram().hadamard(&f.a.gram()).expect("cp gram 3");
-    f.c = g3.matmul(pinv(&gram3)).expect("cp update C");
-}
-
-/// Full CP-ALS with random initialization — primarily a test oracle for the
-/// MTTKRP kernels and a reference point for PARAFAC2's inner step.
-///
-/// Returns the factors and the per-iteration relative reconstruction errors.
-pub fn cp_als(t: &Dense3, rank: usize, iterations: usize, seed: u64) -> (CpFactors, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut f = CpFactors {
-        a: dpar2_linalg::gaussian_mat(t.dim_i(), rank, &mut rng),
-        b: dpar2_linalg::gaussian_mat(t.dim_j(), rank, &mut rng),
-        c: dpar2_linalg::gaussian_mat(t.dim_k(), rank, &mut rng),
-    };
-    let norm = t.fro_norm_sq().sqrt().max(1e-300);
-    let mut errs = Vec::with_capacity(iterations);
-    for _ in 0..iterations {
-        cp_als_iteration(t, &mut f);
-        let recon = f.reconstruct();
-        let mut err_sq = 0.0;
-        for k in 0..t.dim_k() {
-            err_sq += (t.slice(k) - recon.slice(k)).fro_norm_sq();
-        }
-        errs.push(err_sq.sqrt() / norm);
-    }
-    (f, errs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,24 +302,6 @@ mod tests {
         let lhs3 = t.unfold3();
         let rhs3 = f.c.matmul_nt(khatri_rao(&f.b, &f.a)).unwrap();
         assert!((&lhs3 - &rhs3).fro_norm() < 1e-10 * (1.0 + lhs3.fro_norm()));
-    }
-
-    #[test]
-    fn cp_als_recovers_noiseless_low_rank() {
-        let f_true = random_factors(6, 7, 5, 2, 85);
-        let t = f_true.reconstruct();
-        let (_, errs) = cp_als(&t, 2, 40, 86);
-        let last = *errs.last().unwrap();
-        assert!(last < 1e-6, "CP-ALS failed to fit noiseless rank-2 tensor: err {last}");
-    }
-
-    #[test]
-    fn cp_als_error_nonincreasing() {
-        let t = random_tensor(6, 5, 4, 87);
-        let (_, errs) = cp_als(&t, 3, 15, 88);
-        for w in errs.windows(2) {
-            assert!(w[1] <= w[0] + 1e-9, "CP-ALS error increased: {:?}", errs);
-        }
     }
 
     #[test]

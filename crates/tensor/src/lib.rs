@@ -33,8 +33,8 @@ pub mod kron;
 pub mod sparse;
 
 pub use cp::{
-    cp_als, mttkrp, mttkrp_into, mttkrp_slicewise, normalize_columns, normalize_columns_mut,
-    CpFactors, MttkrpScratch,
+    mttkrp, mttkrp_into, mttkrp_slicewise, normalize_columns, normalize_columns_mut, CpFactors,
+    MttkrpScratch,
 };
 pub use dense3::Dense3;
 pub use dpar2_linalg::sparse::{CooBuilder, SparseSlice};

@@ -7,8 +7,8 @@
 //! This crate re-exports every sub-crate of the workspace so that examples,
 //! integration tests, and downstream users can depend on a single package:
 //!
-//! * [`linalg`] — dense linear algebra (gemm, QR, SVD, eig, pinv) plus CSR
-//!   sparse kernels (`sparse::SparseSlice`, SpMM/Gram/MTTKRP) that are
+//! * [`linalg`] — dense linear algebra (gemm, QR, SVD, pinv) plus CSR
+//!   sparse kernels (`sparse::SparseSlice`, SpMM/Gram) that are
 //!   bit-identical to their densified naive counterparts.
 //! * [`tensor`] — regular/irregular tensors (dense and CSR-sparse),
 //!   matricization, ⊗/⊙/∗ products.
