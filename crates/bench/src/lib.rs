@@ -356,7 +356,9 @@ impl QkChain {
     }
 
     /// The chain one slice per lane through `gemm_lanes`, with the
-    /// solver's interleaving and extraction.
+    /// solver's interleaving; the results leave the lane stores into
+    /// per-slice `Mat`s (the solver copies them into the rows of its
+    /// `K × R²` stores instead).
     pub fn lanes(&mut self) {
         let (r, [f, a, b, zp, u, v]) = (self.r, &mut self.lanes);
         let [_, zpt, pzf] = &mut self.out;

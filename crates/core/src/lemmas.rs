@@ -16,49 +16,109 @@
 //! * **Lemma 3**: `G⁽³⁾(k,r) = vec(PZF_k)ᵀ (E Dᵀ V(:,r) ⊗ H(:,r))
 //!                            = H(:,r)ᵀ · PZF_k · (E Dᵀ V)(:,r)`
 //!
-//! each costing `O(J R² + K R³)` versus the naive `O(J K R²)` — the paper's
+//! The closed form used for Lemma 3 follows from column-major vectorization:
+//! `vec(M)ᵀ (a ⊗ b) = Σ_{ij} M(i,j)·a(j)·b(i) = bᵀ M a`.
+//!
+//! The kernels read every `PZF_k` as row `k` of one stacked matrix
+//! `P ∈ R^{K×R²}` (row-major: `P[k, i·R + j] = PZF_k(i,j)`), which the
+//! solver's `Q_k` step writes in place. The sums over `k` then become two
+//! dense products, each one pooled [`gemm`] call:
+//!
+//! * `T = Wᵀ·P ∈ R^{R×R²}` ([`weighted_sums`]): row `r` of `T`, read as
+//!   `R×R`, is `T_r = Σ_k W(k,r)·PZF_k`. Lemma 1 is
+//!   `G⁽¹⁾(:,r) = T_r·(E Dᵀ V)(:,r)` ([`g1_from_sums`]), and Lemma 2
+//!   `G⁽²⁾ = D E·[T_rᵀ·H(:,r)]_r` ([`g2_from_sums`]) from the same `T`:
+//!   neither `W` nor any `PZF_k` changes between the two updates.
+//! * `G⁽³⁾ = P·(H ⊙ E Dᵀ V)` ([`g3_stacked`]), the Khatri–Rao product
+//!   `R² × R` with row `i·R + j` equal to `H(i,:) ∗ (E Dᵀ V)(j,:)`.
+//!
+//! `T` costs `O(K R³)` and `G⁽³⁾` `O(K R³)`, both in the blocked kernel
+//! at `R ≥ 8` once `K R³` passes `24³` (`K ≥ 14` at `R = 10`), on the
+//! naive loops below; Lemma 1 then costs `O(R³)` more and
+//! Lemma 2 `O(R³ + J R²)` — against the naive `O(J K R²)`, the paper's
 //! headline per-iteration improvement. The naive forms (used by the plain
 //! PARAFAC2-ALS baseline and as test oracles) are provided alongside.
 //!
-//! The closed form used for Lemma 3 follows from column-major vectorization:
-//! `vec(M)ᵀ (a ⊗ b) = Σ_{ij} M(i,j)·a(j)·b(i) = bᵀ M a`.
+//! Every product is [`gemm`], whose bits are the same for every pool size,
+//! so all three lemmas are bit-identical for every thread count — the
+//! property `Dpar2::fit`'s determinism contract rests on. No multiplicand
+//! is skipped for being zero: a non-finite `PZF_k` reaches every output
+//! that IEEE arithmetic says it reaches, whatever its weight.
 //!
 //! `G⁽³⁾` serves twice: the `W` update solves against it, and the
 //! convergence criterion reads `⟨W, G⁽³⁾⟩` off it afterwards
 //! ([`crate::convergence::criterion_from_byproducts`]), since
 //! `G⁽³⁾(k,r) = H(:,r)ᵀ Y_k V(:,r)` is the model–data cross term.
+//!
+//! [`g1_ws`], [`g2_ws`] and [`g3_ws`] take the slices as separate `R×R`
+//! matrices: they stack them into the [`Workspace`] and run the same
+//! kernels.
 
 use crate::session::Workspace;
 use dpar2_linalg::{gemm, Mat, Trans};
-use dpar2_parallel::{slots, ThreadPool};
-use dpar2_tensor::{mttkrp, Dense3};
-use std::ops::Range;
+use dpar2_parallel::ThreadPool;
+use dpar2_tensor::{khatri_rao_into, mttkrp, Dense3};
 
-/// Width of one reduction chunk over the slice index `k`.
-///
-/// Fixed (instead of `K / threads`) so the *grouping* of the floating-point
-/// partial sums never depends on the pool size: partial sums are formed per
-/// chunk and then added in ascending chunk order, which makes `g1`/`g2`
-/// bit-identical for every thread count — the property `Dpar2::fit`'s
-/// determinism contract rests on. Work per chunk is `CHUNK` dense `R×R`
-/// accumulations, comfortably above scheduling overhead.
-const K_CHUNK: usize = 16;
-
-/// The slices of reduction chunk `c` over `0..k`: [`K_CHUNK`] of them
-/// from `c · K_CHUNK` (the last chunk may be shorter).
-fn k_chunk(c: usize, k: usize) -> Range<usize> {
-    c * K_CHUNK..((c + 1) * K_CHUNK).min(k)
+/// The sums Lemmas 1 and 2 share: `T = Wᵀ·P ∈ R^{R×R²}` into `t`, where
+/// `p` holds `PZF_k` as row `k` (`K × R²`) and `w ∈ R^{K×R}`. Row `r`,
+/// read as a row-major `R×R`, is `T_r = Σ_k W(k,r)·PZF_k`.
+pub fn weighted_sums(p: &Mat, w: &Mat, pool: &ThreadPool, t: &mut Mat) {
+    gemm(Trans::T, Trans::N, w, p, t, pool);
 }
 
-/// Lemma 1: `G⁽¹⁾ = Y_(1)(W ⊙ V) ∈ R^{R×R}` from the factorized slices,
-/// into `out`.
-///
-/// `pzf[k] = P_k Z_kᵀ F(k)`, `w ∈ R^{K×R}`, `edtv = E Dᵀ V ∈ R^{R×R}`.
-/// One body, whatever the pool: each chunk's partial sums
-/// `T_r = Σ_k W(k,r)·PZF_k` go into the [`Workspace`]'s result slots
-/// through the pool (a one-thread pool runs inline, allocation-free), then
-/// add up in ascending chunk order, so the result is bit-identical for
-/// every thread count.
+/// Lemma 1 from the sums `t` of [`weighted_sums`]: `G⁽¹⁾ = Y_(1)(W ⊙ V)
+/// ∈ R^{R×R}` into `out`, column `r` being `T_r · edtv(:,r)`, where
+/// `edtv = E Dᵀ V ∈ R^{R×R}`.
+pub fn g1_from_sums(t: &Mat, edtv: &Mat, out: &mut Mat) {
+    let r = edtv.rows();
+    out.resize_zeroed(r, r);
+    for (col, t_r) in t.data().chunks_exact((r * r).max(1)).enumerate() {
+        for (i, t_row) in t_r.chunks_exact(r).enumerate() {
+            let mut sum = 0.0;
+            for (j, &x) in t_row.iter().enumerate() {
+                sum += x * edtv.at(j, col);
+            }
+            out.set(i, col, sum);
+        }
+    }
+}
+
+/// Lemma 2 from the sums `t` of [`weighted_sums`]: `G⁽²⁾ = Y_(2)(W ⊙ H)
+/// ∈ R^{J×R}` into `out`, as `D E · M` with `M(:,r) = T_rᵀ · H(:,r)`
+/// (`R×R`, formed in `m`). `de = D E ∈ R^{J×R}` is the stage-2 left factor,
+/// columns scaled by the singular values; `D E · M` is one pooled [`gemm`].
+pub fn g2_from_sums(t: &Mat, h: &Mat, de: &Mat, pool: &ThreadPool, out: &mut Mat, m: &mut Mat) {
+    let r = h.rows();
+    m.resize_zeroed(r, r);
+    for (col, t_r) in t.data().chunks_exact((r * r).max(1)).enumerate() {
+        for (i, t_row) in t_r.chunks_exact(r).enumerate() {
+            let hic = h.at(i, col);
+            for (j, &x) in t_row.iter().enumerate() {
+                m.row_mut(j)[col] += x * hic;
+            }
+        }
+    }
+    gemm(Trans::N, Trans::N, de, &*m, out, pool);
+}
+
+/// Lemma 3 over the stacked slices `p` (`K × R²`): `G⁽³⁾ = Y_(3)(V ⊙ H)
+/// = P · (H ⊙ edtv) ∈ R^{K×R}` into `out`, the Khatri–Rao operand formed
+/// in `kr` (`R² × R`). One pooled [`gemm`].
+pub fn g3_stacked(p: &Mat, edtv: &Mat, h: &Mat, pool: &ThreadPool, out: &mut Mat, kr: &mut Mat) {
+    khatri_rao_into(h, edtv, kr);
+    gemm(Trans::N, Trans::N, p, &*kr, out, pool);
+}
+
+/// Stacks the `R×R` slices `pzf` as the rows of `p` (`K × R²`).
+fn stack(pzf: &[Mat], r: usize, p: &mut Mat) {
+    p.resize_zeroed(pzf.len(), r * r);
+    for (row, pzf_k) in p.data_mut().chunks_exact_mut((r * r).max(1)).zip(pzf) {
+        row.copy_from_slice(pzf_k.data());
+    }
+}
+
+/// Lemma 1 from separate slices `pzf[k] = PZF_k`, into `out`: stacks them
+/// into `ws.lemma_p`, then [`weighted_sums`] and [`g1_from_sums`].
 pub fn g1_ws(
     pzf: &[Mat],
     w: &Mat,
@@ -67,50 +127,13 @@ pub fn g1_ws(
     out: &mut Mat,
     ws: &mut Workspace,
 ) {
-    let r = edtv.rows();
-    let k_total = pzf.len();
-    let Workspace { lemma_acc, lemma_chunk, col_in, col_out, .. } = ws;
-    // `r` partial sums per chunk, one per column of G⁽¹⁾.
-    let partials = slots(lemma_chunk, k_total.div_ceil(K_CHUNK) * r);
-    pool.for_each_chunk_mut(partials, r.max(1), |c, sums| {
-        for s in sums.iter_mut() {
-            s.resize_zeroed(r, r);
-        }
-        for k in k_chunk(c, k_total) {
-            for (col, &wkr) in w.row(k).iter().enumerate() {
-                if wkr != 0.0 {
-                    sums[col].axpy(wkr, &pzf[k]);
-                }
-            }
-        }
-    });
-    let totals = slots(lemma_acc, r);
-    for t in totals.iter_mut() {
-        t.resize_zeroed(r, r);
-    }
-    for part in partials.chunks(r.max(1)) {
-        for (t, p) in totals.iter_mut().zip(part) {
-            *t += p;
-        }
-    }
-    // The columns G⁽¹⁾(:,r) = T_r · edtv(:,r).
-    out.resize_zeroed(r, r);
-    for (col, t_r) in totals.iter().enumerate() {
-        col_in.clear();
-        col_in.extend((0..r).map(|i| edtv.at(i, col)));
-        t_r.view().matvec_into(col_in, col_out);
-        out.set_col(col, col_out);
-    }
+    stack(pzf, edtv.rows(), &mut ws.lemma_p);
+    weighted_sums(&ws.lemma_p, w, pool, &mut ws.lemma_t);
+    g1_from_sums(&ws.lemma_t, edtv, out);
 }
 
-/// Lemma 2: `G⁽²⁾ = Y_(2)(W ⊙ H) ∈ R^{J×R}` from the factorized slices,
-/// into `out` against a reusable [`Workspace`].
-///
-/// `de = D E ∈ R^{J×R}` (stage-2 left factor, columns scaled by the
-/// singular values). Accumulates `ACC(:,r) = Σ_k W(k,r) · (PZF_kᵀ H)(:,r)`
-/// per chunk into result slots, each pool worker on its own arena (one
-/// body; a one-thread pool runs inline), sums the chunks in ascending
-/// order and writes `D E · ACC`. Bit-identical for every thread count.
+/// Lemma 2 from separate slices `pzf[k] = PZF_k`, into `out`: stacks them
+/// into `ws.lemma_p`, then [`weighted_sums`] and [`g2_from_sums`].
 pub fn g2_ws(
     pzf: &[Mat],
     w: &Mat,
@@ -120,44 +143,13 @@ pub fn g2_ws(
     out: &mut Mat,
     ws: &mut Workspace,
 ) {
-    let r = h.rows();
-    let k_total = pzf.len();
-    let Workspace { lemma_chunk, lemma_tmp, workers, .. } = ws;
-    let partials = slots(lemma_chunk, k_total.div_ceil(K_CHUNK));
-    let scratch = slots(workers, pool.threads());
-    pool.for_each_with(partials.iter_mut(), scratch, |c, acc, worker| {
-        acc.resize_zeroed(r, r);
-        let pth = &mut worker.lemma_tmp;
-        for k in k_chunk(c, k_total) {
-            // PZF_kᵀ · H in one shot, then scale column r by W(k,r).
-            pzf[k].matmul_tn_into(h, pth);
-            let wrow = w.row(k);
-            for i in 0..r {
-                let acc_row = acc.row_mut(i);
-                let pth_row = pth.row(i);
-                for (col, &wkr) in wrow.iter().enumerate() {
-                    acc_row[col] += wkr * pth_row[col];
-                }
-            }
-        }
-    });
-    lemma_tmp.resize_zeroed(r, r);
-    for p in partials.iter() {
-        *lemma_tmp += p;
-    }
-    // J×R product — the only lemma-kernel GEMM that grows with J, so it
-    // fans out over the pool (bit-identical for every pool size).
-    gemm(Trans::N, Trans::N, de, &*lemma_tmp, out, pool);
+    stack(pzf, h.rows(), &mut ws.lemma_p);
+    weighted_sums(&ws.lemma_p, w, pool, &mut ws.lemma_t);
+    g2_from_sums(&ws.lemma_t, h, de, pool, out, &mut ws.lemma_tmp);
 }
 
-/// Lemma 3: `G⁽³⁾ = Y_(3)(V ⊙ H) ∈ R^{K×R}` from the factorized slices,
-/// into `out` against a reusable [`Workspace`].
-///
-/// Row `k` is computed via the bilinear form
-/// `G⁽³⁾(k,r) = H(:,r)ᵀ · PZF_k · edtv(:,r)`, written straight into its
-/// chunk of `out`'s rows by whichever pool worker owns the chunk (one
-/// body; a one-thread pool runs inline). Bit-identical for every thread
-/// count.
+/// Lemma 3 from separate slices `pzf[k] = PZF_k`, into `out`: stacks them
+/// into `ws.lemma_p`, then [`g3_stacked`].
 pub fn g3_ws(
     pzf: &[Mat],
     edtv: &Mat,
@@ -166,25 +158,8 @@ pub fn g3_ws(
     out: &mut Mat,
     ws: &mut Workspace,
 ) {
-    let r = h.rows();
-    let k_total = pzf.len();
-    out.resize_zeroed(k_total, r);
-    let rows = out.data_mut().chunks_mut((K_CHUNK * r).max(1));
-    let scratch = slots(&mut ws.workers, pool.threads());
-    pool.for_each_with(rows, scratch, |c, rows, worker| {
-        let t = &mut worker.lemma_tmp;
-        for (row, k) in rows.chunks_mut(r).zip(k_chunk(c, k_total)) {
-            // T = PZF_k · edtv, then G⁽³⁾(k,r) = Σ_i H(i,r) T(i,r).
-            pzf[k].matmul_into(edtv, t);
-            for i in 0..r {
-                let hrow = h.row(i);
-                let trow = t.row(i);
-                for (col, v) in row.iter_mut().enumerate() {
-                    *v += hrow[col] * trow[col];
-                }
-            }
-        }
-    });
+    stack(pzf, h.rows(), &mut ws.lemma_p);
+    g3_stacked(&ws.lemma_p, edtv, h, pool, out, &mut ws.lemma_kr);
 }
 
 /// Materializes the frontal slices `Y_k = PZF_k · E Dᵀ` — the explicit
@@ -315,18 +290,73 @@ mod tests {
 
     #[test]
     fn kernels_bit_identical_across_thread_counts() {
-        // K = 53 spans multiple K_CHUNK reduction chunks; K = 1 and K = 3
-        // leave threads without a chunk; K = 16 and 32 end on a full chunk.
-        // The fixed chunk grouping makes every kernel exactly
-        // schedule-independent.
-        for k in [53, 1, 3, K_CHUNK, 2 * K_CHUNK] {
-            let s = setup(k, 13, 4, 104);
+        // R = 4: K = 1 and 3 keep every product on the naive loops, K = 16,
+        // 32 and 53 put `P·KR` on the blocked kernel in one row panel.
+        // R = 10, K = 300: both `WᵀP` and `P·KR` take the blocked kernel,
+        // and `P·KR` spans three 120-row panels, which fan out over the
+        // pool. `gemm` is bit-identical for every pool size, and so is
+        // every kernel.
+        let cases = [(53, 4), (1, 4), (3, 4), (16, 4), (32, 4), (300, 10)];
+        for (k, r) in cases {
+            let s = setup(k, 13, r, 104);
             let (a1, b1, c1) = s.lemmas(&ThreadPool::new(1));
             for threads in [2, 3, 4, 8] {
                 let (a, b, c) = s.lemmas(&ThreadPool::new(threads));
-                assert_eq!(a1, a, "g1 diverged at {threads} threads, K = {k}");
-                assert_eq!(b1, b, "g2 diverged at {threads}, K = {k}");
-                assert_eq!(c1, c, "g3 diverged at {threads}, K = {k}");
+                assert_eq!(a1, a, "g1 diverged at {threads} threads, K = {k}, R = {r}");
+                assert_eq!(b1, b, "g2 diverged at {threads}, K = {k}, R = {r}");
+                assert_eq!(c1, c, "g3 diverged at {threads}, K = {k}, R = {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn stacked_kernels_match_the_slice_wrappers_bit_for_bit() {
+        // The fit runs the kernels on the `P` its `Q_k` step writes, with
+        // Lemma 2 reading Lemma 1's sums; the wrappers stack their slices
+        // and recompute the sums. Both must give the same bits.
+        for (k, r) in [(7, 4), (300, 10)] {
+            let s = setup(k, 17, r, 107);
+            let mut p = Mat::zeros(k, r * r);
+            for (row, pzf_k) in p.data_mut().chunks_exact_mut(r * r).zip(&s.pzf) {
+                row.copy_from_slice(pzf_k.data());
+            }
+            for threads in [1, 3] {
+                let pool = ThreadPool::new(threads);
+                let (mut t, mut m, mut kr) = (Mat::default(), Mat::default(), Mat::default());
+                let (mut a, mut b, mut c) = (Mat::default(), Mat::default(), Mat::default());
+                weighted_sums(&p, &s.w, &pool, &mut t);
+                g1_from_sums(&t, &s.edtv, &mut a);
+                g2_from_sums(&t, &s.h, &s.de, &pool, &mut b, &mut m);
+                g3_stacked(&p, &s.edtv, &s.h, &pool, &mut c, &mut kr);
+                let (a1, b1, c1) = s.lemmas(&pool);
+                assert_eq!(a, a1, "g1, K = {k}, {threads} threads");
+                assert_eq!(b, b1, "g2, K = {k}, {threads} threads");
+                assert_eq!(c, c1, "g3, K = {k}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_slice_with_zero_weight_reaches_every_lemma() {
+        // A NaN in PZF_k(i, j) with W(k,:) = 0: `0·NaN` is NaN, so the NaN
+        // reaches every T_r at (i, j), hence row i of G⁽¹⁾, every entry of
+        // G⁽²⁾ = D E·M (row j of M is NaN) and row k of G⁽³⁾. Nothing else
+        // is touched. Once, G⁽¹⁾ skipped zero weights and stayed finite.
+        for (k_dim, r, k, i, j) in [(7, 4, 2, 1, 3), (300, 10, 123, 4, 7)] {
+            let mut s = setup(k_dim, 11, r, 108);
+            s.pzf[k].set(i, j, f64::NAN);
+            s.w.set_row(k, &vec![0.0; r]);
+            for threads in [1, 2] {
+                let (g1, g2, g3) = s.lemmas(&ThreadPool::new(threads));
+                for row in 0..r {
+                    let nan = row == i;
+                    assert!(g1.row(row).iter().all(|x| x.is_nan() == nan), "G1 row {row}");
+                }
+                assert!(g2.data().iter().all(|x| x.is_nan()), "G2 K = {k_dim}");
+                for row in 0..k_dim {
+                    let nan = row == k;
+                    assert!(g3.row(row).iter().all(|x| x.is_nan() == nan), "G3 row {row}");
+                }
             }
         }
     }
@@ -349,20 +379,5 @@ mod tests {
         let fast = s.lemmas(&pool).0;
         let naive = naive_g1(&y, &s.v, &s.w);
         assert!((&fast - &naive).fro_norm() < 1e-10 * (1.0 + naive.fro_norm()));
-    }
-
-    #[test]
-    fn k_chunks_cover_range() {
-        for k in [1, 7, K_CHUNK, K_CHUNK + 1, 100] {
-            let mut covered = vec![false; k];
-            for c in 0..k.div_ceil(K_CHUNK) {
-                for i in k_chunk(c, k) {
-                    assert!(!covered[i]);
-                    covered[i] = true;
-                }
-            }
-            assert!(covered.iter().all(|&c| c), "k={k} left gaps");
-        }
-        assert!(k_chunk(0, 0).is_empty());
     }
 }

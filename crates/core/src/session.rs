@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Reusable scratch arena for one fit: every temporary an ALS iteration
-/// needs — SVD working stores, lemma-kernel accumulators, criterion
+/// needs — SVD working stores, lemma-kernel sums and operands, criterion
 /// buffers, factor-update staging — lives here as a named slot, sized
 /// lazily on first use and reused verbatim afterwards.
 ///
@@ -64,17 +64,15 @@ pub struct Workspace {
     pub crit_pred: Mat,
     /// Criterion scratch: the reconstructed slice.
     pub crit_model: Mat,
-    /// Lemma-kernel running totals (one `R×R` accumulator per column).
-    pub lemma_acc: Vec<Mat>,
-    /// Lemma-kernel result slots: the per-chunk partial sums, summed in
-    /// ascending chunk order afterwards.
-    pub lemma_chunk: Vec<Mat>,
-    /// Lemma-kernel dense temporary (`PZF_kᵀH`-sized).
+    /// The `PZF_k` stacked as rows (`K × R²`), where the lemma kernels are
+    /// handed separate slices.
+    pub lemma_p: Mat,
+    /// Lemma 1's sums `T = Wᵀ·P` (`R × R²`), which Lemma 2 reads too.
+    pub lemma_t: Mat,
+    /// Lemma 3's Khatri–Rao operand `H ⊙ E Dᵀ V` (`R² × R`).
+    pub lemma_kr: Mat,
+    /// Lemma-kernel dense temporary (`R×R`, or `J×R` for SPARTan).
     pub lemma_tmp: Mat,
-    /// Column gather buffer (input side).
-    pub col_in: Vec<f64>,
-    /// Column result buffer (output side).
-    pub col_out: Vec<f64>,
     /// Column norms from `normalize_columns_mut`.
     pub norms: Vec<f64>,
     /// Baseline scratch at `I_k×R` / `I_k×J` scale (targets, models).

@@ -5,13 +5,13 @@ use crate::config::FitOptions;
 use crate::convergence::criterion_from_byproducts;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::{Parafac2Fit, TimingBreakdown};
-use crate::lemmas::{g1_ws, g2_ws, g3_ws};
+use crate::lemmas::{g1_from_sums, g2_from_sums, g3_stacked, weighted_sums};
 use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver};
 use crate::slices::{validate, SliceTensor};
 use dpar2_linalg::kernel::use_blocked;
 use dpar2_linalg::{
     extract_lane, gemm_lanes, interleave_lanes, pinv_into, svd_square_lanes, LaneOperand, Mat,
-    SvdBatchScratch, Trans, SVD_LANES,
+    MatRef, SvdBatchScratch, Trans, SVD_LANES,
 };
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::normalize_columns_mut;
@@ -290,11 +290,15 @@ impl Dpar2 {
             && ct.f_blocks.iter().any(|f| f.data().iter().any(|&x| x != 0.0));
 
         let mut edtv = edt.matmul(&v).expect("EDᵀ·V");
-        // Z_k P_kᵀ kept for the final U_k recovery. `pzf` is fully
-        // overwritten by the first iteration's slice step before any read,
-        // so it starts as empty buffers (no `f_blocks` clone).
-        let mut zpt: Vec<Mat> = vec![Mat::eye(r); k_dim];
-        let mut pzf: Vec<Mat> = (0..k_dim).map(|_| Mat::default()).collect();
+        // Every slice's `Z_k P_kᵀ` and `PZF_k`, each as row `k` of a
+        // `K × R²` store, which the `Q_k` step writes in place: `P` is what
+        // the lemma kernels read (see [`crate::lemmas`]), and `Z_k P_kᵀ` is
+        // kept for the final U_k recovery (`I` if no iteration runs).
+        let mut zpt = Mat::zeros(k_dim, r * r);
+        for row in zpt.data_mut().chunks_exact_mut(r * r) {
+            row.iter_mut().step_by(r + 1).for_each(|x| *x = 1.0);
+        }
+        let mut p = Mat::zeros(k_dim, r * r);
         let mut qk = QkStep::new(k_dim, &pool);
 
         // Factor-update staging buffers, persistent across iterations so
@@ -321,10 +325,12 @@ impl Dpar2 {
 
             // Lines 8–13: the R×R SVDs of F(k)·(E Dᵀ V)·S_k·Hᵀ and the
             // products around them.
-            qk.run(&pool, (&ct.f_blocks[..], &edtv, &w, &h), &mut zpt, &mut pzf);
+            qk.run(&pool, (&ct.f_blocks[..], &edtv, &w, &h), &mut zpt, &mut p);
 
-            // Lines 14–15: H update.
-            g1_ws(&pzf, &w, &edtv, &pool, &mut g_out, ws);
+            // Lines 14–15: H update, from the sums `T = WᵀP`, which the V
+            // update reads too: neither W nor P changes in between.
+            weighted_sums(&p, &w, &pool, &mut ws.lemma_t);
+            g1_from_sums(&ws.lemma_t, &edtv, &mut g_out);
             w.matmul_tn_into(&w, &mut wtw);
             v.matmul_tn_into(&v, &mut vtv);
             gram.copy_from(&wtw);
@@ -335,7 +341,7 @@ impl Dpar2 {
             normalize_columns_mut(&mut h, &mut ws.norms);
 
             // Lines 16–17: V update (edtv refreshed afterwards).
-            g2_ws(&pzf, &w, &h, &de, &pool, &mut g_out, ws);
+            g2_from_sums(&ws.lemma_t, &h, &de, &pool, &mut g_out, &mut ws.lemma_tmp);
             h.matmul_tn_into(&h, &mut hth);
             gram.copy_from(&wtw);
             gram.hadamard_assign(&hth); // WᵀW ∗ HᵀH
@@ -346,7 +352,7 @@ impl Dpar2 {
             edt.matmul_into(&v, &mut edtv);
 
             // Lines 18–19: W update.
-            g3_ws(&pzf, &edtv, &h, &pool, &mut g_out, ws);
+            g3_stacked(&p, &edtv, &h, &pool, &mut g_out, &mut ws.lemma_kr);
             v.matmul_tn_into(&v, &mut vtv);
             gram.copy_from(&vtv);
             gram.hadamard_assign(&hth); // VᵀV ∗ HᵀH
@@ -368,14 +374,15 @@ impl Dpar2 {
             }
         }
         let mut outcome = session.finish();
-        // Like the session's workspace, the `Q_k` scratch is done; free it
-        // before finalize allocates the `U_k`.
+        // Like the session's workspace, the `Q_k` scratch and `P` are done;
+        // free them before finalize allocates the `U_k`.
         drop(qk);
+        drop(p);
 
         // Lines 24–26: U_k = A_k Z_k P_kᵀ H.
         let t_final = Instant::now();
         let u: Vec<Mat> = pool.map(&ct.a, |k, a_k| {
-            let zph = zpt[k].matmul(&h).expect("ZPᵀ·H");
+            let zph = MatRef::from_slice(r, r, zpt.row(k)).matmul(&h).expect("ZPᵀ·H");
             a_k.matmul(&zph).expect("A_k·ZPᵀH")
         });
         let s: Vec<Vec<f64>> = (0..k_dim).map(|k| w.row(k).to_vec()).collect();
@@ -454,18 +461,19 @@ impl QkStep {
         QkStep { run, scratch }
     }
 
-    /// Writes every slice's `Z_k P_kᵀ` into `zpt` and `PZF_k` into `pzf`,
-    /// each run in place on its own scratch. `fit` is
-    /// `({F(k)}, E Dᵀ V, W, H)`.
+    /// Writes every slice's `Z_k P_kᵀ` into row `k` of `zpt` and `PZF_k`
+    /// into row `k` of `p` (both `K × R²`), each run in place on its own
+    /// scratch. `fit` is `({F(k)}, E Dᵀ V, W, H)`.
     fn run(
         &mut self,
         pool: &ThreadPool,
         fit: (&[Mat], &Mat, &Mat, &Mat),
-        zpt: &mut [Mat],
-        pzf: &mut [Mat],
+        zpt: &mut Mat,
+        p: &mut Mat,
     ) {
         let run = self.run;
-        let runs = zpt.chunks_mut(run).zip(pzf.chunks_mut(run));
+        let len = run * zpt.cols();
+        let runs = zpt.data_mut().chunks_mut(len).zip(p.data_mut().chunks_mut(len));
         pool.for_each_with(runs, &mut self.scratch, |i, (zpt, pzf), scratch| {
             qk_update(i * run, fit, zpt, pzf, scratch);
         });
@@ -489,16 +497,22 @@ pub(crate) struct QkScratch {
     v: Vec<[f64; SVD_LANES]>,
     /// The singular values, which the step does not use.
     sigma: Vec<[f64; SVD_LANES]>,
-    /// One slice's `U`, where `R` is past the lane products.
+    /// Where `R` is past the lane products: one slice's
+    /// `F(k)·(E Dᵀ V)·S_k`, then its `U`.
     u: Mat,
+    /// There, one slice's `V`.
+    v_k: Mat,
+    /// There, one slice's SVD input, `Z_k P_kᵀ` and `PZF_k`, on their way
+    /// to a lane store or a row.
+    out: Mat,
     svd: SvdBatchScratch,
 }
 
-/// The `Q_k` step (lines 8–13) for the slices `k0..k0 + zpt.len()`, in
-/// groups of [`SVD_LANES`] from `k0`: the `R×R` SVDs of
-/// `F(k)·(E Dᵀ V)·S_k·Hᵀ` through the lane-native kernel
-/// ([`svd_square_lanes`]), then `Z_k P_kᵀ` into `zpt` and
-/// `PZF_k = (Z_k P_kᵀ)ᵀ F(k)` into `pzf`. `fit` is
+/// The `Q_k` step (lines 8–13) for the slices from `k0` whose rows
+/// (`R²` entries each) `zpt` and `pzf` hold, in groups of [`SVD_LANES`]
+/// from `k0`: the `R×R` SVDs of `F(k)·(E Dᵀ V)·S_k·Hᵀ` through the
+/// lane-native kernel ([`svd_square_lanes`]), then `Z_k P_kᵀ` into its row
+/// of `zpt` and `PZF_k = (Z_k P_kᵀ)ᵀ F(k)` into its row of `pzf`. `fit` is
 /// `({F(k)}, E Dᵀ V, W, H)`.
 ///
 /// Where `gemm` runs `R×R` products on its naive loops, a group's products
@@ -508,13 +522,14 @@ pub(crate) struct QkScratch {
 fn qk_update(
     k0: usize,
     fit: (&[Mat], &Mat, &Mat, &Mat),
-    zpt: &mut [Mat],
-    pzf: &mut [Mat],
+    zpt: &mut [f64],
+    pzf: &mut [f64],
     g: &mut QkScratch,
 ) {
     let r = fit.3.rows();
     let group = if use_blocked(r, r, r) { qk_group_per_slice } else { qk_group_lanes };
-    let groups = zpt.chunks_mut(SVD_LANES).zip(pzf.chunks_mut(SVD_LANES));
+    let len = SVD_LANES * r * r;
+    let groups = zpt.chunks_mut(len).zip(pzf.chunks_mut(len));
     for (first, (zpt, pzf)) in (k0..).step_by(SVD_LANES).zip(groups) {
         group(first, fit, zpt, pzf, g);
     }
@@ -522,15 +537,17 @@ fn qk_update(
 
 /// One lane group of [`qk_update`] in lanes: each `F(k)` is interleaved
 /// once and read by the first and the last product, the SVDs read and
-/// write lane stores, and only the results leave them.
+/// write lane stores, and only the results leave them, straight into
+/// their rows.
 fn qk_group_lanes(
     first: usize,
     (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
-    zpt: &mut [Mat],
-    pzf: &mut [Mat],
+    zpt: &mut [f64],
+    pzf: &mut [f64],
     g: &mut QkScratch,
 ) {
-    let (r, lanes) = (h.rows(), zpt.len());
+    let r = h.rows();
+    let lanes = zpt.len() / (r * r);
     let ks = first..first + lanes;
     interleave_lanes(ks.clone().map(|k| &f_blocks[k]), r, &mut g.f);
     gemm_lanes(Trans::N, Trans::N, r, &g.f, LaneOperand::Shared(edtv), &mut g.a);
@@ -553,39 +570,54 @@ fn qk_group_lanes(
     svd_square_lanes(r, lanes, &g.b, &mut g.a, &mut g.sigma, &mut g.v, &mut g.svd);
     gemm_lanes(Trans::N, Trans::T, r, &g.a, LaneOperand::PerLane(&g.v), &mut g.b);
     gemm_lanes(Trans::T, Trans::N, r, &g.b, LaneOperand::PerLane(&g.f), &mut g.a);
-    for (l, (zp, pzf_k)) in zpt.iter_mut().zip(pzf).enumerate() {
-        extract_lane(&g.b, r, l, zp);
-        extract_lane(&g.a, r, l, pzf_k);
+    let rows = zpt.chunks_exact_mut(r * r).zip(pzf.chunks_exact_mut(r * r));
+    for (l, (zp, pzf_k)) in rows.enumerate() {
+        lane_into(&g.b, l, zp);
+        lane_into(&g.a, l, pzf_k);
+    }
+}
+
+/// Copies lane `l` of a lane store into `row`.
+fn lane_into(src: &[[f64; SVD_LANES]], l: usize, row: &mut [f64]) {
+    for (y, x) in row.iter_mut().zip(src) {
+        *y = x[l];
     }
 }
 
 /// One lane group of [`qk_update`] with per-slice `gemm` products, for
-/// `R` past the naive-loop sizes. `PZF_k` stages `F(k)·(E Dᵀ V)·S_k` and
-/// then the factors' `V`, `Z_k P_kᵀ` the SVD input.
+/// `R` past the naive-loop sizes; the SVDs still run in lanes.
 fn qk_group_per_slice(
     first: usize,
     (f_blocks, edtv, w, h): (&[Mat], &Mat, &Mat, &Mat),
-    zpt: &mut [Mat],
-    pzf: &mut [Mat],
+    zpt: &mut [f64],
+    pzf: &mut [f64],
     g: &mut QkScratch,
 ) {
     let r = h.rows();
-    for (k, (input, prod)) in (first..).zip(zpt.iter_mut().zip(pzf.iter_mut())) {
-        f_blocks[k].matmul_into(edtv, prod);
-        for i in 0..prod.rows() {
-            for (x, &wv) in prod.row_mut(i).iter_mut().zip(w.row(k)) {
+    let lanes = zpt.len() / (r * r);
+    g.b.clear();
+    g.b.resize(r * r, [0.0; SVD_LANES]);
+    for (l, k) in (first..first + lanes).enumerate() {
+        f_blocks[k].matmul_into(edtv, &mut g.u);
+        for i in 0..r {
+            for (x, &wv) in g.u.row_mut(i).iter_mut().zip(w.row(k)) {
                 *x *= wv;
             }
         }
-        prod.matmul_nt_into(h, input);
+        g.u.matmul_nt_into(h, &mut g.out);
+        for (x, &y) in g.b.iter_mut().zip(g.out.data()) {
+            x[l] = y;
+        }
     }
-    interleave_lanes(zpt.iter(), r, &mut g.b);
-    svd_square_lanes(r, zpt.len(), &g.b, &mut g.a, &mut g.sigma, &mut g.v, &mut g.svd);
-    for (l, (k, (zp, pzf_k))) in (first..).zip(zpt.iter_mut().zip(pzf)).enumerate() {
+    svd_square_lanes(r, lanes, &g.b, &mut g.a, &mut g.sigma, &mut g.v, &mut g.svd);
+    let rows = zpt.chunks_exact_mut(r * r).zip(pzf.chunks_exact_mut(r * r));
+    for (l, (k, (zp, pzf_k))) in (first..).zip(rows).enumerate() {
         extract_lane(&g.a, r, l, &mut g.u);
-        extract_lane(&g.v, r, l, pzf_k);
-        g.u.matmul_nt_into(&*pzf_k, zp);
-        zp.matmul_tn_into(&f_blocks[k], pzf_k);
+        extract_lane(&g.v, r, l, &mut g.v_k);
+        g.u.matmul_nt_into(&g.v_k, &mut g.out);
+        zp.copy_from_slice(g.out.data());
+        MatRef::from_slice(r, r, zp).matmul_tn_into(&f_blocks[k], &mut g.out);
+        pzf_k.copy_from_slice(g.out.data());
     }
 }
 
@@ -885,11 +917,9 @@ mod tests {
         }
     }
 
-    /// Shapes and bit patterns of a run of matrices.
-    fn bits(ms: &[Mat]) -> Vec<(usize, usize, Vec<u64>)> {
-        ms.iter()
-            .map(|m| (m.rows(), m.cols(), m.data().iter().map(|x| x.to_bits()).collect()))
-            .collect()
+    /// The bit patterns of a run of entries.
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -917,18 +947,25 @@ mod tests {
                 let (mut zpt_ref, mut pzf_ref) =
                     (vec![Mat::eye(r); k_dim], vec![Mat::default(); k_dim]);
                 qk_update_per_slice_reference(fit, &mut zpt_ref, &mut pzf_ref);
-                let check = |zpt: &[Mat], pzf: &[Mat], ctx: &str| {
-                    assert_eq!(bits(zpt), bits(&zpt_ref), "R={r} K={k_dim} {ctx}: Z_k P_kᵀ");
-                    assert_eq!(bits(pzf), bits(&pzf_ref), "R={r} K={k_dim} {ctx}: PZF_k");
+                // Row k of each `K × R²` store against slice k of the
+                // reference. The stores start as NaN, so a row left
+                // unwritten fails too.
+                let check = |zpt: &Mat, pzf: &Mat, ctx: &str| {
+                    for k in 0..k_dim {
+                        let what = format!("R={r} K={k_dim} {ctx}, slice {k}");
+                        assert_eq!(bits(zpt.row(k)), bits(zpt_ref[k].data()), "{what}: Z_k P_kᵀ");
+                        assert_eq!(bits(pzf.row(k)), bits(pzf_ref[k].data()), "{what}: PZF_k");
+                    }
                 };
+                let stores = || [(); 2].map(|_| Mat::from_fn(k_dim, r * r, |_, _| f64::NAN));
                 // One run, then runs of one lane group each, on one reused
                 // scratch.
                 let mut g = QkScratch::default();
                 for run in [k_dim, SVD_LANES] {
-                    let (mut zpt, mut pzf) =
-                        (vec![Mat::eye(r); k_dim], vec![Mat::default(); k_dim]);
-                    for (i, (zpt, pzf)) in zpt.chunks_mut(run).zip(pzf.chunks_mut(run)).enumerate()
-                    {
+                    let [mut zpt, mut pzf] = stores();
+                    let len = run * r * r;
+                    let runs = zpt.data_mut().chunks_mut(len).zip(pzf.data_mut().chunks_mut(len));
+                    for (i, (zpt, pzf)) in runs.enumerate() {
                         qk_update(i * run, fit, zpt, pzf, &mut g);
                     }
                     check(&zpt, &pzf, &format!("run={run}"));
@@ -937,8 +974,7 @@ mod tests {
                 for threads in [1, 2] {
                     let pool = ThreadPool::new(threads);
                     let mut step = QkStep::new(k_dim, &pool);
-                    let (mut zpt, mut pzf) =
-                        (vec![Mat::eye(r); k_dim], vec![Mat::default(); k_dim]);
+                    let [mut zpt, mut pzf] = stores();
                     for _ in 0..2 {
                         step.run(&pool, fit, &mut zpt, &mut pzf);
                         check(&zpt, &pzf, &format!("{threads} threads"));

@@ -536,14 +536,6 @@ impl Mat {
         self.view().matmul_nt_into(b, c);
     }
 
-    /// Matrix-vector product `A · x`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.view().matvec(x)
-    }
-
     /// Vector-matrix product `Aᵀ · x` (equivalently `xᵀ A`).
     ///
     /// # Panics
@@ -1195,9 +1187,8 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_matvec_t() {
+    fn matvec_t_sums_scaled_rows() {
         let a = abcd();
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
         assert_eq!(a.matvec_t(&[1.0, 1.0]), vec![4.0, 6.0]);
     }
 

@@ -280,25 +280,6 @@ impl<'a> MatRef<'a> {
         best
     }
 
-    /// Matrix-vector product `A · x`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec: length mismatch");
-        (0..self.rows).map(|i| crate::mat::dot(self.row(i), x)).collect()
-    }
-
-    /// Writes `A · x` into `out` (resized to `rows`).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols`.
-    pub fn matvec_into(self, x: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.cols, "matvec_into: length mismatch");
-        out.clear();
-        out.extend((0..self.rows).map(|i| crate::mat::dot(self.row(i), x)));
-    }
-
     /// Vector-matrix product `Aᵀ · x`.
     ///
     /// # Panics
@@ -707,11 +688,9 @@ mod tests {
     }
 
     #[test]
-    fn matvec_on_views() {
+    fn matvec_t_on_views() {
         let m = sample();
         let v = m.subview(1, 3, 1, 4);
-        let x = [1.0, 2.0, 3.0];
-        assert_eq!(v.matvec(&x), v.to_mat().matvec(&x));
         let y = [1.0, -1.0];
         assert_eq!(v.matvec_t(&y), v.to_mat().matvec_t(&y));
     }

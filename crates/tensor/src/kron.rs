@@ -133,7 +133,9 @@ mod tests {
         let a = gaussian_mat(3, 4, &mut rng);
         let b = gaussian_mat(4, 5, &mut rng);
         let lhs = a.matmul(&b).unwrap().vec_colmajor();
-        let rhs = kron(&b.transpose(), &Mat::eye(3)).matvec(&a.vec_colmajor());
+        let rhs = kron(&b.transpose(), &Mat::eye(3)).matmul(Mat::col_vector(&a.vec_colmajor()));
+        let rhs = rhs.unwrap().into_vec();
+        assert_eq!(rhs.len(), lhs.len());
         for (x, y) in lhs.iter().zip(&rhs) {
             assert!((x - y).abs() < 1e-10);
         }

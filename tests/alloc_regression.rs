@@ -71,13 +71,17 @@ fn options() -> FitOptions<'static> {
 /// Runs one observed fit and returns the allocation count between each pair
 /// of consecutive iteration boundaries (`deltas[i]` covers iteration `i+2`,
 /// i.e. everything *after* the warmup iteration's boundary).
-fn steady_state_deltas(solver: &dyn Parafac2Solver, tensor: &IrregularTensor) -> Vec<u64> {
+fn steady_state_deltas(
+    solver: &dyn Parafac2Solver,
+    tensor: &IrregularTensor,
+    options: &FitOptions<'_>,
+) -> Vec<u64> {
     let mut snapshots: Vec<u64> = Vec::with_capacity(64);
     let mut observer = |_e: &IterationEvent| {
         snapshots.push(allocs_now());
         ControlFlow::<StopReason>::Continue(())
     };
-    let fit = solver.fit_observed(tensor, &options(), &mut observer).expect("fit failed");
+    let fit = solver.fit_observed(tensor, options, &mut observer).expect("fit failed");
     assert!(
         fit.iterations >= 3,
         "{}: need ≥3 iterations to observe steady state, got {}",
@@ -94,7 +98,7 @@ fn steady_state_deltas(solver: &dyn Parafac2Solver, tensor: &IrregularTensor) ->
 fn dpar2_steady_state_iterations_allocate_nothing() {
     let nine = planted_parafac2(&[25, 40, 18, 32, 21, 36, 27, 19, 30], 14, 3, 0.3, 9006);
     for t in [fixture(), planted_parafac2(&[25, 40, 18, 32, 21, 36], 14, 3, 0.3, 9005), nine] {
-        let deltas = steady_state_deltas(&Dpar2, &t);
+        let deltas = steady_state_deltas(&Dpar2, &t, &options());
         assert!(
             deltas.iter().all(|&d| d == 0),
             "DPar2 allocated in steady state at K = {}: per-iteration counts after warmup = \
@@ -104,12 +108,33 @@ fn dpar2_steady_state_iterations_allocate_nothing() {
     }
 }
 
+/// DPar2 at the many-slices benchmark's shape (K = 300, R = 10, J = 48):
+/// there the lemma products `WᵀP` and `P·(H ⊙ E Dᵀ V)` run on the blocked
+/// GEMM, which the pins above (K ≤ 9, R = 3) keep on the naive loops.
+/// Its steady-state iterations allocate nothing either.
+#[test]
+fn dpar2_steady_state_allocates_nothing_on_the_blocked_lemma_path() {
+    let rows: Vec<usize> = (0..300).map(|k| 12 + k % 9).collect();
+    let t = planted_parafac2(&rows, 48, 10, 0.3, 9007);
+    let opts = FitOptions::new(10)
+        .with_seed(9008)
+        .with_threads(1)
+        .with_tolerance(0.0)
+        .with_max_iterations(4);
+    let deltas = steady_state_deltas(&Dpar2, &t, &opts);
+    assert!(
+        deltas.iter().all(|&d| d == 0),
+        "DPar2 allocated in steady state at K = 300, R = 10: per-iteration counts after \
+         warmup = {deltas:?}"
+    );
+}
+
 /// Tentpole pin: RD-ALS's steady-state iterations are allocation-free too
 /// (its Q-updates run tall QR-preconditioned SVDs — all on scratch).
 #[test]
 fn rd_als_steady_state_iterations_allocate_nothing() {
     let t = fixture();
-    let deltas = steady_state_deltas(&RdAls, &t);
+    let deltas = steady_state_deltas(&RdAls, &t, &options());
     assert!(
         deltas.iter().all(|&d| d == 0),
         "RD-ALS allocated in steady state: per-iteration counts after warmup = {deltas:?}"
@@ -121,7 +146,7 @@ fn rd_als_steady_state_iterations_allocate_nothing() {
 #[test]
 fn spartan_dense_steady_state_iterations_allocate_nothing() {
     let t = fixture();
-    let deltas = steady_state_deltas(&Spartan, &t);
+    let deltas = steady_state_deltas(&Spartan, &t, &options());
     assert!(
         deltas.iter().all(|&d| d == 0),
         "SPARTan allocated in steady state: per-iteration counts after warmup = {deltas:?}"
@@ -137,7 +162,7 @@ fn other_baselines_stay_under_allocation_ceiling() {
     let t = fixture();
     let solvers: [&dyn Parafac2Solver; 2] = [&Parafac2Als, &NaiveCompressedAls];
     for solver in solvers {
-        let deltas = steady_state_deltas(solver, &t);
+        let deltas = steady_state_deltas(solver, &t, &options());
         let worst = deltas.iter().copied().max().unwrap_or(0);
         assert!(
             worst < CEILING,
