@@ -18,6 +18,14 @@
 //! floats (Theorem 2), which Fig. 10 of the paper shows is up to 201× smaller
 //! than the input.
 //!
+//! **One `Mᵀ`.** Stage 1 writes each slice's `(C_k B_k)ᵀ` straight into
+//! its `R` rows of one preallocated row-major `Mᵀ ∈ R^{KR×J}`, so no
+//! slice's `C_k B_k` outlives it and `M` is never assembled from blocks.
+//! Stage 2 reads `M` from that buffer in place, through [`gemm`]'s
+//! transpose flags, with the bits a row-major `M` would give (see
+//! `Transposed`), and frees it before it carves the `F(k)`. So compression
+//! peaks at about `{A_k} + M`, plus one slice's stage-1 scratch per thread.
+//!
 //! **The Gram route.** Both stages factor a matrix `X` (`rows × cols`)
 //! whose smaller side `m` is often small: `J = 88` on the stock data, and
 //! `M` is `J × KR`. When `l = R + s < m ≤ κ·l` ([`gram_route_applies`]),
@@ -31,15 +39,16 @@
 //! On the short side they are `A`, and `C = XᵀA`; on the long side
 //! `A = X·W·Σ⁻¹`, made orthonormal by one CholeskyQR pass `A·Lᵀ`, and
 //! `C = W·Σ·L` (`XᵀA` on `span(W)`). No `rows × l` QR, tall sketch product
-//! or `cols`-wide `Ω` is left. A matrix outside the rule, one whose Gram diagonal leaves
-//! `[2^-500, 2^500]`, a rank-deficient one (`λ_R ≤ 10⁻¹⁰·λ_1`) and one
-//! whose Cholesky fails take the randomized SVD of
+//! or `cols`-wide `Ω` is left. A matrix outside the rule, one whose Gram
+//! diagonal leaves `[2^-500, 2^500]`, a rank-deficient one
+//! (`λ_R ≤ 10⁻¹⁰·λ_1`) and one whose Cholesky fails take the randomized SVD of
 //! [`dpar2_rsvd::rsvd_pooled`] instead, on a fresh RNG stream. Stage 1
 //! takes each thread's slices in groups of [`SVD_LANES`] (eight): it
 //! sketches each one, factors the group's `T`s (and the fallback's
 //! `(R+s)×J` projections) together with the lane-batched Jacobi SVD —
 //! bitwise each alone — and lifts each slice's factors into its slot.
-//! Stage 2 takes the route on `M`, with `F = C·E⁻¹`.
+//! Stage 2 takes the route on `M`, with `F = C·E⁻¹`; its Gram `M·Mᵀ` is
+//! `Mᵀ` against itself, of which the blocked GEMM computes one triangle.
 //!
 //! Every step of the route is homogeneous: the even power of two makes
 //! `compress(2^k·X)` keep the bits of `A_k`, `D` and `F(k)` and scale `E`
@@ -48,8 +57,9 @@
 use crate::config::FitOptions;
 use crate::error::Result;
 use crate::slices::{validate, SliceTensor};
+use dpar2_linalg::kernel::use_blocked;
 use dpar2_linalg::{
-    gaussian_mat, gemm, pow2, qr_into, svd_thin, svd_thin_batch_into, Mat, QrScratch,
+    gaussian_mat, gemm, pow2, qr_into, svd_thin, svd_thin_batch_into, Mat, MatRef, QrScratch,
     SvdBatchScratch, SvdFactors, Trans, SVD_LANES,
 };
 use dpar2_parallel::{greedy_partition, Bucket, ThreadPool};
@@ -245,7 +255,7 @@ fn gram_lift(
 }
 
 /// `m` with each entry `x` of column `j` replaced by `f(x, s[j])`.
-pub(crate) fn scale_columns(mut m: Mat, s: &[f64], f: impl Fn(f64, f64) -> f64) -> Mat {
+fn scale_columns(mut m: Mat, s: &[f64], f: impl Fn(f64, f64) -> f64) -> Mat {
     for i in 0..m.rows() {
         for (x, &sj) in m.row_mut(i).iter_mut().zip(s) {
             *x = f(*x, sj);
@@ -321,29 +331,57 @@ pub(crate) fn compress_valid<T: SliceTensor>(
     // oversampling/power-iteration knobs of `options.rsvd` apply.
     let config = RsvdConfig { rank: r, ..options.rsvd };
     let base_seed = options.seed;
-    let (a, cb) = stage1(tensor, &config, |k| stage1_seed(base_seed, k), &pool);
-    let (d, e, f_blocks) = stage2(cb, r, &config, base_seed ^ 0xD1B5_4A32_D192_ED03, &pool);
+    let mut mt = Mat::zeros(tensor.k() * r, tensor.j());
+    let a = stage1(tensor, &config, |k| stage1_seed(base_seed, k), mt.data_mut(), &pool);
+    let (d, e, f_blocks) = stage2(mt, r, &config, base_seed ^ 0xD1B5_4A32_D192_ED03, &pool);
     CompressedTensor { a, d, e, f_blocks, rank: r, j: tensor.j() }
 }
 
-/// Stage 1 of every slice of `tensor` — each slice's `A_k` and
-/// `C_k B_k` — slice `k` drawing from the RNG seeded with `seed(k)`,
-/// greedy-partitioned over `pool`: bitwise the same for every pool size.
+/// One slice's place in stage 1's output: its `A_k`, and its `R` rows of
+/// `Mᵀ`, which take `(C_k B_k)ᵀ`.
+type Slot<'a> = (&'a mut Mat, &'a mut [f64]);
+
+/// Stage 1 of every slice of `tensor`, slice `k` drawing from the RNG
+/// seeded with `seed(k)`, greedy-partitioned over `pool`: bitwise the same
+/// for every pool size. Returns each slice's `A_k` and writes
+/// `(C_k B_k)ᵀ` into rows `kR..(k+1)R` of `mt`, the row-major `KR × J`
+/// matrix `Mᵀ` (`R = config.rank`), so that no slice's `C_k B_k` outlives
+/// its slice.
+///
+/// # Panics
+/// Panics if `mt` does not hold `K·R·J` entries.
 pub(crate) fn stage1<T: SliceTensor>(
     tensor: &T,
     config: &RsvdConfig,
     seed: impl Fn(usize) -> u64 + Sync,
+    mt: &mut [f64],
     pool: &ThreadPool,
-) -> (Vec<Mat>, Vec<Mat>) {
+) -> Vec<Mat> {
+    let rows = config.rank * tensor.j();
+    assert_eq!(mt.len(), tensor.k() * rows, "stage 1: Mᵀ is not KR × J");
     let weights: Vec<usize> = (0..tensor.k()).map(|k| tensor.work(k)).collect();
     let partition = greedy_partition(&weights, pool.threads());
     // One slot per slice; each thread fills the slots of its bucket.
-    let mut slots = vec![LowRank::default(); tensor.k()];
+    let mut a = vec![Mat::default(); tensor.k()];
+    let slots = a.iter_mut().zip(mt.chunks_mut(rows));
     let mut scratch = vec![(); partition.len()];
-    pool.for_each_partitioned(&partition, slots.iter_mut(), &mut scratch, |bucket, _| {
+    pool.for_each_partitioned(&partition, slots, &mut scratch, |bucket, _| {
         stage1_bucket(tensor, bucket, config, &seed);
     });
-    slots.into_iter().map(|f| (f.a, f.c)).unzip()
+    a
+}
+
+/// Puts a slice's factors in its [`Slot`]: `A` as they are, `C` (`J × R`)
+/// transposed.
+fn keep((a, mt_rows): &mut Slot<'_>, f: LowRank) {
+    let (j, r) = f.c.shape();
+    debug_assert_eq!(mt_rows.len(), r * j);
+    for i in 0..j {
+        for (c, &x) in f.c.row(i).iter().enumerate() {
+            mt_rows[c * j + i] = x;
+        }
+    }
+    **a = f.a;
 }
 
 /// Stage 1 for one thread's slices, in groups of [`SVD_LANES`]: each
@@ -355,7 +393,7 @@ pub(crate) fn stage1<T: SliceTensor>(
 /// to [`dpar2_rsvd::rsvd`] of it.
 fn stage1_bucket<T: SliceTensor>(
     tensor: &T,
-    bucket: &mut Bucket<'_, &mut LowRank>,
+    bucket: &mut Bucket<'_, Slot<'_>>,
     config: &RsvdConfig,
     seed: &impl Fn(usize) -> u64,
 ) {
@@ -394,7 +432,7 @@ fn stage1_bucket<T: SliceTensor>(
             }
             let mut rng = StdRng::seed_from_u64(seed(*k));
             match rsvd_sketch(x, config, &mut rng, &serial) {
-                RsvdSketch::Exact(f) => **slot = LowRank::from_svd(f),
+                RsvdSketch::Exact(f) => keep(slot, LowRank::from_svd(f)),
                 RsvdSketch::Range { q, b, rank } => {
                     bs.push(b);
                     lifts.push((i, q, rank));
@@ -405,7 +443,7 @@ fn stage1_bucket<T: SliceTensor>(
         for ((i, sketch), f) in sketches.iter().zip(&small) {
             let (k, slot) = &mut group[*i];
             let x = tensor.slice(*k);
-            **slot = gram_lift(&x, sketch, f, config.rank, &serial).unwrap_or_else(|| {
+            let lifted = gram_lift(&x, sketch, f, config.rank, &serial).unwrap_or_else(|| {
                 LowRank::from_svd(rsvd_pooled(
                     &x,
                     config,
@@ -413,10 +451,11 @@ fn stage1_bucket<T: SliceTensor>(
                     &serial,
                 ))
             });
+            keep(slot, lifted);
         }
         svd_thin_batch_into(&bs, &mut small[..bs.len()], &mut ws);
         for ((i, q, rank), f) in lifts.iter().zip(&small) {
-            *group[*i].1 = LowRank::from_svd(rsvd_lift(q, f, *rank, &serial));
+            keep(&mut group[*i].1, LowRank::from_svd(rsvd_lift(q, f, *rank, &serial)));
         }
     }
 }
@@ -429,32 +468,28 @@ fn stage1_seed(base_seed: u64, k: usize) -> u64 {
     base_seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k as u64 + 1))
 }
 
-/// Stage 2 on the `J × R` blocks `[B_1 ∥ … ∥ B_n]` of `M`: its factors
-/// `D`, `E` and the `R×R` blocks of `F`, with `M ≈ D E Fᵀ`, drawing from
-/// the RNG seeded with `seed`. Stage 1 already reduced every slice to
-/// small dense factors, so from here on the pipeline is dense and
-/// identical regardless of the input representation; its products fan out
-/// over `pool`, bitwise the same for every pool size.
+/// Stage 2 on `M`, given as the `nR × J` matrix `mt = Mᵀ` that stage 1
+/// filled: its factors `D`, `E` and the `n` `R×R` blocks of `F`, with
+/// `M ≈ D E Fᵀ`, drawing from the RNG seeded with `seed`. Stage 1 already
+/// reduced every slice to small dense factors, so from here on the
+/// pipeline is dense and identical regardless of the input
+/// representation; its products fan out over `pool`, bitwise the same for
+/// every pool size. `mt` is freed before the blocks of `F` are carved.
 pub(crate) fn stage2(
-    blocks: Vec<Mat>,
+    mt: Mat,
     r: usize,
     config: &RsvdConfig,
     seed: u64,
     pool: &ThreadPool,
 ) -> (Mat, Vec<f64>, Vec<Mat>) {
-    let n = blocks.len();
-    let m = Mat::hstack_all(&blocks.iter().collect::<Vec<_>>());
-    drop(blocks);
+    let n = mt.rows() / r;
+    let m = Transposed(mt.view());
     let (rows, cols) = m.shape();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Mat::default();
     let via_gram = if gram_route_applies(rows, cols, config) {
-        if rows < cols {
-            gemm(Trans::N, Trans::T, &m, &m, &mut g, pool);
-        } else {
-            gemm(Trans::T, Trans::N, &m, &m, &mut g, pool);
-        }
-        gram_svd(&m, &mut g, config, &mut rng, pool)
+        let mut g = Mat::default();
+        m.gram_into(&mut g, pool);
+        gram_svd(m, &mut g, config, &mut rng, pool)
     } else {
         None
     };
@@ -464,13 +499,113 @@ pub(crate) fn stage2(
             (a, s, f)
         }
         None => {
+            let f2 = rsvd_pooled(m, config, &mut StdRng::seed_from_u64(seed), pool);
+            (f2.u, f2.s, f2.v)
+        }
+    };
+    drop(mt);
+    // F ∈ R^{nR×R}: carve out the n vertical R×R blocks.
+    let f_blocks = (0..n).map(|k| f.block(k * r, (k + 1) * r, 0, r)).collect();
+    (d, e, f_blocks)
+}
+
+/// `M` read from the `Mᵀ` stage 1 fills, in place: every product passes
+/// `Mᵀ` to [`gemm`] with the transpose flags that make it `M`. Each such
+/// product keeps the bits of the same product on a row-major `M`: the
+/// blocked kernel sees the same values in the same order either way, and
+/// the naive loops sum every entry over ascending depth in both layouts —
+/// except `M·Mᵀ` and `MᵀM`, whose naive `A·Bᵀ` form sums dot products in
+/// four partial sums. So below the blocked threshold [`Transposed::gram_into`]
+/// forms the Gram on a row-major copy of `M`, which is small there (under
+/// `24³` products) unless the Gram has fewer than eight rows.
+#[derive(Debug, Clone, Copy)]
+struct Transposed<'a>(MatRef<'a>);
+
+impl Transposed<'_> {
+    /// The small side's Gram into `g`: `M·Mᵀ` if `M` is wide, else `MᵀM`.
+    /// On the blocked kernel both sides are `Mᵀ` itself, so only the
+    /// upper triangle is computed and mirrored.
+    fn gram_into(self, g: &mut Mat, pool: &ThreadPool) {
+        let (rows, cols) = self.shape();
+        let (side, depth) = (rows.min(cols), rows.max(cols));
+        let (ta, tb) = if rows < cols { (Trans::T, Trans::N) } else { (Trans::N, Trans::T) };
+        if use_blocked(side, side, depth) {
+            gemm(ta, tb, self.0, self.0, g, pool);
+        } else {
+            let m = self.0.transpose();
+            gemm(tb, ta, &m, &m, g, pool);
+        }
+    }
+}
+
+impl ProductOp for Transposed<'_> {
+    fn shape(&self) -> (usize, usize) {
+        let (rows, cols) = self.0.shape();
+        (cols, rows)
+    }
+
+    fn mm_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        gemm(Trans::T, Trans::N, self.0, b, c, pool);
+    }
+
+    fn mm_t_into(&self, b: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        gemm(Trans::N, Trans::N, self.0, b, c, pool);
+    }
+
+    fn proj_into(&self, q: &Mat, c: &mut Mat, pool: &ThreadPool) {
+        gemm(Trans::T, Trans::T, q, self.0, c, pool);
+    }
+
+    fn fro_norm_sq(&self) -> f64 {
+        // Summed in `Mᵀ`'s order; stage 2 truncates no energy, so it
+        // never asks.
+        self.0.fro_norm_sq()
+    }
+
+    fn svd_exact(&self) -> SvdFactors {
+        svd_thin(self.0.transpose())
+    }
+}
+
+/// The `J × R` blocks `C_k B_k` of `M`, read back from the rows of the
+/// `Mᵀ` stage 1 wrote (a transpose is a copy: every bit kept).
+#[cfg(test)]
+pub(crate) fn blocks_of(mt: &Mat, r: usize) -> Vec<Mat> {
+    (0..mt.rows() / r).map(|k| mt.block(k * r, (k + 1) * r, 0, mt.cols()).transpose()).collect()
+}
+
+/// Stage 2 as it ran before stage 1 wrote `Mᵀ`: the blocks concatenated
+/// by [`Mat::hstack_all`] into a row-major `M`, whose Gram and products
+/// [`gemm`] reads as stored. The oracle of [`stage2`].
+#[cfg(test)]
+pub(crate) fn stage2_hstack(
+    blocks: &[Mat],
+    r: usize,
+    config: &RsvdConfig,
+    seed: u64,
+    pool: &ThreadPool,
+) -> (Mat, Vec<f64>, Vec<Mat>) {
+    let m = Mat::hstack_all(&blocks.iter().collect::<Vec<_>>());
+    let (rows, cols) = m.shape();
+    let mut g = Mat::default();
+    let via_gram = if gram_route_applies(rows, cols, config) {
+        if rows < cols {
+            gemm(Trans::N, Trans::T, &m, &m, &mut g, pool);
+        } else {
+            gemm(Trans::T, Trans::N, &m, &m, &mut g, pool);
+        }
+        gram_svd(&m, &mut g, config, &mut StdRng::seed_from_u64(seed), pool)
+    } else {
+        None
+    };
+    let (d, e, f) = match via_gram {
+        Some(LowRank { a, c, s }) => (a, s.clone(), scale_columns(c, &s, |x, e| x / e)),
+        None => {
             let f2 = rsvd_pooled(&m, config, &mut StdRng::seed_from_u64(seed), pool);
             (f2.u, f2.s, f2.v)
         }
     };
-    // F ∈ R^{nR×R}: carve out the n vertical R×R blocks.
-    let f_blocks = (0..n).map(|k| f.block(k * r, (k + 1) * r, 0, r)).collect();
-    (d, e, f_blocks)
+    (d, e, (0..blocks.len()).map(|k| f.block(k * r, (k + 1) * r, 0, r)).collect())
 }
 
 #[cfg(test)]
@@ -675,6 +810,49 @@ mod tests {
                 }
                 assert_eq!(bits(c.d.data()), bits(c1.d.data()), "{n} threads: D");
                 assert_eq!(bits(&c.e), bits(&c1.e), "{n} threads: E");
+            }
+        }
+    }
+
+    #[test]
+    fn stage2_on_mt_matches_the_hstack_oracle_bit_for_bit() {
+        // Stage 2 reads `M` from the `Mᵀ` stage 1 filled, through `gemm`'s
+        // transpose flags; the oracle concatenates the same blocks into a
+        // row-major `M`. Cases (R + s, the Gram's side and depth): a
+        // blocked `M·Mᵀ` (48 × 48 over 400, in place, one triangle), a
+        // blocked `MᵀM` (120 × 120 over 150), and naive Grams on the tall
+        // (`MᵀM`, 15 × 15 over 20) and wide (`M·Mᵀ`, 14 × 14 over 16) side,
+        // which stage 2 forms on a row-major copy of `M`.
+        let wide: Vec<usize> = (0..40).map(|k| 30 + k % 17).collect();
+        let tall: Vec<usize> = (0..10).map(|k| 150 + 3 * k).collect();
+        let cases = [
+            (planted(&wide, 48, 10, 0.1, 41), 10, true),
+            (planted(&tall, 150, 12, 0.1, 42), 12, true),
+            (planted(&[30, 22, 41, 25, 33], 20, 3, 0.1, 43), 3, false),
+            (planted(&[30, 22, 41, 25, 33, 18, 27, 36], 14, 2, 0.1, 44), 2, false),
+        ];
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (t, r, blocked) in cases {
+            let options = FitOptions::new(r).with_seed(45);
+            let (j, k) = (t.j(), t.k());
+            let (rows, cols) = (j, k * r);
+            let (side, depth) = (rows.min(cols), rows.max(cols));
+            assert!(gram_route_applies(rows, cols, &options.rsvd), "J={j}: route");
+            assert_eq!(use_blocked(side, side, depth), blocked, "J={j}: blocked Gram");
+            let config = RsvdConfig { rank: r, ..options.rsvd };
+            let seed2 = 45 ^ 0xD1B5_4A32_D192_ED03;
+            for threads in [1, 2, 3] {
+                let pool = ThreadPool::new(threads);
+                let mut mt = Mat::zeros(k * r, j);
+                stage1(&t, &config, |k| stage1_seed(45, k), mt.data_mut(), &pool);
+                let (d, e, f) = stage2_hstack(&blocks_of(&mt, r), r, &config, seed2, &pool);
+                let got = compress(&t, &options.with_threads(threads)).unwrap();
+                let ctx = format!("J={j}, R={r}, {threads} threads");
+                assert_eq!(bits(got.d.data()), bits(d.data()), "{ctx}: D");
+                assert_eq!(bits(&got.e), bits(&e), "{ctx}: E");
+                for (kk, (x, y)) in got.f_blocks.iter().zip(&f).enumerate() {
+                    assert_eq!(bits(x.data()), bits(y.data()), "{ctx}: F({kk})");
+                }
             }
         }
     }

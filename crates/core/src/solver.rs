@@ -6,7 +6,9 @@ use crate::convergence::criterion_from_byproducts;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::{Parafac2Fit, TimingBreakdown};
 use crate::lemmas::{g1_from_sums, g2_from_sums, g3_stacked, weighted_sums};
-use crate::session::{FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver};
+use crate::session::{
+    FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver, SessionOutcome,
+};
 use crate::slices::{validate, SliceTensor};
 use dpar2_linalg::kernel::use_blocked;
 use dpar2_linalg::{
@@ -124,6 +126,11 @@ impl Dpar2 {
     /// path a CSR fit is bitwise identical to the fit of its densified
     /// tensor.
     ///
+    /// Each `U_k` reuses the storage of the `A_k` it is computed from, so
+    /// a fit never holds both: its heap peaks at about the larger of
+    /// `{A_k} + M` (compression, `M` being `J × KR`) and `{U_k}` plus a few
+    /// `K × R²` stores (the iterations).
+    ///
     /// # Errors
     /// The [`crate::validate`] contract (invalid rank, non-finite input)
     /// and warm-start validation.
@@ -152,7 +159,10 @@ impl Dpar2 {
         let compressed = compress_valid(tensor, options);
         let preprocess_secs = t0.elapsed().as_secs_f64();
         observer.on_phase(FitPhase::Compress, preprocess_secs);
-        let mut fit = self.fit_compressed_observed(&compressed, options, observer)?;
+        // The compressed tensor is this fit's own: finalize writes the U_k
+        // over its A_k.
+        let iterated = self.iterate(&compressed, None, options, observer)?;
+        let mut fit = iterated.finalize(compressed.a, observer);
         fit.timing.preprocess_secs = preprocess_secs;
         fit.timing.total_secs += preprocess_secs;
         Ok(fit)
@@ -193,7 +203,10 @@ impl Dpar2 {
     /// Runs the ALS iterations on an already-compressed tensor (lines 7–26).
     ///
     /// Exposed separately so the benchmark harness can time preprocessing
-    /// and iterations independently (Fig. 9 of the paper).
+    /// and iterations independently (Fig. 9 of the paper). `ct` stays the
+    /// caller's, so recovery clones its `A_k` and each `U_k` reuses the
+    /// clone's storage, as in [`Dpar2::fit`]: the same finalize, the same
+    /// bits.
     ///
     /// # Errors
     /// [`Dpar2Error::WarmStart`] if `options.warm_start` does not match the
@@ -240,6 +253,22 @@ impl Dpar2 {
         options: &FitOptions<'_>,
         observer: &mut dyn FitObserver,
     ) -> Result<Parafac2Fit> {
+        let iterated = self.iterate(ct, warm, options, observer)?;
+        Ok(iterated.finalize(ct.a.clone(), observer))
+    }
+
+    /// Initialization and the ALS iterations (lines 1 and 7–23) on `ct`,
+    /// warm-started from `warm`, or else from `options.warm_start`.
+    ///
+    /// # Errors
+    /// See [`Dpar2::fit_compressed_with_init`].
+    fn iterate(
+        &self,
+        ct: &CompressedTensor,
+        warm: Option<WarmStart>,
+        options: &FitOptions<'_>,
+        observer: &mut dyn FitObserver,
+    ) -> Result<Iterated> {
         let t_start = Instant::now();
         // Doc contract: an explicit warm start wins, otherwise fall back
         // to the one carried in the options.
@@ -279,8 +308,13 @@ impl Dpar2 {
         // used for the absolute ("residual is already tiny") stop test.
         // Slice-parallel; the ascending-k summation keeps the value
         // bit-identical for every thread count.
-        let slice_norms: Vec<f64> =
-            pool.map(&ct.f_blocks, |_, f_k| f_k.matmul(&edt).expect("F(k)·EDᵀ").fro_norm_sq());
+        let mut slice_norms = vec![0.0; k_dim];
+        let mut prods = vec![Mat::default(); pool.threads().min(k_dim).max(1)];
+        let slices = slice_norms.iter_mut().zip(&ct.f_blocks);
+        pool.for_each_with(slices, &mut prods, |_, (norm, f_k), prod| {
+            f_k.matmul_into(&edt, prod);
+            *norm = prod.fro_norm_sq();
+        });
         let data_norm_sq: f64 = slice_norms.iter().sum();
         // The criterion is a difference of squared norms. Data whose squared
         // norm underflows (to a subnormal, or to zero while the data is not
@@ -373,25 +407,50 @@ impl Dpar2 {
                 break;
             }
         }
-        let mut outcome = session.finish();
-        // Like the session's workspace, the `Q_k` scratch and `P` are done;
-        // free them before finalize allocates the `U_k`.
-        drop(qk);
-        drop(p);
+        let outcome = session.finish();
+        Ok(Iterated { h, v, w, zpt, outcome, pool, t_start })
+    }
+}
 
-        // Lines 24–26: U_k = A_k Z_k P_kᵀ H.
+/// What the iterations leave for recovery (lines 24–26).
+struct Iterated {
+    h: Mat,
+    v: Mat,
+    w: Mat,
+    /// Every slice's `Z_k P_kᵀ`, as row `k` of a `K × R²` store.
+    zpt: Mat,
+    outcome: SessionOutcome,
+    pool: ThreadPool,
+    /// When the fit's iterations began (initialization included).
+    t_start: Instant,
+}
+
+impl Iterated {
+    /// Lines 24–26: `U_k = A_k·(Z_k P_kᵀ H)` for every slice `a[k] = A_k`,
+    /// written over `A_k`'s own storage. Each pool thread computes its
+    /// slices' products into one `max I_k × R` scratch — the same `gemm`
+    /// call on the whole slice as an allocating product, so the same bits —
+    /// and copies each back.
+    fn finalize(self, mut a: Vec<Mat>, observer: &mut dyn FitObserver) -> Parafac2Fit {
+        let Iterated { h, v, w, zpt, mut outcome, pool, t_start } = self;
         let t_final = Instant::now();
-        let u: Vec<Mat> = pool.map(&ct.a, |k, a_k| {
-            let zph = MatRef::from_slice(r, r, zpt.row(k)).matmul(&h).expect("ZPᵀ·H");
-            a_k.matmul(&zph).expect("A_k·ZPᵀH")
+        let r = h.rows();
+        let max_rows = a.iter().map(Mat::rows).max().unwrap_or(0);
+        let mut scratch: Vec<(Mat, Mat)> = (0..pool.threads().min(a.len()).max(1))
+            .map(|_| (Mat::zeros(r, r), Mat::zeros(max_rows, r)))
+            .collect();
+        pool.for_each_with(a.iter_mut(), &mut scratch, |k, a_k, (zph, u)| {
+            MatRef::from_slice(r, r, zpt.row(k)).matmul_into(&h, zph);
+            a_k.matmul_into(&*zph, u);
+            a_k.data_mut().copy_from_slice(u.data());
         });
-        let s: Vec<Vec<f64>> = (0..k_dim).map(|k| w.row(k).to_vec()).collect();
+        let s: Vec<Vec<f64>> = (0..w.rows()).map(|k| w.row(k).to_vec()).collect();
         let finalize_secs = t_final.elapsed().as_secs_f64();
         outcome.phases.record(FitPhase::Finalize, finalize_secs);
         observer.on_phase(FitPhase::Finalize, finalize_secs);
 
-        Ok(Parafac2Fit {
-            u,
+        Parafac2Fit {
+            u: a,
             s,
             v,
             h,
@@ -403,7 +462,7 @@ impl Dpar2 {
                 t_start.elapsed().as_secs_f64(),
             ),
             criterion_trace: outcome.criterion_trace,
-        })
+        }
     }
 }
 
@@ -1026,13 +1085,76 @@ mod tests {
 
     #[test]
     fn fit_compressed_matches_fit() {
-        let t = planted_parafac2(&[18, 26], 12, 3, 0.1, 421);
-        let opts = FitOptions::new(3).with_seed(422);
-        let via_fit = Dpar2.fit(&t, &opts).unwrap();
-        let ct = compress(&t, &opts).unwrap();
-        let via_compressed = Dpar2.fit_compressed(&ct, &opts).unwrap();
-        assert!((&via_fit.v - &via_compressed.v).fro_norm() < 1e-12);
-        assert_eq!(via_fit.iterations, via_compressed.iterations);
+        // `fit` writes the U_k over its own A_k, `fit_compressed` over a
+        // clone of the caller's; both run one finalize, so every factor
+        // and the criterion trace keep their bits, and the caller's
+        // compressed tensor is left as it was.
+        let t = planted_parafac2(&[18, 26, 150, 40], 12, 3, 0.1, 421);
+        for threads in [1, 2, 3] {
+            let opts = FitOptions::new(3).with_seed(422).with_threads(threads);
+            let via_fit = Dpar2.fit(&t, &opts).unwrap();
+            let ct = compress(&t, &opts).unwrap();
+            let via_compressed = Dpar2.fit_compressed(&ct, &opts).unwrap();
+            assert_eq!(via_fit.iterations, via_compressed.iterations);
+            let pairs = via_fit.u.iter().zip(&via_compressed.u);
+            for (k, (x, y)) in pairs.enumerate() {
+                assert_eq!(bits(x.data()), bits(y.data()), "{threads} threads: U_{k}");
+            }
+            for (k, (x, y)) in via_fit.s.iter().zip(&via_compressed.s).enumerate() {
+                assert_eq!(bits(x), bits(y), "{threads} threads: S_{k}");
+            }
+            assert_eq!(bits(via_fit.v.data()), bits(via_compressed.v.data()), "V");
+            assert_eq!(bits(via_fit.h.data()), bits(via_compressed.h.data()), "H");
+            let trace = |f: &Parafac2Fit| bits(&f.criterion_trace);
+            assert_eq!(trace(&via_fit), trace(&via_compressed), "{threads} threads: trace");
+            assert_eq!(ct.a, compress(&t, &opts).unwrap().a, "the caller's A_k changed");
+        }
+    }
+
+    #[test]
+    fn finalize_writes_each_u_k_over_its_a_k_bit_for_bit() {
+        // U_k = A_k·(Z_k P_kᵀ H) as two allocating products, against the
+        // in-place finalize, with I_k on both sides of the blocked GEMM's
+        // threshold at R = 10 (I_k·R² ≥ 24³ from I_k = 139), at 1–3
+        // threads; the U_k keep the A_k's buffers.
+        let r = 10;
+        let mut rng = StdRng::seed_from_u64(439);
+        let rows = [12, 138, 139, 400, 7, 260, 90];
+        assert!(!use_blocked(138, r, r) && use_blocked(139, r, r));
+        let a: Vec<Mat> = rows.iter().map(|&i| gaussian_mat(i, r, &mut rng)).collect();
+        let zpt = gaussian_mat(rows.len(), r * r, &mut rng);
+        let h = gaussian_mat(r, r, &mut rng);
+        let want: Vec<Mat> = (0..rows.len())
+            .map(|k| {
+                let zph = MatRef::from_slice(r, r, zpt.row(k)).matmul(&h).unwrap();
+                a[k].matmul(&zph).unwrap()
+            })
+            .collect();
+        for threads in [1, 2, 3] {
+            let outcome = SessionOutcome {
+                criterion_trace: Vec::new(),
+                per_iteration_secs: Vec::new(),
+                stop_reason: StopReason::MaxIterations,
+                phases: crate::session::PhaseSpans::new(),
+            };
+            let iterated = Iterated {
+                h: h.clone(),
+                v: Mat::zeros(3, r),
+                w: gaussian_mat(rows.len(), r, &mut rng),
+                zpt: zpt.clone(),
+                outcome,
+                pool: ThreadPool::new(threads),
+                t_start: Instant::now(),
+            };
+            let a_k = a.clone();
+            let buffers: Vec<*const f64> = a_k.iter().map(|x| x.data().as_ptr()).collect();
+            let fit = iterated.finalize(a_k, &mut NoopObserver);
+            for (k, u) in fit.u.iter().enumerate() {
+                assert_eq!(u.shape(), want[k].shape(), "{threads} threads: U_{k} shape");
+                assert_eq!(bits(u.data()), bits(want[k].data()), "{threads} threads: U_{k}");
+                assert_eq!(u.data().as_ptr(), buffers[k], "{threads} threads: U_{k} buffer");
+            }
+        }
     }
 
     #[test]

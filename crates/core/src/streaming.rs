@@ -33,7 +33,7 @@
 //!    (`H`, `V`, and `W` extended with unit rows for the newcomers), which
 //!    empirically cuts the iterations to re-converge.
 
-use crate::compress::{compress, scale_columns, stage1, stage2, CompressedTensor};
+use crate::compress::{compress, stage1, stage2, CompressedTensor};
 use crate::config::FitOptions;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::Parafac2Fit;
@@ -166,8 +166,9 @@ impl StreamingDpar2 {
     }
 
     /// Incremental update with a batch: stage 1 of the new slices, then
-    /// stage 2 on `[D·E ∥ C_1B_1 ∥ … ∥ C_newB_new]` (the module-docs
-    /// algebra) — the same two stages [`compress`] runs.
+    /// stage 2 on `G = [D·E ∥ C_1B_1 ∥ … ∥ C_newB_new]` (the module-docs
+    /// algebra) — the same two stages [`compress`] runs, on one `Gᵀ` that
+    /// stage 1 writes into below `(D·E)ᵀ`.
     fn extend<T: SliceTensor>(
         &self,
         old: &CompressedTensor,
@@ -177,10 +178,13 @@ impl StreamingDpar2 {
         validate_from(batch, r, old.k())?;
         let (base_seed, config) = self.batch_stage1_params(r);
         let pool = ThreadPool::new(self.options.threads.max(1));
-        let (new_a, cb) = stage1(batch, &config, |k| stream_seed(base_seed, k), &pool);
-        let de = scale_columns(old.d.clone(), &old.e, |x, e| x * e);
-        let blocks = std::iter::once(de).chain(cb).collect();
-        let (d, e, mut g_blocks) = stage2(blocks, r, &config, base_seed ^ 0x0B5E55ED, &pool);
+        // `Gᵀ`: `(D·E)ᵀ = E·Dᵀ` in the first `R` rows, then stage 1 writes
+        // each new slice's `(C_k B_k)ᵀ` below it.
+        let mut gt = Mat::zeros((1 + batch.k()) * r, old.j);
+        let (top, rest) = gt.data_mut().split_at_mut(r * old.j);
+        top.copy_from_slice(old.edt().data());
+        let new_a = stage1(batch, &config, |k| stream_seed(base_seed, k), rest, &pool);
+        let (d, e, mut g_blocks) = stage2(gt, r, &config, base_seed ^ 0x0B5E55ED, &pool);
         // Rewrite old F-blocks against the new basis: F'(k) = F(k)·G'_top;
         // the new blocks come straight from G' below the top rows.
         let g_top = g_blocks.remove(0);
@@ -255,6 +259,8 @@ impl StreamingDpar2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::{blocks_of, stage2_hstack};
+    use dpar2_linalg::kernel::use_blocked;
     use dpar2_linalg::random::gaussian_mat;
     use dpar2_linalg::{qr, SparseSlice};
     use dpar2_tensor::IrregularTensor;
@@ -336,6 +342,58 @@ mod tests {
         for (k, x) in all.iter().enumerate() {
             let rel = (x - &ct.reconstruct_slice(k)).fro_norm() / x.fro_norm();
             assert!(rel < 1e-6, "slice {k} rel err {rel} after incremental update");
+        }
+    }
+
+    #[test]
+    fn extend_on_gt_matches_the_hstack_oracle_bit_for_bit() {
+        // `extend` writes `(D·E)ᵀ` and stage 1's `(C_k B_k)ᵀ` into one
+        // `Gᵀ`; the oracle concatenates `D·E` and the same blocks into a
+        // row-major `G`. A blocked `G·Gᵀ` (48 × 48 over 130) and a naive
+        // `GᵀG` (12 × 12 over 14).
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (j, r, first, second) in [(48, 10, 20, 12), (14, 2, 3, 5)] {
+            let mut gen = Planted::new(j, r, 108);
+            let mut batch =
+                |n: usize| -> Vec<Mat> { (0..n).map(|k| gen.slice(r + 12 + 5 * k, 0.1)).collect() };
+            let (b1, b2) = (batch(first), batch(second));
+            for threads in [1, 2, 3] {
+                let ctx = format!("J={j}, R={r}, {threads} threads");
+                let mut stream =
+                    StreamingDpar2::new(FitOptions::new(r).with_seed(109).with_threads(threads));
+                stream.append(b1.clone()).unwrap();
+                let old = stream.compressed().unwrap().clone();
+                let (base_seed, config) = stream.batch_stage1_params(r);
+                stream.append(b2.clone()).unwrap();
+                let got = stream.compressed().unwrap();
+
+                let pool = ThreadPool::new(threads);
+                let new = IrregularTensor::new(b2.clone());
+                let mut mt = Mat::zeros(second * r, j);
+                stage1(&new, &config, |k| stream_seed(base_seed, k), mt.data_mut(), &pool);
+                let mut de = old.d.clone();
+                for i in 0..j {
+                    for (x, &e) in de.row_mut(i).iter_mut().zip(&old.e) {
+                        *x *= e;
+                    }
+                }
+                let blocks: Vec<Mat> = std::iter::once(de).chain(blocks_of(&mt, r)).collect();
+                assert_eq!(
+                    use_blocked(j, j, blocks.len() * r),
+                    j == 48,
+                    "{ctx}: the Gram's dispatch"
+                );
+                let seed = base_seed ^ 0x0B5E55ED;
+                let (d, e, mut g) = stage2_hstack(&blocks, r, &config, seed, &pool);
+                let g_top = g.remove(0);
+                let f = old.f_blocks.iter().map(|fk| fk.matmul(&g_top).unwrap()).chain(g);
+                assert_eq!(bits(got.d.data()), bits(d.data()), "{ctx}: D");
+                assert_eq!(bits(&got.e), bits(&e), "{ctx}: E");
+                assert_eq!(got.k(), first + second);
+                for (k, (x, y)) in got.f_blocks.iter().zip(f).enumerate() {
+                    assert_eq!(bits(x.data()), bits(y.data()), "{ctx}: F({k})");
+                }
+            }
         }
     }
 

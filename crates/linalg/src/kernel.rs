@@ -61,6 +61,14 @@
 //!   runs the serial loop nest above, which performs the same per-panel
 //!   arithmetic.
 //!
+//! * **Symmetric products**: when `B` is `A` itself and exactly one side
+//!   is transposed (`XᵀX` or `XXᵀ`, stage 2's Gram of `M`), only the
+//!   blocks and register tiles on or above the diagonal run, and the
+//!   strict lower triangle is mirrored from the upper one. Entries `(i, j)`
+//!   and `(j, i)` run the same products in the same order, so the full
+//!   product is bitwise symmetric and the mirror moves no bit (for NaN
+//!   operands only the payload a NaN carries may differ).
+//!
 //! Reduction order (for reasoning about reproducibility): entry `C[i][j]`
 //! accumulates its `K` products in ascending-`k` order *within* each `KC`
 //! block (single rounding per step, in registers), and the per-block
@@ -427,8 +435,17 @@ fn pack_b(
 /// Sweeps the `kcb`-deep blocks `a` and `b` with register tiles,
 /// accumulating into `c_panel` — the `mcb × ncb` destination sub-block of
 /// C, handed in as a (generally strided) [`MatMut`] view. A ragged last
-/// tile read in place is copied once into a stack pad.
-fn macro_kernel(fma: bool, kcb: usize, a: Block<'_>, b: Block<'_>, mut c_panel: MatMut<'_>) {
+/// tile read in place is copied once into a stack pad. The panel sits at
+/// `(i0, j0)` in C; under [`Plan::upper`], tiles wholly below C's
+/// diagonal are skipped.
+fn macro_kernel(
+    plan: Plan,
+    kcb: usize,
+    a: Block<'_>,
+    b: Block<'_>,
+    mut c_panel: MatMut<'_>,
+    (i0, j0): (usize, usize),
+) {
     let (mcb, ncb) = c_panel.shape();
     let (mut apad, mut bpad) = ([0.0; MR * KC], [0.0; NR * KC]);
     a.fill_pad(kcb, &mut apad);
@@ -438,8 +455,11 @@ fn macro_kernel(fma: bool, kcb: usize, a: Block<'_>, b: Block<'_>, mut c_panel: 
         let bt = b.tile(jr / NR, &bpad);
         for ir in (0..mcb).step_by(MR) {
             let mrb = MR.min(mcb - ir);
+            if plan.upper && below_diagonal(i0 + ir, j0 + jr, nrb) {
+                continue;
+            }
             let mut acc = [[0.0f64; NR]; MR];
-            run_micro(fma, kcb, a.tile(ir / MR, &apad), bt, &mut acc);
+            run_micro(plan.fma, kcb, a.tile(ir / MR, &apad), bt, &mut acc);
             for (r, acc_row) in acc.iter().enumerate().take(mrb) {
                 let crow = &mut c_panel.row_mut(ir + r)[jr..jr + nrb];
                 for (cv, &av) in crow.iter_mut().zip(&acc_row[..nrb]) {
@@ -450,6 +470,13 @@ fn macro_kernel(fma: bool, kcb: usize, a: Block<'_>, b: Block<'_>, mut c_panel: 
     }
 }
 
+/// True when the block of C at `(row, col)`, `cols` columns wide, lies
+/// wholly below the diagonal: its last column is left of its first row.
+#[inline]
+fn below_diagonal(row: usize, col: usize, cols: usize) -> bool {
+    col + cols <= row
+}
+
 /// How one [`gemm_blocked`] call reads its operands and which microkernel
 /// runs its tiles, decided once on the calling thread.
 #[derive(Clone, Copy)]
@@ -457,17 +484,26 @@ struct Plan {
     a_in_place: bool,
     b_in_place: bool,
     fma: bool,
+    /// The product is `XᵀX` or `XXᵀ` of one operand: only the blocks and
+    /// tiles on or above the diagonal run, and the rest is mirrored.
+    /// Entry `(i, j)` sums `x_pi·x_pj` over the same depth blocks, in the
+    /// same order and with the same roundings as `(j, i)` (products
+    /// commute exactly, fused or not), so the full product is bitwise
+    /// symmetric and the mirror keeps every bit.
+    upper: bool,
 }
 
 impl Plan {
     /// Operands in place when `min(m, n) ≤ IN_PLACE_MAX` (`B` only when
     /// not transposed), the fused kernel when the CPU has it — unless this
-    /// thread is inside [`pinned`].
-    fn new(m: usize, n: usize, tb: Trans) -> Self {
+    /// thread is inside [`pinned`]. `upper` when `b` is `a` and exactly one
+    /// side is transposed.
+    fn new(m: usize, n: usize, (a, ta): (MatRef<'_>, Trans), (b, tb): (MatRef<'_>, Trans)) -> Self {
         let pin = PIN.get();
         let in_place = pin.in_place.unwrap_or(m.min(n) <= IN_PLACE_MAX);
         let fma = matches!(simd(), Simd { avx2: true, fma: true }) && !pin.portable;
-        Plan { a_in_place: in_place, b_in_place: in_place && tb == Trans::N, fma }
+        let upper = ta != tb && a.same_view(b);
+        Plan { a_in_place: in_place, b_in_place: in_place && tb == Trans::N, fma, upper }
     }
 
     /// Rows `rows` of `op(a)` at depths `depth`: in place, or packed into
@@ -568,7 +604,7 @@ pub fn gemm_blocked(
 
     let n_pc = kk.div_ceil(KC);
     let n_jc = n.div_ceil(NC);
-    let plan = Plan::new(m, n, tb);
+    let plan = Plan::new(m, n, (a, ta), (b, tb));
     // Both branches below accumulate every C entry over ascending depth
     // blocks (`pc`), with identical per-block tile arithmetic — only the
     // loop nesting around that order differs — so the serial and pooled
@@ -606,6 +642,9 @@ pub fn gemm_blocked(
                 for jci in 0..n_jc {
                     let jc = jci * NC;
                     let ncb = NC.min(n - jc);
+                    if plan.upper && below_diagonal(ic, jc, ncb) {
+                        continue;
+                    }
                     let bblk = if plan.b_in_place {
                         Block::b_in_place(b, pc, jc, ncb)
                     } else {
@@ -613,7 +652,7 @@ pub fn gemm_blocked(
                     };
                     let panel =
                         MatMut::from_parts(mcb, n, n, crows).submatrix_mut(0, mcb, jc, jc + ncb);
-                    macro_kernel(plan.fma, kcb, ablk, bblk, panel);
+                    macro_kernel(plan, kcb, ablk, bblk, panel, (ic, jc));
                 }
             }
         };
@@ -636,6 +675,9 @@ pub fn gemm_blocked(
                     let bblk = plan.b_block(b, tb, pc..pc + kcb, jc..jc + ncb, bpack);
                     for (blk, crows) in cdata.chunks_mut(MC * n).enumerate() {
                         let ic = blk * MC;
+                        if plan.upper && below_diagonal(ic, jc, ncb) {
+                            break;
+                        }
                         let mcb = MC.min(m - ic);
                         let ablk = plan.a_block(a, ta, ic..ic + mcb, pc..pc + kcb, apack);
                         let panel = MatMut::from_parts(mcb, n, n, crows).submatrix_mut(
@@ -644,11 +686,24 @@ pub fn gemm_blocked(
                             jc,
                             jc + ncb,
                         );
-                        macro_kernel(plan.fma, kcb, ablk, bblk, panel);
+                        macro_kernel(plan, kcb, ablk, bblk, panel, (ic, jc));
                     }
                 }
             }
         });
+    }
+    if plan.upper {
+        mirror_upper(c);
+    }
+}
+
+/// Copies the strict upper triangle of the square `c` onto the lower one.
+pub(crate) fn mirror_upper(c: &mut Mat) {
+    for i in 1..c.rows() {
+        for j in 0..i {
+            let v = c.at(j, i);
+            c.set(i, j, v);
+        }
     }
 }
 

@@ -627,12 +627,7 @@ pub fn gram_into(x: impl AsMatRef, g: &mut Mat) {
     let n = x.cols();
     g.resize_zeroed(n, n);
     gram_upper_dispatch(x, g);
-    for i in 1..n {
-        for j in 0..i {
-            let v = g.at(j, i);
-            g.set(i, j, v);
-        }
-    }
+    kernel::mirror_upper(g);
 }
 
 /// The upper triangle of [`gram_into`], on the AVX2 build of the tile

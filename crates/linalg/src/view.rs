@@ -140,6 +140,14 @@ impl<'a> MatRef<'a> {
         &self.data[i * self.row_stride..i * self.row_stride + self.cols]
     }
 
+    /// True when `self` and `other` view the same entries: the same start,
+    /// shape and row stride (for the GEMM kernel's `XᵀX` / `XXᵀ` test).
+    #[inline]
+    pub(crate) fn same_view(self, other: MatRef<'_>) -> bool {
+        std::ptr::eq(self.data.as_ptr(), other.data.as_ptr())
+            && (self.rows, self.cols, self.row_stride) == (other.rows, other.cols, other.row_stride)
+    }
+
     /// The backing entries from `(i, j)` on: entry `(i + r, j + c)` is at
     /// offset `r·row_stride + c` (for the GEMM kernel's in-place operand
     /// reads).

@@ -319,3 +319,50 @@ fn matmul_dispatch_consistent_with_direct_kernels() {
         assert_differential(&reference, &tt, &abs_prod, k, "Aᵀ·Bᵀ dispatch");
     }
 }
+
+/// `XᵀX` and `XXᵀ` with the same operand on both sides run only the
+/// register tiles on or above the diagonal and mirror the rest. They must
+/// give the full product's bits, computed here against a copy of `X`
+/// (which the kernel does not recognise as the same operand), on both
+/// microkernels, packed or in place, at 1–3 threads. The shapes are
+/// stage 2's Grams of the benchmark workloads (`Mᵀ` is `15000 × 48` and
+/// `2400 × 88`), two row panels (`130 × 130`), two column blocks
+/// (`530 × 530`) and a small Gram just past the dispatch threshold.
+#[test]
+fn aliased_gram_products_equal_the_full_product_bit_for_bit() {
+    use dpar2_linalg::kernel::{pinned, Pin};
+    let cases = [
+        (15000, 48, Trans::T, Trans::N),
+        (2400, 88, Trans::T, Trans::N),
+        (140, 130, Trans::T, Trans::N),
+        (130, 140, Trans::N, Trans::T),
+        (30, 530, Trans::T, Trans::N),
+        (20, 40, Trans::N, Trans::T),
+        (40, 20, Trans::T, Trans::N),
+    ];
+    for (rows, cols, ta, tb) in cases {
+        let x = Mat::from_fn(rows, cols, |i, j| ((i * 7 + j * 13) as f64 * 0.37).sin() + 0.01);
+        let copy = x.clone();
+        let n = if ta == Trans::T { cols } else { rows };
+        assert!(use_blocked(n, n, rows + cols - n), "{rows}x{cols}: not on the blocked path");
+        for pin in [Pin::default(), Pin { in_place: Some(false), portable: true }] {
+            let ctx = format!("{rows}x{cols} {ta:?}{tb:?} {pin:?}");
+            let mut full = Mat::zeros(0, 0);
+            pinned(pin, || gemm(ta, tb, &x, &copy, &mut full, &ThreadPool::new(1)));
+            for i in 0..n {
+                for j in 0..i {
+                    assert_eq!(
+                        full.at(i, j).to_bits(),
+                        full.at(j, i).to_bits(),
+                        "{ctx}: asymmetric"
+                    );
+                }
+            }
+            for threads in [1, 2, 3] {
+                let mut got = Mat::from_fn(n, n, |_, _| f64::NAN);
+                pinned(pin, || gemm(ta, tb, &x, &x, &mut got, &ThreadPool::new(threads)));
+                assert_bitwise(&full, &got, &format!("{ctx}, {threads} threads"));
+            }
+        }
+    }
+}

@@ -11,14 +11,18 @@
 //! thread, all fit work runs on the calling thread). A `FitObserver`
 //! snapshots the counter at every iteration boundary into a pre-reserved
 //! buffer; the deltas between consecutive snapshots are the per-iteration
-//! allocation counts.
+//! allocation counts. The same allocator tracks the thread's live heap
+//! bytes and their peak, which pins how much a one-thread DPar2 fit holds
+//! at once.
 
 // The counting allocator is the one place this workspace's `deny(unsafe_code)`
 // is relaxed outside the SIMD kernel: `GlobalAlloc` is an unsafe trait.
 #![allow(unsafe_code)]
 
 use dpar2_repro::baselines::{NaiveCompressedAls, Parafac2Als, RdAls, Spartan};
-use dpar2_repro::core::{Dpar2, FitOptions, IterationEvent, Parafac2Solver, StopReason};
+use dpar2_repro::core::{
+    Dpar2, FitObserver, FitOptions, FitPhase, IterationEvent, Parafac2Solver, StopReason,
+};
 use dpar2_repro::data::{planted_parafac2, planted_sparse};
 use dpar2_repro::tensor::IrregularTensor;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -28,25 +32,42 @@ use std::ops::ControlFlow;
 thread_local! {
     /// Allocations observed on this thread since program start.
     static TL_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (memory freed by
+    /// another thread than the one that allocated it skews both threads).
+    static TL_LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The largest `TL_LIVE` since the last [`reset_peak`].
+    static TL_PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// System allocator wrapper that counts `alloc`/`realloc` calls per thread.
-/// (`Cell<u64>` has no destructor, so the TLS access is safe even during
-/// thread teardown.)
+/// Adds `delta` to this thread's live bytes and raises its peak.
+fn track(delta: i64) {
+    let _ = TL_LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = TL_PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+/// System allocator wrapper that counts `alloc`/`realloc` calls per thread
+/// and tracks the thread's live and peak bytes. (`Cell`s have no
+/// destructor, so the TLS access is safe even during thread teardown.)
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        track(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        track(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,6 +77,18 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocs_now() -> u64 {
     TL_ALLOCS.with(Cell::get)
+}
+
+/// Restarts this thread's peak from its live bytes, and returns them.
+fn reset_peak() -> i64 {
+    let live = TL_LIVE.with(Cell::get);
+    TL_PEAK.with(|peak| peak.set(live));
+    live
+}
+
+/// This thread's peak live bytes since the last [`reset_peak`].
+fn peak_now() -> i64 {
+    TL_PEAK.with(Cell::get)
 }
 
 fn fixture() -> IrregularTensor {
@@ -396,13 +429,83 @@ fn stage1_sketch_products_allocate_nothing() {
     }
 }
 
+/// The peak live bytes of each phase of a fit, above the live bytes when
+/// the fit began: each phase's span ends at its `on_phase` report, where
+/// the peak restarts.
+struct PhasePeaks {
+    base: i64,
+    peaks: [i64; FitPhase::COUNT],
+}
+
+impl FitObserver for PhasePeaks {
+    fn on_iteration(&mut self, _event: &IterationEvent) -> ControlFlow<StopReason> {
+        ControlFlow::Continue(())
+    }
+
+    fn on_phase(&mut self, phase: FitPhase, _secs: f64) {
+        self.peaks[phase.index()] = peak_now() - self.base;
+        reset_peak();
+    }
+}
+
+/// A one-thread DPar2 fit holds each of its large arrays once: the
+/// `U_k` are written over the `A_k` they come from, and stage 1 writes
+/// straight into `Mᵀ` (`J × KR` floats). So the fit's heap peaks below
+/// `bytes(U) + bytes(M)` plus a slack for two `K × R²` stores and the
+/// small factors. Holding a second copy of either large array (all
+/// `U_k` next to all `A_k`, or the `C_k B_k` blocks next to `M`) breaks
+/// the bound. One fixture is dominated by the `A_k`, the other by `M`.
+#[test]
+fn dpar2_fit_holds_each_large_array_once() {
+    let (j, r) = (40, 10);
+    let tall: Vec<usize> = (0..24).map(|k| 600 + 9 * k).collect();
+    let short: Vec<usize> = (0..400).map(|k| 12 + k % 9).collect();
+    for (what, rows) in [("A_k-dominated", tall), ("M-dominated", short)] {
+        let k = rows.len();
+        let t = planted_parafac2(&rows, j, r, 0.2, 9011);
+        let opts = FitOptions::new(r).with_seed(9012).with_threads(1).with_max_iterations(3);
+        let f64s = |n: usize| (n * std::mem::size_of::<f64>()) as i64;
+        let u_bytes = f64s(rows.iter().sum::<usize>() * r);
+        let m_bytes = f64s(j * k * r);
+        // Two `K × R²` stores at a time (`F` and its blocks, or the
+        // `Z_k P_kᵀ` and `PZF_k` rows), and the small factors and scratch.
+        let slack = 2 * f64s(k * r * r) + (256 << 10);
+        let mut obs = PhasePeaks { base: reset_peak(), peaks: [0; FitPhase::COUNT] };
+        let fit = Dpar2.fit_observed(&t, &opts, &mut obs).expect("fit failed");
+        let tail = peak_now() - obs.base;
+        let peak = obs.peaks.iter().copied().max().unwrap().max(tail);
+        let mib = |b: i64| b as f64 / (1 << 20) as f64;
+        eprintln!(
+            "{what}: U {:.3} MiB, M {:.3} MiB, slack {:.3} MiB; peaks (MiB) compress {:.3}, init \
+             {:.3}, iterate {:.3}, finalize {:.3}",
+            mib(u_bytes),
+            mib(m_bytes),
+            mib(slack),
+            mib(obs.peaks[0]),
+            mib(obs.peaks[1]),
+            mib(obs.peaks[2]),
+            mib(obs.peaks[3]),
+        );
+        assert!(
+            peak < u_bytes + m_bytes + slack,
+            "{what}: the fit peaked at {peak} bytes, above U {u_bytes} + M {m_bytes} + slack \
+             {slack}; per phase {:?}",
+            obs.peaks
+        );
+        assert_eq!(fit.u.len(), k);
+    }
+}
+
 /// Guard for the measurement itself: the thread-local counter observes this
 /// thread's allocations (so the zero assertions above are meaningful).
 #[test]
 fn counter_observes_this_threads_allocations() {
     let before = allocs_now();
+    let base = reset_peak();
     let v: Vec<u64> = Vec::with_capacity(32);
     let after = allocs_now();
     assert!(after > before, "counting allocator not engaged");
+    assert!(peak_now() - base >= 256, "peak tracking not engaged");
     drop(v);
+    assert_eq!(reset_peak(), base, "live bytes not released");
 }
