@@ -47,6 +47,17 @@
 //! sketches each one, factors the group's `T`s (and the fallback's
 //! `(R+s)×J` projections) together with the lane-batched Jacobi SVD —
 //! bitwise each alone — and lifts each slice's factors into its slot.
+//!
+//! **One `Ω` per stage 1.** The range finder's guarantee for a slice asks
+//! only for a Gaussian `Ω` independent of that slice's data (Halko,
+//! Martinsson & Tropp 2011), not for a fresh one per slice. So stage 1
+//! draws one `m_max × l` `Ω` per call, before the fan-out, from a seed
+//! derived from the base seed alone, and every route slice sketches its
+//! `m × m` Gram against the top `m` rows, read in place. Only the
+//! fallback draws per slice, from the stream seeded with slice `k`'s own
+//! seed. A route slice's factors therefore do not depend on its place in
+//! the tensor or on the schedule, and each bucket reuses one set of sketch
+//! temporaries across its slices.
 //! Stage 2 takes the route on `M`, with `F = C·E⁻¹`; its Gram `M·Mᵀ` is
 //! `Mᵀ` against itself, of which the blocked GEMM computes one triangle.
 //!
@@ -175,7 +186,8 @@ pub fn gram_route_applies(rows: usize, cols: usize, config: &RsvdConfig) -> bool
 /// place (see the module docs). `None` if the route declines: the Gram's
 /// largest diagonal lies outside `[2^-500, 2^500]`, the Ritz values are
 /// rank-deficient, or the CholeskyQR pass fails. Draws the `m × (R+s)`
-/// test matrix from `rng`; bitwise the same for every `pool` size.
+/// test matrix from `rng` once the scale window holds; bitwise the same
+/// for every `pool` size.
 pub fn gram_svd(
     op: impl ProductOp,
     g: &mut Mat,
@@ -183,49 +195,70 @@ pub fn gram_svd(
     rng: &mut impl Rng,
     pool: &ThreadPool,
 ) -> Option<LowRank> {
-    let (sketch, t) = gram_sketch(g, config, rng)?;
-    gram_lift(op, &sketch, &svd_thin(&t), config.rank, pool)
+    let half = gram_scale(g)?;
+    let (mut p, mut t) = (Mat::default(), Mat::default());
+    {
+        // Freed before the lift, whose `C` can be large (stage 2's is
+        // `KR × R`).
+        let omega = gaussian_mat(g.rows(), config.rank + config.oversample, rng);
+        let ws = &mut SketchScratch::default();
+        gram_sketch(g, omega.view(), config.power_iterations, &mut p, &mut t, ws, pool);
+    }
+    gram_lift(op, &p, half, &svd_thin(&t), config.rank, pool)
 }
 
-/// What [`gram_sketch`] leaves for the lift: the orthonormal basis `P`
-/// (`m × l`) and the power of two `2^half` the Gram was scaled by, squared.
-struct GramSketch {
-    p: Mat,
-    half: i32,
-}
-
-/// Scales `g` by an even power of two and returns the basis `P` of the
-/// sketch `G^{q+1}Ω` and `T = PᵀGP` (`l × l`); `None`, drawing nothing,
-/// if the largest diagonal of `g` is outside the window.
-fn gram_sketch(g: &mut Mat, config: &RsvdConfig, rng: &mut impl Rng) -> Option<(GramSketch, Mat)> {
+/// Scales `g` by an even power of two `2^(2·half)` and returns `half`;
+/// `None`, leaving `g` as it is, if the largest diagonal of `g` is outside
+/// the window.
+fn gram_scale(g: &mut Mat) -> Option<i32> {
     let dmax = (0..g.rows()).fold(0.0f64, |d, i| d.max(g.at(i, i)));
     if !(GRAM_DIAG_MIN..=GRAM_DIAG_MAX).contains(&dmax) {
         return None;
     }
     let shift = ((dmax.to_bits() >> 52) as i32 - 1023) & !1;
     g.scale_mut(pow2(-shift));
-    let serial = ThreadPool::new(1);
-    let omega = gaussian_mat(g.rows(), config.rank + config.oversample, rng);
-    let (mut y, mut p, mut r, mut t) =
-        (Mat::default(), Mat::default(), Mat::default(), Mat::default());
-    let mut ws = QrScratch::default();
-    gemm(Trans::N, Trans::N, &*g, &omega, &mut y, &serial);
-    for _ in 0..config.power_iterations {
-        qr_into(&y, &mut p, &mut r, &mut ws);
-        gemm(Trans::N, Trans::N, &*g, &p, &mut y, &serial);
-    }
-    qr_into(&y, &mut p, &mut r, &mut ws);
-    gemm(Trans::N, Trans::N, &*g, &p, &mut y, &serial);
-    gemm(Trans::T, Trans::N, &p, &y, &mut t, &serial);
-    Some((GramSketch { p, half: shift / 2 }, t))
+    Some(shift / 2)
 }
 
-/// The route's factors of `op` from its sketch and the SVD of `T`, at
-/// `rank`; `None` if the Ritz values are rank-deficient or the
-/// CholeskyQR pass fails.
+/// The sketch's temporaries that outlive no slice: `Y`, the QR's `R` and
+/// its workspace. One per stage-1 bucket, reused across its slices.
+#[derive(Debug, Default)]
+struct SketchScratch {
+    y: Mat,
+    r: Mat,
+    qr: QrScratch,
+}
+
+/// The basis `P` (`m × l`) of the sketch `G^{q+1}Ω` of the scaled Gram
+/// `g` into `p`, and `T = PᵀGP` (`l × l`) into `t`, where `Ω` is the
+/// `m × l` test matrix `omega` and `q` is `power_iterations`.
+fn gram_sketch(
+    g: &Mat,
+    omega: MatRef<'_>,
+    power_iterations: usize,
+    p: &mut Mat,
+    t: &mut Mat,
+    ws: &mut SketchScratch,
+    pool: &ThreadPool,
+) {
+    let SketchScratch { y, r, qr } = ws;
+    gemm(Trans::N, Trans::N, g, omega, y, pool);
+    for _ in 0..power_iterations {
+        qr_into(&*y, p, r, qr);
+        gemm(Trans::N, Trans::N, g, &*p, y, pool);
+    }
+    qr_into(&*y, p, r, qr);
+    gemm(Trans::N, Trans::N, g, &*p, y, pool);
+    gemm(Trans::T, Trans::N, &*p, &*y, t, pool);
+}
+
+/// The route's factors of `op` from its sketch's basis `p`, the Gram's
+/// scale `2^(2·half)` and the SVD of `T`, at `rank`; `None` if the Ritz
+/// values are rank-deficient or the CholeskyQR pass fails.
 fn gram_lift(
     op: impl ProductOp,
-    sketch: &GramSketch,
+    p: &Mat,
+    half: i32,
     t_svd: &SvdFactors,
     rank: usize,
     pool: &ThreadPool,
@@ -234,10 +267,10 @@ fn gram_lift(
     if lam[rank - 1] <= lam[0] * GRAM_RANK_TOL {
         return None;
     }
-    let s: Vec<f64> = lam.iter().map(|&x| x.sqrt() * pow2(sketch.half)).collect();
+    let s: Vec<f64> = lam.iter().map(|&x| x.sqrt() * pow2(half)).collect();
     let mut w = Mat::default();
     let v_t = t_svd.v.view().submatrix(0, t_svd.v.rows(), 0, rank);
-    gemm(Trans::N, Trans::N, &sketch.p, v_t, &mut w, pool);
+    gemm(Trans::N, Trans::N, p, v_t, &mut w, pool);
     let (rows, cols) = op.shape();
     let mut c = Mat::default();
     if rows < cols {
@@ -264,8 +297,9 @@ fn scale_columns(mut m: Mat, s: &[f64], f: impl Fn(f64, f64) -> f64) -> Mat {
     m
 }
 
-/// One CholeskyQR pass: `UᵀU = LLᵀ`, then `U ← U·L⁻ᵀ` row by row by
-/// forward substitution. Returns `L`, or `None` if a pivot is not
+/// One CholeskyQR pass: `UᵀU = LLᵀ`, then `U ← U·L⁻ᵀ` by forward
+/// substitution, one column of `U` at a time so that its rows' division
+/// chains are independent. Returns `L`, or `None` if a pivot is not
 /// positive.
 fn cholesky_qr(u: &mut Mat, pool: &ThreadPool) -> Option<Mat> {
     let mut g = Mat::default();
@@ -283,11 +317,11 @@ fn cholesky_qr(u: &mut Mat, pool: &ThreadPool) -> Option<Mat> {
             l.set(i, j, v / l.at(j, j));
         }
     }
-    for i in 0..u.rows() {
-        let row = u.row_mut(i);
-        for j in 0..r {
-            let v = (0..j).fold(row[j], |v, k| v - row[k] * l.at(j, k));
-            row[j] = v / l.at(j, j);
+    for j in 0..r {
+        let (lj, d) = (l.row(j), l.at(j, j));
+        for row in u.data_mut().chunks_exact_mut(r) {
+            let v = (0..j).fold(row[j], |v, k| v - row[k] * lj[k]);
+            row[j] = v / d;
         }
     }
     Some(l)
@@ -299,9 +333,13 @@ fn cholesky_qr(u: &mut Mat, pool: &ThreadPool) -> Option<Mat> {
 /// Stage 1 runs in parallel over `options.threads` threads, with slices
 /// assigned by greedy number partitioning on their
 /// [work](SliceTensor::work) — row counts for dense slices (Algorithm 4),
-/// nonzeros for CSR ones. Each slice draws from an independent RNG seeded
-/// with `options.seed ⊕ k`, so results are identical for every thread
-/// count. A CSR tensor is never densified: the Gram route's Gram costs
+/// nonzeros for CSR ones. Every slice on the Gram route sketches against
+/// the top rows of one Gaussian test matrix, drawn once, before the
+/// fan-out, from a seed derived from `options.seed` alone; only a slice
+/// that takes the randomized SVD (outside the route's rule, or declined by
+/// it) draws from an independent RNG seeded with `options.seed ⊕ k`. So
+/// results are identical for every thread count. A CSR tensor is never
+/// densified: the Gram route's Gram costs
 /// O(nnz·m) and every other pass O(nnz·(R+s)). Dense and CSR slices sum
 /// their Grams in the same order, so while every other product over a
 /// slice stays on the dense naive dispatch path (`rank + oversample`
@@ -332,7 +370,8 @@ pub(crate) fn compress_valid<T: SliceTensor>(
     let config = RsvdConfig { rank: r, ..options.rsvd };
     let base_seed = options.seed;
     let mut mt = Mat::zeros(tensor.k() * r, tensor.j());
-    let a = stage1(tensor, &config, |k| stage1_seed(base_seed, k), mt.data_mut(), &pool);
+    let seed = |k| stage1_seed(base_seed, k);
+    let a = stage1(tensor, &config, seed, omega_seed(base_seed), mt.data_mut(), &pool);
     let (d, e, f_blocks) = stage2(mt, r, &config, base_seed ^ 0xD1B5_4A32_D192_ED03, &pool);
     CompressedTensor { a, d, e, f_blocks, rank: r, j: tensor.j() }
 }
@@ -341,12 +380,14 @@ pub(crate) fn compress_valid<T: SliceTensor>(
 /// `Mᵀ`, which take `(C_k B_k)ᵀ`.
 type Slot<'a> = (&'a mut Mat, &'a mut [f64]);
 
-/// Stage 1 of every slice of `tensor`, slice `k` drawing from the RNG
-/// seeded with `seed(k)`, greedy-partitioned over `pool`: bitwise the same
-/// for every pool size. Returns each slice's `A_k` and writes
-/// `(C_k B_k)ᵀ` into rows `kR..(k+1)R` of `mt`, the row-major `KR × J`
-/// matrix `Mᵀ` (`R = config.rank`), so that no slice's `C_k B_k` outlives
-/// its slice.
+/// Stage 1 of every slice of `tensor`, greedy-partitioned over `pool`:
+/// bitwise the same for every pool size. Every slice that takes the Gram
+/// route sketches its Gram against the top rows of one Gaussian `Ω`, drawn
+/// before the fan-out from the RNG seeded with `omega_seed`; every other
+/// slice `k` takes the randomized SVD on the RNG seeded with `seed(k)`.
+/// Returns each slice's `A_k` and writes `(C_k B_k)ᵀ` into rows
+/// `kR..(k+1)R` of `mt`, the row-major `KR × J` matrix `Mᵀ`
+/// (`R = config.rank`), so that no slice's `C_k B_k` outlives its slice.
 ///
 /// # Panics
 /// Panics if `mt` does not hold `K·R·J` entries.
@@ -354,11 +395,13 @@ pub(crate) fn stage1<T: SliceTensor>(
     tensor: &T,
     config: &RsvdConfig,
     seed: impl Fn(usize) -> u64 + Sync,
+    omega_seed: u64,
     mt: &mut [f64],
     pool: &ThreadPool,
 ) -> Vec<Mat> {
     let rows = config.rank * tensor.j();
     assert_eq!(mt.len(), tensor.k() * rows, "stage 1: Mᵀ is not KR × J");
+    let omega = shared_omega(tensor, config, omega_seed);
     let weights: Vec<usize> = (0..tensor.k()).map(|k| tensor.work(k)).collect();
     let partition = greedy_partition(&weights, pool.threads());
     // One slot per slice; each thread fills the slots of its bucket.
@@ -366,9 +409,23 @@ pub(crate) fn stage1<T: SliceTensor>(
     let slots = a.iter_mut().zip(mt.chunks_mut(rows));
     let mut scratch = vec![(); partition.len()];
     pool.for_each_partitioned(&partition, slots, &mut scratch, |bucket, _| {
-        stage1_bucket(tensor, bucket, config, &seed);
+        stage1_bucket(tensor, bucket, config, &seed, omega.view());
     });
     a
+}
+
+/// The test matrix `Ω` every route slice of `tensor` shares: `m_max ×
+/// (R+s)`, where `m_max` is the largest small side among the slices the
+/// rule admits (at most `min(J, κ·(R+s))`); empty, and nothing drawn, if
+/// no slice meets the rule. [`gaussian_mat`] fills it row by row, so its
+/// top `m` rows are bitwise the `m × (R+s)` matrix [`gram_svd`] draws
+/// from a fresh RNG of the same seed.
+fn shared_omega<T: SliceTensor>(tensor: &T, config: &RsvdConfig, seed: u64) -> Mat {
+    let j = tensor.j();
+    let small_sides = tensor.dims().iter().filter(|&&i| gram_route_applies(i, j, config));
+    small_sides.map(|&i| i.min(j)).max().map_or_else(Mat::default, |m_max| {
+        gaussian_mat(m_max, config.rank + config.oversample, &mut StdRng::seed_from_u64(seed))
+    })
 }
 
 /// Puts a slice's factors in its [`Slot`]: `A` as they are, `C` (`J × R`)
@@ -385,33 +442,41 @@ fn keep((a, mt_rows): &mut Slot<'_>, f: LowRank) {
 }
 
 /// Stage 1 for one thread's slices, in groups of [`SVD_LANES`]: each
-/// slice's Gram sketch or randomized-SVD sketch (its own RNG stream, so
-/// the schedule cannot change the factorization), then the group's `T`s
-/// and `B`s factored together — bitwise each alone — and each slice's
-/// factors lifted into its slot. Every slot ends bitwise equal to
-/// [`gram_svd`] of its slice where the route applies and takes it, else
-/// to [`dpar2_rsvd::rsvd`] of it.
+/// slice's Gram sketch (against the top `m` rows of the shared `omega`)
+/// or randomized-SVD sketch (on its own RNG stream), then the group's
+/// `T`s and `B`s factored together — bitwise each alone — and each
+/// slice's factors lifted into its slot. Neither the schedule nor a
+/// slice's place in the tensor changes a route slice's factorization.
+/// Every slot ends bitwise equal to [`gram_svd`] of its slice on the RNG
+/// of `omega`'s seed where the route applies and takes it, else to
+/// [`dpar2_rsvd::rsvd`] of it on the RNG seeded with `seed(k)`. The
+/// sketch's temporaries and each lane's `P` and `T` are reused across the
+/// bucket's slices.
 fn stage1_bucket<T: SliceTensor>(
     tensor: &T,
     bucket: &mut Bucket<'_, Slot<'_>>,
     config: &RsvdConfig,
     seed: &impl Fn(usize) -> u64,
+    omega: MatRef<'_>,
 ) {
     let serial = ThreadPool::new(1);
     let mut ws = SvdBatchScratch::default();
+    let mut sketch = SketchScratch::default();
     let mut small: [SvdFactors; SVD_LANES] = Default::default();
+    // The basis `P` and core `T` of the group's `n`-th route slice.
+    let (mut ps, mut ts): ([Mat; SVD_LANES], [Mat; SVD_LANES]) = Default::default();
     let mut group = Vec::with_capacity(SVD_LANES);
     let mut g = Mat::default();
-    let (mut ts, mut sketches) = (Vec::with_capacity(SVD_LANES), Vec::with_capacity(SVD_LANES));
+    let mut routes = Vec::with_capacity(SVD_LANES);
     let (mut bs, mut lifts) = (Vec::with_capacity(SVD_LANES), Vec::with_capacity(SVD_LANES));
+    let mut bucket = bucket.peekable();
     loop {
         group.clear();
-        group.extend((&mut *bucket).take(SVD_LANES));
+        group.extend((&mut bucket).take(SVD_LANES));
         if group.is_empty() {
             break;
         }
-        ts.clear();
-        sketches.clear();
+        routes.clear();
         bs.clear();
         lifts.clear();
         for (i, (k, slot)) in group.iter_mut().enumerate() {
@@ -423,10 +488,11 @@ fn stage1_bucket<T: SliceTensor>(
                 } else {
                     tensor.gram_into(*k, &mut g);
                 }
-                let mut rng = StdRng::seed_from_u64(seed(*k));
-                if let Some((sketch, t)) = gram_sketch(&mut g, config, &mut rng) {
-                    ts.push(t);
-                    sketches.push((i, sketch));
+                if let Some(half) = gram_scale(&mut g) {
+                    let (n, omega) = (routes.len(), omega.submatrix(0, g.rows(), 0, omega.cols()));
+                    let (p, t) = (&mut ps[n], &mut ts[n]);
+                    gram_sketch(&g, omega, config.power_iterations, p, t, &mut sketch, &serial);
+                    routes.push((i, half));
                     continue;
                 }
             }
@@ -439,11 +505,16 @@ fn stage1_bucket<T: SliceTensor>(
                 }
             }
         }
-        svd_thin_batch_into(&ts, &mut small[..ts.len()], &mut ws);
-        for ((i, sketch), f) in sketches.iter().zip(&small) {
+        if bucket.peek().is_none() {
+            // The last lifts run at stage 1's peak, every `A_k` and `Mᵀ`
+            // live: free the sketch's temporaries first.
+            sketch = SketchScratch::default();
+        }
+        svd_thin_batch_into(&ts[..routes.len()], &mut small[..routes.len()], &mut ws);
+        for (((i, half), p), f) in routes.iter().zip(&ps).zip(&small) {
             let (k, slot) = &mut group[*i];
             let x = tensor.slice(*k);
-            let lifted = gram_lift(&x, sketch, f, config.rank, &serial).unwrap_or_else(|| {
+            let lifted = gram_lift(&x, p, *half, f, config.rank, &serial).unwrap_or_else(|| {
                 LowRank::from_svd(rsvd_pooled(
                     &x,
                     config,
@@ -460,12 +531,18 @@ fn stage1_bucket<T: SliceTensor>(
     }
 }
 
-/// Per-slice stage-1 RNG seed — one fixed formula for every storage (and
-/// mirrored by the rank-probe/streaming derivations), so dense and CSR
-/// inputs consume identical Gaussian streams.
+/// Per-slice stage-1 RNG seed of the randomized SVD — one fixed formula
+/// for every storage, so dense and CSR inputs consume identical Gaussian
+/// streams.
 #[inline]
 fn stage1_seed(base_seed: u64, k: usize) -> u64 {
     base_seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k as u64 + 1))
+}
+
+/// The seed of stage 1's shared test matrix `Ω`, from the base seed alone.
+#[inline]
+pub(crate) fn omega_seed(base_seed: u64) -> u64 {
+    base_seed ^ 0x2545_F491_4F6C_DD1D
 }
 
 /// Stage 2 on `M`, given as the `nR × J` matrix `mt = Mᵀ` that stage 1
@@ -613,6 +690,7 @@ mod tests {
     use super::*;
     use crate::error::Dpar2Error;
     use dpar2_linalg::random::gaussian_mat;
+    use dpar2_tensor::SparseIrregularTensor;
     use rand::Rng;
 
     /// Irregular tensor with planted rank-`r` structure plus noise `eps`.
@@ -653,6 +731,10 @@ mod tests {
             dpar2_linalg::gram_into(x, &mut g);
         }
         gram_svd(x, &mut g, config, &mut StdRng::seed_from_u64(seed), &ThreadPool::new(1))
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
     }
 
     fn orthonormality_error(a: &Mat) -> f64 {
@@ -844,7 +926,7 @@ mod tests {
             for threads in [1, 2, 3] {
                 let pool = ThreadPool::new(threads);
                 let mut mt = Mat::zeros(k * r, j);
-                stage1(&t, &config, |k| stage1_seed(45, k), mt.data_mut(), &pool);
+                stage1(&t, &config, |k| stage1_seed(45, k), omega_seed(45), mt.data_mut(), &pool);
                 let (d, e, f) = stage2_hstack(&blocks_of(&mt, r), r, &config, seed2, &pool);
                 let got = compress(&t, &options.with_threads(threads)).unwrap();
                 let ctx = format!("J={j}, R={r}, {threads} threads");
@@ -855,6 +937,112 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_route_slice_factors_the_same_wherever_it_sits() {
+        // Every route slice sketches its Gram against the top rows of the
+        // one shared `Ω`, so its `A_k` keeps its bits when the slices are
+        // permuted, dense and CSR, at 1–3 threads. Excluded: slices the
+        // route does not factor, whose randomized SVD draws from the
+        // stream seeded by their place `k` — in the first tensor the
+        // rank-one and the zero slice, which the route declines, and the
+        // 9-row slice, at most `R + s` rows (an exact SVD); in the second
+        // the slices above `κ·(R + s)` = 66 rows, outside the rule.
+        let options = FitOptions::new(3).with_seed(48);
+        let mut rng = StdRng::seed_from_u64(49);
+        let rank_one =
+            gaussian_mat(50, 1, &mut rng).matmul_nt(gaussian_mat(40, 1, &mut rng)).unwrap();
+        let mut near = planted(&[120, 45, 20, 30, 64, 9, 90, 15], 40, 3, 0.1, 50).to_slices();
+        near.insert(3, rank_one);
+        near.push(Mat::zeros(33, 40));
+        let far = planted(&[120, 45, 200, 30, 64, 22, 90, 15, 40, 75], 90, 3, 0.1, 51);
+        for (name, slices, excluded) in
+            [("J=40", near, vec![3, 6, 9]), ("J=90", far.to_slices(), vec![0, 2, 6, 9])]
+        {
+            let k = slices.len();
+            let perm: Vec<usize> = (0..k).map(|i| (3 * i + 2) % k).collect();
+            let mut sorted = perm.clone();
+            sorted.sort_unstable();
+            assert!(sorted.iter().copied().eq(0..k), "{name}: not a permutation");
+            let moved = IrregularTensor::new(perm.iter().map(|&p| slices[p].clone()).collect());
+            let t = IrregularTensor::new(slices);
+            let routed: Vec<usize> = (0..k)
+                .filter(|&kk| {
+                    let (rows, cols) = t.slice(kk).shape();
+                    gram_route_applies(rows, cols, &options.rsvd)
+                        && route(&t.slice(kk).to_mat(), &options.rsvd, omega_seed(48)).is_some()
+                })
+                .collect();
+            let others: Vec<usize> = (0..k).filter(|kk| !routed.contains(kk)).collect();
+            assert_eq!(others, excluded, "{name}: the slices the route does not factor");
+            let (t_csr, moved_csr) =
+                (SparseIrregularTensor::from_dense(&t), SparseIrregularTensor::from_dense(&moved));
+            for threads in [1, 2, 3] {
+                let opts = options.with_threads(threads);
+                let dense = (compress(&t, &opts).unwrap(), compress(&moved, &opts).unwrap());
+                let csr = (compress(&t_csr, &opts).unwrap(), compress(&moved_csr, &opts).unwrap());
+                for (storage, (base, permuted)) in [("dense", dense), ("CSR", csr)] {
+                    for (i, &p) in perm.iter().enumerate().filter(|(_, p)| routed.contains(p)) {
+                        assert_eq!(
+                            bits(permuted.a[i].data()),
+                            bits(base.a[p].data()),
+                            "{name}, {storage}, {threads} threads: A_{p} at place {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`cholesky_qr`] as it substituted before, row by row: the oracle of
+    /// its column sweep.
+    fn cholesky_qr_by_rows(u: &mut Mat, pool: &ThreadPool) -> Option<Mat> {
+        let mut g = Mat::default();
+        gemm(Trans::T, Trans::N, &*u, &*u, &mut g, pool);
+        let r = g.rows();
+        let mut l = Mat::zeros(r, r);
+        for j in 0..r {
+            let d = (0..j).fold(g.at(j, j), |d, k| d - l.at(j, k) * l.at(j, k));
+            if d <= 0.0 {
+                return None;
+            }
+            l.set(j, j, d.sqrt());
+            for i in j + 1..r {
+                let v = (0..j).fold(g.at(i, j), |v, k| v - l.at(i, k) * l.at(j, k));
+                l.set(i, j, v / l.at(j, j));
+            }
+        }
+        for i in 0..u.rows() {
+            let row = u.row_mut(i);
+            for j in 0..r {
+                let v = (0..j).fold(row[j], |v, k| v - row[k] * l.at(j, k));
+                row[j] = v / l.at(j, j);
+            }
+        }
+        Some(l)
+    }
+
+    #[test]
+    fn cholesky_qr_by_columns_keeps_the_row_loops_bits() {
+        let pool = ThreadPool::new(1);
+        let mut rng = StdRng::seed_from_u64(52);
+        for (rows, r) in [(790, 10), (50, 10), (300, 18), (7, 3), (1, 1)] {
+            let mut want = gaussian_mat(rows, r, &mut rng);
+            for i in 0..rows {
+                want.row_mut(i).iter_mut().enumerate().for_each(|(j, x)| *x *= (j + 1) as f64);
+            }
+            let mut got = want.clone();
+            let l = cholesky_qr(&mut got, &pool).expect("full column rank");
+            let l_want = cholesky_qr_by_rows(&mut want, &pool).unwrap();
+            assert_eq!(bits(l.data()), bits(l_want.data()), "{rows}x{r}: L");
+            assert_eq!(bits(got.data()), bits(want.data()), "{rows}x{r}: U·L⁻ᵀ");
+        }
+        // A zero column has no positive pivot.
+        let mut u = gaussian_mat(20, 4, &mut rng);
+        (0..20).for_each(|i| u.set(i, 2, 0.0));
+        assert!(cholesky_qr(&mut u.clone(), &pool).is_none());
+        assert!(cholesky_qr_by_rows(&mut u, &pool).is_none());
     }
 
     #[test]

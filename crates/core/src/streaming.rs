@@ -9,7 +9,8 @@
 //!
 //! 1. **Stage 1** runs only on the *new* slices: `X_k ≈ A_k B_k C_kᵀ`, in
 //!    the same lane groups and on the same Gram route as
-//!    [`compress`](crate::compress()).
+//!    [`compress`](crate::compress()). The batch's route slices share one
+//!    Gaussian test matrix, drawn from the batch's base seed.
 //! 2. **Stage 2** is updated without touching old data. With the current
 //!    factorization `M ≈ D E Fᵀ`, the extended matrix is
 //!    `M' = [D E Fᵀ ∥ M_new]`. Its column space lies inside
@@ -33,7 +34,7 @@
 //!    (`H`, `V`, and `W` extended with unit rows for the newcomers), which
 //!    empirically cuts the iterations to re-converge.
 
-use crate::compress::{compress, stage1, stage2, CompressedTensor};
+use crate::compress::{compress, omega_seed, stage1, stage2, CompressedTensor};
 use crate::config::FitOptions;
 use crate::error::{Dpar2Error, Result};
 use crate::fitness::Parafac2Fit;
@@ -44,7 +45,8 @@ use dpar2_linalg::Mat;
 use dpar2_parallel::ThreadPool;
 use dpar2_rsvd::RsvdConfig;
 
-/// Derives a per-slice sketch seed from `(base, k)` with a splitmix64-style
+/// Derives the per-slice seed of a slice's randomized SVD (a slice the
+/// Gram route does not take) from `(base, k)` with a splitmix64-style
 /// finalizer. A plain `base.wrapping_mul(k + 1)` collides badly: any even
 /// `base` sheds low-bit entropy and `base = 0` hands every slice the
 /// identical RNG stream, correlating the sketches across slices.
@@ -183,7 +185,8 @@ impl StreamingDpar2 {
         let mut gt = Mat::zeros((1 + batch.k()) * r, old.j);
         let (top, rest) = gt.data_mut().split_at_mut(r * old.j);
         top.copy_from_slice(old.edt().data());
-        let new_a = stage1(batch, &config, |k| stream_seed(base_seed, k), rest, &pool);
+        let seed = |k| stream_seed(base_seed, k);
+        let new_a = stage1(batch, &config, seed, omega_seed(base_seed), rest, &pool);
         let (d, e, mut g_blocks) = stage2(gt, r, &config, base_seed ^ 0x0B5E55ED, &pool);
         // Rewrite old F-blocks against the new basis: F'(k) = F(k)·G'_top;
         // the new blocks come straight from G' below the top rows.
@@ -370,7 +373,8 @@ mod tests {
                 let pool = ThreadPool::new(threads);
                 let new = IrregularTensor::new(b2.clone());
                 let mut mt = Mat::zeros(second * r, j);
-                stage1(&new, &config, |k| stream_seed(base_seed, k), mt.data_mut(), &pool);
+                let seed = |k| stream_seed(base_seed, k);
+                stage1(&new, &config, seed, omega_seed(base_seed), mt.data_mut(), &pool);
                 let mut de = old.d.clone();
                 for i in 0..j {
                     for (x, &e) in de.row_mut(i).iter_mut().zip(&old.e) {

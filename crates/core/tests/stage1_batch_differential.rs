@@ -11,8 +11,12 @@
 //! below is that pipeline written out: the same rule, `gram_svd` on the
 //! slice's own Gram where the rule holds and the route takes it, else
 //! `rsvd` on a fresh stream of the same per-slice seed, then stage 2 the
-//! same way on `M`. The suite compares whole compressed tensors bit for
-//! bit, dense and CSR (and dense against CSR), at 1, 2 and 3 threads.
+//! same way on `M`. Every route slice's `gram_svd` draws its `Ω` from one
+//! seed, derived from the base seed alone: `compress` draws one `Ω` per
+//! call from it and hands each route slice its top `m` rows, which are
+//! bitwise what `gram_svd` draws from a fresh RNG of that seed. The suite
+//! compares whole compressed tensors bit for bit, dense and CSR (and
+//! dense against CSR), at 1, 2 and 3 threads.
 //!
 //! With `R + s = 3` every sketch product of the randomized SVD and every
 //! lift of the route stays on the naive dispatch path, and both storages
@@ -117,7 +121,11 @@ fn stage1_seed(k: usize) -> u64 {
     1601 ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k as u64 + 1)
 }
 
-/// The route on slice `k` alone, on its own small-side Gram.
+/// The seed of the test matrix `Ω` every route slice shares.
+const OMEGA_SEED: u64 = 1601 ^ 0x2545_F491_4F6C_DD1D;
+
+/// The route on slice `k` alone, on its own small-side Gram, drawing its
+/// `Ω` from the shared seed.
 fn route<T: SliceTensor>(tensor: &T, k: usize, pool: &ThreadPool) -> Option<LowRank> {
     let x = tensor.slice(k);
     let (rows, cols) = x.shape();
@@ -127,7 +135,7 @@ fn route<T: SliceTensor>(tensor: &T, k: usize, pool: &ThreadPool) -> Option<LowR
     } else {
         tensor.gram_into(k, &mut g);
     }
-    gram_svd(x, &mut g, &config(), &mut StdRng::seed_from_u64(stage1_seed(k)), pool)
+    gram_svd(x, &mut g, &config(), &mut StdRng::seed_from_u64(OMEGA_SEED), pool)
 }
 
 /// `A = U`, `C = V·Σ` of an rSVD.

@@ -429,6 +429,37 @@ fn stage1_sketch_products_allocate_nothing() {
     }
 }
 
+/// A second one-thread `compress` of the same shapes allocates at most a
+/// pinned number of times per slice. Stage 1 draws one `Ω` per call, and
+/// the Gram route's sketch temporaries (`Y`, `P`, `R`, `T` and the QR's
+/// scratch) live in one scratch per stage-1 bucket, reused across its
+/// slices; what a route slice still allocates is its lift (`W`, `A_k`,
+/// `C_k`, the singular values, the CholeskyQR Gram and `L`). Shapes of
+/// both benchmark workloads: short planted slices of 24–96 rows over
+/// `J = 48`, and tall ones of 100–491 rows over `J = 88`, at `R = 10`.
+/// They make 750 and 314 allocations (7.81 and 13.08 per slice).
+#[test]
+fn second_compress_allocates_a_pinned_count_per_slice() {
+    use dpar2_repro::core::compress;
+    use dpar2_repro::data::planted::powerlaw_row_dims;
+
+    let short = powerlaw_row_dims(96, 24, 96, 9013);
+    let tall: Vec<usize> = (0..24).map(|k| 100 + 17 * k).collect();
+    for (what, rows, j, limit) in [("short", short, 48, 7.82), ("tall", tall, 88, 13.09)] {
+        let t = planted_parafac2(&rows, j, 10, 0.1, 9014);
+        let opts = FitOptions::new(10).with_seed(9015).with_threads(1);
+        compress(&t, &opts).expect("compress failed");
+        let before = allocs_now();
+        let c = compress(&t, &opts).expect("compress failed");
+        let per_slice = (allocs_now() - before) as f64 / rows.len() as f64;
+        eprintln!("{what}: {per_slice:.4} allocations per slice, K = {}", c.k());
+        assert!(
+            per_slice <= limit,
+            "{what}: {per_slice:.2} allocations per slice, pinned at {limit}"
+        );
+    }
+}
+
 /// The peak live bytes of each phase of a fit, above the live bytes when
 /// the fit began: each phase's span ends at its `on_phase` report, where
 /// the peak restarts.
