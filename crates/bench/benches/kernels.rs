@@ -15,12 +15,12 @@
 //!   operands in place.
 //! * `qr` — the Householder QR behind every rSVD pass, on the shapes the
 //!   pipeline factors (stage-1 sketches, stage 2's tall factorization).
-//! * `svd_batch` — eight small Jacobi SVDs through the lane-batched kernel
+//! * `svd_batch` — sixteen small Jacobi SVDs through the lane-batched kernel
 //!   vs one at a time, at the `Q_k` step's `R×R` and stage 1's sketch
 //!   shape.
-//! * `qk_svd` — one 8-slice group of the `Q_k` step's `R×R` SVDs through
+//! * `qk_svd` — one 16-slice group of the `Q_k` step's `R×R` SVDs through
 //!   the lane-native kernel, lane stores in and out.
-//! * `qk_chain` — one 8-slice group of the `Q_k` step's `R×R` product
+//! * `qk_chain` — one 16-slice group of the `Q_k` step's `R×R` product
 //!   chain, one slice per lane vs one `gemm` call per product.
 //! * `two_stage_ablation` — two-stage compression vs stage-1-only.
 //! * `compress_route` — one matrix's rank-10 factorization through the

@@ -25,12 +25,12 @@
 //! A further table times the Householder QR (`dpar2_linalg::qr_into`) on
 //! the tall-and-thin shapes the randomized SVDs factor, in GFLOP/s of the
 //! standard Householder count (factor plus thin `Q`). Another times the
-//! small one-sided Jacobi SVDs in µs per group of `SVD_LANES` (eight)
+//! small one-sided Jacobi SVDs in µs per group of `SVD_LANES` (sixteen)
 //! matrices: the lane-native square kernel (`svd_square_lanes`, lane
 //! stores in and out, as the `Q_k` step runs it) and the lane-batched
 //! kernel on `Mat`s (`svd_thin_batch_into`) against one matrix at a time
 //! (`svd_thin_into`), at the `R×R` size of the `Q_k` step (10) and the
-//! sketch-core size of stage 1 (18). The last times one 8-slice group of
+//! sketch-core size of stage 1 (18). The last times one 16-slice group of
 //! the `Q_k` step's `R×R` product chain in µs: one slice per lane through
 //! `gemm_lanes` (interleaving included) against per-slice `gemm` calls,
 //! at `R` ∈ {5, 10, 20}.

@@ -43,7 +43,7 @@
 //! diagonal leaves `[2^-500, 2^500]`, a rank-deficient one
 //! (`λ_R ≤ 10⁻¹⁰·λ_1`) and one whose Cholesky fails take the randomized SVD of
 //! [`dpar2_rsvd::rsvd_pooled`] instead, on a fresh RNG stream. Stage 1
-//! takes each thread's slices in groups of [`SVD_LANES`] (eight): it
+//! takes each thread's slices in groups of [`SVD_LANES`] (sixteen): it
 //! sketches each one, factors the group's `T`s (and the fallback's
 //! `(R+s)×J` projections) together with the lane-batched Jacobi SVD —
 //! bitwise each alone — and lifts each slice's factors into its slot.
@@ -169,7 +169,9 @@ pub struct LowRank {
 impl LowRank {
     /// `A = U`, `C = V·Σ` of a truncated SVD.
     fn from_svd(f: SvdFactors) -> Self {
-        LowRank { a: f.u, c: scale_columns(f.v, &f.s, |x, s| x * s), s: f.s }
+        let mut c = f.v;
+        scale_columns(&mut c, &f.s, |x, s| x * s);
+        LowRank { a: f.u, c, s: f.s }
     }
 }
 
@@ -204,7 +206,9 @@ pub fn gram_svd(
         let ws = &mut SketchScratch::default();
         gram_sketch(g, omega.view(), config.power_iterations, &mut p, &mut t, ws, pool);
     }
-    gram_lift(op, &p, half, &svd_thin(&t), config.rank, pool)
+    let (mut a, mut ws) = (Mat::default(), LiftScratch::default());
+    let lifted = gram_lift(op, &p, half, &svd_thin(&t), config.rank, &mut a, &mut ws, pool);
+    lifted.then_some(LowRank { a, c: ws.c, s: ws.s })
 }
 
 /// Scales `g` by an even power of two `2^(2·half)` and returns `half`;
@@ -252,64 +256,84 @@ fn gram_sketch(
     gemm(Trans::T, Trans::N, &*p, &*y, t, pool);
 }
 
+/// The lift's temporaries besides `A`: `W` and its column-scaled copy,
+/// `C`, the singular values, and the CholeskyQR pass's Gram and `L`. One
+/// per stage-1 bucket, reused across its slices.
+#[derive(Debug, Default)]
+struct LiftScratch {
+    w: Mat,
+    w_scaled: Mat,
+    c: Mat,
+    s: Vec<f64>,
+    gram: Mat,
+    l: Mat,
+}
+
 /// The route's factors of `op` from its sketch's basis `p`, the Gram's
-/// scale `2^(2·half)` and the SVD of `T`, at `rank`; `None` if the Ritz
-/// values are rank-deficient or the CholeskyQR pass fails.
+/// scale `2^(2·half)` and the SVD of `T`, at `rank`: `A` into `a`, `C` and
+/// the singular values into `ws.c` and `ws.s`. `false` if the Ritz values
+/// are rank-deficient or the CholeskyQR pass fails.
+#[allow(clippy::too_many_arguments)]
 fn gram_lift(
     op: impl ProductOp,
     p: &Mat,
     half: i32,
     t_svd: &SvdFactors,
     rank: usize,
+    a: &mut Mat,
+    ws: &mut LiftScratch,
     pool: &ThreadPool,
-) -> Option<LowRank> {
+) -> bool {
     let lam = &t_svd.s[..rank];
     if lam[rank - 1] <= lam[0] * GRAM_RANK_TOL {
-        return None;
+        return false;
     }
-    let s: Vec<f64> = lam.iter().map(|&x| x.sqrt() * pow2(half)).collect();
-    let mut w = Mat::default();
+    let LiftScratch { w, w_scaled, c, s, gram, l } = ws;
+    s.clear();
+    s.extend(lam.iter().map(|&x| x.sqrt() * pow2(half)));
     let v_t = t_svd.v.view().submatrix(0, t_svd.v.rows(), 0, rank);
-    gemm(Trans::N, Trans::N, p, v_t, &mut w, pool);
     let (rows, cols) = op.shape();
-    let mut c = Mat::default();
     if rows < cols {
-        // G = XXᵀ: the Ritz vectors are A, and C = XᵀA.
-        op.mm_t_into(&w, &mut c, pool);
-        return Some(LowRank { a: w, c, s });
+        // G = XXᵀ: the Ritz vectors W are A, and C = XᵀA.
+        gemm(Trans::N, Trans::N, p, v_t, a, pool);
+        op.mm_t_into(a, c, pool);
+        return true;
     }
     // G = XᵀX: A = X·W·Σ⁻¹ after one CholeskyQR pass A·Lᵀ. Then
     // Aᵀ·X·W = Lᵀ·Σ, so on span(W), C = XᵀA is W·Σ·L: no second pass over X.
-    let mut a = Mat::default();
-    op.mm_into(&scale_columns(w.clone(), &s, |x, s| x / s), &mut a, pool);
-    let l = cholesky_qr(&mut a, pool)?;
-    gemm(Trans::N, Trans::N, scale_columns(w, &s, |x, s| x * s), &l, &mut c, pool);
-    Some(LowRank { a, c, s })
+    gemm(Trans::N, Trans::N, p, v_t, w, pool);
+    w_scaled.copy_from(&*w);
+    scale_columns(w_scaled, s, |x, s| x / s);
+    op.mm_into(w_scaled, a, pool);
+    if !cholesky_qr(a, gram, l, pool) {
+        return false;
+    }
+    scale_columns(w, s, |x, s| x * s);
+    gemm(Trans::N, Trans::N, &*w, &*l, c, pool);
+    true
 }
 
-/// `m` with each entry `x` of column `j` replaced by `f(x, s[j])`.
-fn scale_columns(mut m: Mat, s: &[f64], f: impl Fn(f64, f64) -> f64) -> Mat {
+/// Replaces each entry `x` of column `j` of `m` with `f(x, s[j])`.
+fn scale_columns(m: &mut Mat, s: &[f64], f: impl Fn(f64, f64) -> f64) {
     for i in 0..m.rows() {
         for (x, &sj) in m.row_mut(i).iter_mut().zip(s) {
             *x = f(*x, sj);
         }
     }
-    m
 }
 
-/// One CholeskyQR pass: `UᵀU = LLᵀ`, then `U ← U·L⁻ᵀ` by forward
-/// substitution, one column of `U` at a time so that its rows' division
-/// chains are independent. Returns `L`, or `None` if a pivot is not
-/// positive.
-fn cholesky_qr(u: &mut Mat, pool: &ThreadPool) -> Option<Mat> {
-    let mut g = Mat::default();
-    gemm(Trans::T, Trans::N, &*u, &*u, &mut g, pool);
+/// One CholeskyQR pass: `UᵀU = LLᵀ` (the Gram into `g`, `L` into `l`),
+/// then `U ← U·L⁻ᵀ` by forward substitution, one column of `U` at a time
+/// so that its rows' division chains are independent. `false` if a pivot
+/// is not positive.
+fn cholesky_qr(u: &mut Mat, g: &mut Mat, l: &mut Mat, pool: &ThreadPool) -> bool {
+    gemm(Trans::T, Trans::N, &*u, &*u, g, pool);
     let r = g.rows();
-    let mut l = Mat::zeros(r, r);
+    l.resize_zeroed(r, r);
     for j in 0..r {
         let d = (0..j).fold(g.at(j, j), |d, k| d - l.at(j, k) * l.at(j, k));
         if d <= 0.0 {
-            return None;
+            return false;
         }
         l.set(j, j, d.sqrt());
         for i in j + 1..r {
@@ -324,7 +348,7 @@ fn cholesky_qr(u: &mut Mat, pool: &ThreadPool) -> Option<Mat> {
             row[j] = v / d;
         }
     }
-    Some(l)
+    true
 }
 
 /// Runs the two-stage compression (lines 2–6 of Algorithm 3) on dense or
@@ -428,17 +452,22 @@ fn shared_omega<T: SliceTensor>(tensor: &T, config: &RsvdConfig, seed: u64) -> M
     })
 }
 
-/// Puts a slice's factors in its [`Slot`]: `A` as they are, `C` (`J × R`)
+/// Puts a slice's factors in its [`Slot`]: `A` as it is, `C` (`J × R`)
 /// transposed.
 fn keep((a, mt_rows): &mut Slot<'_>, f: LowRank) {
-    let (j, r) = f.c.shape();
+    keep_c(mt_rows, &f.c);
+    **a = f.a;
+}
+
+/// Writes `C` (`J × R`) transposed into a slot's `R` rows of `Mᵀ`.
+fn keep_c(mt_rows: &mut [f64], c: &Mat) {
+    let (j, r) = c.shape();
     debug_assert_eq!(mt_rows.len(), r * j);
     for i in 0..j {
-        for (c, &x) in f.c.row(i).iter().enumerate() {
-            mt_rows[c * j + i] = x;
+        for (col, &x) in c.row(i).iter().enumerate() {
+            mt_rows[col * j + i] = x;
         }
     }
-    **a = f.a;
 }
 
 /// Stage 1 for one thread's slices, in groups of [`SVD_LANES`]: each
@@ -450,8 +479,9 @@ fn keep((a, mt_rows): &mut Slot<'_>, f: LowRank) {
 /// Every slot ends bitwise equal to [`gram_svd`] of its slice on the RNG
 /// of `omega`'s seed where the route applies and takes it, else to
 /// [`dpar2_rsvd::rsvd`] of it on the RNG seeded with `seed(k)`. The
-/// sketch's temporaries and each lane's `P` and `T` are reused across the
-/// bucket's slices.
+/// sketch's and the lift's temporaries and each lane's `P` and `T` are
+/// reused across the bucket's slices, so a route slice allocates only its
+/// `A_k`.
 fn stage1_bucket<T: SliceTensor>(
     tensor: &T,
     bucket: &mut Bucket<'_, Slot<'_>>,
@@ -462,6 +492,7 @@ fn stage1_bucket<T: SliceTensor>(
     let serial = ThreadPool::new(1);
     let mut ws = SvdBatchScratch::default();
     let mut sketch = SketchScratch::default();
+    let mut lift = LiftScratch::default();
     let mut small: [SvdFactors; SVD_LANES] = Default::default();
     // The basis `P` and core `T` of the group's `n`-th route slice.
     let (mut ps, mut ts): ([Mat; SVD_LANES], [Mat; SVD_LANES]) = Default::default();
@@ -505,24 +536,30 @@ fn stage1_bucket<T: SliceTensor>(
                 }
             }
         }
-        if bucket.peek().is_none() {
-            // The last lifts run at stage 1's peak, every `A_k` and `Mᵀ`
-            // live: free the sketch's temporaries first.
+        // The last group's lifts run at stage 1's peak, every `A_k` and
+        // `Mᵀ` live: free the sketch's temporaries first, the batch
+        // scratch and the `T`s once factored, and each `P` once lifted.
+        let last = bucket.peek().is_none();
+        if last {
             sketch = SketchScratch::default();
         }
         svd_thin_batch_into(&ts[..routes.len()], &mut small[..routes.len()], &mut ws);
-        for (((i, half), p), f) in routes.iter().zip(&ps).zip(&small) {
+        if last {
+            ws = SvdBatchScratch::default();
+            ts = Default::default();
+        }
+        for (((i, half), p), f) in routes.iter().zip(&mut ps).zip(&small) {
             let (k, slot) = &mut group[*i];
             let x = tensor.slice(*k);
-            let lifted = gram_lift(&x, p, *half, f, config.rank, &serial).unwrap_or_else(|| {
-                LowRank::from_svd(rsvd_pooled(
-                    &x,
-                    config,
-                    &mut StdRng::seed_from_u64(seed(*k)),
-                    &serial,
-                ))
-            });
-            keep(slot, lifted);
+            if gram_lift(&x, p, *half, f, config.rank, slot.0, &mut lift, &serial) {
+                keep_c(slot.1, &lift.c);
+            } else {
+                let mut rng = StdRng::seed_from_u64(seed(*k));
+                keep(slot, LowRank::from_svd(rsvd_pooled(&x, config, &mut rng, &serial)));
+            }
+            if last {
+                *p = Mat::default();
+            }
         }
         svd_thin_batch_into(&bs, &mut small[..bs.len()], &mut ws);
         for ((i, q, rank), f) in lifts.iter().zip(&small) {
@@ -571,8 +608,8 @@ pub(crate) fn stage2(
         None
     };
     let (d, e, f) = match via_gram {
-        Some(LowRank { a, c, s }) => {
-            let f = scale_columns(c, &s, |x, e| x / e);
+        Some(LowRank { a, c: mut f, s }) => {
+            scale_columns(&mut f, &s, |x, e| x / e);
             (a, s, f)
         }
         None => {
@@ -676,7 +713,10 @@ pub(crate) fn stage2_hstack(
         None
     };
     let (d, e, f) = match via_gram {
-        Some(LowRank { a, c, s }) => (a, s.clone(), scale_columns(c, &s, |x, e| x / e)),
+        Some(LowRank { a, c: mut f, s }) => {
+            scale_columns(&mut f, &s, |x, e| x / e);
+            (a, s, f)
+        }
         None => {
             let f2 = rsvd_pooled(&m, config, &mut StdRng::seed_from_u64(seed), pool);
             (f2.u, f2.s, f2.v)
@@ -715,9 +755,10 @@ mod tests {
     /// plus Gaussian noise at `eps`.
     fn spectrum(rows: usize, cols: usize, sigma: &[f64], eps: f64, seed: u64) -> Mat {
         let mut rng = StdRng::seed_from_u64(seed);
-        let u = dpar2_linalg::qr(gaussian_mat(rows, sigma.len(), &mut rng)).q;
+        let mut u = dpar2_linalg::qr(gaussian_mat(rows, sigma.len(), &mut rng)).q;
         let v = dpar2_linalg::qr(gaussian_mat(cols, sigma.len(), &mut rng)).q;
-        let mut x = scale_columns(u, sigma, |x, s| x * s).matmul_nt(&v).unwrap();
+        scale_columns(&mut u, sigma, |x, s| x * s);
+        let mut x = u.matmul_nt(&v).unwrap();
         x.axpy(eps, &gaussian_mat(rows, cols, &mut rng));
         x
     }
@@ -1027,13 +1068,15 @@ mod tests {
     fn cholesky_qr_by_columns_keeps_the_row_loops_bits() {
         let pool = ThreadPool::new(1);
         let mut rng = StdRng::seed_from_u64(52);
+        // One Gram and `L` for every case, as a stage-1 bucket reuses them.
+        let (mut g, mut l) = (Mat::default(), Mat::default());
         for (rows, r) in [(790, 10), (50, 10), (300, 18), (7, 3), (1, 1)] {
             let mut want = gaussian_mat(rows, r, &mut rng);
             for i in 0..rows {
                 want.row_mut(i).iter_mut().enumerate().for_each(|(j, x)| *x *= (j + 1) as f64);
             }
             let mut got = want.clone();
-            let l = cholesky_qr(&mut got, &pool).expect("full column rank");
+            assert!(cholesky_qr(&mut got, &mut g, &mut l, &pool), "full column rank");
             let l_want = cholesky_qr_by_rows(&mut want, &pool).unwrap();
             assert_eq!(bits(l.data()), bits(l_want.data()), "{rows}x{r}: L");
             assert_eq!(bits(got.data()), bits(want.data()), "{rows}x{r}: U·L⁻ᵀ");
@@ -1041,7 +1084,7 @@ mod tests {
         // A zero column has no positive pivot.
         let mut u = gaussian_mat(20, 4, &mut rng);
         (0..20).for_each(|i| u.set(i, 2, 0.0));
-        assert!(cholesky_qr(&mut u.clone(), &pool).is_none());
+        assert!(!cholesky_qr(&mut u.clone(), &mut g, &mut l, &pool));
         assert!(cholesky_qr_by_rows(&mut u, &pool).is_none());
     }
 

@@ -986,9 +986,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(431);
         // R = 3 and 10 take the lane products, R = 24 the per-slice
         // fallback; K covers partial groups, one full group, a full group
-        // plus one slice and plus a partial half, and many groups.
+        // plus one slice and plus a partial half, and many groups, at
+        // eight lanes and at sixteen.
         for r in [3, 10, 24] {
-            for k_dim in [1, 3, 4, 5, 7, 8, 9, 17] {
+            for k_dim in [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 40] {
                 let mut f_blocks: Vec<Mat> =
                     (0..k_dim).map(|_| gaussian_mat(r, r, &mut rng)).collect();
                 // A zero slice and a rank-one slice (their SVDs run alone)

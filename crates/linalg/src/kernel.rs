@@ -83,7 +83,7 @@
 //! [`gemm_blocked`] above) lives in [`crate::gemm`]. Most `R×R` products of
 //! the compressed iterations fall below it and run the naive loops one at
 //! a time; the DPar2 `Q_k` step's per-slice products instead go through
-//! [`crate::gemm_lanes`], eight slices at once, one per vector lane, in the
+//! [`crate::gemm_lanes`], sixteen slices at once, one per vector lane, in the
 //! naive loops' operation order and so with their bits.
 
 use crate::mat::Mat;
@@ -234,14 +234,17 @@ unsafe fn micro_fma(kcb: usize, a: Tile<'_>, b: Tile<'_>, acc: &mut [[f64; NR]; 
 
 /// The CPU's SIMD features, probed once: the one cached runtime check
 /// behind every `#[target_feature]` dispatch in this crate (the fused GEMM
-/// microkernel here, the Jacobi sweeps and the lane products in
-/// [`crate::svd`]).
+/// microkernel here, the Jacobi sweeps — 512-bit, else 256-bit — and the
+/// lane products in [`crate::svd`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Simd {
     /// 256-bit integer and float vectors.
     pub(crate) avx2: bool,
     /// Fused multiply-add.
     pub(crate) fma: bool,
+    /// 512-bit float vectors with their `and`/`andnot`/`or` ops: AVX-512F
+    /// and AVX-512DQ both.
+    pub(crate) avx512: bool,
 }
 
 /// The cached [`Simd`] probe; all `false` off x86-64.
@@ -249,16 +252,18 @@ pub(crate) struct Simd {
 pub(crate) fn simd() -> Simd {
     #[cfg(target_arch = "x86_64")]
     {
+        use std::arch::is_x86_feature_detected as has;
         use std::sync::OnceLock;
         static PROBE: OnceLock<Simd> = OnceLock::new();
         *PROBE.get_or_init(|| Simd {
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
-            fma: std::arch::is_x86_feature_detected!("fma"),
+            avx2: has!("avx2"),
+            fma: has!("fma"),
+            avx512: has!("avx512f") && has!("avx512dq"),
         })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        Simd { avx2: false, fma: false }
+        Simd { avx2: false, fma: false, avx512: false }
     }
 }
 
@@ -501,7 +506,7 @@ impl Plan {
     fn new(m: usize, n: usize, (a, ta): (MatRef<'_>, Trans), (b, tb): (MatRef<'_>, Trans)) -> Self {
         let pin = PIN.get();
         let in_place = pin.in_place.unwrap_or(m.min(n) <= IN_PLACE_MAX);
-        let fma = matches!(simd(), Simd { avx2: true, fma: true }) && !pin.portable;
+        let fma = matches!(simd(), Simd { avx2: true, fma: true, .. }) && !pin.portable;
         let upper = ta != tb && a.same_view(b);
         Plan { a_in_place: in_place, b_in_place: in_place && tb == Trans::N, fma, upper }
     }

@@ -19,7 +19,7 @@
 //!   at runtime) that read a narrow product's operands in place and pack
 //!   a wide one's, and row-panel fan-out over the pool; small products
 //!   stay on the naive loops.
-//! * [`gemm_lanes`] — up to eight small `n×n` products at once, one per
+//! * [`gemm_lanes`] — up to sixteen small `n×n` products at once, one per
 //!   vector lane, each bitwise what [`gemm`]'s naive loops give (the
 //!   DPar2 `Q_k` step's per-slice products).
 //! * [`gram_into`] — the Gram `XᵀX`, every entry summed over rows in the
@@ -29,8 +29,9 @@
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
 //!   preconditioning for tall matrices; scale-invariant), plus
-//!   rank-truncated variants and two lane kernels that factor up to eight
-//!   small same-shape matrices in lock step (AVX2 when the CPU has it),
+//!   rank-truncated variants and two lane kernels that factor up to sixteen
+//!   small same-shape matrices in lock step (AVX-512 or AVX2 when the CPU
+//!   has it),
 //!   bitwise equal to factoring each alone: [`svd_thin_batch_into`] on
 //!   `Mat`s of any shape, and [`svd_square_lanes`] on square matrices in
 //!   [`gemm_lanes`]' lane stores, in and out.
@@ -44,18 +45,20 @@
 //!   running the corresponding naive dense loop.
 //!
 //! Everything is deterministic given a seed and needs no external BLAS.
-//! The crate is safe Rust except for four narrowly-scoped exceptions of
+//! The crate is safe Rust except for five narrowly-scoped exceptions of
 //! one shape — a `#[target_feature]` function (`unsafe` to call) and its
 //! call site, guarded by one cached `is_x86_feature_detected!` probe:
 //!
 //! 1. [`kernel`]: the AVX2/FMA GEMM microkernel;
-//! 2. [`svd`]: the AVX2 Jacobi sweep kernel behind
-//!    [`svd_thin_batch_into`] and [`svd_square_lanes`], bitwise equal to
-//!    its portable fallback;
-//! 3. [`svd`]: the AVX2 build of [`gemm_lanes`]' portable lane loop (the
+//! 2. [`svd`]: the AVX-512 Jacobi sweep kernel behind
+//!    [`svd_thin_batch_into`] and [`svd_square_lanes`] (AVX-512F and
+//!    AVX-512DQ), bitwise equal to its portable fallback;
+//! 3. [`svd`]: the AVX2 Jacobi sweep kernel, taken where AVX-512 is
+//!    missing, likewise bitwise equal to it;
+//! 4. [`svd`]: the AVX2 build of [`gemm_lanes`]' portable lane loop (the
 //!    same body compiled a second time, no intrinsics), bitwise equal to
 //!    it;
-//! 4. [`mat`]: the AVX2 build of [`gram_into`]'s tile loop (likewise),
+//! 5. [`mat`]: the AVX2 build of [`gram_into`]'s tile loop (likewise),
 //!    bitwise equal to the portable one.
 //!
 //! ## Example

@@ -21,31 +21,33 @@
 //! and stage 1 one `(R+s)×J` sketch `B` per slice; one small Jacobi SVD is
 //! latency-bound: every pair `(p, q)` waits on a dot-product chain, a
 //! square root and two divisions. The lane kernels factor up to
-//! [`SVD_LANES`] (eight) matrices of one shape in lock step, one per lane
-//! of `[f64; SVD_LANES]` arrays. [`svd_thin_batch_into`] takes `Mat`s:
+//! [`SVD_LANES`] (sixteen) matrices of one shape in lock step, one per
+//! lane of `[f64; SVD_LANES]` arrays. [`svd_thin_batch_into`] takes `Mat`s:
 //! each lane first follows the scalar driver's path — a wide matrix is
 //! transposed, a noticeably tall one QR-preconditioned — and the lanes'
 //! Jacobi cores are then interleaved. [`svd_square_lanes`] takes square
 //! matrices already in [`gemm_lanes`]' lane store and writes each lane's
 //! sorted `U`, `s` and `V` straight into lane stores, so the `Q_k` step's
 //! products read them without a round trip through `Mat`. On a CPU with
-//! AVX2 (detected once at runtime) the sweeps run on two `__m256d` per
-//! lane octet, each op on both halves, so two independent rotation chains
-//! overlap: the three dot products, the skip test as `≤` masks, `ζ`, `t`,
-//! `c`, `s` through packed `div`/`sqrt`, and the rotations of `W` and `V`;
-//! elsewhere a portable loop over the same octets runs the same
-//! expressions lane by lane. Every packed op is the scalar op, correctly
-//! rounded, in each lane (Rust never contracts `a*b + c` into a fused
-//! multiply-add), each lane has its own tolerance and stops sweeping when
-//! its own sweep makes no rotation. A lane that does not rotate a pair
-//! keeps its values by *select* (`blendv`), never by an identity rotation
-//! `c = 1, s = 0`: that would still round, and turns `−0` into `+0`
-//! (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every lane's factors are
-//! therefore bitwise those of [`svd_thin_into`], on either kernel. A lane
-//! that is zero or rank-deficient (its `U` needs basis completion) goes
-//! through [`svd_thin_into`] alone; the AVX2 kernel is this crate's second
-//! contained `unsafe` exception, of the same shape as the GEMM
-//! microkernel's in [`crate::kernel`].
+//! AVX-512F and AVX-512DQ (detected once at runtime) the sweeps run on two
+//! `__m512d` per lane group, each op on both halves, so two independent
+//! rotation chains overlap: the three dot products, the skip test as `≤`
+//! masks, `ζ`, `t`, `c`, `s` through packed `div`/`sqrt`, and the
+//! rotations of `W` and `V`. On a CPU with AVX2 alone a second kernel runs
+//! the same ops on four `__m256d`; elsewhere a portable loop over the same
+//! groups runs the same expressions lane by lane. Every packed op is the scalar op,
+//! correctly rounded, in each lane (Rust never contracts `a*b + c` into a
+//! fused multiply-add), each lane has its own tolerance and stops sweeping
+//! when its own sweep makes no rotation. A lane that does not rotate a
+//! pair keeps its values by *select* (`blendv`, or a masked blend), never
+//! by an identity rotation `c = 1, s = 0`: that would still round, and
+//! turns `−0` into `+0` (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every
+//! lane's factors are therefore bitwise those of [`svd_thin_into`], on
+//! every kernel. A lane that is zero or rank-deficient (its `U` needs
+//! basis completion) goes through [`svd_thin_into`] alone; the AVX-512 and
+//! AVX2 kernels are this crate's second and third contained `unsafe`
+//! exceptions, of the same shape as the GEMM microkernel's in
+//! [`crate::kernel`].
 //!
 //! The Jacobi loop is scale-invariant: its skip tolerance is relative to
 //! the core's `‖·‖_F`, and a core whose norm lies outside
@@ -60,8 +62,9 @@
 //! [`gemm_lanes`] runs up to [`SVD_LANES`] small `n×n` products at once,
 //! one per lane, in the operation order of [`crate::gemm`]'s naive loops,
 //! so every lane holds that product's bits. Its body is one portable loop
-//! over lane octets; on a CPU with AVX2 the same body runs compiled for it
-//! (the third `unsafe` exception, with no intrinsics).
+//! over lane groups; on a CPU with AVX2 the same body runs compiled for it
+//! (the fourth `unsafe` exception, with no intrinsics). A 512-bit build of
+//! that body measured slower in the fit, so AVX-512 hosts run it too.
 
 use crate::kernel::Trans;
 use crate::mat::Mat;
@@ -142,11 +145,11 @@ pub struct SvdScratch {
 
 /// Number of matrices the lane kernels ([`svd_thin_batch_into`],
 /// [`svd_square_lanes`], [`gemm_lanes`]) process in lock step: two
-/// 256-bit `f64` vectors, so the AVX2 sweeps run two independent rotation
-/// chains side by side.
-pub const SVD_LANES: usize = 8;
+/// 512-bit `f64` vectors, so the AVX-512 sweeps run two independent
+/// rotation chains side by side (the AVX2 ones run four 256-bit vectors).
+pub const SVD_LANES: usize = 16;
 
-/// One value per lane of the batched kernels.
+/// One value per lane of the batched kernels: a lane group.
 type Lanes = [f64; SVD_LANES];
 
 /// Reusable scratch for [`svd_thin_batch_into`] and [`svd_square_lanes`];
@@ -511,8 +514,8 @@ pub enum LaneOperand<'a> {
 /// `Aᵀ·B` sum in ascending depth from `+0.0`, `A·Bᵀ` in
 /// [`crate::mat::dot`]'s four strided partial sums plus a tail, added left
 /// to right; each step is one multiply and one add, never fused. On a CPU
-/// with AVX2 the same loop runs compiled for it, two 256-bit vectors per
-/// lane octet; both builds give the same bits. `c` is resized and
+/// with AVX2 the same loop runs compiled for it, four 256-bit vectors per
+/// lane group; both builds give the same bits. `c` is resized and
 /// overwritten.
 ///
 /// # Panics
@@ -575,7 +578,7 @@ pub fn extract_lane(src: &[Lanes], n: usize, l: usize, dst: &mut Mat) {
     }
 }
 
-/// A right-operand entry as a lane octet: a shared entry splats.
+/// A right-operand entry as a lane group: a shared entry splats.
 trait AsLanes: Copy {
     fn lanes(self) -> Lanes;
 }
@@ -642,7 +645,7 @@ fn lane_products_dispatch<T: AsLanes>(
 }
 
 /// [`lane_products`] compiled for AVX2: the same body, so the same
-/// operations in the same order, each lane octet in two 256-bit vectors.
+/// operations in the same order, each lane group in four 256-bit vectors.
 ///
 /// # Safety
 /// The CPU must support AVX2 (checked by [`lane_products_dispatch`]).
@@ -661,7 +664,7 @@ unsafe fn lane_products_avx2<T: AsLanes>(
 }
 
 /// The portable lane loop of [`gemm_lanes`] on checked `n×n` operands:
-/// `mm_naive`'s loops with every scalar op widened to a lane octet. The
+/// `mm_naive`'s loops with every scalar op widened to a lane group. The
 /// fallback on CPUs without AVX2, and the oracle of its AVX2 build.
 #[inline(always)]
 fn lane_products<T: AsLanes>(
@@ -710,8 +713,9 @@ fn lane_products<T: AsLanes>(
 /// Runs the one-sided Jacobi sweeps on the live lanes of the lane-
 /// interleaved column-major `rows×cols` store `w`, accumulating each
 /// lane's rotations into `v` (`cols×cols`). Returns how many sweeps each
-/// lane ran. Takes the AVX2 kernel when the CPU has it; both kernels give
-/// the same bits.
+/// lane ran. Takes the AVX-512 kernel when the CPU has AVX-512F and
+/// AVX-512DQ, else the AVX2 kernel when it has AVX2; every kernel gives the
+/// same bits.
 fn jacobi_sweeps(
     rows: usize,
     cols: usize,
@@ -721,18 +725,27 @@ fn jacobi_sweeps(
     live: [bool; SVD_LANES],
 ) -> [usize; SVD_LANES] {
     #[cfg(target_arch = "x86_64")]
-    if crate::kernel::simd().avx2 {
-        // SAFETY: `simd` verified AVX2 support on this CPU, which
-        // is the only precondition of the `#[target_feature]` fn.
-        #[allow(unsafe_code)]
-        return unsafe { sweeps_avx2(rows, cols, w, v, tol, live) };
+    {
+        let simd = crate::kernel::simd();
+        if simd.avx512 {
+            // SAFETY: `simd` verified AVX-512F and AVX-512DQ support on this
+            // CPU, which is the only precondition of the `#[target_feature]` fn.
+            #[allow(unsafe_code)]
+            return unsafe { sweeps_avx512(rows, cols, w, v, tol, live) };
+        }
+        if simd.avx2 {
+            // SAFETY: `simd` verified AVX2 support on this CPU, which
+            // is the only precondition of the `#[target_feature]` fn.
+            #[allow(unsafe_code)]
+            return unsafe { sweeps_avx2(rows, cols, w, v, tol, live) };
+        }
     }
     sweeps_portable(rows, cols, w, v, tol, live)
 }
 
 /// The portable sweep kernel: the scalar loop's expressions, lane by lane
 /// over `[f64; SVD_LANES]` arrays. The fallback on CPUs without AVX2, and
-/// the oracle the AVX2 kernel is tested against.
+/// the oracle the SIMD kernels are tested against.
 fn sweeps_portable(
     rows: usize,
     cols: usize,
@@ -806,13 +819,15 @@ fn rotate_lanes(xp: &mut [Lanes], xq: &mut [Lanes], rot: &[bool; SVD_LANES], c: 
     }
 }
 
-/// [`sweeps_portable`] with two `__m256d` per lane octet, every op run on
-/// both halves, so the halves' dot-product and rotation chains overlap:
+/// [`sweeps_portable`] with four `__m256d` per lane group, every op run on
+/// each quarter, so the quarters' dot-product and rotation chains overlap:
 /// every packed op is the same correctly rounded IEEE op as the portable
 /// kernel's in each lane, the skip test is a pair of `≤` masks (false on
 /// NaN, as `<=` is), `signum` keeps `f64::signum`'s NaN, and a lane that
-/// does not rotate keeps its bits through `blendv`. Only called after a
-/// runtime CPU check (see [`jacobi_sweeps`]).
+/// does not rotate keeps its bits through `blendv`.
+///
+/// # Safety
+/// The CPU must support AVX2 (checked by [`jacobi_sweeps`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)] // contained SIMD exception; see the module docs
@@ -825,7 +840,7 @@ unsafe fn sweeps_avx2(
     live: [bool; SVD_LANES],
 ) -> [usize; SVD_LANES] {
     use core::arch::x86_64::*;
-    /// `__m256d` halves per lane octet.
+    /// `__m256d` quarters per lane group.
     const H: usize = SVD_LANES / 4;
     let mut sweeps = [0; SVD_LANES];
     // SAFETY: every load and store below goes through `x[4 * h..]` of a
@@ -845,7 +860,7 @@ unsafe fn sweeps_avx2(
             tolv[h] = _mm256_loadu_pd(tol[4 * h..].as_ptr());
             active[h] = _mm256_loadu_pd(live[4 * h..].as_ptr());
         }
-        // The lanes of a mask octet that are set, one bit each.
+        // The lanes of a group of masks that are set, one bit each.
         macro_rules! bits {
             ($x:expr) => {{
                 let mut b = 0;
@@ -936,6 +951,137 @@ unsafe fn sweeps_avx2(
                 active[h] = _mm256_and_pd(active[h], rotated[h]);
             }
             if bits!(active) == 0 {
+                break;
+            }
+        }
+    }
+    sweeps
+}
+
+/// [`sweeps_avx2`] on two `__m512d` per lane group, every op run on both
+/// halves: the same correctly rounded IEEE ops in each lane, the skip test
+/// as a pair of `≤` compares into `__mmask8`s (false on NaN, as `<=` is),
+/// `signum`'s NaN kept by a masked blend, and a lane that does not rotate
+/// keeps its bits through `_mm512_mask_blend_pd`. The `and`/`andnot`/`or`
+/// ops on `f64` vectors are AVX-512DQ's.
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX-512DQ (checked by
+/// [`jacobi_sweeps`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+#[allow(unsafe_code)] // contained SIMD exception; see the module docs
+unsafe fn sweeps_avx512(
+    rows: usize,
+    cols: usize,
+    w: &mut [Lanes],
+    v: &mut [Lanes],
+    tol: &Lanes,
+    live: [bool; SVD_LANES],
+) -> [usize; SVD_LANES] {
+    use core::arch::x86_64::*;
+    /// `__m512d` halves per lane group.
+    const H: usize = SVD_LANES / 8;
+    let mut sweeps = [0; SVD_LANES];
+    // SAFETY: every load and store below goes through `x[8 * h..]` of a
+    // `&[f64; SVD_LANES]` or `&mut [f64; SVD_LANES]` borrowed from `w`, `v`
+    // or `tol`, with `8 * h + 8 ≤ SVD_LANES`, so it stays in bounds; the
+    // loadu/storeu intrinsics need no alignment.
+    unsafe {
+        let zero = _mm512_setzero_pd();
+        let one = _mm512_set1_pd(1.0);
+        let two = _mm512_set1_pd(2.0);
+        let eps = _mm512_set1_pd(1e-15);
+        let nan = _mm512_set1_pd(f64::NAN);
+        let sign = _mm512_set1_pd(-0.0);
+        let (mut tolv, mut active) = ([zero; H], [0u8; H]);
+        for h in 0..H {
+            tolv[h] = _mm512_loadu_pd(tol[8 * h..].as_ptr());
+            for (i, &on) in live[8 * h..8 * h + 8].iter().enumerate() {
+                active[h] |= u8::from(on) << i;
+            }
+        }
+        // The lanes of a mask pair that are set, one bit each.
+        let bits = |x: [__mmask8; H]| (0..H).fold(0, |b, h| b | (x[h] as usize) << (8 * h));
+        for _sweep in 0..MAX_SWEEPS {
+            let mut rotated = [0u8; H];
+            let on = bits(active);
+            for (l, n) in sweeps.iter_mut().enumerate() {
+                *n += (on >> l) & 1;
+            }
+            for p in 0..cols {
+                for q in p + 1..cols {
+                    let (mut app, mut aqq, mut apq) = ([zero; H], [zero; H], [zero; H]);
+                    for (wp, wq) in
+                        w[p * rows..(p + 1) * rows].iter().zip(&w[q * rows..(q + 1) * rows])
+                    {
+                        for h in 0..H {
+                            let a = _mm512_loadu_pd(wp[8 * h..].as_ptr());
+                            let b = _mm512_loadu_pd(wq[8 * h..].as_ptr());
+                            app[h] = _mm512_add_pd(app[h], _mm512_mul_pd(a, a));
+                            aqq[h] = _mm512_add_pd(aqq[h], _mm512_mul_pd(b, b));
+                            apq[h] = _mm512_add_pd(apq[h], _mm512_mul_pd(a, b));
+                        }
+                    }
+                    let mut rot = [0u8; H];
+                    for h in 0..H {
+                        let abs_apq = _mm512_andnot_pd(sign, apq[h]);
+                        let rel = _mm512_mul_pd(eps, _mm512_sqrt_pd(_mm512_mul_pd(app[h], aqq[h])));
+                        let skip = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(abs_apq, tolv[h])
+                            | _mm512_cmp_pd_mask::<_CMP_LE_OQ>(abs_apq, rel);
+                        rot[h] = !skip & active[h];
+                    }
+                    if bits(rot) == 0 {
+                        continue;
+                    }
+                    let (mut c, mut s) = ([zero; H], [zero; H]);
+                    for h in 0..H {
+                        rotated[h] |= rot[h];
+                        let zeta = _mm512_div_pd(
+                            _mm512_sub_pd(aqq[h], app[h]),
+                            _mm512_mul_pd(two, apq[h]),
+                        );
+                        let signum = _mm512_mask_blend_pd(
+                            _mm512_cmp_pd_mask::<_CMP_UNORD_Q>(zeta, zeta),
+                            _mm512_or_pd(_mm512_and_pd(sign, zeta), one),
+                            nan,
+                        );
+                        let hyp = _mm512_sqrt_pd(_mm512_add_pd(one, _mm512_mul_pd(zeta, zeta)));
+                        let t =
+                            _mm512_div_pd(signum, _mm512_add_pd(_mm512_andnot_pd(sign, zeta), hyp));
+                        c[h] = _mm512_div_pd(
+                            one,
+                            _mm512_sqrt_pd(_mm512_add_pd(one, _mm512_mul_pd(t, t))),
+                        );
+                        s[h] = _mm512_mul_pd(c[h], t);
+                    }
+                    for (x, m) in [(&mut *w, rows), (&mut *v, cols)] {
+                        let (xp, xq) = pair_mut(x, m, p, q);
+                        for (xp, xq) in xp.iter_mut().zip(xq) {
+                            for h in 0..H {
+                                let a = _mm512_loadu_pd(xp[8 * h..].as_ptr());
+                                let b = _mm512_loadu_pd(xq[8 * h..].as_ptr());
+                                let np =
+                                    _mm512_sub_pd(_mm512_mul_pd(c[h], a), _mm512_mul_pd(s[h], b));
+                                let nq =
+                                    _mm512_add_pd(_mm512_mul_pd(s[h], a), _mm512_mul_pd(c[h], b));
+                                _mm512_storeu_pd(
+                                    xp[8 * h..].as_mut_ptr(),
+                                    _mm512_mask_blend_pd(rot[h], a, np),
+                                );
+                                _mm512_storeu_pd(
+                                    xq[8 * h..].as_mut_ptr(),
+                                    _mm512_mask_blend_pd(rot[h], b, nq),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            for h in 0..H {
+                active[h] &= rotated[h];
+            }
+            if bits(active) == 0 {
                 break;
             }
         }
@@ -1452,9 +1598,10 @@ mod tests {
         }
     }
 
-    /// The two sweep kernels, run directly on the same lane-interleaved
-    /// inputs. On an AVX2 host `svd_thin_batch_into` never runs the
-    /// portable kernel, so these tests are where it meets the AVX2 one.
+    /// The sweep kernels, run directly on the same lane-interleaved
+    /// inputs. On a SIMD host `svd_thin_batch_into` never runs the portable
+    /// kernel, and on an AVX-512 host never the AVX2 one, so these tests
+    /// are where each SIMD kernel meets the portable one.
     mod sweep_kernels {
         use super::super::*;
         use crate::random::gaussian_mat;
@@ -1484,46 +1631,82 @@ mod tests {
             a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
         }
 
-        /// Runs both kernels from the same start; asserts they agree on
-        /// `W`, `V` and every lane's sweep count, and returns the portable
-        /// kernel's `(W, V, sweeps)`. `None` on a CPU without AVX2.
+        /// A SIMD sweep kernel, with [`sweeps_portable`]'s signature.
+        type Kernel = unsafe fn(
+            usize,
+            usize,
+            &mut [Lanes],
+            &mut [Lanes],
+            &Lanes,
+            [bool; SVD_LANES],
+        ) -> [usize; SVD_LANES];
+
+        /// The SIMD sweep kernels this CPU runs, each named; a kernel it
+        /// cannot run is named on stderr, so no check passes unseen.
+        fn simd_kernels() -> Vec<(&'static str, Kernel)> {
+            let mut kernels: Vec<(&'static str, Kernel)> = Vec::new();
+            #[cfg(target_arch = "x86_64")]
+            {
+                let simd = crate::kernel::simd();
+                if simd.avx2 {
+                    kernels.push(("AVX2", sweeps_avx2));
+                }
+                if simd.avx512 {
+                    kernels.push(("AVX-512", sweeps_avx512));
+                }
+            }
+            for name in ["AVX2", "AVX-512"] {
+                if !kernels.iter().any(|&(k, _)| k == name) {
+                    eprintln!("this CPU lacks {name}: the {name} sweep kernel did not run");
+                }
+            }
+            kernels
+        }
+
+        /// Runs the portable kernel and every SIMD kernel this CPU has from
+        /// the same start; asserts they agree on `W`, `V` and every lane's
+        /// sweep count, and returns the portable kernel's `(W, V, sweeps)`.
         #[allow(clippy::type_complexity)]
-        fn both(
+        fn kernels(
             rows: usize,
             cols: usize,
             lanes: &[Vec<f64>],
             tol: Lanes,
             live: [bool; SVD_LANES],
-        ) -> Option<(Vec<Lanes>, Vec<Lanes>, [usize; SVD_LANES])> {
-            #[cfg(target_arch = "x86_64")]
-            if crate::kernel::simd().avx2 {
-                let mut w = vec![[0.0; SVD_LANES]; rows * cols];
-                for (l, lane) in lanes.iter().enumerate() {
-                    for (x, &y) in w.iter_mut().zip(lane) {
-                        x[l] = y;
-                    }
+        ) -> (Vec<Lanes>, Vec<Lanes>, [usize; SVD_LANES]) {
+            let mut w = vec![[0.0; SVD_LANES]; rows * cols];
+            for (l, lane) in lanes.iter().enumerate() {
+                for (x, &y) in w.iter_mut().zip(lane) {
+                    x[l] = y;
                 }
-                let mut v = vec![[0.0; SVD_LANES]; cols * cols];
-                for j in 0..cols {
-                    v[j * cols + j] = [1.0; SVD_LANES];
-                }
-                let (mut w2, mut v2) = (w.clone(), v.clone());
-                let sweeps = sweeps_portable(rows, cols, &mut w, &mut v, &tol, live);
-                // SAFETY: `simd` verified AVX2 support above.
+            }
+            let mut v = vec![[0.0; SVD_LANES]; cols * cols];
+            for j in 0..cols {
+                v[j * cols + j] = [1.0; SVD_LANES];
+            }
+            let (w0, v0) = (w.clone(), v.clone());
+            let sweeps = sweeps_portable(rows, cols, &mut w, &mut v, &tol, live);
+            for (kernel, run) in simd_kernels() {
+                let (mut w2, mut v2) = (w0.clone(), v0.clone());
+                // SAFETY: `simd_kernels` lists only the kernels whose CPU
+                // features `simd` verified.
                 #[allow(unsafe_code)]
-                let sweeps2 = unsafe { sweeps_avx2(rows, cols, &mut w2, &mut v2, &tol, live) };
-                assert_eq!(sweeps, sweeps2, "sweep counts differ");
+                let sweeps2 = unsafe { run(rows, cols, &mut w2, &mut v2, &tol, live) };
+                assert_eq!(sweeps, sweeps2, "{kernel}: sweep counts differ");
                 for (name, a, b) in [("W", &w, &w2), ("V", &v, &v2)] {
                     for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
                         for l in 0..SVD_LANES {
-                            assert!(same(x[l], y[l]), "{name}[{i}] lane {l}: {} vs {}", x[l], y[l]);
+                            assert!(
+                                same(x[l], y[l]),
+                                "{kernel}: {name}[{i}] lane {l}: {} vs {}",
+                                x[l],
+                                y[l]
+                            );
                         }
                     }
                 }
-                return Some((w, v, sweeps));
             }
-            eprintln!("no AVX2 on this CPU: the AVX2 sweep kernel is not tested");
-            None
+            (w, v, sweeps)
         }
 
         fn gaussian_lanes(rows: usize, cols: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -1540,9 +1723,7 @@ mod tests {
                 lanes[3][rows * cols - 1] = f64::NEG_INFINITY;
                 lanes[SVD_LANES - 1][rows + 1] = f64::NAN;
                 let tol = tolerances(&lanes);
-                let Some((w, _, _)) = both(rows, cols, &lanes, tol, [true; SVD_LANES]) else {
-                    return;
-                };
+                let (w, _, _) = kernels(rows, cols, &lanes, tol, [true; SVD_LANES]);
                 assert!(w.iter().all(|x| x[0].is_finite()), "the finite lane stays finite");
                 assert!(w.iter().any(|x| x[1].is_nan()));
             }
@@ -1564,9 +1745,7 @@ mod tests {
             lanes[SVD_LANES - 1] = lanes[1].clone();
             let start = lanes[1].clone();
             let tol = tolerances(&lanes);
-            let Some((w, _, sweeps)) = both(rows, cols, &lanes, tol, [true; SVD_LANES]) else {
-                return;
-            };
+            let (w, _, sweeps) = kernels(rows, cols, &lanes, tol, [true; SVD_LANES]);
             for l in [1, SVD_LANES - 1] {
                 assert_eq!(sweeps[l], 1);
                 for (x, y) in w.iter().zip(&start) {
@@ -1586,9 +1765,7 @@ mod tests {
             let above = f64::from_bits(x.to_bits() + 1);
             let tol = core::array::from_fn(|l| [x, below, above, x][l % 4]);
             let live = core::array::from_fn(|l| l % 4 != 3);
-            let Some((w, _, sweeps)) = both(2, 2, &lanes, tol, live) else {
-                return;
-            };
+            let (w, _, sweeps) = kernels(2, 2, &lanes, tol, live);
             assert_eq!(sweeps, core::array::from_fn(|l| [1, 2, 1, 0][l % 4]));
             for l in 0..SVD_LANES {
                 let kept = w.iter().zip([1.0, 0.0, x, 1.0]).all(|(a, b)| a[l] == b);
@@ -1619,10 +1796,7 @@ mod tests {
             ];
             let kind = |l: usize| (l + l / 4) % 4;
             let lanes: Vec<Vec<f64>> = (0..SVD_LANES).map(|l| kinds[kind(l)].clone()).collect();
-            let Some((_, _, sweeps)) = both(n, n, &lanes, tolerances(&lanes), [true; SVD_LANES])
-            else {
-                return;
-            };
+            let (_, _, sweeps) = kernels(n, n, &lanes, tolerances(&lanes), [true; SVD_LANES]);
             for l in 0..SVD_LANES {
                 match kind(l) {
                     0 => assert_eq!(sweeps[l], 1, "a diagonal lane converges in its first sweep"),

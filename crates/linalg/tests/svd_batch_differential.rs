@@ -81,8 +81,55 @@ fn rank_deficient_lanes_complete_the_basis() {
     }
 }
 
+/// The bits [`svd_thin_into`] gives `a` alone.
+fn alone(a: &Mat) -> Vec<u64> {
+    let mut f = SvdFactors::default();
+    svd_thin_into(a, &mut f, &mut SvdScratch::default());
+    bits(&f)
+}
+
+/// Zero lanes beside live ones, by structure: every mask of each half of
+/// the lanes against the other half all live, all zero, or under the same
+/// mask, at every size. Each size draws one matrix per lane and factors it
+/// alone once, so the batch is the one SVD per mask. Every mask of all the
+/// lanes is [`every_zero_lane_mask`], run in release only.
 #[test]
 fn zero_lanes_mixed_with_live_lanes() {
+    const HALF: usize = SVD_LANES / 2;
+    let full = (1u32 << HALF) - 1;
+    let mut masks: Vec<u32> = (0..=full)
+        .flat_map(|m| [m, m | full << HALF, m << HALF, full | m << HALF, m | m << HALF])
+        .filter(|&mask| mask != 0)
+        .collect();
+    masks.sort_unstable();
+    masks.dedup();
+    let mut rng = StdRng::seed_from_u64(1405);
+    let (mut out, mut ws) = (Vec::new(), SvdBatchScratch::default());
+    for &n in &SIZES {
+        let live: Vec<Mat> = (0..SVD_LANES).map(|_| gaussian_mat(n, n, &mut rng)).collect();
+        let zero = Mat::zeros(n, n);
+        let (want_live, want_zero): (Vec<_>, _) = (live.iter().map(alone).collect(), alone(&zero));
+        for &mask in &masks {
+            let is_zero = |l: usize| mask & (1 << l) != 0;
+            let lanes: Vec<Mat> =
+                (0..SVD_LANES).map(|l| if is_zero(l) { &zero } else { &live[l] }.clone()).collect();
+            out.resize_with(SVD_LANES, SvdFactors::default);
+            svd_thin_batch_into(&lanes, &mut out, &mut ws);
+            for (l, got) in out.iter().enumerate() {
+                let want = if is_zero(l) { &want_zero } else { &want_live[l] };
+                assert!(bits(got) == *want, "zeros {mask:0SVD_LANES$b} n={n}: lane {l} differs");
+            }
+        }
+    }
+}
+
+/// Every mask of zero lanes, `1..2^SVD_LANES`, at every size: 327,675
+/// batches at 16 lanes, about two minutes in release and far longer in
+/// debug, so it runs on request
+/// (`cargo test --release --test svd_batch_differential -- --ignored`).
+#[test]
+#[ignore = "exhaustive: about two minutes in release; run with --ignored"]
+fn every_zero_lane_mask() {
     let mut rng = StdRng::seed_from_u64(1403);
     let (mut out, mut ws) = (Vec::new(), SvdBatchScratch::default());
     for &n in &SIZES {
