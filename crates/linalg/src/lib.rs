@@ -31,9 +31,10 @@
 //!   preconditioning for tall matrices; scale-invariant), plus
 //!   rank-truncated variants and two lane kernels that factor up to sixteen
 //!   small same-shape matrices in lock step (AVX-512 or AVX2 when the CPU
-//!   has it),
-//!   bitwise equal to factoring each alone: [`svd_thin_batch_into`] on
-//!   `Mat`s of any shape, and [`svd_square_lanes`] on square matrices in
+//!   has it). One sweep body, generic over its lane width, serves both:
+//!   [`svd::svd_thin_into`] runs it one lane wide, so the lane kernels are
+//!   bitwise equal to factoring each matrix alone: [`svd_thin_batch_into`]
+//!   on `Mat`s of any shape, and [`svd_square_lanes`] on square matrices in
 //!   [`gemm_lanes`]' lane stores, in and out.
 //! * [`mod@pinv`] — Moore–Penrose pseudoinverse via the SVD, as required by the
 //!   CP-ALS update rules (the `†` operator in Algorithm 2/3 of the paper).
@@ -52,7 +53,8 @@
 //! 1. [`kernel`]: the AVX2/FMA GEMM microkernel;
 //! 2. [`svd`]: the AVX-512 Jacobi sweep kernel behind
 //!    [`svd_thin_batch_into`] and [`svd_square_lanes`] (AVX-512F and
-//!    AVX-512DQ), bitwise equal to its portable fallback;
+//!    AVX-512DQ), bitwise equal to the portable sweep body at the same
+//!    width;
 //! 3. [`svd`]: the AVX2 Jacobi sweep kernel, taken where AVX-512 is
 //!    missing, likewise bitwise equal to it;
 //! 4. [`svd`]: the AVX2 build of [`gemm_lanes`]' portable lane loop (the

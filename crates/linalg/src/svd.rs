@@ -15,37 +15,47 @@
 //! convergent in practice, and delivers high relative accuracy — a good match
 //! for the small/medium matrices these algorithms produce. Tall matrices are
 //! QR-preconditioned first (`A = Q·R`, Jacobi on `R`); wide matrices are
-//! transposed.
+//! transposed. One function, `Plan::new`, makes that choice for every
+//! driver.
 //!
-//! DPar2's `Q_k` step factors `K` same-shape `R×R` matrices per iteration,
-//! and stage 1 one `(R+s)×J` sketch `B` per slice; one small Jacobi SVD is
-//! latency-bound: every pair `(p, q)` waits on a dot-product chain, a
-//! square root and two divisions. The lane kernels factor up to
-//! [`SVD_LANES`] (sixteen) matrices of one shape in lock step, one per
-//! lane of `[f64; SVD_LANES]` arrays. [`svd_thin_batch_into`] takes `Mat`s:
-//! each lane first follows the scalar driver's path — a wide matrix is
+//! The Jacobi core sweeps in *lane stores*: column-major arrays of
+//! `[f64; L]`, one matrix per lane. One sweep body, `sweeps_portable`, is
+//! generic over the width `L`. [`svd_thin_into`] runs it at width one on
+//! its single core. DPar2's `Q_k` step factors `K` same-shape `R×R`
+//! matrices per iteration, and stage 1 one `(R+s)×J` sketch `B` per slice;
+//! one small Jacobi SVD is latency-bound: every pair `(p, q)` waits on a
+//! dot-product chain, a square root and two divisions. The lane kernels
+//! therefore factor up to [`SVD_LANES`] (sixteen) matrices of one shape in
+//! lock step, one per lane. [`svd_thin_batch_into`] takes `Mat`s: each lane
+//! is prepared as [`svd_thin_into`] prepares its input — a wide matrix is
 //! transposed, a noticeably tall one QR-preconditioned — and the lanes'
 //! Jacobi cores are then interleaved. [`svd_square_lanes`] takes square
 //! matrices already in [`gemm_lanes`]' lane store and writes each lane's
 //! sorted `U`, `s` and `V` straight into lane stores, so the `Q_k` step's
-//! products read them without a round trip through `Mat`. On a CPU with
-//! AVX-512F and AVX-512DQ (detected once at runtime) the sweeps run on two
+//! products read them without a round trip through `Mat`. At width sixteen
+//! the sweeps take a SIMD kernel where the CPU has one. On a CPU with
+//! AVX-512F and AVX-512DQ (detected once at runtime) they run on two
 //! `__m512d` per lane group, each op on both halves, so two independent
 //! rotation chains overlap: the three dot products, the skip test as `≤`
 //! masks, `ζ`, `t`, `c`, `s` through packed `div`/`sqrt`, and the
 //! rotations of `W` and `V`. On a CPU with AVX2 alone a second kernel runs
-//! the same ops on four `__m256d`; elsewhere a portable loop over the same
-//! groups runs the same expressions lane by lane. Every packed op is the scalar op,
-//! correctly rounded, in each lane (Rust never contracts `a*b + c` into a
-//! fused multiply-add), each lane has its own tolerance and stops sweeping
-//! when its own sweep makes no rotation. A lane that does not rotate a
-//! pair keeps its values by *select* (`blendv`, or a masked blend), never
-//! by an identity rotation `c = 1, s = 0`: that would still round, and
-//! turns `−0` into `+0` (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every
-//! lane's factors are therefore bitwise those of [`svd_thin_into`], on
-//! every kernel. A lane that is zero or rank-deficient (its `U` needs
-//! basis completion) goes through [`svd_thin_into`] alone; the AVX-512 and
-//! AVX2 kernels are this crate's second and third contained `unsafe`
+//! the same ops on four `__m256d`; elsewhere the portable body runs at
+//! width sixteen. Every packed op is the portable op, correctly rounded, in
+//! each lane (Rust never contracts `a*b + c` into a fused multiply-add),
+//! each lane has its own tolerance and stops sweeping when its own sweep
+//! makes no rotation. Every kernel tests the skip mask before it computes a
+//! rotation, so at width one a pair that does not rotate costs its dot
+//! products alone. A lane that does not rotate a pair keeps its values by
+//! *select* (`blendv`, a masked blend, or an `if`), never by an identity
+//! rotation `c = 1, s = 0`: that would still round, and turns `−0` into
+//! `+0` (`(−0) − 0·(−x)` is `(−0) − (−0) = +0`). Every lane's factors are
+//! therefore bitwise those of [`svd_thin_into`], on every kernel. Every
+//! driver finishes a lane through the one shared finish, which sorts,
+//! normalizes, completes a rank-deficient `U`'s basis and gives a zero core
+//! arbitrary orthonormal factors; [`svd_square_lanes`] writes a full-rank
+//! lane's factors to its stores directly. A scalar Jacobi loop is kept in
+//! this module's tests as the oracle of the width-one sweep. The AVX-512
+//! and AVX2 kernels are this crate's second and third contained `unsafe`
 //! exceptions, of the same shape as the GEMM microkernel's in
 //! [`crate::kernel`].
 //!
@@ -120,10 +130,49 @@ fn scale_cols(m: &Mat, s: &[f64]) -> Mat {
 /// `R×R` SVDs of the ALS iterations) perform no heap allocations.
 #[derive(Debug, Default)]
 pub struct SvdScratch {
-    /// Column-major Jacobi working store (`n` columns of length `m`).
-    w: Vec<f64>,
-    /// Accumulated right-rotation matrix before sorting.
-    v: Mat,
+    /// The Jacobi core's stores, one lane wide: [`svd_thin_into`] sweeps
+    /// them with the lane kernels' portable body at width one.
+    jacobi: JacobiStores<1>,
+    /// The `Q` of a QR-preconditioned input, kept from its preparation to
+    /// its finish.
+    q: Mat,
+    /// The steps around the core: its preparation and its finish.
+    core: CoreScratch,
+}
+
+/// A Jacobi core's stores, `L` lanes wide: lane `l` holds one matrix.
+#[derive(Debug, Default)]
+struct JacobiStores<const L: usize> {
+    /// Column-major working store `W` (`cols` columns of length `rows`).
+    w: Vec<[f64; L]>,
+    /// Column-major rotation accumulator `V` (`cols×cols`).
+    v: Vec<[f64; L]>,
+}
+
+impl<const L: usize> JacobiStores<L> {
+    /// Zeroes `W` for a `rows×cols` core and sets `V` to the identity.
+    fn reset(&mut self, rows: usize, cols: usize) {
+        self.w.clear();
+        self.w.resize(rows * cols, [0.0; L]);
+        self.v.clear();
+        self.v.resize(cols * cols, [0.0; L]);
+        for j in 0..cols {
+            self.v[j * cols + j] = [1.0; L];
+        }
+    }
+}
+
+/// Scratch of the steps around a Jacobi core: the transpose and QR that
+/// prepare it ([`load_core`]), and the finish that sorts, normalizes and
+/// lifts its factors ([`jacobi_finish`]).
+#[derive(Debug, Default)]
+struct CoreScratch {
+    /// Transposed copy for wide inputs.
+    trans: Mat,
+    /// QR-preconditioning scratch (tall inputs).
+    qr: QrScratch,
+    /// The `R` of a tall input's QR.
+    qr_r: Mat,
     /// Column norms (candidate singular values) before sorting.
     sigmas: Vec<f64>,
     /// Column permutation sorting the spectrum descending.
@@ -132,15 +181,8 @@ pub struct SvdScratch {
     deficient: Vec<usize>,
     /// Gram–Schmidt candidate vector for basis completion.
     cand: Vec<f64>,
-    /// QR-preconditioning scratch (tall inputs).
-    qr: QrScratch,
-    /// QR factors of tall inputs.
-    qr_q: Mat,
-    qr_r: Mat,
-    /// Left factor of the preconditioned inner SVD.
+    /// Left factor of a preconditioned core, before its lift by `Q`.
     u_inner: Mat,
-    /// Transposed copy for wide inputs.
-    trans: Mat,
 }
 
 /// Number of matrices the lane kernels ([`svd_thin_batch_into`],
@@ -157,21 +199,40 @@ type Lanes = [f64; SVD_LANES];
 /// allocates nothing.
 #[derive(Debug, Default)]
 pub struct SvdBatchScratch {
-    /// Lane-interleaved column-major Jacobi working store.
-    w: Vec<Lanes>,
-    /// Lane-interleaved column-major rotation accumulator (`n×n`).
-    v: Vec<Lanes>,
+    /// The lanes' Jacobi stores, [`SVD_LANES`] wide.
+    jacobi: JacobiStores<SVD_LANES>,
     /// Each QR-preconditioned lane's `Q`, kept from its preparation to its
     /// finish.
     q: [Mat; SVD_LANES],
-    /// Scalar scratch, one lane at a time: the transpose and QR that
-    /// prepare a lane's core, the shared finish step, and the lanes the
-    /// batched sweeps do not take.
+    /// Scalar scratch: its `core` prepares and finishes one lane at a time,
+    /// and the whole runs [`svd_thin_into`] on a matrix of another shape.
     scalar: SvdScratch,
-    /// A lane of [`svd_square_lanes`] that goes through [`svd_thin_into`]
-    /// alone, and its factors.
-    lane: Mat,
+    /// The factors of a lane of [`svd_square_lanes`] that goes through the
+    /// shared finish, before they are copied into the lane stores.
     lane_factors: SvdFactors,
+}
+
+/// How every driver factors an `m×n` input: Jacobi runs on a `rows×cols`
+/// core, which is the input, its transpose if wide, and then the `R` of
+/// its QR if noticeably tall.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    wide: bool,
+    precondition: bool,
+    rows: usize,
+    cols: usize,
+}
+
+impl Plan {
+    fn new(m: usize, n: usize) -> Self {
+        let wide = m < n;
+        let (tall, cols) = if wide { (n, m) } else { (m, n) };
+        // QR preconditioning: Jacobi sweeps cost O(m n²) each, so shrinking
+        // the row dimension to n first is a large win whenever m is even
+        // modestly larger than n (and never hurts accuracy).
+        let precondition = tall > cols + cols / 4;
+        Plan { wide, precondition, rows: if precondition { cols } else { tall }, cols }
+    }
 }
 
 /// `2^k`, for `-1022 ≤ k ≤ 1023`.
@@ -221,9 +282,13 @@ fn jacobi_tol(fro: f64, scale: f64, scaled: impl Iterator<Item = f64>) -> f64 {
 /// interleaved cores `w` that is `live`, of norms `fro`: scales each in
 /// place, clears `live` for a zero core, and returns the tolerances and
 /// the powers of two that scale each lane's singular values back.
-fn scale_lanes(w: &mut [Lanes], fro: &Lanes, live: &mut [bool; SVD_LANES]) -> (Lanes, Lanes) {
-    let (mut tol, mut unscale) = ([0.0; SVD_LANES], [1.0; SVD_LANES]);
-    for l in 0..SVD_LANES {
+fn scale_lanes<const L: usize>(
+    w: &mut [[f64; L]],
+    fro: &[f64; L],
+    live: &mut [bool; L],
+) -> ([f64; L], [f64; L]) {
+    let (mut tol, mut unscale) = ([0.0; L], [1.0; L]);
+    for l in 0..L {
         if !live[l] {
             continue;
         }
@@ -253,7 +318,8 @@ pub fn svd_thin(a: impl AsMatRef) -> SvdFactors {
 
 /// [`svd_thin`] into a caller-owned [`SvdFactors`] with reusable scratch —
 /// the allocation-free form the ALS hot loops run on. Bit-identical to
-/// [`svd_thin`].
+/// [`svd_thin`]. The Jacobi core sweeps in one-lane stores, through the
+/// portable body of the lane kernels at width one.
 pub fn svd_thin_into(a: impl AsMatRef, out: &mut SvdFactors, ws: &mut SvdScratch) {
     let a = a.as_mat_ref();
     let (m, n) = a.shape();
@@ -263,26 +329,28 @@ pub fn svd_thin_into(a: impl AsMatRef, out: &mut SvdFactors, ws: &mut SvdScratch
         out.v.resize_zeroed(n, 0);
         return;
     }
-    if m < n {
-        // Wide: factorize the transpose with U/V output slots swapped.
-        let mut t = std::mem::take(&mut ws.trans);
-        a.transpose_into(&mut t);
-        svd_tall_into(t.view(), &mut out.v, &mut out.s, &mut out.u, ws);
-        ws.trans = t;
-        return;
+    let plan = Plan::new(m, n);
+    let SvdScratch { jacobi, q, core } = ws;
+    jacobi.reset(plan.rows, plan.cols);
+    let fro = load_core(plan, a, &mut jacobi.w, 0, q, core);
+    let mut live = [true];
+    let (tol, unscale) = scale_lanes(&mut jacobi.w, &[fro], &mut live);
+    if live[0] {
+        sweeps_portable(plan.rows, plan.cols, &mut jacobi.w, &mut jacobi.v, &tol, live);
     }
-    svd_tall_into(a, &mut out.u, &mut out.s, &mut out.v, ws);
+    let (back, lift) = (live[0].then_some(unscale[0]), plan.precondition.then_some(&*q));
+    jacobi_finish(plan, jacobi, 0, back, lift, out, core);
 }
 
 /// Factors up to [`SVD_LANES`] matrices at once: `out[l]` is bitwise what
 /// [`svd_thin_into`] writes for `a[l]`.
 ///
-/// The matrices of the first lane's shape follow the scalar driver lane by
-/// lane — a wide one is transposed, a noticeably tall one QR-preconditioned
-/// — and their square or tall Jacobi cores then sweep in lock step, one
-/// lane each (see the module docs); each lane's factors are lifted and
-/// swapped back on their own. A matrix of any other shape, and a lane
-/// whose core is all zero, goes through [`svd_thin_into`] alone.
+/// The matrices of the first lane's shape are prepared lane by lane as
+/// [`svd_thin_into`] prepares its input — a wide one is transposed, a
+/// noticeably tall one QR-preconditioned — and their Jacobi cores then
+/// sweep in lock step, one lane each (see the module docs); each lane's
+/// factors are lifted and swapped back on their own. A matrix of any other
+/// shape goes through [`svd_thin_into`] alone.
 ///
 /// # Panics
 /// Panics if `a` and `out` differ in length or hold more than
@@ -295,66 +363,30 @@ pub fn svd_thin_batch_into(a: &[Mat], out: &mut [SvdFactors], ws: &mut SvdBatchS
         out.len()
     );
     let (m, n) = a.first().map_or((0, 0), Mat::shape);
-    // The scalar driver's plan for this shape: Jacobi runs on the `rows×cols`
-    // core of the (transposed, if wide) input, its QR `R` if noticeably tall.
-    let wide = m < n;
-    let (tall_m, cols) = if wide { (n, m) } else { (m, n) };
-    let precondition = tall_m > cols + cols / 4;
-    let rows = if precondition { cols } else { tall_m };
-    let SvdBatchScratch { w, v, q, scalar, .. } = ws;
-    w.clear();
-    w.resize(rows * cols, [0.0; SVD_LANES]);
-    // `live` lanes take the batched sweeps, with the scalar tolerance.
-    let (mut live, mut fro) = ([false; SVD_LANES], [0.0; SVD_LANES]);
+    let plan = Plan::new(m, n);
+    let SvdBatchScratch { jacobi, q, scalar, .. } = ws;
+    jacobi.reset(plan.rows, plan.cols);
+    // `loaded` lanes hold a core; those of them that are not zero are
+    // `live` and take the batched sweeps.
+    let (mut loaded, mut fro) = ([false; SVD_LANES], [0.0; SVD_LANES]);
     for (l, x) in a.iter().enumerate() {
-        if cols > 0 && x.shape() == (m, n) {
-            let core = lane_core(x, wide, precondition, &mut q[l], scalar);
-            fro[l] = core.fro_norm();
-            for j in 0..cols {
-                for i in 0..rows {
-                    w[j * rows + i][l] = core.at(i, j);
-                }
-            }
-            live[l] = true;
+        if plan.cols > 0 && x.shape() == (m, n) {
+            fro[l] = load_core(plan, x.view(), &mut jacobi.w, l, &mut q[l], &mut scalar.core);
+            loaded[l] = true;
         }
     }
-    let (tol, unscale) = scale_lanes(w, &fro, &mut live);
+    let mut live = loaded;
+    let (tol, unscale) = scale_lanes(&mut jacobi.w, &fro, &mut live);
+    if live.contains(&true) {
+        jacobi_sweeps(plan.rows, plan.cols, &mut jacobi.w, &mut jacobi.v, &tol, live);
+    }
     for (l, (x, o)) in a.iter().zip(out.iter_mut()).enumerate() {
-        if !live[l] {
+        if loaded[l] {
+            let (back, lift) = (live[l].then_some(unscale[l]), plan.precondition.then_some(&q[l]));
+            jacobi_finish(plan, jacobi, l, back, lift, o, &mut scalar.core);
+        } else {
             svd_thin_into(x, o, scalar);
         }
-    }
-    if !live.contains(&true) {
-        return;
-    }
-    v.clear();
-    v.resize(cols * cols, [0.0; SVD_LANES]);
-    for j in 0..cols {
-        v[j * cols + j] = [1.0; SVD_LANES];
-    }
-
-    jacobi_sweeps(rows, cols, w, v, &tol, live);
-
-    for (l, o) in out.iter_mut().enumerate().filter(|&(l, _)| live[l]) {
-        scalar.w.clear();
-        scalar.w.extend(w.iter().map(|x| x[l]));
-        scalar.v.resize_zeroed(cols, cols);
-        for j in 0..cols {
-            for i in 0..cols {
-                scalar.v.set(i, j, v[j * cols + i][l]);
-            }
-        }
-        let SvdFactors { u, s, v: v_out } = o;
-        let (u, v_out) = if wide { (v_out, u) } else { (u, v_out) };
-        if precondition {
-            let mut u_inner = std::mem::take(&mut scalar.u_inner);
-            jacobi_finish(rows, cols, &mut u_inner, s, v_out, scalar);
-            q[l].matmul_into(&u_inner, u);
-            scalar.u_inner = u_inner;
-        } else {
-            jacobi_finish(rows, cols, u, s, v_out, scalar);
-        }
-        s.iter_mut().for_each(|x| *x *= unscale[l]);
     }
 }
 
@@ -366,9 +398,10 @@ pub fn svd_thin_batch_into(a: &[Mat], out: &mut [SvdFactors], ws: &mut SvdBatchS
 /// zeros.
 ///
 /// The lanes' Jacobi cores sweep in lock step (see the module docs), and
-/// each lane's sorted factors go straight into the output stores. A lane
-/// that is zero, or whose `U` needs basis completion (rank-deficient or
-/// non-finite), goes through [`svd_thin_into`] alone.
+/// each full-rank lane's sorted factors go straight into the output
+/// stores. A lane that is zero, or whose `U` needs basis completion
+/// (rank-deficient or non-finite), is finished alone from its own swept
+/// columns by the finish every driver shares.
 ///
 /// # Panics
 /// Panics if `live > SVD_LANES` or `a` does not hold `n×n` entries.
@@ -390,7 +423,7 @@ pub fn svd_square_lanes(
     if n == 0 {
         return;
     }
-    let SvdBatchScratch { w, v: rot, scalar, lane, lane_factors, .. } = ws;
+    let SvdBatchScratch { jacobi, scalar, lane_factors, .. } = ws;
     // `a` is row-major, so these sums run in `Mat::fro_norm`'s order.
     let mut fro = [0.0; SVD_LANES];
     for x in a {
@@ -399,27 +432,21 @@ pub fn svd_square_lanes(
         }
     }
     let fro = fro.map(f64::sqrt);
-    w.clear();
-    w.resize(n * n, [0.0; SVD_LANES]);
+    jacobi.reset(n, n);
     for (i, row) in a.chunks_exact(n).enumerate() {
         for (j, x) in row.iter().enumerate() {
             // Dead lanes stay zero, whatever `a` holds there.
-            w[j * n + i][..live].copy_from_slice(&x[..live]);
+            jacobi.w[j * n + i][..live].copy_from_slice(&x[..live]);
         }
     }
     let mut swept = [false; SVD_LANES];
     swept[..live].fill(true);
-    let (tol, unscale) = scale_lanes(w, &fro, &mut swept);
+    let (tol, unscale) = scale_lanes(&mut jacobi.w, &fro, &mut swept);
     if swept.contains(&true) {
-        rot.clear();
-        rot.resize(n * n, [0.0; SVD_LANES]);
-        for j in 0..n {
-            rot[j * n + j] = [1.0; SVD_LANES];
-        }
-        jacobi_sweeps(n, n, w, rot, &tol, swept);
+        jacobi_sweeps(n, n, &mut jacobi.w, &mut jacobi.v, &tol, swept);
         // Every lane's column norms at once, in `jacobi_finish`'s order; `s`
         // holds them unsorted until each lane's sort.
-        for (sj, col) in s.iter_mut().zip(w.chunks_exact(n)) {
+        for (sj, col) in s.iter_mut().zip(jacobi.w.chunks_exact(n)) {
             let mut sq = [0.0; SVD_LANES];
             for x in col {
                 for l in 0..SVD_LANES {
@@ -429,10 +456,11 @@ pub fn svd_square_lanes(
             *sj = sq.map(f64::sqrt);
         }
     }
+    let (w, rot) = (&jacobi.w, &jacobi.v);
     for l in 0..live {
         if swept[l] {
             // `jacobi_finish` for this lane, unless its `U` needs completion.
-            let (sigmas, order) = (&mut scalar.sigmas, &mut scalar.order);
+            let (sigmas, order) = (&mut scalar.core.sigmas, &mut scalar.core.order);
             sigmas.clear();
             sigmas.extend(s.iter().map(|x| x[l]));
             order.clear();
@@ -452,8 +480,8 @@ pub fn svd_square_lanes(
                 continue;
             }
         }
-        extract_lane(a, n, l, lane);
-        svd_thin_into(&*lane, lane_factors, scalar);
+        let back = swept[l].then_some(unscale[l]);
+        jacobi_finish(Plan::new(n, n), jacobi, l, back, None, lane_factors, &mut scalar.core);
         let f = &*lane_factors;
         for (dst, src) in [(&mut *u, &f.u), (&mut *v, &f.v)] {
             for (x, &y) in dst.iter_mut().zip(src.data()) {
@@ -466,30 +494,34 @@ pub fn svd_square_lanes(
     }
 }
 
-/// The matrix [`svd_thin_into`] runs Jacobi on for `x`: `x` itself, its
-/// transpose if wide (in `ws`), or the `R` of its QR (in `ws`, the `Q` in
-/// `q`) if noticeably tall.
-fn lane_core<'a>(
-    x: &'a Mat,
-    wide: bool,
-    precondition: bool,
+/// Writes the Jacobi core of `x` under `plan` column-major into lane `l`
+/// of `w` and returns its Frobenius norm: `x` itself, its transpose if
+/// wide (in `ws`), then the `R` of its QR if noticeably tall (in `ws`, the
+/// `Q` in `q`).
+fn load_core<const L: usize>(
+    plan: Plan,
+    x: MatRef<'_>,
+    w: &mut [[f64; L]],
+    l: usize,
     q: &mut Mat,
-    ws: &'a mut SvdScratch,
-) -> MatRef<'a> {
-    let SvdScratch { trans, qr, qr_r, .. } = ws;
-    let tall = if wide {
-        x.view().transpose_into(trans);
-        let trans: &'a Mat = trans;
-        trans.view()
-    } else {
-        x.view()
-    };
-    if !precondition {
-        return tall;
+    ws: &mut CoreScratch,
+) -> f64 {
+    let CoreScratch { trans, qr, qr_r, .. } = ws;
+    let mut core = x;
+    if plan.wide {
+        x.transpose_into(trans);
+        core = trans.view();
     }
-    qr_into(tall, q, qr_r, qr);
-    let r: &'a Mat = qr_r;
-    r.view()
+    if plan.precondition {
+        qr_into(core, q, qr_r, qr);
+        core = qr_r.view();
+    }
+    for j in 0..plan.cols {
+        for i in 0..plan.rows {
+            w[j * plan.rows + i][l] = core.at(i, j);
+        }
+    }
+    core.fro_norm()
 }
 
 /// The right operand of [`gemm_lanes`]: one `n×n` matrix read by every
@@ -711,11 +743,11 @@ fn lane_products<T: AsLanes>(
 }
 
 /// Runs the one-sided Jacobi sweeps on the live lanes of the lane-
-/// interleaved column-major `rows×cols` store `w`, accumulating each
-/// lane's rotations into `v` (`cols×cols`). Returns how many sweeps each
-/// lane ran. Takes the AVX-512 kernel when the CPU has AVX-512F and
-/// AVX-512DQ, else the AVX2 kernel when it has AVX2; every kernel gives the
-/// same bits.
+/// interleaved column-major `rows×cols` store `w`, [`SVD_LANES`] wide,
+/// accumulating each lane's rotations into `v` (`cols×cols`). Returns how
+/// many sweeps each lane ran. Takes the AVX-512 kernel when the CPU has
+/// AVX-512F and AVX-512DQ, else the AVX2 kernel when it has AVX2, else the
+/// portable body; every kernel gives the same bits.
 fn jacobi_sweeps(
     rows: usize,
     cols: usize,
@@ -743,51 +775,56 @@ fn jacobi_sweeps(
     sweeps_portable(rows, cols, w, v, tol, live)
 }
 
-/// The portable sweep kernel: the scalar loop's expressions, lane by lane
-/// over `[f64; SVD_LANES]` arrays. The fallback on CPUs without AVX2, and
-/// the oracle the SIMD kernels are tested against.
-fn sweeps_portable(
+/// The portable sweep kernel, `L` lanes wide: the one-sided Jacobi loop
+/// with every scalar op widened to a lane array. [`svd_thin_into`] runs it
+/// at width one; at width [`SVD_LANES`] it is the fallback on CPUs without
+/// AVX2, and the oracle the SIMD kernels are tested against. As they do, it
+/// tests the skip mask before it computes a rotation, so a pair no lane
+/// rotates costs its dot products alone.
+fn sweeps_portable<const L: usize>(
     rows: usize,
     cols: usize,
-    w: &mut [Lanes],
-    v: &mut [Lanes],
-    tol: &Lanes,
-    live: [bool; SVD_LANES],
-) -> [usize; SVD_LANES] {
-    let mut sweeps = [0; SVD_LANES];
+    w: &mut [[f64; L]],
+    v: &mut [[f64; L]],
+    tol: &[f64; L],
+    live: [bool; L],
+) -> [usize; L] {
+    let mut sweeps = [0; L];
     let mut active = live;
     for _sweep in 0..MAX_SWEEPS {
-        let mut rotated = [false; SVD_LANES];
-        for l in 0..SVD_LANES {
+        let mut rotated = [false; L];
+        for l in 0..L {
             sweeps[l] += usize::from(active[l]);
         }
         for p in 0..cols {
             for q in p + 1..cols {
-                let (mut app, mut aqq, mut apq) =
-                    ([0.0; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES]);
+                let (mut app, mut aqq, mut apq) = ([0.0; L], [0.0; L], [0.0; L]);
                 for (wp, wq) in w[p * rows..(p + 1) * rows].iter().zip(&w[q * rows..(q + 1) * rows])
                 {
-                    for l in 0..SVD_LANES {
+                    for l in 0..L {
                         app[l] += wp[l] * wp[l];
                         aqq[l] += wq[l] * wq[l];
                         apq[l] += wp[l] * wq[l];
                     }
                 }
-                // The scalar skip test and rotation, lane by lane.
-                let (mut rot, mut c, mut s_rot) =
-                    ([false; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES]);
-                for l in 0..SVD_LANES {
+                let mut rot = [false; L];
+                for l in 0..L {
                     rot[l] = active[l]
                         && !(apq[l].abs() <= tol[l]
                             || apq[l].abs() <= 1e-15 * (app[l] * aqq[l]).sqrt());
-                    let zeta = (aqq[l] - app[l]) / (2.0 * apq[l]);
-                    let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                    c[l] = 1.0 / (1.0 + t * t).sqrt();
-                    s_rot[l] = c[l] * t;
                     rotated[l] |= rot[l];
                 }
                 if !rot.contains(&true) {
                     continue;
+                }
+                // Closed-form Jacobi rotation that zeroes the (p,q) entry of
+                // the implicit Gram matrix WᵀW.
+                let (mut c, mut s_rot) = ([0.0; L], [0.0; L]);
+                for l in 0..L {
+                    let zeta = (aqq[l] - app[l]) / (2.0 * apq[l]);
+                    let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                    c[l] = 1.0 / (1.0 + t * t).sqrt();
+                    s_rot[l] = c[l] * t;
                 }
                 let (wp, wq) = pair_mut(w, rows, p, q);
                 rotate_lanes(wp, wq, &rot, &c, &s_rot);
@@ -795,9 +832,8 @@ fn sweeps_portable(
                 rotate_lanes(vp, vq, &rot, &c, &s_rot);
             }
         }
-        // A lane whose sweep made no rotation has converged, as the scalar
-        // loop's `break` says.
-        for l in 0..SVD_LANES {
+        // A lane whose sweep made no rotation has converged.
+        for l in 0..L {
             active[l] &= rotated[l];
         }
         if !active.contains(&true) {
@@ -809,9 +845,15 @@ fn sweeps_portable(
 
 /// Applies one pair's rotations to two lane-interleaved columns. A lane
 /// that does not rotate keeps its values by select (see the module docs).
-fn rotate_lanes(xp: &mut [Lanes], xq: &mut [Lanes], rot: &[bool; SVD_LANES], c: &Lanes, s: &Lanes) {
+fn rotate_lanes<const L: usize>(
+    xp: &mut [[f64; L]],
+    xq: &mut [[f64; L]],
+    rot: &[bool; L],
+    c: &[f64; L],
+    s: &[f64; L],
+) {
     for (p, q) in xp.iter_mut().zip(xq) {
-        for l in 0..SVD_LANES {
+        for l in 0..L {
             let (a, b) = (p[l], q[l]);
             p[l] = if rot[l] { c[l] * a - s[l] * b } else { a };
             q[l] = if rot[l] { s[l] * a + c[l] * b } else { b };
@@ -1089,26 +1131,6 @@ unsafe fn sweeps_avx512(
     sweeps
 }
 
-/// Tall/square driver (`m ≥ n`): QR-precondition when noticeably tall.
-fn svd_tall_into(a: MatRef<'_>, u: &mut Mat, s: &mut Vec<f64>, v: &mut Mat, ws: &mut SvdScratch) {
-    let (m, n) = a.shape();
-    debug_assert!(m >= n);
-    // QR preconditioning: Jacobi sweeps cost O(m n²) each, so shrinking the
-    // row dimension to n first is a large win whenever m is even modestly
-    // larger than n (and never hurts accuracy).
-    if m > n + n / 4 {
-        qr_into(a, &mut ws.qr_q, &mut ws.qr_r, &mut ws.qr);
-        let mut u_inner = std::mem::take(&mut ws.u_inner);
-        let r = std::mem::take(&mut ws.qr_r);
-        jacobi_svd_into(r.view(), &mut u_inner, s, v, ws);
-        ws.qr_q.matmul_into(&u_inner, u);
-        ws.u_inner = u_inner;
-        ws.qr_r = r;
-        return;
-    }
-    jacobi_svd_into(a, u, s, v, ws);
-}
-
 /// Rank-`r` truncated SVD: the leading `r` singular triplets of `a`.
 ///
 /// This mirrors MATLAB's `svds(A, r)` as used throughout the paper's
@@ -1151,154 +1173,76 @@ pub fn truncate(f: &SvdFactors, r: usize) -> SvdFactors {
     }
 }
 
-/// One-sided Jacobi SVD for `m ≥ n`, writing into caller buffers.
-///
-/// Works on `W = A` column-wise: each rotation orthogonalizes one pair of
-/// columns of `W` while accumulating the same rotation into `V`. On
-/// convergence `W = U · diag(s)` and `A = W Vᵀ`. The working store is one
-/// flat column-major buffer (column `j` at `w[j·m..(j+1)·m]`), so the
-/// rotation loops stream contiguous memory.
-fn jacobi_svd_into(
-    a: MatRef<'_>,
-    u: &mut Mat,
-    s: &mut Vec<f64>,
-    v_out: &mut Mat,
-    ws: &mut SvdScratch,
+/// The finish every driver shares, for lane `l` of a core swept under
+/// `plan`. The column norms of `W` are the singular values: sort them
+/// descending, normalize the columns into `U`, permute the accumulated
+/// rotations into `V`, complete `U`'s basis where columns are numerically
+/// null, and scale `s` back by `unscale`. A zero core (`unscale` is `None`)
+/// gets arbitrary orthonormal factors and a zero spectrum. `lift`, the `Q`
+/// of a QR-preconditioned core, lifts its `U`; a wide input's `U` and `V`
+/// swap.
+fn jacobi_finish<const L: usize>(
+    plan: Plan,
+    jacobi: &JacobiStores<L>,
+    l: usize,
+    unscale: Option<f64>,
+    lift: Option<&Mat>,
+    out: &mut SvdFactors,
+    ws: &mut CoreScratch,
 ) {
-    let (m, n) = a.shape();
-    debug_assert!(m >= n);
-    // Column-major working copy: rotations touch whole columns, so columns
-    // must be contiguous for this loop to vectorize.
-    let w = &mut ws.w;
-    w.clear();
-    w.reserve(n * m);
-    for j in 0..n {
-        for i in 0..m {
-            w.push(a.at(i, j));
-        }
-    }
-    let v = &mut ws.v;
-    v.resize_zeroed(n, n);
-    for i in 0..n {
-        v.set(i, i, 1.0);
-    }
-
-    let fro: f64 = a.fro_norm();
-    let Some((scale, unscale)) = core_scale(fro, w.iter().copied()) else {
-        // Zero matrix: arbitrary orthonormal factors, zero spectrum.
-        u.resize_zeroed(m, n);
-        for j in 0..n {
-            u.set(j, j, 1.0);
-        }
-        s.clear();
-        s.resize(n, 0.0);
-        v_out.copy_from(&*v);
-        return;
-    };
-    if scale != 1.0 {
-        w.iter_mut().for_each(|x| *x *= scale);
-    }
-    let tol = jacobi_tol(fro, scale, w.iter().copied());
-
-    for _sweep in 0..MAX_SWEEPS {
-        let mut rotated = false;
-        for p in 0..n {
-            for q in p + 1..n {
-                let (col_p, col_q) = (&w[p * m..(p + 1) * m], &w[q * m..(q + 1) * m]);
-                let (mut app, mut aqq, mut apq) = (0.0, 0.0, 0.0);
-                for i in 0..m {
-                    let wp = col_p[i];
-                    let wq = col_q[i];
-                    app += wp * wp;
-                    aqq += wq * wq;
-                    apq += wp * wq;
-                }
-                if apq.abs() <= tol || apq.abs() <= 1e-15 * (app * aqq).sqrt() {
-                    continue;
-                }
-                rotated = true;
-                // Closed-form Jacobi rotation that zeroes the (p,q) entry of
-                // the implicit Gram matrix WᵀW.
-                let zeta = (aqq - app) / (2.0 * apq);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s_rot = c * t;
-                // Rotate columns p and q of W…
-                let (wp, wq) = pair_mut(w, m, p, q);
-                for i in 0..m {
-                    let xp = wp[i];
-                    let xq = wq[i];
-                    wp[i] = c * xp - s_rot * xq;
-                    wq[i] = s_rot * xp + c * xq;
-                }
-                // …and the same columns of V.
-                for i in 0..n {
-                    let vp = v.at(i, p);
-                    let vq = v.at(i, q);
-                    v.set(i, p, c * vp - s_rot * vq);
-                    v.set(i, q, s_rot * vp + c * vq);
-                }
-            }
-        }
-        if !rotated {
-            break;
-        }
-    }
-
-    jacobi_finish(m, n, u, s, v_out, ws);
-    s.iter_mut().for_each(|x| *x *= unscale);
-}
-
-/// The finish step both Jacobi kernels share: column norms of the
-/// converged working store `ws.w` (column-major `m×n`) are the singular
-/// values; sort them descending, normalize the columns into `U`, permute
-/// the accumulated rotation `ws.v` into `V`, and complete `U`'s basis where
-/// columns are numerically null.
-fn jacobi_finish(
-    m: usize,
-    n: usize,
-    u: &mut Mat,
-    s: &mut Vec<f64>,
-    v_out: &mut Mat,
-    ws: &mut SvdScratch,
-) {
-    let SvdScratch { w, v, sigmas, order, deficient, cand, .. } = ws;
-    order.clear();
-    order.extend(0..n);
-    sigmas.clear();
-    sigmas
-        .extend(w.chunks_exact(m.max(1)).map(|col| col.iter().map(|&x| x * x).sum::<f64>().sqrt()));
-    // `total_cmp` is the IEEE order on these non-negative norms (never
-    // `−0`: a sum of squares rounds to `+0`) and a total one, so a NaN
-    // from a diverging input sorts instead of panicking.
-    order.sort_by(|&i, &j| sigmas[j].total_cmp(&sigmas[i]));
-
-    u.resize_zeroed(m, n);
+    let Plan { wide, rows: m, cols: n, .. } = plan;
+    let SvdFactors { u, s, v: v_out } = out;
+    let (u, v_out) = if wide { (v_out, u) } else { (u, v_out) };
+    let CoreScratch { sigmas, order, deficient, cand, u_inner, .. } = ws;
+    let u_core = if lift.is_some() { &mut *u_inner } else { &mut *u };
+    u_core.resize_zeroed(m, n);
     s.clear();
     v_out.resize_zeroed(n, n);
-    let sigma_max = order.first().map(|&i| sigmas[i]).unwrap_or(0.0);
-    let rank_tol = sigma_max * 1e-14;
-    deficient.clear();
-    for (new_j, &old_j) in order.iter().enumerate() {
-        let sigma = sigmas[old_j];
-        s.push(sigma);
-        if sigma > rank_tol && sigma > 0.0 {
-            let inv = 1.0 / sigma;
-            let col = &w[old_j * m..(old_j + 1) * m];
-            for i in 0..m {
-                u.set(i, new_j, col[i] * inv);
+    if let Some(unscale) = unscale {
+        let (w, v) = (&jacobi.w, &jacobi.v);
+        order.clear();
+        order.extend(0..n);
+        sigmas.clear();
+        sigmas.extend(
+            w.chunks_exact(m).map(|col| col.iter().map(|x| x[l] * x[l]).sum::<f64>().sqrt()),
+        );
+        // `total_cmp` is the IEEE order on these non-negative norms (never
+        // `−0`: a sum of squares rounds to `+0`) and a total one, so a NaN
+        // from a diverging input sorts instead of panicking.
+        order.sort_by(|&i, &j| sigmas[j].total_cmp(&sigmas[i]));
+        let rank_tol = sigmas[order[0]] * 1e-14;
+        deficient.clear();
+        for (new_j, &old_j) in order.iter().enumerate() {
+            let sigma = sigmas[old_j];
+            s.push(sigma * unscale);
+            if sigma > rank_tol && sigma > 0.0 {
+                let inv = 1.0 / sigma;
+                for i in 0..m {
+                    u_core.set(i, new_j, w[old_j * m + i][l] * inv);
+                }
+            } else {
+                deficient.push(new_j);
             }
-        } else {
-            deficient.push(new_j);
+            for i in 0..n {
+                v_out.set(i, new_j, v[old_j * n + i][l]);
+            }
         }
-        for i in 0..n {
-            v_out.set(i, new_j, v.at(i, old_j));
+        // Rank-deficient inputs leave null columns in U; PARAFAC2's Q_k
+        // update needs a fully orthonormal U, so complete the basis
+        // deterministically.
+        if !deficient.is_empty() {
+            complete_orthonormal_columns(u_core, deficient, cand);
+        }
+    } else {
+        // Zero core: arbitrary orthonormal factors, zero spectrum.
+        s.resize(n, 0.0);
+        for j in 0..n {
+            u_core.set(j, j, 1.0);
+            v_out.set(j, j, 1.0);
         }
     }
-    // Rank-deficient inputs leave null columns in U; PARAFAC2's Q_k update
-    // needs a fully orthonormal U, so complete the basis deterministically.
-    if !deficient.is_empty() {
-        complete_orthonormal_columns(u, deficient, cand);
+    if let Some(q) = lift {
+        q.matmul_into(&*u_inner, u);
     }
 }
 
@@ -1598,10 +1542,311 @@ mod tests {
         }
     }
 
+    /// A scalar one-sided Jacobi SVD, the oracle of the width-one sweep of
+    /// `svd_thin_into`: its own driver (transpose if wide, QR-precondition
+    /// if noticeably tall), its loop on a flat column-major store and a
+    /// row-major `V`, and its own finish.
+    mod scalar_reference {
+        use super::super::{
+            complete_orthonormal_columns, core_scale, jacobi_tol, pair_mut, SvdFactors, MAX_SWEEPS,
+        };
+        use crate::mat::Mat;
+        use crate::qr::{qr_into, QrScratch};
+        use crate::view::MatRef;
+
+        /// The scalar driver's scratch.
+        #[derive(Default)]
+        struct SvdScratch {
+            w: Vec<f64>,
+            v: Mat,
+            sigmas: Vec<f64>,
+            order: Vec<usize>,
+            deficient: Vec<usize>,
+            cand: Vec<f64>,
+            qr: QrScratch,
+            qr_q: Mat,
+            qr_r: Mat,
+            u_inner: Mat,
+            trans: Mat,
+        }
+
+        /// The scalar thin SVD of `a`.
+        pub(super) fn svd_thin(a: MatRef<'_>) -> SvdFactors {
+            let (mut out, ws) = (SvdFactors::default(), &mut SvdScratch::default());
+            let (m, n) = a.shape();
+            if m == 0 || n == 0 {
+                out.u.resize_zeroed(m, 0);
+                out.s.clear();
+                out.v.resize_zeroed(n, 0);
+                return out;
+            }
+            if m < n {
+                // Wide: factorize the transpose with U/V output slots swapped.
+                let mut t = std::mem::take(&mut ws.trans);
+                a.transpose_into(&mut t);
+                svd_tall_into(t.view(), &mut out.v, &mut out.s, &mut out.u, ws);
+                ws.trans = t;
+                return out;
+            }
+            svd_tall_into(a, &mut out.u, &mut out.s, &mut out.v, ws);
+            out
+        }
+
+        /// Tall/square driver (`m ≥ n`): QR-precondition when noticeably tall.
+        fn svd_tall_into(
+            a: MatRef<'_>,
+            u: &mut Mat,
+            s: &mut Vec<f64>,
+            v: &mut Mat,
+            ws: &mut SvdScratch,
+        ) {
+            let (m, n) = a.shape();
+            debug_assert!(m >= n);
+            if m > n + n / 4 {
+                qr_into(a, &mut ws.qr_q, &mut ws.qr_r, &mut ws.qr);
+                let mut u_inner = std::mem::take(&mut ws.u_inner);
+                let r = std::mem::take(&mut ws.qr_r);
+                jacobi_svd_into(r.view(), &mut u_inner, s, v, ws);
+                ws.qr_q.matmul_into(&u_inner, u);
+                ws.u_inner = u_inner;
+                ws.qr_r = r;
+                return;
+            }
+            jacobi_svd_into(a, u, s, v, ws);
+        }
+
+        /// One-sided Jacobi SVD for `m ≥ n`, writing into caller buffers.
+        fn jacobi_svd_into(
+            a: MatRef<'_>,
+            u: &mut Mat,
+            s: &mut Vec<f64>,
+            v_out: &mut Mat,
+            ws: &mut SvdScratch,
+        ) {
+            let (m, n) = a.shape();
+            debug_assert!(m >= n);
+            // Column-major working copy: rotations touch whole columns, so columns
+            // must be contiguous for this loop to vectorize.
+            let w = &mut ws.w;
+            w.clear();
+            w.reserve(n * m);
+            for j in 0..n {
+                for i in 0..m {
+                    w.push(a.at(i, j));
+                }
+            }
+            let v = &mut ws.v;
+            v.resize_zeroed(n, n);
+            for i in 0..n {
+                v.set(i, i, 1.0);
+            }
+
+            let fro: f64 = a.fro_norm();
+            let Some((scale, unscale)) = core_scale(fro, w.iter().copied()) else {
+                // Zero matrix: arbitrary orthonormal factors, zero spectrum.
+                u.resize_zeroed(m, n);
+                for j in 0..n {
+                    u.set(j, j, 1.0);
+                }
+                s.clear();
+                s.resize(n, 0.0);
+                v_out.copy_from(&*v);
+                return;
+            };
+            if scale != 1.0 {
+                w.iter_mut().for_each(|x| *x *= scale);
+            }
+            let tol = jacobi_tol(fro, scale, w.iter().copied());
+
+            for _sweep in 0..MAX_SWEEPS {
+                let mut rotated = false;
+                for p in 0..n {
+                    for q in p + 1..n {
+                        let (col_p, col_q) = (&w[p * m..(p + 1) * m], &w[q * m..(q + 1) * m]);
+                        let (mut app, mut aqq, mut apq) = (0.0, 0.0, 0.0);
+                        for i in 0..m {
+                            let wp = col_p[i];
+                            let wq = col_q[i];
+                            app += wp * wp;
+                            aqq += wq * wq;
+                            apq += wp * wq;
+                        }
+                        if apq.abs() <= tol || apq.abs() <= 1e-15 * (app * aqq).sqrt() {
+                            continue;
+                        }
+                        rotated = true;
+                        // Closed-form Jacobi rotation that zeroes the (p,q) entry of
+                        // the implicit Gram matrix WᵀW.
+                        let zeta = (aqq - app) / (2.0 * apq);
+                        let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                        let c = 1.0 / (1.0 + t * t).sqrt();
+                        let s_rot = c * t;
+                        // Rotate columns p and q of W…
+                        let (wp, wq) = pair_mut(w, m, p, q);
+                        for i in 0..m {
+                            let xp = wp[i];
+                            let xq = wq[i];
+                            wp[i] = c * xp - s_rot * xq;
+                            wq[i] = s_rot * xp + c * xq;
+                        }
+                        // …and the same columns of V.
+                        for i in 0..n {
+                            let vp = v.at(i, p);
+                            let vq = v.at(i, q);
+                            v.set(i, p, c * vp - s_rot * vq);
+                            v.set(i, q, s_rot * vp + c * vq);
+                        }
+                    }
+                }
+                if !rotated {
+                    break;
+                }
+            }
+
+            jacobi_finish(m, n, u, s, v_out, ws);
+            s.iter_mut().for_each(|x| *x *= unscale);
+        }
+
+        /// The scalar finish: sort the column norms of `ws.w`, normalize
+        /// the columns into `U`, permute `ws.v` into `V`, and complete
+        /// `U`'s basis where columns are numerically null.
+        fn jacobi_finish(
+            m: usize,
+            n: usize,
+            u: &mut Mat,
+            s: &mut Vec<f64>,
+            v_out: &mut Mat,
+            ws: &mut SvdScratch,
+        ) {
+            let SvdScratch { w, v, sigmas, order, deficient, cand, .. } = ws;
+            order.clear();
+            order.extend(0..n);
+            sigmas.clear();
+            sigmas.extend(
+                w.chunks_exact(m.max(1)).map(|col| col.iter().map(|&x| x * x).sum::<f64>().sqrt()),
+            );
+            order.sort_by(|&i, &j| sigmas[j].total_cmp(&sigmas[i]));
+
+            u.resize_zeroed(m, n);
+            s.clear();
+            v_out.resize_zeroed(n, n);
+            let sigma_max = order.first().map(|&i| sigmas[i]).unwrap_or(0.0);
+            let rank_tol = sigma_max * 1e-14;
+            deficient.clear();
+            for (new_j, &old_j) in order.iter().enumerate() {
+                let sigma = sigmas[old_j];
+                s.push(sigma);
+                if sigma > rank_tol && sigma > 0.0 {
+                    let inv = 1.0 / sigma;
+                    let col = &w[old_j * m..(old_j + 1) * m];
+                    for i in 0..m {
+                        u.set(i, new_j, col[i] * inv);
+                    }
+                } else {
+                    deficient.push(new_j);
+                }
+                for i in 0..n {
+                    v_out.set(i, new_j, v.at(i, old_j));
+                }
+            }
+            if !deficient.is_empty() {
+                complete_orthonormal_columns(u, deficient, cand);
+            }
+        }
+    }
+
+    /// An `m×n` matrix of kind `kind`: the kinds of lane
+    /// `tests/svd_lanes_differential.rs` mixes (Gaussian, zero,
+    /// rank-deficient, NaN, ±∞, signed zeros, subnormal, `2^-600`, `1e200`,
+    /// diagonal, a `−0` column), then one pair whose off-diagonal Gram
+    /// entry is exactly the skip tolerance.
+    fn kind_of(kind: usize, m: usize, n: usize, rng: &mut StdRng) -> Mat {
+        let (k, last) = (m.min(n), (m - 1, n - 1));
+        let mut a = gaussian_mat(m, n, rng);
+        let scaled = |a: &Mat, c: f64| Mat::from_fn(m, n, |i, j| a.at(i, j) * c);
+        match kind {
+            0 => {}
+            1 => a = Mat::zeros(m, n),
+            2 => {
+                let rank = k.div_ceil(2).min(k.saturating_sub(1)).max(1);
+                a = gaussian_mat(m, rank, rng).matmul_nt(gaussian_mat(n, rank, rng)).unwrap();
+            }
+            3 => a.set(m / 2, last.1, f64::NAN),
+            4 => a.set(0, n / 2, f64::INFINITY),
+            5 => a.set(last.0, 0, f64::NEG_INFINITY),
+            6 => a = Mat::from_fn(m, n, |i, j| if i == j { 2.0 + i as f64 } else { -0.0 }),
+            7 => a = scaled(&a, 1e-310),
+            8 => a = scaled(&a, two_to(-600)),
+            9 => a = scaled(&a, 1e200),
+            10 => a = Mat::from_fn(m, n, |i, j| if i == j { 1.0 + i as f64 } else { 0.0 }),
+            11 => (0..m).for_each(|i| a.set(i, last.1, -0.0)),
+            _ => {
+                // Columns `(1, 0, …)` and `(1e-15, 0, …)` of the core (rows
+                // of a wide input): `‖A‖_F` rounds to 1, so the tolerance
+                // `1e-15·‖A‖²` is `1e-15`, exactly that pair's `apq`; `≤`
+                // skips it, where `<` would rotate.
+                a = Mat::zeros(m, n);
+                a.set(0, 0, 1.0);
+                if k > 1 {
+                    let (i, j) = if m < n { (1, 0) } else { (0, 1) };
+                    a.set(i, j, 1e-15);
+                }
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn width_one_sweep_matches_scalar_reference() {
+        // Equal bits, except that any NaN equals any NaN.
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut rng = StdRng::seed_from_u64(2801);
+        // One scratch for every call, so stale state from another shape
+        // would show.
+        let (mut got, mut ws) = (SvdFactors::default(), SvdScratch::default());
+        // Square; tall unpreconditioned and QR-preconditioned; wide through
+        // both.
+        let shapes = [
+            (1, 1),
+            (2, 2),
+            (5, 5),
+            (10, 10),
+            (17, 17),
+            (10, 8),
+            (12, 3),
+            (40, 7),
+            (8, 10),
+            (4, 9),
+        ];
+        for (m, n) in shapes {
+            for kind in 0..13 {
+                let a = kind_of(kind, m, n, &mut rng);
+                svd_thin_into(&a, &mut got, &mut ws);
+                let want = scalar_reference::svd_thin(a.view());
+                let ctx = format!("{m}x{n} kind {kind}");
+                assert_eq!(
+                    (got.u.shape(), got.v.shape()),
+                    (want.u.shape(), want.v.shape()),
+                    "{ctx}"
+                );
+                assert_eq!(got.s.len(), want.s.len(), "{ctx}");
+                for (name, x, y) in [
+                    ("U", got.u.data(), want.u.data()),
+                    ("s", &got.s[..], &want.s[..]),
+                    ("V", got.v.data(), want.v.data()),
+                ] {
+                    for (i, (&x, &y)) in x.iter().zip(y).enumerate() {
+                        assert!(same(x, y), "{ctx}: {name}[{i}]: {x:e} vs {y:e}");
+                    }
+                }
+            }
+        }
+    }
+
     /// The sweep kernels, run directly on the same lane-interleaved
     /// inputs. On a SIMD host `svd_thin_batch_into` never runs the portable
-    /// kernel, and on an AVX-512 host never the AVX2 one, so these tests
-    /// are where each SIMD kernel meets the portable one.
+    /// body at width sixteen, and on an AVX-512 host never the AVX2 kernel,
+    /// so these tests are where each SIMD kernel meets the portable one.
     mod sweep_kernels {
         use super::super::*;
         use crate::random::gaussian_mat;
@@ -1631,7 +1876,8 @@ mod tests {
             a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
         }
 
-        /// A SIMD sweep kernel, with [`sweeps_portable`]'s signature.
+        /// A SIMD sweep kernel, with [`sweeps_portable`]'s signature at
+        /// width sixteen.
         type Kernel = unsafe fn(
             usize,
             usize,

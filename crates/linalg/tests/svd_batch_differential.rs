@@ -3,10 +3,11 @@
 //! [`svd_thin_batch_into`] promises that every lane's factors are bitwise
 //! what [`svd_thin_into`] computes for that matrix alone: same `u`, `s`
 //! and `v` bits. DPar2's `Q_k` step relies on it for its output to stay
-//! bit-identical to the per-slice scalar SVD. The cases cover every lane
+//! bit-identical to the per-slice SVD. The cases cover every lane
 //! count, sizes from `1×1` up past the `R` the benchmarks use, Gaussian
 //! and rank-deficient inputs (so basis completion runs), signed zeros (the
-//! select rule), all-zero and odd-shaped lanes (the scalar fallback),
+//! select rule), all-zero lanes (the zero-core finish) and odd-shaped
+//! lanes (factored alone),
 //! lanes that need very different sweep counts, and same-shape rectangular
 //! lanes (wide ones transposed, tall ones QR-preconditioned lane by lane). One scratch and one set of
 //! outputs serve every call, so stale state from a previous shape would
