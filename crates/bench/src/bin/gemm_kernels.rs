@@ -22,6 +22,15 @@
 //! a 48×15000 matrix, and the shapes around the crossover behind the
 //! kernel's `min(m, n) ≤ 96` rule.
 //!
+//! Two tables time stage 1's small kernels on one thread. The Gram table
+//! times `gram_into` on stage-1 slices of both workloads (and the outer
+//! Grams of two wide ones), in µs and GFLOP/s counted on the upper
+//! triangle, on the kernel this CPU runs (fused at 512 or 256 bits, or
+//! unfused) and pinned to the unfused portable one. The small-products
+//! table times `gemm` below its blocked threshold (the register-tiled
+//! naive loops) at stage 1's sketch and lift shapes, against the
+//! reference loops.
+//!
 //! A further table times the Householder QR (`dpar2_linalg::qr_into`) on
 //! the tall-and-thin shapes the randomized SVDs factor, in GFLOP/s of the
 //! standard Householder count (factor plus thin `Q`). Another times the
@@ -131,6 +140,31 @@ const SKETCH_SHAPES: [(&str, Trans, Trans, usize, usize, usize); 23] = [
     ("crossover", Trans::N, Trans::N, 256, 256, 256),
     ("crossover", Trans::T, Trans::N, 384, 384, 384),
     ("crossover", Trans::N, Trans::N, 512, 512, 512),
+];
+
+/// The Gram table's matrices `(label, rows, cols, outer)`: stage-1 slices
+/// of both workloads. An outer Gram is `X·Xᵀ` of a wide slice, which
+/// stage 1 forms as `gram_into(Xᵀ)`.
+const GRAM_SHAPES: [(&str, usize, usize, bool); 6] = [
+    ("tall-slices", 300, 88, false),
+    ("tall-slices", 491, 88, false),
+    ("many-slices", 60, 48, false),
+    ("many-slices", 96, 48, false),
+    ("many-slices outer", 24, 48, true),
+    ("many-slices outer", 40, 48, true),
+];
+
+/// The small-products table's shapes `(label, ta, m, n, k)` of `op(A)·B`,
+/// all below the blocked threshold: stage 1's sketch and lift products on
+/// short slices (`R = 10`, `R + s = 18`).
+const SMALL_SHAPES: [(&str, Trans, usize, usize, usize); 7] = [
+    ("G·Ω, m = 24", Trans::N, 24, 18, 24),
+    ("PᵀY, m = 24", Trans::T, 18, 18, 24),
+    ("P·V_T, m = 24", Trans::N, 24, 10, 18),
+    ("P·V_T, m = 48", Trans::N, 48, 10, 18),
+    ("AᵀA, 60 rows", Trans::T, 10, 10, 60),
+    ("AᵀA, 96 rows", Trans::T, 10, 10, 96),
+    ("W·L, m = 48", Trans::N, 48, 10, 10),
 ];
 
 /// Square sizes of the Jacobi table: the benchmarks' `R` and `R + s`.
@@ -321,6 +355,82 @@ fn main() {
     let header =
         ["product", "m x n x k", "in place us", "GFLOP/s", "packed us", "GFLOP/s", "speedup"];
     print_table(&header, &sketch_rows);
+    println!();
+
+    println!(
+        "Stage-1 Grams (gram_into, 1 thread), us per call and GFLOP/s of the upper \
+         triangle (rows·n·(n+1) flops): the kernel this CPU runs, and the unfused \
+         portable one (pinned)"
+    );
+    let mut gram_rows: Vec<Vec<String>> = Vec::new();
+    for (label, rows, cols, outer) in GRAM_SHAPES {
+        let x = gaussian_mat(rows, cols, &mut StdRng::seed_from_u64(seed ^ (rows * cols) as u64));
+        let x = if outer { x.transpose() } else { x };
+        let (depth, n) = x.shape();
+        let gflop = (depth * n * (n + 1)) as f64 / 1e9;
+        let mut g = Mat::default();
+        let mut time_on = |portable| {
+            kernel::pinned(Pin { in_place: None, portable }, || {
+                let name = kernel::gram_kernel().name();
+                let t = time_per_call(|| {
+                    gram_into(&x, &mut g);
+                    black_box(&g);
+                });
+                (name, t)
+            })
+        };
+        let (own, unfused) = (time_on(false), time_on(true));
+        for (name, t) in [own, unfused] {
+            gram_rows.push(vec![
+                label.into(),
+                format!("{rows}x{cols}{}", if outer { " X·Xᵀ" } else { "" }),
+                name.into(),
+                format!("{:.2}", t * 1e6),
+                format!("{:.2}", gflop / t),
+                format!("{:.2}x", unfused.1 / t),
+            ]);
+        }
+    }
+    print_table(&["matrix", "shape", "kernel", "us", "GFLOP/s", "vs unfused"], &gram_rows);
+    println!();
+
+    println!(
+        "Small products (gemm's naive path, 1 thread): the register-tiled loops against \
+         the reference loops (kernel::gemm_naive_into), us per call and GFLOP/s"
+    );
+    let mut small_rows: Vec<Vec<String>> = Vec::new();
+    for (label, ta, m, n, k) in SMALL_SHAPES {
+        assert!(!kernel::use_blocked(m, n, k), "{label}: not on the naive path");
+        let mut rng = StdRng::seed_from_u64(seed ^ (m * n * k) as u64);
+        let a = if ta == Trans::N {
+            gaussian_mat(m, k, &mut rng)
+        } else {
+            gaussian_mat(k, m, &mut rng)
+        };
+        let b = gaussian_mat(k, n, &mut rng);
+        let gflop = 2.0 * (m * n * k) as f64 / 1e9;
+        let mut c = Mat::default();
+        let t_tiled = time_per_call(|| {
+            gemm(ta, Trans::N, &a, &b, &mut c, &serial);
+            black_box(&c);
+        });
+        let t_ref = time_per_call(|| {
+            kernel::gemm_naive_into(ta, Trans::N, &a, &b, &mut c);
+            black_box(&c);
+        });
+        small_rows.push(vec![
+            label.into(),
+            format!("{m}x{n}x{k} {ta:?}N"),
+            format!("{:.3}", t_tiled * 1e6),
+            format!("{:.2}", gflop / t_tiled),
+            format!("{:.3}", t_ref * 1e6),
+            format!("{:.2}", gflop / t_ref),
+            format!("{:.2}x", t_ref / t_tiled),
+        ]);
+    }
+    let header =
+        ["product", "m x n x k", "tiled us", "GFLOP/s", "reference us", "GFLOP/s", "speedup"];
+    print_table(&header, &small_rows);
     println!();
 
     println!("Householder QR (qr_into, thin Q and R), f64, GFLOP/s (higher is better)");

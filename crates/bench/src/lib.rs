@@ -214,14 +214,18 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats seconds with sensible precision for tables.
+/// Formats seconds for tables to three significant digits (`5.00ms`,
+/// `22.4ms`, `500ms`, `2.00s`), so a 1% change shows at every scale.
 pub fn fmt_secs(s: f64) -> String {
-    if s < 0.01 {
-        format!("{:.2}ms", s * 1e3)
-    } else if s < 1.0 {
-        format!("{:.0}ms", s * 1e3)
-    } else {
+    let ms = s * 1e3;
+    if s >= 1.0 {
         format!("{s:.2}s")
+    } else if ms >= 100.0 {
+        format!("{ms:.0}ms")
+    } else if ms >= 10.0 {
+        format!("{ms:.1}ms")
+    } else {
+        format!("{ms:.2}ms")
     }
 }
 
@@ -299,6 +303,11 @@ mod tests {
         assert_eq!(fmt_secs(0.005), "5.00ms");
         assert_eq!(fmt_secs(0.5), "500ms");
         assert_eq!(fmt_secs(2.0), "2.00s");
+        assert_eq!(fmt_secs(0.00999), "9.99ms");
+        assert_eq!(fmt_secs(0.01), "10.0ms");
+        assert_eq!(fmt_secs(0.02244), "22.4ms");
+        assert_eq!(fmt_secs(0.999), "999ms");
+        assert_eq!(fmt_secs(1.0), "1.00s");
         assert_eq!(fmt_bytes(1000), "8.0KB");
         assert_eq!(bar(5.0, 10.0, 10), "#####");
         assert_eq!(bar(1.0, 0.0, 10), "");

@@ -364,11 +364,12 @@ fn cholesky_qr(u: &mut Mat, g: &mut Mat, l: &mut Mat, pool: &ThreadPool) -> bool
 /// it) draws from an independent RNG seeded with `options.seed ⊕ k`. So
 /// results are identical for every thread count. A CSR tensor is never
 /// densified: the Gram route's Gram costs
-/// O(nnz·m) and every other pass O(nnz·(R+s)). Dense and CSR slices sum
-/// their Grams in the same order, so while every other product over a
-/// slice stays on the dense naive dispatch path (`rank + oversample`
-/// below the blocked-GEMM tile width) the result is **bitwise identical**
-/// to compressing
+/// O(nnz·m) and every other pass O(nnz·(R+s)). Dense and CSR slices run
+/// the same chain for every Gram entry (fused where the CPU has FMA, see
+/// [`dpar2_linalg::gram_into`]), with the CSR one skipping structural
+/// zeros exactly, so while every other product over a slice stays on the
+/// dense naive dispatch path (`rank + oversample` below the blocked-GEMM
+/// tile width) the result is **bitwise identical** to compressing
 /// [`SparseIrregularTensor::to_dense`](dpar2_tensor::SparseIrregularTensor::to_dense).
 ///
 /// # Errors
@@ -497,7 +498,7 @@ fn stage1_bucket<T: SliceTensor>(
     // The basis `P` and core `T` of the group's `n`-th route slice.
     let (mut ps, mut ts): ([Mat; SVD_LANES], [Mat; SVD_LANES]) = Default::default();
     let mut group = Vec::with_capacity(SVD_LANES);
-    let mut g = Mat::default();
+    let (mut g, mut xt) = (Mat::default(), Mat::default());
     let mut routes = Vec::with_capacity(SVD_LANES);
     let (mut bs, mut lifts) = (Vec::with_capacity(SVD_LANES), Vec::with_capacity(SVD_LANES));
     let mut bucket = bucket.peekable();
@@ -515,7 +516,7 @@ fn stage1_bucket<T: SliceTensor>(
             let (rows, cols) = x.shape();
             if gram_route_applies(rows, cols, config) {
                 if rows < cols {
-                    tensor.outer_gram_into(*k, &mut g);
+                    tensor.outer_gram_into(*k, &mut g, &mut xt);
                 } else {
                     tensor.gram_into(*k, &mut g);
                 }

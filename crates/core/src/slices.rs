@@ -59,8 +59,10 @@ pub trait SliceTensor: Sync {
     fn gram_into(&self, k: usize, g: &mut Mat);
 
     /// `G = X_k X_kᵀ` into `g` (resized), every entry summed over columns
-    /// in ascending order: dense and CSR storage give the same bits.
-    fn outer_gram_into(&self, k: usize, g: &mut Mat);
+    /// in ascending order: dense and CSR storage give the same bits. A
+    /// dense slice is transposed into `xt` first (resized; CSR leaves it
+    /// as it is), so a caller that reuses `xt` allocates nothing here.
+    fn outer_gram_into(&self, k: usize, g: &mut Mat, xt: &mut Mat);
 
     /// `‖X_k − M Vᵀ‖²_F` for a model factor `M ∈ R^{I_k×R}`, summed in the
     /// dense row-major order on caller scratch.
@@ -114,8 +116,9 @@ impl SliceTensor for IrregularTensor {
         gram_into(self.slice(k), g);
     }
 
-    fn outer_gram_into(&self, k: usize, g: &mut Mat) {
-        gram_into(self.slice(k).transpose(), g);
+    fn outer_gram_into(&self, k: usize, g: &mut Mat, xt: &mut Mat) {
+        self.slice(k).transpose_into(xt);
+        gram_into(&*xt, g);
     }
 
     fn residual_sq(&self, k: usize, m: &Mat, v: &Mat, scratch: &mut Mat) -> f64 {
@@ -160,7 +163,7 @@ impl SliceTensor for SparseIrregularTensor {
         sparse_gram_into(self.slice(k), g);
     }
 
-    fn outer_gram_into(&self, k: usize, g: &mut Mat) {
+    fn outer_gram_into(&self, k: usize, g: &mut Mat, _xt: &mut Mat) {
         sparse_outer_gram_into(self.slice(k), g);
     }
 

@@ -131,7 +131,7 @@ fn route<T: SliceTensor>(tensor: &T, k: usize, pool: &ThreadPool) -> Option<LowR
     let (rows, cols) = x.shape();
     let mut g = Mat::default();
     if rows < cols {
-        tensor.outer_gram_into(k, &mut g);
+        tensor.outer_gram_into(k, &mut g, &mut Mat::default());
     } else {
         tensor.gram_into(k, &mut g);
     }

@@ -50,7 +50,7 @@
 //!   otherwise a portable auto-vectorized `a*b + c` fallback is used
 //!   (plain `mul_add` without hardware FMA lowers to a slow libm call).
 //!   The SIMD tile plus its `#[target_feature]` call is one of the crate's
-//!   three narrowly-scoped `unsafe` exceptions (see the crate docs), all
+//!   narrowly-scoped `unsafe` exceptions (see the crate docs), all
 //!   guarded by one cached CPU probe; it asserts that its strided reads
 //!   stay inside the operand slices it is handed.
 //! * **Parallelism**: [`gemm_blocked`] row-partitions C into `MC`-row
@@ -235,7 +235,8 @@ unsafe fn micro_fma(kcb: usize, a: Tile<'_>, b: Tile<'_>, acc: &mut [[f64; NR]; 
 /// The CPU's SIMD features, probed once: the one cached runtime check
 /// behind every `#[target_feature]` dispatch in this crate (the fused GEMM
 /// microkernel here, the Jacobi sweeps — 512-bit, else 256-bit — and the
-/// lane products in [`crate::svd`]).
+/// lane products in [`crate::svd`], the Gram kernels ([`gram_kernel`])
+/// and the naive products' tile loop in [`crate::mat`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Simd {
     /// 256-bit integer and float vectors.
@@ -264,6 +265,51 @@ pub(crate) fn simd() -> Simd {
     #[cfg(not(target_arch = "x86_64"))]
     {
         Simd { avx2: false, fma: false, avx512: false }
+    }
+}
+
+/// Which build of the Gram kernels ([`crate::gram_into`] and the two CSR
+/// Grams) runs on this thread. Every fused build gives the same bits, so
+/// a Gram's bits depend only on whether the CPU has FMA (and on the test
+/// pin).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GramKernel {
+    /// One fused multiply-add per product, `8×8` tiles (AVX-512F+DQ).
+    Fused512,
+    /// One fused multiply-add per product, `4×8` tiles (AVX2+FMA).
+    Fused256,
+    /// A separate multiply and add per product: CPUs without FMA, and
+    /// any call inside [`pinned`] with `portable: true`.
+    Unfused,
+}
+
+impl GramKernel {
+    /// The kernel's name in benchmark tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            GramKernel::Fused512 => "fused 512",
+            GramKernel::Fused256 => "fused 256",
+            GramKernel::Unfused => "unfused portable",
+        }
+    }
+
+    /// Whether each product is fused into its sum.
+    pub fn fused(self) -> bool {
+        self != GramKernel::Unfused
+    }
+}
+
+/// The Gram kernel this thread runs: fused where the CPU has FMA, unless
+/// inside [`pinned`] with `portable: true`. For the kernels, tests and the
+/// kernel benchmark.
+#[doc(hidden)]
+pub fn gram_kernel() -> GramKernel {
+    match simd() {
+        _ if PIN.get().portable => GramKernel::Unfused,
+        Simd { avx512: true, .. } => GramKernel::Fused512,
+        Simd { avx2: true, fma: true, .. } => GramKernel::Fused256,
+        _ => GramKernel::Unfused,
     }
 }
 
@@ -546,15 +592,17 @@ impl Plan {
     }
 }
 
-/// A pinned [`gemm_blocked`] plan, for tests and the kernel benchmark
-/// only: both choices give the same bits, and production code never pins.
+/// A pinned [`gemm_blocked`] plan and Gram kernel, for tests and the
+/// kernel benchmark only: both `in_place` choices give the same bits (the
+/// unfused Gram does not), and production code never pins.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pin {
     /// `Some(true)`: read the operands in place (`B` only when not
     /// transposed); `Some(false)`: pack both; `None`: the size rule.
     pub in_place: Option<bool>,
-    /// Run the portable microkernel even on an AVX2+FMA CPU.
+    /// Run the portable microkernel even on an AVX2+FMA CPU, and the
+    /// unfused Gram kernels ([`GramKernel::Unfused`]) even on an FMA one.
     pub portable: bool,
 }
 

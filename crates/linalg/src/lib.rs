@@ -22,10 +22,14 @@
 //! * [`gemm_lanes`] — up to sixteen small `n×n` products at once, one per
 //!   vector lane, each bitwise what [`gemm`]'s naive loops give (the
 //!   DPar2 `Q_k` step's per-slice products).
-//! * [`gram_into`] — the Gram `XᵀX`, every entry summed over rows in the
-//!   naive loops' ascending order (so a CSR slice's Gram,
-//!   [`sparse::sparse_gram_into`], is bitwise its densified one), in
-//!   register tiles over the upper triangle.
+//! * [`gram_into`] — the Gram `XᵀX`, every entry one chain over the rows in
+//!   ascending order, one fused multiply-add per product where the CPU has
+//!   FMA (the naive loops' separate multiply and add without it), in
+//!   register tiles over the upper triangle. A CSR slice's Grams
+//!   ([`sparse::sparse_gram_into`], [`sparse::sparse_outer_gram_into`])
+//!   run the same chains over stored entries, so they are bitwise their
+//!   densified ones. Below the blocked threshold, [`gemm`]'s `A·B` and
+//!   `Aᵀ·B` run in register tiles too, with the naive loops' bits.
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
 //!   preconditioning for tall matrices; scale-invariant), plus
@@ -46,7 +50,7 @@
 //!   running the corresponding naive dense loop.
 //!
 //! Everything is deterministic given a seed and needs no external BLAS.
-//! The crate is safe Rust except for five narrowly-scoped exceptions of
+//! The crate is safe Rust except for seven narrowly-scoped exceptions of
 //! one shape — a `#[target_feature]` function (`unsafe` to call) and its
 //! call site, guarded by one cached `is_x86_feature_detected!` probe:
 //!
@@ -60,8 +64,14 @@
 //! 4. [`svd`]: the AVX2 build of [`gemm_lanes`]' portable lane loop (the
 //!    same body compiled a second time, no intrinsics), bitwise equal to
 //!    it;
-//! 5. [`mat`]: the AVX2 build of [`gram_into`]'s tile loop (likewise),
-//!    bitwise equal to the portable one.
+//! 5. [`mat`]: the fused builds of [`gram_into`]'s tile loop, for
+//!    AVX-512 (`8×8` tiles) and for AVX2+FMA (`4×8`): one generic body, no
+//!    intrinsics, bitwise equal to each other and to the scalar `mul_add`
+//!    chain;
+//! 6. [`mat`]: the AVX2 build of the naive `A·B` and `Aᵀ·B` tile loop
+//!    behind [`gemm`] (likewise), bitwise equal to the portable one;
+//! 7. [`sparse`]: the FMA builds of the two CSR Grams, so `mul_add` is one
+//!    instruction, bitwise equal to [`gram_into`]'s fused chains.
 //!
 //! ## Example
 //!

@@ -585,7 +585,8 @@ impl Mat {
 ///
 /// Products below the [`kernel::use_blocked`] threshold run the
 /// stride-aware naive loops (IEEE-faithful: no `== 0.0` shortcuts, so
-/// `0·∞` and `0·NaN` propagate NaN); larger ones take the packed,
+/// `0·∞` and `0·NaN` propagate NaN), `A·B` and `Aᵀ·B` in register tiles
+/// with the bits of [`kernel::gemm_naive_into`]; larger ones take the packed,
 /// register-tiled [`kernel::gemm_blocked`], which fans `MC`-row panels of
 /// C out over `pool`. The result is bit-identical for every pool size, and
 /// a one-thread pool (`ThreadPool::new(1)`, which starts no threads) is
@@ -612,135 +613,182 @@ pub fn gemm(
     }
 }
 
-/// `G = XᵀX` (`n×n` for `m×n` `X`) into `g`, every entry summed over the
-/// rows in ascending order with a separate multiply and add — the order
-/// of the naive `Xᵀ·X` loops and of [`crate::sparse::sparse_gram_into`],
-/// at every size, so a CSR slice's Gram is bitwise its densified one. The
-/// upper triangle runs in register tiles over the full depth (no depth
-/// blocking, which would reassociate the sums) and is mirrored, since
-/// products commute exactly: half a general product's work, on no
-/// packing. On a CPU with AVX2 the same tile loop runs compiled for it,
-/// `4×8` tiles instead of `4×4` (the crate's fourth contained `unsafe`
-/// exception, with no intrinsics); every entry keeps its bits.
+/// `G = XᵀX` (`n×n` for `m×n` `X`) into `g`. Each entry of the upper
+/// triangle is one chain over the rows in ascending order from `+0.0`,
+/// with no depth blocking: `acc = x_pi.mul_add(x_pj, acc)`, one fused
+/// multiply-add per product, ended by `acc + 0.0`. The lower triangle is
+/// mirrored (products commute exactly, fused or not). The closing
+/// `+ 0.0` turns a `−0` (a negative product that underflowed while the
+/// chain was still zero) into `+0` and leaves every other value as it is,
+/// so skipping a structural zero stays exact and
+/// [`crate::sparse::sparse_gram_into`], which runs the same chain over
+/// stored entries, gives a CSR slice's Gram bitwise its densified one.
+///
+/// The chain runs in register tiles, `8×8` on AVX-512 and `4×8` on
+/// AVX2+FMA (the same tile body compiled per width, no intrinsics); every
+/// fused build gives the same bits, so the Gram's bits depend on FMA, as
+/// the blocked [`gemm`]'s do. A CPU without FMA, and a call inside
+/// [`kernel::pinned`] with `portable: true`, run the unfused chain
+/// `acc + x_pi·x_pj` instead: the bits of the naive `Xᵀ·X` loops.
 pub fn gram_into(x: impl AsMatRef, g: &mut Mat) {
     let x = x.as_mat_ref();
     let n = x.cols();
-    g.resize_zeroed(n, n);
+    g.resize_for_overwrite(n, n);
     gram_upper_dispatch(x, g);
     kernel::mirror_upper(g);
 }
 
-/// The upper triangle of [`gram_into`], on the AVX2 build of the tile
-/// loop when the CPU has it.
+/// The upper triangle of [`gram_into`], on the build [`kernel::gram_kernel`]
+/// picks.
 fn gram_upper_dispatch(x: MatRef<'_>, g: &mut Mat) {
+    // SAFETY: `gram_kernel` picks a fused build only after `simd`
+    // verified its features on this CPU, the only precondition of the
+    // `#[target_feature]` fns.
     #[cfg(target_arch = "x86_64")]
-    if kernel::simd().avx2 {
-        // SAFETY: `simd` verified AVX2 support on this CPU, which is the
-        // only precondition of the `#[target_feature]` fn.
-        #[allow(unsafe_code)]
-        unsafe {
-            gram_upper_avx2(x, g)
-        };
-        return;
+    #[allow(unsafe_code)]
+    match kernel::gram_kernel() {
+        kernel::GramKernel::Fused512 => return unsafe { gram_upper_avx512(x, g) },
+        kernel::GramKernel::Fused256 => return unsafe { gram_upper_fma(x, g) },
+        kernel::GramKernel::Unfused => {}
     }
-    gram_upper::<4>(x, g);
+    tiled::<4, 8, 4, true, false>(x, x, g, true);
 }
 
-/// [`gram_upper`] compiled for AVX2 (no intrinsics: the same loop, four
-/// lanes wide).
+/// The fused [`gram_into`] tile loop compiled for AVX-512: `8×8` tiles,
+/// one 512-bit accumulator per row. (The same body at `8×16` falls off
+/// the SLP vectorizer and runs 15 times slower.)
 ///
 /// # Safety
-/// The CPU must support AVX2 (see [`gram_upper_dispatch`]).
+/// The CPU must support AVX-512F and FMA (see [`gram_upper_dispatch`]).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx512f,fma")]
 #[allow(unsafe_code)] // contained SIMD exception; see the crate docs
-unsafe fn gram_upper_avx2(x: MatRef<'_>, g: &mut Mat) {
-    gram_upper::<8>(x, g);
+unsafe fn gram_upper_avx512(x: MatRef<'_>, g: &mut Mat) {
+    tiled::<8, 8, 4, true, true>(x, x, g, true);
 }
 
-/// The entries `g[i][j]`, `j ≥ i`, of `XᵀX` (and some below the diagonal
-/// in the diagonal tiles): `4×W` tiles, then `4×4` ones at a row's ragged
-/// end, then single entries.
+/// The fused [`gram_into`] tile loop compiled for AVX2+FMA: `4×8` tiles.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA (see [`gram_upper_dispatch`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(unsafe_code)] // contained SIMD exception; see the crate docs
+unsafe fn gram_upper_fma(x: MatRef<'_>, g: &mut Mat) {
+    tiled::<4, 8, 4, true, true>(x, x, g, true);
+}
+
+/// One step of an entry's chain: `acc + a·b`, or `a.mul_add(b, acc)`
+/// when `FUSED`. Shared by the dense and the CSR kernels, so their chains
+/// agree term for term.
 #[inline(always)]
-fn gram_upper<const W: usize>(x: MatRef<'_>, g: &mut Mat) {
-    const H: usize = 4;
-    let n = x.cols();
-    for i0 in (0..n).step_by(H) {
-        let mut j0 = i0;
-        while j0 < n {
-            if i0 + H <= n && j0 + W <= n {
-                gram_tile::<H, W>(x, i0, j0, g);
-                j0 += W;
-            } else if i0 + H <= n && j0 + H <= n {
-                gram_tile::<H, H>(x, i0, j0, g);
-                j0 += H;
-            } else {
-                for i in i0..(i0 + H).min(n) {
-                    for j in j0.max(i)..n {
-                        let mut acc = 0.0;
-                        for p in 0..x.rows() {
-                            acc += x.at(p, i) * x.at(p, j);
-                        }
-                        g.set(i, j, acc);
-                    }
-                }
-                j0 = n;
-            }
-        }
+pub(crate) fn chain_step<const FUSED: bool>(a: f64, b: f64, acc: f64) -> f64 {
+    if FUSED {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
     }
 }
 
-/// One `H×W` tile of `XᵀX` at `(i0, j0)`, summed over all rows.
+/// The last step of an entry's chain: `+ 0.0` when `FUSED` (see
+/// [`gram_into`]); an unfused chain from `+0.0` never reaches `−0`.
 #[inline(always)]
-fn gram_tile<const H: usize, const W: usize>(x: MatRef<'_>, i0: usize, j0: usize, g: &mut Mat) {
+pub(crate) fn chain_end<const FUSED: bool>(acc: f64) -> f64 {
+    if FUSED {
+        acc + 0.0
+    } else {
+        acc
+    }
+}
+
+/// `C = op(A)·B` in register tiles, `op(A) = Aᵀ` when `AT`: row bands of
+/// `H` (then single rows), each swept by `W`-wide tiles, then `W2`-wide
+/// ones, then single columns. Every entry is one chain over ascending
+/// depth from `+0.0` ([`chain_step`], [`chain_end`]), so the tiling never
+/// moves a bit. With `upper`, each band starts at the diagonal and `C` is
+/// square: its upper triangle (and some entries below the diagonal in the
+/// diagonal tiles) are written, for the caller to mirror; otherwise every
+/// entry is.
+#[inline(always)]
+fn tiled<const H: usize, const W: usize, const W2: usize, const AT: bool, const FUSED: bool>(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &mut Mat,
+    upper: bool,
+) {
+    let m = c.rows();
+    let mut i0 = 0;
+    while i0 + H <= m {
+        band::<H, W, W2, AT, FUSED>(a, b, (i0, if upper { i0 } else { 0 }), c);
+        i0 += H;
+    }
+    for i in i0..m {
+        band::<1, W, W2, AT, FUSED>(a, b, (i, if upper { i } else { 0 }), c);
+    }
+}
+
+/// Rows `i0..i0 + H` of [`tiled`]'s `C`, from column `j0` on.
+#[inline(always)]
+fn band<const H: usize, const W: usize, const W2: usize, const AT: bool, const FUSED: bool>(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    (i0, mut j0): (usize, usize),
+    c: &mut Mat,
+) {
+    let n = c.cols();
+    while j0 + W <= n {
+        tile::<H, W, AT, FUSED>(a, b, (i0, j0), c);
+        j0 += W;
+    }
+    while j0 + W2 <= n {
+        tile::<H, W2, AT, FUSED>(a, b, (i0, j0), c);
+        j0 += W2;
+    }
+    for j in j0..n {
+        tile::<H, 1, AT, FUSED>(a, b, (i0, j), c);
+    }
+}
+
+/// One `H×W` tile of [`tiled`]'s `C` at `(i0, j0)`, summed over the whole
+/// depth in registers.
+#[inline(always)]
+fn tile<const H: usize, const W: usize, const AT: bool, const FUSED: bool>(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    (i0, j0): (usize, usize),
+    c: &mut Mat,
+) {
     let mut acc = [[0.0; W]; H];
-    for p in 0..x.rows() {
-        let row = x.row(p);
-        let a: &[f64; H] = row[i0..i0 + H].try_into().unwrap();
-        let b: &[f64; W] = row[j0..j0 + W].try_into().unwrap();
-        for (accr, &ar) in acc.iter_mut().zip(a) {
-            for (cv, &bv) in accr.iter_mut().zip(b) {
-                *cv += ar * bv;
+    for p in 0..b.rows() {
+        let bp: &[f64; W] = b.row(p)[j0..j0 + W].try_into().unwrap();
+        let ap: [f64; H] = if AT {
+            a.row(p)[i0..i0 + H].try_into().unwrap()
+        } else {
+            std::array::from_fn(|r| a.at(i0 + r, p))
+        };
+        for (accr, &ar) in acc.iter_mut().zip(&ap) {
+            for (cv, &bv) in accr.iter_mut().zip(bp) {
+                *cv = chain_step::<FUSED>(ar, bv, *cv);
             }
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        g.row_mut(i0 + r)[j0..j0 + W].copy_from_slice(accr);
+        for (cv, &v) in c.row_mut(i0 + r)[j0..j0 + W].iter_mut().zip(accr) {
+            *cv = chain_end::<FUSED>(v);
+        }
     }
 }
 
-/// Stride-aware naive loops, one per transpose variant. Arithmetic order is
-/// identical to the historical contiguous loops (each inner loop streams
-/// rows, which stay contiguous in any view).
+/// Stride-aware naive loops, one per transpose variant, each entry summed
+/// over ascending depth from `+0.0` with a separate multiply and add (the
+/// order of [`kernel::gemm_naive_into`]). `A·B` and `Aᵀ·B` run in
+/// [`tiled`] `4×8` register tiles, compiled a second time for AVX2 where
+/// the CPU has it; the two `·Bᵀ` forms stream rows as before.
 fn mm_naive(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
     match (ta, tb) {
-        (Trans::N, Trans::N) => {
-            // i-k-j: the innermost loop streams over contiguous rows of
-            // both B and C, which the compiler auto-vectorizes.
-            c.resize_zeroed(a.rows(), b.cols());
-            for i in 0..a.rows() {
-                let arow = a.row(i);
-                let crow = c.row_mut(i);
-                for (k, &aik) in arow.iter().enumerate() {
-                    for (cv, &bv) in crow.iter_mut().zip(b.row(k)) {
-                        *cv += aik * bv;
-                    }
-                }
-            }
-        }
-        (Trans::T, Trans::N) => {
-            // Aᵀ·B: rank-1 updates row-by-row of A and B (with B = A this
-            // is the Gram accumulation).
-            c.resize_zeroed(a.cols(), b.cols());
-            for k in 0..a.rows() {
-                let arow = a.row(k);
-                let brow = b.row(k);
-                for (i, &aki) in arow.iter().enumerate() {
-                    for (cv, &bv) in c.row_mut(i).iter_mut().zip(brow) {
-                        *cv += aki * bv;
-                    }
-                }
-            }
+        (_, Trans::N) => {
+            c.resize_for_overwrite(ta.dims(a).0, b.cols());
+            naive_tiles_dispatch(ta, a, b, c);
         }
         (Trans::N, Trans::T) => {
             // A·Bᵀ: each output entry is a dot product of two rows.
@@ -766,6 +814,44 @@ fn mm_naive(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
                 }
             }
         }
+    }
+}
+
+/// `C = op(A)·B` on the naive path's tiles: the AVX2 build when the CPU
+/// has it, else the portable one (same bits).
+fn naive_tiles_dispatch(ta: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel::simd().avx2 {
+        // SAFETY: `simd` verified AVX2 support on this CPU, which is the
+        // only precondition of the `#[target_feature]` fn.
+        #[allow(unsafe_code)]
+        unsafe {
+            naive_tiles_avx2(ta, a, b, c)
+        };
+        return;
+    }
+    naive_tiles(ta, a, b, c);
+}
+
+/// [`naive_tiles`] compiled for AVX2 (no intrinsics: the same loop, four
+/// lanes wide).
+///
+/// # Safety
+/// The CPU must support AVX2 (see [`naive_tiles_dispatch`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)] // contained SIMD exception; see the crate docs
+unsafe fn naive_tiles_avx2(ta: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
+    naive_tiles(ta, a, b, c);
+}
+
+/// The unfused `A·B` or `Aᵀ·B` of [`mm_naive`] in `4×8`, then `4×4`
+/// tiles, then single columns.
+#[inline(always)]
+fn naive_tiles(ta: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
+    match ta {
+        Trans::N => tiled::<4, 8, 4, false, false>(a, b, c, false),
+        Trans::T => tiled::<4, 8, 4, true, false>(a, b, c, false),
     }
 }
 
@@ -957,36 +1043,187 @@ mod tests {
         Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])
     }
 
+    /// Bitwise equal, or NaN where the oracle is NaN (a propagated NaN's
+    /// sign and payload depend on the operand order the codegen picks).
+    fn assert_same(got: &Mat, want: &Mat, ctx: &str) {
+        assert_eq!(got.shape(), want.shape(), "{ctx}");
+        for (idx, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan(),
+                "{ctx}: [{idx}] {x:e} vs {y:e}"
+            );
+        }
+    }
+
+    /// The fused chain of [`gram_into`], one entry at a time: the oracle
+    /// of its tiles.
+    fn fused_gram_oracle(x: MatRef<'_>) -> Mat {
+        Mat::from_fn(x.cols(), x.cols(), |i, j| {
+            let (i, j) = (i.min(j), i.max(j));
+            (0..x.rows()).fold(0.0, |acc: f64, p| x.at(p, i).mul_add(x.at(p, j), acc)) + 0.0
+        })
+    }
+
+    /// `m × n` Gram inputs over `2^-9..2^9`, with `±0`, subnormals and
+    /// `±2^-560` (whose products underflow, to `−0` when negative) mixed
+    /// in; with `special`, also an `∞`, a `−∞` and a NaN.
+    fn gram_input(m: usize, n: usize, special: bool) -> Mat {
+        let mut x = Mat::from_fn(m, n, |i, j| {
+            let t = i * 31 + j * 17;
+            match t % 23 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => 5e-324,
+                3 => -3.2e-310,
+                4 => 2f64.powi(-560),
+                5 => -(2f64.powi(-560)),
+                _ => (t as f64).sin() * 2f64.powi(j as i32 % 19 - 9),
+            }
+        });
+        if special {
+            x.set(m / 2, n - 1, f64::INFINITY);
+            x.set(m - 1, 0, f64::NEG_INFINITY);
+            x.set(0, n / 2, f64::NAN);
+        }
+        x
+    }
+
+    /// The Gram cases: every column count `1..=40` (each ragged edge of
+    /// the `8×8`, `4×8` and `4×4` tiles) at 0, 1, 7 and 300 rows, 88
+    /// columns, and special values at a few shapes.
+    fn gram_cases() -> Vec<Mat> {
+        let mut cases = Vec::new();
+        for n in 1..=40 {
+            for m in [0, 1, 7, 300] {
+                cases.push(gram_input(m, n, false));
+            }
+        }
+        cases.push(gram_input(25, 88, false));
+        for (m, n) in [(1, 3), (7, 17), (30, 40), (300, 24)] {
+            cases.push(gram_input(m, n, true));
+        }
+        cases
+    }
+
+    /// The upper triangle of one tile loop's Gram, mirrored.
+    fn gram_by(upper: impl Fn(MatRef<'_>, &mut Mat), x: MatRef<'_>) -> Mat {
+        let mut g = Mat::zeros(x.cols(), x.cols());
+        upper(x, &mut g);
+        kernel::mirror_upper(&mut g);
+        g
+    }
+
     #[test]
     fn gram_kernels_match_the_naive_order() {
-        // The portable 4×4 and 4×8 tilings and the dispatched kernel (the
-        // AVX2 build where the CPU has it) all give the naive `XᵀX` bits,
-        // across ragged tile edges and a strided view.
-        for (m, n) in [(0, 5), (7, 1), (9, 3), (30, 4), (17, 9), (40, 13), (33, 20), (25, 88)] {
-            let x = Mat::from_fn(m, n, |i, j| {
-                ((i * 31 + j * 17) as f64).sin() * 2f64.powi(j as i32 % 5)
-            });
-            let mut want = Mat::default();
-            kernel::gemm_naive_into(Trans::T, Trans::N, &x, &x, &mut want);
+        // The dispatched Gram gives the fused chain's bits on an FMA CPU
+        // and the naive `XᵀX` loops' bits without FMA or under the
+        // portable pin, as does the unfused tile loop itself, across
+        // ragged tile edges, special values and a strided view.
+        let host = Mat::from_fn(20, 30, |i, j| ((i * 7 + j) as f64).cos());
+        let view = host.view().submatrix(2, 19, 3, 24);
+        for x in gram_cases().iter().map(Mat::view).chain([view]) {
+            let ctx = format!("{}x{}", x.rows(), x.cols());
+            let mut naive = Mat::default();
+            kernel::gemm_naive_into(Trans::T, Trans::N, x, x, &mut naive);
             let mut got = Mat::default();
-            gram_into(&x, &mut got);
-            assert_eq!(got, want, "{m}x{n} dispatched");
-            for upper in [gram_upper::<4>, gram_upper::<8>] {
-                got.resize_zeroed(n, n);
-                upper(x.view(), &mut got);
-                for i in 0..n {
-                    for j in i..n {
-                        assert_eq!(got.at(i, j).to_bits(), want.at(i, j).to_bits(), "{m}x{n}");
+            gram_into(x, &mut got);
+            if kernel::gram_kernel().fused() {
+                assert_same(&got, &fused_gram_oracle(x), &format!("{ctx} dispatched"));
+            } else {
+                assert_same(&got, &naive, &format!("{ctx} dispatched"));
+            }
+            let portable = kernel::Pin { portable: true, ..Default::default() };
+            kernel::pinned(portable, || gram_into(x, &mut got));
+            assert_same(&got, &naive, &format!("{ctx} pinned portable"));
+            let unfused = gram_by(|x, g| tiled::<4, 8, 4, true, false>(x, x, g, true), x);
+            assert_same(&unfused, &naive, &format!("{ctx} unfused tiles"));
+        }
+    }
+
+    #[test]
+    fn fused_gram_builds_match_the_scalar_oracle() {
+        // Every fused build the CPU has, and the fused tile body at both
+        // tile shapes without them (`mul_add` then calls libm's `fma`:
+        // the same bits), against the scalar `mul_add` chain.
+        let host = Mat::from_fn(40, 60, |i, j| ((i * 3 + j * 5) as f64).sin());
+        let view = host.view().submatrix(3, 38, 7, 44);
+        let simd = kernel::simd();
+        for x in gram_cases().iter().map(Mat::view).chain([view]) {
+            let ctx = format!("{}x{}", x.rows(), x.cols());
+            let want = fused_gram_oracle(x);
+            let got = gram_by(|x, g| tiled::<8, 8, 4, true, true>(x, x, g, true), x);
+            assert_same(&got, &want, &format!("{ctx} 8x8 body"));
+            let got = gram_by(|x, g| tiled::<4, 8, 4, true, true>(x, x, g, true), x);
+            assert_same(&got, &want, &format!("{ctx} 4x8 body"));
+            #[cfg(target_arch = "x86_64")]
+            {
+                // SAFETY: each build runs only where `simd` verified its
+                // features.
+                #[allow(unsafe_code)]
+                if simd.avx512 {
+                    let got = gram_by(|x, g| unsafe { gram_upper_avx512(x, g) }, x);
+                    assert_same(&got, &want, &format!("{ctx} AVX-512 build"));
+                }
+                #[allow(unsafe_code)]
+                if simd.avx2 && simd.fma {
+                    let got = gram_by(|x, g| unsafe { gram_upper_fma(x, g) }, x);
+                    assert_same(&got, &want, &format!("{ctx} AVX2+FMA build"));
+                }
+            }
+        }
+        let _ = simd; // only read on x86-64
+    }
+
+    #[test]
+    fn naive_product_tiles_match_the_reference() {
+        // `A·B` and `Aᵀ·B` in 4×8, 4×4 and single-column tiles, on the
+        // portable and the AVX2 build, against the reference loops bit
+        // for bit: every row count around the 4-row bands, column counts
+        // around the 8- and 4-wide tiles, depths 0 to 25, a strided `B`,
+        // and a 0·∞ product that must be NaN.
+        let host = Mat::from_fn(30, 40, |i, j| ((i * 11 + j * 3) as f64).cos());
+        for m in [1, 2, 3, 4, 5, 7, 8, 9, 13] {
+            for n in [1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 17, 20] {
+                for k in [0, 1, 2, 5, 24, 25] {
+                    let mut a = Mat::from_fn(m, k, |i, p| ((i * 5 + p * 7) as f64).sin() * 3.0);
+                    let mut b = host.view().submatrix(3, 3 + k, 2, 2 + n);
+                    let mut special = Mat::default();
+                    if k > 1 {
+                        // A zero meeting an ∞ at depth 1 of entry (m-1, n-1).
+                        a.set(m - 1, 1, 0.0);
+                        host.view().submatrix(3, 3 + k, 2, 2 + n).copy_into(&mut special);
+                        special.set(1, n - 1, f64::INFINITY);
+                        b = special.view();
+                    }
+                    let at = a.transpose();
+                    for (ta, a) in [(Trans::N, a.view()), (Trans::T, at.view())] {
+                        let ctx = format!("{ta:?}N {m}x{n}x{k}");
+                        let mut want = Mat::default();
+                        kernel::gemm_naive_into(ta, Trans::N, a, b, &mut want);
+                        if k > 1 {
+                            assert!(want.at(m - 1, n - 1).is_nan(), "{ctx}: no 0·∞ cell");
+                        }
+                        let mut got = Mat::zeros(m, n);
+                        naive_tiles(ta, a, b, &mut got);
+                        assert_same(&got, &want, &format!("{ctx} portable"));
+                        #[cfg(target_arch = "x86_64")]
+                        if kernel::simd().avx2 {
+                            let mut got = Mat::zeros(m, n);
+                            // SAFETY: `simd` verified AVX2 support.
+                            #[allow(unsafe_code)]
+                            unsafe {
+                                naive_tiles_avx2(ta, a, b, &mut got)
+                            };
+                            assert_same(&got, &want, &format!("{ctx} AVX2"));
+                        }
+                        gemm(ta, Trans::N, a, b, &mut got, &ThreadPool::new(1));
+                        if !kernel::use_blocked(m, n, k) {
+                            assert_same(&got, &want, &format!("{ctx} gemm"));
+                        }
                     }
                 }
             }
         }
-        let host = Mat::from_fn(20, 30, |i, j| ((i * 7 + j) as f64).cos());
-        let view = host.view().submatrix(2, 19, 3, 24);
-        let (mut want, mut got) = (Mat::default(), Mat::default());
-        kernel::gemm_naive_into(Trans::T, Trans::N, view, view, &mut want);
-        gram_into(view, &mut got);
-        assert_eq!(got, want, "strided view");
     }
 
     #[test]

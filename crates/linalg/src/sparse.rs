@@ -22,11 +22,18 @@
 //!
 //! Every kernel here accumulates in **exactly the order of the dense
 //! naive loops** (`mat.rs`'s `mm_naive`) with the structural
-//! zeros skipped, using a separate multiply and add (never FMA). Skipping
+//! zeros skipped, using a separate multiply and add — except the two
+//! Grams, which run [`crate::gram_into`]'s chains: fused (one `mul_add`
+//! per product, closed by `+ 0.0`) where the CPU has FMA. Skipping
 //! a structural zero means skipping an addition of `±0.0`, which is an
 //! exact identity on any IEEE-754 accumulator that is not `-0.0` — and
 //! `+=` accumulators seeded by `resize_zeroed` can never become `-0.0`
-//! (`+0.0 + -0.0 = +0.0` under round-to-nearest). Hence, whenever the
+//! (`+0.0 + -0.0 = +0.0` under round-to-nearest). A fused step can: a
+//! negative product that underflows while the chain is still zero rounds
+//! to `-0.0`, after which the dense chain's `0·x` steps and the skipped
+//! ones may leave zeros of opposite signs. The closing `+ 0.0` maps both
+//! to `+0.0` and changes no other value, so the Grams keep the
+//! contract. Hence, whenever the
 //! *dense* operand is finite, each kernel is **bitwise identical** to
 //! densifying the slice and running the corresponding naive dense loop —
 //! the property the differential suite (`tests/sparse_differential.rs`)
@@ -44,7 +51,8 @@
 //! bit-identical for every pool size, the same guarantee the dense
 //! blocked-GEMM layer gives.
 
-use crate::mat::Mat;
+use crate::kernel::mirror_upper;
+use crate::mat::{chain_end, chain_step, Mat};
 use crate::view::AsMatRef;
 use dpar2_parallel::ThreadPool;
 
@@ -448,43 +456,101 @@ pub fn spmm_tn_into(q: impl AsMatRef, a: &SparseSlice, c: &mut Mat, pool: &Threa
 
 /// `G = AᵀA` (`n×n`) over stored entries, into `g`.
 ///
-/// Row-outer form: for each row, every stored pair `(ja, jb)` accumulates
-/// `g[ja][jb] += va * vb` — the dense naive `Aᵀ·A` rank-1 row-outer order
-/// with structural-zero pairs skipped; bitwise equal to
-/// [`crate::gram_into`] of `a.to_dense()` (at every size) and to
-/// `a.to_dense().gram()` on the naive path, for **finite** stored values
-/// (a non-finite stored value times a structural zero densifies to NaN,
-/// which the sparse path cannot see).
+/// Row-outer form: for each row, every stored pair `(ja, jb)`, `ja ≤ jb`,
+/// takes one step of `g[ja][jb]`'s chain, and the upper triangle is
+/// mirrored. The chain is [`crate::gram_into`]'s, term for term with the
+/// structural zeros skipped: fused (`va.mul_add(vb, acc)`, closed by
+/// `+ 0.0`) where the CPU has FMA, a separate multiply and add on one
+/// without FMA or inside [`crate::kernel::pinned`] with `portable: true`.
+/// So it is bitwise equal to [`crate::gram_into`] of `a.to_dense()` on the
+/// same CPU and pin, for **finite** stored values (a non-finite stored
+/// value times a structural zero densifies to NaN, which the sparse path
+/// cannot see).
 ///
 /// # Panics
 /// Panics on shape mismatch.
 pub fn sparse_gram_into(a: &SparseSlice, g: &mut Mat) {
     g.resize_zeroed(a.cols(), a.cols());
+    // SAFETY: a fused kernel is picked only after `simd` verified FMA
+    // support on this CPU, the only precondition of the
+    // `#[target_feature]` fn.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    if crate::kernel::gram_kernel().fused() {
+        unsafe { sparse_gram_fma(a, g) };
+        return;
+    }
+    sparse_gram::<false>(a, g);
+}
+
+/// [`sparse_gram`] fused, compiled with FMA so `mul_add` is one instruction.
+///
+/// # Safety
+/// The CPU must support FMA (see [`sparse_gram_into`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(unsafe_code)] // contained SIMD exception; see the crate docs
+unsafe fn sparse_gram_fma(a: &SparseSlice, g: &mut Mat) {
+    sparse_gram::<true>(a, g);
+}
+
+/// The chains of [`sparse_gram_into`] on the zeroed `g`.
+#[inline(always)]
+fn sparse_gram<const FUSED: bool>(a: &SparseSlice, g: &mut Mat) {
     for i in 0..a.rows() {
         let (cols, vals) = a.row(i);
-        for (&ja, &va) in cols.iter().zip(vals) {
+        for (t, (&ja, &va)) in cols.iter().zip(vals).enumerate() {
             let grow = g.row_mut(ja);
-            for (&jb, &vb) in cols.iter().zip(vals) {
-                grow[jb] += va * vb;
+            for (&jb, &vb) in cols[t..].iter().zip(&vals[t..]) {
+                grow[jb] = chain_step::<FUSED>(va, vb, grow[jb]);
             }
         }
     }
+    for x in g.data_mut() {
+        *x = chain_end::<FUSED>(*x);
+    }
+    mirror_upper(g);
 }
 
 /// `G = A·Aᵀ` (`m×m`) over stored entries, into `g`.
 ///
-/// Each entry `g[i][j]` sums `a[i][p]·a[j][p]` over the columns `p` the
-/// two rows share, ascending — the dense naive `A·Aᵀ` order
-/// ([`crate::kernel::gemm_naive_into`]) with structural-zero terms
-/// skipped, so it is bitwise equal to that product on the densified slice
-/// for finite stored values. The upper triangle is merged row pair by row
-/// pair and mirrored (products commute exactly).
+/// Each entry `g[i][j]` is one chain over the columns `p` the two rows
+/// share, ascending: [`crate::gram_into`]'s chain on `Aᵀ` (fused where
+/// the CPU has FMA, see [`sparse_gram_into`]) with structural-zero terms
+/// skipped, so it is bitwise equal to [`crate::gram_into`] of the
+/// densified slice's transpose for finite stored values. The upper
+/// triangle is merged row pair by row pair and mirrored (products commute
+/// exactly).
 ///
 /// # Panics
 /// Panics on shape mismatch.
 pub fn sparse_outer_gram_into(a: &SparseSlice, g: &mut Mat) {
+    g.resize_for_overwrite(a.rows(), a.rows());
+    // SAFETY: as in `sparse_gram_into`.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    if crate::kernel::gram_kernel().fused() {
+        unsafe { sparse_outer_gram_fma(a, g) };
+        return;
+    }
+    sparse_outer_gram::<false>(a, g);
+}
+
+/// [`sparse_outer_gram`] fused, compiled with FMA.
+///
+/// # Safety
+/// The CPU must support FMA (see [`sparse_outer_gram_into`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(unsafe_code)] // contained SIMD exception; see the crate docs
+unsafe fn sparse_outer_gram_fma(a: &SparseSlice, g: &mut Mat) {
+    sparse_outer_gram::<true>(a, g);
+}
+
+/// The chains of [`sparse_outer_gram_into`].
+#[inline(always)]
+fn sparse_outer_gram<const FUSED: bool>(a: &SparseSlice, g: &mut Mat) {
     let m = a.rows();
-    g.resize_zeroed(m, m);
     for i in 0..m {
         let (ci, vi) = a.row(i);
         for j in i..m {
@@ -495,16 +561,16 @@ pub fn sparse_outer_gram_into(a: &SparseSlice, g: &mut Mat) {
                     std::cmp::Ordering::Less => p += 1,
                     std::cmp::Ordering::Greater => q += 1,
                     std::cmp::Ordering::Equal => {
-                        acc += vi[p] * vj[q];
+                        acc = chain_step::<FUSED>(vi[p], vj[q], acc);
                         p += 1;
                         q += 1;
                     }
                 }
             }
-            g.set(i, j, acc);
-            g.set(j, i, acc);
+            g.set(i, j, chain_end::<FUSED>(acc));
         }
     }
+    mirror_upper(g);
 }
 
 #[cfg(test)]

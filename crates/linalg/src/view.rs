@@ -217,9 +217,10 @@ impl<'a> MatRef<'a> {
         t
     }
 
-    /// Writes the transpose into `out` (resized to `cols × rows`).
+    /// Writes the transpose into `out` (resized to `cols × rows`; every
+    /// entry is overwritten, so no zeroing pass runs).
     pub fn transpose_into(self, out: &mut Mat) {
-        out.resize_zeroed(self.cols, self.rows);
+        out.resize_for_overwrite(self.cols, self.rows);
         const B: usize = 32;
         for ib in (0..self.rows).step_by(B) {
             for jb in (0..self.cols).step_by(B) {

@@ -10,11 +10,17 @@
 //! round-to-nearest. So the oracle here is **bitwise**: densify the
 //! slice, run `gemm_naive_into` (or the matching inline naive loop), and
 //! require `to_bits()` equality, for every random sparsity pattern.
+//! The Grams are the exception: on an FMA CPU they sum fused chains
+//! (closed by `+ 0.0`, which turns the `−0` a fused step can reach back
+//! into `+0`), so their oracle is the scalar `mul_add` chain there, and
+//! the naive loops under the portable pin; both CSR Grams are checked
+//! against the dense `gram_into` of the densified slice on both paths.
 //!
 //! Coverage, per the sparse-subsystem contract:
 //! * all kernels — `spmm_into` (`A·B`), `spmm_t_into` (`Aᵀ·B`),
 //!   `spmm_tn_into` (`Qᵀ·A`), `sparse_gram_into` (`AᵀA`, also against the
-//!   dense `gram_into`), `sparse_outer_gram_into` (`AAᵀ`), `fro_norm_sq`;
+//!   dense `gram_into`), `sparse_outer_gram_into` (`AAᵀ`, also against the
+//!   dense `gram_into` of the transpose), `fro_norm_sq`;
 //! * proptest-generated patterns including empty slices, empty rows,
 //!   all-zero columns, and duplicate COO entries (coalesced by the
 //!   builder);
@@ -29,7 +35,7 @@
 //! * the three products must be **bit-identical** to their one-thread
 //!   results on every pool size, across the `SPMM_CHUNK_ROWS` boundary.
 
-use dpar2_linalg::kernel::{gemm_naive_into, Trans};
+use dpar2_linalg::kernel::{gemm_naive_into, gram_kernel, pinned, Pin, Trans};
 use dpar2_linalg::sparse::{
     sparse_gram_into, sparse_outer_gram_into, spmm_into, spmm_t_into, spmm_tn_into, CooBuilder,
     SparseSlice, SPMM_CHUNK_ROWS,
@@ -123,16 +129,8 @@ fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
     // gram: AᵀA — both operands are the slice, so a non-finite stored
     // value meets structural zeros of *other* columns (0·∞ densifies to
     // NaN); the bitwise contract only covers finite stored values.
-    // The dense Gram the compression sums (`gram_into`) gives the same
-    // bits; so do the outer Gram `A·Aᵀ` and its dense naive product.
     if finite_stored {
-        gemm_naive_into(Trans::T, Trans::N, &d, &d, &mut reference);
-        let g = on(1, |g, _| sparse_gram_into(s, g));
-        assert_mat_bits(&reference, &g, &format!("{ctx} gram"));
-        assert_mat_bits(&reference, &on(1, |g, _| gram_into(&d, g)), &format!("{ctx} dense gram"));
-        gemm_naive_into(Trans::N, Trans::T, &d, &d, &mut reference);
-        let g = on(1, |g, _| sparse_outer_gram_into(s, g));
-        assert_mat_bits(&reference, &g, &format!("{ctx} outer gram"));
+        check_grams(s, &d, ctx);
     }
 
     // fro_norm_sq: flat Σx² — squares are never -0.0, so this is bitwise
@@ -150,6 +148,50 @@ fn check_all_kernels(s: &SparseSlice, seed: u64, ctx: &str) {
         );
     } else {
         assert!(s.fro_norm_sq().to_bits() == 0.0f64.to_bits(), "{ctx} fro_norm_sq: 0-cell slice");
+    }
+}
+
+/// The Gram `XᵀX` chain by chain, for `gram_into` and the CSR Grams: on
+/// the fused path each entry is `acc = x_pi.mul_add(x_pj, acc)` over
+/// ascending rows from `+0.0`, closed by `+ 0.0`; on the unfused one,
+/// the naive `Xᵀ·X` loops.
+fn gram_oracle(x: &Mat, fused: bool) -> Mat {
+    let n = x.cols();
+    if !fused {
+        let mut g = Mat::zeros(0, 0);
+        gemm_naive_into(Trans::T, Trans::N, x, x, &mut g);
+        return g;
+    }
+    Mat::from_fn(n, n, |i, j| {
+        let (i, j) = (i.min(j), i.max(j));
+        (0..x.rows()).fold(0.0, |acc: f64, p| x[(p, i)].mul_add(x[(p, j)], acc)) + 0.0
+    })
+}
+
+/// Both CSR Grams against their oracles and against the dense
+/// `gram_into` of the densified slice (of its transpose for `A·Aᵀ`),
+/// bit for bit, on the dispatched path (fused on an FMA CPU) and under
+/// the portable pin (unfused: the naive loops' bits).
+fn check_grams(s: &SparseSlice, d: &Mat, ctx: &str) {
+    let dt = d.transpose();
+    for portable in [false, true] {
+        let pin = Pin { portable, ..Pin::default() };
+        let fused = pinned(pin, gram_kernel).fused();
+        let ctx = format!("{ctx} {}", if fused { "fused" } else { "unfused" });
+        let reference = gram_oracle(d, fused);
+        let g = pinned(pin, || on(1, |g, _| sparse_gram_into(s, g)));
+        assert_mat_bits(&reference, &g, &format!("{ctx} gram"));
+        let g = pinned(pin, || on(1, |g, _| gram_into(d, g)));
+        assert_mat_bits(&reference, &g, &format!("{ctx} dense gram"));
+        let reference = if fused {
+            gram_oracle(&dt, true)
+        } else {
+            on(1, |g, _| gemm_naive_into(Trans::N, Trans::T, d, d, g))
+        };
+        let g = pinned(pin, || on(1, |g, _| sparse_outer_gram_into(s, g)));
+        assert_mat_bits(&reference, &g, &format!("{ctx} outer gram"));
+        let g = pinned(pin, || on(1, |g, _| gram_into(&dt, g)));
+        assert_mat_bits(&reference, &g, &format!("{ctx} dense outer gram"));
     }
 }
 
@@ -295,6 +337,41 @@ fn grams_across_register_tile_edges() {
         let s = slice_from_entries(40, cols, &entries);
         check_all_kernels(&s, cols as u64, &format!("gram tiles cols={cols}"));
     }
+}
+
+#[test]
+fn grams_equal_densified_through_underflow_and_signed_zeros() {
+    // Stored ±0, subnormals and ±2^-560, whose products underflow. A
+    // negative one, −2^-1120, rounds a fused chain still at +0 to −0; the
+    // dense chain then adds the structural zeros the CSR one skips, and
+    // `0·x + (−0)` is +0 for x > 0. The closing `+ 0.0` of every fused
+    // chain keeps the two equal anyway; the unfused chain never reaches
+    // −0.
+    let tiny = 2f64.powi(-560);
+    let s = CooBuilder::from_triplets(
+        4,
+        5,
+        [
+            (0, 0, -tiny),
+            (0, 1, tiny),
+            (0, 3, -0.0),
+            (1, 1, 1.0),
+            (1, 2, 5e-324),
+            (1, 4, -3.0),
+            (2, 0, 0.0),
+            (2, 2, -2.5e-310),
+            (2, 3, 7.0),
+            (3, 1, -tiny),
+            (3, 4, tiny),
+        ],
+    );
+    check_all_kernels(&s, 29, "underflow 4x5");
+    let d = s.to_dense();
+    let mut oracle = Mat::zeros(0, 0);
+    gemm_naive_into(Trans::T, Trans::N, &d, &d, &mut oracle);
+    let fused = (0..d.rows()).fold(0.0, |acc: f64, p| d[(p, 0)].mul_add(d[(p, 1)], acc));
+    assert!(fused == 0.0 && fused.is_sign_positive(), "the dense fused chain ends at +0 here");
+    assert!((-tiny).mul_add(tiny, 0.0).is_sign_negative(), "the fused step rounds to −0");
 }
 
 #[test]

@@ -236,7 +236,7 @@ fn shared_test_matrix_costs_no_stage1_accuracy() {
                 assert!(gram_route_applies(rows, cols, &options.rsvd), "{name}: slice {k}");
                 let mut g = Mat::default();
                 if rows < cols {
-                    t.outer_gram_into(k, &mut g);
+                    t.outer_gram_into(k, &mut g, &mut Mat::default());
                 } else {
                     t.gram_into(k, &mut g);
                 }
