@@ -12,9 +12,12 @@
 //! bit-identical across pool sizes by construction.
 //!
 //! The assignment pass is the only O(n·p) part and is done in row blocks:
-//! `D_block = X_block · Cᵀ` through [`gemm`] with a
-//! reused output buffer, so the full `n × p` score matrix (8 GB at
-//! n = 10⁶, p = 10³) is never materialized.
+//! `D_block = C · X_blockᵀ` through [`gemm`] on a reused transposed block
+//! and output buffer, so the full `p × n` score matrix (8 GB at n = 10⁶,
+//! p = 10³) is never materialized. The block is the right operand because
+//! `p` is often small (3–10 centroids over a few hundred dimensions on
+//! small shape groups), and a product only a few columns wide leaves the
+//! register tiles of [`gemm`] mostly idle.
 
 use crate::similarity::squared_distance;
 use dpar2_linalg::{gemm, Mat, MatRef, Trans};
@@ -36,7 +39,7 @@ pub struct Partitioning {
 
 /// Row block length for the blocked assignment GEMM: large enough that the
 /// blocked kernel path engages and per-block overhead vanishes, small
-/// enough that `block × p` stays a few MB for p ≈ √n at n = 10⁶.
+/// enough that `p × block` stays a few MB for p ≈ √n at n = 10⁶.
 const ASSIGN_BLOCK: usize = 2048;
 
 /// SplitMix64 — tiny deterministic seed mixer (same generator the solver
@@ -79,7 +82,12 @@ pub fn partition_points(
     let mut centroids = init_farthest_first(points, p, seed);
     let mut centroid_norms: Vec<f64> = (0..p).map(|c| sq_norm(centroids.row(c))).collect();
     let mut assignments: Vec<u32> = vec![0; n];
-    let mut scores = Mat::zeros(0, 0); // reused `block × p` GEMM output
+    // Reused `dim × block` transposed rows, and the first row of the block
+    // it holds: the points never change, so a single block is transposed
+    // once for every iteration.
+    let (mut block_t, mut held) = (Mat::default(), usize::MAX);
+    let mut scores = Mat::default(); // reused `p × block` GEMM output
+    let mut best: Vec<(u32, f64)> = Vec::new(); // per block row: (partition, score)
     let mut iterations = 0;
 
     for _ in 0..max_iterations.max(1) {
@@ -88,27 +96,30 @@ pub fn partition_points(
         let mut r0 = 0;
         while r0 < n {
             let r1 = (r0 + ASSIGN_BLOCK).min(n);
-            let block = points.submatrix(r0, r1, 0, dim);
-            gemm(Trans::N, Trans::T, block, &centroids, &mut scores, pool);
-            for i in 0..r1 - r0 {
-                // argmin over ‖x − c‖² = ‖x‖² − 2·x·c + ‖c‖²; the ‖x‖²
-                // term is constant per row, so rank by ‖c‖² − 2·x·c.
-                // Ties break to the lower partition id (strict `<`).
-                let row = scores.row(i);
-                let mut best = 0usize;
-                let mut best_score = centroid_norms[0] - 2.0 * row[0];
-                for (c, &dot) in row.iter().enumerate().skip(1) {
+            if held != r0 {
+                points.submatrix(r0, r1, 0, dim).transpose_into(&mut block_t);
+                held = r0;
+            }
+            gemm(Trans::N, Trans::N, &centroids, &block_t, &mut scores, pool);
+            // argmin over ‖x − c‖² = ‖x‖² − 2·x·c + ‖c‖²; the ‖x‖² term is
+            // constant per row, so rank by ‖c‖² − 2·x·c, sweeping the
+            // centroids in ascending order so ties break to the lower
+            // partition id (strict `<`).
+            best.clear();
+            best.extend(scores.row(0).iter().map(|&dot| (0, centroid_norms[0] - 2.0 * dot)));
+            for c in 1..p {
+                #[allow(clippy::cast_possible_truncation)] // p ≤ n ≤ u32::MAX asserted above
+                let c32 = c as u32;
+                for (b, &dot) in best.iter_mut().zip(scores.row(c)) {
                     let score = centroid_norms[c] - 2.0 * dot;
-                    if score < best_score {
-                        best = c;
-                        best_score = score;
+                    if score < b.1 {
+                        *b = (c32, score);
                     }
                 }
-                let slot = r0 + i;
-                #[allow(clippy::cast_possible_truncation)] // n ≤ u32::MAX asserted above
-                let best32 = best as u32;
-                if assignments[slot] != best32 {
-                    assignments[slot] = best32;
+            }
+            for (slot, &(c, _)) in assignments[r0..r1].iter_mut().zip(&best) {
+                if *slot != c {
+                    *slot = c;
                     changed += 1;
                 }
             }

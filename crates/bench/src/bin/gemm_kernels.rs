@@ -27,9 +27,10 @@
 //! Grams of two wide ones), in µs and GFLOP/s counted on the upper
 //! triangle, on the kernel this CPU runs (fused at 512 or 256 bits, or
 //! unfused) and pinned to the unfused portable one. The small-products
-//! table times `gemm` below its blocked threshold (the register-tiled
-//! naive loops) at stage 1's sketch and lift shapes, against the
-//! reference loops.
+//! table times `gemm` below its blocked threshold (the register tiles,
+//! one body for all four transpose forms) at stage 1's sketch and lift
+//! shapes, `pinv`'s `V·Uᵀ`, one `Aᵀ·Bᵀ` and the k-means scoring product
+//! of a small shape group both ways round, against the reference loops.
 //!
 //! A further table times the Householder QR (`dpar2_linalg::qr_into`) on
 //! the tall-and-thin shapes the randomized SVDs factor, in GFLOP/s of the
@@ -154,17 +155,24 @@ const GRAM_SHAPES: [(&str, usize, usize, bool); 6] = [
     ("many-slices outer", 40, 48, true),
 ];
 
-/// The small-products table's shapes `(label, ta, m, n, k)` of `op(A)·B`,
-/// all below the blocked threshold: stage 1's sketch and lift products on
-/// short slices (`R = 10`, `R + s = 18`).
-const SMALL_SHAPES: [(&str, Trans, usize, usize, usize); 7] = [
-    ("G·Ω, m = 24", Trans::N, 24, 18, 24),
-    ("PᵀY, m = 24", Trans::T, 18, 18, 24),
-    ("P·V_T, m = 24", Trans::N, 24, 10, 18),
-    ("P·V_T, m = 48", Trans::N, 48, 10, 18),
-    ("AᵀA, 60 rows", Trans::T, 10, 10, 60),
-    ("AᵀA, 96 rows", Trans::T, 10, 10, 96),
-    ("W·L, m = 48", Trans::N, 48, 10, 10),
+/// The small-products table's shapes `(label, ta, tb, m, n, k)` of
+/// `op(A)·op(B)`, all below the blocked threshold: stage 1's sketch and
+/// lift products on short slices (`R = 10`, `R + s = 18`), `pinv`'s
+/// `V·Uᵀ` and one `Aᵀ·Bᵀ` at `R = 10`, and k-means scoring a group of 60
+/// entities of depth 480 against 3 centroids, as `X·Cᵀ` and as the `C·Xᵀ`
+/// it runs.
+const SMALL_SHAPES: [(&str, Trans, Trans, usize, usize, usize); 11] = [
+    ("G·Ω, m = 24", Trans::N, Trans::N, 24, 18, 24),
+    ("PᵀY, m = 24", Trans::T, Trans::N, 18, 18, 24),
+    ("P·V_T, m = 24", Trans::N, Trans::N, 24, 10, 18),
+    ("P·V_T, m = 48", Trans::N, Trans::N, 48, 10, 18),
+    ("AᵀA, 60 rows", Trans::T, Trans::N, 10, 10, 60),
+    ("AᵀA, 96 rows", Trans::T, Trans::N, 10, 10, 96),
+    ("W·L, m = 48", Trans::N, Trans::N, 48, 10, 10),
+    ("pinv V·Uᵀ, R = 10", Trans::N, Trans::T, 10, 10, 10),
+    ("Aᵀ·Bᵀ, R = 10", Trans::T, Trans::T, 10, 10, 10),
+    ("k-means X·Cᵀ, p = 3", Trans::N, Trans::T, 60, 3, 480),
+    ("k-means C·Xᵀ, p = 3", Trans::N, Trans::N, 3, 60, 480),
 ];
 
 /// Square sizes of the Jacobi table: the benchmarks' `R` and `R + s`.
@@ -395,11 +403,11 @@ fn main() {
     println!();
 
     println!(
-        "Small products (gemm's naive path, 1 thread): the register-tiled loops against \
-         the reference loops (kernel::gemm_naive_into), us per call and GFLOP/s"
+        "Small products (gemm below its blocked threshold, 1 thread): the register tiles \
+         against the reference loops (kernel::gemm_naive_into), us per call and GFLOP/s"
     );
     let mut small_rows: Vec<Vec<String>> = Vec::new();
-    for (label, ta, m, n, k) in SMALL_SHAPES {
+    for (label, ta, tb, m, n, k) in SMALL_SHAPES {
         assert!(!kernel::use_blocked(m, n, k), "{label}: not on the naive path");
         let mut rng = StdRng::seed_from_u64(seed ^ (m * n * k) as u64);
         let a = if ta == Trans::N {
@@ -407,20 +415,24 @@ fn main() {
         } else {
             gaussian_mat(k, m, &mut rng)
         };
-        let b = gaussian_mat(k, n, &mut rng);
+        let b = if tb == Trans::N {
+            gaussian_mat(k, n, &mut rng)
+        } else {
+            gaussian_mat(n, k, &mut rng)
+        };
         let gflop = 2.0 * (m * n * k) as f64 / 1e9;
         let mut c = Mat::default();
         let t_tiled = time_per_call(|| {
-            gemm(ta, Trans::N, &a, &b, &mut c, &serial);
+            gemm(ta, tb, &a, &b, &mut c, &serial);
             black_box(&c);
         });
         let t_ref = time_per_call(|| {
-            kernel::gemm_naive_into(ta, Trans::N, &a, &b, &mut c);
+            kernel::gemm_naive_into(ta, tb, &a, &b, &mut c);
             black_box(&c);
         });
         small_rows.push(vec![
             label.into(),
-            format!("{m}x{n}x{k} {ta:?}N"),
+            format!("{m}x{n}x{k} {ta:?}{tb:?}"),
             format!("{:.3}", t_tiled * 1e6),
             format!("{:.2}", gflop / t_tiled),
             format!("{:.3}", t_ref * 1e6),

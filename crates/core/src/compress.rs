@@ -68,7 +68,6 @@
 use crate::config::FitOptions;
 use crate::error::Result;
 use crate::slices::{validate, SliceTensor};
-use dpar2_linalg::kernel::use_blocked;
 use dpar2_linalg::{
     gaussian_mat, gemm, pow2, qr_into, svd_thin, svd_thin_batch_into, Mat, MatRef, QrScratch,
     SvdBatchScratch, SvdFactors, Trans, SVD_LANES,
@@ -628,28 +627,19 @@ pub(crate) fn stage2(
 /// `Mᵀ` to [`gemm`] with the transpose flags that make it `M`. Each such
 /// product keeps the bits of the same product on a row-major `M`: the
 /// blocked kernel sees the same values in the same order either way, and
-/// the naive loops sum every entry over ascending depth in both layouts —
-/// except `M·Mᵀ` and `MᵀM`, whose naive `A·Bᵀ` form sums dot products in
-/// four partial sums. So below the blocked threshold [`Transposed::gram_into`]
-/// forms the Gram on a row-major copy of `M`, which is small there (under
-/// `24³` products) unless the Gram has fewer than eight rows.
+/// below the blocked threshold every form sums each entry over ascending
+/// depth from `+0.0`.
 #[derive(Debug, Clone, Copy)]
 struct Transposed<'a>(MatRef<'a>);
 
 impl Transposed<'_> {
     /// The small side's Gram into `g`: `M·Mᵀ` if `M` is wide, else `MᵀM`.
-    /// On the blocked kernel both sides are `Mᵀ` itself, so only the
-    /// upper triangle is computed and mirrored.
+    /// Both sides are `Mᵀ` itself, so the blocked kernel computes only the
+    /// upper triangle and mirrors it.
     fn gram_into(self, g: &mut Mat, pool: &ThreadPool) {
         let (rows, cols) = self.shape();
-        let (side, depth) = (rows.min(cols), rows.max(cols));
         let (ta, tb) = if rows < cols { (Trans::T, Trans::N) } else { (Trans::N, Trans::T) };
-        if use_blocked(side, side, depth) {
-            gemm(ta, tb, self.0, self.0, g, pool);
-        } else {
-            let m = self.0.transpose();
-            gemm(tb, ta, &m, &m, g, pool);
-        }
+        gemm(ta, tb, self.0, self.0, g, pool);
     }
 }
 
@@ -730,6 +720,7 @@ pub(crate) fn stage2_hstack(
 mod tests {
     use super::*;
     use crate::error::Dpar2Error;
+    use dpar2_linalg::kernel::use_blocked;
     use dpar2_linalg::random::gaussian_mat;
     use dpar2_tensor::SparseIrregularTensor;
     use rand::Rng;
@@ -946,7 +937,7 @@ mod tests {
         // blocked `M·Mᵀ` (48 × 48 over 400, in place, one triangle), a
         // blocked `MᵀM` (120 × 120 over 150), and naive Grams on the tall
         // (`MᵀM`, 15 × 15 over 20) and wide (`M·Mᵀ`, 14 × 14 over 16) side,
-        // which stage 2 forms on a row-major copy of `M`.
+        // which stage 2 forms on `Mᵀ` in place too.
         let wide: Vec<usize> = (0..40).map(|k| 30 + k % 17).collect();
         let tall: Vec<usize> = (0..10).map(|k| 150 + 3 * k).collect();
         let cases = [

@@ -12,7 +12,6 @@
 //! contract of [`dpar2_linalg::sparse`].
 
 use crate::error::{Dpar2Error, Result};
-use dpar2_linalg::mat::dot;
 use dpar2_linalg::sparse::{sparse_gram_into, sparse_outer_gram_into, SparseSlice};
 use dpar2_linalg::{gram_into, Mat, MatRef};
 use dpar2_rsvd::{ProductOp, SparseVStack};
@@ -167,11 +166,13 @@ impl SliceTensor for SparseIrregularTensor {
         sparse_outer_gram_into(self.slice(k), g);
     }
 
-    /// O(nnz + I_k·J·R): each model row is formed with the same [`dot`] the
-    /// dense NT kernel uses, and the subtract-square-accumulate walks
-    /// columns `0..J` with a nonzero cursor — the exact flat order of the
-    /// dense `diff_norm_sq`, so the result is bitwise the dense residual on
-    /// the densified slice.
+    /// O(nnz + I_k·J·R): each model entry is summed over ascending depth
+    /// from `+0.0`, one multiply and one add per step, never fused (the
+    /// rule of every product below the blocked threshold, so of the dense
+    /// `M·Vᵀ` there), and the subtract-square-accumulate walks columns
+    /// `0..J` with a nonzero cursor — the exact flat order of the dense
+    /// `diff_norm_sq`, so the result is bitwise the dense residual on the
+    /// densified slice.
     fn residual_sq(&self, k: usize, m: &Mat, v: &Mat, scratch: &mut Mat) -> f64 {
         let x = self.slice(k);
         scratch.resize_zeroed(1, x.cols());
@@ -180,7 +181,7 @@ impl SliceTensor for SparseIrregularTensor {
         for i in 0..x.rows() {
             let mrow = m.row(i);
             for (col, y) in model.iter_mut().enumerate() {
-                *y = dot(mrow, v.row(col));
+                *y = mrow.iter().zip(v.row(col)).fold(0.0, |acc, (&a, &b)| acc + a * b);
             }
             let (cols, vals) = x.row(i);
             let mut p = 0;

@@ -79,12 +79,15 @@
 //!
 //! The naive loops are retained as [`gemm_naive_into`] — the IEEE-faithful
 //! reference oracle (no `x == 0.0` shortcuts: `0·∞` and `0·NaN` must yield
-//! NaN). The size dispatch itself (naive loops below [`use_blocked`],
-//! [`gemm_blocked`] above) lives in [`crate::gemm`]. Most `R×R` products of
-//! the compressed iterations fall below it and run the naive loops one at
-//! a time; the DPar2 `Q_k` step's per-slice products instead go through
-//! [`crate::gemm_lanes`], sixteen slices at once, one per vector lane, in the
-//! naive loops' operation order and so with their bits.
+//! NaN). The size dispatch itself (register tiles below [`use_blocked`],
+//! [`gemm_blocked`] above) lives in [`crate::gemm`]. One rule holds below
+//! the threshold: every product, dense, CSR or in lanes, sums each entry in
+//! ascending depth from `+0.0`, one multiply and one add per step, never
+//! fused, which gives [`gemm_naive_into`]'s bits. Most `R×R` products of
+//! the compressed iterations fall below it and run one at a time in
+//! [`crate::gemm`]'s tiles; the DPar2 `Q_k` step's per-slice products
+//! instead go through [`crate::gemm_lanes`], sixteen slices at once, one
+//! per vector lane.
 
 use crate::mat::Mat;
 use crate::view::{AsMatRef, MatMut, MatRef};
@@ -147,8 +150,8 @@ fn at(m: MatRef<'_>, t: Trans, i: usize, j: usize) -> f64 {
 
 /// Minimum `m·n·k` product for the blocked path. Below this the packing
 /// and buffer setup cost more than they save; the `R×R` products of the
-/// compressed ALS iterations (`R ≤ 23`) take the naive loops' order, on
-/// the naive loops or in lanes ([`crate::gemm_lanes`]).
+/// compressed ALS iterations (`R ≤ 23`) take the naive loops' order, in
+/// [`crate::gemm`]'s register tiles or in lanes ([`crate::gemm_lanes`]).
 const BLOCKED_MIN_FLOPS: usize = 24 * 24 * 24;
 
 /// True when `(m, n, k)` is large enough that the blocked path wins.
@@ -763,7 +766,9 @@ pub(crate) fn mirror_upper(c: &mut Mat) {
 /// IEEE-faithful naive reference: flat i-k-j triple loop, ascending-`k`
 /// accumulation, no zero shortcuts (`0·∞ = NaN` propagates). This is the
 /// oracle the differential suite compares the blocked paths against, and
-/// the small-size path behind the [`crate::gemm`] dispatch.
+/// the order every product below [`use_blocked`] keeps bit for bit:
+/// [`crate::gemm`]'s register tiles, [`crate::gemm_lanes`] and the CSR
+/// residual.
 ///
 /// # Panics
 /// Panics on inner-dimension mismatch.

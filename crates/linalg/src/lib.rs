@@ -28,8 +28,8 @@
 //!   register tiles over the upper triangle. A CSR slice's Grams
 //!   ([`sparse::sparse_gram_into`], [`sparse::sparse_outer_gram_into`])
 //!   run the same chains over stored entries, so they are bitwise their
-//!   densified ones. Below the blocked threshold, [`gemm`]'s `A·B` and
-//!   `Aᵀ·B` run in register tiles too, with the naive loops' bits.
+//!   densified ones. Below the blocked threshold, [`gemm`] runs all four
+//!   transpose forms in register tiles too, with the naive loops' bits.
 //! * [`mod@qr`] — Householder thin-QR factorization.
 //! * [`svd`] — one-sided Jacobi singular value decomposition (with QR
 //!   preconditioning for tall matrices; scale-invariant), plus

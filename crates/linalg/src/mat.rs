@@ -583,14 +583,16 @@ impl Mat {
 /// [`Trans`] — the one dispatched dense multiply every product in the
 /// workspace runs through. `c` is resized and overwritten.
 ///
-/// Products below the [`kernel::use_blocked`] threshold run the
-/// stride-aware naive loops (IEEE-faithful: no `== 0.0` shortcuts, so
-/// `0·∞` and `0·NaN` propagate NaN), `A·B` and `Aᵀ·B` in register tiles
-/// with the bits of [`kernel::gemm_naive_into`]; larger ones take the packed,
-/// register-tiled [`kernel::gemm_blocked`], which fans `MC`-row panels of
-/// C out over `pool`. The result is bit-identical for every pool size, and
-/// a one-thread pool (`ThreadPool::new(1)`, which starts no threads) is
-/// the serial path.
+/// Products below the [`kernel::use_blocked`] threshold run stride-aware
+/// register tiles, all four forms through one tile body. Every entry there
+/// is summed over ascending depth from `+0.0`, one multiply and one add
+/// per step, never fused: the bits of [`kernel::gemm_naive_into`], which
+/// the CSR kernels and [`crate::gemm_lanes`] also give (IEEE-faithful: no
+/// `== 0.0` shortcuts, so `0·∞` and `0·NaN` propagate NaN). Larger
+/// products take the packed, register-tiled [`kernel::gemm_blocked`],
+/// which fans `MC`-row panels of C out over `pool`. The result is
+/// bit-identical for every pool size, and a one-thread pool
+/// (`ThreadPool::new(1)`, which starts no threads) is the serial path.
 ///
 /// # Panics
 /// Panics if the inner dimensions of `op(a)` and `op(b)` differ.
@@ -609,7 +611,7 @@ pub fn gemm(
     if kernel::use_blocked(m, n, kk) {
         kernel::gemm_blocked(ta, tb, a, b, c, pool);
     } else {
-        mm_naive(ta, tb, a, b, c);
+        naive_tiles_dispatch(ta, tb, a, b, c);
     }
 }
 
@@ -651,7 +653,7 @@ fn gram_upper_dispatch(x: MatRef<'_>, g: &mut Mat) {
         kernel::GramKernel::Fused256 => return unsafe { gram_upper_fma(x, g) },
         kernel::GramKernel::Unfused => {}
     }
-    tiled::<4, 8, 4, true, false>(x, x, g, true);
+    tiled::<4, 8, 4, true, false, false>(x, x, g, true);
 }
 
 /// The fused [`gram_into`] tile loop compiled for AVX-512: `8×8` tiles,
@@ -664,7 +666,7 @@ fn gram_upper_dispatch(x: MatRef<'_>, g: &mut Mat) {
 #[target_feature(enable = "avx512f,fma")]
 #[allow(unsafe_code)] // contained SIMD exception; see the crate docs
 unsafe fn gram_upper_avx512(x: MatRef<'_>, g: &mut Mat) {
-    tiled::<8, 8, 4, true, true>(x, x, g, true);
+    tiled::<8, 8, 4, true, false, true>(x, x, g, true);
 }
 
 /// The fused [`gram_into`] tile loop compiled for AVX2+FMA: `4×8` tiles.
@@ -675,7 +677,7 @@ unsafe fn gram_upper_avx512(x: MatRef<'_>, g: &mut Mat) {
 #[target_feature(enable = "avx2,fma")]
 #[allow(unsafe_code)] // contained SIMD exception; see the crate docs
 unsafe fn gram_upper_fma(x: MatRef<'_>, g: &mut Mat) {
-    tiled::<4, 8, 4, true, true>(x, x, g, true);
+    tiled::<4, 8, 4, true, false, true>(x, x, g, true);
 }
 
 /// One step of an entry's chain: `acc + a·b`, or `a.mul_add(b, acc)`
@@ -701,16 +703,23 @@ pub(crate) fn chain_end<const FUSED: bool>(acc: f64) -> f64 {
     }
 }
 
-/// `C = op(A)·B` in register tiles, `op(A) = Aᵀ` when `AT`: row bands of
-/// `H` (then single rows), each swept by `W`-wide tiles, then `W2`-wide
-/// ones, then single columns. Every entry is one chain over ascending
-/// depth from `+0.0` ([`chain_step`], [`chain_end`]), so the tiling never
-/// moves a bit. With `upper`, each band starts at the diagonal and `C` is
-/// square: its upper triangle (and some entries below the diagonal in the
-/// diagonal tiles) are written, for the caller to mirror; otherwise every
-/// entry is.
+/// `C = op(A)·op(B)` in register tiles, `op(A) = Aᵀ` when `AT` and
+/// `op(B) = Bᵀ` when `BT`: row bands of `H` (then single rows), each swept
+/// by `W`-wide tiles, then `W2`-wide ones, then single columns. Every
+/// entry is one chain over ascending depth from `+0.0` ([`chain_step`],
+/// [`chain_end`]), so the tiling never moves a bit. With `upper`, each
+/// band starts at the diagonal and `C` is square: its upper triangle (and
+/// some entries below the diagonal in the diagonal tiles) are written, for
+/// the caller to mirror; otherwise every entry is.
 #[inline(always)]
-fn tiled<const H: usize, const W: usize, const W2: usize, const AT: bool, const FUSED: bool>(
+fn tiled<
+    const H: usize,
+    const W: usize,
+    const W2: usize,
+    const AT: bool,
+    const BT: bool,
+    const FUSED: bool,
+>(
     a: MatRef<'_>,
     b: MatRef<'_>,
     c: &mut Mat,
@@ -719,17 +728,24 @@ fn tiled<const H: usize, const W: usize, const W2: usize, const AT: bool, const 
     let m = c.rows();
     let mut i0 = 0;
     while i0 + H <= m {
-        band::<H, W, W2, AT, FUSED>(a, b, (i0, if upper { i0 } else { 0 }), c);
+        band::<H, W, W2, AT, BT, FUSED>(a, b, (i0, if upper { i0 } else { 0 }), c);
         i0 += H;
     }
     for i in i0..m {
-        band::<1, W, W2, AT, FUSED>(a, b, (i, if upper { i } else { 0 }), c);
+        band::<1, W, W2, AT, BT, FUSED>(a, b, (i, if upper { i } else { 0 }), c);
     }
 }
 
 /// Rows `i0..i0 + H` of [`tiled`]'s `C`, from column `j0` on.
 #[inline(always)]
-fn band<const H: usize, const W: usize, const W2: usize, const AT: bool, const FUSED: bool>(
+fn band<
+    const H: usize,
+    const W: usize,
+    const W2: usize,
+    const AT: bool,
+    const BT: bool,
+    const FUSED: bool,
+>(
     a: MatRef<'_>,
     b: MatRef<'_>,
     (i0, mut j0): (usize, usize),
@@ -737,37 +753,43 @@ fn band<const H: usize, const W: usize, const W2: usize, const AT: bool, const F
 ) {
     let n = c.cols();
     while j0 + W <= n {
-        tile::<H, W, AT, FUSED>(a, b, (i0, j0), c);
+        tile::<H, W, AT, BT, FUSED>(a, b, (i0, j0), c);
         j0 += W;
     }
     while j0 + W2 <= n {
-        tile::<H, W2, AT, FUSED>(a, b, (i0, j0), c);
+        tile::<H, W2, AT, BT, FUSED>(a, b, (i0, j0), c);
         j0 += W2;
     }
     for j in j0..n {
-        tile::<H, 1, AT, FUSED>(a, b, (i0, j), c);
+        tile::<H, 1, AT, BT, FUSED>(a, b, (i0, j), c);
     }
 }
 
 /// One `H×W` tile of [`tiled`]'s `C` at `(i0, j0)`, summed over the whole
-/// depth in registers.
+/// depth in registers. Column `p` of `op(A)` is column `p` of `A`, or its
+/// row `p` when `AT`; row `p` of `op(B)` is row `p` of `B`, or its column
+/// `p` when `BT`.
 #[inline(always)]
-fn tile<const H: usize, const W: usize, const AT: bool, const FUSED: bool>(
+fn tile<const H: usize, const W: usize, const AT: bool, const BT: bool, const FUSED: bool>(
     a: MatRef<'_>,
     b: MatRef<'_>,
     (i0, j0): (usize, usize),
     c: &mut Mat,
 ) {
     let mut acc = [[0.0; W]; H];
-    for p in 0..b.rows() {
-        let bp: &[f64; W] = b.row(p)[j0..j0 + W].try_into().unwrap();
+    for p in 0..if BT { b.cols() } else { b.rows() } {
+        let bp: [f64; W] = if BT {
+            std::array::from_fn(|s| b.at(j0 + s, p))
+        } else {
+            b.row(p)[j0..j0 + W].try_into().unwrap()
+        };
         let ap: [f64; H] = if AT {
             a.row(p)[i0..i0 + H].try_into().unwrap()
         } else {
             std::array::from_fn(|r| a.at(i0 + r, p))
         };
         for (accr, &ar) in acc.iter_mut().zip(&ap) {
-            for (cv, &bv) in accr.iter_mut().zip(bp) {
+            for (cv, &bv) in accr.iter_mut().zip(&bp) {
                 *cv = chain_step::<FUSED>(ar, bv, *cv);
             }
         }
@@ -779,58 +801,24 @@ fn tile<const H: usize, const W: usize, const AT: bool, const FUSED: bool>(
     }
 }
 
-/// Stride-aware naive loops, one per transpose variant, each entry summed
-/// over ascending depth from `+0.0` with a separate multiply and add (the
-/// order of [`kernel::gemm_naive_into`]). `A·B` and `Aᵀ·B` run in
-/// [`tiled`] `4×8` register tiles, compiled a second time for AVX2 where
-/// the CPU has it; the two `·Bᵀ` forms stream rows as before.
-fn mm_naive(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
-    match (ta, tb) {
-        (_, Trans::N) => {
-            c.resize_for_overwrite(ta.dims(a).0, b.cols());
-            naive_tiles_dispatch(ta, a, b, c);
-        }
-        (Trans::N, Trans::T) => {
-            // A·Bᵀ: each output entry is a dot product of two rows.
-            c.resize_zeroed(a.rows(), b.rows());
-            for i in 0..a.rows() {
-                let arow = a.row(i);
-                let crow = c.row_mut(i);
-                for (j, cv) in crow.iter_mut().enumerate() {
-                    *cv = dot(arow, b.row(j));
-                }
-            }
-        }
-        (Trans::T, Trans::T) => {
-            // Aᵀ·Bᵀ: k-outer rank-1 updates.
-            c.resize_zeroed(a.cols(), b.rows());
-            for k in 0..a.rows() {
-                let arow = a.row(k);
-                for (i, &aki) in arow.iter().enumerate() {
-                    let crow = c.row_mut(i);
-                    for (j, cv) in crow.iter_mut().enumerate() {
-                        *cv += aki * b.at(j, k);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `C = op(A)·B` on the naive path's tiles: the AVX2 build when the CPU
-/// has it, else the portable one (same bits).
-fn naive_tiles_dispatch(ta: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
+/// The naive path of [`gemm`]: every form in [`tiled`] `4×8`, then `4×4`
+/// tiles, then single columns, each entry summed over ascending depth from
+/// `+0.0` with a separate multiply and add (the order of
+/// [`kernel::gemm_naive_into`]), on the AVX2 build when the CPU has it,
+/// else the portable one (same bits).
+fn naive_tiles_dispatch(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
+    c.resize_for_overwrite(ta.dims(a).0, tb.dims(b).1);
     #[cfg(target_arch = "x86_64")]
     if kernel::simd().avx2 {
         // SAFETY: `simd` verified AVX2 support on this CPU, which is the
         // only precondition of the `#[target_feature]` fn.
         #[allow(unsafe_code)]
         unsafe {
-            naive_tiles_avx2(ta, a, b, c)
+            naive_tiles_avx2(ta, tb, a, b, c)
         };
         return;
     }
-    naive_tiles(ta, a, b, c);
+    naive_tiles(ta, tb, a, b, c);
 }
 
 /// [`naive_tiles`] compiled for AVX2 (no intrinsics: the same loop, four
@@ -841,17 +829,19 @@ fn naive_tiles_dispatch(ta: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)] // contained SIMD exception; see the crate docs
-unsafe fn naive_tiles_avx2(ta: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
-    naive_tiles(ta, a, b, c);
+unsafe fn naive_tiles_avx2(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
+    naive_tiles(ta, tb, a, b, c);
 }
 
-/// The unfused `A·B` or `Aᵀ·B` of [`mm_naive`] in `4×8`, then `4×4`
-/// tiles, then single columns.
+/// The unfused tile loop of [`naive_tiles_dispatch`] on a `C` of the
+/// product's shape.
 #[inline(always)]
-fn naive_tiles(ta: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
-    match ta {
-        Trans::N => tiled::<4, 8, 4, false, false>(a, b, c, false),
-        Trans::T => tiled::<4, 8, 4, true, false>(a, b, c, false),
+fn naive_tiles(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) {
+    match (ta, tb) {
+        (Trans::N, Trans::N) => tiled::<4, 8, 4, false, false, false>(a, b, c, false),
+        (Trans::T, Trans::N) => tiled::<4, 8, 4, true, false, false>(a, b, c, false),
+        (Trans::N, Trans::T) => tiled::<4, 8, 4, false, true, false>(a, b, c, false),
+        (Trans::T, Trans::T) => tiled::<4, 8, 4, true, true, false>(a, b, c, false),
     }
 }
 
@@ -922,28 +912,6 @@ impl<'v> MatRef<'v> {
         self.matmul_tn_into(self, &mut g);
         g
     }
-}
-
-/// Dot product of two equal-length slices.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    // Four-lane manual unroll: reliably auto-vectorized and ~2-3x faster
-    // than a naive fold for the long rows that dominate gemm time.
-    let chunks = a.len() / 4;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    for c in 0..chunks {
-        let i = c * 4;
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
-    }
-    let mut tail = 0.0;
-    for i in chunks * 4..a.len() {
-        tail += a[i] * b[i];
-    }
-    s0 + s1 + s2 + s3 + tail
 }
 
 // ----------------------------------------------------------------------
@@ -1135,7 +1103,7 @@ mod tests {
             let portable = kernel::Pin { portable: true, ..Default::default() };
             kernel::pinned(portable, || gram_into(x, &mut got));
             assert_same(&got, &naive, &format!("{ctx} pinned portable"));
-            let unfused = gram_by(|x, g| tiled::<4, 8, 4, true, false>(x, x, g, true), x);
+            let unfused = gram_by(|x, g| tiled::<4, 8, 4, true, false, false>(x, x, g, true), x);
             assert_same(&unfused, &naive, &format!("{ctx} unfused tiles"));
         }
     }
@@ -1151,9 +1119,9 @@ mod tests {
         for x in gram_cases().iter().map(Mat::view).chain([view]) {
             let ctx = format!("{}x{}", x.rows(), x.cols());
             let want = fused_gram_oracle(x);
-            let got = gram_by(|x, g| tiled::<8, 8, 4, true, true>(x, x, g, true), x);
+            let got = gram_by(|x, g| tiled::<8, 8, 4, true, false, true>(x, x, g, true), x);
             assert_same(&got, &want, &format!("{ctx} 8x8 body"));
-            let got = gram_by(|x, g| tiled::<4, 8, 4, true, true>(x, x, g, true), x);
+            let got = gram_by(|x, g| tiled::<4, 8, 4, true, false, true>(x, x, g, true), x);
             assert_same(&got, &want, &format!("{ctx} 4x8 body"));
             #[cfg(target_arch = "x86_64")]
             {
@@ -1176,49 +1144,55 @@ mod tests {
 
     #[test]
     fn naive_product_tiles_match_the_reference() {
-        // `A·B` and `Aᵀ·B` in 4×8, 4×4 and single-column tiles, on the
-        // portable and the AVX2 build, against the reference loops bit
-        // for bit: every row count around the 4-row bands, column counts
-        // around the 8- and 4-wide tiles, depths 0 to 25, a strided `B`,
-        // and a 0·∞ product that must be NaN.
+        // All four `(ta, tb)` forms in 4×8, 4×4 and single-column tiles, on
+        // the portable and the AVX2 build and through `gemm`, against the
+        // reference loops bit for bit: every row count around the 4-row
+        // bands, column counts around the 8- and 4-wide tiles, depths 0 to
+        // 25, a strided `B` (stored as is or transposed), and a 0·∞
+        // product that must be NaN.
         let host = Mat::from_fn(30, 40, |i, j| ((i * 11 + j * 3) as f64).cos());
+        let host_t = host.transpose();
         for m in [1, 2, 3, 4, 5, 7, 8, 9, 13] {
             for n in [1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 17, 20] {
                 for k in [0, 1, 2, 5, 24, 25] {
                     let mut a = Mat::from_fn(m, k, |i, p| ((i * 5 + p * 7) as f64).sin() * 3.0);
                     let mut b = host.view().submatrix(3, 3 + k, 2, 2 + n);
-                    let mut special = Mat::default();
+                    let mut bt = host_t.view().submatrix(2, 2 + n, 3, 3 + k);
+                    let (mut special, special_t);
                     if k > 1 {
                         // A zero meeting an ∞ at depth 1 of entry (m-1, n-1).
                         a.set(m - 1, 1, 0.0);
-                        host.view().submatrix(3, 3 + k, 2, 2 + n).copy_into(&mut special);
+                        special = b.to_mat();
                         special.set(1, n - 1, f64::INFINITY);
-                        b = special.view();
+                        special_t = special.transpose();
+                        (b, bt) = (special.view(), special_t.view());
                     }
                     let at = a.transpose();
                     for (ta, a) in [(Trans::N, a.view()), (Trans::T, at.view())] {
-                        let ctx = format!("{ta:?}N {m}x{n}x{k}");
-                        let mut want = Mat::default();
-                        kernel::gemm_naive_into(ta, Trans::N, a, b, &mut want);
-                        if k > 1 {
-                            assert!(want.at(m - 1, n - 1).is_nan(), "{ctx}: no 0·∞ cell");
-                        }
-                        let mut got = Mat::zeros(m, n);
-                        naive_tiles(ta, a, b, &mut got);
-                        assert_same(&got, &want, &format!("{ctx} portable"));
-                        #[cfg(target_arch = "x86_64")]
-                        if kernel::simd().avx2 {
+                        for (tb, b) in [(Trans::N, b), (Trans::T, bt)] {
+                            let ctx = format!("{ta:?}{tb:?} {m}x{n}x{k}");
+                            let mut want = Mat::default();
+                            kernel::gemm_naive_into(ta, tb, a, b, &mut want);
+                            if k > 1 {
+                                assert!(want.at(m - 1, n - 1).is_nan(), "{ctx}: no 0·∞ cell");
+                            }
                             let mut got = Mat::zeros(m, n);
-                            // SAFETY: `simd` verified AVX2 support.
-                            #[allow(unsafe_code)]
-                            unsafe {
-                                naive_tiles_avx2(ta, a, b, &mut got)
-                            };
-                            assert_same(&got, &want, &format!("{ctx} AVX2"));
-                        }
-                        gemm(ta, Trans::N, a, b, &mut got, &ThreadPool::new(1));
-                        if !kernel::use_blocked(m, n, k) {
-                            assert_same(&got, &want, &format!("{ctx} gemm"));
+                            naive_tiles(ta, tb, a, b, &mut got);
+                            assert_same(&got, &want, &format!("{ctx} portable"));
+                            #[cfg(target_arch = "x86_64")]
+                            if kernel::simd().avx2 {
+                                let mut got = Mat::zeros(m, n);
+                                // SAFETY: `simd` verified AVX2 support.
+                                #[allow(unsafe_code)]
+                                unsafe {
+                                    naive_tiles_avx2(ta, tb, a, b, &mut got)
+                                };
+                                assert_same(&got, &want, &format!("{ctx} AVX2"));
+                            }
+                            gemm(ta, tb, a, b, &mut got, &ThreadPool::new(1));
+                            if !kernel::use_blocked(m, n, k) {
+                                assert_same(&got, &want, &format!("{ctx} gemm"));
+                            }
                         }
                     }
                 }
@@ -1503,14 +1477,6 @@ mod tests {
         assert_eq!(a.fro_norm_sq(), 25.0);
         assert_eq!(a.max_abs(), 4.0);
         assert_eq!(Mat::zeros(0, 0).max_abs(), 0.0);
-    }
-
-    #[test]
-    fn dot_unrolled_matches_naive() {
-        let a: Vec<f64> = (0..23).map(|i| i as f64 * 0.3).collect();
-        let b: Vec<f64> = (0..23).map(|i| (i as f64).cos()).collect();
-        let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((dot(&a, &b) - naive).abs() < 1e-12);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! ## Ordering discipline (the bit-identity contract)
 //!
 //! Every kernel here accumulates in **exactly the order of the dense
-//! naive loops** (`mat.rs`'s `mm_naive`) with the structural
+//! naive loops** ([`crate::kernel::gemm_naive_into`], whose bits every
+//! product below the blocked threshold gives) with the structural
 //! zeros skipped, using a separate multiply and add — except the two
 //! Grams, which run [`crate::gram_into`]'s chains: fused (one `mul_add`
 //! per product, closed by `+ 0.0`) where the CPU has FMA. Skipping

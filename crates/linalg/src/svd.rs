@@ -536,23 +536,22 @@ pub enum LaneOperand<'a> {
 
 /// `C = op(A)·op(B)` for up to [`SVD_LANES`] `n×n` products at once, one
 /// per lane: lane `l` of `c` gets bitwise what [`crate::gemm`] computes
-/// from lane `l` of `a` and of `b`, for any `n` where `gemm` takes the
-/// naive loops (`!kernel::use_blocked(n, n, n)`).
+/// from lane `l` of `a` and of `b`, for any `n` where `gemm` takes its
+/// register tiles (`!kernel::use_blocked(n, n, n)`).
 ///
 /// `a` and `c` (and a [`LaneOperand::PerLane`] `b`) are lane-interleaved
 /// row-major stores, lane `l`'s entry `(i, j)` at `[i·n + j][l]`
 /// ([`interleave_lanes`] builds one, [`extract_lane`] reads one back).
-/// Every output entry takes the naive loops' operation order: `A·B` and
-/// `Aᵀ·B` sum in ascending depth from `+0.0`, `A·Bᵀ` in
-/// [`crate::mat::dot`]'s four strided partial sums plus a tail, added left
-/// to right; each step is one multiply and one add, never fused. On a CPU
-/// with AVX2 the same loop runs compiled for it, four 256-bit vectors per
-/// lane group; both builds give the same bits. `c` is resized and
-/// overwritten.
+/// Every form runs one loop: each output entry is one chain over
+/// ascending depth from `+0.0`, one multiply and one add per step, never
+/// fused, held in registers two entries at a time: the order of `gemm`'s
+/// tiles and of [`crate::kernel::gemm_naive_into`].
+/// On a CPU with AVX2 the same loop runs compiled for it, four 256-bit
+/// vectors per lane group; both builds give the same bits. `c` is resized
+/// and overwritten.
 ///
 /// # Panics
-/// Panics on `(Trans::T, Trans::T)`, which the lane path does not cover,
-/// or if an operand does not hold `n×n` entries.
+/// Panics if an operand does not hold `n×n` entries.
 pub fn gemm_lanes(
     ta: Trans,
     tb: Trans,
@@ -561,7 +560,6 @@ pub fn gemm_lanes(
     b: LaneOperand<'_>,
     c: &mut Vec<Lanes>,
 ) {
-    assert!(!(ta == Trans::T && tb == Trans::T), "gemm_lanes: Aᵀ·Bᵀ is not a lane form");
     assert_eq!(a.len(), n * n, "gemm_lanes: A is not {n}x{n}");
     c.resize(n * n, [0.0; SVD_LANES]);
     match b {
@@ -637,25 +635,6 @@ fn mul_add_lanes(acc: &mut Lanes, a: Lanes, b: Lanes) {
     }
 }
 
-/// [`crate::mat::dot`] of two rows, lane by lane, in its order.
-#[inline(always)]
-fn dot_lanes<T: AsLanes>(a: &[Lanes], b: &[T]) -> Lanes {
-    let chunks = a.len() / 4;
-    let (mut s0, mut s1, mut s2, mut s3) =
-        ([0.0; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES], [0.0; SVD_LANES]);
-    for (a, b) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
-        mul_add_lanes(&mut s0, a[0], b[0].lanes());
-        mul_add_lanes(&mut s1, a[1], b[1].lanes());
-        mul_add_lanes(&mut s2, a[2], b[2].lanes());
-        mul_add_lanes(&mut s3, a[3], b[3].lanes());
-    }
-    let mut tail = [0.0; SVD_LANES];
-    for (&a, &b) in a[chunks * 4..].iter().zip(&b[chunks * 4..]) {
-        mul_add_lanes(&mut tail, a, b.lanes());
-    }
-    core::array::from_fn(|l| s0[l] + s1[l] + s2[l] + s3[l] + tail[l])
-}
-
 /// Takes the AVX2 build of [`lane_products`] when the CPU has it; both
 /// builds give the same bits.
 fn lane_products_dispatch<T: AsLanes>(
@@ -696,8 +675,10 @@ unsafe fn lane_products_avx2<T: AsLanes>(
 }
 
 /// The portable lane loop of [`gemm_lanes`] on checked `n×n` operands:
-/// `mm_naive`'s loops with every scalar op widened to a lane group. The
-/// fallback on CPUs without AVX2, and the oracle of its AVX2 build.
+/// one loop for every form, each scalar op widened to a lane group,
+/// `op(A)` and `op(B)` read through their strides, each row of `C` in
+/// pairs of entries (then a single one). The fallback on CPUs without
+/// AVX2, and the oracle of its AVX2 build.
 #[inline(always)]
 fn lane_products<T: AsLanes>(
     ta: Trans,
@@ -707,39 +688,45 @@ fn lane_products<T: AsLanes>(
     b: &[T],
     c: &mut [Lanes],
 ) {
+    // `chunks_exact_mut(0)` panics: an empty product has nothing to do.
     if n == 0 {
         return;
     }
-    match (ta, tb) {
-        (Trans::N, Trans::N) => {
-            for (ai, ci) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
-                ci.fill([0.0; SVD_LANES]);
-                for (&aik, bk) in ai.iter().zip(b.chunks_exact(n)) {
-                    for (cv, &bv) in ci.iter_mut().zip(bk) {
-                        mul_add_lanes(cv, aik, bv.lanes());
-                    }
-                }
-            }
+    // Store steps of one row and one depth step of `op(A)`, and of one
+    // depth step and one column of `op(B)`.
+    let (a_row, a_depth) = if ta == Trans::N { (n, 1) } else { (1, n) };
+    let (b_depth, b_col) = if tb == Trans::N { (n, 1) } else { (1, n) };
+    for (i, ci) in c.chunks_exact_mut(n).enumerate() {
+        let ai = &a[i * a_row..];
+        let mut pairs = ci.chunks_exact_mut(2);
+        for (jj, cj) in pairs.by_ref().enumerate() {
+            lane_entries::<2, T>(n, (ai, a_depth), (&b[2 * jj * b_col..], b_col, b_depth), cj);
         }
-        (Trans::T, Trans::N) => {
-            c.fill([0.0; SVD_LANES]);
-            for (ak, bk) in a.chunks_exact(n).zip(b.chunks_exact(n)) {
-                for (&aki, ci) in ak.iter().zip(c.chunks_exact_mut(n)) {
-                    for (cv, &bv) in ci.iter_mut().zip(bk) {
-                        mul_add_lanes(cv, aki, bv.lanes());
-                    }
-                }
-            }
+        let rest = pairs.into_remainder();
+        if !rest.is_empty() {
+            lane_entries::<1, T>(n, (ai, a_depth), (&b[(n - 1) * b_col..], b_col, b_depth), rest);
         }
-        (Trans::N, Trans::T) => {
-            for (ai, ci) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
-                for (cv, bj) in ci.iter_mut().zip(b.chunks_exact(n)) {
-                    *cv = dot_lanes(ai, bj);
-                }
-            }
-        }
-        (Trans::T, Trans::T) => unreachable!("rejected by gemm_lanes"),
     }
+}
+
+/// `J` adjacent entries of one row of [`lane_products`]' `C`, each one
+/// chain over the depth in registers: `ai[p·a_depth]` is `op(A)`'s entry
+/// `(i, p)`, `bj[s·b_col + p·b_depth]` is `op(B)`'s `(p, j + s)`.
+#[inline(always)]
+fn lane_entries<const J: usize, T: AsLanes>(
+    n: usize,
+    (ai, a_depth): (&[Lanes], usize),
+    (bj, b_col, b_depth): (&[T], usize, usize),
+    out: &mut [Lanes],
+) {
+    let mut acc = [[0.0; SVD_LANES]; J];
+    for p in 0..n {
+        let aip = ai[p * a_depth];
+        for (s, accs) in acc.iter_mut().enumerate() {
+            mul_add_lanes(accs, aip, bj[s * b_col + p * b_depth].lanes());
+        }
+    }
+    out.copy_from_slice(&acc);
 }
 
 /// Runs the one-sided Jacobi sweeps on the live lanes of the lane-
@@ -2111,9 +2098,12 @@ mod tests {
                 for n in 1..=23 {
                     let (a, b) = (store(n, &mut rng), store(n, &mut rng));
                     let shared = gaussian_mat(n, n, &mut rng);
-                    for (ta, tb) in
-                        [(Trans::N, Trans::N), (Trans::N, Trans::T), (Trans::T, Trans::N)]
-                    {
+                    for (ta, tb) in [
+                        (Trans::N, Trans::N),
+                        (Trans::N, Trans::T),
+                        (Trans::T, Trans::N),
+                        (Trans::T, Trans::T),
+                    ] {
                         both(ta, tb, n, &a, &b);
                         both(ta, tb, n, &a, shared.data());
                     }

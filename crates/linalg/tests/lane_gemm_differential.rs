@@ -2,12 +2,12 @@
 //!
 //! [`gemm_lanes`] promises that every lane of its output is bitwise what
 //! [`gemm`] computes for that lane's operands alone, wherever `gemm` runs
-//! its naive loops (`R ≤ 23` for `R×R` products). DPar2's `Q_k` step
+//! its register tiles (`R ≤ 23` for `R×R` products). DPar2's `Q_k` step
 //! relies on it for its factors to stay bit-identical to per-slice
-//! products. The cases cover the three lane forms (`A·B`, `A·Bᵀ`, `Aᵀ·B`)
-//! with a shared and a per-lane right operand, every `dot` tail length
-//! with and without a full four-wide chunk, 1–8 live lanes, and entries
-//! that include NaN, ±∞, `−0.0` and subnormals. A fused multiply-add, or
+//! products. The cases cover all four forms (`A·B`, `A·Bᵀ`, `Aᵀ·B`,
+//! `Aᵀ·Bᵀ`) with a shared and a per-lane right operand, sizes around the
+//! tiles' 4- and 8-wide edges, every live-lane count, and entries that
+//! include NaN, ±∞, `−0.0` and subnormals. A fused multiply-add, or
 //! partial sums added in another order, changes bits on these inputs.
 
 use dpar2_linalg::kernel::use_blocked;
@@ -20,13 +20,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every `dot` tail length (0–3), with and without a full chunk, up to
-/// the largest size `gemm` runs on its naive loops.
+/// Sizes on both sides of the tiles' 4- and 8-wide edges, up to the
+/// largest size `gemm` runs in its register tiles.
 const SIZES: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 10, 13, 23];
 
-/// The lane forms: `A·B`, `A·Bᵀ`, `Aᵀ·B`.
-const FORMS: [(Trans, Trans); 3] =
-    [(Trans::N, Trans::N), (Trans::N, Trans::T), (Trans::T, Trans::N)];
+/// The four forms: `A·B`, `A·Bᵀ`, `Aᵀ·B`, `Aᵀ·Bᵀ`.
+const FORMS: [(Trans, Trans); 4] =
+    [(Trans::N, Trans::N), (Trans::N, Trans::T), (Trans::T, Trans::N), (Trans::T, Trans::T)];
 
 /// Entries that are not plain numbers: NaN, ±∞, signed zeros, subnormals.
 const SPECIALS: [f64; 7] =
@@ -180,10 +180,15 @@ fn lanes_round_trip_and_dead_lanes_are_zero() {
 }
 
 #[test]
-#[should_panic(expected = "not a lane form")]
-fn transposed_pair_is_rejected() {
-    let a = vec![[0.0; SVD_LANES]; 4];
-    gemm_lanes(Trans::T, Trans::T, 2, &a, LaneOperand::PerLane(&a), &mut Vec::new());
+fn empty_products_leave_an_empty_store() {
+    // `n = 0` in every form, over a store left from a larger product.
+    for form in FORMS {
+        let mut out = vec![[1.0; SVD_LANES]; 4];
+        gemm_lanes(form.0, form.1, 0, &[], LaneOperand::PerLane(&[]), &mut out);
+        assert!(out.is_empty(), "{form:?}: per-lane");
+        gemm_lanes(form.0, form.1, 0, &[], LaneOperand::Shared(&Mat::zeros(0, 0)), &mut out);
+        assert!(out.is_empty(), "{form:?}: shared");
+    }
 }
 
 #[test]
@@ -199,7 +204,7 @@ proptest! {
     #[test]
     fn random_lane_products_match_gemm(
         n in 1usize..24,
-        form in 0usize..3,
+        form in 0usize..FORMS.len(),
         live in 1usize..SVD_LANES + 1,
         shared in 0usize..2,
         specials in 0usize..3,
