@@ -11,15 +11,19 @@
 //! is either serial or built on [`gemm`] over the pool, which is
 //! bit-identical across pool sizes by construction.
 //!
-//! The assignment pass is the only O(n·p) part and is done in row blocks:
-//! `D_block = C · X_blockᵀ` through [`gemm`] on a reused transposed block
-//! and output buffer, so the full `p × n` score matrix (8 GB at n = 10⁶,
-//! p = 10³) is never materialized. The block is the right operand because
-//! `p` is often small (3–10 centroids over a few hundred dimensions on
-//! small shape groups), and a product only a few columns wide leaves the
-//! register tiles of [`gemm`] mostly idle.
+//! The assignment pass is the only O(n·p) part and is done in row blocks
+//! through [`gemm`] on a reused output buffer, so the full `n × p` score
+//! matrix (8 GB at n = 10⁶, p = 10³) is never materialized. A block whose
+//! product is blocked either way round scores `X_block · Cᵀ` straight off
+//! the points. Any other block scores `C · X_blockᵀ` on a reused transposed
+//! block: `p` is often small (3–10 centroids over a few hundred dimensions
+//! on small shape groups), and a product only a few columns wide leaves the
+//! register tiles of [`gemm`] mostly idle. The blocked kernel sums each
+//! entry in the same order in both orientations, so the choice moves no
+//! bit.
 
 use crate::similarity::squared_distance;
+use dpar2_linalg::kernel::use_blocked;
 use dpar2_linalg::{gemm, Mat, MatRef, Trans};
 use dpar2_parallel::ThreadPool;
 
@@ -86,8 +90,7 @@ pub fn partition_points(
     // it holds: the points never change, so a single block is transposed
     // once for every iteration.
     let (mut block_t, mut held) = (Mat::default(), usize::MAX);
-    let mut scores = Mat::default(); // reused `p × block` GEMM output
-    let mut best: Vec<(u32, f64)> = Vec::new(); // per block row: (partition, score)
+    let mut scores = Mat::default(); // reused `block × p` or `p × block` GEMM output
     let mut iterations = 0;
 
     for _ in 0..max_iterations.max(1) {
@@ -96,30 +99,35 @@ pub fn partition_points(
         let mut r0 = 0;
         while r0 < n {
             let r1 = (r0 + ASSIGN_BLOCK).min(n);
-            if held != r0 {
-                points.submatrix(r0, r1, 0, dim).transpose_into(&mut block_t);
-                held = r0;
+            let by_row = use_blocked(r1 - r0, p, dim) && use_blocked(p, r1 - r0, dim);
+            if by_row {
+                let block = points.submatrix(r0, r1, 0, dim);
+                gemm(Trans::N, Trans::T, block, &centroids, &mut scores, pool);
+            } else {
+                if held != r0 {
+                    points.submatrix(r0, r1, 0, dim).transpose_into(&mut block_t);
+                    held = r0;
+                }
+                gemm(Trans::N, Trans::N, &centroids, &block_t, &mut scores, pool);
             }
-            gemm(Trans::N, Trans::N, &centroids, &block_t, &mut scores, pool);
             // argmin over ‖x − c‖² = ‖x‖² − 2·x·c + ‖c‖²; the ‖x‖² term is
             // constant per row, so rank by ‖c‖² − 2·x·c, sweeping the
             // centroids in ascending order so ties break to the lower
             // partition id (strict `<`).
-            best.clear();
-            best.extend(scores.row(0).iter().map(|&dot| (0, centroid_norms[0] - 2.0 * dot)));
-            for c in 1..p {
-                #[allow(clippy::cast_possible_truncation)] // p ≤ n ≤ u32::MAX asserted above
-                let c32 = c as u32;
-                for (b, &dot) in best.iter_mut().zip(scores.row(c)) {
-                    let score = centroid_norms[c] - 2.0 * dot;
-                    if score < b.1 {
-                        *b = (c32, score);
+            for (i, slot) in assignments[r0..r1].iter_mut().enumerate() {
+                let mut best = (0, f64::INFINITY);
+                for (c, &norm) in centroid_norms.iter().enumerate() {
+                    let dot = if by_row { scores.at(i, c) } else { scores.at(c, i) };
+                    let score = norm - 2.0 * dot;
+                    if c == 0 || score < best.1 {
+                        #[allow(clippy::cast_possible_truncation)]
+                        // p ≤ n ≤ u32::MAX asserted above
+                        let c32 = c as u32;
+                        best = (c32, score);
                     }
                 }
-            }
-            for (slot, &(c, _)) in assignments[r0..r1].iter_mut().zip(&best) {
-                if *slot != c {
-                    *slot = c;
+                if *slot != best.0 {
+                    *slot = best.0;
                     changed += 1;
                 }
             }
@@ -239,6 +247,25 @@ mod tests {
             let got = partition_points(pts.view(), 7, 8, 42, &ThreadPool::new(threads));
             assert_eq!(got.assignments, reference.assignments, "{threads} threads");
             assert_eq!(got.centroids, reference.centroids, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn blocked_orientations_score_the_same_bits() {
+        let pool = ThreadPool::new(2);
+        for (n, p, dim) in [(40, 10, 60), (8, 8, 400), (300, 17, 33)] {
+            assert!(use_blocked(n, p, dim) && use_blocked(p, n, dim));
+            let x = Mat::from_fn(n, dim, |i, j| (splitmix64((i * dim + j) as u64) % 997) as f64);
+            let c = Mat::from_fn(p, dim, |i, j| 1.0 / (1.0 + (i * 7 + j) as f64));
+            let (mut xct, mut cxt, mut xt) = (Mat::default(), Mat::default(), Mat::default());
+            gemm(Trans::N, Trans::T, &x, &c, &mut xct, &pool);
+            x.view().transpose_into(&mut xt);
+            gemm(Trans::N, Trans::N, &c, &xt, &mut cxt, &pool);
+            for i in 0..n {
+                for k in 0..p {
+                    assert_eq!(xct.at(i, k).to_bits(), cxt.at(k, i).to_bits(), "({n}, {p}, {dim})");
+                }
+            }
         }
     }
 

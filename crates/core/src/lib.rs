@@ -94,7 +94,7 @@ pub use session::{
     CancelToken, FitObserver, FitPhase, FitSession, IterationEvent, NoopObserver, Parafac2Solver,
     PhaseSpans, SessionOutcome, StopReason, Workspace,
 };
-pub use slices::{validate, OwnedSlice, SliceTensor};
+pub use slices::{validate, DenseBatch, DenseSlices, OwnedSlice, SliceTensor, StackedTensor};
 pub use solver::{Dpar2, WarmStart};
 pub use streaming::StreamingDpar2;
 

@@ -6,10 +6,15 @@
 //! a product the randomized SVD already abstracts as a
 //! [`dpar2_rsvd::ProductOp`]. [`SliceTensor`] hands out each slice as such
 //! an operator, plus the handful of facts the solvers read directly
-//! (shape, scheduling weight, the per-slice Gram and residual). Both
-//! implementations run their historical kernels, so the dense instantiation
-//! is bitwise the dense code and the CSR one keeps the densify-oracle
-//! contract of [`dpar2_linalg::sparse`].
+//! (shape, scheduling weight, the per-slice Gram and residual). The
+//! implementations run their historical kernels, so the dense ones are
+//! bitwise the dense code and the CSR one keeps the densify-oracle
+//! contract of [`dpar2_linalg::sparse`]. [`StackedTensor`] adds the
+//! stacked operator that only [`crate::Dpar2`]'s rank-energy probe reads.
+//!
+//! Dense slices come packed ([`IrregularTensor`]) or as the owned [`Mat`]s
+//! a streaming batch arrives in ([`DenseBatch`]); both are [`DenseSlices`],
+//! handing out [`MatRef`] views to the one dense implementation.
 
 use crate::error::{Dpar2Error, Result};
 use dpar2_linalg::sparse::{sparse_gram_into, sparse_outer_gram_into, SparseSlice};
@@ -18,16 +23,11 @@ use dpar2_rsvd::{ProductOp, SparseVStack};
 use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
 
 /// An irregular tensor `{X_k}` (shared column count `J`) whose slices are
-/// product operators — implemented by the dense [`IrregularTensor`] and the
+/// product operators — implemented by every [`DenseSlices`] storage and the
 /// CSR [`SparseIrregularTensor`].
 pub trait SliceTensor: Sync {
     /// Slice `X_k` as an operator (`MatRef` or `&SparseSlice`).
     type Slice<'a>: ProductOp
-    where
-        Self: 'a;
-    /// The stacked `[X_1; …; X_K]` as one operator, probed by the
-    /// rank-energy escape hatch.
-    type Stacked<'a>: ProductOp
     where
         Self: 'a;
 
@@ -39,9 +39,6 @@ pub trait SliceTensor: Sync {
 
     /// Slice `X_k`.
     fn slice(&self, k: usize) -> Self::Slice<'_>;
-
-    /// The vertical stack of all slices.
-    fn stacked(&self) -> Self::Stacked<'_>;
 
     /// Scheduling weight of slice `k` for `greedy_partition`: what a pass
     /// over it costs (rows for dense, nonzeros for CSR).
@@ -78,57 +75,134 @@ pub trait SliceTensor: Sync {
     }
 }
 
-impl SliceTensor for IrregularTensor {
-    type Slice<'a> = MatRef<'a>;
-    type Stacked<'a> = MatRef<'a>;
+/// A [`SliceTensor`] that can also hand out the vertical stack `[X_1; …;
+/// X_K]` as one operator, for the rank-energy probe of
+/// [`crate::FitOptions::rank_energy`].
+pub trait StackedTensor: SliceTensor {
+    /// The stacked operator (`MatRef` or [`SparseVStack`]).
+    type Stacked<'a>: ProductOp
+    where
+        Self: 'a;
+
+    /// The vertical stack of all slices.
+    fn stacked(&self) -> Self::Stacked<'_>;
+}
+
+/// Dense slice storage: whatever hands out its slices as [`MatRef`] views
+/// is a [`SliceTensor`] through one set of dense kernels, so packed and
+/// owned slices compress to the same bits.
+pub trait DenseSlices: Sync {
+    /// Row counts `[I_1, …, I_K]`.
+    fn row_counts(&self) -> &[usize];
+
+    /// Shared column dimension `J`.
+    fn width(&self) -> usize;
+
+    /// Slice `X_k`, where it lies.
+    fn view(&self, k: usize) -> MatRef<'_>;
+}
+
+impl<T: DenseSlices> SliceTensor for T {
+    type Slice<'a>
+        = MatRef<'a>
+    where
+        T: 'a;
 
     fn dims(&self) -> &[usize] {
-        IrregularTensor::dims(self)
+        self.row_counts()
     }
 
     fn j(&self) -> usize {
-        IrregularTensor::j(self)
+        self.width()
     }
 
     fn slice(&self, k: usize) -> MatRef<'_> {
-        IrregularTensor::slice(self, k)
-    }
-
-    fn stacked(&self) -> MatRef<'_> {
-        IrregularTensor::stacked(self)
+        self.view(k)
     }
 
     fn work(&self, k: usize) -> usize {
-        self.i(k)
+        self.row_counts()[k]
     }
 
     fn input_shape(&self) -> (u64, u64, bool) {
-        let cells = self.num_entries() as u64;
-        (cells, cells, false)
+        let cells = self.row_counts().iter().sum::<usize>() * self.width();
+        (cells as u64, cells as u64, false)
     }
 
     fn first_non_finite(&self) -> Option<usize> {
-        (0..self.k()).find(|&k| !all_finite(self.slice(k).data()))
+        (0..self.k()).find(|&k| !all_finite(self.view(k).data()))
     }
 
     fn gram_into(&self, k: usize, g: &mut Mat) {
-        gram_into(self.slice(k), g);
+        gram_into(self.view(k), g);
     }
 
     fn outer_gram_into(&self, k: usize, g: &mut Mat, xt: &mut Mat) {
-        self.slice(k).transpose_into(xt);
+        self.view(k).transpose_into(xt);
         gram_into(&*xt, g);
     }
 
     fn residual_sq(&self, k: usize, m: &Mat, v: &Mat, scratch: &mut Mat) -> f64 {
         m.matmul_nt_into(v, scratch); // M·Vᵀ
-        self.slice(k).diff_norm_sq(&*scratch)
+        self.view(k).diff_norm_sq(&*scratch)
+    }
+}
+
+impl DenseSlices for IrregularTensor {
+    fn row_counts(&self) -> &[usize] {
+        IrregularTensor::dims(self)
+    }
+
+    fn width(&self) -> usize {
+        IrregularTensor::j(self)
+    }
+
+    fn view(&self, k: usize) -> MatRef<'_> {
+        IrregularTensor::slice(self, k)
+    }
+}
+
+impl StackedTensor for IrregularTensor {
+    type Stacked<'a> = MatRef<'a>;
+
+    fn stacked(&self) -> MatRef<'_> {
+        IrregularTensor::stacked(self)
+    }
+}
+
+/// A batch of dense slices in the [`Mat`]s they arrived in: the tensor of a
+/// `Vec<Mat>` streaming batch, which compression reads where it lies.
+#[derive(Debug)]
+pub struct DenseBatch {
+    slices: Vec<Mat>,
+    dims: Vec<usize>,
+}
+
+impl DenseBatch {
+    /// Takes the slices over, without copying them. Column counts are the
+    /// caller's to check (see [`OwnedSlice::stack`]).
+    pub fn new(slices: Vec<Mat>) -> Self {
+        let dims = slices.iter().map(Mat::rows).collect();
+        DenseBatch { slices, dims }
+    }
+}
+
+impl DenseSlices for DenseBatch {
+    fn row_counts(&self) -> &[usize] {
+        &self.dims
+    }
+
+    fn width(&self) -> usize {
+        self.slices.first().map_or(0, Mat::cols)
+    }
+
+    fn view(&self, k: usize) -> MatRef<'_> {
+        self.slices[k].view()
     }
 }
 
 impl SliceTensor for SparseIrregularTensor {
     type Slice<'a> = &'a SparseSlice;
-    type Stacked<'a> = SparseVStack<'a>;
 
     fn dims(&self) -> &[usize] {
         SparseIrregularTensor::dims(self)
@@ -140,10 +214,6 @@ impl SliceTensor for SparseIrregularTensor {
 
     fn slice(&self, k: usize) -> &SparseSlice {
         SparseIrregularTensor::slice(self, k)
-    }
-
-    fn stacked(&self) -> SparseVStack<'_> {
-        SparseVStack::new(self.slices())
     }
 
     fn work(&self, k: usize) -> usize {
@@ -201,6 +271,14 @@ impl SliceTensor for SparseIrregularTensor {
     }
 }
 
+impl StackedTensor for SparseIrregularTensor {
+    type Stacked<'a> = SparseVStack<'a>;
+
+    fn stacked(&self) -> SparseVStack<'_> {
+        SparseVStack::new(self.slices())
+    }
+}
+
 /// Whether every value is finite. Branch-free, so the scan vectorizes: it
 /// runs once over the whole input of every fit.
 fn all_finite(values: &[f64]) -> bool {
@@ -216,19 +294,21 @@ pub trait OwnedSlice: Sized {
     /// Column count `J` of this slice.
     fn cols(&self) -> usize;
 
-    /// Packs a batch whose column counts already agree.
+    /// Forms the tensor of a batch whose column counts already agree. The
+    /// slices move into it as they are: nothing is copied or repacked, so
+    /// the batch is compressed in place.
     fn stack(batch: Vec<Self>) -> Self::Tensor;
 }
 
 impl OwnedSlice for Mat {
-    type Tensor = IrregularTensor;
+    type Tensor = DenseBatch;
 
     fn cols(&self) -> usize {
         Mat::cols(self)
     }
 
-    fn stack(batch: Vec<Mat>) -> IrregularTensor {
-        IrregularTensor::new(batch)
+    fn stack(batch: Vec<Mat>) -> DenseBatch {
+        DenseBatch::new(batch)
     }
 }
 

@@ -9,7 +9,7 @@ use crate::lemmas::{g1_from_sums, g2_from_sums, g3_stacked, weighted_sums};
 use crate::session::{
     FitObserver, FitPhase, FitSession, NoopObserver, Parafac2Solver, SessionOutcome,
 };
-use crate::slices::{validate, SliceTensor};
+use crate::slices::{validate, StackedTensor};
 use dpar2_linalg::kernel::use_blocked;
 use dpar2_linalg::{
     extract_lane, gemm_lanes, interleave_lanes, pinv_into, svd_square_lanes, LaneOperand, Mat,
@@ -134,7 +134,11 @@ impl Dpar2 {
     /// # Errors
     /// The [`crate::validate`] contract (invalid rank, non-finite input)
     /// and warm-start validation.
-    pub fn fit<T: SliceTensor>(&self, tensor: &T, options: &FitOptions<'_>) -> Result<Parafac2Fit> {
+    pub fn fit<T: StackedTensor>(
+        &self,
+        tensor: &T,
+        options: &FitOptions<'_>,
+    ) -> Result<Parafac2Fit> {
         self.fit_observed(tensor, options, &mut NoopObserver)
     }
 
@@ -144,7 +148,7 @@ impl Dpar2 {
     ///
     /// # Errors
     /// See [`Dpar2::fit`].
-    pub fn fit_observed<T: SliceTensor>(
+    pub fn fit_observed<T: StackedTensor>(
         &self,
         tensor: &T,
         options: &FitOptions<'_>,
@@ -177,7 +181,7 @@ impl Dpar2 {
     /// both compression stages and the ALS assume one rank `R` throughout
     /// (`F_k ∈ R^{R×R}`, `Z = I_R`), so per-stage heterogeneous ranks are
     /// not representable.
-    fn resolve_rank_energy<'a, T: SliceTensor>(
+    fn resolve_rank_energy<'a, T: StackedTensor>(
         &self,
         tensor: &T,
         options: &FitOptions<'a>,

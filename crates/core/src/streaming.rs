@@ -10,7 +10,11 @@
 //! 1. **Stage 1** runs only on the *new* slices: `X_k ≈ A_k B_k C_kᵀ`, in
 //!    the same lane groups and on the same Gram route as
 //!    [`compress`](crate::compress()). The batch's route slices share one
-//!    Gaussian test matrix, drawn from the batch's base seed.
+//!    Gaussian test matrix, drawn from the batch's base seed. The batch is
+//!    compressed in place: its slices are read where the caller built
+//!    them ([`OwnedSlice::stack`] moves them into a
+//!    [`DenseBatch`](crate::DenseBatch) or a CSR tensor) and never
+//!    repacked, so an arriving batch costs its compression and no copy.
 //! 2. **Stage 2** is updated without touching old data. With the current
 //!    factorization `M ≈ D E Fᵀ`, the extended matrix is
 //!    `M' = [D E Fᵀ ∥ M_new]`. Its column space lies inside
@@ -87,11 +91,13 @@ impl StreamingDpar2 {
     /// Ingests a batch of new slices — dense [`Mat`]s or CSR
     /// [`SparseSlice`](dpar2_linalg::SparseSlice)s — updating the
     /// compressed representation incrementally (see the module docs for the
-    /// algebra). CSR slices are never densified: stage 1 runs the O(nnz)
-    /// randomized SVD on them, and the seed derivation does not depend on
-    /// the storage, so interleaving dense and CSR appends of the same data
-    /// (with the sketch on the naive-dispatch path) produces bit-identical
-    /// compressed state.
+    /// algebra). The batch is compressed in place, never copied into a
+    /// packed tensor, and dropped once compressed; a first batch costs what
+    /// [`compress`] of the same slices costs. CSR slices are never
+    /// densified: stage 1 runs the O(nnz) randomized SVD on them, and the
+    /// seed derivation does not depend on the storage, so interleaving dense
+    /// and CSR appends of the same data (with the sketch on the
+    /// naive-dispatch path) produces bit-identical compressed state.
     ///
     /// A rejected batch leaves the ingested state untouched and does not
     /// shift the seed stream (long-lived serving ingest keeps going after a

@@ -10,6 +10,11 @@
 //! All functions take day-indexed series and return a series of equal
 //! length; warm-up prefixes (before a window fills) fall back to the
 //! partial-window value so no NaNs enter the tensors.
+//!
+//! The stochastic family costs O(n) per window: %K takes its trailing
+//! highs and lows from block prefix and suffix extremes (van Herk /
+//! Gil-Werman), and %D and Williams %R are derived from one %K. Max and
+//! min are exact, so these are the values a scan of every window gives.
 
 /// Simple moving average over a trailing `window`.
 pub fn sma(x: &[f64], window: usize) -> Vec<f64> {
@@ -130,25 +135,51 @@ pub fn macd_histogram(close: &[f64], fast: usize, slow: usize, signal: usize) ->
     line.iter().zip(&sig).map(|(l, s)| l - s).collect()
 }
 
+/// `pick` (max or min) over each trailing `window` of `x`, in O(n): the
+/// series splits into blocks of `window` days, and a window that does not
+/// start a block spans the suffix of one block and the prefix of the next.
+fn trailing(x: &[f64], window: usize, pick: fn(f64, f64) -> f64) -> Vec<f64> {
+    let mut prefix = x.to_vec();
+    let mut suffix = x.to_vec();
+    for start in (0..x.len()).step_by(window) {
+        let end = (start + window).min(x.len());
+        for i in start + 1..end {
+            prefix[i] = pick(prefix[i - 1], x[i]);
+        }
+        for i in (start..end - 1).rev() {
+            suffix[i] = pick(suffix[i + 1], x[i]);
+        }
+    }
+    for i in 0..x.len() {
+        let start = (i + 1).saturating_sub(window);
+        if start % window != 0 {
+            prefix[i] = pick(suffix[start], prefix[i]);
+        }
+    }
+    prefix
+}
+
 /// Stochastic oscillator %K (Lane): position of the close within the
 /// trailing `window` high-low range, in [0, 100] — Fig. 12's momentum
 /// indicator.
 pub fn stoch_k(high: &[f64], low: &[f64], close: &[f64], window: usize) -> Vec<f64> {
     assert!(window > 0, "stoch_k: window must be positive");
-    let mut out = Vec::with_capacity(close.len());
-    for i in 0..close.len() {
-        let start = (i + 1).saturating_sub(window);
-        let hh = high[start..=i].iter().cloned().fold(f64::MIN, f64::max);
-        let ll = low[start..=i].iter().cloned().fold(f64::MAX, f64::min);
-        let denom = hh - ll;
-        out.push(if denom < 1e-12 { 50.0 } else { 100.0 * (close[i] - ll) / denom });
-    }
-    out
+    let (hh, ll) = (trailing(high, window, f64::max), trailing(low, window, f64::min));
+    (0..close.len())
+        .map(|i| {
+            let denom = hh[i] - ll[i];
+            if denom < 1e-12 {
+                50.0
+            } else {
+                100.0 * (close[i] - ll[i]) / denom
+            }
+        })
+        .collect()
 }
 
 /// Stochastic %D: 3-period SMA of %K.
-pub fn stoch_d(high: &[f64], low: &[f64], close: &[f64], window: usize) -> Vec<f64> {
-    sma(&stoch_k(high, low, close, window), 3)
+pub fn stoch_d(k: &[f64]) -> Vec<f64> {
+    sma(k, 3)
 }
 
 /// Rate of change: `100 · (close_t − close_{t−w}) / close_{t−w}`.
@@ -189,9 +220,10 @@ pub fn bollinger_width(close: &[f64], window: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Williams %R: `−100 · (HH − close)/(HH − LL)` over the trailing window.
-pub fn williams_r(high: &[f64], low: &[f64], close: &[f64], window: usize) -> Vec<f64> {
-    stoch_k(high, low, close, window).iter().map(|k| k - 100.0).collect()
+/// Williams %R: `−100 · (HH − close)/(HH − LL)` over the trailing window,
+/// which is %K shifted down by 100.
+pub fn williams_r(k: &[f64]) -> Vec<f64> {
+    k.iter().map(|k| k - 100.0).collect()
 }
 
 /// Commodity Channel Index: `(TP − SMA(TP)) / (0.015 · mean|TP − SMA|)`
@@ -284,12 +316,9 @@ pub fn feature_matrix(
     for w in WINDOWS {
         cols.push(atr(high, low, close, w));
     }
-    for w in WINDOWS {
-        cols.push(stoch_k(high, low, close, w));
-    }
-    for w in WINDOWS {
-        cols.push(stoch_d(high, low, close, w));
-    }
+    let stoch: Vec<Vec<f64>> = WINDOWS.iter().map(|&w| stoch_k(high, low, close, w)).collect();
+    cols.extend(stoch.iter().cloned());
+    cols.extend(stoch.iter().map(|k| stoch_d(k)));
     for w in WINDOWS {
         cols.push(roc(close, w));
     }
@@ -299,9 +328,7 @@ pub fn feature_matrix(
     for w in WINDOWS {
         cols.push(bollinger_width(close, w));
     }
-    for w in WINDOWS {
-        cols.push(williams_r(high, low, close, w));
-    }
+    cols.extend(stoch.iter().map(|k| williams_r(k)));
     for w in WINDOWS {
         cols.push(cci(high, low, close, w));
     }
@@ -410,11 +437,47 @@ mod tests {
         assert!(*out.last().unwrap() > 80.0);
     }
 
+    /// The O(w)-per-day scan the block extremes replaced, kept as their
+    /// oracle.
+    fn stoch_k_scan(high: &[f64], low: &[f64], close: &[f64], window: usize) -> Vec<f64> {
+        (0..close.len())
+            .map(|i| {
+                let start = (i + 1).saturating_sub(window);
+                let hh = high[start..=i].iter().copied().fold(f64::MIN, f64::max);
+                let ll = low[start..=i].iter().copied().fold(f64::MAX, f64::min);
+                let denom = hh - ll;
+                if denom < 1e-12 {
+                    50.0
+                } else {
+                    100.0 * (close[i] - ll) / denom
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_extremes_match_the_window_scan_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in [0usize, 1, 7, 100] {
+            let close: Vec<f64> = (0..n).map(|_| 100.0 + 10.0 * rng.random::<f64>()).collect();
+            let high: Vec<f64> = close.iter().map(|c| c + 5.0 * rng.random::<f64>()).collect();
+            let low: Vec<f64> = close.iter().map(|c| c - 5.0 * rng.random::<f64>()).collect();
+            for window in [1, 2, 5, n.max(1), n + 3] {
+                let fast = stoch_k(&high, &low, &close, window);
+                let scan = stoch_k_scan(&high, &low, &close, window);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&scan), "n = {n}, window = {window}");
+            }
+        }
+    }
+
     #[test]
     fn williams_is_shifted_stoch() {
         let (_, high, low, close, _) = rising();
         let k = stoch_k(&high, &low, &close, 14);
-        let w = williams_r(&high, &low, &close, 14);
+        let w = williams_r(&k);
         for (kv, wv) in k.iter().zip(&w) {
             assert!((wv - (kv - 100.0)).abs() < 1e-12);
         }

@@ -23,7 +23,6 @@
 use crate::indicators::{feature_matrix, feature_names};
 use crate::planted::powerlaw_row_dims;
 use dpar2_linalg::random::standard_normal;
-use dpar2_linalg::Mat;
 use dpar2_tensor::IrregularTensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,21 +145,20 @@ impl StockDataset {
     /// Panics if the window is empty or extends beyond the history.
     pub fn window(&self, start: usize, end: usize) -> StockDataset {
         assert!(start < end && end <= self.max_days, "invalid window [{start}, {end})");
-        let mut slices = Vec::new();
+        let j = self.tensor.j();
+        let mut data = Vec::new();
         let mut meta = Vec::new();
         for (k, m) in self.meta.iter().enumerate() {
             let first_day = self.max_days - m.days;
             if first_day > start {
                 continue; // not yet listed at window start
             }
-            let slice = self.tensor.slice(k);
-            let r0 = start - first_day;
-            let r1 = end - first_day;
-            slices.push(slice.submatrix(r0, r1, 0, slice.cols()).to_mat());
+            let rows = self.tensor.slice(k).data();
+            data.extend_from_slice(&rows[(start - first_day) * j..(end - first_day) * j]);
             meta.push(StockMeta { ticker: m.ticker.clone(), sector: m.sector, days: end - start });
         }
         StockDataset {
-            tensor: IrregularTensor::new(slices),
+            tensor: IrregularTensor::from_packed(data, vec![end - start; meta.len()], j),
             meta,
             feature_names: self.feature_names.clone(),
             sector_names: self.sector_names.clone(),
@@ -229,8 +227,11 @@ pub fn generate(config: &StockMarketConfig) -> StockDataset {
         config.seed ^ 0xABCD,
     ));
 
-    // --- Per-stock price/volume paths and feature slices ---
-    let mut slices = Vec::with_capacity(config.n_stocks);
+    // --- Per-stock price/volume paths and feature slices, each written
+    // straight into the tensor's packed row-major buffer ---
+    let names = feature_names();
+    let j = names.len();
+    let mut data = Vec::with_capacity(days.iter().sum::<usize>() * j);
     let mut meta = Vec::with_capacity(config.n_stocks);
     let mut sector_counter = vec![0usize; config.n_sectors];
     for (k, &d) in days.iter().enumerate() {
@@ -280,16 +281,17 @@ pub fn generate(config: &StockMarketConfig) -> StockDataset {
         }
 
         let cols = feature_matrix(&open, &high, &low, &close, &volume);
-        let mut slice = Mat::zeros(d, cols.len());
-        for (j, col) in cols.iter().enumerate() {
-            for (i, &v) in col.iter().enumerate() {
-                slice.set(i, j, v);
+        let first = data.len();
+        data.resize(first + d * j, 0.0);
+        let slice = &mut data[first..];
+        for (i, row) in slice.chunks_exact_mut(j).enumerate() {
+            for (x, col) in row.iter_mut().zip(&cols) {
+                *x = col[i];
             }
         }
         if config.normalize {
-            zscore_columns(&mut slice);
+            zscore_columns(slice, j);
         }
-        slices.push(slice);
         let idx = sector_counter[sector];
         sector_counter[sector] += 1;
         let prefix: String = SECTOR_NAMES[sector].chars().take(4).collect();
@@ -301,42 +303,37 @@ pub fn generate(config: &StockMarketConfig) -> StockDataset {
     }
 
     StockDataset {
-        tensor: IrregularTensor::new(slices),
+        tensor: IrregularTensor::from_packed(data, days, j),
         meta,
-        feature_names: feature_names(),
+        feature_names: names,
         sector_names: SECTOR_NAMES[..config.n_sectors].iter().map(|s| s.to_string()).collect(),
         max_days: t_max,
     }
 }
 
-/// Z-scores each column in place; near-constant columns become zeros.
-fn zscore_columns(m: &mut Mat) {
-    let (rows, cols) = m.shape();
-    if rows == 0 {
-        return;
+/// Z-scores each column of a row-major block `j` wide, in place;
+/// near-constant columns become zeros. The sums run over the rows in
+/// ascending order with one accumulator per column.
+fn zscore_columns(block: &mut [f64], j: usize) {
+    let rows = (block.len() / j) as f64;
+    let mut mean = vec![0.0; j];
+    for row in block.chunks_exact(j) {
+        for (m, &x) in mean.iter_mut().zip(row) {
+            *m += x;
+        }
     }
-    for j in 0..cols {
-        let mut mean = 0.0;
-        for i in 0..rows {
-            mean += m.at(i, j);
+    mean.iter_mut().for_each(|m| *m /= rows);
+    let mut var = vec![0.0; j];
+    for row in block.chunks_exact(j) {
+        for ((v, &x), &m) in var.iter_mut().zip(row).zip(&mean) {
+            let d = x - m;
+            *v += d * d;
         }
-        mean /= rows as f64;
-        let mut var = 0.0;
-        for i in 0..rows {
-            let d = m.at(i, j) - mean;
-            var += d * d;
-        }
-        var /= rows as f64;
-        let sd = var.sqrt();
-        if sd < 1e-9 {
-            for i in 0..rows {
-                m.set(i, j, 0.0);
-            }
-        } else {
-            for i in 0..rows {
-                let v = (m.at(i, j) - mean) / sd;
-                m.set(i, j, v);
-            }
+    }
+    let sd: Vec<f64> = var.iter().map(|v| (v / rows).sqrt()).collect();
+    for row in block.chunks_exact_mut(j) {
+        for ((x, &m), &sd) in row.iter_mut().zip(&mean).zip(&sd) {
+            *x = if sd < 1e-9 { 0.0 } else { (*x - m) / sd };
         }
     }
 }

@@ -160,8 +160,11 @@ impl IrregularTensor {
         (0..self.k()).map(|k| self.slice(k))
     }
 
-    /// Materializes the slices as owned matrices (one copy each) — for
-    /// interop with APIs that need `Vec<Mat>`, e.g. streaming appends.
+    /// Materializes the slices as owned matrices (one copy each), for a
+    /// caller that needs `Vec<Mat>` and keeps the tensor too. A streaming
+    /// append compresses owned slices where they lie, so slices that start
+    /// out as `Mat`s are best handed to it directly, not packed here and
+    /// copied back out.
     pub fn to_slices(&self) -> Vec<Mat> {
         self.slice_views().map(MatRef::to_mat).collect()
     }

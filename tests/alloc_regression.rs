@@ -532,6 +532,46 @@ fn dpar2_fit_holds_each_large_array_once() {
     }
 }
 
+/// A first streaming append compresses the caller's slices where they lie:
+/// above its input, `StreamingDpar2::append(Vec<Mat>)` peaks no higher
+/// than `compress` of the same tensor, plus 64 KiB for the batch's row
+/// counts and the stream's own bookkeeping. A repack of the batch into one
+/// packed tensor before compressing it (a second copy of the whole input,
+/// 4.4 MiB here) breaks the bound.
+#[test]
+fn first_append_peaks_like_compress() {
+    use dpar2_repro::core::{compress, StreamingDpar2};
+
+    let rows: Vec<usize> = (0..24).map(|k| 400 + 17 * k).collect();
+    let t = planted_parafac2(&rows, 40, 10, 0.1, 9016);
+    let opts = FitOptions::new(10).with_seed(9017).with_threads(1);
+    let slack = 64 << 10;
+
+    let base = reset_peak();
+    let c = compress(&t, &opts).expect("compress failed");
+    let compress_peak = peak_now() - base;
+    drop(c);
+
+    let slices = t.to_slices();
+    let mut stream = StreamingDpar2::new(opts);
+    let base = reset_peak();
+    stream.append(slices).expect("append failed");
+    let append_peak = peak_now() - base;
+    let mib = |b: i64| b as f64 / (1 << 20) as f64;
+    eprintln!(
+        "input {:.3} MiB; peak above it: compress {:.3} MiB, append {:.3} MiB",
+        mib((t.num_entries() * std::mem::size_of::<f64>()) as i64),
+        mib(compress_peak),
+        mib(append_peak)
+    );
+    assert!(
+        append_peak <= compress_peak + slack,
+        "the first append peaked at {append_peak} bytes above its input, compress at \
+         {compress_peak}, slack {slack}"
+    );
+    assert_eq!(stream.k(), rows.len());
+}
+
 /// Guard for the measurement itself: the thread-local counter observes this
 /// thread's allocations (so the zero assertions above are meaningful).
 #[test]
