@@ -7,7 +7,7 @@
 use dpar2_core::error::{Dpar2Error, Result};
 use dpar2_core::{FitOptions, Parafac2Fit, SliceTensor, Workspace};
 use dpar2_linalg::svd::{svd_truncated, svd_truncated_into};
-use dpar2_linalg::{Mat, SvdFactors, SvdScratch};
+use dpar2_linalg::{gemm, product, Mat, SvdFactors, SvdScratch, Trans};
 use dpar2_parallel::{greedy_partition, slots, ThreadPool};
 
 /// Initial `Q_k` for every slice: the identity embedding (first `R`
@@ -59,7 +59,7 @@ pub fn scale_columns(m: &mut Mat, weights: &[f64]) {
 /// orthogonal Procrustes problem `min_Q ‖X_k − Q H S_k Vᵀ‖_F`.
 pub fn update_q(target: &Mat, rank: usize) -> Mat {
     let f = svd_truncated(target, rank);
-    f.u.matmul_nt(&f.v).expect("update_q: Z'·P'ᵀ")
+    product(Trans::N, Trans::T, &f.u, &f.v)
 }
 
 /// [`update_q`] into a caller-owned `Q_k` with reusable SVD scratch — the
@@ -74,7 +74,7 @@ pub fn update_q_into(
     ws: &mut SvdScratch,
 ) {
     svd_truncated_into(target, rank, f, tmp, ws);
-    f.u.matmul_nt_into(&f.v, q_out);
+    gemm(Trans::N, Trans::T, &f.u, &f.v, q_out, &ThreadPool::new(1));
 }
 
 /// True squared reconstruction error `Σ_k ‖X_k − Q_k H S_k Vᵀ‖²_F` given
@@ -147,7 +147,7 @@ fn slice_error_sq<T: SliceTensor>(
 ) -> f64 {
     hs.copy_from(h);
     scale_columns(hs, w.row(k));
-    qs[k].matmul_into(&*hs, qhs); // Q_k·HS
+    gemm(Trans::N, Trans::N, &qs[k], &*hs, qhs, &ThreadPool::new(1)); // Q_k·HS
     tensor.residual_sq(k, qhs, v, model) // ‖X_k − Q_k·HS·Vᵀ‖²
 }
 
@@ -231,7 +231,7 @@ mod tests {
         let t = small_tensor(501);
         let v = init_v(&t, 3);
         assert_eq!(v.shape(), (8, 3));
-        assert!((&v.gram() - &Mat::eye(3)).fro_norm() < 1e-9);
+        assert!((&product(Trans::T, Trans::N, &v, &v) - &Mat::eye(3)).fro_norm() < 1e-9);
     }
 
     #[test]
@@ -240,12 +240,13 @@ mod tests {
         // recover that space.
         let mut rng = StdRng::seed_from_u64(502);
         let v_true = dpar2_linalg::qr::qr(gaussian_mat(10, 2, &mut rng)).q;
-        let slices: Vec<Mat> =
-            (0..3).map(|_| gaussian_mat(15, 2, &mut rng).matmul_nt(&v_true).unwrap()).collect();
+        let slices: Vec<Mat> = (0..3)
+            .map(|_| product(Trans::N, Trans::T, gaussian_mat(15, 2, &mut rng), &v_true))
+            .collect();
         let t = IrregularTensor::new(slices);
         let v = init_v(&t, 2);
         // Projection of v_true onto span(v) should be identity-like.
-        let proj = v.matmul_tn(&v_true).unwrap();
+        let proj = product(Trans::T, Trans::N, &v, &v_true);
         let f = svd_truncated(&proj, 2);
         for s in &f.s {
             assert!((s - 1.0).abs() < 1e-8, "principal angle not zero: σ = {s}");
@@ -257,14 +258,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(503);
         let target = gaussian_mat(20, 4, &mut rng);
         let q = update_q(&target, 4);
-        assert!((&q.gram() - &Mat::eye(4)).fro_norm() < 1e-9);
+        assert!((&product(Trans::T, Trans::N, &q, &q) - &Mat::eye(4)).fro_norm() < 1e-9);
         // Procrustes optimality: trace(QᵀT) ≥ trace(OᵀT) for any orthonormal O.
-        let t_q: f64 = q.matmul_tn(&target).unwrap().diagonal().iter().sum();
+        let t_q: f64 = product(Trans::T, Trans::N, &q, &target).diagonal().iter().sum();
         for trial in 0..5 {
             let o =
                 dpar2_linalg::qr::qr(gaussian_mat(20, 4, &mut StdRng::seed_from_u64(504 + trial)))
                     .q;
-            let t_o: f64 = o.matmul_tn(&target).unwrap().diagonal().iter().sum();
+            let t_o: f64 = product(Trans::T, Trans::N, &o, &target).diagonal().iter().sum();
             assert!(t_q >= t_o - 1e-9, "Procrustes solution beaten by random Q");
         }
     }
@@ -284,7 +285,7 @@ mod tests {
         let w = [2.0, 0.5, -1.0];
         let mut scaled = m.clone();
         scale_columns(&mut scaled, &w);
-        let explicit = m.matmul(Mat::diag(&w)).unwrap();
+        let explicit = product(Trans::N, Trans::N, &m, Mat::diag(&w));
         assert!((&scaled - &explicit).fro_norm() < 1e-12);
     }
 
@@ -332,7 +333,7 @@ mod tests {
             let q = dpar2_linalg::qr::qr(gaussian_mat(14, r, &mut rng)).q;
             let mut hs = h.clone();
             scale_columns(&mut hs, w.row(k));
-            slices.push(q.matmul(&hs).unwrap().matmul_nt(&v).unwrap());
+            slices.push(product(Trans::N, Trans::T, product(Trans::N, Trans::N, &q, &hs), &v));
             qs.push(q);
         }
         let t = IrregularTensor::new(slices);

@@ -18,7 +18,7 @@ use dpar2_core::{
     FitObserver, FitOptions, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver, Result,
     TimingBreakdown,
 };
-use dpar2_linalg::{pinv, Mat};
+use dpar2_linalg::{pinv, product, Mat, Trans};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::{mttkrp, normalize_columns, Dense3, IrregularTensor};
 use std::time::Instant;
@@ -78,29 +78,29 @@ impl Parafac2Als {
                 let mut vs = v.clone();
                 scale_columns(&mut vs, w.row(k));
                 // X_k · (V S_k Hᵀ) — build the J×R operand first.
-                let vsh = vs.matmul_nt(&h).expect("V S_k Hᵀ");
-                let target = tensor.slice(k).matmul(&vsh).expect("X_k · VSHᵀ");
+                let vsh = product(Trans::N, Trans::T, &vs, &h);
+                let target = product(Trans::N, Trans::N, tensor.slice(k), &vsh);
                 qs.push(update_q(&target, r));
             }
 
             // Lines 7–10: materialize Y with frontal slices Q_kᵀ X_k.
             let yks: Vec<Mat> =
-                (0..k_dim).map(|k| qs[k].matmul_tn(tensor.slice(k)).expect("Q_kᵀX_k")).collect();
+                (0..k_dim).map(|k| product(Trans::T, Trans::N, &qs[k], tensor.slice(k))).collect();
             let y = Dense3::from_frontal_slices(yks);
 
             // Lines 11–16: one naive CP-ALS iteration on Y.
             let g1 = mttkrp(&y, &h, &v, &w, 1);
-            h = g1.matmul(pinv(w.gram().hadamard(&v.gram()).expect("WᵀW∗VᵀV"))).expect("H update");
+            h = product(Trans::N, Trans::N, &g1, pinv(gram_hadamard(&w, &v)));
             let (hn, _) = normalize_columns(&h);
             h = hn;
 
             let g2 = mttkrp(&y, &h, &v, &w, 2);
-            v = g2.matmul(pinv(w.gram().hadamard(&h.gram()).expect("WᵀW∗HᵀH"))).expect("V update");
+            v = product(Trans::N, Trans::N, &g2, pinv(gram_hadamard(&w, &h)));
             let (vn, _) = normalize_columns(&v);
             v = vn;
 
             let g3 = mttkrp(&y, &h, &v, &w, 3);
-            w = g3.matmul(pinv(v.gram().hadamard(&h.gram()).expect("VᵀV∗HᵀH"))).expect("W update");
+            w = product(Trans::N, Trans::N, &g3, pinv(gram_hadamard(&v, &h)));
 
             // Line 17: true reconstruction error, then the session's shared
             // stopping rule (convergence / observer / time budget /
@@ -118,7 +118,7 @@ impl Parafac2Als {
         }
 
         // Lines 18–20: U_k = Q_k H.
-        let u: Vec<Mat> = qs.iter().map(|q| q.matmul(&h).expect("Q_k·H")).collect();
+        let u: Vec<Mat> = qs.iter().map(|q| product(Trans::N, Trans::N, q, &h)).collect();
         let s: Vec<Vec<f64>> = (0..k_dim).map(|k| w.row(k).to_vec()).collect();
 
         Ok(Parafac2Fit {
@@ -154,6 +154,14 @@ impl Parafac2Solver for Parafac2Als {
     }
 }
 
+/// `XᵀX ∗ YᵀY`, the matrix a CP-ALS factor update inverts (Algorithm 2,
+/// lines 11–16).
+fn gram_hadamard(x: &Mat, y: &Mat) -> Mat {
+    let mut g = product(Trans::T, Trans::N, x, x);
+    g.hadamard_assign(product(Trans::T, Trans::N, y, y));
+    g
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -178,9 +186,9 @@ pub(crate) mod tests {
                 let q = qr::qr(gaussian_mat(ik, r, &mut rng)).q;
                 let sk: Vec<f64> =
                     (0..r).map(|i| 1.0 + 0.3 * i as f64 + rng.random::<f64>()).collect();
-                let mut qh = q.matmul(&h).unwrap();
+                let mut qh = product(Trans::N, Trans::N, &q, &h);
                 scale_columns(&mut qh, &sk);
-                let mut x = qh.matmul_nt(&v).unwrap();
+                let mut x = product(Trans::N, Trans::T, &qh, &v);
                 if noise > 0.0 {
                     let scale = noise * x.fro_norm() / ((ik * j) as f64).sqrt();
                     x.axpy(scale, &gaussian_mat(ik, j, &mut rng));
@@ -218,9 +226,9 @@ pub(crate) mod tests {
     fn uk_cross_products_invariant() {
         let t = planted(&[30, 22], 14, 3, 0.05, 603);
         let fit = Parafac2Als.fit(&t, &FitOptions::new(3)).unwrap();
-        let hth = fit.h.gram();
+        let hth = product(Trans::T, Trans::N, &fit.h, &fit.h);
         for k in 0..2 {
-            let utu = fit.u[k].gram();
+            let utu = product(Trans::T, Trans::N, &fit.u[k], &fit.u[k]);
             assert!((&utu - &hth).fro_norm() < 1e-8 * (1.0 + hth.fro_norm()));
         }
     }

@@ -28,7 +28,7 @@ use dpar2_core::{
     FitObserver, FitOptions, FitPhase, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver,
     Result, TimingBreakdown,
 };
-use dpar2_linalg::{pinv_into, svd::svd_truncated, Mat};
+use dpar2_linalg::{gemm, pinv_into, product, svd::svd_truncated, Mat, Trans};
 use dpar2_parallel::{greedy_partition, ThreadPool};
 use dpar2_tensor::{mttkrp_into, normalize_columns_mut, Dense3, IrregularTensor};
 use std::time::Instant;
@@ -50,7 +50,7 @@ impl RdAls {
         let f = svd_truncated(tensor.stacked(), rank);
         let v_c = f.v; // J×R
         let reduced: Vec<Mat> =
-            tensor.slice_views().map(|x| x.matmul(&v_c).expect("X_k·V_c")).collect();
+            tensor.slice_views().map(|x| product(Trans::N, Trans::N, x, &v_c)).collect();
         (v_c, reduced)
     }
 
@@ -89,6 +89,7 @@ impl RdAls {
         // Shared with the other baselines so method-comparison timings stay
         // about algorithmic cost; bit-identical for every pool size.
         let pool = ThreadPool::new(options.threads.max(1));
+        let serial = ThreadPool::new(1);
 
         // ---- Preprocessing ----
         let (v_c, reduced) = self.preprocess(tensor, r);
@@ -107,7 +108,7 @@ impl RdAls {
                 // Ṽ = V_cᵀ V, exact when V lies in span(V_c) (V_c is
                 // orthonormal).
                 let (h, v_full, w) = init_factors(tensor, options)?;
-                (h, v_c.matmul_tn(&v_full).expect("V_cᵀ·V"), w)
+                (h, product(Trans::T, Trans::N, &v_c, &v_full), w)
             }
         };
         // Q_k buffers, updated in place every iteration (no per-iteration
@@ -145,8 +146,9 @@ impl RdAls {
             for k in 0..k_dim {
                 vs_buf.copy_from(&v_t);
                 scale_columns(&mut vs_buf, w.row(k));
-                vs_buf.matmul_nt_into(&h, &mut vsh); // Ṽ S_k Hᵀ
-                reduced_tensor.slice(k).matmul_into(&vsh, &mut target); // X̃_k·ṼSHᵀ
+                gemm(Trans::N, Trans::T, &vs_buf, &h, &mut vsh, &serial); // Ṽ S_k Hᵀ
+                                                                          // X̃_k·ṼSHᵀ
+                gemm(Trans::N, Trans::N, reduced_tensor.slice(k), &vsh, &mut target, &serial);
                 update_q_into(
                     &target,
                     r,
@@ -158,38 +160,39 @@ impl RdAls {
             }
 
             for k in 0..k_dim {
-                qs[k].matmul_tn_into(reduced_tensor.slice(k), y.slice_mut(k)); // Q_kᵀX̃_k
+                // Q_kᵀX̃_k
+                gemm(Trans::T, Trans::N, &qs[k], reduced_tensor.slice(k), y.slice_mut(k), &serial);
             }
 
             mttkrp_into(&y, &h, &v_t, &w, 1, &mut g_out, &mut ws.mttkrp);
-            w.matmul_tn_into(&w, &mut gram_a);
-            v_t.matmul_tn_into(&v_t, &mut gram_b);
+            gemm(Trans::T, Trans::N, &w, &w, &mut gram_a, &serial);
+            gemm(Trans::T, Trans::N, &v_t, &v_t, &mut gram_b, &serial);
             gram_a.hadamard_assign(&gram_b); // WᵀW∗ṼᵀṼ
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
-            g_out.matmul_into(&pinv_buf, &mut next_h); // H update
+            gemm(Trans::N, Trans::N, &g_out, &pinv_buf, &mut next_h, &serial); // H update
             std::mem::swap(&mut h, &mut next_h);
             normalize_columns_mut(&mut h, &mut ws.norms);
 
             mttkrp_into(&y, &h, &v_t, &w, 2, &mut g_out, &mut ws.mttkrp);
-            w.matmul_tn_into(&w, &mut gram_a);
-            h.matmul_tn_into(&h, &mut gram_b);
+            gemm(Trans::T, Trans::N, &w, &w, &mut gram_a, &serial);
+            gemm(Trans::T, Trans::N, &h, &h, &mut gram_b, &serial);
             gram_a.hadamard_assign(&gram_b); // WᵀW∗HᵀH
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
-            g_out.matmul_into(&pinv_buf, &mut next_v); // Ṽ update
+            gemm(Trans::N, Trans::N, &g_out, &pinv_buf, &mut next_v, &serial); // Ṽ update
             std::mem::swap(&mut v_t, &mut next_v);
             normalize_columns_mut(&mut v_t, &mut ws.norms);
 
             mttkrp_into(&y, &h, &v_t, &w, 3, &mut g_out, &mut ws.mttkrp);
-            v_t.matmul_tn_into(&v_t, &mut gram_a);
-            h.matmul_tn_into(&h, &mut gram_b);
+            gemm(Trans::T, Trans::N, &v_t, &v_t, &mut gram_a, &serial);
+            gemm(Trans::T, Trans::N, &h, &h, &mut gram_b, &serial);
             gram_a.hadamard_assign(&gram_b); // ṼᵀṼ∗HᵀH
             pinv_into(&gram_a, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
-            g_out.matmul_into(&pinv_buf, &mut next_w); // W update
+            gemm(Trans::N, Trans::N, &g_out, &pinv_buf, &mut next_w, &serial); // W update
             std::mem::swap(&mut w, &mut next_w);
 
             // The expensive part the paper highlights: the *true*
             // reconstruction error against the ORIGINAL slices.
-            v_c.matmul_into(&v_t, &mut v_full);
+            gemm(Trans::N, Trans::N, &v_c, &v_t, &mut v_full, &serial);
             let err = true_error_sq_ws(tensor, &qs, &h, &w, &v_full, &pool, &partition, ws);
             if session.finish_iteration(err, x_norm_sq) {
                 break;
@@ -202,8 +205,8 @@ impl RdAls {
             qs = identity_qs(tensor, r);
         }
 
-        let v = v_c.matmul(&v_t).expect("V_c·Ṽ");
-        let u: Vec<Mat> = qs.iter().map(|q| q.matmul(&h).expect("Q_k·H")).collect();
+        let v = product(Trans::N, Trans::N, &v_c, &v_t);
+        let u: Vec<Mat> = qs.iter().map(|q| product(Trans::N, Trans::N, q, &h)).collect();
         let s: Vec<Vec<f64>> = (0..k_dim).map(|k| w.row(k).to_vec()).collect();
 
         Ok(Parafac2Fit {
@@ -258,7 +261,7 @@ mod tests {
         let t = planted(&[15, 22], 10, 2, 0.1, 802);
         let (v_c, reduced) = RdAls.preprocess(&t, 2);
         assert_eq!(v_c.shape(), (10, 2));
-        assert!((&v_c.gram() - &Mat::eye(2)).fro_norm() < 1e-9);
+        assert!((&product(Trans::T, Trans::N, &v_c, &v_c) - &Mat::eye(2)).fro_norm() < 1e-9);
         assert_eq!(reduced.len(), 2);
         assert_eq!(reduced[0].shape(), (15, 2));
     }

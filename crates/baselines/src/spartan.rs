@@ -47,7 +47,7 @@ use dpar2_core::{
     validate, FitObserver, FitOptions, FitSession, NoopObserver, Parafac2Fit, Parafac2Solver,
     ProductOp, Result, SliceTensor, TimingBreakdown, Workspace,
 };
-use dpar2_linalg::{pinv_into, Mat};
+use dpar2_linalg::{gemm, pinv_into, product, Mat, Trans};
 use dpar2_parallel::{greedy_partition, slots, ThreadPool};
 use dpar2_tensor::{normalize_columns_mut, IrregularTensor};
 use std::time::Instant;
@@ -136,33 +136,33 @@ impl Spartan {
             // buys thread-count determinism.
             g1.resize_zeroed(r, r);
             for k in 0..k_dim {
-                yks[k].matmul_into(&v, &mut ws.lemma_tmp); // Y_k·V, R×R
+                gemm(Trans::N, Trans::N, &yks[k], &v, &mut ws.lemma_tmp, &serial); // Y_k·V, R×R
                 accumulate_weighted(&mut g1, &ws.lemma_tmp, w.row(k));
             }
-            w.matmul_tn_into(&w, &mut gram_a);
-            v.matmul_tn_into(&v, &mut gram_b);
+            gemm(Trans::T, Trans::N, &w, &w, &mut gram_a, &serial);
+            gemm(Trans::T, Trans::N, &v, &v, &mut gram_b, &serial);
             gram_a.hadamard_assign(&gram_b); // WᵀW ∗ VᵀV
             pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
-            g1.matmul_into(&pinv_out, &mut new_h);
+            gemm(Trans::N, Trans::N, &g1, &pinv_out, &mut new_h, &serial);
             normalize_columns_mut(&mut new_h, &mut ws.norms);
             std::mem::swap(&mut h, &mut new_h);
 
             g2.resize_zeroed(j_dim, r);
             for k in 0..k_dim {
-                yks[k].matmul_tn_into(&h, &mut ws.lemma_tmp); // Y_kᵀ·H, J×R
+                gemm(Trans::T, Trans::N, &yks[k], &h, &mut ws.lemma_tmp, &serial); // Y_kᵀ·H, J×R
                 accumulate_weighted(&mut g2, &ws.lemma_tmp, w.row(k));
             }
-            w.matmul_tn_into(&w, &mut gram_a);
-            h.matmul_tn_into(&h, &mut gram_b);
+            gemm(Trans::T, Trans::N, &w, &w, &mut gram_a, &serial);
+            gemm(Trans::T, Trans::N, &h, &h, &mut gram_b, &serial);
             gram_a.hadamard_assign(&gram_b); // WᵀW ∗ HᵀH
             pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
-            g2.matmul_into(&pinv_out, &mut new_v);
+            gemm(Trans::N, Trans::N, &g2, &pinv_out, &mut new_v, &serial);
             normalize_columns_mut(&mut new_v, &mut ws.norms);
             std::mem::swap(&mut v, &mut new_v);
 
             g3.resize_zeroed(k_dim, r);
             for k in 0..k_dim {
-                yks[k].matmul_into(&v, &mut ws.lemma_tmp); // Y_k·V, R×R
+                gemm(Trans::N, Trans::N, &yks[k], &v, &mut ws.lemma_tmp, &serial); // Y_k·V, R×R
                 let grow = g3.row_mut(k);
                 for i in 0..h.rows() {
                     let hrow = h.row(i);
@@ -172,11 +172,11 @@ impl Spartan {
                     }
                 }
             }
-            v.matmul_tn_into(&v, &mut gram_a);
-            h.matmul_tn_into(&h, &mut gram_b);
+            gemm(Trans::T, Trans::N, &v, &v, &mut gram_a, &serial);
+            gemm(Trans::T, Trans::N, &h, &h, &mut gram_b, &serial);
             gram_a.hadamard_assign(&gram_b); // VᵀV ∗ HᵀH
             pinv_into(&gram_a, &mut pinv_out, &mut ws.svd_tmp, &mut ws.svd);
-            g3.matmul_into(&pinv_out, &mut new_w);
+            gemm(Trans::N, Trans::N, &g3, &pinv_out, &mut new_w, &serial);
             std::mem::swap(&mut w, &mut new_w);
 
             let err = true_error_sq_ws(tensor, &qs, &h, &w, &v, &pool, &partition, &mut ws);
@@ -191,7 +191,7 @@ impl Spartan {
             qs = identity_qs(tensor, r);
         }
 
-        let u: Vec<Mat> = qs.iter().map(|q| q.matmul(&h).expect("Q_k·H")).collect();
+        let u: Vec<Mat> = qs.iter().map(|q| product(Trans::N, Trans::N, q, &h)).collect();
         let s: Vec<Vec<f64>> = (0..k_dim).map(|k| w.row(k).to_vec()).collect();
 
         Ok(Parafac2Fit {
@@ -242,7 +242,7 @@ fn update_slice(
 ) {
     ws.tall_a.copy_from(v);
     scale_columns(&mut ws.tall_a, w_row);
-    ws.tall_a.matmul_nt_into(h, &mut ws.tall_b); // V S_k Hᵀ
+    gemm(Trans::N, Trans::T, &ws.tall_a, h, &mut ws.tall_b, serial); // V S_k Hᵀ
     x.mm_into(&ws.tall_b, &mut ws.slice_a, serial); // X_k·VS_kHᵀ
     let rank = h.rows();
     update_q_into(&ws.slice_a, rank, q, &mut ws.svd_out, &mut ws.svd_tmp, &mut ws.svd);

@@ -41,8 +41,8 @@ use dpar2_linalg::kernel::{self, Trans};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{
-    gram_into, interleave_lanes, qr_into, svd_square_lanes, svd_thin_batch_into, svd_truncated,
-    Mat, QrScratch, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
+    gram_into, interleave_lanes, product, qr_into, svd_square_lanes, svd_thin_batch_into,
+    svd_truncated, Mat, QrScratch, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
 };
 use dpar2_parallel::{greedy_partition, round_robin_partition, ThreadPool};
 use dpar2_rsvd::{rsvd, RsvdConfig};
@@ -58,7 +58,7 @@ fn bench_rsvd_vs_exact(c: &mut Criterion) {
         let a = {
             let u = gaussian_mat(m, 10, &mut rng);
             let v = gaussian_mat(n, 10, &mut rng);
-            let mut x = u.matmul_nt(&v).unwrap();
+            let mut x = product(Trans::N, Trans::T, &u, &v);
             x.axpy(0.05, &gaussian_mat(m, n, &mut rng));
             x
         };
@@ -82,7 +82,7 @@ fn bench_rsvd_power_iters(c: &mut Criterion) {
     let a = {
         let u = gaussian_mat(600, 12, &mut rng);
         let v = gaussian_mat(150, 12, &mut rng);
-        let mut x = u.matmul_nt(&v).unwrap();
+        let mut x = product(Trans::N, Trans::T, &u, &v);
         x.axpy(0.1, &gaussian_mat(600, 150, &mut rng));
         x
     };
@@ -130,7 +130,7 @@ fn lemma_fixture(k: usize, j: usize, r: usize) -> LemmaFixture {
     let v = gaussian_mat(j, r, &mut rng);
     let h = gaussian_mat(r, r, &mut rng);
     let w = gaussian_mat(k, r, &mut rng);
-    let edtv = edt.matmul(&v).unwrap();
+    let edtv = product(Trans::N, Trans::N, &edt, &v);
     LemmaFixture { pzf, edt, de, v, h, w, edtv }
 }
 
@@ -199,9 +199,15 @@ fn bench_gemm(c: &mut Criterion) {
     let a = gaussian_mat(256, 256, &mut rng);
     let b_m = gaussian_mat(256, 256, &mut rng);
     // Public entry points (size-dispatched onto the blocked kernel layer).
-    group.bench_function("matmul_256", |b| b.iter(|| black_box(a.matmul(&b_m).unwrap())));
-    group.bench_function("matmul_tn_256", |b| b.iter(|| black_box(a.matmul_tn(&b_m).unwrap())));
-    group.bench_function("matmul_nt_256", |b| b.iter(|| black_box(a.matmul_nt(&b_m).unwrap())));
+    group.bench_function("matmul_256", |b| {
+        b.iter(|| black_box(product(Trans::N, Trans::N, &a, &b_m)))
+    });
+    group.bench_function("matmul_tn_256", |b| {
+        b.iter(|| black_box(product(Trans::T, Trans::N, &a, &b_m)))
+    });
+    group.bench_function("matmul_nt_256", |b| {
+        b.iter(|| black_box(product(Trans::N, Trans::T, &a, &b_m)))
+    });
     // The dispatch ablation: retained naive reference vs forced blocked vs
     // pooled (see `--bin gemm_kernels` for the full size/thread sweep).
     let mut out = Mat::zeros(256, 256);
@@ -360,7 +366,12 @@ fn bench_compress_route(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(13);
     let (config, serial) = (RsvdConfig::new(10), ThreadPool::new(1));
     for &(m, n) in &[(540usize, 88usize), (60, 48), (48, 15000)] {
-        let mut x = gaussian_mat(m, 10, &mut rng).matmul_nt(gaussian_mat(n, 10, &mut rng)).unwrap();
+        let mut x = product(
+            Trans::N,
+            Trans::T,
+            gaussian_mat(m, 10, &mut rng),
+            gaussian_mat(n, 10, &mut rng),
+        );
         x.axpy(0.1, &gaussian_mat(m, n, &mut rng));
         group.bench_function(BenchmarkId::new("rsvd", format!("{m}x{n}")), |b| {
             b.iter(|| black_box(rsvd(&x, &config, &mut StdRng::seed_from_u64(14))))

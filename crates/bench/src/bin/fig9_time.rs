@@ -9,47 +9,19 @@
 //! # --phase preprocess | iteration | both; --methods dpar2,rd-als,…
 //! ```
 
-// The counting allocator is the one deliberate `unsafe` in this binary
-// (GlobalAlloc is an unsafe trait); it only increments a counter around the
-// system allocator.
-#![allow(unsafe_code)]
-
 use dpar2_baselines::{fit_with_observer, Method, RdAls};
 use dpar2_bench::{
-    dpar2_leads, fmt_secs, methods_arg, print_table, sweep_header, Args, HarnessConfig,
+    alloc, dpar2_leads, fmt_secs, methods_arg, print_table, sweep_header, Args, HarnessConfig,
 };
 use dpar2_core::compress;
 use dpar2_core::{FitOptions, IterationEvent, StopReason};
 use dpar2_data::registry;
 use dpar2_tensor::IrregularTensor;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// System allocator wrapper counting `alloc`/`realloc` calls process-wide.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static ALLOC: alloc::Tracking = alloc::Tracking;
 
 /// Peak resident set size (`VmHWM`) in kibibytes; 0 where unavailable.
 fn peak_rss_kb() -> u64 {
@@ -76,7 +48,7 @@ fn measure_observed(
 ) -> (f64, Option<f64>) {
     let mut snapshots: Vec<u64> = Vec::with_capacity(64);
     let mut observer = |_e: &IterationEvent| {
-        snapshots.push(ALLOCS.load(Ordering::Relaxed));
+        snapshots.push(alloc::calls());
         ControlFlow::<StopReason>::Continue(())
     };
     let fit = fit_with_observer(method, tensor, options, &mut observer).expect("method failed");

@@ -64,8 +64,8 @@ use dpar2_linalg::kernel::{self, Pin, Trans};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{
-    gemm, gram_into, interleave_lanes, qr_into, svd_square_lanes, svd_thin_batch_into, Mat,
-    QrScratch, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
+    gemm, gram_into, interleave_lanes, product, qr_into, svd_square_lanes, svd_thin_batch_into,
+    Mat, QrScratch, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
 };
 use dpar2_parallel::ThreadPool;
 use dpar2_rsvd::rsvd;
@@ -200,8 +200,12 @@ const ROUTE_SWEEP: [usize; 9] = [24, 48, 72, 96, 112, 126, 144, 162, 192];
 /// noise, so the route never falls back.
 fn route_times(rows: usize, cols: usize, seed: u64) -> (f64, f64, f64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut x =
-        gaussian_mat(rows, 10, &mut rng).matmul_nt(gaussian_mat(cols, 10, &mut rng)).unwrap();
+    let mut x = product(
+        Trans::N,
+        Trans::T,
+        gaussian_mat(rows, 10, &mut rng),
+        gaussian_mat(cols, 10, &mut rng),
+    );
     x.axpy(0.1, &gaussian_mat(rows, cols, &mut rng));
     let (config, serial) = (RsvdConfig::new(10), ThreadPool::new(1));
     let xt = x.transpose();

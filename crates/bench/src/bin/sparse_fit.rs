@@ -41,60 +41,16 @@
 //! dense-side peak: both sparse-side peaks are small factor/SVD workspaces,
 //! and the asymptotic dense/sparse ratio is ≈ 1/density at low density.
 
-// The peak-tracking allocator implements the unsafe `GlobalAlloc` trait —
-// the same carve-out from the workspace-wide `deny(unsafe_code)` as the
-// root `alloc_regression` suite's counting allocator.
-#![allow(unsafe_code)]
-
 use dpar2_baselines::Spartan;
+use dpar2_bench::alloc::{self, peak_during};
 use dpar2_bench::Args;
 use dpar2_core::{Dpar2, FitMetrics, FitOptions, MetricsObserver, Parafac2Fit, RsvdConfig};
 use dpar2_data::planted_sparse;
 use dpar2_obs::{export, MetricsRegistry, Snapshot};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// System allocator wrapper tracking live bytes and their high-water mark.
-struct PeakAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn track_alloc(size: usize) {
-    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        track_alloc(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        track_alloc(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static PEAK_TRACKER: PeakAlloc = PeakAlloc;
-
-/// Peak live bytes observed while running `f`, measured from the live
-/// level at entry (so resident fixtures don't count).
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let out = f();
-    (out, PEAK.load(Ordering::Relaxed).saturating_sub(base))
-}
+static ALLOC: alloc::Tracking = alloc::Tracking;
 
 /// Round-trips a snapshot through the JSON exporter and returns the text —
 /// the artifact embeds only JSON that is proven to parse back bit-exactly.

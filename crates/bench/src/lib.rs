@@ -14,17 +14,23 @@
 //! * `--seed <u64>`    — RNG seed (default 0)
 //! * `--methods <list>` — comma-separated solver names (`dpar2,rd-als,…`
 //!   via `Method::from_str`; default `all` = the paper's four)
+//!
+//! The binaries that measure heap use install [`alloc::Tracking`] as their
+//! global allocator.
 
 use dpar2_baselines::{fit_with, Method};
 use dpar2_core::{FitOptions, Parafac2Fit, Result};
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::{
-    extract_lane, gemm_lanes, interleave_lanes, LaneOperand, Mat, Trans, SVD_LANES,
+    extract_lane, gemm, gemm_lanes, interleave_lanes, LaneOperand, Mat, ThreadPool, Trans,
+    SVD_LANES,
 };
 use dpar2_tensor::IrregularTensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+
+pub mod alloc;
 
 /// Parsed command-line options: `--key value` pairs.
 #[derive(Debug, Clone, Default)]
@@ -357,10 +363,10 @@ impl QkChain {
     pub fn per_slice(&mut self) {
         let [inputs, zpt, pzf] = &mut self.out;
         for l in 0..SVD_LANES {
-            self.f[l].matmul_into(&self.edtv, &mut self.prod);
-            self.prod.matmul_nt_into(&self.h, &mut inputs[l]);
-            self.u[l].matmul_nt_into(&self.v[l], &mut zpt[l]);
-            zpt[l].matmul_tn_into(&self.f[l], &mut pzf[l]);
+            gemm(Trans::N, Trans::N, &self.f[l], &self.edtv, &mut self.prod, &ThreadPool::new(1));
+            gemm(Trans::N, Trans::T, &self.prod, &self.h, &mut inputs[l], &ThreadPool::new(1));
+            gemm(Trans::N, Trans::T, &self.u[l], &self.v[l], &mut zpt[l], &ThreadPool::new(1));
+            gemm(Trans::T, Trans::N, &zpt[l], &self.f[l], &mut pzf[l], &ThreadPool::new(1));
         }
     }
 

@@ -69,8 +69,8 @@ use crate::config::FitOptions;
 use crate::error::Result;
 use crate::slices::{validate, SliceTensor};
 use dpar2_linalg::{
-    gaussian_mat, gemm, pow2, qr_into, svd_thin, svd_thin_batch_into, Mat, MatRef, QrScratch,
-    SvdBatchScratch, SvdFactors, Trans, SVD_LANES,
+    gaussian_mat, gemm, pow2, product, qr_into, svd_thin, svd_thin_batch_into, Mat, MatRef,
+    QrScratch, SvdBatchScratch, SvdFactors, Trans, SVD_LANES,
 };
 use dpar2_parallel::{greedy_partition, Bucket, ThreadPool};
 use dpar2_rsvd::{rsvd_lift, rsvd_pooled, rsvd_sketch, ProductOp, RsvdConfig, RsvdSketch};
@@ -132,8 +132,8 @@ impl CompressedTensor {
     /// Reconstructs slice `k` as `A_k F(k) E Dᵀ` (lossy; used by tests and
     /// the naive-update ablation, not by the solver).
     pub fn reconstruct_slice(&self, k: usize) -> Mat {
-        let afe = self.a[k].matmul(&self.f_blocks[k]).expect("A_k · F(k)");
-        afe.matmul(self.edt()).expect("· E Dᵀ")
+        let afe = product(Trans::N, Trans::N, &self.a[k], &self.f_blocks[k]);
+        product(Trans::N, Trans::N, &afe, self.edt())
     }
 
     /// Total number of `f64` values retained — the "Size of Preprocessed
@@ -733,7 +733,7 @@ mod tests {
             .iter()
             .map(|&ik| {
                 let u = gaussian_mat(ik, r, &mut rng);
-                let mut x = u.matmul_nt(&v).unwrap();
+                let mut x = product(Trans::N, Trans::T, &u, &v);
                 if eps > 0.0 {
                     x.axpy(eps, &gaussian_mat(ik, j, &mut rng));
                 }
@@ -750,7 +750,7 @@ mod tests {
         let mut u = dpar2_linalg::qr(gaussian_mat(rows, sigma.len(), &mut rng)).q;
         let v = dpar2_linalg::qr(gaussian_mat(cols, sigma.len(), &mut rng)).q;
         scale_columns(&mut u, sigma, |x, s| x * s);
-        let mut x = u.matmul_nt(&v).unwrap();
+        let mut x = product(Trans::N, Trans::T, &u, &v);
         x.axpy(eps, &gaussian_mat(rows, cols, &mut rng));
         x
     }
@@ -771,7 +771,7 @@ mod tests {
     }
 
     fn orthonormality_error(a: &Mat) -> f64 {
-        (&a.gram() - &Mat::eye(a.cols())).fro_norm()
+        (&product(Trans::T, Trans::N, a, a) - &Mat::eye(a.cols())).fro_norm()
     }
 
     #[test]
@@ -792,7 +792,7 @@ mod tests {
                 }
             }
             assert!(orthonormality_error(&f.a) <= 1e-13, "{rows}x{cols}: A not orthonormal");
-            let residual = (&x - &f.a.matmul_nt(&f.c).unwrap()).fro_norm();
+            let residual = (&x - &product(Trans::N, Trans::T, &f.a, &f.c)).fro_norm();
             let r = dpar2_rsvd::rsvd(&x, &config, &mut StdRng::seed_from_u64(7));
             let rsvd_residual = (&x - &r.reconstruct()).fro_norm();
             assert!(
@@ -848,8 +848,12 @@ mod tests {
         // window, a rank-1 one is rank-deficient at R = 3); their factors
         // come from the randomized SVD, finite and orthonormal.
         let mut rng = StdRng::seed_from_u64(24);
-        let rank_one =
-            gaussian_mat(50, 1, &mut rng).matmul_nt(gaussian_mat(30, 1, &mut rng)).unwrap();
+        let rank_one = product(
+            Trans::N,
+            Trans::T,
+            gaussian_mat(50, 1, &mut rng),
+            gaussian_mat(30, 1, &mut rng),
+        );
         let config = RsvdConfig::new(3);
         assert!(route(&Mat::zeros(50, 30), &config, 1).is_none());
         assert!(route(&rank_one, &config, 1).is_none());
@@ -879,7 +883,7 @@ mod tests {
         let t = planted(&[40, 25], 20, 4, 0.1, 3);
         let c = compress(&t, &FitOptions::new(4).with_seed(4)).unwrap();
         for (k, a) in c.a.iter().enumerate() {
-            let dev = (&a.gram() - &Mat::eye(4)).fro_norm();
+            let dev = (&product(Trans::T, Trans::N, a, a) - &Mat::eye(4)).fro_norm();
             assert!(dev < 1e-10, "A_{k} not orthonormal: {dev}");
         }
     }
@@ -984,8 +988,12 @@ mod tests {
         // the slices above `κ·(R + s)` = 66 rows, outside the rule.
         let options = FitOptions::new(3).with_seed(48);
         let mut rng = StdRng::seed_from_u64(49);
-        let rank_one =
-            gaussian_mat(50, 1, &mut rng).matmul_nt(gaussian_mat(40, 1, &mut rng)).unwrap();
+        let rank_one = product(
+            Trans::N,
+            Trans::T,
+            gaussian_mat(50, 1, &mut rng),
+            gaussian_mat(40, 1, &mut rng),
+        );
         let mut near = planted(&[120, 45, 20, 30, 64, 9, 90, 15], 40, 3, 0.1, 50).to_slices();
         near.insert(3, rank_one);
         near.push(Mat::zeros(33, 40));
@@ -1110,7 +1118,7 @@ mod tests {
     fn edt_matches_explicit_product() {
         let t = planted(&[20, 30], 15, 3, 0.1, 13);
         let c = compress(&t, &FitOptions::new(3).with_seed(14)).unwrap();
-        let explicit = Mat::diag(&c.e).matmul(c.d.transpose()).unwrap();
+        let explicit = product(Trans::N, Trans::N, Mat::diag(&c.e), c.d.transpose());
         assert!((&c.edt() - &explicit).fro_norm() < 1e-12);
     }
 

@@ -37,7 +37,7 @@
 //! bit-identical factors.
 
 use crate::session::Workspace;
-use dpar2_linalg::Mat;
+use dpar2_linalg::{gemm, Mat, Trans};
 use dpar2_parallel::{slots, ThreadPool};
 
 /// One slice's compressed residual `‖PZF_k·EDᵀ − H S_k Vᵀ‖²_F`, computed
@@ -54,7 +54,7 @@ fn slice_residual_sq(
     model: &mut Mat,
 ) -> f64 {
     // ŷ_k = PZF_k · E Dᵀ  (R×J)
-    pzf_k.matmul_into(edt, yk);
+    gemm(Trans::N, Trans::N, pzf_k, edt, yk, &ThreadPool::new(1));
     // H S_k: scale column c of H by W(k, c).
     hs.copy_from(h);
     for i in 0..hs.rows() {
@@ -65,7 +65,7 @@ fn slice_residual_sq(
     }
     // model_k = H S_k Vᵀ (R×J), then the fused difference-norm
     // (`MatRef::diff_norm_sq` carries the bit-identity ordering guarantee).
-    hs.matmul_nt_into(v, model);
+    gemm(Trans::N, Trans::T, &*hs, v, model, &ThreadPool::new(1));
     yk.view().diff_norm_sq(&*model)
 }
 
@@ -143,7 +143,7 @@ pub fn explicit_criterion(y: &[Mat], h: &Mat, w: &Mat, v: &Mat) -> f64 {
                 row[c] *= wv;
             }
         }
-        hs.matmul_nt_into(v, &mut model);
+        gemm(Trans::N, Trans::T, &hs, v, &mut model, &ThreadPool::new(1));
         total += (yk - &model).fro_norm_sq();
     }
     total
@@ -167,6 +167,7 @@ pub fn converged(prev: Option<f64>, err: f64, data_norm_sq: f64, tol: f64) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpar2_linalg::product;
     use dpar2_linalg::random::gaussian_mat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -198,7 +199,7 @@ mod tests {
         let v = gaussian_mat(j, r, &mut rng);
         let pool = ThreadPool::new(1);
         let fast = compressed_criterion_ws(&pzf, &edt, &h, &w, &v, &pool, &mut Workspace::new());
-        let y: Vec<Mat> = pzf.iter().map(|p| p.matmul(&edt).unwrap()).collect();
+        let y: Vec<Mat> = pzf.iter().map(|p| product(Trans::N, Trans::N, p, &edt)).collect();
         let slow = explicit_criterion(&y, &h, &w, &v);
         assert!((fast - slow).abs() < 1e-9 * (1.0 + slow));
     }

@@ -1,7 +1,8 @@
 //! The PARAFAC2 model container and the paper's fitness metric (§IV-A).
 
 use crate::session::{FitPhase, PhaseSpans, StopReason};
-use dpar2_linalg::Mat;
+use dpar2_linalg::{gemm, Mat, Trans};
+use dpar2_parallel::ThreadPool;
 use dpar2_tensor::IrregularTensor;
 
 /// Wall-clock breakdown of a decomposition run, in the categories the
@@ -112,7 +113,7 @@ impl Parafac2Fit {
                 row[c] *= sv;
             }
         }
-        scaled.matmul_nt_into(&self.v, out);
+        gemm(Trans::N, Trans::T, &*scaled, &self.v, out, &ThreadPool::new(1));
     }
 
     /// The paper's fitness metric (§IV-A):
@@ -150,8 +151,8 @@ pub fn fitness(tensor: &IrregularTensor, fit: &Parafac2Fit) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpar2_linalg::qr;
     use dpar2_linalg::random::gaussian_mat;
+    use dpar2_linalg::{product, qr};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -168,7 +169,7 @@ mod tests {
         let mut slices = Vec::new();
         for &ik in &row_dims {
             let q = qr::qr(gaussian_mat(ik, r, &mut rng)).q;
-            let uk = q.matmul(&h).unwrap();
+            let uk = product(Trans::N, Trans::N, &q, &h);
             let sk: Vec<f64> = (0..r).map(|i| 1.0 + i as f64 * 0.5).collect();
             let mut us = uk.clone();
             for i in 0..ik {
@@ -177,7 +178,7 @@ mod tests {
                     row[c] *= sv;
                 }
             }
-            slices.push(us.matmul_nt(&v).unwrap());
+            slices.push(product(Trans::N, Trans::T, &us, &v));
             u.push(uk);
             s.push(sk);
         }

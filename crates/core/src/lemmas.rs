@@ -55,7 +55,7 @@
 //! kernels.
 
 use crate::session::Workspace;
-use dpar2_linalg::{gemm, Mat, Trans};
+use dpar2_linalg::{gemm, product, Mat, Trans};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::{khatri_rao_into, mttkrp, Dense3};
 
@@ -165,7 +165,7 @@ pub fn g3_ws(
 /// Materializes the frontal slices `Y_k = PZF_k · E Dᵀ` — the explicit
 /// tensor the naive kernels and the convergence oracle operate on.
 pub fn materialize_y(pzf: &[Mat], edt: &Mat) -> Dense3 {
-    let slices: Vec<Mat> = pzf.iter().map(|p| p.matmul(edt).expect("materialize_y")).collect();
+    let slices: Vec<Mat> = pzf.iter().map(|p| product(Trans::N, Trans::N, p, edt)).collect();
     Dense3::from_frontal_slices(slices)
 }
 
@@ -229,7 +229,7 @@ mod tests {
         let v = gaussian_mat(j, r, &mut rng);
         let h = gaussian_mat(r, r, &mut rng);
         let w = gaussian_mat(k, r, &mut rng);
-        let edtv = edt.matmul(&v).unwrap();
+        let edtv = product(Trans::N, Trans::N, &edt, &v);
         Setup { pzf, edt, de, v, h, w, edtv }
     }
 

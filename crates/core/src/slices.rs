@@ -18,7 +18,8 @@
 
 use crate::error::{Dpar2Error, Result};
 use dpar2_linalg::sparse::{sparse_gram_into, sparse_outer_gram_into, SparseSlice};
-use dpar2_linalg::{gram_into, Mat, MatRef};
+use dpar2_linalg::{gemm, gram_into, Mat, MatRef, Trans};
+use dpar2_parallel::ThreadPool;
 use dpar2_rsvd::{ProductOp, SparseVStack};
 use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
 
@@ -143,7 +144,7 @@ impl<T: DenseSlices> SliceTensor for T {
     }
 
     fn residual_sq(&self, k: usize, m: &Mat, v: &Mat, scratch: &mut Mat) -> f64 {
-        m.matmul_nt_into(v, scratch); // M·Vᵀ
+        gemm(Trans::N, Trans::T, m, v, scratch, &ThreadPool::new(1)); // M·Vᵀ
         self.view(k).diff_norm_sq(&*scratch)
     }
 }

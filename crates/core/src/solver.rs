@@ -12,8 +12,8 @@ use crate::session::{
 use crate::slices::{validate, StackedTensor};
 use dpar2_linalg::kernel::use_blocked;
 use dpar2_linalg::{
-    extract_lane, gemm_lanes, interleave_lanes, pinv_into, svd_square_lanes, LaneOperand, Mat,
-    MatRef, SvdBatchScratch, Trans, SVD_LANES,
+    extract_lane, gemm, gemm_lanes, interleave_lanes, pinv_into, product, svd_square_lanes,
+    LaneOperand, Mat, MatRef, SvdBatchScratch, Trans, SVD_LANES,
 };
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::normalize_columns_mut;
@@ -285,6 +285,7 @@ impl Dpar2 {
         let r = ct.rank;
         let k_dim = ct.k();
         let pool = ThreadPool::new(options.threads.max(1));
+        let serial = ThreadPool::new(1);
 
         // Static precomputations: E Dᵀ (R×J) and D E (J×R).
         let edt = ct.edt();
@@ -316,7 +317,7 @@ impl Dpar2 {
         let mut prods = vec![Mat::default(); pool.threads().min(k_dim).max(1)];
         let slices = slice_norms.iter_mut().zip(&ct.f_blocks);
         pool.for_each_with(slices, &mut prods, |_, (norm, f_k), prod| {
-            f_k.matmul_into(&edt, prod);
+            gemm(Trans::N, Trans::N, f_k, &edt, prod, &serial);
             *norm = prod.fro_norm_sq();
         });
         let data_norm_sq: f64 = slice_norms.iter().sum();
@@ -327,7 +328,7 @@ impl Dpar2 {
         let unmeasurable = data_norm_sq < f64::MIN_POSITIVE
             && ct.f_blocks.iter().any(|f| f.data().iter().any(|&x| x != 0.0));
 
-        let mut edtv = edt.matmul(&v).expect("EDᵀ·V");
+        let mut edtv = product(Trans::N, Trans::N, &edt, &v);
         // Every slice's `Z_k P_kᵀ` and `PZF_k`, each as row `k` of a
         // `K × R²` store, which the `Q_k` step writes in place: `P` is what
         // the lemma kernels read (see [`crate::lemmas`]), and `Z_k P_kᵀ` is
@@ -369,33 +370,33 @@ impl Dpar2 {
             // update reads too: neither W nor P changes in between.
             weighted_sums(&p, &w, &pool, &mut ws.lemma_t);
             g1_from_sums(&ws.lemma_t, &edtv, &mut g_out);
-            w.matmul_tn_into(&w, &mut wtw);
-            v.matmul_tn_into(&v, &mut vtv);
+            gemm(Trans::T, Trans::N, &w, &w, &mut wtw, &serial);
+            gemm(Trans::T, Trans::N, &v, &v, &mut vtv, &serial);
             gram.copy_from(&wtw);
             gram.hadamard_assign(&vtv); // WᵀW ∗ VᵀV
             pinv_into(&gram, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
-            g_out.matmul_into(&pinv_buf, &mut next_h);
+            gemm(Trans::N, Trans::N, &g_out, &pinv_buf, &mut next_h, &serial);
             std::mem::swap(&mut h, &mut next_h);
             normalize_columns_mut(&mut h, &mut ws.norms);
 
             // Lines 16–17: V update (edtv refreshed afterwards).
             g2_from_sums(&ws.lemma_t, &h, &de, &pool, &mut g_out, &mut ws.lemma_tmp);
-            h.matmul_tn_into(&h, &mut hth);
+            gemm(Trans::T, Trans::N, &h, &h, &mut hth, &serial);
             gram.copy_from(&wtw);
             gram.hadamard_assign(&hth); // WᵀW ∗ HᵀH
             pinv_into(&gram, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
-            g_out.matmul_into(&pinv_buf, &mut next_v);
+            gemm(Trans::N, Trans::N, &g_out, &pinv_buf, &mut next_v, &serial);
             std::mem::swap(&mut v, &mut next_v);
             normalize_columns_mut(&mut v, &mut ws.norms);
-            edt.matmul_into(&v, &mut edtv);
+            gemm(Trans::N, Trans::N, &edt, &v, &mut edtv, &serial);
 
             // Lines 18–19: W update.
             g3_stacked(&p, &edtv, &h, &pool, &mut g_out, &mut ws.lemma_kr);
-            v.matmul_tn_into(&v, &mut vtv);
+            gemm(Trans::T, Trans::N, &v, &v, &mut vtv, &serial);
             gram.copy_from(&vtv);
             gram.hadamard_assign(&hth); // VᵀV ∗ HᵀH
             pinv_into(&gram, &mut pinv_buf, &mut ws.svd_tmp, &mut ws.svd);
-            g_out.matmul_into(&pinv_buf, &mut next_w);
+            gemm(Trans::N, Trans::N, &g_out, &pinv_buf, &mut next_w, &serial);
             std::mem::swap(&mut w, &mut next_w);
 
             // Line 23: the compressed criterion from the W update's
@@ -437,6 +438,7 @@ impl Iterated {
     /// and copies each back.
     fn finalize(self, mut a: Vec<Mat>, observer: &mut dyn FitObserver) -> Parafac2Fit {
         let Iterated { h, v, w, zpt, mut outcome, pool, t_start } = self;
+        let serial = ThreadPool::new(1);
         let t_final = Instant::now();
         let r = h.rows();
         let max_rows = a.iter().map(Mat::rows).max().unwrap_or(0);
@@ -444,8 +446,8 @@ impl Iterated {
             .map(|_| (Mat::zeros(r, r), Mat::zeros(max_rows, r)))
             .collect();
         pool.for_each_with(a.iter_mut(), &mut scratch, |k, a_k, (zph, u)| {
-            MatRef::from_slice(r, r, zpt.row(k)).matmul_into(&h, zph);
-            a_k.matmul_into(&*zph, u);
+            gemm(Trans::N, Trans::N, MatRef::from_slice(r, r, zpt.row(k)), &h, zph, &serial);
+            gemm(Trans::N, Trans::N, &*a_k, &*zph, u, &serial);
             a_k.data_mut().copy_from_slice(u.data());
         });
         let s: Vec<Vec<f64>> = (0..w.rows()).map(|k| w.row(k).to_vec()).collect();
@@ -658,16 +660,17 @@ fn qk_group_per_slice(
 ) {
     let r = h.rows();
     let lanes = zpt.len() / (r * r);
+    let serial = ThreadPool::new(1);
     g.b.clear();
     g.b.resize(r * r, [0.0; SVD_LANES]);
     for (l, k) in (first..first + lanes).enumerate() {
-        f_blocks[k].matmul_into(edtv, &mut g.u);
+        gemm(Trans::N, Trans::N, &f_blocks[k], edtv, &mut g.u, &serial);
         for i in 0..r {
             for (x, &wv) in g.u.row_mut(i).iter_mut().zip(w.row(k)) {
                 *x *= wv;
             }
         }
-        g.u.matmul_nt_into(h, &mut g.out);
+        gemm(Trans::N, Trans::T, &g.u, h, &mut g.out, &serial);
         for (x, &y) in g.b.iter_mut().zip(g.out.data()) {
             x[l] = y;
         }
@@ -677,9 +680,9 @@ fn qk_group_per_slice(
     for (l, (k, (zp, pzf_k))) in (first..).zip(rows).enumerate() {
         extract_lane(&g.a, r, l, &mut g.u);
         extract_lane(&g.v, r, l, &mut g.v_k);
-        g.u.matmul_nt_into(&g.v_k, &mut g.out);
+        gemm(Trans::N, Trans::T, &g.u, &g.v_k, &mut g.out, &serial);
         zp.copy_from_slice(g.out.data());
-        MatRef::from_slice(r, r, zp).matmul_tn_into(&f_blocks[k], &mut g.out);
+        gemm(Trans::T, Trans::N, MatRef::from_slice(r, r, zp), &f_blocks[k], &mut g.out, &serial);
         pzf_k.copy_from_slice(g.out.data());
     }
 }
@@ -729,14 +732,14 @@ mod tests {
                 let q = qr::qr(gaussian_mat(ik, r, &mut rng)).q;
                 let sk: Vec<f64> =
                     (0..r).map(|i| 1.0 + 0.3 * i as f64 + rng.random::<f64>()).collect();
-                let mut qh = q.matmul(&h).unwrap();
+                let mut qh = product(Trans::N, Trans::N, &q, &h);
                 for row in 0..ik {
                     let rr = qh.row_mut(row);
                     for (c, &sv) in sk.iter().enumerate() {
                         rr[c] *= sv;
                     }
                 }
-                let mut x = qh.matmul_nt(&v).unwrap();
+                let mut x = product(Trans::N, Trans::T, &qh, &v);
                 if noise > 0.0 {
                     let scale = noise * x.fro_norm() / ((ik * j) as f64).sqrt();
                     x.axpy(scale, &gaussian_mat(ik, j, &mut rng));
@@ -798,14 +801,15 @@ mod tests {
             let edt = ct.edt();
             let mut residual = 0.0;
             for k in 0..ct.k() {
-                let mut core = ct.a[k].matmul_tn(&fit.u[k]).unwrap();
+                let mut core = product(Trans::T, Trans::N, &ct.a[k], &fit.u[k]);
                 for i in 0..core.rows() {
                     for (x, &sv) in core.row_mut(i).iter_mut().zip(&fit.s[k]) {
                         *x *= sv;
                     }
                 }
-                let model = core.matmul_nt(&fit.v).unwrap();
-                residual += (&ct.f_blocks[k].matmul(&edt).unwrap() - &model).fro_norm_sq();
+                let model = product(Trans::N, Trans::T, &core, &fit.v);
+                residual +=
+                    (&product(Trans::N, Trans::N, &ct.f_blocks[k], &edt) - &model).fro_norm_sq();
             }
             let last = *fit.criterion_trace.last().unwrap();
             assert!(
@@ -933,9 +937,9 @@ mod tests {
         // (the PARAFAC2 cross-product invariance constraint).
         let t = planted_parafac2(&[30, 40], 14, 3, 0.05, 409);
         let fit = Dpar2.fit(&t, &FitOptions::new(3).with_seed(410)).unwrap();
-        let hth = fit.h.gram();
+        let hth = product(Trans::T, Trans::N, &fit.h, &fit.h);
         for k in 0..2 {
-            let utu = fit.u[k].gram();
+            let utu = product(Trans::T, Trans::N, &fit.u[k], &fit.u[k]);
             assert!(
                 (&utu - &hth).fro_norm() < 1e-8 * (1.0 + hth.fro_norm()),
                 "U_{k}ᵀU_{k} deviates from HᵀH"
@@ -967,16 +971,16 @@ mod tests {
         let (mut prod, mut input) = (Mat::default(), Mat::default());
         let (mut f, mut svd) = (SvdFactors::default(), SvdScratch::default());
         for (k, (zp, pzf_k)) in zpt.iter_mut().zip(pzf).enumerate() {
-            f_blocks[k].matmul_into(edtv, &mut prod);
+            gemm(Trans::N, Trans::N, &f_blocks[k], edtv, &mut prod, &ThreadPool::new(1));
             for i in 0..prod.rows() {
                 for (x, &wv) in prod.row_mut(i).iter_mut().zip(w.row(k)) {
                     *x *= wv;
                 }
             }
-            prod.matmul_nt_into(h, &mut input);
+            gemm(Trans::N, Trans::T, &prod, h, &mut input, &ThreadPool::new(1));
             svd_thin_into(&input, &mut f, &mut svd);
-            f.u.matmul_nt_into(&f.v, zp);
-            zp.matmul_tn_into(&f_blocks[k], pzf_k);
+            gemm(Trans::N, Trans::T, &f.u, &f.v, zp, &ThreadPool::new(1));
+            gemm(Trans::T, Trans::N, &*zp, &f_blocks[k], pzf_k, &ThreadPool::new(1));
         }
     }
 
@@ -1003,7 +1007,8 @@ mod tests {
                     f_blocks[1].set(0, r - 1, -0.0);
                 }
                 if k_dim > 6 {
-                    f_blocks[6] = gaussian_mat(r, 1, &mut rng).matmul_nt(Mat::ones(r, 1)).unwrap();
+                    f_blocks[6] =
+                        product(Trans::N, Trans::T, gaussian_mat(r, 1, &mut rng), Mat::ones(r, 1));
                 }
                 let (edtv, h) = (gaussian_mat(r, r, &mut rng), gaussian_mat(r, r, &mut rng));
                 let w = gaussian_mat(k_dim, r, &mut rng);
@@ -1131,8 +1136,8 @@ mod tests {
         let h = gaussian_mat(r, r, &mut rng);
         let want: Vec<Mat> = (0..rows.len())
             .map(|k| {
-                let zph = MatRef::from_slice(r, r, zpt.row(k)).matmul(&h).unwrap();
-                a[k].matmul(&zph).unwrap()
+                let zph = product(Trans::N, Trans::N, MatRef::from_slice(r, r, zpt.row(k)), &h);
+                product(Trans::N, Trans::N, &a[k], &zph)
             })
             .collect();
         for threads in [1, 2, 3] {

@@ -45,7 +45,7 @@ use crate::fitness::Parafac2Fit;
 use crate::session::{FitObserver, NoopObserver, StopReason};
 use crate::slices::{validate_from, OwnedSlice, SliceTensor};
 use crate::solver::{Dpar2, WarmStart};
-use dpar2_linalg::Mat;
+use dpar2_linalg::{product, Mat, Trans};
 use dpar2_parallel::ThreadPool;
 use dpar2_rsvd::RsvdConfig;
 
@@ -198,7 +198,7 @@ impl StreamingDpar2 {
         // the new blocks come straight from G' below the top rows.
         let g_top = g_blocks.remove(0);
         let mut f_blocks: Vec<Mat> =
-            old.f_blocks.iter().map(|fk| fk.matmul(&g_top).expect("F(k)·G'_top")).collect();
+            old.f_blocks.iter().map(|fk| product(Trans::N, Trans::N, fk, &g_top)).collect();
         f_blocks.extend(g_blocks);
         let mut a = old.a.clone();
         a.extend(new_a);
@@ -296,14 +296,14 @@ mod tests {
         fn slice(&mut self, ik: usize, noise: f64) -> Mat {
             let q = qr::qr(gaussian_mat(ik, self.rank, &mut self.rng)).q;
             let sk: Vec<f64> = (0..self.rank).map(|_| 0.5 + self.rng.random::<f64>()).collect();
-            let mut qh = q.matmul(&self.h).unwrap();
+            let mut qh = product(Trans::N, Trans::N, &q, &self.h);
             for row in 0..ik {
                 let r = qh.row_mut(row);
                 for (c, &sv) in sk.iter().enumerate() {
                     r[c] *= sv;
                 }
             }
-            let mut x = qh.matmul_nt(&self.v).unwrap();
+            let mut x = product(Trans::N, Trans::T, &qh, &self.v);
             if noise > 0.0 {
                 let scale = noise * x.fro_norm() / ((ik * self.v.rows()) as f64).sqrt();
                 x.axpy(scale, &gaussian_mat(ik, self.v.rows(), &mut self.rng));
@@ -396,7 +396,8 @@ mod tests {
                 let seed = base_seed ^ 0x0B5E55ED;
                 let (d, e, mut g) = stage2_hstack(&blocks, r, &config, seed, &pool);
                 let g_top = g.remove(0);
-                let f = old.f_blocks.iter().map(|fk| fk.matmul(&g_top).unwrap()).chain(g);
+                let f =
+                    old.f_blocks.iter().map(|fk| product(Trans::N, Trans::N, fk, &g_top)).chain(g);
                 assert_eq!(bits(got.d.data()), bits(d.data()), "{ctx}: D");
                 assert_eq!(bits(&got.e), bits(&e), "{ctx}: E");
                 assert_eq!(got.k(), first + second);

@@ -8,7 +8,7 @@ use dpar2_core::convergence::{
 };
 use dpar2_core::lemmas::{g1_ws, g2_ws, g3_ws, materialize_y, naive_g1, naive_g2, naive_g3};
 use dpar2_core::{Dpar2, StreamingDpar2, Workspace};
-use dpar2_linalg::{gaussian_mat, qr, Mat};
+use dpar2_linalg::{gaussian_mat, product, qr, Mat, Trans};
 use dpar2_parallel::ThreadPool;
 use dpar2_tensor::IrregularTensor;
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ fn planted(seed: u64, k: usize, j: usize, r: usize) -> IrregularTensor {
         .map(|i| {
             let ik = j + 3 + 7 * i; // varied, ≥ j ≥ r
             let q = qr::qr(gaussian_mat(ik, r, &mut rng)).q;
-            q.matmul(&h).unwrap().matmul_nt(&v).unwrap()
+            product(Trans::N, Trans::T, product(Trans::N, Trans::N, &q, &h), &v)
         })
         .collect();
     IrregularTensor::new(slices)
@@ -57,7 +57,7 @@ proptest! {
         let v = gaussian_mat(j, r, &mut rng);
         let h = gaussian_mat(r, r, &mut rng);
         let w = gaussian_mat(k, r, &mut rng);
-        let edtv = edt.matmul(&v).unwrap();
+        let edtv = product(Trans::N, Trans::N, &edt, &v);
         let pool = ThreadPool::new(1);
         let mut ws = Workspace::new();
         let y = materialize_y(&pzf, &edt);
@@ -90,7 +90,7 @@ proptest! {
         let v = gaussian_mat(j, r, &mut rng);
         let pool = ThreadPool::new(1);
         let fast = compressed_criterion_ws(&pzf, &edt, &h, &w, &v, &pool, &mut Workspace::new());
-        let y: Vec<Mat> = pzf.iter().map(|p| p.matmul(&edt).unwrap()).collect();
+        let y: Vec<Mat> = pzf.iter().map(|p| product(Trans::N, Trans::N, p, &edt)).collect();
         let slow = explicit_criterion(&y, &h, &w, &v);
         prop_assert!((fast - slow).abs() < 1e-8 * (1.0 + slow));
     }
@@ -107,15 +107,18 @@ proptest! {
         let v = gaussian_mat(j, r, &mut rng);
         let w = gaussian_mat(k, r, &mut rng);
         // PZF_k = P_k Z_kᵀ F(k) = (Z_k P_kᵀ)ᵀ F(k), Z_k P_kᵀ orthogonal.
-        let pzf: Vec<Mat> =
-            f.iter().map(|fk| qr::qr(gaussian_mat(r, r, &mut rng)).q.matmul_tn(fk).unwrap()).collect();
-        let data_norm_sq: f64 = f.iter().map(|fk| fk.matmul(&edt).unwrap().fro_norm_sq()).sum();
+        let pzf: Vec<Mat> = f
+            .iter()
+            .map(|fk| product(Trans::T, Trans::N, qr::qr(gaussian_mat(r, r, &mut rng)).q, fk))
+            .collect();
+        let data_norm_sq: f64 =
+            f.iter().map(|fk| product(Trans::N, Trans::N, fk, &edt).fro_norm_sq()).sum();
         let pool = ThreadPool::new(1);
         let mut ws = Workspace::new();
         let mut g3 = Mat::default();
-        g3_ws(&pzf, &edt.matmul(&v).unwrap(), &h, &pool, &mut g3, &mut ws);
-        let mut gram = v.matmul_tn(&v).unwrap();
-        gram.hadamard_assign(h.matmul_tn(&h).unwrap());
+        g3_ws(&pzf, &product(Trans::N, Trans::N, &edt, &v), &h, &pool, &mut g3, &mut ws);
+        let mut gram = product(Trans::T, Trans::N, &v, &v);
+        gram.hadamard_assign(product(Trans::T, Trans::N, &h, &h));
         let fast = criterion_from_byproducts(data_norm_sq, &w, &g3, &gram);
         let reference = compressed_criterion_ws(&pzf, &edt, &h, &w, &v, &pool, &mut ws);
         prop_assert!((fast - reference).abs() <= 1e-9 * reference, "{fast} vs {reference}");

@@ -34,7 +34,7 @@ use dpar2_core::{
     SliceTensor,
 };
 use dpar2_linalg::random::gaussian_mat;
-use dpar2_linalg::{gemm, Mat, Trans};
+use dpar2_linalg::{gemm, product, Mat, Trans};
 use dpar2_parallel::ThreadPool;
 use dpar2_rsvd::{rsvd, ProductOp};
 use dpar2_tensor::{IrregularTensor, SparseIrregularTensor};
@@ -83,11 +83,14 @@ fn dense_tensor(
         .enumerate()
         .map(|(k, &ik)| {
             if k == rank_one {
-                return gaussian_mat(ik, 1, &mut rng)
-                    .matmul_nt(gaussian_mat(j, 1, &mut rng))
-                    .unwrap();
+                return product(
+                    Trans::N,
+                    Trans::T,
+                    gaussian_mat(ik, 1, &mut rng),
+                    gaussian_mat(j, 1, &mut rng),
+                );
             }
-            let mut x = gaussian_mat(ik, RANK + 1, &mut rng).matmul_nt(&v).unwrap();
+            let mut x = product(Trans::N, Trans::T, gaussian_mat(ik, RANK + 1, &mut rng), &v);
             x.axpy(0.1, &gaussian_mat(ik, j, &mut rng));
             for i in 0..ik {
                 if rng.random::<f64>() < 0.3 {

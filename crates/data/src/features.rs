@@ -7,7 +7,7 @@
 //! `smooth latent tracks × feature loadings + noise`.
 
 use dpar2_linalg::random::{gaussian_mat, standard_normal};
-use dpar2_linalg::Mat;
+use dpar2_linalg::{product, Mat, Trans};
 use dpar2_tensor::IrregularTensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,7 +57,7 @@ pub fn generate(config: &FeatureTracksConfig) -> IrregularTensor {
             let frames = config.min_frames
                 + (rng.random::<f64>() * (config.max_frames - config.min_frames) as f64) as usize;
             let latent = smooth_tracks(frames, config.latent_dims, &mut rng);
-            let mut x = latent.matmul_nt(&loadings).expect("tracks × loadingsᵀ");
+            let mut x = product(Trans::N, Trans::T, &latent, &loadings);
             let scale = config.noise * x.fro_norm() / (x.len() as f64).sqrt();
             let noise = gaussian_mat(frames, config.n_features, &mut rng);
             x.axpy(scale, &noise);

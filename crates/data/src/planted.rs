@@ -1,6 +1,6 @@
 //! Ground-truth tensors: exact PARAFAC2 models and `tenrand` equivalents.
 
-use dpar2_linalg::{qr, random::gaussian_mat, Mat};
+use dpar2_linalg::{product, qr, random::gaussian_mat, Mat, Trans};
 use dpar2_tensor::IrregularTensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,14 +27,14 @@ pub fn planted_parafac2(
             let q = qr::qr(gaussian_mat(ik, rank, &mut rng)).q;
             let sk: Vec<f64> =
                 (0..rank).map(|i| 1.0 + 0.3 * i as f64 + rng.random::<f64>()).collect();
-            let mut qh = q.matmul(&h).expect("planted: Q·H");
+            let mut qh = product(Trans::N, Trans::N, &q, &h);
             for row in 0..ik {
                 let r = qh.row_mut(row);
                 for (c, &sv) in sk.iter().enumerate() {
                     r[c] *= sv;
                 }
             }
-            let mut x = qh.matmul_nt(&v).expect("planted: ·Vᵀ");
+            let mut x = product(Trans::N, Trans::T, &qh, &v);
             if noise > 0.0 {
                 let scale = noise * x.fro_norm() / ((ik * j) as f64).sqrt();
                 x.axpy(scale, &gaussian_mat(ik, j, &mut rng));

@@ -10,7 +10,7 @@
 //! from its factor rows on the fly.
 
 use dpar2_linalg::sparse::SparseSlice;
-use dpar2_linalg::{qr, random::gaussian_mat};
+use dpar2_linalg::{product, qr, random::gaussian_mat, Trans};
 use dpar2_tensor::SparseIrregularTensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +53,7 @@ pub fn planted_sparse(
                 (0..rank).map(|i| 1.0 + 0.3 * i as f64 + rng.random::<f64>()).collect();
             // Left factor Q_k·H·S_k (I_k × R) — the only dense intermediate;
             // slice values are dotted against V rows on demand.
-            let mut qhs = q.matmul(&h).expect("planted_sparse: Q·H");
+            let mut qhs = product(Trans::N, Trans::N, &q, &h);
             for row in 0..ik {
                 let r = qhs.row_mut(row);
                 for (c, &sv) in sk.iter().enumerate() {

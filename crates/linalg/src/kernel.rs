@@ -801,6 +801,7 @@ pub fn gemm_naive_into(ta: Trans, tb: Trans, a: impl AsMatRef, b: impl AsMatRef,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mat::product;
 
     fn mat_fn(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64) -> Mat {
         Mat::from_fn(rows, cols, f)
@@ -832,7 +833,7 @@ mod tests {
     fn all_transpose_variants_agree_with_materialized_transpose() {
         let a = mat_fn(13, 21, |i, j| (i as f64) - 0.5 * j as f64);
         let b = mat_fn(21, 9, |i, j| ((i + j) as f64).sqrt());
-        let expected = a.matmul(&b).unwrap();
+        let expected = product(Trans::N, Trans::N, &a, &b);
         let at_m = a.transpose();
         let bt_m = b.transpose();
         for (ta, tb, x, y) in [

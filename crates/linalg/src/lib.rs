@@ -9,11 +9,11 @@
 //!
 //! * [`gemm`] — the one dense multiply: `C = op(A)·op(B)` for any
 //!   transpose pair ([`Trans`]), written into a caller-owned output, on a
-//!   [`dpar2_parallel::ThreadPool`] (a one-thread pool is the serial path;
-//!   every pool size gives bit-identical results).
-//! * [`Mat`] — a row-major dense matrix with the usual arithmetic, slicing
-//!   helpers, and serial multiply conveniences over [`gemm`] (`matmul`,
-//!   `matmul_tn`, `matmul_nt`, their `_into` forms, and `gram`).
+//!   [`ThreadPool`] (a one-thread pool is the serial path; every pool size
+//!   gives bit-identical results). [`product`] is its serial allocating
+//!   form. Both panic on an inner-dimension mismatch.
+//! * [`Mat`] — a row-major dense matrix with the usual arithmetic and
+//!   slicing helpers.
 //! * [`kernel`] — the blocked, register-tiled GEMM layer under [`gemm`]:
 //!   `MR×NR` microkernel tiles (AVX2+FMA when the CPU has them, detected
 //!   at runtime) that read a narrow product's operands in place and pack
@@ -76,11 +76,12 @@
 //! ## Example
 //!
 //! ```
-//! use dpar2_linalg::{Mat, svd::svd_thin};
+//! use dpar2_linalg::{product, svd::svd_thin, Mat, Trans};
 //!
 //! let a = Mat::from_rows(&[&[3.0, 1.0], &[1.0, 3.0], &[0.0, 2.0]]);
 //! let f = svd_thin(&a);
-//! let reconstructed = &(&f.u * &Mat::diag(&f.s)) * &f.v.transpose();
+//! let us = product(Trans::N, Trans::N, &f.u, Mat::diag(&f.s));
+//! let reconstructed = product(Trans::N, Trans::T, us, &f.v);
 //! assert!((&a - &reconstructed).fro_norm() < 1e-10);
 //! ```
 
@@ -99,9 +100,12 @@ pub mod sparse;
 pub mod svd;
 pub mod view;
 
+/// The pool [`gemm`] takes, re-exported for crates that multiply without
+/// fanning other work out.
+pub use dpar2_parallel::ThreadPool;
 pub use error::{LinalgError, Result};
 pub use kernel::Trans;
-pub use mat::{gemm, gram_into, Mat};
+pub use mat::{gemm, gram_into, product, Mat};
 pub use pinv::{pinv, pinv_into};
 pub use qr::{qr, qr_into, QrFactors, QrScratch};
 pub use random::gaussian_mat;

@@ -7,10 +7,9 @@
 //! the loops here.
 //!
 //! Every dense product goes through one entry point, [`gemm`]
-//! (`C = op(A)·op(B)` for any transpose pair, on a [`ThreadPool`]). The
-//! methods `matmul`, `matmul_tn`, `matmul_nt` and `gram` are serial
-//! conveniences over it, and the `_into` forms reuse a caller-owned output
-//! buffer so hot ALS loops do not allocate.
+//! (`C = op(A)·op(B)` for any transpose pair, into a caller-owned output,
+//! on a [`ThreadPool`]), or through [`product`], its serial allocating
+//! form. Both panic on an inner-dimension mismatch.
 
 use crate::error::{LinalgError, Result};
 use crate::kernel::{self, Trans};
@@ -302,44 +301,6 @@ impl Mat {
         out
     }
 
-    /// Horizontal concatenation `[self ∥ other]`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if row counts differ.
-    pub fn hstack(&self, other: &Mat) -> Result<Mat> {
-        if self.rows != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "hstack",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let mut out = Mat::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
-    }
-
-    /// Vertical concatenation `[self; other]`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if column counts differ.
-    pub fn vstack(&self, other: &Mat) -> Result<Mat> {
-        if self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "vstack",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let mut data = Vec::with_capacity((self.rows + other.rows) * self.cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Mat { rows: self.rows + other.rows, cols: self.cols, data })
-    }
-
     /// Horizontal concatenation of many matrices with equal row counts.
     ///
     /// This is the `∥` operator of the paper, used to form
@@ -419,22 +380,6 @@ impl Mat {
         self.map(|x| x * s)
     }
 
-    /// Element-wise (Hadamard, `∗` in the paper) product.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if shapes differ.
-    pub fn hadamard(&self, other: &Mat) -> Result<Mat> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "hadamard",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
-        Ok(Mat { rows: self.rows, cols: self.cols, data })
-    }
-
     /// In-place Hadamard product `self ∗= other` — the allocation-free form
     /// the ALS normal equations use (`WᵀW ∗ VᵀV` on scratch Gram buffers).
     ///
@@ -476,66 +421,6 @@ impl Mat {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
     }
 
-    // ------------------------------------------------------------------
-    // Multiplication conveniences
-    //
-    // Thin serial wrappers over [`gemm`], the one dispatched dense
-    // multiply: the allocating forms return a typed error on a shape
-    // mismatch, the `_into` forms reuse a caller-owned output and panic.
-    // Every `b` operand is [`AsMatRef`], so `&Mat`, [`MatRef`] slices of a
-    // backing buffer, and strided sub-blocks all flow through without
-    // copies. Call [`gemm`] directly for `Aᵀ·Bᵀ` or to fan the product
-    // out over a [`ThreadPool`].
-    // ------------------------------------------------------------------
-
-    /// `C = A · B`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.rows`.
-    pub fn matmul(&self, b: impl AsMatRef) -> Result<Mat> {
-        self.view().matmul(b)
-    }
-
-    /// `C = A · B` written into a pre-allocated `c` (resized if needed).
-    ///
-    /// # Panics
-    /// Panics if `A.cols != B.rows`.
-    pub fn matmul_into(&self, b: impl AsMatRef, c: &mut Mat) {
-        self.view().matmul_into(b, c);
-    }
-
-    /// `C = Aᵀ · B` without materializing the transpose.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.rows != B.rows`.
-    pub fn matmul_tn(&self, b: impl AsMatRef) -> Result<Mat> {
-        self.view().matmul_tn(b)
-    }
-
-    /// `C = Aᵀ · B` into a pre-allocated buffer.
-    ///
-    /// # Panics
-    /// Panics if `A.rows != B.rows`.
-    pub fn matmul_tn_into(&self, b: impl AsMatRef, c: &mut Mat) {
-        self.view().matmul_tn_into(b, c);
-    }
-
-    /// `C = A · Bᵀ` without materializing the transpose.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.cols`.
-    pub fn matmul_nt(&self, b: impl AsMatRef) -> Result<Mat> {
-        self.view().matmul_nt(b)
-    }
-
-    /// `C = A · Bᵀ` into a pre-allocated buffer.
-    ///
-    /// # Panics
-    /// Panics if `A.cols != B.cols`.
-    pub fn matmul_nt_into(&self, b: impl AsMatRef, c: &mut Mat) {
-        self.view().matmul_nt_into(b, c);
-    }
-
     /// Vector-matrix product `Aᵀ · x` (equivalently `xᵀ A`).
     ///
     /// # Panics
@@ -544,10 +429,48 @@ impl Mat {
         self.view().matvec_t(x)
     }
 
-    /// Gram matrix `Aᵀ A` (symmetric `cols × cols`). Bitwise equal to
-    /// `a.matmul_tn(&a)`; reuse a buffer with `a.matmul_tn_into(&a, &mut g)`.
-    pub fn gram(&self) -> Mat {
-        self.view().gram()
+    // ------------------------------------------------------------------
+    // The benchmark's product shims
+    //
+    // Every product is [`gemm`] or [`product`]. These four shims over them
+    // exist only because the committed benchmark calls them; they go with
+    // the next change to the benchmark.
+    // ------------------------------------------------------------------
+
+    /// `A · B`, or a typed error on an inner-dimension mismatch. Call
+    /// [`product`] instead: this shim exists only because the benchmark
+    /// (`perfbench/`) calls it, and goes with the next change to it.
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.rows`.
+    pub fn matmul(&self, b: impl AsMatRef) -> Result<Mat> {
+        let b = b.as_mat_ref();
+        if self.cols != b.rows() {
+            return Err(LinalgError::DimensionMismatch {
+                op: "matmul",
+                left: self.shape(),
+                right: b.shape(),
+            });
+        }
+        Ok(product(Trans::N, Trans::N, self, b))
+    }
+
+    /// `A · B` into `c`: [`gemm`] on a one-thread pool. A benchmark shim, like
+    /// [`Mat::matmul`].
+    pub fn matmul_into(&self, b: impl AsMatRef, c: &mut Mat) {
+        gemm(Trans::N, Trans::N, self, b, c, &ThreadPool::new(1));
+    }
+
+    /// `Aᵀ · B` into `c`: [`gemm`] on a one-thread pool. A benchmark shim, like
+    /// [`Mat::matmul`].
+    pub fn matmul_tn_into(&self, b: impl AsMatRef, c: &mut Mat) {
+        gemm(Trans::T, Trans::N, self, b, c, &ThreadPool::new(1));
+    }
+
+    /// `A · Bᵀ` into `c`: [`gemm`] on a one-thread pool. A benchmark shim, like
+    /// [`Mat::matmul`].
+    pub fn matmul_nt_into(&self, b: impl AsMatRef, c: &mut Mat) {
+        gemm(Trans::N, Trans::T, self, b, c, &ThreadPool::new(1));
     }
 
     /// Reshapes in place to `rows × cols` filled with zeros, reusing the
@@ -575,8 +498,8 @@ impl Mat {
 }
 
 // ----------------------------------------------------------------------
-// The dense multiply: one dispatched entry point, plus the `MatRef`
-// conveniences over it.
+// The dense multiply: one dispatched entry point, and its serial
+// allocating form.
 // ----------------------------------------------------------------------
 
 /// `C = op(a)·op(b)`, where `op` is the identity or the transpose per
@@ -613,6 +536,19 @@ pub fn gemm(
     } else {
         naive_tiles_dispatch(ta, tb, a, b, c);
     }
+}
+
+/// `op(a)·op(b)` in a new matrix: [`gemm`] on a one-thread pool, the same
+/// bits. Reuse a buffer, or fan a large product out over a pool, with
+/// [`gemm`] itself.
+///
+/// # Panics
+/// Panics, with [`gemm`]'s message, if the inner dimensions of `op(a)` and
+/// `op(b)` differ.
+pub fn product(ta: Trans, tb: Trans, a: impl AsMatRef, b: impl AsMatRef) -> Mat {
+    let mut c = Mat::default();
+    gemm(ta, tb, a, b, &mut c, &ThreadPool::new(1));
+    c
 }
 
 /// `G = XᵀX` (`n×n` for `m×n` `X`) into `g`. Each entry of the upper
@@ -845,75 +781,6 @@ fn naive_tiles(ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>, c: &mut Mat) 
     }
 }
 
-/// Serial allocating `op(a)·op(b)`: a typed error instead of [`gemm`]'s
-/// panic on an inner-dimension mismatch.
-fn product(op: &'static str, ta: Trans, tb: Trans, a: MatRef<'_>, b: MatRef<'_>) -> Result<Mat> {
-    if ta.dims(a).1 != tb.dims(b).0 {
-        return Err(LinalgError::DimensionMismatch { op, left: a.shape(), right: b.shape() });
-    }
-    let mut c = Mat::default();
-    gemm(ta, tb, a, b, &mut c, &ThreadPool::new(1));
-    Ok(c)
-}
-
-impl<'v> MatRef<'v> {
-    /// `C = A · B` (see [`Mat::matmul`]).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.rows`.
-    pub fn matmul(self, b: impl AsMatRef) -> Result<Mat> {
-        product("matmul", Trans::N, Trans::N, self, b.as_mat_ref())
-    }
-
-    /// `C = A · B` into a pre-allocated buffer (resized if needed).
-    ///
-    /// # Panics
-    /// Panics if `A.cols != B.rows`.
-    pub fn matmul_into(self, b: impl AsMatRef, c: &mut Mat) {
-        gemm(Trans::N, Trans::N, self, b, c, &ThreadPool::new(1));
-    }
-
-    /// `C = Aᵀ · B` (see [`Mat::matmul_tn`]).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.rows != B.rows`.
-    pub fn matmul_tn(self, b: impl AsMatRef) -> Result<Mat> {
-        product("matmul_tn", Trans::T, Trans::N, self, b.as_mat_ref())
-    }
-
-    /// `C = Aᵀ · B` into a pre-allocated buffer (resized if needed).
-    ///
-    /// # Panics
-    /// Panics if `A.rows != B.rows`.
-    pub fn matmul_tn_into(self, b: impl AsMatRef, c: &mut Mat) {
-        gemm(Trans::T, Trans::N, self, b, c, &ThreadPool::new(1));
-    }
-
-    /// `C = A · Bᵀ` (see [`Mat::matmul_nt`]).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if `A.cols != B.cols`.
-    pub fn matmul_nt(self, b: impl AsMatRef) -> Result<Mat> {
-        product("matmul_nt", Trans::N, Trans::T, self, b.as_mat_ref())
-    }
-
-    /// `C = A · Bᵀ` into a pre-allocated buffer (resized if needed).
-    ///
-    /// # Panics
-    /// Panics if `A.cols != B.cols`.
-    pub fn matmul_nt_into(self, b: impl AsMatRef, c: &mut Mat) {
-        gemm(Trans::N, Trans::T, self, b, c, &ThreadPool::new(1));
-    }
-
-    /// Gram matrix `Aᵀ A` (symmetric `cols × cols`), bitwise equal to
-    /// `self.matmul_tn(self)`.
-    pub fn gram(self) -> Mat {
-        let mut g = Mat::default();
-        self.matmul_tn_into(self, &mut g);
-        g
-    }
-}
-
 // ----------------------------------------------------------------------
 // Operator impls
 // ----------------------------------------------------------------------
@@ -985,14 +852,6 @@ impl Neg for &Mat {
     type Output = Mat;
     fn neg(self) -> Mat {
         self.map(|x| -x)
-    }
-}
-
-/// `&a * &b` is `a.matmul(b)`; panics on dimension mismatch.
-impl Mul for &Mat {
-    type Output = Mat;
-    fn mul(self, rhs: &Mat) -> Mat {
-        self.matmul(rhs).expect("Mul: dimension mismatch")
     }
 }
 
@@ -1249,7 +1108,7 @@ mod tests {
     fn matmul_small() {
         let a = abcd();
         let b = Mat::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b).unwrap();
+        let c = product(Trans::N, Trans::N, &a, &b);
         assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -1257,8 +1116,8 @@ mod tests {
     fn matmul_identity() {
         let a = Mat::from_fn(4, 4, |i, j| (i + j) as f64);
         let i = Mat::eye(4);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
+        assert_eq!(product(Trans::N, Trans::N, &a, &i), a);
+        assert_eq!(product(Trans::N, Trans::N, &i, &a), a);
     }
 
     #[test]
@@ -1269,11 +1128,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "gemm: inner dimension mismatch (2x3 · 2x3)")]
+    fn product_panics_with_the_gemm_message_on_a_mismatch() {
+        product(Trans::N, Trans::N, Mat::zeros(2, 3), Mat::zeros(2, 3));
+    }
+
+    #[test]
+    fn benchmark_shims_give_the_gemm_bits() {
+        // The four product methods the benchmark calls, on both sides of
+        // the blocked threshold, against `gemm` into a buffer; and
+        // `matmul`'s typed error on a mismatch.
+        for (m, n, k) in [(9, 5, 7), (150, 50, 40)] {
+            let a = Mat::from_fn(m, k, |i, j| ((i * 3 + j) as f64).sin());
+            let b = Mat::from_fn(k, n, |i, j| ((i + 7 * j) as f64).cos());
+            let (at, bt) = (a.transpose(), b.transpose());
+            let mut got = a.matmul(&b).unwrap();
+            assert_same(&got, &gemm_on(Trans::N, Trans::N, &a, &b, 1), "matmul");
+            a.matmul_into(&b, &mut got);
+            assert_same(&got, &gemm_on(Trans::N, Trans::N, &a, &b, 1), "matmul_into");
+            at.matmul_tn_into(&b, &mut got);
+            assert_same(&got, &gemm_on(Trans::T, Trans::N, &at, &b, 1), "matmul_tn_into");
+            a.matmul_nt_into(&bt, &mut got);
+            assert_same(&got, &gemm_on(Trans::N, Trans::T, &a, &bt, 1), "matmul_nt_into");
+            let err = a.matmul(&a).unwrap_err();
+            let want = LinalgError::DimensionMismatch { op: "matmul", left: (m, k), right: (m, k) };
+            assert_eq!(err, want);
+        }
+    }
+
+    #[test]
     fn matmul_tn_matches_explicit_transpose() {
         let a = Mat::from_fn(5, 3, |i, j| (i * 3 + j) as f64 * 0.5);
         let b = Mat::from_fn(5, 4, |i, j| (i + 2 * j) as f64);
-        let expected = a.transpose().matmul(&b).unwrap();
-        let got = a.matmul_tn(&b).unwrap();
+        let expected = product(Trans::N, Trans::N, a.transpose(), &b);
+        let got = product(Trans::T, Trans::N, &a, &b);
         assert!((&expected - &got).fro_norm() < 1e-12);
     }
 
@@ -1281,8 +1169,8 @@ mod tests {
     fn matmul_nt_matches_explicit_transpose() {
         let a = Mat::from_fn(4, 6, |i, j| ((i + 1) * (j + 2)) as f64);
         let b = Mat::from_fn(3, 6, |i, j| (i as f64) - (j as f64));
-        let expected = a.matmul(b.transpose()).unwrap();
-        let got = a.matmul_nt(&b).unwrap();
+        let expected = product(Trans::N, Trans::N, &a, b.transpose());
+        let got = product(Trans::N, Trans::T, &a, &b);
         assert!((&expected - &got).fro_norm() < 1e-12);
     }
 
@@ -1297,8 +1185,8 @@ mod tests {
     fn matmul_tt_matches_explicit_transposes() {
         let a = Mat::from_fn(6, 4, |i, j| (i * 4 + j) as f64 * 0.25);
         let b = Mat::from_fn(5, 6, |i, j| (i as f64) - 0.5 * (j as f64));
-        let expected = a.transpose().matmul(b.transpose()).unwrap();
-        let got = gemm_on(Trans::T, Trans::T, &a, &b, 1);
+        let expected = product(Trans::N, Trans::N, a.transpose(), b.transpose());
+        let got = product(Trans::T, Trans::T, &a, &b);
         assert!((&expected - &got).fro_norm() < 1e-12);
         let mismatch =
             std::panic::catch_unwind(|| gemm_on(Trans::T, Trans::T, &a, &Mat::eye(3), 1));
@@ -1316,11 +1204,11 @@ mod tests {
         let at = a.transpose();
         let b2 = Mat::from_fn(50, 40, |i, j| ((2 * i + j) as f64).sin());
         let tall = Mat::from_fn(60, 150, |i, j| ((i + j) as f64).cos());
-        let nn = a.matmul(&b).unwrap();
-        let tn = at.matmul_tn(&b).unwrap();
-        let nt = a.matmul_nt(&a).unwrap();
+        let nn = product(Trans::N, Trans::N, &a, &b);
+        let tn = product(Trans::T, Trans::N, &at, &b);
+        let nt = product(Trans::N, Trans::T, &a, &a);
         let tt = gemm_on(Trans::T, Trans::T, &at, &b2, 1);
-        let g = tall.gram();
+        let g = product(Trans::T, Trans::N, &tall, &tall);
         for threads in [1, 2, 3] {
             assert_eq!(nn, gemm_on(Trans::N, Trans::N, &a, &b, threads), "nn at {threads}");
             assert_eq!(tn, gemm_on(Trans::T, Trans::N, &at, &b, threads), "tn at {threads}");
@@ -1342,8 +1230,8 @@ mod tests {
             a.set(rows - 1, 1, f64::INFINITY);
             a.set(rows / 2, cols - 1, f64::NEG_INFINITY);
             a.set(rows - 1, cols - 1, 0.0);
-            let g = a.gram();
-            let tn = a.matmul_tn(&a).unwrap();
+            let g = product(Trans::T, Trans::N, &a, &a);
+            let tn = gemm_on(Trans::T, Trans::N, &a, &a, 1);
             assert!(g.data().iter().any(|x| x.is_nan()), "{rows}x{cols}: no 0·∞ cell");
             assert_eq!(g.shape(), tn.shape());
             for (idx, (x, y)) in g.data().iter().zip(tn.data()).enumerate() {
@@ -1359,13 +1247,13 @@ mod tests {
         let a = Mat::from_rows(&[&[0.0, 1.0]]);
         let b_inf = Mat::from_rows(&[&[f64::INFINITY], &[2.0]]);
         let b_nan = Mat::from_rows(&[&[f64::NAN], &[2.0]]);
-        assert!(a.matmul(&b_inf).unwrap()[(0, 0)].is_nan());
-        assert!(a.matmul(&b_nan).unwrap()[(0, 0)].is_nan());
+        assert!(product(Trans::N, Trans::N, &a, &b_inf)[(0, 0)].is_nan());
+        assert!(product(Trans::N, Trans::N, &a, &b_nan)[(0, 0)].is_nan());
 
         // Same contract for the other variants.
         let at = a.transpose(); // 2×1
-        assert!(at.matmul_tn(&b_inf).unwrap()[(0, 0)].is_nan());
-        assert!(a.matmul_nt(b_inf.transpose()).unwrap()[(0, 0)].is_nan());
+        assert!(product(Trans::T, Trans::N, &at, &b_inf)[(0, 0)].is_nan());
+        assert!(product(Trans::N, Trans::T, &a, b_inf.transpose())[(0, 0)].is_nan());
         assert!(gemm_on(Trans::T, Trans::T, &at, &b_inf.transpose(), 1)[(0, 0)].is_nan());
         assert!(!a.matvec_t(&[0.0])[0].is_nan()); // 0·0 stays 0
         let inf_row = Mat::from_rows(&[&[f64::INFINITY, 1.0]]);
@@ -1376,7 +1264,7 @@ mod tests {
     fn ieee_gram_with_zero_and_infinity() {
         // A = [0  ∞]: AᵀA = [[0·0, 0·∞], [∞·0, ∞·∞]] = [[0, NaN], [NaN, ∞]].
         let a = Mat::from_rows(&[&[0.0, f64::INFINITY]]);
-        let g = a.gram();
+        let g = product(Trans::T, Trans::N, &a, &a);
         assert_eq!(g[(0, 0)], 0.0);
         assert!(g[(0, 1)].is_nan());
         assert!(g[(1, 0)].is_nan());
@@ -1388,7 +1276,7 @@ mod tests {
         let a = abcd();
         let b = Mat::eye(2);
         let mut c = Mat::zeros(7, 9); // wrong shape on purpose
-        a.matmul_into(&b, &mut c);
+        gemm(Trans::N, Trans::N, &a, &b, &mut c, &ThreadPool::new(1));
         assert_eq!(c, a);
     }
 
@@ -1401,8 +1289,8 @@ mod tests {
     #[test]
     fn gram_is_ata() {
         let a = Mat::from_fn(6, 3, |i, j| ((i * j) as f64).sin() + 1.0);
-        let g = a.gram();
-        let explicit = a.matmul_tn(&a).unwrap();
+        let g = product(Trans::T, Trans::N, &a, &a);
+        let explicit = product(Trans::N, Trans::N, a.transpose(), &a);
         assert!((&g - &explicit).fro_norm() < 1e-12);
         // symmetry
         assert!((&g - &g.transpose()).fro_norm() < 1e-12);
@@ -1412,10 +1300,10 @@ mod tests {
     fn hstack_vstack() {
         let a = abcd();
         let b = Mat::from_rows(&[&[9.0], &[8.0]]);
-        let h = a.hstack(&b).unwrap();
+        let h = Mat::hstack_all(&[&a, &b]);
         assert_eq!(h.shape(), (2, 3));
         assert_eq!(h.row(0), &[1.0, 2.0, 9.0]);
-        let v = a.vstack(&Mat::from_rows(&[&[5.0, 6.0]])).unwrap();
+        let v = Mat::vstack_all(&[&a, &Mat::from_rows(&[&[5.0, 6.0]])]);
         assert_eq!(v.shape(), (3, 2));
         assert_eq!(v.row(2), &[5.0, 6.0]);
     }
@@ -1426,7 +1314,7 @@ mod tests {
         let b = Mat::from_rows(&[&[0.5], &[0.25]]);
         let c = Mat::from_rows(&[&[7.0, 7.5], &[8.0, 8.5]]);
         let all = Mat::hstack_all(&[&a, &b, &c]);
-        let pair = a.hstack(&b).unwrap().hstack(&c).unwrap();
+        let pair = Mat::hstack_all(&[&Mat::hstack_all(&[&a, &b]), &c]);
         assert_eq!(all, pair);
     }
 
@@ -1435,7 +1323,7 @@ mod tests {
         let a = abcd();
         let b = Mat::from_rows(&[&[0.0, 1.0]]);
         let all = Mat::vstack_all(&[&a, &b]);
-        assert_eq!(all, a.vstack(&b).unwrap());
+        assert_eq!(all, Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[0.0, 1.0]]));
     }
 
     #[test]
@@ -1457,9 +1345,10 @@ mod tests {
     #[test]
     fn hadamard_and_errors() {
         let a = abcd();
-        let h = a.hadamard(&a).unwrap();
+        let mut h = a.clone();
+        h.hadamard_assign(&a);
         assert_eq!(h.data(), &[1.0, 4.0, 9.0, 16.0]);
-        assert!(a.hadamard(&Mat::zeros(3, 3)).is_err());
+        assert!(std::panic::catch_unwind(|| abcd().hadamard_assign(Mat::zeros(3, 3))).is_err());
     }
 
     #[test]
@@ -1488,7 +1377,7 @@ mod tests {
         assert_eq!(diff, a);
         let neg = -&a;
         assert_eq!(neg[(0, 0)], -1.0);
-        let prod = &a * &Mat::eye(2);
+        let prod = product(Trans::N, Trans::N, &a, Mat::eye(2));
         assert_eq!(prod, a);
         let scaled = &a * 2.0;
         assert_eq!(scaled, sum);

@@ -7,9 +7,11 @@
 //! we compute it through the SVD, zeroing singular values below a relative
 //! tolerance, exactly as MATLAB's `pinv` does.
 
-use crate::mat::Mat;
+use crate::kernel::Trans;
+use crate::mat::{gemm, Mat};
 use crate::svd::{svd_thin_into, SvdFactors, SvdScratch};
 use crate::view::AsMatRef;
+use dpar2_parallel::ThreadPool;
 
 /// Computes the Moore–Penrose pseudoinverse `A†` via the SVD.
 ///
@@ -38,12 +40,13 @@ pub fn pinv_into(a: impl AsMatRef, out: &mut Mat, tmp: &mut SvdFactors, ws: &mut
             row[j] = if sigma > cutoff && sigma > 0.0 { row[j] / sigma } else { 0.0 };
         }
     }
-    tmp.v.matmul_nt_into(&tmp.u, out);
+    gemm(Trans::N, Trans::T, &tmp.v, &tmp.u, out, &ThreadPool::new(1));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mat::product;
     use crate::random::gaussian_mat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -52,7 +55,7 @@ mod tests {
     fn pinv_of_invertible_is_inverse() {
         let a = Mat::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
         let p = pinv(&a);
-        let prod = a.matmul(&p).unwrap();
+        let prod = product(Trans::N, Trans::N, &a, &p);
         assert!((&prod - &Mat::eye(2)).fro_norm() < 1e-10);
     }
 
@@ -61,12 +64,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let a = gaussian_mat(9, 4, &mut rng);
         let p = pinv(&a);
-        let ap = a.matmul(&p).unwrap();
-        let pa = p.matmul(&a).unwrap();
+        let ap = product(Trans::N, Trans::N, &a, &p);
+        let pa = product(Trans::N, Trans::N, &p, &a);
         // 1. A A† A = A
-        assert!((&ap.matmul(&a).unwrap() - &a).fro_norm() < 1e-9 * a.fro_norm());
+        assert!((&product(Trans::N, Trans::N, &ap, &a) - &a).fro_norm() < 1e-9 * a.fro_norm());
         // 2. A† A A† = A†
-        assert!((&pa.matmul(&p).unwrap() - &p).fro_norm() < 1e-9 * p.fro_norm());
+        assert!((&product(Trans::N, Trans::N, &pa, &p) - &p).fro_norm() < 1e-9 * p.fro_norm());
         // 3. (A A†)ᵀ = A A†
         assert!((&ap.transpose() - &ap).fro_norm() < 1e-9);
         // 4. (A† A)ᵀ = A† A
@@ -78,10 +81,10 @@ mod tests {
         // Rank-1 matrix: A = u vᵀ with ‖u‖, ‖v‖ known.
         let u = Mat::col_vector(&[1.0, 2.0]);
         let v = Mat::row_vector(&[3.0, 0.0, 4.0]);
-        let a = u.matmul(&v).unwrap();
+        let a = product(Trans::N, Trans::N, &u, &v);
         let p = pinv(&a);
         // Penrose condition 1 suffices to validate handling of zero σ.
-        let apa = a.matmul(&p).unwrap().matmul(&a).unwrap();
+        let apa = product(Trans::N, Trans::N, product(Trans::N, Trans::N, &a, &p), &a);
         assert!((&apa - &a).fro_norm() < 1e-9 * a.fro_norm());
     }
 
@@ -107,9 +110,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let w = gaussian_mat(30, 5, &mut rng);
         let v = gaussian_mat(20, 5, &mut rng);
-        let g = w.gram().hadamard(&v.gram()).unwrap();
+        let mut g = product(Trans::T, Trans::N, &w, &w);
+        g.hadamard_assign(product(Trans::T, Trans::N, &v, &v));
         let p = pinv(&g);
-        let gpg = g.matmul(&p).unwrap().matmul(&g).unwrap();
+        let gpg = product(Trans::N, Trans::N, product(Trans::N, Trans::N, &g, &p), &g);
         assert!((&gpg - &g).fro_norm() < 1e-8 * g.fro_norm());
     }
 }

@@ -305,12 +305,14 @@ fn rank_one_update<const W: usize>(block: &mut [f64], ld: usize, c: usize, v: &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Trans;
+    use crate::mat::product;
     use crate::random::gaussian_mat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn assert_orthonormal_cols(q: &Mat, tol: f64) {
-        let g = q.gram();
+        let g = product(Trans::T, Trans::N, q, q);
         let eye = Mat::eye(q.cols());
         assert!(
             (&g - &eye).fro_norm() < tol,
@@ -327,7 +329,7 @@ mod tests {
         assert_eq!(f.q.shape(), (20, 5));
         assert_eq!(f.r.shape(), (5, 5));
         assert_orthonormal_cols(&f.q, 1e-12);
-        let recon = f.q.matmul(&f.r).unwrap();
+        let recon = product(Trans::N, Trans::N, &f.q, &f.r);
         assert!((&a - &recon).fro_norm() < 1e-12 * a.fro_norm().max(1.0));
     }
 
@@ -337,7 +339,7 @@ mod tests {
         let a = gaussian_mat(9, 9, &mut rng);
         let f = qr(&a);
         assert_orthonormal_cols(&f.q, 1e-12);
-        assert!((&a - &f.q.matmul(&f.r).unwrap()).fro_norm() < 1e-11);
+        assert!((&a - &product(Trans::N, Trans::N, &f.q, &f.r)).fro_norm() < 1e-11);
     }
 
     #[test]
@@ -348,7 +350,7 @@ mod tests {
         assert_eq!(f.q.shape(), (4, 4));
         assert_eq!(f.r.shape(), (4, 11));
         assert_orthonormal_cols(&f.q, 1e-12);
-        assert!((&a - &f.q.matmul(&f.r).unwrap()).fro_norm() < 1e-11);
+        assert!((&a - &product(Trans::N, Trans::N, &f.q, &f.r)).fro_norm() < 1e-11);
     }
 
     #[test]
@@ -366,7 +368,7 @@ mod tests {
     #[test]
     fn qr_of_identity() {
         let f = qr(Mat::eye(5));
-        assert!((&f.q.matmul(&f.r).unwrap() - &Mat::eye(5)).fro_norm() < 1e-14);
+        assert!((&product(Trans::N, Trans::N, &f.q, &f.r) - &Mat::eye(5)).fro_norm() < 1e-14);
     }
 
     #[test]
@@ -374,14 +376,14 @@ mod tests {
         // Two identical columns.
         let a = Mat::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
         let f = qr(&a);
-        assert!((&a - &f.q.matmul(&f.r).unwrap()).fro_norm() < 1e-12);
+        assert!((&a - &product(Trans::N, Trans::N, &f.q, &f.r)).fro_norm() < 1e-12);
     }
 
     #[test]
     fn qr_zero_matrix() {
         let a = Mat::zeros(4, 3);
         let f = qr(&a);
-        assert!((&a - &f.q.matmul(&f.r).unwrap()).fro_norm() < 1e-15);
+        assert!((&a - &product(Trans::N, Trans::N, &f.q, &f.r)).fro_norm() < 1e-15);
     }
 
     /// Equal bits, entry by entry, of same-shaped matrices.

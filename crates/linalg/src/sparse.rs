@@ -326,8 +326,8 @@ impl CooBuilder {
 /// Per output row `i`, nonzeros `(j, v)` are consumed in ascending column
 /// order with `c.row(i) += v * b.row(j)` — exactly the dense naive `i-k-j`
 /// loop with structural-zero terms skipped, so the result is bitwise equal
-/// to `a.to_dense().matmul(b)` on the naive dispatch path (finite `b`).
-/// On a multi-thread `pool`, output rows are split into fixed
+/// to `product(Trans::N, Trans::N, a.to_dense(), b)` on the naive dispatch
+/// path (finite `b`). On a multi-thread `pool`, output rows are split into fixed
 /// [`SPMM_CHUNK_ROWS`] blocks, each computed by one worker in the same
 /// per-entry order, so the result is bitwise identical for every pool size.
 ///
@@ -365,10 +365,10 @@ pub fn spmm_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &ThreadPo
 /// `C = Aᵀ·B` for CSR `A` (`m×k`) and dense `B` (`m×n`), into `c` (`k×n`).
 ///
 /// Scatter form: rows `i` ascending, nonzeros `(j, v)` ascending within the
-/// row, `c.row(j) += v * b.row(i)` — exactly the dense naive `matmul_tn`
+/// row, `c.row(j) += v * b.row(i)` — exactly the dense naive `Aᵀ·B`
 /// rank-1 outer loop with structural-zero terms skipped; bitwise equal to
-/// `a.to_dense().matmul_tn(b)` on the naive path (finite `b`). On a
-/// multi-thread `pool`, the output is split into fixed [`SPMM_CHUNK_ROWS`]
+/// `product(Trans::T, Trans::N, a.to_dense(), b)` on the naive path (finite
+/// `b`). On a multi-thread `pool`, the output is split into fixed [`SPMM_CHUNK_ROWS`]
 /// row blocks; every worker scans the full nonzero stream but scatters only
 /// into its own block, preserving the per-cell accumulation order, so the
 /// result is bitwise identical for every pool size. (This parallelizes the
@@ -417,9 +417,9 @@ pub fn spmm_t_into(a: &SparseSlice, b: impl AsMatRef, c: &mut Mat, pool: &Thread
 /// This is the `Y_k = Q_kᵀ X_k` product of SPARTan's inner step. Rows `i`
 /// ascending; for each, `q.row(i)` entries `r` ascending scatter into
 /// `c[r][j] += q[i][r] * x` over the row's nonzeros — the dense naive
-/// `matmul_tn` order with structural zeros skipped; bitwise equal to
-/// `q.matmul_tn(a.to_dense())` on the naive path (finite `q`). On a
-/// multi-thread `pool`, each worker owns whole output rows `r` and scans
+/// `Aᵀ·B` order with structural zeros skipped; bitwise equal to
+/// `product(Trans::T, Trans::N, q, a.to_dense())` on the naive path (finite
+/// `q`). On a multi-thread `pool`, each worker owns whole output rows `r` and scans
 /// the full nonzero stream, so the per-cell order (`i` ascending, then
 /// nonzero order) and hence the result are the same for every pool size.
 /// (This parallelizes the flops, not the CSR scan; it exists for very wide
@@ -577,6 +577,8 @@ fn sparse_outer_gram<const FUSED: bool>(a: &SparseSlice, g: &mut Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Trans;
+    use crate::mat::product;
 
     fn dense_fixture() -> Mat {
         Mat::from_vec(
@@ -644,7 +646,7 @@ mod tests {
         let d = dense_fixture();
         let s = SparseSlice::from_dense(&d);
         let b = Mat::from_vec(4, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let dense = d.matmul(&b).expect("shapes agree");
+        let dense = product(Trans::N, Trans::N, &d, &b);
         for threads in [1, 2, 3] {
             assert_eq!(on(threads, |c, p| spmm_into(&s, &b, c, p)), dense, "{threads} threads");
         }
@@ -655,8 +657,8 @@ mod tests {
         let d = dense_fixture();
         let s = SparseSlice::from_dense(&d);
         let b = Mat::from_vec(3, 2, vec![1.0, -1.0, 2.0, 0.5, -0.25, 3.0]);
-        let ta = d.matmul_tn(&b).expect("shapes agree");
-        let qta = b.matmul_tn(&d).expect("shapes agree");
+        let ta = product(Trans::T, Trans::N, &d, &b);
+        let qta = product(Trans::T, Trans::N, &b, &d);
         for threads in [1, 2, 3] {
             assert_eq!(on(threads, |c, p| spmm_t_into(&s, &b, c, p)), ta, "{threads} threads");
             assert_eq!(on(threads, |c, p| spmm_tn_into(&b, &s, c, p)), qta, "{threads} threads");
@@ -691,7 +693,7 @@ mod tests {
     fn gram_and_norm_match_dense() {
         let d = dense_fixture();
         let s = SparseSlice::from_dense(&d);
-        assert_eq!(on(1, |g, _| sparse_gram_into(&s, g)), d.gram());
+        assert_eq!(on(1, |g, _| sparse_gram_into(&s, g)), product(Trans::T, Trans::N, &d, &d));
         let dense_norm: f64 = d.data().iter().map(|&x| x * x).sum();
         assert_eq!(s.fro_norm_sq().to_bits(), dense_norm.to_bits());
     }

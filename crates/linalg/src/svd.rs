@@ -77,9 +77,10 @@
 //! that body measured slower in the fit, so AVX-512 hosts run it too.
 
 use crate::kernel::Trans;
-use crate::mat::Mat;
+use crate::mat::{gemm, product, Mat};
 use crate::qr::{qr_into, QrScratch};
 use crate::view::{AsMatRef, MatRef};
+use dpar2_parallel::ThreadPool;
 
 /// Maximum number of Jacobi sweeps before declaring non-convergence.
 /// One-sided Jacobi converges quadratically; well-conditioned inputs finish
@@ -101,7 +102,7 @@ impl SvdFactors {
     /// Reconstructs `U · diag(s) · Vᵀ`.
     pub fn reconstruct(&self) -> Mat {
         let us = scale_cols(&self.u, &self.s);
-        us.matmul_nt(&self.v).expect("SvdFactors::reconstruct: shape mismatch")
+        product(Trans::N, Trans::T, &us, &self.v)
     }
 
     /// Numerical rank at relative tolerance `rel_tol` (fraction of `s[0]`).
@@ -1229,7 +1230,7 @@ fn jacobi_finish<const L: usize>(
         }
     }
     if let Some(q) = lift {
-        q.matmul_into(&*u_inner, u);
+        gemm(Trans::N, Trans::N, q, &*u_inner, u, &ThreadPool::new(1));
     }
 }
 
@@ -1293,8 +1294,8 @@ mod tests {
 
     fn assert_valid_svd(a: &Mat, f: &SvdFactors, tol: f64) {
         // Orthonormality.
-        let iu = (&f.u.gram() - &Mat::eye(f.u.cols())).fro_norm();
-        let iv = (&f.v.gram() - &Mat::eye(f.v.cols())).fro_norm();
+        let iu = (&product(Trans::T, Trans::N, &f.u, &f.u) - &Mat::eye(f.u.cols())).fro_norm();
+        let iv = (&product(Trans::T, Trans::N, &f.v, &f.v) - &Mat::eye(f.v.cols())).fro_norm();
         assert!(iu < tol, "U not orthonormal: {iu}");
         assert!(iv < tol, "V not orthonormal: {iv}");
         // Ordering.
@@ -1345,7 +1346,7 @@ mod tests {
         // rank 1: outer product.
         let u = Mat::col_vector(&[1.0, 2.0, 3.0, 4.0]);
         let v = Mat::row_vector(&[1.0, -1.0, 0.5]);
-        let a = u.matmul(&v).unwrap();
+        let a = product(Trans::N, Trans::N, &u, &v);
         let f = svd_thin(&a);
         assert_valid_svd(&a, &f, 1e-9);
         assert_eq!(f.rank(1e-10), 1);
@@ -1358,7 +1359,7 @@ mod tests {
         let a = Mat::zeros(6, 3);
         let f = svd_thin(&a);
         assert_eq!(f.s, vec![0.0; 3]);
-        let iu = (&f.u.gram() - &Mat::eye(3)).fro_norm();
+        let iu = (&product(Trans::T, Trans::N, &f.u, &f.u) - &Mat::eye(3)).fro_norm();
         assert!(iu < 1e-12);
     }
 
@@ -1399,7 +1400,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(27);
         let a = gaussian_mat(10, 6, &mut rng);
         let q = crate::qr::qr(gaussian_mat(10, 10, &mut rng)).q;
-        let qa = q.matmul(&a).unwrap();
+        let qa = product(Trans::N, Trans::N, &q, &a);
         let s1 = svd_thin(&a).s;
         let s2 = svd_thin(&qa).s;
         for (x, y) in s1.iter().zip(&s2) {
@@ -1468,7 +1469,7 @@ mod tests {
             dominant(6, 6),
             dominant(5, 6),
             dominant(12, 4),
-            dominant(7, 2).matmul_nt(dominant(7, 2)).unwrap(),
+            product(Trans::N, Trans::T, dominant(7, 2), dominant(7, 2)),
         ];
         for a in &cases {
             let base = svd_thin(a);
@@ -1478,7 +1479,8 @@ mod tests {
                 scaled.data_mut().iter_mut().for_each(|x| *x *= c);
                 let f = svd_thin(&scaled);
                 let ctx = format!("{:?} times 2^{k}", a.shape());
-                let iu = (&f.u.gram() - &Mat::eye(f.u.cols())).max_abs();
+                let iu =
+                    (&product(Trans::T, Trans::N, &f.u, &f.u) - &Mat::eye(f.u.cols())).max_abs();
                 assert!(iu < 1e-14, "{ctx}: U not orthonormal: {iu}");
                 assert_eq!(f.u, base.u, "{ctx}: U");
                 assert_eq!(f.v, base.v, "{ctx}: V");
@@ -1520,7 +1522,7 @@ mod tests {
             let scaled = Mat::from_fn(2, 2, |i, j| a.at(i, j) * c);
             let f = svd_thin(&scaled);
             for (name, m) in [("U", &f.u), ("V", &f.v)] {
-                let dev = (&m.gram() - &Mat::eye(2)).max_abs();
+                let dev = (&product(Trans::T, Trans::N, m, m) - &Mat::eye(2)).max_abs();
                 assert!(dev < 1e-14, "c = {c:e}: {name}ᵀ{name} is off I by {dev}");
             }
             for (x, y) in f.s.iter().zip(&base.s) {
@@ -1537,9 +1539,11 @@ mod tests {
         use super::super::{
             complete_orthonormal_columns, core_scale, jacobi_tol, pair_mut, SvdFactors, MAX_SWEEPS,
         };
-        use crate::mat::Mat;
+        use crate::kernel::Trans;
+        use crate::mat::{gemm, Mat};
         use crate::qr::{qr_into, QrScratch};
         use crate::view::MatRef;
+        use dpar2_parallel::ThreadPool;
 
         /// The scalar driver's scratch.
         #[derive(Default)]
@@ -1594,7 +1598,7 @@ mod tests {
                 let mut u_inner = std::mem::take(&mut ws.u_inner);
                 let r = std::mem::take(&mut ws.qr_r);
                 jacobi_svd_into(r.view(), &mut u_inner, s, v, ws);
-                ws.qr_q.matmul_into(&u_inner, u);
+                gemm(Trans::N, Trans::N, &ws.qr_q, &u_inner, u, &ThreadPool::new(1));
                 ws.u_inner = u_inner;
                 ws.qr_r = r;
                 return;
@@ -1756,7 +1760,12 @@ mod tests {
             1 => a = Mat::zeros(m, n),
             2 => {
                 let rank = k.div_ceil(2).min(k.saturating_sub(1)).max(1);
-                a = gaussian_mat(m, rank, rng).matmul_nt(gaussian_mat(n, rank, rng)).unwrap();
+                a = product(
+                    Trans::N,
+                    Trans::T,
+                    gaussian_mat(m, rank, rng),
+                    gaussian_mat(n, rank, rng),
+                );
             }
             3 => a.set(m / 2, last.1, f64::NAN),
             4 => a.set(0, n / 2, f64::INFINITY),

@@ -10,7 +10,8 @@
 //! of a fixed term multiset are order-independent absent overflow).
 //!
 //! Coverage, per the kernel-layer contract:
-//! * all four transpose variants (`N·N`, `T·N`, `N·T`, `T·T`) plus `gram`;
+//! * all four transpose variants (`N·N`, `T·N`, `N·T`, `T·T`) plus the Gram
+//!   `Aᵀ·A` through `product`;
 //! * proptest-generated shapes including empty, `1×N`, `N×1`, non-square,
 //!   and sizes straddling every tile/panel boundary;
 //! * NaN / ±∞ injections (the IEEE-propagation regression class);
@@ -21,7 +22,7 @@
 //!   cross-thread determinism.
 
 use dpar2_linalg::kernel::{gemm_blocked, gemm_naive_into, use_blocked, Trans};
-use dpar2_linalg::{gemm, Mat};
+use dpar2_linalg::{gemm, product, Mat};
 use dpar2_parallel::ThreadPool;
 use proptest::prelude::*;
 
@@ -173,7 +174,7 @@ proptest! {
         let mut envelope = Mat::zeros(0, 0);
         gemm_naive_into(Trans::T, Trans::N, &abs_a, &abs_a, &mut envelope);
 
-        let g = a.gram();
+        let g = product(Trans::T, Trans::N, &a, &a);
         assert_differential(&reference, &g, &envelope, rows, "gram dispatch");
         for threads in [1, 2, 3, 4] {
             let mut gp = Mat::zeros(0, 0);
@@ -295,7 +296,7 @@ fn zero_times_special_propagates_nan_through_every_path() {
 
 #[test]
 fn matmul_dispatch_consistent_with_direct_kernels() {
-    // `gemm` and its Mat conveniences dispatch by size; both sides of the
+    // `gemm` and `product` dispatch by size; both sides of the
     // threshold must satisfy the same differential contract.
     for (m, n, k) in [(8, 9, 10), (90, 80, 70)] {
         let a = Mat::from_fn(m, k, |i, j| ((i + 2 * j) as f64).sin());
@@ -307,12 +308,12 @@ fn matmul_dispatch_consistent_with_direct_kernels() {
             gemm_naive_into(Trans::N, Trans::N, a.map(f64::abs), b.map(f64::abs), &mut e);
             e
         };
-        let via_mat = a.matmul(&b).unwrap();
+        let via_mat = product(Trans::N, Trans::N, &a, &b);
         assert_differential(&reference, &via_mat, &abs_prod, k, "matmul dispatch");
 
-        let tn = a.transpose().matmul_tn(&b).unwrap();
+        let tn = product(Trans::T, Trans::N, a.transpose(), &b);
         assert_differential(&reference, &tn, &abs_prod, k, "matmul_tn dispatch");
-        let nt = a.matmul_nt(b.transpose()).unwrap();
+        let nt = product(Trans::N, Trans::T, &a, b.transpose());
         assert_differential(&reference, &nt, &abs_prod, k, "matmul_nt dispatch");
         let mut tt = Mat::zeros(0, 0);
         gemm(Trans::T, Trans::T, a.transpose(), b.transpose(), &mut tt, &ThreadPool::new(1));

@@ -4,7 +4,7 @@
 //! on; a violation here would surface as subtle fitness corruption rather
 //! than a crash, so we check them over randomized shapes and contents.
 
-use dpar2_linalg::{pinv, qr, svd_thin, Mat};
+use dpar2_linalg::{pinv, product, qr, svd_thin, Mat, Trans};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with dimensions in [1, 12] and entries in [-100, 100].
@@ -37,21 +37,21 @@ proptest! {
     #[test]
     fn matmul_transpose_identity((a, b) in mul_pair()) {
         // (AB)ᵀ = Bᵀ Aᵀ
-        let ab_t = a.matmul(&b).unwrap().transpose();
-        let bt_at = b.transpose().matmul(a.transpose()).unwrap();
+        let ab_t = product(Trans::N, Trans::N, &a, &b).transpose();
+        let bt_at = product(Trans::N, Trans::N, b.transpose(), a.transpose());
         prop_assert!((&ab_t - &bt_at).fro_norm() < 1e-9 * (1.0 + ab_t.fro_norm()));
     }
 
     #[test]
     fn matmul_tn_nt_consistency((a, b) in mul_pair()) {
-        // Aᵀ·B via matmul_tn equals explicit transpose; A·Bᵀ likewise.
+        // Aᵀ·B through `product` equals the explicit transpose; A·Bᵀ likewise.
         let at = a.transpose();
-        let tn = at.matmul_tn(&b).unwrap();          // (Aᵀ)ᵀ·B = A·B
-        let plain = a.matmul(&b).unwrap();
+        let tn = product(Trans::T, Trans::N, &at, &b); // (Aᵀ)ᵀ·B = A·B
+        let plain = product(Trans::N, Trans::N, &a, &b);
         prop_assert!((&tn - &plain).fro_norm() < 1e-9 * (1.0 + plain.fro_norm()));
 
         let bt = b.transpose();
-        let nt = a.matmul_nt(&bt).unwrap();           // A·(Bᵀ)ᵀ = A·B
+        let nt = product(Trans::N, Trans::T, &a, &bt); // A·(Bᵀ)ᵀ = A·B
         prop_assert!((&nt - &plain).fro_norm() < 1e-9 * (1.0 + plain.fro_norm()));
     }
 
@@ -64,11 +64,11 @@ proptest! {
     #[test]
     fn qr_reconstructs(a in small_mat()) {
         let f = qr(&a);
-        let recon = f.q.matmul(&f.r).unwrap();
+        let recon = product(Trans::N, Trans::N, &f.q, &f.r);
         prop_assert!((&a - &recon).fro_norm() < 1e-8 * (1.0 + a.fro_norm()));
         // Q orthonormal columns.
         let k = f.q.cols();
-        prop_assert!((&f.q.gram() - &Mat::eye(k)).fro_norm() < 1e-9);
+        prop_assert!((&product(Trans::T, Trans::N, &f.q, &f.q) - &Mat::eye(k)).fro_norm() < 1e-9);
     }
 
     #[test]
@@ -93,7 +93,7 @@ proptest! {
     fn pinv_penrose_one(a in small_mat()) {
         // A A† A = A even for rank-deficient A.
         let p = pinv(&a);
-        let apa = a.matmul(&p).unwrap().matmul(&a).unwrap();
+        let apa = product(Trans::N, Trans::N, product(Trans::N, Trans::N, &a, &p), &a);
         prop_assert!((&apa - &a).fro_norm() < 1e-6 * (1.0 + a.fro_norm()));
     }
 
@@ -102,7 +102,7 @@ proptest! {
         // hstack two same-row matrices then slice them back out.
         let bt = b.transpose();
         if a.rows() == bt.rows() {
-            let h = a.hstack(&bt).unwrap();
+            let h = Mat::hstack_all(&[&a, &bt]);
             prop_assert_eq!(h.block(0, a.rows(), 0, a.cols()), a);
             prop_assert_eq!(h.block(0, a.rows(), a.cols(), h.cols()), bt);
         }

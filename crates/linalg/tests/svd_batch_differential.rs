@@ -15,7 +15,9 @@
 
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
-use dpar2_linalg::{svd_thin_batch_into, Mat, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES};
+use dpar2_linalg::{
+    product, svd_thin_batch_into, Mat, SvdBatchScratch, SvdFactors, SvdScratch, Trans, SVD_LANES,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,7 +51,7 @@ fn assert_batch_matches(
 
 /// Rank `rank` matrix `n×n` (a product of Gaussian factors).
 fn low_rank(n: usize, rank: usize, rng: &mut StdRng) -> Mat {
-    gaussian_mat(n, rank, rng).matmul_nt(gaussian_mat(n, rank, rng)).unwrap()
+    product(Trans::N, Trans::T, gaussian_mat(n, rank, rng), gaussian_mat(n, rank, rng))
 }
 
 #[test]
@@ -214,7 +216,12 @@ fn same_shape_rectangular_lanes() {
             let lanes: Vec<Mat> = (0..count)
                 .map(|l| match l {
                     // A rank-deficient lane beside full-rank ones.
-                    2 => gaussian_mat(m, 1, &mut rng).matmul(gaussian_mat(1, n, &mut rng)).unwrap(),
+                    2 => product(
+                        Trans::N,
+                        Trans::N,
+                        gaussian_mat(m, 1, &mut rng),
+                        gaussian_mat(1, n, &mut rng),
+                    ),
                     _ => gaussian_mat(m, n, &mut rng),
                 })
                 .collect();

@@ -16,7 +16,8 @@
 use dpar2_linalg::random::gaussian_mat;
 use dpar2_linalg::svd::svd_thin_into;
 use dpar2_linalg::{
-    interleave_lanes, svd_square_lanes, Mat, SvdBatchScratch, SvdFactors, SvdScratch, SVD_LANES,
+    interleave_lanes, product, svd_square_lanes, Mat, SvdBatchScratch, SvdFactors, SvdScratch,
+    Trans, SVD_LANES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,7 +69,7 @@ fn assert_lanes_match(mats: &[Mat], out: &mut Out, ws: &mut SvdBatchScratch, ctx
 
 /// Rank `rank` `n×n` matrix (a product of Gaussian factors).
 fn low_rank(n: usize, rank: usize, rng: &mut StdRng) -> Mat {
-    gaussian_mat(n, rank, rng).matmul_nt(gaussian_mat(n, rank, rng)).unwrap()
+    product(Trans::N, Trans::T, gaussian_mat(n, rank, rng), gaussian_mat(n, rank, rng))
 }
 
 /// `m` with every entry times `c`.

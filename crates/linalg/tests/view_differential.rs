@@ -5,13 +5,14 @@
 //! through the kernels without defensive copies — any stride-handling bug
 //! in the packing/naive loops shows up here as a single differing bit.
 //!
-//! Coverage: all four transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`, `Aᵀ·Bᵀ`),
-//! `gram`, and the pooled paths, over randomized shapes that include empty,
+//! Coverage: all four transpose forms (`A·B`, `Aᵀ·B`, `A·Bᵀ`, `Aᵀ·Bᵀ`)
+//! through [`product`] against [`gemm`] into a buffer, the Gram `Aᵀ·A`,
+//! and the pooled paths, over randomized shapes that include empty,
 //! `1×N`, `N×1`, and non-unit-stride blocks, plus deterministic
 //! boundary-size pins that cross the blocked kernel's tile edges.
 
 use dpar2_linalg::view::{AsMatRef, MatRef};
-use dpar2_linalg::{gemm, Mat, Trans};
+use dpar2_linalg::{gemm, product, Mat, Trans};
 use dpar2_parallel::ThreadPool;
 use proptest::prelude::*;
 
@@ -80,11 +81,6 @@ fn gemm_on(ta: Trans, tb: Trans, a: impl AsMatRef, b: impl AsMatRef, threads: us
     c
 }
 
-/// `C = Aᵀ · Bᵀ`, the variant without a `Mat` convenience.
-fn tt(a: impl AsMatRef, b: impl AsMatRef) -> Mat {
-    gemm_on(Trans::T, Trans::T, a, b, 1)
-}
-
 /// Asserts two matrices have identical shapes and bit patterns.
 fn assert_bits(label: &str, got: &Mat, want: &Mat) {
     assert_eq!(got.shape(), want.shape(), "{label}: shape");
@@ -96,8 +92,9 @@ fn assert_bits(label: &str, got: &Mat, want: &Mat) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// All four transpose variants: a strided view operand produces the
-    /// same bits as the materialized copy (both sides, both operands).
+    /// All four transpose forms through `product`: owned operands and a
+    /// strided view on either side or both give the bits of `gemm` into a
+    /// buffer on the materialized copies.
     #[test]
     fn gemm_variants_bitwise_stride_agnostic(
         (m, n, k) in dims(),
@@ -114,51 +111,39 @@ proptest! {
             Block { host, r0: top, r1: top + rows, c0: left, c1: left + cols }
         };
         let (at, al, bt, bl) = offs;
-        // Build A-shaped and B-shaped blocks for each variant's layout.
-        type Case = (fn(&Mat, &Mat) -> Mat, (usize, usize), (usize, usize), &'static str);
-        let cases: [Case; 4] = [
-            (|a, b| a.matmul(b).unwrap(), (m, k), (k, n), "nn"),
-            (|a, b| a.matmul_tn(b).unwrap(), (k, m), (k, n), "tn"),
-            (|a, b| a.matmul_nt(b).unwrap(), (m, k), (n, k), "nt"),
-            (|a, b| tt(a, b), (k, m), (n, k), "tt"),
+        // A-shaped and B-shaped blocks for each form's layout.
+        let cases = [
+            (Trans::N, Trans::N, (m, k), (k, n)),
+            (Trans::T, Trans::N, (k, m), (k, n)),
+            (Trans::N, Trans::T, (m, k), (n, k)),
+            (Trans::T, Trans::T, (k, m), (n, k)),
         ];
-        for (salt, (mul, (ar, ac), (br, bc), label)) in cases.into_iter().enumerate() {
+        for (salt, (ta, tb, (ar, ac), (br, bc))) in cases.into_iter().enumerate() {
             let a = mk_block(ar, ac, at, al, salt as u64);
             let b = mk_block(br, bc, bt, bl, salt as u64 + 100);
             let (a_owned, b_owned) = (a.owned(), b.owned());
-            let want = mul(&a_owned, &b_owned);
-            // View on the left, owned on the right…
-            let got_left = match label {
-                "nn" => a.view().matmul(&b_owned).unwrap(),
-                "tn" => a.view().matmul_tn(&b_owned).unwrap(),
-                "nt" => a.view().matmul_nt(&b_owned).unwrap(),
-                _ => tt(a.view(), &b_owned),
-            };
-            assert_bits(&format!("{label}: view·owned"), &got_left, &want);
-            // …owned on the left, view on the right…
-            let got_right = match label {
-                "nn" => a_owned.matmul(b.view()).unwrap(),
-                "tn" => a_owned.matmul_tn(b.view()).unwrap(),
-                "nt" => a_owned.matmul_nt(b.view()).unwrap(),
-                _ => tt(&a_owned, b.view()),
-            };
-            assert_bits(&format!("{label}: owned·view"), &got_right, &want);
-            // …and views on both sides.
-            let got_both = match label {
-                "nn" => a.view().matmul(b.view()).unwrap(),
-                "tn" => a.view().matmul_tn(b.view()).unwrap(),
-                "nt" => a.view().matmul_nt(b.view()).unwrap(),
-                _ => tt(a.view(), b.view()),
-            };
-            assert_bits(&format!("{label}: view·view"), &got_both, &want);
+            // `gemm` into a buffer on the owned copies is the oracle;
+            // `product` must give its bits on owned matrices, on a view on
+            // either side, and on views on both sides.
+            let want = gemm_on(ta, tb, &a_owned, &b_owned, 1);
+            for (sides, got) in [
+                ("owned·owned", product(ta, tb, &a_owned, &b_owned)),
+                ("view·owned", product(ta, tb, a.view(), &b_owned)),
+                ("owned·view", product(ta, tb, &a_owned, b.view())),
+                ("view·view", product(ta, tb, a.view(), b.view())),
+            ] {
+                assert_bits(&format!("{ta:?}{tb:?}: {sides}"), &got, &want);
+            }
         }
     }
 
-    /// `gram` on a strided view matches the materialized copy bitwise.
+    /// The Gram `Aᵀ·A` on a strided view matches the materialized copy
+    /// bitwise.
     #[test]
     fn gram_bitwise_stride_agnostic(b in (0usize..14, 0usize..10).prop_flat_map(|(m, n)| block_of(m, n))) {
-        let want = b.owned().gram();
-        assert_bits("gram", &b.view().gram(), &want);
+        let owned = b.owned();
+        let want = product(Trans::T, Trans::N, &owned, &owned);
+        assert_bits("gram", &product(Trans::T, Trans::N, b.view(), b.view()), &want);
     }
 
     /// `gemm` on a pool accepts views and agrees bitwise with the serial
@@ -169,11 +154,11 @@ proptest! {
         threads in 1usize..4,
     ) {
         let owned = b.owned();
-        let want_nn = owned.matmul_nt(&owned).unwrap();
+        let want_nn = product(Trans::N, Trans::T, &owned, &owned);
         let got_nn = gemm_on(Trans::N, Trans::T, b.view(), b.view(), threads);
         assert_bits("pooled nt", &got_nn, &want_nn);
         let got_gram = gemm_on(Trans::T, Trans::N, b.view(), b.view(), threads);
-        assert_bits("pooled gram", &got_gram, &owned.gram());
+        assert_bits("pooled gram", &got_gram, &product(Trans::T, Trans::N, &owned, &owned));
     }
 
     /// Element accessors on a strided view agree with the owned copy.
@@ -206,8 +191,8 @@ fn blocked_path_bitwise_on_strided_views() {
         let va = host_a.subview(1, m + 1, 1, k + 1);
         let vb = host_b.subview(1, k + 1, 1, n + 1);
         let (oa, ob) = (va.to_mat(), vb.to_mat());
-        let want = oa.matmul(&ob).unwrap();
-        let got = va.matmul(vb).unwrap();
+        let want = product(Trans::N, Trans::N, &oa, &ob);
+        let got = product(Trans::N, Trans::N, va, vb);
         assert_bits(&format!("blocked {m}x{n}x{k}"), &got, &want);
         // Pooled path on views, every thread count.
         for threads in [1, 2, 3] {

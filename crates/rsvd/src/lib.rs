@@ -255,8 +255,8 @@ pub fn svd_truncated_energy_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpar2_linalg::qr;
     use dpar2_linalg::random::gaussian_mat as gmat;
+    use dpar2_linalg::{product, qr};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -275,7 +275,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let u = gmat(i, r, &mut rng);
         let v = gmat(j, r, &mut rng);
-        let mut m = u.matmul_nt(&v).unwrap();
+        let mut m = product(Trans::N, Trans::T, &u, &v);
         let noise = gmat(i, j, &mut rng);
         m.axpy(eps, &noise);
         m
@@ -327,8 +327,8 @@ mod tests {
         let a = low_rank_noisy(50, 30, 4, 0.1, 5);
         let mut rng = StdRng::seed_from_u64(6);
         let f = rsvd(&a, &RsvdConfig::new(4), &mut rng);
-        assert!((&f.u.gram() - &Mat::eye(4)).fro_norm() < 1e-10);
-        assert!((&f.v.gram() - &Mat::eye(4)).fro_norm() < 1e-10);
+        assert!((&product(Trans::T, Trans::N, &f.u, &f.u) - &Mat::eye(4)).fro_norm() < 1e-10);
+        assert!((&product(Trans::T, Trans::N, &f.v, &f.v) - &Mat::eye(4)).fro_norm() < 1e-10);
     }
 
     #[test]
@@ -362,7 +362,7 @@ mod tests {
                 r[c] *= sv;
             }
         }
-        let a = us.matmul_nt(&v).unwrap();
+        let a = product(Trans::N, Trans::T, &us, &v);
 
         let mut rng0 = StdRng::seed_from_u64(10);
         let f0 = rsvd(&a, &RsvdConfig::without_power_iterations(10), &mut rng0);
@@ -448,7 +448,7 @@ mod tests {
                 r[c] *= sv;
             }
         }
-        (us.matmul_nt(&v).unwrap(), sigmas)
+        (product(Trans::N, Trans::T, &us, &v), sigmas)
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! path on the dense side, so equivalence is only up to reordering; a
 //! loose-envelope test covers that regime.
 
-use dpar2_linalg::{CooBuilder, Mat, SparseSlice};
+use dpar2_linalg::{product, CooBuilder, Mat, SparseSlice, Trans};
 use dpar2_parallel::ThreadPool;
 use dpar2_rsvd::{rsvd, rsvd_pooled, svd_truncated_energy_pooled, RsvdConfig, SparseVStack};
 use proptest::prelude::*;
@@ -204,7 +204,8 @@ fn default_config_sparse_rsvd_reconstructs_within_envelope() {
     let cfg = RsvdConfig::new(8);
     let f = rsvd(&s, &cfg, &mut StdRng::seed_from_u64(78));
     let dense = s.to_dense();
-    let approx = f.u.matmul(Mat::diag(&f.s)).unwrap().matmul_nt(&f.v).unwrap();
+    let approx =
+        product(Trans::N, Trans::T, product(Trans::N, Trans::N, &f.u, Mat::diag(&f.s)), &f.v);
     let rel = (&dense - &approx).fro_norm() / dense.fro_norm();
     // The sampled mask typically has rank well above 8; require the
     // leading subspace to capture most of the energy, not exactness.

@@ -5,19 +5,15 @@
 //! provides that iteration's building blocks: the MTTKRP and column
 //! normalization.
 //!
-//! Two MTTKRP (matricized-tensor times Khatri-Rao product) kernels are
-//! provided:
-//!
-//! * [`mttkrp`] — textbook formulation that materializes `X_(n)` and the
-//!   Khatri-Rao product. Cost `O(I J K R)` time *and* `O(I J K)` transient
-//!   memory; this is what the plain PARAFAC2-ALS baseline pays.
-//! * [`mttkrp_slicewise`] — accumulates frontal-slice contributions without
-//!   forming either operand, the scheduling trick SPARTan popularized.
-//!   Same result, far less memory traffic.
+//! [`mttkrp`] (matricized-tensor times Khatri-Rao product) is the
+//! textbook formulation: it materializes `X_(n)` and the Khatri-Rao
+//! product, for `O(I J K R)` time *and* `O(I J K)` transient memory — what
+//! the plain PARAFAC2-ALS baseline pays. The SPARTan baseline accumulates
+//! its MTTKRP slice by slice in its own code instead.
 
 use crate::dense3::Dense3;
 use crate::kron::khatri_rao_into;
-use dpar2_linalg::{pow2, Mat};
+use dpar2_linalg::{gemm, pow2, product, Mat, ThreadPool, Trans};
 
 /// Reusable scratch for [`mttkrp_into`]: the materialized unfolding and
 /// Khatri-Rao operands. Holding one across ALS iterations makes the
@@ -60,7 +56,7 @@ impl CpFactors {
                     *v *= self.c.at(kk, col);
                 }
             }
-            slices.push(scaled.matmul_nt(&self.b).expect("CpFactors::reconstruct"));
+            slices.push(product(Trans::N, Trans::T, &scaled, &self.b));
         }
         let _ = (i, j);
         Dense3::from_frontal_slices(slices)
@@ -110,76 +106,7 @@ pub fn mttkrp_into(
         }
         _ => panic!("mttkrp: mode must be 1, 2, or 3 (got {mode})"),
     }
-    ws.unfold.matmul_into(&ws.kr, out);
-}
-
-/// Slice-wise MTTKRP that never materializes the unfolding or the
-/// Khatri-Rao product:
-///
-/// * mode 1: `Σ_k X_k B diag(C(k,:))`
-/// * mode 2: `Σ_k X_kᵀ A diag(C(k,:))`
-/// * mode 3: row `k` is `diag(Aᵀ X_k B)ᵀ`
-///
-/// # Panics
-/// Panics if `mode ∉ {1,2,3}`.
-// Lock-step indexing over accumulator/temporary/factor rows is clearer
-// than zipped iterators for these accumulation kernels.
-#[allow(clippy::needless_range_loop)]
-pub fn mttkrp_slicewise(t: &Dense3, a: &Mat, b: &Mat, c: &Mat, mode: usize) -> Mat {
-    let r = a.cols();
-    let k_dim = t.dim_k();
-    match mode {
-        1 => {
-            let mut g = Mat::zeros(a.rows(), r);
-            let mut tmp = Mat::zeros(a.rows(), r);
-            for k in 0..k_dim {
-                t.slice(k).matmul_into(b, &mut tmp);
-                for i in 0..g.rows() {
-                    let grow = g.row_mut(i);
-                    let trow = tmp.row(i);
-                    let crow = c.row(k);
-                    for col in 0..r {
-                        grow[col] += trow[col] * crow[col];
-                    }
-                }
-            }
-            g
-        }
-        2 => {
-            let mut g = Mat::zeros(b.rows(), r);
-            let mut tmp = Mat::zeros(b.rows(), r);
-            for k in 0..k_dim {
-                t.slice(k).matmul_tn_into(a, &mut tmp);
-                for i in 0..g.rows() {
-                    let grow = g.row_mut(i);
-                    let trow = tmp.row(i);
-                    let crow = c.row(k);
-                    for col in 0..r {
-                        grow[col] += trow[col] * crow[col];
-                    }
-                }
-            }
-            g
-        }
-        3 => {
-            let mut g = Mat::zeros(k_dim, r);
-            let mut tmp = Mat::zeros(b.rows(), r);
-            for k in 0..k_dim {
-                // tmp = X_kᵀ A ; G(k, r) = B(:,r) · tmp(:,r)
-                t.slice(k).matmul_tn_into(a, &mut tmp);
-                let grow = g.row_mut(k);
-                for col in 0..r {
-                    let mut s = 0.0;
-                    for row in 0..b.rows() {
-                        s += b.at(row, col) * tmp.at(row, col);
-                    }
-                    grow[col] = s;
-                }
-            }
-            g
-        }
-        _ => panic!("mttkrp_slicewise: mode must be 1, 2, or 3 (got {mode})"),
-    }
+    gemm(Trans::N, Trans::N, &ws.unfold, &ws.kr, out, &ThreadPool::new(1));
 }
 
 /// Normalizes the columns of `m` to unit Euclidean norm, returning the
@@ -259,20 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn slicewise_matches_naive_all_modes() {
-        let t = random_tensor(5, 6, 4, 81);
-        let f = random_factors(5, 6, 4, 3, 82);
-        for mode in 1..=3 {
-            let naive = mttkrp(&t, &f.a, &f.b, &f.c, mode);
-            let fast = mttkrp_slicewise(&t, &f.a, &f.b, &f.c, mode);
-            assert!(
-                (&naive - &fast).fro_norm() < 1e-9 * (1.0 + naive.fro_norm()),
-                "mode {mode} mismatch"
-            );
-        }
-    }
-
-    #[test]
     fn reconstruct_exact_cp_tensor() {
         // Build a tensor from known factors; reconstruction must be exact.
         let f = random_factors(4, 5, 3, 2, 83);
@@ -294,13 +207,13 @@ mod tests {
         let f = random_factors(4, 5, 3, 2, 84);
         let t = f.reconstruct();
         let lhs = t.unfold1();
-        let rhs = f.a.matmul_nt(khatri_rao(&f.c, &f.b)).unwrap();
+        let rhs = product(Trans::N, Trans::T, &f.a, khatri_rao(&f.c, &f.b));
         assert!((&lhs - &rhs).fro_norm() < 1e-10 * (1.0 + lhs.fro_norm()));
         let lhs2 = t.unfold2();
-        let rhs2 = f.b.matmul_nt(khatri_rao(&f.c, &f.a)).unwrap();
+        let rhs2 = product(Trans::N, Trans::T, &f.b, khatri_rao(&f.c, &f.a));
         assert!((&lhs2 - &rhs2).fro_norm() < 1e-10 * (1.0 + lhs2.fro_norm()));
         let lhs3 = t.unfold3();
-        let rhs3 = f.c.matmul_nt(khatri_rao(&f.b, &f.a)).unwrap();
+        let rhs3 = product(Trans::N, Trans::T, &f.c, khatri_rao(&f.b, &f.a));
         assert!((&lhs3 - &rhs3).fro_norm() < 1e-10 * (1.0 + lhs3.fro_norm()));
     }
 

@@ -235,7 +235,7 @@ mod tests {
         let t = IrregularTensor::new(slices.clone());
         let stacked = t.stacked();
         assert_eq!(stacked.shape(), (5, 4));
-        let explicit = slices[0].vstack(&slices[1]).unwrap();
+        let explicit = Mat::vstack_all(&[&slices[0], &slices[1]]);
         assert_eq!(stacked.to_mat(), explicit);
     }
 

@@ -1,31 +1,7 @@
-//! Kronecker (`⊗`) and Khatri-Rao (`⊙`) products — Table I of the paper.
+//! Khatri-Rao (`⊙`) products — Table I of the paper — and the vector
+//! Kronecker (`⊗`) product behind them.
 
 use dpar2_linalg::Mat;
-
-/// Kronecker product `A ⊗ B`.
-///
-/// For `A ∈ R^{m×n}` and `B ∈ R^{p×q}` the result is `(mp) × (nq)` with
-/// `(A ⊗ B)[(i_a p + i_b), (j_a q + j_b)] = A[i_a, j_a] · B[i_b, j_b]`.
-pub fn kron(a: &Mat, b: &Mat) -> Mat {
-    let (m, n) = a.shape();
-    let (p, q) = b.shape();
-    let mut out = Mat::zeros(m * p, n * q);
-    for ia in 0..m {
-        for ib in 0..p {
-            let dst = out.row_mut(ia * p + ib);
-            for ja in 0..n {
-                let aval = a.at(ia, ja);
-                if aval == 0.0 {
-                    continue;
-                }
-                for jb in 0..q {
-                    dst[ja * q + jb] = aval * b.at(ib, jb);
-                }
-            }
-        }
-    }
-    out
-}
 
 /// Kronecker product of two vectors, `a ⊗ b` (length `|a|·|b|`, `b` varies
 /// fastest). Used in Lemma 3's `E Dᵀ V(:,r) ⊗ H(:,r)` term.
@@ -86,60 +62,9 @@ pub fn khatri_rao_into(a: &Mat, b: &Mat, out: &mut Mat) {
 mod tests {
     use super::*;
     use dpar2_linalg::random::gaussian_mat;
+    use dpar2_linalg::{product, Trans};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn kron_known_2x2() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Mat::from_rows(&[&[0.0, 5.0], &[6.0, 7.0]]);
-        let k = kron(&a, &b);
-        assert_eq!(k.shape(), (4, 4));
-        // Top-left block is 1·B.
-        assert_eq!(k.at(0, 1), 5.0);
-        assert_eq!(k.at(1, 0), 6.0);
-        // Bottom-right block is 4·B.
-        assert_eq!(k.at(3, 3), 28.0);
-    }
-
-    #[test]
-    fn kron_identity_blocks() {
-        let b = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let k = kron(&Mat::eye(2), &b);
-        // Block-diagonal with two copies of B.
-        assert_eq!(k.at(0, 0), 1.0);
-        assert_eq!(k.at(2, 2), 1.0);
-        assert_eq!(k.at(0, 2), 0.0);
-        assert_eq!(k.at(3, 3), 4.0);
-    }
-
-    #[test]
-    fn mixed_product_property() {
-        // (A ⊗ B)(C ⊗ D) = (AC) ⊗ (BD) — the identity behind Lemma 1.
-        let mut rng = StdRng::seed_from_u64(71);
-        let a = gaussian_mat(3, 4, &mut rng);
-        let b = gaussian_mat(2, 5, &mut rng);
-        let c = gaussian_mat(4, 2, &mut rng);
-        let d = gaussian_mat(5, 3, &mut rng);
-        let lhs = kron(&a, &b).matmul(kron(&c, &d)).unwrap();
-        let rhs = kron(&a.matmul(&c).unwrap(), &b.matmul(&d).unwrap());
-        assert!((&lhs - &rhs).fro_norm() < 1e-10 * (1.0 + lhs.fro_norm()));
-    }
-
-    #[test]
-    fn vectorization_identity() {
-        // vec(A B) = (Bᵀ ⊗ I) vec(A) — used in the proof of Lemma 3.
-        let mut rng = StdRng::seed_from_u64(72);
-        let a = gaussian_mat(3, 4, &mut rng);
-        let b = gaussian_mat(4, 5, &mut rng);
-        let lhs = a.matmul(&b).unwrap().vec_colmajor();
-        let rhs = kron(&b.transpose(), &Mat::eye(3)).matmul(Mat::col_vector(&a.vec_colmajor()));
-        let rhs = rhs.unwrap().into_vec();
-        assert_eq!(rhs.len(), lhs.len());
-        for (x, y) in lhs.iter().zip(&rhs) {
-            assert!((x - y).abs() < 1e-10);
-        }
-    }
 
     #[test]
     fn kron_vec_ordering() {
@@ -171,8 +96,9 @@ mod tests {
         let a = gaussian_mat(6, 4, &mut rng);
         let b = gaussian_mat(7, 4, &mut rng);
         let kr = khatri_rao(&a, &b);
-        let lhs = kr.gram();
-        let rhs = a.gram().hadamard(&b.gram()).unwrap();
+        let lhs = product(Trans::T, Trans::N, &kr, &kr);
+        let mut rhs = product(Trans::T, Trans::N, &a, &a);
+        rhs.hadamard_assign(product(Trans::T, Trans::N, &b, &b));
         assert!((&lhs - &rhs).fro_norm() < 1e-10 * (1.0 + lhs.fro_norm()));
     }
 

@@ -10,7 +10,8 @@
 //!   dense slices `X_k ∈ R^{I_k×J}` sharing the column dimension `J`.
 //! * [`SparseIrregularTensor`] — the same collection with CSR slices
 //!   ([`SparseSlice`]), for SPARTan-parity workloads that are >99% zeros.
-//! * [`mod@kron`] ([`kron()`](kron::kron), [`khatri_rao`]) — the ⊗ and ⊙ products of Table I.
+//! * [`mod@kron`] ([`khatri_rao`], [`kron::kron_vec`]) — the ⊙ and vector ⊗ products of
+//!   Table I.
 //! * [`cp`] — CP-ALS building blocks (MTTKRP, factor updates) used by the
 //!   inner loop of PARAFAC2-ALS (Algorithm 2, lines 11–16).
 //!
@@ -33,11 +34,10 @@ pub mod kron;
 pub mod sparse;
 
 pub use cp::{
-    mttkrp, mttkrp_into, mttkrp_slicewise, normalize_columns, normalize_columns_mut, CpFactors,
-    MttkrpScratch,
+    mttkrp, mttkrp_into, normalize_columns, normalize_columns_mut, CpFactors, MttkrpScratch,
 };
 pub use dense3::Dense3;
 pub use dpar2_linalg::sparse::{CooBuilder, SparseSlice};
 pub use irregular::IrregularTensor;
-pub use kron::{khatri_rao, khatri_rao_into, kron};
+pub use kron::{khatri_rao, khatri_rao_into};
 pub use sparse::SparseIrregularTensor;

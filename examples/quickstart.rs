@@ -7,6 +7,7 @@
 
 use dpar2_repro::core::{Dpar2, FitOptions};
 use dpar2_repro::data::planted_parafac2;
+use dpar2_repro::linalg::{product, Trans};
 
 fn main() {
     // An irregular tensor: 6 slices with different row counts, J = 30
@@ -43,8 +44,9 @@ fn main() {
     println!("  fitness             : {:.4}  (1.0 = perfect reconstruction)", fit.fitness(&tensor));
 
     // The PARAFAC2 invariant: U_kᵀ U_k is the same matrix for every slice.
-    let ref_gram = fit.u[0].gram();
-    let max_dev =
-        (1..tensor.k()).map(|k| (&fit.u[k].gram() - &ref_gram).fro_norm()).fold(0.0f64, f64::max);
+    let ref_gram = product(Trans::T, Trans::N, &fit.u[0], &fit.u[0]);
+    let max_dev = (1..tensor.k())
+        .map(|k| (&product(Trans::T, Trans::N, &fit.u[k], &fit.u[k]) - &ref_gram).fro_norm())
+        .fold(0.0f64, f64::max);
     println!("  max deviation of U_kᵀU_k across slices: {max_dev:.2e} (PARAFAC2 constraint)");
 }

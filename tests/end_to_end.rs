@@ -4,6 +4,7 @@
 use dpar2_repro::baselines::{fit_with, Method, Spartan};
 use dpar2_repro::core::{Dpar2, FitOptions, IterationEvent, StopReason};
 use dpar2_repro::data::{planted_parafac2, planted_sparse, registry, tenrand_irregular};
+use dpar2_repro::linalg::{product, Trans};
 use std::ops::ControlFlow;
 
 /// All four solvers must reach comparable fitness on planted data — the
@@ -121,9 +122,10 @@ fn cross_product_invariance_all_methods() {
     let config = FitOptions::new(3).with_max_iterations(10).with_seed(11);
     for method in Method::ALL {
         let fit = fit_with(method, &tensor, &config).expect("solver failed");
-        let reference = fit.u[0].gram();
+        let reference = product(Trans::T, Trans::N, &fit.u[0], &fit.u[0]);
         for k in 1..tensor.k() {
-            let dev = (&fit.u[k].gram() - &reference).fro_norm() / (1.0 + reference.fro_norm());
+            let dev = (&product(Trans::T, Trans::N, &fit.u[k], &fit.u[k]) - &reference).fro_norm()
+                / (1.0 + reference.fro_norm());
             assert!(dev < 1e-6, "{}: U_kᵀU_k varies across slices ({dev})", method.name());
         }
     }
@@ -227,7 +229,7 @@ fn shared_test_matrix_costs_no_stage1_accuracy() {
     let seed = 13;
     let options = FitOptions::new(10).with_seed(seed);
     for (name, t) in cases {
-        let energy = |k: usize, a: &Mat| a.matmul_tn(t.slice(k)).unwrap().fro_norm_sq();
+        let energy = |k: usize, a: &Mat| product(Trans::T, Trans::N, a, t.slice(k)).fro_norm_sq();
         let c = compress(&t, &options).unwrap();
         let shared: f64 = (0..t.k()).map(|k| energy(k, &c.a[k])).sum();
         let fresh: f64 = (0..t.k())
